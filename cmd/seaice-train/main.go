@@ -175,6 +175,8 @@ func main() {
 			log.Fatalf("-workers %d conflicts with %d -peers (omit -workers in net mode)", o.workers, len(o.peers))
 		}
 		o.workers = len(o.peers)
+	} else {
+		o.rank = 0 // -rank names a position within -peers only
 	}
 	if *chaosSpec != "" {
 		sched, err := chaos.Parse(*chaosSpec)
@@ -183,10 +185,9 @@ func main() {
 		}
 		o.chaos = chaos.New(sched, o.workers)
 		if len(o.peers) > 0 {
-			// In-process-only fault kinds have no meaning across real
-			// processes (each process heals its own replica; stage and
-			// serve panics live in other subsystems).
-			for _, k := range []chaos.Kind{chaos.ReplicaCrash, chaos.StagePanic, chaos.ServePanic} {
+			// Stage and serve panics live in other subsystems of a
+			// single process (ddp.NewNet rejects the replica-crash kind).
+			for _, k := range []chaos.Kind{chaos.StagePanic, chaos.ServePanic} {
 				if o.chaos.Count(k) > 0 {
 					log.Fatalf("chaos kind %q is in-process only and cannot be injected in -peers mode", k)
 				}
@@ -196,9 +197,6 @@ func main() {
 	}
 	if o.resume && o.snapshot == "" {
 		log.Fatal("-resume requires -snapshot <path>")
-	}
-	if len(o.peers) > 0 && o.elastic {
-		log.Fatal("-elastic is not supported in -peers mode (network training heals and retries)")
 	}
 
 	switch *precision {
@@ -261,16 +259,11 @@ func run[S tensor.Scalar](o options, master bool) {
 		Image: dataset.OriginalImages, Labels: labKind,
 		BatchSize: o.batch, BatchSeed: o.seed,
 	}
-	// Fault-tolerant runs always use the ddp trainer (it owns the
-	// snapshot/recovery machinery), even at one worker.
-	netMode := len(o.peers) > 0
-	useDDP := !netMode && (o.workers > 1 || o.chaos != nil || o.resume || o.snapshot != "")
-	if netMode {
-		plan.BatchSize = o.batch * o.workers
-	}
+	// Fault-tolerant and multi-process runs always use the ddp trainer
+	// (it owns the snapshot/recovery machinery), even at one worker. It
+	// shards globally, so the global batch is the planning unit.
+	useDDP := len(o.peers) > 0 || o.workers > 1 || o.chaos != nil || o.resume || o.snapshot != ""
 	if useDDP {
-		// The ddp trainer shards globally, so the global batch is the
-		// planning unit.
 		plan.BatchSize = o.batch * o.workers
 	}
 	// With chaos active, stage faults need a retry budget to be
@@ -305,89 +298,8 @@ func run[S tensor.Scalar](o options, master bool) {
 		nTrain, o.labels, o.epochs, o.preset, modelCfg.NumConvLayers())
 
 	var model *unet.Model[S]
-	if netMode {
-		samples, err := st.TrainSamples()
-		if err != nil {
-			log.Fatal(err)
-		}
-		model = runNet[S](o, modelCfg, samples, master)
-	} else if useDDP {
-		samples, err := st.TrainSamples()
-		if err != nil {
-			log.Fatal(err)
-		}
-		nTrain = len(samples)
-		tr, err := ddp.New[S](modelCfg, ddp.Config{
-			Workers:        o.workers,
-			BatchPerWorker: o.batch,
-			Epochs:         o.epochs,
-			LR:             o.lr,
-			Seed:           o.seed,
-			MasterWeights:  master,
-			Focal:          o.focal,
-			Timing:         perfmodel.PaperDGX(),
-			Chaos:          o.chaos,
-			SnapshotPath:   o.snapshot,
-			SnapshotEvery:  o.snapEvery,
-			SnapshotKeep:   o.snapKeep,
-			Guard:          o.guard,
-			Elastic:        o.elastic,
-			Progress: func(epoch int, loss float64) {
-				log.Printf("epoch %d: loss %.4f", epoch, loss)
-			},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if o.resume {
-			snap, entry, err := ddp.LoadSnapshotFallback(o.snapshot, o.snapKeep)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := tr.Restore(snap); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("resumed from %s at global step %d", entry, snap.Step)
-		}
-		res, err := tr.Fit(samples)
-		if errors.Is(err, ddp.ErrKilled) {
-			for _, ev := range o.chaos.Events() {
-				log.Printf("chaos: delivered %s", ev)
-			}
-			if o.snapshot != "" && o.elastic {
-				// Elastic runs stop snapshotting once the complement
-				// degrades, so a resume replays from the last
-				// full-complement snapshot with every rank healed — a
-				// different run than the degraded one that died.
-				log.Fatalf("run killed by injected fault after %d committed steps; rerun with -snapshot %s -resume (drop -chaos) to restart from the last full-complement snapshot — elastic steps after it are not replayed",
-					res.Steps, o.snapshot)
-			}
-			if o.snapshot != "" {
-				log.Fatalf("run killed by injected fault after %d committed steps; rerun with -snapshot %s -resume (drop -chaos, or the kill re-arms and fires again) to continue bit-identically",
-					res.Steps, o.snapshot)
-			}
-			log.Fatalf("run killed by injected fault after %d committed steps; no -snapshot was set, so the training state is lost (pass -snapshot PATH to make kills resumable)",
-				res.Steps)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		if o.chaos != nil {
-			for _, ev := range o.chaos.Events() {
-				log.Printf("chaos: delivered %s", ev)
-			}
-			log.Printf("chaos: %d replicas healed, %d snapshot replays, %d stragglers absorbed, %d faults undelivered",
-				res.Recoveries, res.Replays, res.Stalls, o.chaos.Remaining())
-			if res.Anomalies > 0 {
-				log.Printf("guard: %d gradient anomalies detected, %d updates skipped", res.Anomalies, res.GuardSkips)
-			}
-			if len(res.LostRanks) > 0 {
-				log.Printf("chaos: finished elastically without ranks %v", res.LostRanks)
-			}
-		}
-		log.Printf("distributed training: %d workers, virtual DGX time %.2f s, real %.2f s",
-			o.workers, res.VirtualTotal, res.RealTotal)
-		model = tr.Replica(0)
+	if useDDP {
+		model = runDDP[S](o, modelCfg, st, master)
 	} else {
 		batches, err := pipeline.TrainBatchesOf[S](st)
 		if err != nil {
@@ -419,7 +331,7 @@ func run[S tensor.Scalar](o options, master bool) {
 	// patterns of all parameters, in Params order) — the cross-process
 	// identity check the cluster smoke test greps for.
 	fmt.Printf("weights sha256: %x\n", weightsSHA(model))
-	if netMode && o.rank != 0 {
+	if o.rank != 0 {
 		// Every rank finishes with identical weights; rank 0 owns
 		// evaluation and the checkpoint.
 		return
@@ -489,31 +401,16 @@ func quantizeTrained[S tensor.Scalar](model *unet.Model[S], st *pipeline.Stream,
 	return unet.Quantize(master, cal)
 }
 
-// runNet trains this process as one rank of a TCP cluster: the ring
-// collectives run over internal/transport, so the run is byte-identical
-// to the in-process trainer at the same world size — across injected
-// partitions, dropped frames, and process kills.
-func runNet[S tensor.Scalar](o options, modelCfg unet.Config, samples []train.Sample, master bool) *unet.Model[S] {
-	snapPath := o.snapshot
-	if snapPath != "" {
-		// Snapshots are rank-local: each process persists and resumes
-		// its own file, as real machines would.
-		snapPath = fmt.Sprintf("%s.rank%d", o.snapshot, o.rank)
-	}
-	ringT, err := transport.NewRing(transport.Config{
-		Rank:      o.rank,
-		Peers:     o.peers,
-		ClusterID: o.clusterID,
-		Chaos:     o.chaos,
-		Logf:      log.Printf,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	coll := &transport.Collective[S]{R: ringT}
-	defer coll.Close()
-
-	tr, err := ddp.NewNet[S](modelCfg, ddp.Config{
+// runDDP trains through the data-parallel trainer: every rank in this
+// process, or — with -peers — this process as one rank of a TCP cluster
+// whose ring collectives run over internal/transport. It is one trainer
+// either way, so a cluster run is byte-identical to the in-process run
+// at the same world size, across injected crashes, partitions, dropped
+// frames and process kills; the two differ only in how the trainer gets
+// its collective and where its snapshots go.
+func runDDP[S tensor.Scalar](o options, modelCfg unet.Config, st *pipeline.Stream, master bool) *unet.Model[S] {
+	who := "" // log prefix naming this process's rank of a cluster
+	cfg := ddp.Config{
 		Workers:        o.workers,
 		BatchPerWorker: o.batch,
 		Epochs:         o.epochs,
@@ -523,56 +420,92 @@ func runNet[S tensor.Scalar](o options, modelCfg unet.Config, samples []train.Sa
 		Focal:          o.focal,
 		Timing:         perfmodel.PaperDGX(),
 		Chaos:          o.chaos,
-		SnapshotPath:   snapPath,
+		SnapshotPath:   o.snapshot,
 		SnapshotEvery:  o.snapEvery,
 		SnapshotKeep:   o.snapKeep,
 		Guard:          o.guard,
+		Elastic:        o.elastic,
 		Progress: func(epoch int, loss float64) {
-			log.Printf("rank %d epoch %d: loss %.4f (rank-local)", o.rank, epoch, loss)
+			log.Printf("%sepoch %d: loss %.4f", who, epoch, loss)
 		},
-	}, coll)
+	}
+	var tr *ddp.Trainer[S]
+	var err error
+	if len(o.peers) == 0 {
+		tr, err = ddp.New[S](modelCfg, cfg)
+	} else {
+		who = fmt.Sprintf("rank %d/%d: ", o.rank, o.workers)
+		if o.snapshot != "" {
+			// Snapshots are rank-local: each process persists and resumes
+			// its own file, as real machines would.
+			cfg.SnapshotPath = fmt.Sprintf("%s.rank%d", o.snapshot, o.rank)
+		}
+		ringT, rerr := transport.NewRing(transport.Config{
+			Rank:      o.rank,
+			Peers:     o.peers,
+			ClusterID: o.clusterID,
+			Chaos:     o.chaos,
+			Logf:      log.Printf,
+		})
+		if rerr != nil {
+			log.Fatal(rerr)
+		}
+		coll := &transport.Collective[S]{R: ringT}
+		defer coll.Close()
+		log.Printf("%slistening on %s, cluster %q (reported losses are rank-local)", who, o.peers[o.rank], o.clusterID)
+		tr, err = ddp.NewNet[S](modelCfg, cfg, coll)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	samples, err := st.TrainSamples()
 	if err != nil {
 		log.Fatal(err)
 	}
 	if o.resume {
-		snap, entry, err := ddp.LoadSnapshotFallback(snapPath, o.snapKeep)
+		snap, entry, err := ddp.LoadSnapshotFallback(cfg.SnapshotPath, o.snapKeep)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if err := tr.Restore(snap); err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("rank %d resumed from %s at global step %d", o.rank, entry, snap.Step)
+		log.Printf("%sresumed from %s at global step %d", who, entry, snap.Step)
 	}
-	log.Printf("rank %d/%d listening on %s, cluster %q", o.rank, o.workers, o.peers[o.rank], o.clusterID)
 	res, err := tr.Fit(samples)
+	for _, ev := range o.chaos.Events() {
+		log.Printf("chaos: delivered %s", ev)
+	}
 	if errors.Is(err, ddp.ErrKilled) {
-		for _, ev := range o.chaos.Events() {
-			log.Printf("chaos: delivered %s", ev)
+		hint := "no -snapshot was set, so the training state is lost (pass -snapshot PATH to make kills resumable)"
+		switch {
+		case o.snapshot != "" && o.elastic:
+			// Elastic runs stop snapshotting once the complement
+			// degrades, so a resume replays from the last
+			// full-complement snapshot with every rank healed — a
+			// different run than the degraded one that died.
+			hint = "rerun with -resume added and -chaos dropped to restart from the last full-complement snapshot — elastic steps after it are not replayed"
+		case o.snapshot != "":
+			hint = "rerun with -resume added and the kill dropped from -chaos (or it re-arms and fires again) to continue bit-identically"
 		}
-		if o.snapshot != "" {
-			log.Fatalf("rank %d killed by injected fault after %d committed steps; rerun every rank with -snapshot %s -resume (drop the kill from -chaos) to continue bit-identically",
-				o.rank, res.Steps, o.snapshot)
-		}
-		log.Fatalf("rank %d killed by injected fault after %d committed steps; no -snapshot was set, so the training state is lost",
-			o.rank, res.Steps)
+		log.Fatalf("%srun killed by injected fault after %d committed steps; %s", who, res.Steps, hint)
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
 	if o.chaos != nil {
-		for _, ev := range o.chaos.Events() {
-			log.Printf("chaos: delivered %s", ev)
-		}
-		log.Printf("chaos: %d network recoveries, %d stragglers absorbed, %d faults undelivered",
-			res.Recoveries, res.Stalls, o.chaos.Remaining())
+		log.Printf("%schaos: %d recoveries (%d by snapshot replay), %d stragglers absorbed, %d faults undelivered",
+			who, res.Recoveries, res.Replays, res.Stalls, o.chaos.Remaining())
 		if res.Anomalies > 0 {
-			log.Printf("guard: rank %d saw %d gradient anomalies, %d updates skipped", o.rank, res.Anomalies, res.GuardSkips)
+			log.Printf("%sguard: %d gradient anomalies detected, %d updates skipped", who, res.Anomalies, res.GuardSkips)
+		}
+		if len(res.LostRanks) > 0 {
+			log.Printf("%schaos: finished elastically without ranks %v", who, res.LostRanks)
 		}
 	}
-	log.Printf("network training: rank %d of %d, %d committed steps, virtual DGX time %.2f s, real %.2f s",
-		o.rank, o.workers, res.Steps, res.VirtualTotal, res.RealTotal)
-	return tr.Model()
+	log.Printf("%sdata-parallel training: %d ranks, %d committed steps, virtual DGX time %.2f s, real %.2f s",
+		who, o.workers, res.Steps, res.VirtualTotal, res.RealTotal)
+	return tr.Replica(o.rank)
 }
 
 // verifySnapshot is the -verify-snapshot scrub mode: it checks every
@@ -581,15 +514,9 @@ func runNet[S tensor.Scalar](o options, modelCfg unet.Config, samples []train.Sa
 // decoded state — printing a per-section report and exiting non-zero if
 // the newest entry (the one -resume would prefer) does not verify.
 func verifySnapshot(path string, keep int) {
-	if keep <= 0 {
-		keep = ddp.DefaultSnapshotKeep
-	}
 	bad := false
 	for i := 0; i < keep; i++ {
-		entry := path
-		if i > 0 {
-			entry = fmt.Sprintf("%s.%d", path, i)
-		}
+		entry := ddp.RotationEntry(path, i)
 		snap, err := ddp.LoadSnapshotFile(entry)
 		if err != nil {
 			switch {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -82,37 +81,47 @@ func runFit[S tensor.Scalar](t *testing.T, model unet.Config, cfg Config, sample
 // enabled: identity also proves the RNG streams rewind correctly.
 func TestChaosRecoveryBitIdentity(t *testing.T) {
 	for _, tc := range []struct {
+		name    string
 		workers int
 		spec    string
+		guard   train.GuardConfig
 	}{
 		// Single worker: every crash is a no-survivor loss, forcing the
 		// snapshot-replay path (crashes land between snapshots at 4k).
-		{1, "11:crash@2:r0,crash@7:r0"},
+		{"workers=1", 1, "11:crash@2:r0,crash@7:r0", train.GuardConfig{}},
 		// Multi-worker: survivor-copy healing; one auto-targeted crash
 		// and a straggler riding along.
-		{3, "11:crash@3:r1,crash@9:r0,stall@5:r2:2ms"},
-		{4, "11:crash@1:r3,crash@6,crash@6:r0"},
+		{"workers=3", 3, "11:crash@3:r1,crash@9:r0,stall@5:r2:2ms", train.GuardConfig{}},
+		{"workers=4", 4, "11:crash@1:r3,crash@6,crash@6:r0", train.GuardConfig{}},
+		// Snapshot replay over guard-skipped steps: at this bound the
+		// gradient norm trips (and reproduces) at steps 0 and 1 only, so
+		// the crash at step 3 replays from the step-0 snapshot across two
+		// dropped updates and one applied one. The replay must drop the
+		// same updates, and still draw their dropout noise.
+		{"workers=1+guardskip", 1, "11:crash@3:r0,crash@7:r0", train.GuardConfig{Policy: train.GuardSkip, MaxNorm: 0.4}},
 	} {
 		samples := syntheticSamples(123, tc.workers*2*4, 8)
-		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			t.Run("f64", func(t *testing.T) {
-				chaosBitIdentity[float64](t, tc.workers, tc.spec, samples)
+				chaosBitIdentity[float64](t, tc.workers, tc.spec, tc.guard, samples)
 			})
 			t.Run("f32-mixed", func(t *testing.T) {
-				chaosBitIdentity[float32](t, tc.workers, tc.spec, samples)
+				chaosBitIdentity[float32](t, tc.workers, tc.spec, tc.guard, samples)
 			})
 		})
 	}
 }
 
-func chaosBitIdentity[S tensor.Scalar](t *testing.T, workers int, spec string, samples []train.Sample) {
+func chaosBitIdentity[S tensor.Scalar](t *testing.T, workers int, spec string, guard train.GuardConfig, samples []train.Sample) {
 	model := dropoutConfig(4)
 	base := chaosTrainCfg(workers, "", t)
 	base.MasterWeights = tensor.IsF32[S]()
+	base.Guard = guard
 	clean, cleanRes := runFit[S](t, model, base, samples)
 
 	cfg := chaosTrainCfg(workers, spec, t)
 	cfg.MasterWeights = base.MasterWeights
+	cfg.Guard = guard
 	injector := cfg.Chaos
 	faulty, res := runFit[S](t, model, cfg, samples)
 
@@ -127,6 +136,12 @@ func chaosBitIdentity[S tensor.Scalar](t *testing.T, workers int, spec string, s
 	}
 	if res.Steps != cleanRes.Steps {
 		t.Fatalf("committed steps %d vs clean %d", res.Steps, cleanRes.Steps)
+	}
+	if guard.Enabled() && cleanRes.GuardSkips != 2 {
+		t.Fatalf("clean run skipped %d updates, want 2 (steps 0 and 1)", cleanRes.GuardSkips)
+	}
+	if res.GuardSkips != cleanRes.GuardSkips {
+		t.Fatalf("guard skips %d vs clean %d: a replayed step was counted twice, or its update was not dropped again", res.GuardSkips, cleanRes.GuardSkips)
 	}
 	if got, want := weightsOf(faulty), weightsOf(clean); !bytes.Equal(got, want) {
 		t.Fatalf("recovered weights differ from uninterrupted run (%d vs %d bytes)", len(got), len(want))

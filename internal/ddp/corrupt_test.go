@@ -2,10 +2,12 @@ package ddp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"seaice/internal/chaos"
@@ -177,7 +179,7 @@ func TestCorruptSnapshotFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := rotationEntry(path, 1); entry != want {
+		if want := RotationEntry(path, 1); entry != want {
 			t.Errorf("fell back to %s, want %s", entry, want)
 		}
 		if snap.Step != 4 {
@@ -195,7 +197,7 @@ func TestCorruptSnapshotFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := rotationEntry(path, 1); entry != want {
+		if want := RotationEntry(path, 1); entry != want {
 			t.Errorf("fell back to %s, want %s", entry, want)
 		}
 		if snap.Step != 4 {
@@ -206,7 +208,7 @@ func TestCorruptSnapshotFallback(t *testing.T) {
 	t.Run("all-corrupt", func(t *testing.T) {
 		path := corruptSnapshotPair(t, false)
 		flipByte(t, path, len(snapMagic)+8+16)
-		flipByte(t, rotationEntry(path, 1), len(snapMagic)+8+16)
+		flipByte(t, RotationEntry(path, 1), len(snapMagic)+8+16)
 
 		if _, _, err := LoadSnapshotFallback(path, 2); !errors.Is(err, ErrCorruptSnapshot) {
 			t.Fatalf("got %v, want ErrCorruptSnapshot with no fallback left", err)
@@ -226,6 +228,23 @@ func TestCorruptSnapshotFallback(t *testing.T) {
 			t.Errorf("snapshot at step %d, want 8", snap.Step)
 		}
 	})
+}
+
+// TestCorruptSnapshotHugeLength asserts a header that claims a 4 GiB
+// body over an empty file is rejected as a torn write without the
+// decoder allocating what the header claims.
+func TestCorruptSnapshotHugeLength(t *testing.T) {
+	data := binary.BigEndian.AppendUint64([]byte(snapMagic), 1<<32)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadSnapshot(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("got %v, want ErrCorruptSnapshot", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoding a %d-byte file allocated %d bytes", len(data), grew)
+	}
 }
 
 // TestCorruptNetBitIdentity is the tentpole invariant over real TCP: a

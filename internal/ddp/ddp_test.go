@@ -1,6 +1,7 @@
 package ddp
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"seaice/internal/noise"
 	"seaice/internal/perfmodel"
 	"seaice/internal/raster"
+	"seaice/internal/ring"
 	"seaice/internal/train"
 	"seaice/internal/unet"
 )
@@ -167,5 +169,26 @@ func TestConfigErrors(t *testing.T) {
 		if _, err := New[float64](noDropoutConfig(1), cfg); err == nil {
 			t.Fatalf("config %+v should be rejected", cfg)
 		}
+	}
+}
+
+// TestComputeErrorEndsRun: a forward/backward failure on one rank (its
+// shard mixes tile sizes) is not a lost worker — retrying would fail
+// again — so Fit returns it, and its peers are not left waiting for the
+// rank in the all-reduce.
+func TestComputeErrorEndsRun(t *testing.T) {
+	samples := syntheticSamples(5, 6, 8)
+	samples[4] = syntheticSamples(6, 1, 16)[0]
+	tr, err := New[float64](noDropoutConfig(2), Config{Workers: 3, BatchPerWorker: 2, Epochs: 1, LR: 0.01, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tr.Fit(samples)
+	var lost *ring.RankError
+	if err == nil || errors.As(err, &lost) {
+		t.Fatalf("Fit = %v, want the rank's compute error", err)
+	}
+	if res.Steps != 0 || res.Recoveries != 0 {
+		t.Fatalf("committed %d steps with %d recoveries, want none", res.Steps, res.Recoveries)
 	}
 }

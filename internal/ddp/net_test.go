@@ -103,7 +103,7 @@ func runNetRanks[S tensor.Scalar](t *testing.T, h *netHarness, modelCfg unet.Con
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(r int, tr *NetTrainer[S], coll *transport.Collective[S]) {
+		go func(r int, tr *Trainer[S], coll *transport.Collective[S]) {
 			defer wg.Done()
 			defer coll.Close()
 			if cfg.SnapshotPath != "" {
@@ -115,7 +115,7 @@ func runNetRanks[S tensor.Scalar](t *testing.T, h *netHarness, modelCfg unet.Con
 				}
 			}
 			results[r], errs[r] = tr.Fit(samples)
-			weights[r] = modelBytes(tr.Model())
+			weights[r] = modelBytes(tr.Replica(r))
 		}(r, tr, coll)
 	}
 	wg.Wait()
@@ -207,10 +207,10 @@ func TestNetTrainLocalCollective(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(r int, tr *NetTrainer[float64]) {
+		go func(r int, tr *Trainer[float64]) {
 			defer wg.Done()
 			_, errs[r] = tr.Fit(samples)
-			weights[r] = modelBytes(tr.Model())
+			weights[r] = modelBytes(tr.Replica(r))
 		}(r, tr)
 	}
 	wg.Wait()
@@ -264,6 +264,27 @@ func TestNetTrainKillResume(t *testing.T) {
 		}
 		if results[r].Steps != 8 {
 			t.Errorf("resumed rank %d committed %d steps, want 8 (12 total − 4 snapshotted)", r, results[r].Steps)
+		}
+	}
+}
+
+// TestNetRejectsInProcessOnly: healing a crashed replica and elastic
+// resharding need every rank in one process, so a one-rank trainer
+// refuses a Config that schedules either instead of silently never
+// delivering the fault.
+func TestNetRejectsInProcessOnly(t *testing.T) {
+	colls, err := ring.NewLocal[float64](2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elastic := chaosTrainCfg(2, "", t)
+	elastic.Elastic = true
+	for name, cfg := range map[string]Config{
+		"crash":   chaosTrainCfg(2, "3:crash@1:r1", t),
+		"elastic": elastic,
+	} {
+		if _, err := NewNet[float64](dropoutConfig(1), cfg, colls[0]); !errors.Is(err, errors.ErrUnsupported) {
+			t.Errorf("%s: NewNet = %v, want errors.ErrUnsupported", name, err)
 		}
 	}
 }

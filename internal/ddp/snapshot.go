@@ -106,9 +106,9 @@ func (s *Snapshot) Write(w io.Writer) error {
 // snapTable is the CRC32C polynomial table for checkpoint checksums.
 var snapTable = crc32.MakeTable(crc32.Castagnoli)
 
-// rotationEntry names the i-th snapshot rotation file: the live path for
+// RotationEntry names the i-th snapshot rotation file: the live path for
 // i = 0, "path.1", "path.2", … for older generations.
-func rotationEntry(path string, i int) string {
+func RotationEntry(path string, i int) string {
 	if i == 0 {
 		return path
 	}
@@ -169,12 +169,12 @@ func saveSnapshotFile(path string, s *Snapshot, keep int, torn bool) error {
 	if keep < 1 {
 		keep = 1
 	}
-	os.Remove(rotationEntry(path, keep-1))
+	os.Remove(RotationEntry(path, keep-1))
 	for i := keep - 1; i >= 2; i-- {
-		os.Rename(rotationEntry(path, i-1), rotationEntry(path, i))
+		os.Rename(RotationEntry(path, i-1), RotationEntry(path, i))
 	}
 	if keep > 1 {
-		os.Rename(path, rotationEntry(path, 1))
+		os.Rename(path, RotationEntry(path, 1))
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("ddp: save snapshot: %w", err)
@@ -212,14 +212,18 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: truncated length header", ErrCorruptSnapshot)
 	}
 	n := binary.BigEndian.Uint64(hdr[:])
-	const maxSnapshot = 1 << 32 // corrupt lengths must not balloon memory
+	const maxSnapshot = 1 << 32
 	if n == 0 || n > maxSnapshot {
 		return nil, fmt.Errorf("%w: implausible body length %d", ErrCorruptSnapshot, n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
+	// The length is still only a claim: copy incrementally, so memory
+	// tracks the bytes actually present and a corrupt header cannot
+	// balloon it.
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, br, int64(n)); err != nil {
 		return nil, fmt.Errorf("%w: truncated body (torn write?)", ErrCorruptSnapshot)
 	}
+	body := buf.Bytes()
 	var crc [4]byte
 	if _, err := io.ReadFull(br, crc[:]); err != nil {
 		return nil, fmt.Errorf("%w: truncated CRC trailer", ErrCorruptSnapshot)
@@ -261,7 +265,7 @@ func LoadSnapshotFallback(path string, keep int) (*Snapshot, string, error) {
 	}
 	var errs []error
 	for i := 0; i < keep; i++ {
-		entry := rotationEntry(path, i)
+		entry := RotationEntry(path, i)
 		s, err := LoadSnapshotFile(entry)
 		if err == nil {
 			return s, entry, nil

@@ -9,11 +9,12 @@ import (
 // a goroutine in one process, or one process of a real cluster — holds
 // only its own vector and calls the operations in lockstep with its
 // peers. Two implementations exist behind this one interface, so the
-// distributed trainer (ddp.FitNet) is transport-agnostic:
+// distributed trainer (ddp.Trainer) is transport-agnostic:
 //
 //   - Local (this package): ranks are goroutines rendezvousing in
-//     memory; the operations delegate to AllReduceMeanChunked /
-//     Broadcast, so results are bit-identical to the shared-memory ring.
+//     memory over a membership Group; the operations delegate to
+//     AllReduceMeanChunkedGroup / Broadcast, so results are
+//     bit-identical to the shared-memory ring.
 //   - transport.Collective: ranks are processes connected by the
 //     length-prefixed TCP ring of internal/transport, running the same
 //     chunk schedule over sockets — bit-identical to Local by
@@ -59,7 +60,7 @@ const (
 	opBarrier   localOp = "barrier"
 )
 
-// localRound is one rendezvous of all p ranks: vectors are gathered,
+// localRound is one rendezvous of the live ranks: vectors are gathered,
 // the shared-memory collective runs once, and every participant
 // observes the same error.
 type localRound[S Scalar] struct {
@@ -73,13 +74,13 @@ type localRound[S Scalar] struct {
 
 // localHub is the shared rendezvous state behind a set of Local ranks.
 type localHub[S Scalar] struct {
-	p   int
-	mu  sync.Mutex
-	cur *localRound[S]
+	group *Group
+	mu    sync.Mutex
+	cur   *localRound[S]
 }
 
 // Local is the in-process Collective: p goroutines sharing a hub. It
-// exists so per-rank callers (ddp.FitNet, the transport parity tests)
+// exists so per-rank callers (ddp.Trainer, the transport parity tests)
 // can run against shared memory with results bit-identical to
 // AllReduceMeanChunked, making the network transport a drop-in swap.
 type Local[S Scalar] struct {
@@ -87,14 +88,26 @@ type Local[S Scalar] struct {
 	rank int
 }
 
-// NewLocal returns p connected in-process ranks. All p must call each
-// collective for any to return (the same lockstep contract a socket
-// transport imposes).
-func NewLocal[S Scalar](p int) ([]*Local[S], error) {
+// NewLocal returns p connected in-process ranks. Every live rank must
+// call each collective for any to return (the same lockstep contract a
+// socket transport imposes). Liveness is the membership of group — one
+// of size p may be passed in by a caller that fails and heals ranks
+// itself (the ddp trainer); otherwise the ranks get a private one. The
+// owner may change membership only between collectives: nothing wakes
+// ranks already waiting on one that then dies.
+func NewLocal[S Scalar](p int, group ...*Group) ([]*Local[S], error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("ring: local collective size %d", p)
 	}
-	hub := &localHub[S]{p: p}
+	hub := &localHub[S]{}
+	switch {
+	case len(group) == 0:
+		hub.group, _ = NewGroup(p) // p > 0: cannot fail
+	case len(group) == 1 && group[0] != nil && group[0].Size() == p:
+		hub.group = group[0]
+	default:
+		return nil, fmt.Errorf("ring: local collective of %d needs one membership group of that size", p)
+	}
 	out := make([]*Local[S], p)
 	for r := range out {
 		out[r] = &Local[S]{hub: hub, rank: r}
@@ -106,24 +119,31 @@ func NewLocal[S Scalar](p int) ([]*Local[S], error) {
 func (l *Local[S]) Rank() int { return l.rank }
 
 // World implements Collective.
-func (l *Local[S]) World() int { return l.hub.p }
+func (l *Local[S]) World() int { return l.hub.group.Size() }
 
 // StepStart implements Collective; in-process ranks have no links to
 // fault, so it is a no-op.
 func (l *Local[S]) StepStart(step int) {}
 
 // rendezvous joins (or opens) the current round for op, deposits vec,
-// and blocks until all p ranks arrived and the round's collective ran.
+// and blocks until every live rank arrived and the round's collective
+// ran. A dead rank fails fast with *RankError instead of joining.
 func (l *Local[S]) rendezvous(op localOp, chunk int, vec []S) error {
 	h := l.hub
-	if h.p == 1 {
-		// Single-rank degenerate case: the collectives are identities
-		// (AllReduceMeanChunked with p=1 leaves the vector unchanged).
+	h.mu.Lock()
+	if !h.group.IsLive(l.rank) {
+		h.mu.Unlock()
+		return &RankError{Rank: l.rank}
+	}
+	need := h.group.LiveCount()
+	if need == 1 {
+		// A lone rank: every collective is the identity (the mean over
+		// one vector leaves it unchanged).
+		h.mu.Unlock()
 		return nil
 	}
-	h.mu.Lock()
 	if h.cur == nil {
-		h.cur = &localRound[S]{op: op, chunk: chunk, vecs: make([][]S, h.p), done: make(chan struct{})}
+		h.cur = &localRound[S]{op: op, chunk: chunk, vecs: make([][]S, h.group.Size()), done: make(chan struct{})}
 	}
 	round := h.cur
 	if round.op != op {
@@ -132,13 +152,18 @@ func (l *Local[S]) rendezvous(op localOp, chunk int, vec []S) error {
 	}
 	round.vecs[l.rank] = vec
 	round.n++
-	if round.n == h.p {
+	if round.n == need {
 		// Last arriver executes the shared-memory collective for all.
 		switch op {
 		case opReduce:
-			round.err = AllReduceMeanChunked(round.vecs, round.chunk)
+			round.err = AllReduceMeanChunkedGroup(h.group, round.vecs, round.chunk)
 		case opBroadcast:
-			round.err = Broadcast(round.vecs)
+			live := h.group.Live()
+			views := make([][]S, len(live))
+			for i, r := range live {
+				views[i] = round.vecs[r]
+			}
+			round.err = Broadcast(views)
 		case opBarrier:
 			// Rendezvous itself is the barrier.
 		}
@@ -158,7 +183,8 @@ func (l *Local[S]) AllReduceMean(vec []S, chunk int) error {
 	return l.rendezvous(opReduce, chunk, vec)
 }
 
-// Broadcast implements Collective: rank 0's vector is copied to all.
+// Broadcast implements Collective: the lowest live rank's vector (rank
+// 0's, on a full ring) is copied to all.
 func (l *Local[S]) Broadcast(vec []S) error {
 	return l.rendezvous(opBroadcast, 0, vec)
 }

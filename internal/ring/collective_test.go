@@ -1,7 +1,9 @@
 package ring
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -130,5 +132,53 @@ func TestLocalSingleRank(t *testing.T) {
 	}
 	if err := l.Commit(0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLocalSkipsDead asserts Local runs its collectives over the live
+// members of a shared group: survivors reduce to the mean over exactly
+// their own inputs (bit-identical to AllReduceMeanChunkedGroup),
+// broadcast sources from the lowest live rank, a dead rank's vector is
+// left untouched and its own calls fail fast with *RankError — and a
+// healed rank rejoins.
+func TestLocalSkipsDead(t *testing.T) {
+	const p, n, chunk = 4, 300, 64
+	g, err := NewGroup(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranks, err := NewLocal[float64](p, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Fail(0)
+	survivors := ranks[1:]
+
+	want := fillVecs[float64](p, n)
+	got := cloneVecs(want)
+	if err := AllReduceMeanChunkedGroup(g, want, chunk); err != nil {
+		t.Fatal(err)
+	}
+	runLocal(t, survivors, func(l *Local[float64]) error { return l.AllReduceMean(got[l.Rank()], chunk) })
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("survivor reduce differs from AllReduceMeanChunkedGroup")
+	}
+	var re *RankError
+	if err := ranks[0].AllReduceMean(got[0], chunk); !errors.As(err, &re) || re.Rank != 0 {
+		t.Fatalf("dead rank's reduce returned %v, want RankError naming rank 0", err)
+	}
+
+	bvecs := fillVecs[float64](p, n)
+	dead, src := cloneVecs(bvecs)[0], cloneVecs(bvecs)[1]
+	runLocal(t, survivors, func(l *Local[float64]) error { return l.Broadcast(bvecs[l.Rank()]) })
+	if !reflect.DeepEqual(bvecs, [][]float64{dead, src, src, src}) {
+		t.Fatal("degraded broadcast did not copy rank 1's vector to exactly the survivors")
+	}
+
+	g.Heal(0)
+	runLocal(t, ranks, func(l *Local[float64]) error { return l.Commit(1) })
+
+	if _, err := NewLocal[float64](p+1, g); err == nil {
+		t.Fatal("NewLocal accepted a membership group of the wrong size")
 	}
 }

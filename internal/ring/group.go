@@ -182,26 +182,3 @@ func AllReduceMeanChunkedGroup[S Scalar](g *Group, vectors [][]S, chunk int) err
 	}
 	return nil
 }
-
-// BroadcastGroup copies the lowest live rank's vector to every other
-// live rank — the membership-aware Broadcast for callers that
-// re-synchronize flattened state over a degraded ring. (The ddp healer
-// currently copies parameters directly via Model.CopyWeightsFrom; this
-// collective is the substrate-level equivalent.)
-func BroadcastGroup[S Scalar](g *Group, vectors [][]S) error {
-	if g == nil {
-		return Broadcast(vectors)
-	}
-	if len(vectors) != g.Size() {
-		return fmt.Errorf("ring: %d vectors for group of %d", len(vectors), g.Size())
-	}
-	live := g.snapshot()
-	if len(live) == 0 {
-		return &RankError{Rank: 0}
-	}
-	views := make([][]S, len(live))
-	for i, r := range live {
-		views[i] = vectors[r]
-	}
-	return Broadcast(views)
-}

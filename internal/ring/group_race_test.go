@@ -68,8 +68,8 @@ func TestGroupConcurrentFailHealCollectives(t *testing.T) {
 		}
 	}()
 
-	// Collective callers: each round runs a full-group reduce and a
-	// broadcast against fresh vectors while membership churns.
+	// Collective callers: each round runs a full-group reduce against
+	// fresh vectors while membership churns.
 	var coll sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		coll.Add(1)
@@ -78,7 +78,6 @@ func TestGroupConcurrentFailHealCollectives(t *testing.T) {
 			for round := 0; round < rounds; round++ {
 				vecs := fillVecs[float64](p, n)
 				checkGroupErr(t, AllReduceMeanChunkedGroup(g, vecs, 64), p)
-				checkGroupErr(t, BroadcastGroup(g, vecs), p)
 			}
 		}()
 	}

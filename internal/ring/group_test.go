@@ -159,24 +159,4 @@ func TestGroupAllDeadReturnsRankError(t *testing.T) {
 	if err := AllReduceMeanChunkedGroup(g, [][]float64{{1}}, 0); !errors.As(err, &re) {
 		t.Fatalf("got %v, want RankError", err)
 	}
-	if err := BroadcastGroup(g, [][]float64{{1}}); !errors.As(err, &re) {
-		t.Fatalf("broadcast got %v, want RankError", err)
-	}
-}
-
-// TestBroadcastGroupSkipsDead asserts recovery broadcast sources from
-// the lowest live rank and leaves dead ranks untouched.
-func TestBroadcastGroupSkipsDead(t *testing.T) {
-	g, err := NewGroup(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Fail(0)
-	vectors := [][]float64{{1, 1}, {2, 2}, {3, 3}}
-	if err := BroadcastGroup(g, vectors); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(vectors, [][]float64{{1, 1}, {2, 2}, {2, 2}}) {
-		t.Fatalf("vectors = %v", vectors)
-	}
 }
