@@ -492,8 +492,30 @@ func BenchmarkTrainStep(b *testing.B) {
 	b.Run("engine-f32", func(b *testing.B) {
 		benchTrainStep[float32](b, samples, false, runtime.NumCPU(), false)
 	})
-	b.Run("engine-f32-mixed", func(b *testing.B) {
-		benchTrainStep[float32](b, samples, false, runtime.NumCPU(), true)
+	// The training default, once per float32 kernel backend (bit-identical
+	// weights, see ddp.TestBackendWeightParity): the ratio of the two is
+	// what the AVX2 panel, the batched Winograd products and the GEMM-form
+	// weight gradient buy a whole step.
+	for _, backend := range []string{"engine", "avx2"} {
+		b.Run("engine-f32-mixed/"+backend, func(b *testing.B) {
+			useFloat32Backend(b, backend)
+			benchTrainStep[float32](b, samples, false, runtime.NumCPU(), true)
+		})
+	}
+}
+
+// useFloat32Backend pins the float32 kernel backend (internal/tensor
+// backend.go) for one sub-benchmark, skipping it on hosts that cannot run
+// the backend, and restores the previous one afterwards.
+func useFloat32Backend(b *testing.B, name string) {
+	prev := tensor.Float[float32]().Name
+	if err := tensor.SelectFloat[float32](name); err != nil {
+		b.Skip(err)
+	}
+	b.Cleanup(func() {
+		if err := tensor.SelectFloat[float32](prev); err != nil {
+			b.Fatal(err)
+		}
 	})
 }
 
@@ -532,7 +554,9 @@ func benchTrainStep[S tensor.Scalar](b *testing.B, samples []train.Sample, legac
 // BenchmarkMatMul measures the GEMM core on a convolution-shaped product
 // (16×72 × 72×32768, the batch-8 64²-tile encoder shape) for the serial
 // reference kernels versus the blocked parallel engine, covering all
-// three product forms the conv layers use.
+// three product forms the conv layers use. Under f32, AB/engine pins the
+// scalar engine panel and AB/avx2 the AVX2 one, so their ratio is the
+// kernel-level gain of the SIMD backend.
 func BenchmarkMatMul(b *testing.B) {
 	b.Run("f64", benchMatMul[float64])
 	b.Run("f32", benchMatMul[float32])
@@ -561,11 +585,21 @@ func benchMatMul[S tensor.Scalar](b *testing.B) {
 			tensor.MatMulRef(a, bb)
 		}
 	})
-	b.Run("AB/engine", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tensor.MatMul(a, bb)
-		}
-	})
+	backends := []string{"engine"}
+	if tensor.IsF32[S]() {
+		backends = append(backends, "avx2")
+	}
+	for _, backend := range backends {
+		b.Run("AB/"+backend, func(b *testing.B) {
+			if tensor.IsF32[S]() {
+				useFloat32Backend(b, backend)
+			}
+			for i := 0; i < b.N; i++ {
+				tensor.MatMul(a, bb)
+			}
+			b.ReportMetric(2*m*k*n*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
+		})
+	}
 	b.Run("ATB/ref", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tensor.MatMulATBRef(at, wide)

@@ -1,6 +1,7 @@
 package ddp
 
 import (
+	"crypto/sha256"
 	"errors"
 	"math"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"seaice/internal/perfmodel"
 	"seaice/internal/raster"
 	"seaice/internal/ring"
+	"seaice/internal/tensor"
 	"seaice/internal/train"
 	"seaice/internal/unet"
 )
@@ -190,5 +192,36 @@ func TestComputeErrorEndsRun(t *testing.T) {
 	}
 	if res.Steps != 0 || res.Recoveries != 0 {
 		t.Fatalf("committed %d steps with %d recoveries, want none", res.Steps, res.Recoveries)
+	}
+}
+
+// TestBackendWeightParity is the end-to-end half of the float backends'
+// determinism contract (internal/tensor backend.go): eight mixed-precision
+// float32 steps of the FastConfig U-Net on two ranks — AVX2 GEMM panel,
+// batched Winograd products and GEMM-form weight gradient on one side,
+// the scalar engine kernels on the other — must end in weights with the
+// same SHA-256.
+func TestBackendWeightParity(t *testing.T) {
+	samples := syntheticSamples(21, 16, 32)
+	cfg := Config{Workers: 2, BatchPerWorker: 1, Epochs: 1, LR: 0.01, Seed: 5, MasterWeights: true}
+	prev := tensor.Float[float32]().Name
+	defer func() {
+		if err := tensor.SelectFloat[float32](prev); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	sums := map[string][sha256.Size]byte{}
+	for _, backend := range []string{"engine", "avx2"} {
+		if err := tensor.SelectFloat[float32](backend); err != nil {
+			t.Skip(err)
+		}
+		tr, res := runFit[float32](t, unet.FastConfig(3), cfg, samples)
+		if res.Steps != 8 {
+			t.Fatalf("%s: %d steps, want 8", backend, res.Steps)
+		}
+		sums[backend] = sha256.Sum256(weightsOf(tr))
+	}
+	if sums["engine"] != sums["avx2"] {
+		t.Fatalf("weights sha256 differ: engine %x, avx2 %x", sums["engine"], sums["avx2"])
 	}
 }

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"sync"
+
 	"seaice/internal/pool"
 	"seaice/internal/tensor"
 )
@@ -317,6 +319,35 @@ func convT2x2Range[S tensor.Scalar](u *ConvTranspose2x2[S], x []S, h, w int, dst
 	}
 }
 
+// taskScratch is the pair of work buffers one kernel task borrows: the
+// Winograd V and M batches of a (image, tile-row) range, or the im2col
+// block and dW accumulator of a GEMM-form weight gradient. The pool is
+// shared by every layer, so a process holds about one pair per
+// concurrently running task — not one per layer — each grown to the
+// largest request it has served (both users bound theirs to a few
+// hundred KiB); sync.Pool keeps steady-state allocation near zero without
+// needing worker identities from the compute pool.
+type taskScratch[S tensor.Scalar] struct{ a, b []S }
+
+var scratchPool sync.Pool
+
+// getScratch borrows a pair with the requested lengths; return it with
+// scratchPool.Put. Contents are stale.
+func getScratch[S tensor.Scalar](asz, bsz int) *taskScratch[S] {
+	sc, _ := scratchPool.Get().(*taskScratch[S]) // a pair of the other precision is dropped
+	if sc == nil {
+		sc = &taskScratch[S]{}
+	}
+	if cap(sc.a) < asz {
+		sc.a = make([]S, asz)
+	}
+	if cap(sc.b) < bsz {
+		sc.b = make([]S, bsz)
+	}
+	sc.a, sc.b = sc.a[:asz], sc.b[:bsz]
+	return sc
+}
+
 // poolMapChannels runs fn(c) for every channel in [0, n) on the shared
 // pool; channels own disjoint output slices so no synchronization is
 // needed beyond the pool's join.
@@ -336,15 +367,27 @@ func poolMapChannels(n int, fn func(c int)) {
 }
 
 // conv3x3WeightGrad accumulates the weight gradient of a same-padded 3×3
-// stride-1 convolution directly from the input planes and the
-// output-channel-major gradient dout (OutC, N·H·W), without an im2col
-// matrix. For each (oc, ic) pair the nine taps keep independent
-// accumulator chains over the (image, row, column ascending) order — the
-// same per-element order as dW = dout × colsᵀ, with zero-padding taps
-// skipped (exact +0 terms). Out-channel rows of the gradient are disjoint,
-// so they parallelize freely.
+// stride-1 convolution from the input planes and the output-channel-major
+// gradient dout (OutC, N·H·W). Per (oc, ic, tap) element both forms below
+// run one accumulator chain over the (image, row, column ascending) pixel
+// order and add it to Grad once — the per-element order of
+// dW = dout × colsᵀ — so they are bit-identical on finite gradients.
+//
+// The direct form (conv3x3WeightGradRange) reads the input planes in
+// place, nine independent chains per (oc, ic) pair, skipping zero-padding
+// taps; out-channel rows are disjoint, so they parallelize freely. It is
+// a scalar loop. When the float backend's GEMM panel is vectorised
+// (float32 with AVX2) the gradient is instead computed as that GEMM
+// (conv3x3WeightGradGemm), whose padding taps contribute exact +0 terms:
+// adding ±0 never changes a chain that started at +0, so only a
+// non-finite dout element — already a guard-tripping step — can tell the
+// two apart (Inf·0 is NaN where the direct form skipped the tap).
 func conv3x3WeightGrad[S tensor.Scalar](c *Conv2D[S], x []S, dout []S, n, h, w int) {
 	p := pool.Shared()
+	if ops := tensor.Float[S](); ops.SIMD {
+		conv3x3WeightGradGemm(p, ops, c, x, dout, n, h, w)
+		return
+	}
 	if p.Workers() == 1 {
 		conv3x3WeightGradRange(c, x, dout, n, h, w, 0, c.OutC)
 		return
@@ -352,6 +395,94 @@ func conv3x3WeightGrad[S tensor.Scalar](c *Conv2D[S], x []S, dout []S, n, h, w i
 	p.MustMapRanges(c.OutC, 1, func(lo, hi int) {
 		conv3x3WeightGradRange(c, x, dout, n, h, w, lo, hi)
 	})
+}
+
+// weightGradBlock is the most pixels one im2col block of the GEMM-form
+// weight gradient holds, and weightGradFloats the most floats: that
+// bounds the borrowed scratch at 256 KiB (a whole-layer P×InC·9 matrix
+// would be megabytes per layer) and keeps the block L2-resident between
+// its build and the product that consumes it.
+const (
+	weightGradBlock  = 1024
+	weightGradFloats = 1 << 16
+)
+
+// conv3x3WeightGradGemm computes dW = dout (OutC×P) × colsᵀ (P×InC·9) on
+// the backend's GEMM panel, k-blocked over pixels: each block of up to
+// weightGradBlock pixels is gathered pixel-major (one row of InC·9 taps
+// per pixel, zeros for padding) and multiplied into an accumulator that
+// the next block's panel continues, so every dW element is one chain
+// over all P pixels, as in the direct form; Grad += that chain at the
+// end. Both the gather (over pixels) and the product (over four-row
+// blocks of out-channels) fan out on the pool, and neither split touches
+// a chain, so results are bit-identical at any worker count.
+func conv3x3WeightGradGemm[S tensor.Scalar](p *pool.Pool, ops *tensor.FloatOps[S], c *Conv2D[S], x []S, dout []S, n, h, w int) {
+	pixels, k9 := n*h*w, c.InC*9
+	block := min(pixels, weightGradBlock, max(64, weightGradFloats/k9))
+	sc := getScratch[S](block*k9, c.OutC*k9)
+	cols, acc := sc.a, sc.b
+	rowBlocks := (c.OutC + 3) / 4
+	var p0, pb int // the current block, shared with the two range bodies
+	gather := func(lo, hi int) { im2colPixels3x3(cols[lo*k9:hi*k9], x, c.InC, h, w, p0+lo, p0+hi) }
+	product := func(lo, hi int) {
+		r0, r1 := 4*lo, min(4*hi, c.OutC)
+		ops.Panel(acc[r0*k9:], dout[r0*pixels+p0:], cols, r1-r0, pb, k9, pixels, 0, k9, p0 > 0)
+	}
+	for p0 = 0; p0 < pixels; p0 += block {
+		pb = min(block, pixels-p0)
+		if p.Workers() == 1 {
+			gather(0, pb)
+			product(0, rowBlocks)
+			continue
+		}
+		p.MustMapRanges(pb, 64, gather)
+		p.MustMapRanges(rowBlocks, 1, product)
+	}
+	gd := c.Weight.Grad.Data
+	for i, s := range acc {
+		gd[i] += s
+	}
+	scratchPool.Put(sc)
+}
+
+// im2colPixels3x3 gathers the 3×3 neighbourhoods of pixels [p0,p1) of the
+// NCHW batch x (pixels numbered image-major, then row, then column) into
+// cols, one row of InC·9 taps per pixel in (channel, kernel row, kernel
+// column) order — the transpose of tensor.Im2Col's layout, so the pixel
+// axis is the GEMM's k. Taps in the zero padding are written as 0.
+func im2colPixels3x3[S tensor.Scalar](cols, x []S, inC, h, w, p0, p1 int) {
+	plane := h * w
+	for p := p0; p < p1; p++ {
+		img, rem := p/plane, p%plane
+		oy, ox := rem/w, rem%w
+		row := cols[(p-p0)*inC*9 : (p-p0+1)*inC*9]
+		if oy > 0 && oy < h-1 && ox > 0 && ox < w-1 {
+			q := img*inC*plane + rem - w - 1 // top-left tap of channel 0
+			for ic := 0; ic < inC; ic++ {
+				r := row[ic*9 : ic*9+9 : ic*9+9]
+				x0, x1, x2 := x[q:q+3:q+3], x[q+w:q+w+3:q+w+3], x[q+2*w:q+2*w+3:q+2*w+3]
+				r[0], r[1], r[2] = x0[0], x0[1], x0[2]
+				r[3], r[4], r[5] = x1[0], x1[1], x1[2]
+				r[6], r[7], r[8] = x2[0], x2[1], x2[2]
+				q += plane
+			}
+			continue
+		}
+		for ic := 0; ic < inC; ic++ {
+			xp := x[(img*inC+ic)*plane : (img*inC+ic+1)*plane]
+			for ky := 0; ky < 3; ky++ {
+				iy := oy + ky - 1
+				for kx := 0; kx < 3; kx++ {
+					ix := ox + kx - 1
+					var v S
+					if iy >= 0 && iy < h && ix >= 0 && ix < w {
+						v = xp[iy*w+ix]
+					}
+					row[ic*9+ky*3+kx] = v
+				}
+			}
+		}
+	}
 }
 
 // conv3x3WeightGradRange accumulates the gradient rows of out-channels

@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"sync"
-
 	"seaice/internal/pool"
 	"seaice/internal/tensor"
 )
@@ -13,9 +11,15 @@ import (
 // 36 multiplies per (ic, oc) pair — 2.25× fewer than the direct kernel —
 // and F(2×2,3×3) covers planes divisible by two but not four. The
 // transform-domain accumulations are independent (OutC×InC)×(InC×tiles)
-// matrix products, which reuse the register-blocked GEMM in
-// internal/tensor; on a scalar core that GEMM is FP-throughput-bound, so
-// the multiply reduction converts directly into wall-clock.
+// matrix products, which run on the active float backend's GEMM panel
+// (tensor.GemmSerial). They are batched over the tiles of all the tile
+// rows of an image (64 tiles on a 32² plane, where one row holds 8),
+// because a SIMD panel vectorises across tiles. Batching does not reorder
+// anything: every M element is still its own ascending-channel chain, so
+// outputs are bit-identical to per-row products (and across backends).
+// Batches stop at image boundaries; batching the 4 and 1 tiles per image
+// of 8² and 4² planes across images would vectorise those levels too and
+// is deliberately left out (CHANGES.md, PR 16).
 //
 // Precision policy: Winograd reassociates the arithmetic, so its outputs
 // are NOT bit-identical to the direct kernels — they agree within the
@@ -38,32 +42,38 @@ type Winograd[S tensor.Scalar] struct {
 	u4 map[*Conv2D[S]]*tensor.Tensor[S] // F(4×4,3×3) cache: (36, OutC, InC)
 
 	// Grow-only scratch: filter transform (non-static), and the serial
-	// path's transform-domain V/M rows.
+	// path's transform-domain V/M batch. The batch-parallel paths borrow
+	// theirs per task from the package's scratch pool (kernels.go).
 	ubuf, v, m *tensor.Tensor[S]
 
-	// scratch recycles per-task V/M row buffers for the batch-parallel
-	// paths; sync.Pool keeps steady-state allocation near zero without
-	// needing worker identities from the pool.
-	scratch sync.Pool
+	// batchTiles overrides the tile budget of one batch of transform-
+	// domain products (0: winoBatchTiles under winoBatchFloats). Tests
+	// set 1 to get the unbatched per-row products back.
+	batchTiles int
 }
 
-// rowScratch is one task's transform-domain scratch (V then M rows).
-type rowScratch[S tensor.Scalar] struct{ v, m []S }
+// A batch of transform-domain products covers whole tile rows of one
+// image holding up to winoBatchTiles tiles — eight AVX2 vectors, past
+// which the panel gains nothing — and fewer, down to one vector's worth,
+// on wide layers, keeping (InC+OutC)·tiles within winoBatchFloats: one
+// task's V+M scratch then stays at 36·4096 floats (576 KiB, L2-sized)
+// up to 512 channels in+out.
+const (
+	winoBatchTiles  = 64
+	winoBatchFloats = 4096
+)
 
-// getScratch returns a scratch pair with at least the requested sizes.
-func (wg *Winograd[S]) getScratch(vsz, msz int) *rowScratch[S] {
-	rs, _ := wg.scratch.Get().(*rowScratch[S])
-	if rs == nil {
-		rs = &rowScratch[S]{}
+// plan sets how many tile rows of an image share one batch of the job and
+// returns the V and M scratch sizes such a batch needs.
+func (wg *Winograd[S]) plan(j *winoJob[S]) (vsz, msz int) {
+	tiles := wg.batchTiles
+	if tiles == 0 {
+		tiles = min(winoBatchTiles, max(8, winoBatchFloats/(j.inC+j.outC)))
 	}
-	if cap(rs.v) < vsz {
-		rs.v = make([]S, vsz)
-	}
-	if cap(rs.m) < msz {
-		rs.m = make([]S, msz)
-	}
-	rs.v, rs.m = rs.v[:vsz], rs.m[:msz]
-	return rs
+	tw := j.w / j.tile
+	j.rowsPerCall = min(max(1, tiles/tw), j.h/j.tile)
+	comps := (j.tile + 2) * (j.tile + 2)
+	return comps * j.inC * j.rowsPerCall * tw, comps * j.outC * j.rowsPerCall * tw
 }
 
 // NewWinograd returns an empty transform engine; static marks the
@@ -228,26 +238,35 @@ func (wg *Winograd[S]) gradFilterTransform4(c *Conv2D[S]) []S {
 	return dst
 }
 
+// winoJob is one Winograd convolution call: the operands every
+// (image, tile-row) unit of it shares.
+type winoJob[S tensor.Scalar] struct {
+	tile        int // output tile edge: 4 for F(4×4,3×3), 2 for F(2×2,3×3)
+	u, bias     []S // transformed filter (tile+2)² × (outC, inC); bias may be nil
+	src         convSrc[S]
+	n, h, w     int
+	inC, outC   int
+	dst         []S
+	relu        bool
+	rowsPerCall int // tile rows of an image per batch of transform-domain products
+}
+
 // Conv computes the same-padded 3×3 convolution with fused bias (and
 // optionally ReLU) through the Winograd transform, serially — inference
 // sessions own their worker. Planes divisible by four run F(4×4,3×3);
 // the rest run F(2×2,3×3).
 func (wg *Winograd[S]) Conv(c *Conv2D[S], xa []S, ca int, xb []S, cb int, n, h, w int, dst []S, relu bool) {
-	src := convSrc[S]{xa: xa, xb: xb, ca: ca, cb: cb}
-	if usable4(h, w) {
-		u := wg.filterTransform4(c)
-		inC, outC := ca+cb, c.OutC
-		th, tw := h/4, w/4
-		v := tensor.Grow(&wg.v, 36, inC, tw)
-		m := tensor.Grow(&wg.m, 36, outC, tw)
-		for img := 0; img < n; img++ {
-			for ty := 0; ty < th; ty++ {
-				wg.conv4Row(u, c.Bias.W.Data, src, img, ty, n, h, w, inC, outC, dst, relu, v.Data, m.Data)
-			}
-		}
-		return
+	j := winoJob[S]{
+		tile: 2, bias: c.Bias.W.Data, src: convSrc[S]{xa: xa, xb: xb, ca: ca, cb: cb},
+		n: n, h: h, w: w, inC: ca + cb, outC: c.OutC, dst: dst, relu: relu,
 	}
-	wg.conv2(c, src, n, h, w, dst, relu)
+	if usable4(h, w) {
+		j.tile, j.u = 4, wg.filterTransform4(c)
+	} else {
+		j.u = wg.filterTransform(c).Data
+	}
+	vsz, msz := wg.plan(&j)
+	j.run(0, n*(h/j.tile), tensor.Grow(&wg.v, vsz).Data, tensor.Grow(&wg.m, msz).Data)
 }
 
 // ConvBatch is Conv parallelized over (image, tile-row) tasks on the
@@ -256,9 +275,10 @@ func (wg *Winograd[S]) Conv(c *Conv2D[S], xa []S, ca int, xb []S, cb int, n, h, 
 // at any worker count and a single large image still fans out. The
 // caller must have checked Usable and plane divisibility by four.
 func (wg *Winograd[S]) ConvBatch(p *pool.Pool, c *Conv2D[S], x []S, n, h, w int, dst []S, relu bool) {
-	src := convSrc[S]{xa: x, ca: c.InC}
-	u := wg.filterTransform4(c)
-	wg.runTasks(p, u, c.Bias.W.Data, src, n, h, w, c.InC, c.OutC, dst, relu)
+	wg.runTasks(p, &winoJob[S]{
+		tile: 4, u: wg.filterTransform4(c), bias: c.Bias.W.Data, src: convSrc[S]{xa: x, ca: c.InC},
+		n: n, h: h, w: w, inC: c.InC, outC: c.OutC, dst: dst, relu: relu,
+	})
 }
 
 // InputGradBatch computes dx = conv(dy, rot180(W)ᵀ) — the input gradient
@@ -267,30 +287,67 @@ func (wg *Winograd[S]) ConvBatch(p *pool.Pool, c *Conv2D[S], x []S, n, h, w int,
 // (OutC, N, plane) gradient; dx is written NCHW. The caller must have
 // checked plane divisibility by four.
 func (wg *Winograd[S]) InputGradBatch(p *pool.Pool, c *Conv2D[S], dout []S, n, h, w int, dx []S) {
-	src := convSrc[S]{xa: dout, ca: c.OutC, chanMajor: true}
-	u := wg.gradFilterTransform4(c)
 	// in/out roles swap for the gradient conv.
-	wg.runTasks(p, u, nil, src, n, h, w, c.OutC, c.InC, dx, false)
+	wg.runTasks(p, &winoJob[S]{
+		tile: 4, u: wg.gradFilterTransform4(c), src: convSrc[S]{xa: dout, ca: c.OutC, chanMajor: true},
+		n: n, h: h, w: w, inC: c.OutC, outC: c.InC, dst: dx,
+	})
 }
 
-// runTasks fans (image, tile-row) tasks out on the pool. Each range call
-// borrows one scratch pair; task outputs are disjoint dst rows, so any
-// partitioning yields bit-identical results.
-func (wg *Winograd[S]) runTasks(p *pool.Pool, u, bias []S, src convSrc[S], n, h, w, inC, outC int, dst []S, relu bool) {
-	th, tw := h/4, w/4
-	vsz, msz := 36*inC*tw, 36*outC*tw
+// runTasks fans the F(4×4,3×3) job's (image, tile-row) units out on the
+// pool. Each range call borrows one scratch pair; task outputs are
+// disjoint dst rows, so any partitioning yields bit-identical results.
+func (wg *Winograd[S]) runTasks(p *pool.Pool, j *winoJob[S]) {
+	vsz, msz := wg.plan(j)
 	run := func(lo, hi int) {
-		rs := wg.getScratch(vsz, msz)
-		for t := lo; t < hi; t++ {
-			wg.conv4Row(u, bias, src, t/th, t%th, n, h, w, inC, outC, dst, relu, rs.v, rs.m)
-		}
-		wg.scratch.Put(rs)
+		sc := getScratch[S](vsz, msz)
+		j.run(lo, hi, sc.a, sc.b)
+		scratchPool.Put(sc)
 	}
+	units := j.n * (j.h / 4)
 	if p.Workers() == 1 {
-		run(0, n*th)
+		run(0, units)
 		return
 	}
-	p.MustMapRanges(n*th, 1, run)
+	p.MustMapRanges(units, 1, run)
+}
+
+// run computes (image, tile-row) units [lo,hi), up to rowsPerCall of one
+// image per batch: the input transform of every tile in the batch, one GEMM per
+// transform component over all of them (V and M rows are the batch's
+// tiles, unit after unit), then the output transforms. The scratch of a
+// batch is L2-sized (see winoBatchFloats), so the component streams and
+// the small GEMMs run over cache-resident memory instead of thrashing
+// plane-sized buffers through DRAM.
+func (j *winoJob[S]) run(lo, hi int, vbuf, mbuf []S) {
+	th, tw := j.h/j.tile, j.w/j.tile
+	comps := (j.tile + 2) * (j.tile + 2)
+	for lo < hi {
+		end := min(lo+j.rowsPerCall, hi, (lo/th+1)*th)
+		cn := (end - lo) * tw
+		for t := lo; t < end; t++ {
+			if j.tile == 4 {
+				j.in4(t/th, t%th, vbuf, cn, (t-lo)*tw)
+			} else {
+				j.in2(t/th, t%th, vbuf, cn, (t-lo)*tw)
+			}
+		}
+		for idx := 0; idx < comps; idx++ {
+			tensor.GemmSerial(
+				mbuf[idx*j.outC*cn:(idx+1)*j.outC*cn],
+				j.u[idx*j.outC*j.inC:(idx+1)*j.outC*j.inC],
+				vbuf[idx*j.inC*cn:(idx+1)*j.inC*cn],
+				j.outC, j.inC, cn)
+		}
+		for t := lo; t < end; t++ {
+			if j.tile == 4 {
+				j.out4(t/th, t%th, mbuf, cn, (t-lo)*tw)
+			} else {
+				j.out2(t/th, t%th, mbuf, cn, (t-lo)*tw)
+			}
+		}
+		lo = end
+	}
 }
 
 // bt4Row applies the 1-D F(4×4,3×3) Bᵀ stencil to six samples.
@@ -313,240 +370,218 @@ func at4Row[S tensor.Scalar](m0, m1, m2, m3, m4, m5 S) (y0, y1, y2, y3 S) {
 	return
 }
 
-// conv4Row runs the F(4×4,3×3) pipeline for one tile row of one image:
-// 4×4 output tiles from 6×6 input windows, 36 multiplies per 16
-// outputs. The V and M scratch for a row is a few tens of KB, so the 36
-// transform component streams and the 36 small GEMMs all run over
-// L1/L2-resident memory instead of thrashing plane-sized buffers
-// through DRAM. bias may be nil (the gradient conv has none).
-func (wg *Winograd[S]) conv4Row(u, bias []S, src convSrc[S], img, ty, n, h, w, inC, outC int, dst []S, relu bool, vbuf, mbuf []S) {
+// in4 is the F(4×4,3×3) input transform of tile row ty of image img:
+// V[u][ic][off+tx] = (Bᵀ·d·B)[u] over 6×6 input windows, into a V whose
+// rows hold cn tiles. Interior tiles take a branch-free fast path on six
+// row slices.
+func (j *winoJob[S]) in4(img, ty int, vbuf []S, cn, off int) {
+	h, w, inC := j.h, j.w, j.inC
 	tw := w / 4
-	plane := h * w
 	var vr [36][]S
-	var mr [36][]S
-	{
-		y0 := 4*ty - 1
-		interiorY := y0 >= 0 && y0+6 <= h
-
-		// Input transform: V[u][ic][tx] = (Bᵀ·d·B)[u]. Interior tiles
-		// take a branch-free fast path on six row slices.
-		for ic := 0; ic < inC; ic++ {
-			xsrc := src.plane(ic, img, n, plane)
-			for idx := 0; idx < 36; idx++ {
-				vr[idx] = vbuf[(idx*inC+ic)*tw : (idx*inC+ic)*tw+tw]
-			}
-			for tx := 0; tx < tw; tx++ {
-				x0 := 4*tx - 1
-				var d [36]S
-				if interiorY && x0 >= 0 && x0+6 <= w {
-					p := y0*w + x0
-					for r := 0; r < 6; r++ {
-						row := xsrc[p+r*w : p+r*w+6 : p+r*w+6]
-						d[r*6+0], d[r*6+1], d[r*6+2] = row[0], row[1], row[2]
-						d[r*6+3], d[r*6+4], d[r*6+5] = row[3], row[4], row[5]
-					}
-				} else {
-					for r := 0; r < 6; r++ {
-						iy := y0 + r
-						if iy < 0 || iy >= h {
-							continue
-						}
-						row := xsrc[iy*w : iy*w+w]
-						for cc := 0; cc < 6; cc++ {
-							ix := x0 + cc
-							if ix >= 0 && ix < w {
-								d[r*6+cc] = row[ix]
-							}
-						}
-					}
-				}
-				// Bᵀ·d (column ops) …
-				var t [36]S
-				for cc := 0; cc < 6; cc++ {
-					t0, t1, t2, t3, t4, t5 := bt4Row(d[cc], d[6+cc], d[12+cc], d[18+cc], d[24+cc], d[30+cc])
-					t[cc], t[6+cc], t[12+cc] = t0, t1, t2
-					t[18+cc], t[24+cc], t[30+cc] = t3, t4, t5
-				}
-				// … then ·B (row ops), one write stream per component.
-				for r := 0; r < 6; r++ {
-					t0, t1, t2, t3, t4, t5 := bt4Row(t[r*6], t[r*6+1], t[r*6+2], t[r*6+3], t[r*6+4], t[r*6+5])
-					vr[r*6+0][tx], vr[r*6+1][tx], vr[r*6+2][tx] = t0, t1, t2
-					vr[r*6+3][tx], vr[r*6+4][tx], vr[r*6+5][tx] = t3, t4, t5
-				}
-			}
-		}
-
-		// Transform-domain accumulation: 36 small GEMMs over the hot row
-		// scratch, serial within the image (batch parallelism is outside).
+	y0 := 4*ty - 1
+	interiorY := y0 >= 0 && y0+6 <= h
+	for ic := 0; ic < inC; ic++ {
+		xsrc := j.src.plane(ic, img, j.n, h*w)
 		for idx := 0; idx < 36; idx++ {
-			tensor.GemmSerial(
-				mbuf[idx*outC*tw:(idx+1)*outC*tw],
-				u[idx*outC*inC:(idx+1)*outC*inC],
-				vbuf[idx*inC*tw:(idx+1)*inC*tw],
-				outC, inC, tw)
+			vr[idx] = vbuf[(idx*inC+ic)*cn+off : (idx*inC+ic)*cn+off+tw]
 		}
-
-		// Output transform: Y = Aᵀ·M·A (4×4 per tile) + bias (+ReLU).
-		for oc := 0; oc < outC; oc++ {
-			var b S
-			if bias != nil {
-				b = bias[oc]
-			}
-			dp := dst[(img*outC+oc)*plane : (img*outC+oc+1)*plane]
-			for idx := 0; idx < 36; idx++ {
-				mr[idx] = mbuf[(idx*outC+oc)*tw : (idx*outC+oc)*tw+tw]
-			}
-			var outRow [4][]S
-			for r := 0; r < 4; r++ {
-				outRow[r] = dp[(4*ty+r)*w : (4*ty+r)*w+w]
-			}
-			for tx := 0; tx < tw; tx++ {
-				var e [24]S // Aᵀ·M, 4×6
-				for cc := 0; cc < 6; cc++ {
-					y0, y1, y2, y3 := at4Row(mr[cc][tx], mr[6+cc][tx], mr[12+cc][tx], mr[18+cc][tx], mr[24+cc][tx], mr[30+cc][tx])
-					e[cc], e[6+cc], e[12+cc], e[18+cc] = y0, y1, y2, y3
+		for tx := 0; tx < tw; tx++ {
+			x0 := 4*tx - 1
+			var d [36]S
+			if interiorY && x0 >= 0 && x0+6 <= w {
+				p := y0*w + x0
+				for r := 0; r < 6; r++ {
+					row := xsrc[p+r*w : p+r*w+6 : p+r*w+6]
+					d[r*6+0], d[r*6+1], d[r*6+2] = row[0], row[1], row[2]
+					d[r*6+3], d[r*6+4], d[r*6+5] = row[3], row[4], row[5]
 				}
-				for r := 0; r < 4; r++ {
-					y0, y1, y2, y3 := at4Row(e[r*6], e[r*6+1], e[r*6+2], e[r*6+3], e[r*6+4], e[r*6+5])
-					y0, y1, y2, y3 = y0+b, y1+b, y2+b, y3+b
-					if relu {
-						if y0 < 0 {
-							y0 = 0
-						}
-						if y1 < 0 {
-							y1 = 0
-						}
-						if y2 < 0 {
-							y2 = 0
-						}
-						if y3 < 0 {
-							y3 = 0
+			} else {
+				for r := 0; r < 6; r++ {
+					iy := y0 + r
+					if iy < 0 || iy >= h {
+						continue
+					}
+					row := xsrc[iy*w : iy*w+w]
+					for cc := 0; cc < 6; cc++ {
+						ix := x0 + cc
+						if ix >= 0 && ix < w {
+							d[r*6+cc] = row[ix]
 						}
 					}
-					o := outRow[r]
-					o[4*tx], o[4*tx+1], o[4*tx+2], o[4*tx+3] = y0, y1, y2, y3
 				}
+			}
+			// Bᵀ·d (column ops) …
+			var t [36]S
+			for cc := 0; cc < 6; cc++ {
+				t0, t1, t2, t3, t4, t5 := bt4Row(d[cc], d[6+cc], d[12+cc], d[18+cc], d[24+cc], d[30+cc])
+				t[cc], t[6+cc], t[12+cc] = t0, t1, t2
+				t[18+cc], t[24+cc], t[30+cc] = t3, t4, t5
+			}
+			// … then ·B (row ops), one write stream per component.
+			for r := 0; r < 6; r++ {
+				t0, t1, t2, t3, t4, t5 := bt4Row(t[r*6], t[r*6+1], t[r*6+2], t[r*6+3], t[r*6+4], t[r*6+5])
+				vr[r*6+0][tx], vr[r*6+1][tx], vr[r*6+2][tx] = t0, t1, t2
+				vr[r*6+3][tx], vr[r*6+4][tx], vr[r*6+5][tx] = t3, t4, t5
 			}
 		}
 	}
 }
 
-// conv2 is the F(2×2,3×3) pipeline, covering even planes not divisible
-// by four (serial; only the inference session reaches it).
-func (wg *Winograd[S]) conv2(c *Conv2D[S], src convSrc[S], n, h, w int, dst []S, relu bool) {
-	inC := src.ca + src.cb
-	outC := c.OutC
+// out4 is the F(4×4,3×3) output transform of tile row ty of image img:
+// Y = Aᵀ·M·A (4×4 per tile) + bias (+ReLU), from an M whose rows hold cn
+// tiles.
+func (j *winoJob[S]) out4(img, ty int, mbuf []S, cn, off int) {
+	w, outC := j.w, j.outC
+	tw := w / 4
+	plane := j.h * w
+	var mr [36][]S
+	for oc := 0; oc < outC; oc++ {
+		var b S
+		if j.bias != nil {
+			b = j.bias[oc]
+		}
+		dp := j.dst[(img*outC+oc)*plane : (img*outC+oc+1)*plane]
+		for idx := 0; idx < 36; idx++ {
+			mr[idx] = mbuf[(idx*outC+oc)*cn+off : (idx*outC+oc)*cn+off+tw]
+		}
+		var outRow [4][]S
+		for r := 0; r < 4; r++ {
+			outRow[r] = dp[(4*ty+r)*w : (4*ty+r)*w+w]
+		}
+		for tx := 0; tx < tw; tx++ {
+			var e [24]S // Aᵀ·M, 4×6
+			for cc := 0; cc < 6; cc++ {
+				y0, y1, y2, y3 := at4Row(mr[cc][tx], mr[6+cc][tx], mr[12+cc][tx], mr[18+cc][tx], mr[24+cc][tx], mr[30+cc][tx])
+				e[cc], e[6+cc], e[12+cc], e[18+cc] = y0, y1, y2, y3
+			}
+			for r := 0; r < 4; r++ {
+				y0, y1, y2, y3 := at4Row(e[r*6], e[r*6+1], e[r*6+2], e[r*6+3], e[r*6+4], e[r*6+5])
+				y0, y1, y2, y3 = y0+b, y1+b, y2+b, y3+b
+				if j.relu {
+					if y0 < 0 {
+						y0 = 0
+					}
+					if y1 < 0 {
+						y1 = 0
+					}
+					if y2 < 0 {
+						y2 = 0
+					}
+					if y3 < 0 {
+						y3 = 0
+					}
+				}
+				o := outRow[r]
+				o[4*tx], o[4*tx+1], o[4*tx+2], o[4*tx+3] = y0, y1, y2, y3
+			}
+		}
+	}
+}
+
+// in2 is the F(2×2,3×3) input transform of tile row ty of image img,
+// covering even planes not divisible by four (only the inference session
+// reaches it).
+func (j *winoJob[S]) in2(img, ty int, vbuf []S, cn, off int) {
+	h, w, inC := j.h, j.w, j.inC
 	th, tw := h/2, w/2
-	u := wg.filterTransform(c)
-	v := tensor.Grow(&wg.v, 16, inC, tw)
-	m := tensor.Grow(&wg.m, 16, outC, tw)
-	plane := h * w
-
 	var vr [16][]S
+	y0 := 2*ty - 1
+	interiorY := ty >= 1 && ty <= th-2
+	for ic := 0; ic < inC; ic++ {
+		xsrc := j.src.plane(ic, img, j.n, h*w)
+		for idx := 0; idx < 16; idx++ {
+			vr[idx] = vbuf[(idx*inC+ic)*cn+off : (idx*inC+ic)*cn+off+tw]
+		}
+		for tx := 0; tx < tw; tx++ {
+			x0 := 2*tx - 1
+			var d00, d01, d02, d03, d10, d11, d12, d13 S
+			var d20, d21, d22, d23, d30, d31, d32, d33 S
+			if interiorY && tx >= 1 && tx <= tw-2 {
+				p := y0*w + x0
+				r0 := xsrc[p : p+4 : p+4]
+				r1 := xsrc[p+w : p+w+4 : p+w+4]
+				r2 := xsrc[p+2*w : p+2*w+4 : p+2*w+4]
+				r3 := xsrc[p+3*w : p+3*w+4 : p+3*w+4]
+				d00, d01, d02, d03 = r0[0], r0[1], r0[2], r0[3]
+				d10, d11, d12, d13 = r1[0], r1[1], r1[2], r1[3]
+				d20, d21, d22, d23 = r2[0], r2[1], r2[2], r2[3]
+				d30, d31, d32, d33 = r3[0], r3[1], r3[2], r3[3]
+			} else {
+				var d [16]S
+				for r := 0; r < 4; r++ {
+					iy := y0 + r
+					if iy < 0 || iy >= h {
+						continue
+					}
+					row := xsrc[iy*w : iy*w+w]
+					for cc := 0; cc < 4; cc++ {
+						ix := x0 + cc
+						if ix >= 0 && ix < w {
+							d[r*4+cc] = row[ix]
+						}
+					}
+				}
+				d00, d01, d02, d03 = d[0], d[1], d[2], d[3]
+				d10, d11, d12, d13 = d[4], d[5], d[6], d[7]
+				d20, d21, d22, d23 = d[8], d[9], d[10], d[11]
+				d30, d31, d32, d33 = d[12], d[13], d[14], d[15]
+			}
+			// Bᵀ·d (column ops), then ·B (row ops).
+			t00, t01, t02, t03 := d00-d20, d01-d21, d02-d22, d03-d23
+			t10, t11, t12, t13 := d10+d20, d11+d21, d12+d22, d13+d23
+			t20, t21, t22, t23 := d20-d10, d21-d11, d22-d12, d23-d13
+			t30, t31, t32, t33 := d10-d30, d11-d31, d12-d32, d13-d33
+			vr[0][tx], vr[1][tx], vr[2][tx], vr[3][tx] = t00-t02, t01+t02, t02-t01, t01-t03
+			vr[4][tx], vr[5][tx], vr[6][tx], vr[7][tx] = t10-t12, t11+t12, t12-t11, t11-t13
+			vr[8][tx], vr[9][tx], vr[10][tx], vr[11][tx] = t20-t22, t21+t22, t22-t21, t21-t23
+			vr[12][tx], vr[13][tx], vr[14][tx], vr[15][tx] = t30-t32, t31+t32, t32-t31, t31-t33
+		}
+	}
+}
+
+// out2 is the F(2×2,3×3) output transform of tile row ty of image img:
+// Y = Aᵀ·M·A per tile, plus bias (+ReLU).
+func (j *winoJob[S]) out2(img, ty int, mbuf []S, cn, off int) {
+	w, outC := j.w, j.outC
+	tw := w / 2
+	plane := j.h * w
 	var mr [16][]S
-	for img := 0; img < n; img++ {
-		for ty := 0; ty < th; ty++ {
-			y0 := 2*ty - 1
-			interiorY := ty >= 1 && ty <= th-2
-
-			for ic := 0; ic < inC; ic++ {
-				xsrc := src.plane(ic, img, n, plane)
-				for idx := 0; idx < 16; idx++ {
-					vr[idx] = v.Data[(idx*inC+ic)*tw : (idx*inC+ic)*tw+tw]
+	for oc := 0; oc < outC; oc++ {
+		b := j.bias[oc]
+		dp := j.dst[(img*outC+oc)*plane : (img*outC+oc+1)*plane]
+		out0 := dp[(2*ty)*w : (2*ty)*w+w]
+		out1 := dp[(2*ty+1)*w : (2*ty+1)*w+w]
+		for idx := 0; idx < 16; idx++ {
+			mr[idx] = mbuf[(idx*outC+oc)*cn+off : (idx*outC+oc)*cn+off+tw]
+		}
+		for tx := 0; tx < tw; tx++ {
+			m00, m01, m02, m03 := mr[0][tx], mr[1][tx], mr[2][tx], mr[3][tx]
+			m10, m11, m12, m13 := mr[4][tx], mr[5][tx], mr[6][tx], mr[7][tx]
+			m20, m21, m22, m23 := mr[8][tx], mr[9][tx], mr[10][tx], mr[11][tx]
+			m30, m31, m32, m33 := mr[12][tx], mr[13][tx], mr[14][tx], mr[15][tx]
+			// Aᵀ·M (column ops), then ·A (row ops).
+			r00, r01, r02, r03 := m00+m10+m20, m01+m11+m21, m02+m12+m22, m03+m13+m23
+			r10, r11, r12, r13 := m10-m20-m30, m11-m21-m31, m12-m22-m32, m13-m23-m33
+			y00 := r00 + r01 + r02 + b
+			y01 := r01 - r02 - r03 + b
+			y10 := r10 + r11 + r12 + b
+			y11 := r11 - r12 - r13 + b
+			if j.relu {
+				if y00 < 0 {
+					y00 = 0
 				}
-				for tx := 0; tx < tw; tx++ {
-					x0 := 2*tx - 1
-					var d00, d01, d02, d03, d10, d11, d12, d13 S
-					var d20, d21, d22, d23, d30, d31, d32, d33 S
-					if interiorY && tx >= 1 && tx <= tw-2 {
-						p := y0*w + x0
-						r0 := xsrc[p : p+4 : p+4]
-						r1 := xsrc[p+w : p+w+4 : p+w+4]
-						r2 := xsrc[p+2*w : p+2*w+4 : p+2*w+4]
-						r3 := xsrc[p+3*w : p+3*w+4 : p+3*w+4]
-						d00, d01, d02, d03 = r0[0], r0[1], r0[2], r0[3]
-						d10, d11, d12, d13 = r1[0], r1[1], r1[2], r1[3]
-						d20, d21, d22, d23 = r2[0], r2[1], r2[2], r2[3]
-						d30, d31, d32, d33 = r3[0], r3[1], r3[2], r3[3]
-					} else {
-						var d [16]S
-						for r := 0; r < 4; r++ {
-							iy := y0 + r
-							if iy < 0 || iy >= h {
-								continue
-							}
-							row := xsrc[iy*w : iy*w+w]
-							for cc := 0; cc < 4; cc++ {
-								ix := x0 + cc
-								if ix >= 0 && ix < w {
-									d[r*4+cc] = row[ix]
-								}
-							}
-						}
-						d00, d01, d02, d03 = d[0], d[1], d[2], d[3]
-						d10, d11, d12, d13 = d[4], d[5], d[6], d[7]
-						d20, d21, d22, d23 = d[8], d[9], d[10], d[11]
-						d30, d31, d32, d33 = d[12], d[13], d[14], d[15]
-					}
-					// Bᵀ·d (column ops), then ·B (row ops).
-					t00, t01, t02, t03 := d00-d20, d01-d21, d02-d22, d03-d23
-					t10, t11, t12, t13 := d10+d20, d11+d21, d12+d22, d13+d23
-					t20, t21, t22, t23 := d20-d10, d21-d11, d22-d12, d23-d13
-					t30, t31, t32, t33 := d10-d30, d11-d31, d12-d32, d13-d33
-					vr[0][tx], vr[1][tx], vr[2][tx], vr[3][tx] = t00-t02, t01+t02, t02-t01, t01-t03
-					vr[4][tx], vr[5][tx], vr[6][tx], vr[7][tx] = t10-t12, t11+t12, t12-t11, t11-t13
-					vr[8][tx], vr[9][tx], vr[10][tx], vr[11][tx] = t20-t22, t21+t22, t22-t21, t21-t23
-					vr[12][tx], vr[13][tx], vr[14][tx], vr[15][tx] = t30-t32, t31+t32, t32-t31, t31-t33
+				if y01 < 0 {
+					y01 = 0
+				}
+				if y10 < 0 {
+					y10 = 0
+				}
+				if y11 < 0 {
+					y11 = 0
 				}
 			}
-
-			for idx := 0; idx < 16; idx++ {
-				tensor.GemmSerial(
-					m.Data[idx*outC*tw:(idx+1)*outC*tw],
-					u.Data[idx*outC*inC:(idx+1)*outC*inC],
-					v.Data[idx*inC*tw:(idx+1)*inC*tw],
-					outC, inC, tw)
-			}
-
-			// Output transform: Y = Aᵀ·M·A per tile, plus bias (+ReLU).
-			for oc := 0; oc < outC; oc++ {
-				b := c.Bias.W.Data[oc]
-				dp := dst[(img*outC+oc)*plane : (img*outC+oc+1)*plane]
-				out0 := dp[(2*ty)*w : (2*ty)*w+w]
-				out1 := dp[(2*ty+1)*w : (2*ty+1)*w+w]
-				for idx := 0; idx < 16; idx++ {
-					mr[idx] = m.Data[(idx*outC+oc)*tw : (idx*outC+oc)*tw+tw]
-				}
-				for tx := 0; tx < tw; tx++ {
-					m00, m01, m02, m03 := mr[0][tx], mr[1][tx], mr[2][tx], mr[3][tx]
-					m10, m11, m12, m13 := mr[4][tx], mr[5][tx], mr[6][tx], mr[7][tx]
-					m20, m21, m22, m23 := mr[8][tx], mr[9][tx], mr[10][tx], mr[11][tx]
-					m30, m31, m32, m33 := mr[12][tx], mr[13][tx], mr[14][tx], mr[15][tx]
-					// Aᵀ·M (column ops), then ·A (row ops).
-					r00, r01, r02, r03 := m00+m10+m20, m01+m11+m21, m02+m12+m22, m03+m13+m23
-					r10, r11, r12, r13 := m10-m20-m30, m11-m21-m31, m12-m22-m32, m13-m23-m33
-					y00 := r00 + r01 + r02 + b
-					y01 := r01 - r02 - r03 + b
-					y10 := r10 + r11 + r12 + b
-					y11 := r11 - r12 - r13 + b
-					if relu {
-						if y00 < 0 {
-							y00 = 0
-						}
-						if y01 < 0 {
-							y01 = 0
-						}
-						if y10 < 0 {
-							y10 = 0
-						}
-						if y11 < 0 {
-							y11 = 0
-						}
-					}
-					out0[2*tx], out0[2*tx+1] = y00, y01
-					out1[2*tx], out1[2*tx+1] = y10, y11
-				}
-			}
+			out0[2*tx], out0[2*tx+1] = y00, y01
+			out1[2*tx], out1[2*tx+1] = y10, y11
 		}
 	}
 }

@@ -1,21 +1,27 @@
 // Kernel-dispatch seam: every scalar kind the stack computes in (float64,
 // float32, int8) resolves its low-level kernels through a per-kind backend
-// table instead of calling one hard-wired implementation. The float kinds
-// register the cache-blocked parallel engine from matmul.go as their
-// (currently only) backend; the int8 kind registers several — a scalar
-// reference, a portable SWAR kernel, and an AVX2 assembly kernel on amd64
-// hosts that support it — and the highest-priority available one serves.
-// The seam is what lets the quantized inference path, and later SIMD
-// float kernels, plug in without touching the layers above: callers go
-// through MatMul*/Int8() and never name an implementation.
+// table instead of calling one hard-wired implementation. Both float kinds
+// register the cache-blocked parallel engine from matmul.go; float32
+// additionally registers an AVX2 assembly panel on amd64 hosts that
+// support it (sgemm_amd64.go). The int8 kind registers a scalar reference,
+// a portable SWAR kernel, and its own AVX2 kernel. Per kind, the
+// highest-priority available backend serves. The seam is what lets the
+// quantized inference path and the SIMD float panel plug in without
+// touching the layers above: callers go through MatMul*/GemmSerial/
+// Float()/Int8() and never name an implementation.
 //
 // Determinism contract: every backend registered for a kind must produce
 // bit-identical outputs to that kind's reference backend on identical
-// inputs. Float backends inherit the engine's bit-identity-at-any-worker-
-// count guarantee; int8 backends compute in exact integer arithmetic, so
-// cross-backend equality is absolute (property-tested in qgemm_test.go).
-// Selection is process-global and safe for concurrent readers; tests that
-// switch backends serialize around SelectInt8.
+// inputs. Float backends keep the engine's accumulation-order contract —
+// each C element sums its k terms ascending through one chain, every
+// product and every sum rounded separately (no FMA, no reassociation) —
+// so a SIMD backend may only vectorise across independent output columns;
+// that is also what keeps them bit-identical at any worker count
+// (property-tested in backend_test.go; NaN payload bits are not part of
+// the contract). int8 backends compute in exact integer arithmetic, so
+// cross-backend equality is absolute (qgemm_test.go). Selection is
+// process-global and safe for concurrent readers; tests that switch
+// backends serialize around SelectFloat/SelectInt8.
 
 package tensor
 
@@ -57,14 +63,31 @@ func KindOf[S Scalar]() Kind {
 	return KindF64
 }
 
-// FloatOps is the kernel table for one float kind: the three GEMM forms
-// the convolution layers reduce to. All entries must keep the engine's
-// accumulation-order contract (serial reference order per output element)
-// so results stay bit-identical at any worker count.
+// FloatOps is the kernel table for one float kind: the serial GEMM panel
+// and the three parallel GEMM forms the convolution layers reduce to. All
+// entries must keep the engine's accumulation-order contract (serial
+// reference order per output element) so results stay bit-identical at
+// any worker count and across backends.
 type FloatOps[S Scalar] struct {
 	Name string
+	// Priority and Available select the active backend exactly as for
+	// Int8Ops: the highest-priority available one serves.
+	Priority  int
+	Available func() bool
+	// SIMD marks a vectorised Panel: layers may then prefer a GEMM
+	// formulation over a direct scalar kernel with the same per-element
+	// order (the 3×3 weight gradient in internal/nn does).
+	SIMD bool
+	// Panel computes columns [jlo,jhi) of C = A×B on the calling
+	// goroutine for row-major A (m×k, rows lda apart), B (k×n) and C
+	// (m×n). With acc the panel starts from the values already in C
+	// instead of zero, so a caller blocking over k continues every
+	// element's single chain. k = 0, m = 0 and jlo = jhi are legal.
+	Panel func(c, a, b []S, m, k, n, lda, jlo, jhi int, acc bool)
 	// MatMulInto computes dst = a×b, MatMulATBInto dst = aᵀ×b,
-	// MatMulABTInto dst = a×bᵀ; shapes as in matmul.go.
+	// MatMulABTInto dst = a×bᵀ; shapes as in matmul.go. A backend that
+	// leaves one nil inherits the engine's (whose A×B fans the active
+	// Panel out over column ranges).
 	MatMulInto    func(dst, a, b *Tensor[S])
 	MatMulATBInto func(dst, a, b *Tensor[S])
 	MatMulABTInto func(dst, a, b *Tensor[S])
@@ -101,11 +124,40 @@ type floatRegistry[S Scalar] struct {
 func (r *floatRegistry[S]) register(ops *FloatOps[S]) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if ops.MatMulInto == nil {
+		ops.MatMulInto = engineMatMulInto[S]
+	}
+	if ops.MatMulATBInto == nil {
+		ops.MatMulATBInto = engineMatMulATBInto[S]
+	}
+	if ops.MatMulABTInto == nil {
+		ops.MatMulABTInto = engineMatMulABTInto[S]
+	}
 	r.all = append(r.all, ops)
-	if r.active.Load() == nil {
+	best := r.active.Load()
+	if ops.available() && (best == nil || ops.Priority > best.Priority) {
 		r.active.Store(ops)
 	}
 }
+
+func (r *floatRegistry[S]) sel(name string) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var names []string
+	for _, b := range r.all {
+		if b.Name == name {
+			if !b.available() {
+				return fmt.Errorf("tensor: %v backend %q not available on this host", KindOf[S](), name)
+			}
+			r.active.Store(b)
+			return nil
+		}
+		names = append(names, b.Name)
+	}
+	return fmt.Errorf("tensor: unknown %v backend %q (have %v)", KindOf[S](), name, names)
+}
+
+func (o *FloatOps[S]) available() bool { return o.Available == nil || o.Available() }
 
 var (
 	f64Registry floatRegistry[float64]
@@ -116,24 +168,28 @@ var (
 	int8Active   atomic.Pointer[Int8Ops]
 )
 
-// floatOps returns the active backend table for S's kind; one is always
-// registered (the engine, from init below).
-func floatOps[S Scalar]() *FloatOps[S] {
+// registryOf returns the backend registry of S's kind.
+func registryOf[S Scalar]() *floatRegistry[S] {
 	if IsF32[S]() {
-		return any(f32Registry.active.Load()).(*FloatOps[S])
+		return any(&f32Registry).(*floatRegistry[S])
 	}
-	return any(f64Registry.active.Load()).(*FloatOps[S])
+	return any(&f64Registry).(*floatRegistry[S])
 }
 
-// RegisterFloat adds a backend for S's kind. The first registration
-// becomes active.
-func RegisterFloat[S Scalar](ops *FloatOps[S]) {
-	if IsF32[S]() {
-		any(&f32Registry).(*floatRegistry[S]).register(ops)
-		return
-	}
-	any(&f64Registry).(*floatRegistry[S]).register(ops)
-}
+// Float returns the active backend table for S's kind; one is always
+// registered (the engine, from init below).
+func Float[S Scalar]() *FloatOps[S] { return registryOf[S]().active.Load() }
+
+// RegisterFloat adds a backend for S's kind. The highest-priority
+// available backend becomes active.
+func RegisterFloat[S Scalar](ops *FloatOps[S]) { registryOf[S]().register(ops) }
+
+// SelectFloat activates the named backend of S's kind; it must be
+// registered and available. It is the test and benchmark hook for A/B-ing
+// backends — there is deliberately no flag or environment override,
+// because float backends are bit-identical and the fastest available one
+// always serves. Callers serialize around it like SelectInt8 users.
+func SelectFloat[S Scalar](name string) error { return registryOf[S]().sel(name) }
 
 // RegisterInt8 adds a quantized-kernel backend. The highest-priority
 // available backend becomes active.
@@ -211,22 +267,12 @@ func int8BackendNamesLocked() []string {
 	return names
 }
 
-// The float engine (matmul.go) registers itself as the default backend
-// for both float kinds. Registering here — rather than dispatching ad
-// hoc — is what makes the seam load-bearing: MatMulInto and friends
-// resolve through the table, so a SIMD float backend plugs in the same
-// way the int8 backends do.
+// The float engine (matmul.go) registers itself as the reference backend
+// of both float kinds. Registering here — rather than dispatching ad hoc —
+// is what makes the seam load-bearing: MatMulInto, MatMulSerialInto and
+// GemmSerial all resolve through the table, so the AVX2 float32 panel
+// plugs in the same way the int8 backends do.
 func init() {
-	RegisterFloat(&FloatOps[float64]{
-		Name:          "engine",
-		MatMulInto:    engineMatMulInto[float64],
-		MatMulATBInto: engineMatMulATBInto[float64],
-		MatMulABTInto: engineMatMulABTInto[float64],
-	})
-	RegisterFloat(&FloatOps[float32]{
-		Name:          "engine",
-		MatMulInto:    engineMatMulInto[float32],
-		MatMulATBInto: engineMatMulATBInto[float32],
-		MatMulABTInto: engineMatMulABTInto[float32],
-	})
+	RegisterFloat(&FloatOps[float64]{Name: "engine", Panel: matMulPanel[float64]})
+	RegisterFloat(&FloatOps[float32]{Name: "engine", Panel: matMulPanel[float32]})
 }

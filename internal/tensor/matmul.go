@@ -7,18 +7,26 @@ import (
 )
 
 // The GEMM kernels below are the training engine's hot core, generic over
-// the compute precision. They are register-blocked (4 output rows × 4
+// the compute precision, and the reference ("engine") backend of both
+// float kinds (backend.go). They are register-blocked (4 output rows × 4
 // k-steps for the straight and transposed-A products, 2×4 dot blocks for
 // A×Bᵀ) and parallelized over disjoint output panels on the shared pool.
 // Every C element still accumulates its k terms in ascending order through
 // a single chain, so within one precision results are bit-identical to the
 // serial reference kernels in ref.go at any worker count — the property
 // tests assert exactly that for both instantiations. The float32
-// instantiation moves half the bytes per block through the same blocking,
-// which is where its speedup on a bandwidth-bound CPU comes from. The one
-// deliberate semantic difference from the reference: zero entries of A are
-// multiplied rather than skipped, which only matters for ±0 and non-finite
-// inputs (the skip saved no time on dense He-initialized weights anyway).
+// instantiation moves half the bytes per block through the same blocking;
+// on AVX2 hosts its A×B panel is additionally replaced by the assembly
+// panel of sgemm_amd64.go (same chains, eight columns per instruction),
+// which every A×B entry here — MatMulInto, MatMulSerialInto, GemmSerial —
+// reaches through the backend table. The scalar loops rely on the Go
+// compiler not fusing s += a·b into an FMA, which holds on amd64 below
+// GOAMD64=v3; an arm64 or v3 build is self-consistent but does not
+// reproduce the goldens recorded on default amd64. The one deliberate
+// semantic difference from the reference: zero entries of A are
+// multiplied rather than skipped, which only matters for ±0 and
+// non-finite inputs (the skip saved no time on dense He-initialized
+// weights anyway).
 
 // serialCutoff is the m·k·n volume below which a product runs inline on
 // the calling goroutine: pool dispatch costs more than it saves there.
@@ -50,41 +58,47 @@ func MatMulInto[S Scalar](dst, a, b *Tensor[S]) {
 	if len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmul dst %v for %d×%d product", dst.Shape, m, n))
 	}
-	floatOps[S]().MatMulInto(dst, a, b)
+	Float[S]().MatMulInto(dst, a, b)
 }
 
-// engineMatMulInto is the default float backend's A×B kernel; shapes are
-// already validated by the public wrapper.
+// engineMatMulInto is the engine's A×B driver, shared by every backend
+// that does not bring its own: the active backend's serial panel fanned
+// out over column ranges. Shapes are already validated by the public
+// wrapper.
 func engineMatMulInto[S Scalar](dst, a, b *Tensor[S]) {
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	panel := Float[S]().Panel
 	p := pool.Shared()
 	if m*k*n <= serialCutoff || p.Workers() == 1 {
-		matMulPanel(dst.Data, a.Data, b.Data, m, k, n, 0, n)
+		panel(dst.Data, a.Data, b.Data, m, k, n, k, 0, n, false)
 		return
 	}
 	p.MustMapRanges(n, minPanel, func(lo, hi int) {
-		matMulPanel(dst.Data, a.Data, b.Data, m, k, n, lo, hi)
+		panel(dst.Data, a.Data, b.Data, m, k, n, k, lo, hi, false)
 	})
 }
 
-// matMulPanel computes columns [jlo,jhi) of C = A×B. Rows are processed in
-// blocks of four so each loaded B value feeds four accumulator chains, and
-// k is unrolled by four so each C element is loaded and stored once per
-// four multiply-adds.
-func matMulPanel[S Scalar](c, a, b []S, m, k, n, jlo, jhi int) {
+// matMulPanel is the engine's FloatOps.Panel: columns [jlo,jhi) of
+// C = A×B (A rows lda apart; acc starts from C's current values instead
+// of zero). Rows are processed in blocks of four so each loaded B value
+// feeds four accumulator chains, and k is unrolled by four so each C
+// element is loaded and stored once per four multiply-adds.
+func matMulPanel[S Scalar](c, a, b []S, m, k, n, lda, jlo, jhi int, acc bool) {
 	var i int
 	for i = 0; i+4 <= m; i += 4 {
 		c0 := c[(i+0)*n+jlo : (i+0)*n+jhi]
 		c1 := c[(i+1)*n+jlo : (i+1)*n+jhi]
 		c2 := c[(i+2)*n+jlo : (i+2)*n+jhi]
 		c3 := c[(i+3)*n+jlo : (i+3)*n+jhi]
-		for j := range c0 {
-			c0[j], c1[j], c2[j], c3[j] = 0, 0, 0, 0
+		if !acc {
+			for j := range c0 {
+				c0[j], c1[j], c2[j], c3[j] = 0, 0, 0, 0
+			}
 		}
-		a0 := a[(i+0)*k : (i+1)*k]
-		a1 := a[(i+1)*k : (i+2)*k]
-		a2 := a[(i+2)*k : (i+3)*k]
-		a3 := a[(i+3)*k : (i+4)*k]
+		a0 := a[(i+0)*lda : (i+0)*lda+k]
+		a1 := a[(i+1)*lda : (i+1)*lda+k]
+		a2 := a[(i+2)*lda : (i+2)*lda+k]
+		a3 := a[(i+3)*lda : (i+3)*lda+k]
 		var kk int
 		for kk = 0; kk+4 <= k; kk += 4 {
 			b0 := b[(kk+0)*n+jlo : (kk+0)*n+jhi]
@@ -140,10 +154,12 @@ func matMulPanel[S Scalar](c, a, b []S, m, k, n, jlo, jhi int) {
 	}
 	for ; i < m; i++ {
 		crow := c[i*n+jlo : i*n+jhi]
-		for j := range crow {
-			crow[j] = 0
+		if !acc {
+			for j := range crow {
+				crow[j] = 0
+			}
 		}
-		arow := a[i*k : (i+1)*k]
+		arow := a[i*lda : i*lda+k]
 		var kk int
 		for kk = 0; kk+4 <= k; kk += 4 {
 			b0 := b[(kk+0)*n+jlo : (kk+0)*n+jhi]
@@ -173,9 +189,9 @@ func matMulPanel[S Scalar](c, a, b []S, m, k, n, jlo, jhi int) {
 }
 
 // MatMulSerialInto computes C = A×B into dst entirely on the calling
-// goroutine — the same blocked kernel as MatMulInto without the pool
-// dispatch. Inference sessions use it: they run one session per serving
-// worker, so fanning a session's products out on the shared pool would
+// goroutine — the active backend's panel without the pool dispatch.
+// Inference sessions use it: they run one session per serving worker, so
+// fanning a session's products out on the shared pool would
 // oversubscribe the cores. Results are bit-identical to MatMulInto.
 func MatMulSerialInto[S Scalar](dst, a, b *Tensor[S]) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[0] {
@@ -185,17 +201,17 @@ func MatMulSerialInto[S Scalar](dst, a, b *Tensor[S]) {
 	if len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmul dst %v for %d×%d product", dst.Shape, m, n))
 	}
-	matMulPanel(dst.Data, a.Data, b.Data, m, k, n, 0, n)
+	Float[S]().Panel(dst.Data, a.Data, b.Data, m, k, n, k, 0, n, false)
 }
 
 // GemmSerial computes C = A×B on raw row-major slices (A m×k, B k×n, C
 // m×n, C fully overwritten) entirely on the calling goroutine — the
-// blocked panel kernel without shape bookkeeping. It exists for callers
+// active backend's panel without shape bookkeeping. It exists for callers
 // that run many small products over hot scratch (the Winograd transform
 // domain) where per-call tensor headers would dominate. Results are
 // bit-identical to MatMulInto on the same operands.
 func GemmSerial[S Scalar](c, a, b []S, m, k, n int) {
-	matMulPanel(c, a, b, m, k, n, 0, n)
+	Float[S]().Panel(c, a, b, m, k, n, k, 0, n, false)
 }
 
 // MatMulATB computes C = Aᵀ×B for A (k×m) and B (k×n) without forming the
@@ -220,7 +236,7 @@ func MatMulATBInto[S Scalar](dst, a, b *Tensor[S]) {
 	if len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmulATB dst %v for %d×%d product", dst.Shape, m, n))
 	}
-	floatOps[S]().MatMulATBInto(dst, a, b)
+	Float[S]().MatMulATBInto(dst, a, b)
 }
 
 // engineMatMulATBInto is the default float backend's Aᵀ×B kernel.
@@ -356,7 +372,7 @@ func MatMulABTInto[S Scalar](dst, a, b *Tensor[S]) {
 	if len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmulABT dst %v for %d×%d product", dst.Shape, m, n))
 	}
-	floatOps[S]().MatMulABTInto(dst, a, b)
+	Float[S]().MatMulABTInto(dst, a, b)
 }
 
 // engineMatMulABTInto is the default float backend's A×Bᵀ kernel.
