@@ -409,18 +409,7 @@ func benchServeThroughput[S tensor.Scalar](b *testing.B) {
 // allocate-every-tile behavior.
 func benchServeThroughputInt8(b *testing.B) {
 	tiles := benchTiles(b)
-	m, err := unet.New[float64](unet.FastConfig(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cal, err := unet.Calibrate(m, tiles, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	qm, err := unet.Quantize(m, cal)
-	if err != nil {
-		b.Fatal(err)
-	}
+	qm := benchQuantModel(b, tiles)
 
 	b.Run("naive-per-tile", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -470,6 +459,141 @@ func benchServeThroughputInt8(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N*len(tiles))/b.Elapsed().Seconds(), "tiles/s")
 	})
+}
+
+// benchQuantModel calibrates and quantizes a fresh FastConfig master on
+// tiles — the seaice-train -quantize path, minus training.
+func benchQuantModel(b *testing.B, tiles []*raster.RGB) *unet.QuantModel {
+	b.Helper()
+	m, err := unet.New[float64](unet.FastConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cal, err := unet.Calibrate(m, tiles, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	qm, err := unet.Quantize(m, cal)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return qm
+}
+
+// BenchmarkInt8Conv measures the one integer kernel (tensor.Int8Ops.
+// ConvU8S8) on the FastConfig U-Net's layer geometries at the serving
+// batch of 16 tiles of 32² — driven row by row over halo-padded NHWC
+// buffers exactly as the quantized layers drive it, without their
+// requantization epilogue — per int8 backend, in Gop/s (2 ops per
+// multiply-accumulate, pad lanes and pad channels not counted).
+func BenchmarkInt8Conv(b *testing.B) {
+	const batch = 16
+	layers := []struct {
+		name    string
+		side, k int   // plane side, kernel size (3: three runs per window, 1: one)
+		src     []int // input channels per source
+		rows    int   // output channels (4·OutC for an up-convolution)
+	}{
+		{"enc0.conv1-3to8@32", 32, 3, []int{3}, 8},
+		{"enc0.conv2-8to8@32", 32, 3, []int{8}, 8},
+		{"enc1.conv2-16to16@16", 16, 3, []int{16}, 16},
+		{"bottleneck.conv2-64to64@4", 4, 3, []int{64}, 64},
+		{"up0-16to4x8@16", 16, 1, []int{16}, 32},
+		{"dec0.conv1-8+8to8@32", 32, 3, []int{8, 8}, 8},
+		{"head-8to3@32", 32, 1, []int{8}, 3},
+	}
+	prev := tensor.Int8().Name
+	defer func() {
+		if err := tensor.SelectInt8(prev); err != nil {
+			b.Fatal(err)
+		}
+	}()
+	for _, backend := range tensor.Int8BackendNames() {
+		for _, l := range layers {
+			b.Run(backend+"/"+l.name, func(b *testing.B) {
+				if err := tensor.SelectInt8(backend); err != nil {
+					b.Skip(err)
+				}
+				ops := tensor.Int8()
+				ocPad := tensor.Int8LanePad(l.rows)
+				acc := make([]int32, l.side*ocPad)
+				type source struct {
+					x, w []byte
+					st   int // pixel stride: channels padded to 4
+				}
+				var srcs []source
+				macs := 0
+				for _, c := range l.src {
+					st := (c + 3) &^ 3
+					x := make([]byte, batch*(l.side+2)*(l.side+2)*st)
+					for i := range x {
+						x[i] = byte(i*7) & tensor.QuantMax
+					}
+					w := make([]int8, l.rows*l.k*l.k*st)
+					for i := range w {
+						w[i] = int8(i%255 - 127)
+					}
+					srcs = append(srcs, source{x, tensor.PackInt8Weights(w, l.rows, l.k*l.k*st), st})
+					macs += batch * l.side * l.side * l.k * l.k * c * l.rows
+				}
+				pad := l.k / 2
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for img := 0; img < batch; img++ {
+						for y := 0; y < l.side; y++ {
+							for si, s := range srcs {
+								off := ((img*(l.side+2)+y+1-pad)*(l.side+2) + 1 - pad) * s.st
+								ops.ConvU8S8(acc, s.x[off:], s.w, l.side, s.st, l.k, l.k*s.st, (l.side+2)*s.st, ocPad, si > 0)
+							}
+						}
+					}
+				}
+				b.ReportMetric(2*float64(macs)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gop/s")
+			})
+		}
+	}
+}
+
+// BenchmarkQuantForward times QuantSession on the serving stack's unit
+// of int8 work — one full batch of 16 tiles of 32² — per int8 backend
+// (bit-identical labels; the ratio to "ref" is what the kernel buys).
+func BenchmarkQuantForward(b *testing.B) {
+	tiles := benchTiles(b)
+	qm := benchQuantModel(b, tiles)
+	var batch []*raster.RGB
+	for _, t := range tiles[:4] { // 4 tiles of 64² → 16 of 32²
+		quarters, _, err := raster.Split(t, 32, 32)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, q := range quarters {
+			batch = append(batch, q.Image)
+		}
+	}
+	prev := tensor.Int8().Name
+	defer func() {
+		if err := tensor.SelectInt8(prev); err != nil {
+			b.Fatal(err)
+		}
+	}()
+	for _, backend := range tensor.Int8BackendNames() {
+		b.Run(backend, func(b *testing.B) {
+			if err := tensor.SelectInt8(backend); err != nil {
+				b.Skip(err)
+			}
+			s := unet.NewQuantSession(qm)
+			if _, err := s.PredictTiles(batch); err != nil { // warm the grow-only buffers
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.PredictTiles(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N*len(batch))/b.Elapsed().Seconds(), "tiles/s")
+		})
+	}
 }
 
 // BenchmarkTrainStep measures one full training step (forward + backward

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"seaice/internal/tensor"
 )
@@ -12,45 +13,131 @@ import (
 // weights plus calibrated activation ranges (unet.Calibrate). The design
 // follows the int8 rung of the precision policy:
 //
-//   - Activations are uint8 in [0, 127] (tensor.QuantMax), NHWC with the
-//     channel innermost — a 1×1 conv's GEMM column is then a contiguous
-//     pixel row, and a 3×3 im2col gathers nine small channel runs.
-//   - Weights are per-output-channel symmetric int8, stored tap-major
-//     (w[oc][t·InC+c]) and padded to a multiple of 32 taps so the AVX2
-//     GEMM never runs a scalar tail. The per-input-channel activation
-//     scale is folded INTO the float weights before quantization, which
-//     is what lets the decoder's concatenated skip+up inputs (two
-//     different quantizations) share one integer GEMM.
+//   - Activations are uint8 in [0, 127] (tensor.QuantMax) and live in
+//     QAct buffers: NHWC, channels innermost and padded to a multiple of
+//     four, with a one-pixel halo around every image that holds the
+//     tensor's zero-point byte. A 3×3 window is then three contiguous
+//     3·C-byte runs a buffer row apart and a 1×1 window is one C-byte run
+//     — the integer kernel (tensor.Int8Ops.ConvU8S8) reads both in place,
+//     so nothing is gathered or copied between layers, and each layer's
+//     epilogue writes straight into the interior of the next one's buffer.
+//   - Weights are per-output-channel symmetric int8, quantized tap-major
+//     (w[oc][t·InC+c]) and then packed once, per input source, into the
+//     kernel's [k/4][OutC→8][4] layout; pad channels and pad lanes carry
+//     zero weights. The per-input-channel activation scale is folded INTO
+//     the float weights before quantization, which is what lets the
+//     decoder's concatenated skip+up inputs (two different quantizations)
+//     share one integer sum: the second source accumulates onto the first.
 //   - Zero-points fold into the bias exactly: conv ≈ s_w·(acc − Σ_c z_c·Σ_t wq),
-//     provided spatial padding taps contribute the input's zero-point
-//     byte (QIm2Col3x3 does) and column-length padding taps carry zero
-//     weights (the builders do).
-//   - The integer GEMM runs on the active tensor.Int8 backend; the
-//     requantization epilogue stays here in pure Go, so backend choice
-//     can never change an output bit.
+//     provided out-of-image taps contribute the input's zero-point byte —
+//     the halo rule: QAct.Reshape fills a buffer with its zero-point
+//     whenever its shape changes, and layers only ever write the interior.
+//   - The integer sums run on the active tensor.Int8 backend, one output
+//     row at a time into a row of int32 accumulators that never leaves L1;
+//     the requantization epilogue (tensor.RequantClampRow) is shared pure
+//     Go outside the backend table, so backend choice can never change an
+//     output bit.
+
+// QAct is one batch of quantized activations in the layout above:
+// (N, H+2, W+2, Stride()) bytes, logical pixel (y, x) of image n at
+// padded position (y+1, x+1).
+type QAct struct {
+	Data       []uint8
+	N, H, W, C int
+	Zero       uint8 // the tensor's zero-point: the halo (and pad-channel) byte
+}
+
+// QIn describes one input source of a quantized layer: its channel count
+// and the quantization of the tensor it will read.
+type QIn struct {
+	C int
+	Q tensor.ActQuant
+}
+
+// Stride is the byte distance between neighbouring pixels: C rounded up
+// to the kernel's four-byte tap group.
+func (a *QAct) Stride() int { return (a.C + 3) &^ 3 }
+
+// Reshape sizes the buffer for an (n, h, w, c) tensor with zero-point
+// zero, reusing storage when it can. A call that changes nothing keeps
+// the buffer as is — the halo is intact because layers write only the
+// interior; any change refills the whole buffer with the zero-point,
+// which re-establishes the halo.
+func (a *QAct) Reshape(n, h, w, c int, zero uint8) {
+	if a.Data != nil && a.N == n && a.H == h && a.W == w && a.C == c && a.Zero == zero {
+		return
+	}
+	a.N, a.H, a.W, a.C, a.Zero = n, h, w, c, zero
+	size := n * (h + 2) * (w + 2) * a.Stride()
+	if cap(a.Data) < size {
+		a.Data = make([]uint8, size)
+	}
+	a.Data = a.Data[:size]
+	if size > 0 { // fill by doubling copies: memmove speed, any byte value
+		a.Data[0] = zero
+		for i := 1; i < size; i *= 2 {
+			copy(a.Data[i:], a.Data[:i])
+		}
+	}
+}
+
+// from returns the buffer from padded position (y, x) of image img on.
+func (a *QAct) from(img, y, x int) []uint8 {
+	return a.Data[((img*(a.H+2)+y)*(a.W+2)+x)*a.Stride():]
+}
+
+// Row returns interior row y of image img: W pixels, Stride() apart.
+func (a *QAct) Row(img, y int) []uint8 { return a.from(img, y+1, 1)[:a.W*a.Stride()] }
+
+// packSource scatters channels [lo, lo+c) of the tap-major quantized
+// matrix q (rows × taps·inC) into rows of taps·stride bytes — the source's
+// channel padding gets zero weights — and packs them for the kernel.
+func packSource(q []int8, rows, taps, inC, lo, c int) []byte {
+	stride := (c + 3) &^ 3
+	padded := make([]int8, rows*taps*stride)
+	for r := 0; r < rows; r++ {
+		for t := 0; t < taps; t++ {
+			copy(padded[(r*taps+t)*stride:], q[(r*taps+t)*inC+lo:][:c])
+		}
+	}
+	return tensor.PackInt8Weights(padded, rows, taps*stride)
+}
+
+// growAcc returns *buf resized to n accumulators, reallocating only when
+// the capacity is insufficient.
+func growAcc(buf *[]int32, n int) []int32 {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	return *buf
+}
+
+// QConv is the quantized K×K stride-1 same-padded convolution (K = 1 or
+// 3) over the virtual channel concat of one or two sources.
 type QConv struct {
 	Name      string
 	InC, OutC int
-	K         int // kernel size, 1 or 3 (stride 1, "same" padding)
-	KPad      int // padded GEMM column length: K²·InC rounded up to 32
-	W         []int8
-	Bias      []int32 // round(b/(s_w)) − Σ_c z_c·Σ_t wq, per output channel
-	Req       []tensor.Requant
+	K         int
+	src       []QIn
+	w         [][]byte             // packed weights, one matrix per source
+	lanes     []tensor.RequantLane // per output channel: bias round(b/s_w) − Σ_c z_c·Σ_t wq, multiplier s_w/s_out
 	OutZ      uint8
 }
 
-// padTo32 rounds a GEMM column length up to the AVX2 kernel's 32-byte
-// step so quantized layers never pay the scalar tail.
-func padTo32(k int) int { return (k + 31) &^ 31 }
-
 // NewQConv quantizes one float convolution. w is Conv2D's layout
-// (outC, inC·k·k) with taps minor; in gives each input channel's
-// activation quantization (a concat input passes the two sources'
-// quantizations per channel), out the calibrated output quantization.
-func NewQConv(name string, inC, outC, k int, w, bias []float64, in []tensor.ActQuant, out tensor.ActQuant) (*QConv, error) {
+// (outC, inC·k·k) with taps minor and inC the sum of the sources'
+// channels in order; in gives each source's channel count and activation
+// quantization (a concat input passes two), out the calibrated output
+// quantization.
+func NewQConv(name string, in []QIn, outC, k int, w, bias []float64, out tensor.ActQuant) (*QConv, error) {
 	taps := k * k
-	if len(w) != outC*inC*taps || len(bias) != outC || len(in) != inC {
-		return nil, fmt.Errorf("nn: NewQConv(%s) shape mismatch: %d weights, %d biases, %d in-quants for %d→%d k=%d",
+	var chQ []tensor.ActQuant // per input channel, sources in order
+	for _, s := range in {
+		for i := 0; i < s.C; i++ {
+			chQ = append(chQ, s.Q)
+		}
+	}
+	inC := len(chQ)
+	if len(w) != outC*inC*taps || len(bias) != outC || len(in) == 0 {
+		return nil, fmt.Errorf("nn: NewQConv(%s) shape mismatch: %d weights, %d biases, %d sources for %d→%d k=%d",
 			name, len(w), len(bias), len(in), inC, outC, k)
 	}
 	if inC*taps > tensor.Int8AccumBoundTaps {
@@ -58,183 +145,99 @@ func NewQConv(name string, inC, outC, k int, w, bias []float64, in []tensor.ActQ
 			name, inC*taps, tensor.Int8AccumBoundTaps)
 	}
 	// Remap to tap-major and fold each input channel's scale into the
-	// float weight, so the integer GEMM's product is uniform in s_w.
+	// float weight, so the integer product is uniform in s_w.
 	wf := make([]float64, outC*inC*taps)
 	for oc := 0; oc < outC; oc++ {
 		src := w[oc*inC*taps : (oc+1)*inC*taps]
 		dst := wf[oc*inC*taps : (oc+1)*inC*taps]
 		for c := 0; c < inC; c++ {
 			for t := 0; t < taps; t++ {
-				dst[t*inC+c] = src[c*taps+t] * in[c].Scale
+				dst[t*inC+c] = src[c*taps+t] * chQ[c].Scale
 			}
 		}
 	}
 	q, scales := tensor.QuantizeWeightsPerChannel(wf, outC, inC*taps)
 
-	kPad := padTo32(inC * taps)
 	c := &QConv{
-		Name: name, InC: inC, OutC: outC, K: k, KPad: kPad,
-		W:    make([]int8, outC*kPad),
-		Bias: make([]int32, outC),
-		Req:  make([]tensor.Requant, outC),
-		OutZ: out.Zero,
+		Name: name, InC: inC, OutC: outC, K: k, src: in,
+		lanes: make([]tensor.RequantLane, outC),
+		OutZ:  out.Zero,
+	}
+	lo := 0
+	for _, s := range in {
+		c.w = append(c.w, packSource(q, outC, taps, inC, lo, s.C))
+		lo += s.C
 	}
 	for oc := 0; oc < outC; oc++ {
-		copy(c.W[oc*kPad:], q[oc*inC*taps:(oc+1)*inC*taps]) // pad taps stay 0
 		var zCorr int64
-		for ch := 0; ch < inC; ch++ {
-			var sumW int64
-			for t := 0; t < taps; t++ {
-				sumW += int64(q[oc*inC*taps+t*inC+ch])
-			}
-			zCorr += int64(in[ch].Zero) * sumW
+		for i, v := range q[oc*inC*taps : (oc+1)*inC*taps] {
+			zCorr += int64(chQ[i%inC].Zero) * int64(v)
 		}
-		c.Bias[oc] = int32(int64(math.Round(bias[oc]/scales[oc])) - zCorr)
-		c.Req[oc] = tensor.NewRequant(scales[oc] / out.Scale)
+		c.lanes[oc] = tensor.NewRequantLane(int32(int64(math.Round(bias[oc]/scales[oc]))-zCorr),
+			tensor.NewRequant(scales[oc]/out.Scale))
 	}
 	return c, nil
 }
 
-// QIm2Col3x3 gathers the tap-major padded GEMM columns for a same-padded
-// 3×3 convolution over the virtual channel concat of two NHWC sources
-// (xb may be nil): column (img,y,x) holds, for each of the nine taps,
-// xa's ca channels then xb's cb channels at (y+ky, x+kx); out-of-image
-// taps are filled with the source's zero-point byte so they dequantize
-// to exactly zero, and the [9·(ca+cb), kPad) pad region is zeroed (its
-// weights are zero, so its content is immaterial — zeroing keeps the
-// buffer deterministic).
-func QIm2Col3x3(xa []uint8, ca int, za uint8, xb []uint8, cb int, zb uint8, n, h, w, kPad int, dst []uint8) {
-	inC := ca + cb
-	plane := h * w
-	for img := 0; img < n; img++ {
-		pa := xa[img*plane*ca : (img+1)*plane*ca]
-		var pb []uint8
-		if cb > 0 {
-			pb = xb[img*plane*cb : (img+1)*plane*cb]
+// mustFeed panics unless a is a tensor the layer was built to read from
+// this source — a mismatch is a wiring bug, and a wrong halo byte would
+// silently break the zero-point folding.
+func (s QIn) mustFeed(layer string, a *QAct) {
+	if a.C != s.C || a.Zero != s.Q.Zero {
+		panic(fmt.Sprintf("nn: %s: input has %d channels, zero-point %d; built for %d and %d",
+			layer, a.C, a.Zero, s.C, s.Q.Zero))
+	}
+}
+
+// Forward applies the quantized convolution to its sources (same batch
+// shape, channel counts as built), reshaping out to (N, H, W, OutC) and
+// writing its interior. acc is grow-only int32 scratch the layer sizes
+// to one output row. The lower clamp of the requantization IS the ReLU
+// when OutZ == 0.
+func (c *QConv) Forward(out *QAct, acc *[]int32, in ...*QAct) {
+	if len(in) != len(c.src) {
+		panic(fmt.Sprintf("nn: %s: %d inputs for %d sources", c.Name, len(in), len(c.src)))
+	}
+	n, h, w := in[0].N, in[0].H, in[0].W
+	for i, a := range in {
+		c.src[i].mustFeed(c.Name, a)
+		if a.N != n || a.H != h || a.W != w {
+			panic(fmt.Sprintf("nn: %s: input %d is %dx%dx%d, input 0 %dx%dx%d", c.Name, i, a.N, a.H, a.W, n, h, w))
 		}
+	}
+	out.Reshape(n, h, w, c.OutC, c.OutZ)
+	ops := tensor.Int8()
+	ocPad := tensor.Int8LanePad(c.OutC)
+	row := growAcc(acc, w*ocPad)
+	pad := c.K / 2
+	for img := 0; img < n; img++ {
 		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				col := dst[((img*h+y)*w+x)*kPad:]
-				t := 0
-				for ky := -1; ky <= 1; ky++ {
-					yy := y + ky
-					if yy < 0 || yy >= h {
-						for j := 0; j < 3; j++ {
-							d := col[(t+j)*inC : (t+j)*inC+inC]
-							for i := 0; i < ca; i++ {
-								d[i] = za
-							}
-							for i := ca; i < inC; i++ {
-								d[i] = zb
-							}
-						}
-						t += 3
-						continue
-					}
-					if x > 0 && x+1 < w {
-						// Interior pixels: the row's three taps are
-						// contiguous in the source, so the whole kernel
-						// row moves in one copy per source (the hot path
-						// — only the w-2 boundary columns fall through).
-						base := yy*w + x - 1
-						if cb == 0 {
-							copy(col[t*inC:(t+3)*inC], pa[base*ca:(base+3)*ca])
-						} else {
-							for j := 0; j < 3; j++ {
-								d := col[(t+j)*inC : (t+j)*inC+inC]
-								copy(d[:ca], pa[(base+j)*ca:])
-								copy(d[ca:], pb[(base+j)*cb:])
-							}
-						}
-						t += 3
-						continue
-					}
-					for kx := -1; kx <= 1; kx++ {
-						xx := x + kx
-						d := col[t*inC : t*inC+inC]
-						if xx < 0 || xx >= w {
-							for i := 0; i < ca; i++ {
-								d[i] = za
-							}
-							for i := ca; i < inC; i++ {
-								d[i] = zb
-							}
-						} else {
-							copy(d[:ca], pa[(yy*w+xx)*ca:])
-							if cb > 0 {
-								copy(d[ca:], pb[(yy*w+xx)*cb:])
-							}
-						}
-						t++
-					}
-				}
-				for i := 9 * inC; i < kPad; i++ {
-					col[i] = 0
-				}
+			for i, a := range in {
+				st := a.Stride()
+				ops.ConvU8S8(row, a.from(img, y+1-pad, 1-pad), c.w[i], w, st, c.K, c.K*st, (w+2)*st, ocPad, i > 0)
 			}
+			tensor.RequantClampRow(out.Row(img, y), out.Stride(), row, ocPad, w, c.lanes, c.OutZ)
 		}
 	}
 }
 
-// QPadColumns copies an NHWC tensor into kPad-strided GEMM columns — the
-// "im2col" of a 1×1 kernel, needed only to pad the column length to the
-// vector kernel's step. Pad bytes are zero (zero weights there).
-func QPadColumns(x []uint8, npx, c, kPad int, dst []uint8) {
-	for p := 0; p < npx; p++ {
-		col := dst[p*kPad : (p+1)*kPad]
-		copy(col, x[p*c:(p+1)*c])
-		for i := c; i < kPad; i++ {
-			col[i] = 0
-		}
-	}
-}
-
-// Forward applies the quantized convolution to pre-built GEMM columns
-// (QIm2Col3x3 or QPadColumns output; npx columns of c.KPad bytes),
-// writing the requantized NHWC result to out (npx·OutC bytes). acc is
-// caller-owned int32 scratch with at least OutC·npx elements. The lower
-// clamp of the requantization IS the ReLU when OutZ == 0.
-func (c *QConv) Forward(cols []uint8, npx int, acc []int32, out []uint8) {
-	tensor.Int8().GemmU8S8(c.W, cols, c.OutC, c.KPad, npx, acc)
-	for oc := 0; oc < c.OutC; oc++ {
-		b, rq := c.Bias[oc], c.Req[oc]
-		row := acc[oc*npx : (oc+1)*npx]
-		d := out[oc:]
-		for p, v := range row {
-			d[p*c.OutC] = tensor.RequantClamp(v+b, rq, c.OutZ)
-		}
-	}
-}
-
-// QMaxPool2NHWC is the 2×2 stride-2 max pool on NHWC uint8: max is
-// monotone, so the output reuses the input's quantization unchanged.
-func QMaxPool2NHWC(x []uint8, n, h, w, c int, out []uint8) {
-	oh, ow := h/2, w/2
-	for img := 0; img < n; img++ {
-		src := x[img*h*w*c:]
-		dst := out[img*oh*ow*c:]
-		for y := 0; y < oh; y++ {
-			r0 := src[(2*y)*w*c:]
-			r1 := src[(2*y+1)*w*c:]
-			drow := dst[y*ow*c:]
-			for x2 := 0; x2 < ow; x2++ {
-				a := r0[(2*x2)*c : (2*x2)*c+c]
-				b := r0[(2*x2+1)*c : (2*x2+1)*c+c]
-				e := r1[(2*x2)*c : (2*x2)*c+c]
-				f := r1[(2*x2+1)*c : (2*x2+1)*c+c]
-				d := drow[x2*c : (x2+1)*c]
+// QMaxPool2 is the 2×2 stride-2 max pool: max is monotone, so the output
+// reuses the input's quantization (and zero-point halo) unchanged.
+func QMaxPool2(out, in *QAct) {
+	out.Reshape(in.N, in.H/2, in.W/2, in.C, in.Zero)
+	c := in.Stride()
+	for img := 0; img < in.N; img++ {
+		for y := 0; y < out.H; y++ {
+			r0, r1 := in.Row(img, 2*y), in.Row(img, 2*y+1)
+			drow := out.Row(img, y)
+			for x := 0; x < out.W; x++ {
+				a := r0[2*x*c : (2*x+1)*c]
+				b := r0[(2*x+1)*c : (2*x+2)*c]
+				e := r1[2*x*c : (2*x+1)*c]
+				f := r1[(2*x+1)*c : (2*x+2)*c]
+				d := drow[x*c : (x+1)*c]
 				for i := range d {
-					m := a[i]
-					if b[i] > m {
-						m = b[i]
-					}
-					if e[i] > m {
-						m = e[i]
-					}
-					if f[i] > m {
-						m = f[i]
-					}
-					d[i] = m
+					d[i] = max(a[i], b[i], e[i], f[i])
 				}
 			}
 		}
@@ -242,69 +245,72 @@ func QMaxPool2NHWC(x []uint8, n, h, w, c int, out []uint8) {
 }
 
 // QConvT is the quantized 2×2 stride-2 transposed convolution. With
-// non-overlapping output blocks it decomposes into four independent
-// 1×1-style GEMMs, one per kernel tap, each scattering to one output
-// parity. Its output is not ReLU-clamped, so it carries a nonzero
-// zero-point when the calibrated range dips below zero.
+// non-overlapping output blocks it is a 1×1 convolution to 4·OutC
+// channels — one group of OutC per kernel tap — whose epilogue scatters
+// each tap's group to its output parity. Its output is not ReLU-clamped,
+// so it carries a nonzero zero-point when the calibrated range dips
+// below zero.
 type QConvT struct {
 	Name      string
 	InC, OutC int
-	KPad      int // InC rounded up to 32
-	W         [4][]int8
-	Bias      [4][]int32
-	Req       [4][]tensor.Requant
+	src       QIn
+	w         []byte               // packed, rows tap·OutC+oc
+	lanes     []tensor.RequantLane // per tap·OutC+oc
 	OutZ      uint8
 }
 
 // NewQConvT quantizes a float ConvTranspose2x2: w is its layout
 // (inC, outC·4) — w[ic][oc·4+tap] — bias len outC.
-func NewQConvT(name string, inC, outC int, w, bias []float64, in []tensor.ActQuant, out tensor.ActQuant) (*QConvT, error) {
-	if len(w) != inC*outC*4 || len(bias) != outC || len(in) != inC {
-		return nil, fmt.Errorf("nn: NewQConvT(%s) shape mismatch: %d weights, %d biases, %d in-quants for %d→%d",
-			name, len(w), len(bias), len(in), inC, outC)
+func NewQConvT(name string, in QIn, outC int, w, bias []float64, out tensor.ActQuant) (*QConvT, error) {
+	inC := in.C
+	if len(w) != inC*outC*4 || len(bias) != outC {
+		return nil, fmt.Errorf("nn: NewQConvT(%s) shape mismatch: %d weights, %d biases for %d→%d",
+			name, len(w), len(bias), inC, outC)
 	}
-	u := &QConvT{Name: name, InC: inC, OutC: outC, KPad: padTo32(inC), OutZ: out.Zero}
-	wf := make([]float64, outC*inC)
+	rows := 4 * outC
+	wf := make([]float64, rows*inC)
 	for tap := 0; tap < 4; tap++ {
 		for oc := 0; oc < outC; oc++ {
 			for ic := 0; ic < inC; ic++ {
-				wf[oc*inC+ic] = w[ic*outC*4+oc*4+tap] * in[ic].Scale
+				wf[(tap*outC+oc)*inC+ic] = w[ic*outC*4+oc*4+tap] * in.Q.Scale
 			}
 		}
-		q, scales := tensor.QuantizeWeightsPerChannel(wf, outC, inC)
-		u.W[tap] = make([]int8, outC*u.KPad)
-		u.Bias[tap] = make([]int32, outC)
-		u.Req[tap] = make([]tensor.Requant, outC)
-		for oc := 0; oc < outC; oc++ {
-			copy(u.W[tap][oc*u.KPad:], q[oc*inC:(oc+1)*inC])
-			var zCorr int64
-			for ic := 0; ic < inC; ic++ {
-				zCorr += int64(in[ic].Zero) * int64(q[oc*inC+ic])
-			}
-			u.Bias[tap][oc] = int32(int64(math.Round(bias[oc]/scales[oc])) - zCorr)
-			u.Req[tap][oc] = tensor.NewRequant(scales[oc] / out.Scale)
+	}
+	q, scales := tensor.QuantizeWeightsPerChannel(wf, rows, inC)
+	u := &QConvT{
+		Name: name, InC: inC, OutC: outC, src: in,
+		w:     packSource(q, rows, 1, inC, 0, inC),
+		lanes: make([]tensor.RequantLane, rows),
+		OutZ:  out.Zero,
+	}
+	for r := 0; r < rows; r++ {
+		var sumW int64
+		for _, v := range q[r*inC : (r+1)*inC] {
+			sumW += int64(v)
 		}
+		u.lanes[r] = tensor.NewRequantLane(int32(int64(math.Round(bias[r%outC]/scales[r]))-int64(in.Q.Zero)*sumW),
+			tensor.NewRequant(scales[r]/out.Scale))
 	}
 	return u, nil
 }
 
-// Forward applies the up-convolution to padded input columns
-// (QPadColumns of the (n,h,w,InC) NHWC input; npx = n·h·w), writing the
-// doubled-resolution NHWC output (n,2h,2w,OutC). acc needs OutC·npx
-// int32s.
-func (u *QConvT) Forward(cols []uint8, n, h, w int, acc []int32, out []uint8) {
-	npx := n * h * w
-	ow := 2 * w
-	for tap := 0; tap < 4; tap++ {
-		ty, tx := tap/2, tap%2
-		tensor.Int8().GemmU8S8(u.W[tap], cols, u.OutC, u.KPad, npx, acc)
-		for oc := 0; oc < u.OutC; oc++ {
-			b, rq := u.Bias[tap][oc], u.Req[tap][oc]
-			row := acc[oc*npx : (oc+1)*npx]
-			for p, v := range row {
-				img, rem := p/(h*w), p%(h*w)
-				y, x := rem/w, rem%w
-				out[(((img*2*h+2*y+ty)*ow)+2*x+tx)*u.OutC+oc] = tensor.RequantClamp(v+b, rq, u.OutZ)
+// Forward applies the up-convolution to the (N, H, W, InC) input,
+// reshaping out to (N, 2H, 2W, OutC) and writing its interior: input
+// pixel (y, x)'s tap (ty, tx) lands at (2y+ty, 2x+tx). acc is grow-only
+// scratch for one input row's 4·OutC sums.
+func (u *QConvT) Forward(out *QAct, acc *[]int32, in *QAct) {
+	u.src.mustFeed(u.Name, in)
+	out.Reshape(in.N, 2*in.H, 2*in.W, u.OutC, u.OutZ)
+	ops := tensor.Int8()
+	ocPad := tensor.Int8LanePad(4 * u.OutC)
+	row := growAcc(acc, in.W*ocPad)
+	st, ost := in.Stride(), out.Stride()
+	for img := 0; img < in.N; img++ {
+		for y := 0; y < in.H; y++ {
+			ops.ConvU8S8(row, in.Row(img, y), u.w, in.W, st, 1, st, 0, ocPad, false)
+			for tap := 0; tap < 4; tap++ {
+				lo, hi := tap*u.OutC, (tap+1)*u.OutC
+				tensor.RequantClampRow(out.Row(img, 2*y+tap/2)[tap%2*ost:], 2*ost, row[lo:], ocPad, in.W, u.lanes[lo:hi], u.OutZ)
 			}
 		}
 	}
@@ -317,56 +323,65 @@ func (u *QConvT) Forward(cols []uint8, n, h, w int, acc []int32, out []uint8) {
 // (strictly-greater wins, so ties resolve to the lowest class index).
 type QHead struct {
 	Classes, InC int
-	KPad         int
-	W            []int8
+	src          QIn
+	w            []byte
 	Scale        []float64 // per class: the folded weight scale s_w
 	ZCorr        []int32   // per class: Σ_c z_c·wq
 	Bias         []float64
 }
 
 // NewQHead quantizes the final 1×1 convolution (w: (classes, inC)).
-func NewQHead(inC, classes int, w, bias []float64, in []tensor.ActQuant) (*QHead, error) {
-	if len(w) != classes*inC || len(bias) != classes || len(in) != inC {
-		return nil, fmt.Errorf("nn: NewQHead shape mismatch: %d weights, %d biases, %d in-quants for %d→%d",
-			len(w), len(bias), len(in), inC, classes)
+func NewQHead(in QIn, classes int, w, bias []float64) (*QHead, error) {
+	inC := in.C
+	if len(w) != classes*inC || len(bias) != classes {
+		return nil, fmt.Errorf("nn: NewQHead shape mismatch: %d weights, %d biases for %d→%d",
+			len(w), len(bias), inC, classes)
 	}
 	wf := make([]float64, classes*inC)
-	for cl := 0; cl < classes; cl++ {
-		for c := 0; c < inC; c++ {
-			wf[cl*inC+c] = w[cl*inC+c] * in[c].Scale
-		}
+	for i, v := range w {
+		wf[i] = v * in.Q.Scale
 	}
 	q, scales := tensor.QuantizeWeightsPerChannel(wf, classes, inC)
 	hd := &QHead{
-		Classes: classes, InC: inC, KPad: padTo32(inC),
-		W:     make([]int8, classes*padTo32(inC)),
+		Classes: classes, InC: inC, src: in,
+		w:     packSource(q, classes, 1, inC, 0, inC),
 		Scale: scales,
 		ZCorr: make([]int32, classes),
 		Bias:  append([]float64(nil), bias...),
 	}
 	for cl := 0; cl < classes; cl++ {
-		copy(hd.W[cl*hd.KPad:], q[cl*inC:(cl+1)*inC])
-		var zc int64
-		for c := 0; c < inC; c++ {
-			zc += int64(in[c].Zero) * int64(q[cl*inC+c])
+		var sumW int64
+		for _, v := range q[cl*inC : (cl+1)*inC] {
+			sumW += int64(v)
 		}
-		hd.ZCorr[cl] = int32(zc)
+		hd.ZCorr[cl] = int32(int64(in.Q.Zero) * sumW)
 	}
 	return hd, nil
 }
 
-// Forward classifies npx padded columns (QPadColumns output) directly to
-// labels. acc needs Classes·npx int32s.
-func (hd *QHead) Forward(cols []uint8, npx int, acc []int32, labels []uint8) {
-	tensor.Int8().GemmU8S8(hd.W, cols, hd.Classes, hd.KPad, npx, acc)
-	for p := 0; p < npx; p++ {
-		best, bv := 0, hd.Scale[0]*float64(acc[p]-hd.ZCorr[0])+hd.Bias[0]
-		for cl := 1; cl < hd.Classes; cl++ {
-			v := hd.Scale[cl]*float64(acc[cl*npx+p]-hd.ZCorr[cl]) + hd.Bias[cl]
-			if v > bv {
-				best, bv = cl, v
+// Forward classifies the (N, H, W, InC) input directly to N·H·W labels,
+// pixel-major. acc is grow-only scratch for one row's class sums.
+func (hd *QHead) Forward(labels []uint8, acc *[]int32, in *QAct) {
+	hd.src.mustFeed("head", in)
+	ops := tensor.Int8()
+	ocPad := tensor.Int8LanePad(hd.Classes)
+	row := growAcc(acc, in.W*ocPad)
+	st := in.Stride()
+	for img := 0; img < in.N; img++ {
+		for y := 0; y < in.H; y++ {
+			ops.ConvU8S8(row, in.Row(img, y), hd.w, in.W, st, 1, st, 0, ocPad, false)
+			lrow := labels[(img*in.H+y)*in.W:][:in.W]
+			for p := range lrow {
+				a := row[p*ocPad:][:hd.Classes]
+				best, bv := 0, hd.Scale[0]*float64(a[0]-hd.ZCorr[0])+hd.Bias[0]
+				for cl := 1; cl < hd.Classes; cl++ {
+					v := hd.Scale[cl]*float64(a[cl]-hd.ZCorr[cl]) + hd.Bias[cl]
+					if v > bv {
+						best, bv = cl, v
+					}
+				}
+				lrow[p] = uint8(best)
 			}
 		}
-		labels[p] = uint8(best)
 	}
 }

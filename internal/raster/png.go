@@ -29,6 +29,20 @@ func (m *RGB) ToImage() *image.NRGBA {
 func FromImage(src image.Image) *RGB {
 	b := src.Bounds()
 	m := NewRGB(b.Dx(), b.Dy())
+	if rgba, ok := src.(*image.RGBA); ok {
+		// What png.Decode returns for an opaque 8-bit PNG. At().RGBA()
+		// hands back the stored (premultiplied) bytes whatever the alpha,
+		// so copying them is the generic loop without a boxed color.Color
+		// per pixel.
+		for y := 0; y < m.H; y++ {
+			row := rgba.Pix[rgba.PixOffset(b.Min.X, b.Min.Y+y):]
+			dst := m.Pix[3*y*m.W : 3*(y+1)*m.W]
+			for x := 0; x < m.W; x++ {
+				copy(dst[3*x:3*x+3], row[4*x:4*x+3])
+			}
+		}
+		return m
+	}
 	for y := 0; y < m.H; y++ {
 		for x := 0; x < m.W; x++ {
 			r, g, bl, _ := src.At(b.Min.X+x, b.Min.Y+y).RGBA()

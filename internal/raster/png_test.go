@@ -1,6 +1,9 @@
 package raster
 
 import (
+	"bytes"
+	"image"
+	"math/rand"
 	"path/filepath"
 	"testing"
 )
@@ -47,5 +50,40 @@ func TestGrayPNG(t *testing.T) {
 func TestReadPNGMissingFile(t *testing.T) {
 	if _, err := ReadPNG(filepath.Join(t.TempDir(), "nope.png")); err == nil {
 		t.Fatal("expected error for missing file")
+	}
+}
+
+// TestFromImageRGBAFastPath: the *image.RGBA row copy must be byte-equal
+// to the generic At() loop (reached by hiding the concrete type) on an
+// opaque image, on one with alpha < 255 (At().RGBA() returns the stored
+// premultiplied bytes either way), and on a sub-image whose bounds do not
+// start at the origin.
+func TestFromImageRGBAFastPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	fill := func(opaque bool) *image.RGBA {
+		img := image.NewRGBA(image.Rect(0, 0, 23, 17))
+		for i := 0; i < len(img.Pix); i += 4 {
+			a := 255
+			if !opaque {
+				a = rng.Intn(256)
+			}
+			for c := 0; c < 3; c++ { // premultiplied: channels never exceed alpha
+				img.Pix[i+c] = uint8(rng.Intn(a + 1))
+			}
+			img.Pix[i+3] = uint8(a)
+		}
+		return img
+	}
+	opaque, translucent := fill(true), fill(false)
+	for name, img := range map[string]*image.RGBA{
+		"opaque":      opaque,
+		"translucent": translucent,
+		"sub-image":   translucent.SubImage(image.Rect(5, 3, 19, 12)).(*image.RGBA),
+	} {
+		got := FromImage(img)
+		want := FromImage(struct{ image.Image }{img})
+		if got.W != want.W || got.H != want.H || !bytes.Equal(got.Pix, want.Pix) {
+			t.Errorf("%s: fast path differs from the generic path", name)
+		}
 	}
 }

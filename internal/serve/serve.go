@@ -34,7 +34,7 @@
 // serving precision — micro-batch composition, queue order, worker
 // count, and cache hits/misses change latency, never a single output
 // pixel. The int8 engine is additionally bit-deterministic across
-// GEMM backends and hosts (fixed-point requantization; see
+// kernel backends and hosts (fixed-point requantization; see
 // internal/tensor's quantization docs).
 package serve
 

@@ -19,7 +19,7 @@
 // that is also what keeps them bit-identical at any worker count
 // (property-tested in backend_test.go; NaN payload bits are not part of
 // the contract). int8 backends compute in exact integer arithmetic, so
-// cross-backend equality is absolute (qgemm_test.go). Selection is
+// cross-backend equality is absolute (qconv_test.go). Selection is
 // process-global and safe for concurrent readers; tests that switch
 // backends serialize around SelectFloat/SelectInt8.
 
@@ -27,7 +27,6 @@ package tensor
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -94,10 +93,28 @@ type FloatOps[S Scalar] struct {
 }
 
 // Int8Ops is the kernel table for the quantized kind. One entry point
-// covers every quantized layer: the u8×s8 integer GEMM with int32
-// accumulators that conv/up-conv/head all reduce to. Requantization is
-// deliberately NOT part of the table — it stays in shared pure-Go code so
-// backend choice can never change an output bit.
+// covers every quantized layer: a direct u8×s8 convolution over NHWC
+// activations with int32 accumulators, which 3×3 conv, 1×1 conv, the
+// up-conv taps and the head all call (GemmU8S8 in qconv.go adapts a plain
+// matrix product onto it).
+//
+// Layout. A pixel's input window is a number (runs) of byte runs, each
+// runLen bytes (a multiple of 4) and runStride apart; neighbouring
+// pixels' windows start pxStride apart. In a halo-padded NHWC buffer a
+// 3×3 window is three such runs (one per kernel row, 3·C bytes each, a
+// buffer row apart) and a 1×1 window is one; overlapping windows are
+// read in place, nothing is gathered.
+// Weights are PackInt8Weights' [k/4][ocPad][4] with k = runs·runLen in
+// run order, so every group of four activation bytes meets all ocPad
+// output channels' matching four weights side by side — SIMD backends
+// keep one output channel per lane and never sum across lanes.
+// Accumulators land pixel-major, acc[p·ocPad+oc], so the caller's
+// epilogue reads and writes contiguously.
+//
+// Requantization is deliberately NOT part of the table — it stays in
+// shared pure-Go code (RequantClampRow) so backend choice can never change
+// an output bit: a backend owns only sums that are exact in any order,
+// never a rounding.
 type Int8Ops struct {
 	Name string
 	// Priority orders selection: the highest-priority Available backend
@@ -106,12 +123,18 @@ type Int8Ops struct {
 	// Available reports whether this backend can run on this host
 	// (e.g. CPU feature detection); nil means always.
 	Available func() bool
-	// GemmU8S8 computes out[r·npx+c] = Σ_{i<k} int32(w[r·k+i])·int32(x[c·k+i])
-	// for r in [0,rows), c in [0,npx): row-major int8 weights against
-	// column-major uint8 activations (each column k contiguous bytes),
-	// exact in int32 (callers guarantee k·127·127 < 2³¹; see
-	// Int8AccumBoundTaps). Overwrites out[0:rows·npx].
-	GemmU8S8 func(w []int8, x []uint8, rows, k, npx int, out []int32)
+	// ConvU8S8 computes, for p in [0,npx) and oc in [0,ocPad),
+	//
+	//	acc[p·ocPad+oc] = Σ_{r<runs} Σ_{i<runLen} x[p·pxStride+r·runStride+i] · w(r·runLen+i, oc)
+	//
+	// with w(t, oc) the signed byte packed[(t/4·ocPad+oc)·4+t%4], exact in
+	// int32 (callers guarantee activations ≤ QuantMax and a total dot
+	// length within Int8AccumBoundTaps). With add the sums continue from
+	// the values already in acc instead of zero — how a layer over two
+	// sources (the decoder's virtual concat) accumulates the second.
+	// runLen is a multiple of 4, ocPad of 8; npx = 0 and runs·runLen = 0
+	// are legal.
+	ConvU8S8 func(acc []int32, x []uint8, w []byte, npx, pxStride, runs, runLen, runStride, ocPad int, add bool)
 }
 
 // floatRegistry holds the registered backends of one float kind.
@@ -205,26 +228,13 @@ func RegisterInt8(ops *Int8Ops) {
 
 func (o *Int8Ops) available() bool { return o.Available == nil || o.Available() }
 
-// int8EnvOnce applies the SEAICE_INT8_BACKEND override lazily, after all
-// init-time registrations have run.
-var int8EnvOnce sync.Once
+// Int8 returns the active quantized-kernel backend.
+func Int8() *Int8Ops { return int8Active.Load() }
 
-// Int8 returns the active quantized-kernel backend. The first call honors
-// a SEAICE_INT8_BACKEND environment override (warning on stderr if the
-// named backend is unknown or unavailable).
-func Int8() *Int8Ops {
-	int8EnvOnce.Do(func() {
-		if name := os.Getenv("SEAICE_INT8_BACKEND"); name != "" {
-			if err := SelectInt8(name); err != nil {
-				fmt.Fprintf(os.Stderr, "seaice: SEAICE_INT8_BACKEND ignored: %v\n", err)
-			}
-		}
-	})
-	return int8Active.Load()
-}
-
-// SelectInt8 activates the named int8 backend (for tests and the
-// SEAICE_INT8_BACKEND override); it must be registered and available.
+// SelectInt8 activates the named int8 backend; it must be registered and
+// available. Like SelectFloat it is the test and benchmark hook for
+// A/B-ing backends, with deliberately no flag or environment override:
+// int8 backends are bit-identical and the fastest available one serves.
 func SelectInt8(name string) error {
 	int8Mu.Lock()
 	defer int8Mu.Unlock()

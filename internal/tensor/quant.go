@@ -235,6 +235,42 @@ func (r Requant) Apply(v int32) int32 {
 	return int32(p >> r.Shift)
 }
 
+// RequantLane is one output channel's epilogue — its bias and Requant —
+// laid out the way RequantClampRow consumes it, with the rounding term
+// 2^(Shift−1) precomputed.
+type RequantLane struct {
+	m, round int64
+	bias     int32
+	shift    uint8
+}
+
+// NewRequantLane pairs a channel's accumulator bias with its multiplier.
+func NewRequantLane(bias int32, r Requant) RequantLane {
+	return RequantLane{m: int64(r.M), round: 1 << (r.Shift - 1), bias: bias, shift: r.Shift}
+}
+
+// RequantClampRow is the quantized layers' shared epilogue over a row of
+// npx pixels: dst[p·dstStep+c] = RequantClamp(acc[p·accStep+c]+bias_c, r_c, z)
+// for every lane c. Pixel-major on both sides, so a kernel's accumulator
+// row is read and an NHWC output row written contiguously. The int32 sum
+// acc+bias wraps exactly as the scalar form's does.
+func RequantClampRow(dst []uint8, dstStep int, acc []int32, accStep, npx int, lanes []RequantLane, z uint8) {
+	zz := int32(z)
+	for p := 0; p < npx; p++ {
+		a := acc[p*accStep:][:len(lanes)]
+		d := dst[p*dstStep:][:len(lanes)]
+		for c := range lanes {
+			l := &lanes[c]
+			// &63 is an identity (Shift ≤ 62) that spares the loop the
+			// oversize-shift guard; min/max compile to conditional
+			// moves — about half of all pre-ReLU sums are negative,
+			// which a branch would mispredict.
+			y := int32((int64(a[c]+l.bias)*l.m+l.round)>>(l.shift&63)) + zz
+			d[c] = uint8(min(max(y, 0), QuantMax))
+		}
+	}
+}
+
 // RequantClamp applies r and clamps into the activation domain
 // [0, QuantMax] around zero-point z — the fused requantize+ReLU every
 // quantized conv output passes through (for post-ReLU tensors z = 0 and

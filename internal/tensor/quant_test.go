@@ -205,3 +205,47 @@ func TestRequantClamp(t *testing.T) {
 		t.Fatalf("deep negative with z=64: %d, want clamp to 0", got)
 	}
 }
+
+// TestRequantClampRow: the row epilogue is RequantClamp applied lane by
+// lane — strides, lane counts short of the accumulator padding, the full
+// multiplier range, and an int32 acc+bias that wraps.
+func TestRequantClampRow(t *testing.T) {
+	rng := noise.NewRNG(7, 0xc1a3)
+	for _, sh := range []struct{ lanes, accStep, dstStep, npx int }{
+		{3, 8, 4, 5}, {8, 8, 8, 32}, {8, 32, 16, 7}, {64, 64, 64, 4}, {1, 8, 1, 1},
+	} {
+		bias := make([]int32, sh.lanes)
+		req := make([]Requant, sh.lanes)
+		lanes := make([]RequantLane, sh.lanes)
+		for c := range lanes {
+			bias[c] = int32(rng.Uint64())
+			if c%2 == 0 {
+				bias[c] >>= 12 // realistic magnitudes on every other lane
+			}
+			req[c] = NewRequant(math.Exp(-14 * rng.Float64()))
+			lanes[c] = NewRequantLane(bias[c], req[c])
+		}
+		acc := make([]int32, sh.npx*sh.accStep)
+		for i := range acc {
+			acc[i] = int32(rng.Uint64()) >> (rng.Uint64() % 24)
+		}
+		for _, z := range []uint8{0, 64, QuantMax} {
+			dst := make([]uint8, sh.npx*sh.dstStep)
+			for i := range dst {
+				dst[i] = 0xEE
+			}
+			RequantClampRow(dst, sh.dstStep, acc, sh.accStep, sh.npx, lanes, z)
+			for p := 0; p < sh.npx; p++ {
+				for c := 0; c < sh.dstStep; c++ {
+					want := uint8(0xEE) // bytes past the lanes are not the epilogue's
+					if c < sh.lanes {
+						want = RequantClamp(acc[p*sh.accStep+c]+bias[c], req[c], z)
+					}
+					if got := dst[p*sh.dstStep+c]; got != want {
+						t.Fatalf("%+v z=%d pixel %d lane %d: %d, want %d", sh, z, p, c, got, want)
+					}
+				}
+			}
+		}
+	}
+}

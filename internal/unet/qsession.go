@@ -19,29 +19,29 @@ var inputLUT = func() (t [256]uint8) {
 }()
 
 // QuantSession is the int8 counterpart of Session: a forward-only,
-// buffer-owning engine over a QuantModel. Activations are NHWC uint8,
-// accumulation is int32 on the active tensor.Int8 backend, and the
-// requantization epilogue is fixed-point — the whole forward is integer
-// until the classifier head, so output labels are bit-identical across
-// backends, hosts, and pool worker counts.
+// buffer-owning engine over a QuantModel. Activations are halo-padded
+// NHWC uint8 (nn.QAct), accumulation is int32 on the active tensor.Int8
+// backend, and the requantization epilogue is fixed-point — the whole
+// forward is integer until the classifier head, so output labels are
+// bit-identical across backends, hosts, and pool worker counts.
 //
 // Like Session, a QuantSession is NOT safe for concurrent use; the
 // underlying QuantModel is read-only and may be shared.
 type QuantSession struct {
 	m *QuantModel
 
-	// Grow-only buffers, reused across calls.
-	in     []uint8
-	encC1  [][]uint8
-	encC2  [][]uint8 // skip sources — live until the decoder consumes them
-	pooled [][]uint8
-	botC1  []uint8
-	botC2  []uint8
-	up     [][]uint8
-	decC1  [][]uint8
-	decC2  [][]uint8
-	cols   []uint8 // shared im2col scratch
-	acc    []int32 // shared GEMM accumulator scratch
+	// Grow-only buffers, reused across calls; each layer reshapes its
+	// own output.
+	in     nn.QAct
+	encC1  []nn.QAct
+	encC2  []nn.QAct // skip sources — live until the decoder consumes them
+	pooled []nn.QAct
+	botC1  nn.QAct
+	botC2  nn.QAct
+	up     []nn.QAct
+	decC1  []nn.QAct
+	decC2  []nn.QAct
+	acc    []int32 // shared accumulator scratch: one output row
 	labels []uint8
 }
 
@@ -50,88 +50,51 @@ func NewQuantSession(q *QuantModel) *QuantSession {
 	d := q.cfg.Depth
 	return &QuantSession{
 		m:      q,
-		encC1:  make([][]uint8, d),
-		encC2:  make([][]uint8, d),
-		pooled: make([][]uint8, d),
-		up:     make([][]uint8, d),
-		decC1:  make([][]uint8, d),
-		decC2:  make([][]uint8, d),
+		encC1:  make([]nn.QAct, d),
+		encC2:  make([]nn.QAct, d),
+		pooled: make([]nn.QAct, d),
+		up:     make([]nn.QAct, d),
+		decC1:  make([]nn.QAct, d),
+		decC2:  make([]nn.QAct, d),
 	}
 }
 
 // Model returns the session's underlying quantized model.
 func (s *QuantSession) Model() *QuantModel { return s.m }
 
-// qconv runs one quantized 3×3 convolution over the virtual concat of
-// two NHWC sources (xb may be nil) into dst.
-func (s *QuantSession) qconv(c *nn.QConv, xa []uint8, ca int, za uint8, xb []uint8, cb int, zb uint8, n, h, w int, dst []uint8) {
-	npx := n * h * w
-	cols := grow(&s.cols, npx*c.KPad)
-	nn.QIm2Col3x3(xa, ca, za, xb, cb, zb, n, h, w, c.KPad, cols)
-	acc := grow(&s.acc, c.OutC*npx)
-	c.Forward(cols, npx, acc, dst)
-}
-
-// forward classifies the NHWC quantized input already staged in s.in,
+// forward classifies the quantized input already staged in s.in,
 // returning per-pixel labels in s.labels (n·h·w bytes, pixel-major).
-func (s *QuantSession) forward(n, h, w int) []uint8 {
+func (s *QuantSession) forward() []uint8 {
 	m := s.m
 	d := m.cfg.Depth
 
 	// Contracting path.
-	cur := s.in
-	curC := m.cfg.InChannels
-	ch, cw := h, w
+	cur := &s.in
 	for l := 0; l < d; l++ {
 		b := m.enc[l]
-		npx := n * ch * cw
-		c1 := grow(&s.encC1[l], npx*b.conv1.OutC)
-		s.qconv(b.conv1, cur, curC, b.zIn, nil, 0, 0, n, ch, cw, c1)
-		c2 := grow(&s.encC2[l], npx*b.conv2.OutC)
-		s.qconv(b.conv2, c1, b.conv1.OutC, b.conv1.OutZ, nil, 0, 0, n, ch, cw, c2)
-		p := grow(&s.pooled[l], npx/4*b.conv2.OutC)
-		nn.QMaxPool2NHWC(c2, n, ch, cw, b.conv2.OutC, p)
-		cur, curC, ch, cw = p, b.conv2.OutC, ch/2, cw/2
+		b.conv1.Forward(&s.encC1[l], &s.acc, cur)
+		b.conv2.Forward(&s.encC2[l], &s.acc, &s.encC1[l])
+		nn.QMaxPool2(&s.pooled[l], &s.encC2[l])
+		cur = &s.pooled[l]
 	}
 
 	// Bottleneck.
-	bb := m.bot
-	npx := n * ch * cw
-	c1 := grow(&s.botC1, npx*bb.conv1.OutC)
-	s.qconv(bb.conv1, cur, curC, bb.zIn, nil, 0, 0, n, ch, cw, c1)
-	c2 := grow(&s.botC2, npx*bb.conv2.OutC)
-	s.qconv(bb.conv2, c1, bb.conv1.OutC, bb.conv1.OutZ, nil, 0, 0, n, ch, cw, c2)
-	cur, curC = c2, bb.conv2.OutC
+	m.bot.conv1.Forward(&s.botC1, &s.acc, cur)
+	m.bot.conv2.Forward(&s.botC2, &s.acc, &s.botC1)
+	cur = &s.botC2
 
 	// Expanding path.
 	for i := 0; i < d; i++ {
-		l := d - 1 - i
-		u := m.ups[i]
-		npx = n * ch * cw
-		cols := grow(&s.cols, npx*u.KPad)
-		nn.QPadColumns(cur, npx, curC, u.KPad, cols)
-		acc := grow(&s.acc, u.OutC*npx)
-		uo := grow(&s.up[i], 4*npx*u.OutC)
-		u.Forward(cols, n, ch, cw, acc, uo)
-		ch, cw = 2*ch, 2*cw
-		npx = n * ch * cw
-
+		m.ups[i].Forward(&s.up[i], &s.acc, cur)
 		db := m.dec[i]
-		skipC := u.OutC
-		d1 := grow(&s.decC1[i], npx*db.conv1.OutC)
-		s.qconv(db.conv1, s.encC2[l], skipC, db.zSkip, uo, u.OutC, db.zUp, n, ch, cw, d1)
-		d2 := grow(&s.decC2[i], npx*db.conv2.OutC)
-		s.qconv(db.conv2, d1, db.conv1.OutC, db.conv1.OutZ, nil, 0, 0, n, ch, cw, d2)
-		cur, curC = d2, db.conv2.OutC
+		db.conv1.Forward(&s.decC1[i], &s.acc, &s.encC2[d-1-i], &s.up[i])
+		db.conv2.Forward(&s.decC2[i], &s.acc, &s.decC1[i])
+		cur = &s.decC2[i]
 	}
 
 	// Head: dequantize to float logits, argmax to labels.
-	hd := m.head
-	cols := grow(&s.cols, npx*hd.KPad)
-	nn.QPadColumns(cur, npx, curC, hd.KPad, cols)
-	acc := grow(&s.acc, hd.Classes*npx)
-	labels := grow(&s.labels, npx)
-	hd.Forward(cols, npx, acc, labels)
+	labels := grow(&s.labels, cur.N*cur.H*cur.W)
+	m.head.Forward(labels, &s.acc, cur)
 	return labels
 }
 
@@ -147,20 +110,24 @@ func (s *QuantSession) PredictTiles(tiles []*raster.RGB) ([]*raster.Labels, erro
 		return nil, fmt.Errorf("unet: session input %dx%d not divisible by %d", w, h, min)
 	}
 	plane := h * w
-	in := grow(&s.in, len(tiles)*3*plane)
+	s.in.Reshape(len(tiles), h, w, 3, InputQuant.Zero)
+	st := s.in.Stride()
 	for ti, t := range tiles {
 		if t.W != w || t.H != h {
 			return nil, fmt.Errorf("unet: tile %d is %dx%d, batch is %dx%d", ti, t.W, t.H, w, h)
 		}
-		// NHWC: channels innermost, quantized through the exact input LUT.
-		base := ti * 3 * plane
-		for p := 0; p < plane; p++ {
-			in[base+3*p] = inputLUT[t.Pix[3*p]]
-			in[base+3*p+1] = inputLUT[t.Pix[3*p+1]]
-			in[base+3*p+2] = inputLUT[t.Pix[3*p+2]]
+		// Channels innermost, quantized through the exact input LUT.
+		for y := 0; y < h; y++ {
+			src := t.Pix[3*y*w : 3*(y+1)*w]
+			dst := s.in.Row(ti, y)
+			for x := 0; x < w; x++ {
+				dst[st*x] = inputLUT[src[3*x]]
+				dst[st*x+1] = inputLUT[src[3*x+1]]
+				dst[st*x+2] = inputLUT[src[3*x+2]]
+			}
 		}
 	}
-	labels := s.forward(len(tiles), h, w)
+	labels := s.forward()
 	out := make([]*raster.Labels, len(tiles))
 	for ti := range tiles {
 		lab := raster.NewLabels(w, h)

@@ -14,20 +14,11 @@ import (
 // half a step (1/254) of input error.
 var InputQuant = tensor.ActQuant{Scale: 1.0 / tensor.QuantMax, Zero: 0}
 
-// qBlock is a quantized double-convolution group whose conv1 reads a
-// single source (zIn is that source's zero-point, needed for the im2col
-// padding byte; conv2 always reads conv1's output).
+// qBlock is a quantized double-convolution group: conv2 always reads
+// conv1's output; a decoder block's conv1 reads the virtual concat of the
+// encoder skip and the up-convolution output.
 type qBlock struct {
 	conv1, conv2 *nn.QConv
-	zIn          uint8
-	conv2Q       tensor.ActQuant // conv2's output quantization
-}
-
-// qDec is a decoder block: conv1 reads the virtual concat of the encoder
-// skip (zero-point zSkip) and the up-convolution output (zUp).
-type qDec struct {
-	conv1, conv2 *nn.QConv
-	zSkip, zUp   uint8
 }
 
 // QuantModel is the int8 rendering of a trained float64 master: per-
@@ -46,7 +37,7 @@ type QuantModel struct {
 	enc  []*qBlock
 	bot  *qBlock
 	ups  []*nn.QConvT
-	dec  []*qDec
+	dec  []*qBlock
 	head *nn.QHead
 }
 
@@ -106,14 +97,11 @@ func buildQuant(cfg Config, weights map[string][]float64, acts map[string]tensor
 		}
 		return a, nil
 	}
-	uniform := func(q tensor.ActQuant, n int) []tensor.ActQuant {
-		out := make([]tensor.ActQuant, n)
-		for i := range out {
-			out[i] = q
+	qconv := func(name string, outC, k int, in ...nn.QIn) (*nn.QConv, tensor.ActQuant, error) {
+		inC := 0
+		for _, s := range in {
+			inC += s.C
 		}
-		return out
-	}
-	qconv := func(name string, inC, outC, k int, in []tensor.ActQuant) (*nn.QConv, tensor.ActQuant, error) {
 		w, err := getW(name+".weight", outC*inC*k*k)
 		if err != nil {
 			return nil, tensor.ActQuant{}, err
@@ -126,37 +114,38 @@ func buildQuant(cfg Config, weights map[string][]float64, acts map[string]tensor
 		if err != nil {
 			return nil, tensor.ActQuant{}, err
 		}
-		c, err := nn.NewQConv(name, inC, outC, k, w, b, in, out)
+		c, err := nn.NewQConv(name, in, outC, k, w, b, out)
 		return c, out, err
 	}
 
 	// Contracting path.
 	inC, ch := cfg.InChannels, cfg.BaseChannels
 	curQ := InputQuant
+	skipQ := make([]tensor.ActQuant, cfg.Depth) // each encoder level's output quantization
 	for l := 0; l < cfg.Depth; l++ {
-		c1, q1, err := qconv(fmt.Sprintf("enc%d.conv1", l), inC, ch, 3, uniform(curQ, inC))
+		c1, q1, err := qconv(fmt.Sprintf("enc%d.conv1", l), ch, 3, nn.QIn{C: inC, Q: curQ})
 		if err != nil {
 			return nil, err
 		}
-		c2, q2, err := qconv(fmt.Sprintf("enc%d.conv2", l), ch, ch, 3, uniform(q1, ch))
+		c2, q2, err := qconv(fmt.Sprintf("enc%d.conv2", l), ch, 3, nn.QIn{C: ch, Q: q1})
 		if err != nil {
 			return nil, err
 		}
-		qm.enc = append(qm.enc, &qBlock{conv1: c1, conv2: c2, zIn: curQ.Zero, conv2Q: q2})
-		curQ = q2 // max-pool preserves quantization
+		qm.enc = append(qm.enc, &qBlock{conv1: c1, conv2: c2})
+		skipQ[l], curQ = q2, q2 // max-pool preserves quantization
 		inC, ch = ch, ch*2
 	}
 
 	// Bottleneck.
-	b1, q1, err := qconv("bottleneck.conv1", inC, ch, 3, uniform(curQ, inC))
+	b1, q1, err := qconv("bottleneck.conv1", ch, 3, nn.QIn{C: inC, Q: curQ})
 	if err != nil {
 		return nil, err
 	}
-	b2, q2, err := qconv("bottleneck.conv2", ch, ch, 3, uniform(q1, ch))
+	b2, q2, err := qconv("bottleneck.conv2", ch, 3, nn.QIn{C: ch, Q: q1})
 	if err != nil {
 		return nil, err
 	}
-	qm.bot = &qBlock{conv1: b1, conv2: b2, zIn: curQ.Zero, conv2Q: q2}
+	qm.bot = &qBlock{conv1: b1, conv2: b2}
 	curQ = q2
 
 	// Expanding path.
@@ -175,23 +164,22 @@ func buildQuant(cfg Config, weights map[string][]float64, acts map[string]tensor
 		if err != nil {
 			return nil, err
 		}
-		up, err := nn.NewQConvT(upName, ch, skipC, uw, ub, uniform(curQ, ch), upQ)
+		up, err := nn.NewQConvT(upName, nn.QIn{C: ch, Q: curQ}, skipC, uw, ub, upQ)
 		if err != nil {
 			return nil, err
 		}
 		qm.ups = append(qm.ups, up)
 
-		skipQ := qm.enc[l].conv2Out()
-		concatQ := append(uniform(skipQ, skipC), uniform(upQ, skipC)...)
-		d1, dq1, err := qconv(fmt.Sprintf("dec%d.conv1", l), 2*skipC, skipC, 3, concatQ)
+		d1, dq1, err := qconv(fmt.Sprintf("dec%d.conv1", l), skipC, 3,
+			nn.QIn{C: skipC, Q: skipQ[l]}, nn.QIn{C: skipC, Q: upQ})
 		if err != nil {
 			return nil, err
 		}
-		d2, dq2, err := qconv(fmt.Sprintf("dec%d.conv2", l), skipC, skipC, 3, uniform(dq1, skipC))
+		d2, dq2, err := qconv(fmt.Sprintf("dec%d.conv2", l), skipC, 3, nn.QIn{C: skipC, Q: dq1})
 		if err != nil {
 			return nil, err
 		}
-		qm.dec = append(qm.dec, &qDec{conv1: d1, conv2: d2, zSkip: skipQ.Zero, zUp: upQ.Zero})
+		qm.dec = append(qm.dec, &qBlock{conv1: d1, conv2: d2})
 		curQ, ch = dq2, skipC
 	}
 
@@ -204,18 +192,11 @@ func buildQuant(cfg Config, weights map[string][]float64, acts map[string]tensor
 	if err != nil {
 		return nil, err
 	}
-	qm.head, err = nn.NewQHead(cfg.BaseChannels, cfg.Classes, hw, hb, uniform(curQ, cfg.BaseChannels))
+	qm.head, err = nn.NewQHead(nn.QIn{C: cfg.BaseChannels, Q: curQ}, cfg.Classes, hw, hb)
 	if err != nil {
 		return nil, err
 	}
 	return qm, nil
-}
-
-// conv2Out returns the block's conv2 output quantization (reconstructed
-// from the stage table at build time; stored on the conv for layers that
-// need the zero-point only).
-func (b *qBlock) conv2Out() tensor.ActQuant {
-	return b.conv2Q
 }
 
 // Config implements Engine.

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"seaice/internal/nn"
 	"seaice/internal/noise"
 	"seaice/internal/pool"
 	"seaice/internal/raster"
@@ -191,17 +192,27 @@ func TestQuantSessionDeterministic(t *testing.T) {
 }
 
 // TestQuantSessionBufferReuse runs mixed batch shapes through one session
-// to confirm the grow-only buffers do not leak state between calls.
+// to confirm the grow-only buffers do not leak state between calls. Every
+// activation buffer keeps a zero-point halo that layers never rewrite, so
+// before each call at a new shape the test scribbles over all of the
+// session's storage: the reshape must re-establish every halo (plane 32² →
+// 16² → 32², batch 4 → 1 → 4) for the labels to match a fresh session's.
 func TestQuantSessionBufferReuse(t *testing.T) {
 	_, qm := quantModel(t, 13)
 	s := NewQuantSession(qm)
-	fresh := NewQuantSession(qm)
-	for _, shape := range []struct{ n, sz int }{{4, 32}, {1, 32}, {2, 16}, {4, 32}, {1, 16}} {
+	prev := struct{ n, sz int }{}
+	for _, shape := range []struct{ n, sz int }{
+		{4, 32}, {4, 16}, {4, 32}, {1, 32}, {4, 32}, {4, 32}, {2, 16}, {1, 16},
+	} {
 		tiles := calibTiles(shape.n, shape.sz, uint64(shape.n*100+shape.sz))
-		want, err := fresh.PredictTiles(tiles)
+		want, err := NewQuantSession(qm).PredictTiles(tiles) // fresh reference session every round
 		if err != nil {
 			t.Fatal(err)
 		}
+		if shape != prev {
+			scribble(s)
+		}
+		prev = shape
 		got, err := s.PredictTiles(tiles)
 		if err != nil {
 			t.Fatal(err)
@@ -213,7 +224,23 @@ func TestQuantSessionBufferReuse(t *testing.T) {
 				}
 			}
 		}
-		fresh = NewQuantSession(qm) // fresh reference session every round
+	}
+}
+
+// scribble overwrites every activation buffer of s, halos included, up to
+// its capacity.
+func scribble(s *QuantSession) {
+	bufs := []*nn.QAct{&s.in, &s.botC1, &s.botC2}
+	for _, group := range [][]nn.QAct{s.encC1, s.encC2, s.pooled, s.up, s.decC1, s.decC2} {
+		for i := range group {
+			bufs = append(bufs, &group[i])
+		}
+	}
+	for _, b := range bufs {
+		data := b.Data[:cap(b.Data)]
+		for i := range data {
+			data[i] = 0x55
+		}
 	}
 }
 
