@@ -8,7 +8,12 @@
 package seaice_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -478,6 +483,98 @@ func benchQuantModel(b *testing.B, tiles []*raster.RGB) *unet.QuantModel {
 		b.Fatal(err)
 	}
 	return qm
+}
+
+// BenchmarkServeCacheHit measures one unfiltered POST /classify over
+// loopback HTTP on a caching f32 server, for a single 32² tile and a
+// 256² scene (64 tiles): "miss" posts never-seen pixels every iteration
+// (decode, scene key, filter, split, forward, stitch, store), "hit"
+// re-posts one primed body (decode, scene key, lookup). The server's
+// tile-weighted counters are the witness that a hit row did no filter
+// or forward work: every tile a hit, no miss, no batch.
+func BenchmarkServeCacheHit(b *testing.B) {
+	m, err := unet.New[float32](unet.FastConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, shape := range []struct {
+		name string
+		side int
+	}{{"tile32", 32}, {"scene256", 256}} {
+		sceneCfg := scene.DefaultConfig(556)
+		sceneCfg.W, sceneCfg.H = shape.side, shape.side
+		sc, err := scene.Generate(sceneCfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, hit := range []bool{false, true} {
+			name := shape.name + "/miss"
+			if hit {
+				name = shape.name + "/hit"
+			}
+			b.Run(name, func(b *testing.B) {
+				cfg := serve.DefaultConfig()
+				cfg.TileSize = 32
+				reg := serve.NewRegistry()
+				if err := reg.Add("default", m); err != nil {
+					b.Fatal(err)
+				}
+				srv, err := serve.NewServer(cfg, reg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer srv.Close()
+				ts := httptest.NewServer(srv.Handler())
+				defer ts.Close()
+
+				img := sc.Image.Clone()
+				var body bytes.Buffer
+				post := func() {
+					resp, err := http.Post(ts.URL+"/classify", "image/png", bytes.NewReader(body.Bytes()))
+					if err != nil {
+						b.Fatal(err)
+					}
+					_, err = io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if err != nil || resp.StatusCode != http.StatusOK {
+						b.Fatalf("status %d, read error %v", resp.StatusCode, err)
+					}
+				}
+				if err := img.EncodePNG(&body); err != nil {
+					b.Fatal(err)
+				}
+				post() // primes the hit rows, warms the connection for both
+				before := srv.Stats()
+
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if !hit {
+						b.StopTimer()
+						binary.LittleEndian.PutUint64(img.Pix, uint64(i)+1)
+						body.Reset()
+						if err := img.EncodePNG(&body); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+					}
+					post()
+				}
+				b.StopTimer()
+
+				after := srv.Stats()
+				tiles := int64(b.N) * int64(shape.side/32) * int64(shape.side/32)
+				hits, misses := after.CacheHits-before.CacheHits, after.CacheMisses-before.CacheMisses
+				if hit && (hits != tiles || misses != 0 || after.Batches != before.Batches) {
+					b.Fatalf("hit row did work: %d hits, %d misses of %d tiles, %d batches",
+						hits, misses, tiles, after.Batches-before.Batches)
+				}
+				if !hit && (hits != 0 || misses != tiles) {
+					b.Fatalf("miss row hit the cache: %d hits, %d misses of %d tiles", hits, misses, tiles)
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkInt8Conv measures the one integer kernel (tensor.Int8Ops.

@@ -94,7 +94,7 @@ func main() {
 		batchWait = flag.Duration("batch-wait", 2*time.Millisecond, "max wait for a micro-batch to fill")
 		workers   = flag.Int("workers", 0, "inference workers (0 = GOMAXPROCS)")
 		queue     = flag.Int("queue", 256, "bounded request queue size")
-		cacheSize = flag.Int("cache", 4096, "tile result cache entries (0 disables)")
+		cacheSize = flag.Int("cache", 4096, "result cache capacity in tiles (an entry is one tile or one whole scene; 0 disables)")
 
 		precision = flag.String("precision", "f32", "inference precision: f32 | f64")
 		chaosSpec = flag.String("chaos", "", `inject seeded worker faults, e.g. "7:serve@5,slownode@40:30ms" (see internal/chaos)`)

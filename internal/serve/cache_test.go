@@ -40,24 +40,24 @@ func TestTileKeyDiscriminates(t *testing.T) {
 
 // TestCacheLRU exercises eviction order and the recency bump on Get.
 func TestCacheLRU(t *testing.T) {
-	c := NewCache(2)
+	c := NewCache(2, 8)
 	tiles := testTiles(3, 8, 2)
 	k0, k1, k2 := TileKey("m", tiles[0]), TileKey("m", tiles[1]), TileKey("m", tiles[2])
 
 	c.Put(k0, labelsOf(raster.ClassWater, 8))
 	c.Put(k1, labelsOf(raster.ClassThinIce, 8))
-	if _, ok := c.Get(k0); !ok {
+	if _, ok := c.Get(k0, 1); !ok {
 		t.Fatal("k0 missing before capacity hit")
 	}
 	// k1 is now least recently used; inserting k2 must evict it.
 	c.Put(k2, labelsOf(raster.ClassThickIce, 8))
-	if _, ok := c.Get(k1); ok {
+	if _, ok := c.Get(k1, 1); ok {
 		t.Fatal("k1 survived eviction")
 	}
-	if _, ok := c.Get(k0); !ok {
+	if _, ok := c.Get(k0, 1); !ok {
 		t.Fatal("k0 evicted despite recent use")
 	}
-	if got, ok := c.Get(k2); !ok || got.Pix[0] != raster.ClassThickIce {
+	if got, ok := c.Get(k2, 1); !ok || got.Pix[0] != raster.ClassThickIce {
 		t.Fatal("k2 missing or wrong payload")
 	}
 	if c.Len() != 2 {
@@ -71,10 +71,10 @@ func TestCacheLRU(t *testing.T) {
 
 // TestCacheDisabled checks that a zero-capacity cache is inert.
 func TestCacheDisabled(t *testing.T) {
-	c := NewCache(0)
+	c := NewCache(0, 8)
 	k := TileKey("m", testTiles(1, 8, 3)[0])
 	c.Put(k, labelsOf(raster.ClassWater, 8))
-	if _, ok := c.Get(k); ok {
+	if _, ok := c.Get(k, 1); ok {
 		t.Fatal("disabled cache returned a hit")
 	}
 	if c.Len() != 0 {

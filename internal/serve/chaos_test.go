@@ -152,7 +152,7 @@ func TestChaosSchedulerCloseAfterRestart(t *testing.T) {
 // interleave constantly — the -race target for the cache (the CI race
 // job runs this package).
 func TestCacheConcurrentEviction(t *testing.T) {
-	c := NewCache(8)
+	c := NewCache(8, 4)
 	keys := make([]CacheKey, 64)
 	labels := make([]*raster.Labels, len(keys))
 	for i := range keys {
@@ -168,7 +168,7 @@ func TestCacheConcurrentEviction(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 200; round++ {
 				k := (g*31 + round) % len(keys)
-				if v, hit := c.Get(keys[k]); hit && v == nil {
+				if v, hit := c.Get(keys[k], 1); hit && v == nil {
 					t.Error("hit returned nil labels")
 				}
 				c.Put(keys[k], labels[k])

@@ -181,7 +181,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		probeClient: &http.Client{Timeout: cfg.ProbeTimeout},
 		breakers:    make([]*Breaker, len(cfg.Nodes)),
 		retry:       NewTokenBucket(cfg.RetryBurst, cfg.RetryPerSec, nil),
-		fallback:    NewCache(max(cfg.FallbackCache, 0)),
+		fallback:    NewCache(cfg.FallbackCache, cfg.TileSize),
 		stop:        make(chan struct{}),
 	}
 	for i := range c.breakers {
@@ -510,7 +510,7 @@ func (c *Coordinator) classifyTiles(model string, tiles []raster.Tile, deadline 
 	info := &partialInfo{Total: len(tiles)}
 	for _, i := range lost {
 		key := TileKey(model, tiles[i].Image)
-		if labels, ok := c.fallback.Get(key); ok {
+		if labels, ok := c.fallback.Get(key, 1); ok {
 			preds[i] = labels
 			info.Stale++
 		} else {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -36,7 +37,9 @@ func TestCorruptModelFailsWarmup(t *testing.T) {
 // TestCorruptModelRejectedWith400 corrupts a weight after the server is
 // up (in-memory corruption mid-serving) and asserts /classify rejects
 // the non-finite prediction with HTTP 400 — and keeps rejecting it,
-// proving the garbage result never entered the cache.
+// proving the garbage result never entered the cache: it holds nothing
+// afterwards, and once the weight is repaired the same pixels are a
+// computed miss, not a served entry.
 func TestCorruptModelRejectedWith400(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TileSize = 16
@@ -59,6 +62,7 @@ func TestCorruptModelRejectedWith400(t *testing.T) {
 	// Sessions read the registry's model in place: the flipped bit is
 	// visible to every subsequent forward pass.
 	ps := m.Params()
+	healthy := ps[len(ps)-1].W.Data[0]
 	ps[len(ps)-1].W.Data[0] = math.NaN()
 
 	tile := testTiles(1, 16, 6)[0]
@@ -70,5 +74,21 @@ func TestCorruptModelRejectedWith400(t *testing.T) {
 		if !strings.Contains(string(body), "non-finite") {
 			t.Fatalf("attempt %d: body %q does not name the non-finite logits", attempt, body)
 		}
+	}
+	if n := srv.cache.Len(); n != 0 {
+		t.Fatalf("rejected predictions left %d cache entries", n)
+	}
+
+	ps[len(ps)-1].W.Data[0] = healthy
+	resp, body := postPNG(t, http.DefaultClient, ts.URL+"/classify", tile)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("repaired model: status %d (body %q)", resp.StatusCode, body)
+	}
+	var stats classifyStats
+	if err := json.Unmarshal([]byte(resp.Header.Get("X-Seaice-Stats")), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.CacheHits != 0 || srv.cache.Len() != 1 {
+		t.Fatalf("repaired request: %d hits, %d entries; want a miss that stores one", stats.CacheHits, srv.cache.Len())
 	}
 }

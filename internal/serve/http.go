@@ -22,6 +22,15 @@ const maxBodyBytes = 64 << 20
 
 // Server is the HTTP front end: it owns the scheduler, cache, and stats
 // and exposes the classification service over stdlib net/http.
+//
+// The cache is looked up before any work, under the key space that
+// matches what the answer depends on (see CacheKey): an unfiltered
+// request under its scene key — the scene-scale filter makes every
+// tile's label a function of the whole input image — and a filtered=1
+// request under per-tile keys. One LRU holds both, bounded to
+// CacheSize × TileSize² label pixels, so a whole-scene entry costs as
+// much capacity as its tiles would. Cached label maps are handed to
+// every hit as-is: handlers only read them.
 type Server struct {
 	cfg   Config
 	reg   *Registry
@@ -49,7 +58,7 @@ func NewServer(cfg Config, reg *Registry) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		reg:   reg,
-		cache: NewCache(cfg.CacheSize),
+		cache: NewCache(cfg.CacheSize, cfg.TileSize),
 		stats: NewStats(),
 		// Leave at least half the queue for other requests, but keep
 		// enough submits in flight to fill micro-batches.
@@ -95,7 +104,9 @@ type classifyStats struct {
 
 // handleClassify implements POST /classify: PNG scene (or single tile)
 // in, label-map PNG plus class statistics out. Unknown models 404, bad
-// inputs 400, backpressure 429.
+// inputs 400, backpressure 429. Body and deadline header are validated
+// before the cache is consulted, so a malformed request is a 400 even
+// when its pixels would hit.
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST a PNG to /classify", http.StatusMethodNotAllowed)
@@ -131,9 +142,10 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	pred := &servingPredictor{srv: s, engine: engine, modelName: modelName, deadline: deadline}
 	var labels *raster.Labels
 	if preFiltered {
+		pred.tileCache = s.cache.Enabled()
 		labels, err = core.InferFilteredScene(pred, img, s.cfg.TileSize)
 	} else {
-		labels, err = core.InferScene(pred, img, s.cfg.TileSize, s.cfg.Build)
+		labels, err = s.classifyScene(pred, img)
 	}
 	elapsed := time.Since(start)
 	if err != nil {
@@ -201,6 +213,31 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Seaice-Stats", string(hdr))
 	w.WriteHeader(http.StatusOK)
 	w.Write(buf.Bytes())
+}
+
+// classifyScene answers an unfiltered request: look the input image up
+// under its scene key first, and only on a miss run the Fig 9 workflow
+// (filter → split → schedule → stitch) and store the stitched result. A
+// hit costs one hash of the decoded pixels; failed requests store
+// nothing. No per-tile entries are written on this path — a tile key
+// taken after the scene-scale filter could only hit when the whole
+// scene repeats, which the scene key already catches.
+func (s *Server) classifyScene(pred *servingPredictor, img *raster.RGB) (*raster.Labels, error) {
+	if !s.cache.Enabled() {
+		return core.InferScene(pred, img, s.cfg.TileSize, s.cfg.Build)
+	}
+	tiles := (img.W / s.cfg.TileSize) * (img.H / s.cfg.TileSize)
+	key := SceneKey(pred.modelName, img)
+	if labels, ok := s.cache.Get(key, tiles); ok {
+		pred.tiles, pred.cacheHits = tiles, tiles
+		return labels, nil
+	}
+	labels, err := core.InferScene(pred, img, s.cfg.TileSize, s.cfg.Build)
+	if err != nil {
+		return nil, err
+	}
+	s.cache.Put(key, labels)
+	return labels, nil
 }
 
 // overloadBody is the JSON payload of a 429 response: the client sees
@@ -313,14 +350,17 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 }
 
 // servingPredictor is the core.TilePredictor the HTTP path plugs into
-// the shared inference workflow: cached tiles are answered from the LRU,
-// misses fan out as concurrent scheduler submits so the micro-batcher
-// can coalesce them, and fresh results are written back to the cache.
+// the shared inference workflow: tiles fan out as concurrent scheduler
+// submits so the micro-batcher can coalesce them. With tileCache set
+// (pre-filtered requests on a caching server) cached tiles are answered
+// from the LRU under their tile keys and fresh results written back;
+// unfiltered requests are cached one level up, by classifyScene.
 type servingPredictor struct {
 	srv       *Server
 	engine    unet.Engine
 	modelName string
 	deadline  time.Time // request deadline, propagated into every submit
+	tileCache bool
 	tiles     int
 	cacheHits int
 }
@@ -329,14 +369,13 @@ type servingPredictor struct {
 func (p *servingPredictor) PredictTiles(tiles []*raster.RGB) ([]*raster.Labels, error) {
 	p.tiles += len(tiles)
 	out := make([]*raster.Labels, len(tiles))
-	cached := p.srv.cache.Enabled()
 	var keys []CacheKey
 	var missed []int
-	if cached {
+	if p.tileCache {
 		keys = make([]CacheKey, len(tiles))
 		for i, t := range tiles {
 			keys[i] = TileKey(p.modelName, t)
-			if labels, ok := p.srv.cache.Get(keys[i]); ok {
+			if labels, ok := p.srv.cache.Get(keys[i], 1); ok {
 				out[i] = labels
 				p.cacheHits++
 			} else {
@@ -375,7 +414,7 @@ func (p *servingPredictor) PredictTiles(tiles []*raster.RGB) ([]*raster.Labels, 
 				errs[mi] = err
 				return
 			}
-			if cached {
+			if p.tileCache {
 				p.srv.cache.Put(keys[i], labels)
 			}
 			out[i] = labels

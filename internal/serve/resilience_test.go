@@ -139,15 +139,33 @@ func TestCoordinatorStaleFallbackPartial(t *testing.T) {
 }
 
 // TestCoordinatorHedgesSlowNode degrades one worker with a slownode
-// chaos fault and sets a tight fixed hedge delay: strips owned by the
-// sick node must be hedged to the healthy node, the hedge must win, and
-// the answer must stay bit-identical.
+// chaos fault and sets a fixed hedge delay: strips owned by the sick
+// node must be hedged to the healthy node, the hedge must win, and the
+// answer must stay bit-identical.
+//
+// Every delay is a multiple of one measured healthy round trip (the
+// golden request: filter + all 16 tiles on a cold server), so the test
+// does not depend on host speed — under the race detector a forward
+// pass outlasts any constant that is reasonable on a fast host. The
+// hedge fires after one such trip, by when the healthy node has
+// finished its own strip (about half the scene, no filter); the sick
+// node sleeps 8× before every batch, so the hedged copy has a 7×
+// head start over the sick primary.
 func TestCoordinatorHedgesSlowNode(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TileSize = 32
 
+	// Golden through a healthy standalone server, timed.
+	img := testSceneImg(t, 43, 128, 128)
+	_, single := testServer(t, cfg)
+	began := time.Now()
+	_, want := postPNG(t, http.DefaultClient, single.URL+"/classify", img)
+	healthy := time.Since(began)
+	hedgeAfter, slow := healthy, 8*healthy
+	t.Logf("healthy round trip %v: hedging after %v, slow node +%v per batch", healthy, hedgeAfter, slow)
+
 	slowCfg := cfg
-	sched, err := chaos.Parse("1:slownode@0:300ms")
+	sched, err := chaos.Parse("1:slownode@0:" + slow.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,9 +178,11 @@ func TestCoordinatorHedgesSlowNode(t *testing.T) {
 		Nodes:       []string{addrSlow, addrFast},
 		Build:       cfg.Build,
 		HealthEvery: time.Hour,
-		Timeout:     5 * time.Second,
-		HedgeAfter:  30 * time.Millisecond,
-		Logf:        t.Logf,
+		// A primary must never time out before its hedge can win: a
+		// timeout is a breaker verdict, a cancelled loser is not.
+		Timeout:    3*slow + 5*time.Second,
+		HedgeAfter: hedgeAfter,
+		Logf:       t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,11 +193,6 @@ func TestCoordinatorHedgesSlowNode(t *testing.T) {
 		coord.Close()
 	})
 
-	// Golden through a healthy standalone server.
-	img := testSceneImg(t, 43, 128, 128)
-	_, single := testServer(t, cfg)
-	_, want := postPNG(t, http.DefaultClient, single.URL+"/classify", img)
-
 	resp, got := postPNG(t, http.DefaultClient, cts.URL+"/classify", img)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, got)
@@ -187,7 +202,7 @@ func TestCoordinatorHedgesSlowNode(t *testing.T) {
 	}
 	s := coord.Stats()
 	if s.Hedged == 0 {
-		t.Fatalf("no strips hedged despite a 300ms-slow node: %+v", s)
+		t.Fatalf("no strips hedged despite a %v-slow node: %+v", slow, s)
 	}
 	if s.HedgeWins == 0 {
 		t.Fatalf("hedge to the fast node never won: %+v", s)

@@ -7,7 +7,9 @@
 //     into micro-batches executed by a fixed pool of inference workers,
 //     each owning a pre-allocated unet.Session (amortizing conv cost the
 //     same way internal/train batches do);
-//   - a content-hash LRU Cache over per-tile predictions;
+//   - a content-hash LRU Cache consulted before any work: unfiltered
+//     requests are keyed on their input pixels (one entry per stitched
+//     scene), pre-filtered ones per tile (see cache.go);
 //   - bounded queues with backpressure, so overload surfaces as
 //     ErrOverloaded (HTTP 429) instead of collapse;
 //   - self-healing workers: a panic escaping a batch (injected via
@@ -63,8 +65,9 @@ type Config struct {
 	// QueueSize bounds the request queue; a full queue rejects with
 	// ErrOverloaded.
 	QueueSize int
-	// CacheSize is the tile-result LRU capacity in entries; 0 disables
-	// caching.
+	// CacheSize is the result LRU capacity in tiles: the cache holds up
+	// to CacheSize × TileSize² label pixels, whether an entry is one
+	// tile or a whole stitched scene; 0 disables caching.
 	CacheSize int
 	// Build supplies the thin-cloud/shadow filter configuration of the
 	// shared inference path.

@@ -47,29 +47,15 @@ func testTiles(n, size int, seed uint64) []*raster.RGB {
 // testServer spins up a ready-to-use server around one model.
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	reg := NewRegistry()
-	if err := reg.Add("default", testModel(t, 1)); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(cfg, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := engineServer(t, cfg, testModel(t, 1))
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
+	t.Cleanup(ts.Close) // runs before engineServer's srv.Close
 	return srv, ts
 }
 
 func postPNG(t *testing.T, client *http.Client, url string, img *raster.RGB) (*http.Response, []byte) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := img.EncodePNG(&buf); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := client.Post(url, "image/png", &buf)
+	resp, err := client.Post(url, "image/png", bytes.NewReader(encodePNG(t, img)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +345,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 // pngWithHeaderDims hand-assembles a syntactically valid PNG whose
 // IHDR declares the given dimensions with almost no pixel data behind
 // it.
-func pngWithHeaderDims(t *testing.T, w, h int) []byte {
+func pngWithHeaderDims(t testing.TB, w, h int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	buf.Write([]byte{0x89, 'P', 'N', 'G', '\r', '\n', 0x1a, '\n'})
