@@ -774,8 +774,8 @@ func benchTrainStep[S tensor.Scalar](b *testing.B, samples []train.Sample, legac
 
 // BenchmarkMatMul measures the GEMM core on a convolution-shaped product
 // (16×72 × 72×32768, the batch-8 64²-tile encoder shape) for the serial
-// reference kernels versus the blocked parallel engine, covering all
-// three product forms the conv layers use. Under f32, AB/engine pins the
+// reference kernels versus the blocked parallel engine, covering both
+// product forms the conv layers use. Under f32, AB/engine pins the
 // scalar engine panel and AB/avx2 the AVX2 one, so their ratio is the
 // kernel-level gain of the SIMD backend.
 func BenchmarkMatMul(b *testing.B) {
@@ -790,15 +790,13 @@ func benchMatMul[S tensor.Scalar](b *testing.B) {
 		}
 	}
 	const m, k, n = 16, 72, 8 * 64 * 64
-	a := tensor.New[S](m, k)   // weights (OutC, C·KH·KW)
-	bb := tensor.New[S](k, n)  // im2col matrix
-	at := tensor.New[S](k, m)  // transposed weights for Aᵀ×B
-	big := tensor.New[S](m, n) // output-channel-major gradient
+	a := tensor.New[S](m, k)  // weights (OutC, C·KH·KW)
+	bb := tensor.New[S](k, n) // im2col matrix
+	at := tensor.New[S](k, m) // transposed weights for Aᵀ×B
 	wide := tensor.New[S](k, n)
 	fill(a, 0.1)
 	fill(bb, 0.2)
 	fill(at, 0.3)
-	fill(big, 0.5)
 	fill(wide, 0.6)
 
 	b.Run("AB/ref", func(b *testing.B) {
@@ -829,16 +827,6 @@ func benchMatMul[S tensor.Scalar](b *testing.B) {
 	b.Run("ATB/engine", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tensor.MatMulATB(at, wide)
-		}
-	})
-	b.Run("ABT/ref", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tensor.MatMulABTRef(big, wide)
-		}
-	})
-	b.Run("ABT/engine", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tensor.MatMulABT(big, wide)
 		}
 	})
 }

@@ -441,39 +441,23 @@ func kernelTable() string {
 		rows = append(rows, r)
 	}
 
-	mk := func() (a64, b64, at64, bt64 *tensor.F64, a32, b32, at32, bt32 *tensor.F32) {
-		fill := func(dst []float64) {
-			for i := range dst {
-				dst[i] = float64(i%17)*0.25 - 0.4
-			}
+	mk := func(rows, cols int) (*tensor.F64, *tensor.F32) {
+		t := tensor.New[float64](rows, cols)
+		for i := range t.Data {
+			t.Data[i] = float64(i%17)*0.25 - 0.4
 		}
-		a64, b64 = tensor.New[float64](m, k), tensor.New[float64](k, n)
-		at64, bt64 = tensor.New[float64](k, m), tensor.New[float64](n, k)
-		fill(a64.Data)
-		fill(b64.Data)
-		fill(at64.Data)
-		fill(bt64.Data)
-		a32, b32 = tensor.Convert[float32](a64), tensor.Convert[float32](b64)
-		at32, bt32 = tensor.Convert[float32](at64), tensor.Convert[float32](bt64)
-		return
+		return t, tensor.Convert[float32](t)
 	}
-	a64, b64, at64, _, a32, b32, at32, _ := mk()
+	a64, a32 := mk(m, k)
+	b64, b32 := mk(k, n)
+	at64, at32 := mk(k, m)
 	c64 := tensor.New[float64](m, n)
 	c32 := tensor.New[float32](m, n)
-	big64 := tensor.New[float64](m, n)
-	for i := range big64.Data {
-		big64.Data[i] = float64(i%13)*0.5 - 2
-	}
-	big32 := tensor.Convert[float32](big64)
-	cw64 := tensor.New[float64](m, k)
-	cw32 := tensor.New[float32](m, k)
 	gemmRow(fmt.Sprintf("GEMM AB %dx%dx%d", m, k, n),
 		func() { tensor.MatMulInto(c64, a64, b64) },
 		func() { tensor.MatMulInto(c32, a32, b32) })
 	gemmRow("GEMM A\u1d40B", func() { tensor.MatMulATBInto(c64.Reshape(m, n), at64, b64) },
 		func() { tensor.MatMulATBInto(c32.Reshape(m, n), at32, b32) })
-	gemmRow("GEMM AB\u1d40", func() { tensor.MatMulABTInto(cw64, big64, b64) },
-		func() { tensor.MatMulABTInto(cw32, big32, b32) })
 
 	// Direct vs Winograd 3x3 conv, batch 8 of 64^2, 8->8 channels.
 	conv64 := nn.NewConv2D[float64]("bench", 8, 8, 3, noise.NewRNG(1, 2))

@@ -2,17 +2,21 @@ package ddp
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 
 	"seaice/internal/chaos"
+	"seaice/internal/nn"
 	"seaice/internal/tensor"
 	"seaice/internal/train"
+	"seaice/internal/unet"
 )
 
 // TestCorruptNaNStepBitIdentity is the silent-corruption acceptance
@@ -294,5 +298,85 @@ func testCorruptNetBitIdentity[S tensor.Scalar](t *testing.T, master bool) {
 	}
 	if recoveries == 0 {
 		t.Error("no recoveries recorded — the flipped frame was not caught by the CRC path")
+	}
+}
+
+// infAtCorner is a criterion that plants +Inf in dL/dlogits at the
+// top-left pixel of every batch whose labels are all class 2 — the
+// marked sample of TestCorruptInfGradSameStepAcrossBackends. A corner is
+// where the two 3×3 weight-gradient forms part ways: the direct kernel
+// skips the taps that fall in the zero padding, the GEMM form multiplies
+// them (Inf·0 = NaN).
+type infAtCorner struct {
+	nn.SoftmaxCrossEntropy[float32]
+	marked bool
+}
+
+func (c *infAtCorner) Loss(logits *tensor.Tensor[float32], labels []uint8) (float64, error) {
+	c.marked = bytes.Count(labels, []byte{2}) == len(labels)
+	return c.SoftmaxCrossEntropy.Loss(logits, labels)
+}
+
+func (c *infAtCorner) Grad() *tensor.Tensor[float32] {
+	g := c.SoftmaxCrossEntropy.Grad()
+	if c.marked {
+		g.Data[0] = float32(math.Inf(1))
+	}
+	return g
+}
+
+// TestCorruptInfGradSameStepAcrossBackends closes the one place the float
+// backends may legally differ (nn.conv3x3WeightGrad's comment, ROADMAP
+// conformance soft spot 3): for a non-finite dout the GEMM-form 3×3
+// weight gradient (AVX2 hosts) and the direct form (everything else)
+// produce different non-finite gradients. Both must still trip the guard
+// on the same step, so hosts of either kind take the same recovery path:
+// under the skip policy the one poisoned step is dropped — one skip, two
+// anomalies (first sight and the reproducing retry) — and the final
+// weights are the same bytes.
+func TestCorruptInfGradSameStepAcrossBackends(t *testing.T) {
+	samples := syntheticSamples(77, 8, 16)
+	for i := range samples[5].Labels.Pix {
+		samples[5].Labels.Pix[i] = 2
+	}
+	cfg := Config{Workers: 2, BatchPerWorker: 1, Epochs: 1, LR: 0.01, Seed: 5, MasterWeights: true,
+		Guard: train.GuardConfig{Policy: train.GuardSkip}}
+	prev := tensor.Float[float32]().Name
+	defer func() {
+		if err := tensor.SelectFloat[float32](prev); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	type outcome struct {
+		steps, anomalies, skips int
+		weights                 [sha256.Size]byte
+	}
+	var runs []outcome
+	for _, backend := range []string{"engine", "avx2"} {
+		if err := tensor.SelectFloat[float32](backend); err != nil {
+			if backend == "avx2" {
+				t.Skip(err)
+			}
+			t.Fatal(err)
+		}
+		tr, err := New[float32](unet.FastConfig(3), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < cfg.Workers; r++ {
+			tr.Replica(r).SetCriterion(&infAtCorner{})
+		}
+		res, err := tr.Fit(samples)
+		if err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		got := outcome{res.Steps, res.Anomalies, res.GuardSkips, sha256.Sum256(weightsOf(tr))}
+		if got.steps != 4 || got.skips != 1 || got.anomalies != 2 {
+			t.Errorf("%s: %d steps, %d skipped, %d anomalies; want 4, 1, 2", backend, got.steps, got.skips, got.anomalies)
+		}
+		runs = append(runs, got)
+	}
+	if runs[0] != runs[1] {
+		t.Fatalf("backends diverged on a non-finite gradient:\nengine %+v\navx2   %+v", runs[0], runs[1])
 	}
 }

@@ -3,7 +3,9 @@ package ddp
 import (
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"seaice/internal/nn"
@@ -224,4 +226,39 @@ func TestBackendWeightParity(t *testing.T) {
 	if sums["engine"] != sums["avx2"] {
 		t.Fatalf("weights sha256 differ: engine %x, avx2 %x", sums["engine"], sums["avx2"])
 	}
+}
+
+// TestGoldenTrainWeights pins training bit-identity to committed
+// constants, so a refactor of the model or its kernels needs no parent
+// binary to prove it moved nothing: eight steps of the FastConfig U-Net
+// (dropout on) over two ranks on fixed synthetic samples must end in
+// weights with these SHA-256 sums. The sums are properties of amd64
+// builds (no FMA fusion, see tensor/matmul.go), where every float backend
+// must reproduce them; on architectures whose compiler fuses multiply-add
+// (arm64) the rounding differs, so the test skips there.
+func TestGoldenTrainWeights(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden sums are recorded for amd64; GOARCH=%s may fuse multiply-add", runtime.GOARCH)
+	}
+	samples := syntheticSamples(21, 16, 32)
+	cfg := Config{Workers: 2, BatchPerWorker: 1, Epochs: 1, LR: 0.01, Seed: 5}
+	check := func(name, want string, weights []byte, steps int) {
+		t.Helper()
+		if steps != 8 {
+			t.Fatalf("%s: %d steps, want 8", name, steps)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(weights)); got != want {
+			t.Errorf("%s: weights sha256 %s, want %s", name, got, want)
+		}
+	}
+	t.Run("f64", func(t *testing.T) {
+		tr, res := runFit[float64](t, unet.FastConfig(3), cfg, samples)
+		check("f64", "c6ac18074397adc04ca5f80f207fffb7750df7b6514b35fde0a118af65c10261", weightsOf(tr), res.Steps)
+	})
+	t.Run("f32-mixed", func(t *testing.T) {
+		cfg := cfg
+		cfg.MasterWeights = true
+		tr, res := runFit[float32](t, unet.FastConfig(3), cfg, samples)
+		check("f32-mixed", "854953bdf97d5d38f38a393e2f872dae6a8ad58ec68068b168580a528894cd4b", weightsOf(tr), res.Steps)
+	})
 }

@@ -6,40 +6,6 @@ import (
 	"seaice/internal/raster"
 )
 
-// And computes the per-pixel bitwise AND of two rasters (OpenCV
-// bitwise_and). For binary 0/255 masks this is set intersection.
-func And(a, b *raster.Gray) (*raster.Gray, error) {
-	if a.W != b.W || a.H != b.H {
-		return nil, fmt.Errorf("imgproc: And size mismatch %dx%d vs %dx%d", a.W, a.H, b.W, b.H)
-	}
-	out := raster.NewGray(a.W, a.H)
-	for i := range a.Pix {
-		out.Pix[i] = a.Pix[i] & b.Pix[i]
-	}
-	return out, nil
-}
-
-// Or computes the per-pixel bitwise OR (set union on binary masks).
-func Or(a, b *raster.Gray) (*raster.Gray, error) {
-	if a.W != b.W || a.H != b.H {
-		return nil, fmt.Errorf("imgproc: Or size mismatch %dx%d vs %dx%d", a.W, a.H, b.W, b.H)
-	}
-	out := raster.NewGray(a.W, a.H)
-	for i := range a.Pix {
-		out.Pix[i] = a.Pix[i] | b.Pix[i]
-	}
-	return out, nil
-}
-
-// Not computes the per-pixel bitwise complement (mask inversion).
-func Not(a *raster.Gray) *raster.Gray {
-	out := raster.NewGray(a.W, a.H)
-	for i := range a.Pix {
-		out.Pix[i] = ^a.Pix[i]
-	}
-	return out
-}
-
 // ApplyMask keeps src where mask is nonzero and zeroes it elsewhere
 // (OpenCV bitwise_and(src, src, mask=mask)).
 func ApplyMask(src, mask *raster.Gray) (*raster.Gray, error) {

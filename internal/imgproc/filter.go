@@ -1,7 +1,7 @@
 // Package imgproc is the workflow's classical image-processing toolkit —
 // a from-scratch Go replacement for the OpenCV operations the paper's
 // thin-cloud/shadow filter and color segmentation depend on: box, Gaussian
-// and median smoothing, absolute difference, bitwise mask algebra, min-max
+// and median smoothing, absolute difference, mask application, min-max
 // normalization, binary/truncated/Otsu thresholding, and binary
 // morphology. All operators use OpenCV conventions (8-bit data, masks with
 // 0/255 values, border replication for neighborhoods).

@@ -192,7 +192,7 @@ func TestOtsuSeparatesBimodal(t *testing.T) {
 	if th < 40 || th >= 200 {
 		t.Fatalf("otsu threshold %d outside (40,200)", th)
 	}
-	mask, _ := OtsuBinary(g)
+	mask := Threshold(g, th, 255, ThreshBinary)
 	for i := range g.Pix {
 		want := uint8(0)
 		if g.Pix[i] > th {
@@ -250,25 +250,6 @@ func TestNormalizeMapsOntoRange(t *testing.T) {
 	}
 }
 
-func TestBitwiseOps(t *testing.T) {
-	a := raster.NewGray(1, 4)
-	b := raster.NewGray(1, 4)
-	copy(a.Pix, []uint8{0, 255, 0, 255})
-	copy(b.Pix, []uint8{0, 0, 255, 255})
-
-	and, _ := And(a, b)
-	or, _ := Or(a, b)
-	not := Not(a)
-	wantAnd := []uint8{0, 0, 0, 255}
-	wantOr := []uint8{0, 255, 255, 255}
-	wantNot := []uint8{255, 0, 255, 0}
-	for i := 0; i < 4; i++ {
-		if and.Pix[i] != wantAnd[i] || or.Pix[i] != wantOr[i] || not.Pix[i] != wantNot[i] {
-			t.Fatalf("bitwise mismatch at %d", i)
-		}
-	}
-}
-
 func TestApplyMaskAndSubtract(t *testing.T) {
 	src := constGray(2, 2, 80)
 	mask := raster.NewGray(2, 2)
@@ -313,24 +294,6 @@ func TestCountNonZero(t *testing.T) {
 	g.Set(1, 2, 200)
 	if got := CountNonZero(g); got != 2 {
 		t.Fatalf("count %d, want 2", got)
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	g := raster.NewGray(6, 3)
-	// two blobs: left column pair and right single
-	g.Set(0, 0, 255)
-	g.Set(0, 1, 255)
-	g.Set(5, 2, 255)
-	labels, n := ConnectedComponents(g)
-	if n != 2 {
-		t.Fatalf("found %d components, want 2", n)
-	}
-	if labels[0] == 0 || labels[0] != labels[6] {
-		t.Fatalf("vertical neighbors not merged: %d vs %d", labels[0], labels[6])
-	}
-	if labels[2*6+5] == labels[0] {
-		t.Fatal("distinct blobs merged")
 	}
 }
 

@@ -23,16 +23,6 @@ func Erode(src *raster.Gray, radius int) *raster.Gray {
 	return slideExtreme(tmp, radius, false, false)
 }
 
-// Open erodes then dilates, removing specks smaller than the element.
-func Open(src *raster.Gray, radius int) *raster.Gray {
-	return Dilate(Erode(src, radius), radius)
-}
-
-// Close dilates then erodes, filling holes smaller than the element.
-func Close(src *raster.Gray, radius int) *raster.Gray {
-	return Erode(Dilate(src, radius), radius)
-}
-
 // slideExtreme computes the 1-D sliding max (or min) over rows or columns
 // with window 2r+1 using the monotone deque algorithm.
 func slideExtreme(src *raster.Gray, radius int, horizontal, max bool) *raster.Gray {
@@ -79,45 +69,4 @@ func slideExtreme(src *raster.Gray, radius int, horizontal, max bool) *raster.Gr
 		}
 	}
 	return dst
-}
-
-// ConnectedComponents labels 4-connected foreground regions of a binary
-// mask. It returns the per-pixel component id (0 = background) and the
-// number of components found. Used to reason about cloud blobs and lead
-// structures in the synthetic-data validation tests.
-func ConnectedComponents(mask *raster.Gray) ([]int32, int) {
-	w, h := mask.W, mask.H
-	labels := make([]int32, w*h)
-	next := int32(0)
-	stack := make([]int32, 0, 1024)
-
-	for start := 0; start < w*h; start++ {
-		if mask.Pix[start] == 0 || labels[start] != 0 {
-			continue
-		}
-		next++
-		labels[start] = next
-		stack = append(stack[:0], int32(start))
-		for len(stack) > 0 {
-			p := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			x := int(p) % w
-			y := int(p) / w
-			try := func(nx, ny int) {
-				if nx < 0 || nx >= w || ny < 0 || ny >= h {
-					return
-				}
-				q := ny*w + nx
-				if mask.Pix[q] != 0 && labels[q] == 0 {
-					labels[q] = next
-					stack = append(stack, int32(q))
-				}
-			}
-			try(x-1, y)
-			try(x+1, y)
-			try(x, y-1)
-			try(x, y+1)
-		}
-	}
-	return labels, int(next)
 }

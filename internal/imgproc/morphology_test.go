@@ -81,8 +81,8 @@ func TestErodeDilateOrdering(t *testing.T) {
 		g := randGray(seed, 24, 18)
 		er := Erode(g, 2)
 		di := Dilate(g, 2)
-		op := Open(g, 2)
-		cl := Close(g, 2)
+		op := Dilate(er, 2) // opening
+		cl := Erode(di, 2)  // closing
 		for i := range g.Pix {
 			if er.Pix[i] > g.Pix[i] || di.Pix[i] < g.Pix[i] {
 				return false

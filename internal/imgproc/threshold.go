@@ -121,13 +121,6 @@ func OtsuThreshold(src *raster.Gray) uint8 {
 	return uint8(threshold)
 }
 
-// OtsuBinary thresholds with the Otsu level and the binary rule, the
-// combination the cloud filter uses to separate bright veils from surface.
-func OtsuBinary(src *raster.Gray) (*raster.Gray, uint8) {
-	t := OtsuThreshold(src)
-	return Threshold(src, t, 255, ThreshBinary), t
-}
-
 // Normalize linearly rescales the raster so its minimum maps to lo and its
 // maximum to hi (OpenCV NORM_MINMAX). A constant image maps to lo.
 func Normalize(src *raster.Gray, lo, hi uint8) *raster.Gray {

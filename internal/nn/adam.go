@@ -101,9 +101,6 @@ func (a *Adam[S]) Step(params []*Param[S]) {
 	})
 }
 
-// Steps reports how many updates have been applied.
-func (a *Adam[S]) Steps() int { return a.t }
-
 // AdamState is the full serializable optimizer state: step counter,
 // first/second moment estimates, and (for mixed precision) the float64
 // master weights. All buffers are float64 regardless of the parameter

@@ -12,16 +12,16 @@ import (
 // Conv2D is a same-padded 2-D convolution with bias, the workhorse of the
 // U-Net's double-convolution blocks (kernel 3×3, stride 1 in the paper).
 //
-// The training engine runs the paper's two kernel shapes — 3×3 stride-1
-// "same" and the final 1×1 — through direct NCHW kernels (kernels.go):
-// forward and the weight gradient never materialize an im2col matrix;
-// the 3×3 input gradient still builds a dcols scratch (Wᵀ×dout folded by
-// Col2Im), and other shapes fall back to im2col plus the blocked
-// parallel GEMM. All intermediates live in grow-only scratch buffers
-// owned by the layer, so steady-state training steps allocate nothing. A
-// layer supports one in-flight forward/backward pair at a time (see the
-// package comment); outputs alias layer-owned memory and are valid until
-// the layer's next Forward.
+// The layer exists in the paper's two kernel shapes only — 3×3 stride-1
+// "same" and the final 1×1 (NewConv2D rejects any other) — and runs both
+// through direct NCHW kernels (kernels.go): forward and the weight
+// gradient never materialize an im2col matrix; the 3×3 input gradient
+// still builds a dcols scratch (Wᵀ×dout folded by Col2Im) where the
+// float32 Winograd path does not apply. All intermediates live in
+// grow-only scratch buffers owned by the layer, so steady-state training
+// steps allocate nothing. A layer supports one in-flight forward/backward
+// pair at a time (see the package comment); outputs alias layer-owned
+// memory and are valid until the layer's next Forward.
 type Conv2D[S tensor.Scalar] struct {
 	name             string
 	InC, OutC        int
@@ -30,13 +30,11 @@ type Conv2D[S tensor.Scalar] struct {
 	Weight           *Param[S] // (OutC, InC·KH·KW)
 	Bias             *Param[S] // (OutC)
 	x                *tensor.Tensor[S]
-	cols             *tensor.Tensor[S]
+	cols             *tensor.Tensor[S] // legacy oracle's im2col matrix (conv_legacy.go)
 	outH, outW, numN int
 
 	// Grow-only scratch buffers, reused across steps.
-	colsBuf, outBuf, yBuf    *tensor.Tensor[S]
-	doutBuf, dwBuf, dcolsBuf *tensor.Tensor[S]
-	dxBuf                    *tensor.Tensor[S]
+	yBuf, doutBuf, dcolsBuf, dxBuf *tensor.Tensor[S]
 
 	// wino is the lazily built F(4×4,3×3) transform engine the float32
 	// instantiation routes its 3×3 forward and input gradient through
@@ -64,8 +62,13 @@ func (c *Conv2D[S]) winograd() *Winograd[S] {
 }
 
 // NewConv2D builds a convolution with He-normal initialization (the
-// standard choice before ReLU). Pad defaults to "same" for stride 1.
+// standard choice before ReLU), stride 1 and "same" padding. k must be 3
+// or 1, the shapes the direct kernels implement; anything else is a
+// programming error and panics.
 func NewConv2D[S tensor.Scalar](name string, inC, outC, k int, rng *noise.RNG) *Conv2D[S] {
+	if k != 1 && k != 3 {
+		panic(fmt.Sprintf("nn: %s: Conv2D supports 3×3 and 1×1 kernels only, got %d×%d", name, k, k))
+	}
 	c := &Conv2D[S]{
 		name: name,
 		InC:  inC, OutC: outC,
@@ -110,8 +113,8 @@ func (c *Conv2D[S]) direct1x1() bool {
 	return c.KH == 1 && c.KW == 1 && c.Stride == 1 && c.Pad == 0
 }
 
-// Forward computes y = W·im2col(x) + b (conceptually; the common kernel
-// shapes never build the im2col matrix).
+// Forward computes y = W·im2col(x) + b (conceptually; no im2col matrix
+// is ever built).
 func (c *Conv2D[S]) Forward(x *tensor.Tensor[S], train bool) *tensor.Tensor[S] {
 	if len(x.Shape) != 4 || x.Shape[1] != c.InC {
 		panic(fmt.Sprintf("nn: %s expects (N,%d,H,W), got %v", c.name, c.InC, x.Shape))
@@ -125,39 +128,14 @@ func (c *Conv2D[S]) Forward(x *tensor.Tensor[S], train bool) *tensor.Tensor[S] {
 	}
 	c.x = x
 
-	switch {
-	case c.direct3x3():
-		y := tensor.Grow(&c.yBuf, n, c.OutC, c.outH, c.outW)
-		if c.winogradOK(h, w) {
-			c.winograd().ConvBatch(pool.Shared(), c, x.Data, n, h, w, y.Data, false)
-			return y
-		}
-		Conv3x3Planes(pool.Shared(), c, x.Data, c.InC, nil, 0, n, h, w, y.Data, false)
-		return y
-	case c.direct1x1():
-		y := tensor.Grow(&c.yBuf, n, c.OutC, c.outH, c.outW)
-		Conv1x1Planes(pool.Shared(), c, x.Data, c.InC, n, h, w, y.Data)
-		return y
-	}
-
-	// General shape: im2col into a reused buffer, blocked GEMM, then bias
-	// and reorder (OutC, N, OH·OW) → (N, OutC, OH, OW).
-	cols := tensor.Grow(&c.colsBuf, c.InC*c.KH*c.KW, n*c.outH*c.outW)
-	tensor.Im2ColInto(cols, x, c.KH, c.KW, c.Stride, c.Pad)
-	c.cols = cols
-	out := tensor.Grow(&c.outBuf, c.OutC, n*c.outH*c.outW)
-	tensor.MatMulInto(out, c.Weight.W, cols)
 	y := tensor.Grow(&c.yBuf, n, c.OutC, c.outH, c.outW)
-	plane := c.outH * c.outW
-	for oc := 0; oc < c.OutC; oc++ {
-		b := c.Bias.W.Data[oc]
-		for img := 0; img < n; img++ {
-			src := out.Data[oc*n*plane+img*plane : oc*n*plane+(img+1)*plane]
-			dst := y.Data[(img*c.OutC+oc)*plane : (img*c.OutC+oc+1)*plane]
-			for i, v := range src {
-				dst[i] = v + b
-			}
-		}
+	switch {
+	case c.direct1x1():
+		Conv1x1Planes(pool.Shared(), c, x.Data, c.InC, n, h, w, y.Data)
+	case c.winogradOK(h, w):
+		c.winograd().ConvBatch(pool.Shared(), c, x.Data, n, h, w, y.Data, false)
+	default:
+		Conv3x3Planes(pool.Shared(), c, x.Data, c.InC, nil, 0, n, h, w, y.Data, false)
 	}
 	return y
 }
@@ -190,24 +168,14 @@ func (c *Conv2D[S]) Backward(dy *tensor.Tensor[S]) *tensor.Tensor[S] {
 
 	h, w := c.x.Shape[2], c.x.Shape[3]
 
-	// weight gradient
-	switch {
-	case c.direct3x3():
-		conv3x3WeightGrad(c, c.x.Data, dout.Data, n, h, w)
-	case c.direct1x1():
-		conv1x1WeightGrad(c, c.x.Data, dout.Data, n, h, w)
-	default:
-		dw := tensor.Grow(&c.dwBuf, c.OutC, c.InC*c.KH*c.KW)
-		tensor.MatMulABTInto(dw, dout, c.cols)
-		c.Weight.Grad.AddInPlace(dw)
-	}
-
-	// input gradient
+	// weight gradient, then input gradient
 	dx := tensor.Grow(&c.dxBuf, n, c.InC, h, w)
 	if c.direct1x1() {
+		conv1x1WeightGrad(c, c.x.Data, dout.Data, n, h, w)
 		conv1x1InputGrad(c, dout.Data, n, h, w, dx.Data)
 		return dx
 	}
+	conv3x3WeightGrad(c, c.x.Data, dout.Data, n, h, w)
 	if c.winogradOK(h, w) {
 		c.winograd().InputGradBatch(pool.Shared(), c, dout.Data, n, h, w, dx.Data)
 		return dx

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"seaice/internal/noise"
@@ -73,6 +74,21 @@ func TestConv2DGradients(t *testing.T) {
 func TestConv2D1x1Gradients(t *testing.T) {
 	rng := noise.NewRNG(2, 1)
 	checkLayerGradients(t, NewConv2D[float64]("conv1x1", 4, 3, 1, rng), []int{2, 4, 5, 5}, 1e-6)
+}
+
+// TestConv2DRejectsOtherKernels: only the two shapes with direct kernels
+// exist; any other size is refused at construction, by name.
+func TestConv2DRejectsOtherKernels(t *testing.T) {
+	for _, k := range []int{0, 2, 5} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "conv5x5") || !strings.Contains(msg, "3×3 and 1×1") {
+					t.Errorf("k=%d: panic %q, want one naming the layer and the supported shapes", k, msg)
+				}
+			}()
+			NewConv2D[float64]("conv5x5", 3, 4, k, noise.NewRNG(1, 1))
+		}()
+	}
 }
 
 func TestConvTransposeGradients(t *testing.T) {

@@ -448,7 +448,7 @@ func conv3x3WeightGradGemm[S tensor.Scalar](p *pool.Pool, ops *tensor.FloatOps[S
 // im2colPixels3x3 gathers the 3×3 neighbourhoods of pixels [p0,p1) of the
 // NCHW batch x (pixels numbered image-major, then row, then column) into
 // cols, one row of InC·9 taps per pixel in (channel, kernel row, kernel
-// column) order — the transpose of tensor.Im2Col's layout, so the pixel
+// column) order — the transpose of tensor.Im2ColRef's layout, so the pixel
 // axis is the GEMM's k. Taps in the zero padding are written as 0.
 func im2colPixels3x3[S tensor.Scalar](cols, x []S, inC, h, w, p0, p1 int) {
 	plane := h * w

@@ -55,12 +55,3 @@ func ZeroGrads[S tensor.Scalar](params []*Param[S]) {
 		p.Grad.Zero()
 	}
 }
-
-// CollectParams gathers parameters from several layers.
-func CollectParams[S tensor.Scalar](layers ...Layer[S]) []*Param[S] {
-	var out []*Param[S]
-	for _, l := range layers {
-		out = append(out, l.Params()...)
-	}
-	return out
-}

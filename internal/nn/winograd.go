@@ -21,6 +21,15 @@ import (
 // of 8² and 4² planes across images would vectorise those levels too and
 // is deliberately left out (CHANGES.md, PR 16).
 //
+// F(2×2) stays. It only ever runs in float32 inference sessions on planes
+// that are even but not ÷4 (training takes Winograd on ÷4 planes only),
+// and sending those planes to the direct kernel instead — which would
+// delete in2/out2/filterTransform — was prototyped, measured and
+// rejected when the U-Net plan landed (issue 21):
+// Session.PredictTiles slowed from 12.7–15.2 to 19.4–20.3 ms for 16 tiles
+// of 16², from 20.3–23.4 to 29.9–32.9 ms at 24², and from 0.82–0.92 to
+// 1.25–1.35 s for one 64² tile of PaperConfig.
+//
 // Precision policy: Winograd reassociates the arithmetic, so its outputs
 // are NOT bit-identical to the direct kernels — they agree within the
 // float32 tolerance bound (see tensor.PrecisionTolerance; the F(2×2)

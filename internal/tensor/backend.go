@@ -32,38 +32,8 @@ import (
 	"sync/atomic"
 )
 
-// Kind enumerates the scalar kinds the dispatch tables are keyed by.
-type Kind uint8
-
-const (
-	KindF64 Kind = iota
-	KindF32
-	KindInt8
-)
-
-// String names the kind the way the CLIs' -precision flags do.
-func (k Kind) String() string {
-	switch k {
-	case KindF64:
-		return "f64"
-	case KindF32:
-		return "f32"
-	case KindInt8:
-		return "int8"
-	}
-	return fmt.Sprintf("Kind(%d)", uint8(k))
-}
-
-// KindOf reports the dispatch kind of the float instantiation S.
-func KindOf[S Scalar]() Kind {
-	if IsF32[S]() {
-		return KindF32
-	}
-	return KindF64
-}
-
 // FloatOps is the kernel table for one float kind: the serial GEMM panel
-// and the three parallel GEMM forms the convolution layers reduce to. All
+// and the two parallel GEMM forms the convolution layers reduce to. All
 // entries must keep the engine's accumulation-order contract (serial
 // reference order per output element) so results stay bit-identical at
 // any worker count and across backends.
@@ -83,13 +53,11 @@ type FloatOps[S Scalar] struct {
 	// instead of zero, so a caller blocking over k continues every
 	// element's single chain. k = 0, m = 0 and jlo = jhi are legal.
 	Panel func(c, a, b []S, m, k, n, lda, jlo, jhi int, acc bool)
-	// MatMulInto computes dst = a×b, MatMulATBInto dst = aᵀ×b,
-	// MatMulABTInto dst = a×bᵀ; shapes as in matmul.go. A backend that
-	// leaves one nil inherits the engine's (whose A×B fans the active
-	// Panel out over column ranges).
+	// MatMulInto computes dst = a×b, MatMulATBInto dst = aᵀ×b; shapes as
+	// in matmul.go. A backend that leaves one nil inherits the engine's
+	// (whose A×B fans the active Panel out over column ranges).
 	MatMulInto    func(dst, a, b *Tensor[S])
 	MatMulATBInto func(dst, a, b *Tensor[S])
-	MatMulABTInto func(dst, a, b *Tensor[S])
 }
 
 // Int8Ops is the kernel table for the quantized kind. One entry point
@@ -153,9 +121,6 @@ func (r *floatRegistry[S]) register(ops *FloatOps[S]) {
 	if ops.MatMulATBInto == nil {
 		ops.MatMulATBInto = engineMatMulATBInto[S]
 	}
-	if ops.MatMulABTInto == nil {
-		ops.MatMulABTInto = engineMatMulABTInto[S]
-	}
 	r.all = append(r.all, ops)
 	best := r.active.Load()
 	if ops.available() && (best == nil || ops.Priority > best.Priority) {
@@ -170,14 +135,14 @@ func (r *floatRegistry[S]) sel(name string) error {
 	for _, b := range r.all {
 		if b.Name == name {
 			if !b.available() {
-				return fmt.Errorf("tensor: %v backend %q not available on this host", KindOf[S](), name)
+				return fmt.Errorf("tensor: %T backend %q not available on this host", *new(S), name)
 			}
 			r.active.Store(b)
 			return nil
 		}
 		names = append(names, b.Name)
 	}
-	return fmt.Errorf("tensor: unknown %v backend %q (have %v)", KindOf[S](), name, names)
+	return fmt.Errorf("tensor: unknown %T backend %q (have %v)", *new(S), name, names)
 }
 
 func (o *FloatOps[S]) available() bool { return o.Available == nil || o.Available() }

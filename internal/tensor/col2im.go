@@ -9,54 +9,6 @@ import (
 // convOut returns the output spatial size of a convolution.
 func convOut(h, kh, stride, pad int) int { return (h+2*pad-kh)/stride + 1 }
 
-// Im2Col unfolds x (N,C,H,W) into a matrix of shape
-// (C·KH·KW, N·OH·OW) for a convolution with the given kernel, stride and
-// symmetric zero padding. Column j holds the receptive field of output
-// position j, so a convolution becomes weights (Cout, C·KH·KW) × cols.
-func Im2Col[S Scalar](x *Tensor[S], kh, kw, stride, pad int) *Tensor[S] {
-	if len(x.Shape) != 4 {
-		panic(fmt.Sprintf("tensor: Im2Col needs NCHW input, got %v", x.Shape))
-	}
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh := convOut(h, kh, stride, pad)
-	ow := convOut(w, kw, stride, pad)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: Im2Col output empty for input %v kernel %dx%d", x.Shape, kh, kw))
-	}
-	cols := New[S](c*kh*kw, n*oh*ow)
-	Im2ColInto(cols, x, kh, kw, stride, pad)
-	return cols
-}
-
-// Im2ColInto unfolds x into dst, which must be pre-shaped
-// (C·KH·KW, N·OH·OW). dst is fully overwritten (padding positions are
-// zeroed), so a grow-only scratch buffer can be reused across steps. Rows
-// of dst are independent, which is what the row-stripe parallelism splits.
-func Im2ColInto[S Scalar](dst, x *Tensor[S], kh, kw, stride, pad int) {
-	if len(x.Shape) != 4 {
-		panic(fmt.Sprintf("tensor: Im2Col needs NCHW input, got %v", x.Shape))
-	}
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh := convOut(h, kh, stride, pad)
-	ow := convOut(w, kw, stride, pad)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: Im2Col output empty for input %v kernel %dx%d", x.Shape, kh, kw))
-	}
-	rows := c * kh * kw
-	colW := n * oh * ow
-	if len(dst.Shape) != 2 || dst.Shape[0] != rows || dst.Shape[1] != colW {
-		panic(fmt.Sprintf("tensor: Im2Col dst %v for %d×%d unfold", dst.Shape, rows, colW))
-	}
-	p := pool.Shared()
-	if p.Workers() == 1 {
-		im2ColRows(dst.Data, x.Data, n, c, h, w, kh, kw, stride, pad, oh, ow, 0, rows)
-		return
-	}
-	p.MustMapRanges(rows, 1, func(lo, hi int) {
-		im2ColRows(dst.Data, x.Data, n, c, h, w, kh, kw, stride, pad, oh, ow, lo, hi)
-	})
-}
-
 // validRange returns the [lo, hi] output positions whose input index
 // o·stride + k − pad lands inside [0, size); hi < lo means none do. The
 // per-pixel padding guards of the naive loops become loop bounds, keeping
@@ -77,42 +29,9 @@ func validRange(size, k, stride, pad, outSize int) (lo, hi int) {
 	return lo, hi
 }
 
-// im2ColRows fills rows [lo,hi) of the unfold matrix; row r corresponds to
-// the (channel, ky, kx) triple r = (ch·KH+ky)·KW+kx.
-func im2ColRows[S Scalar](dst, x []S, n, c, h, w, kh, kw, stride, pad, oh, ow, lo, hi int) {
-	colW := n * oh * ow
-	for r := lo; r < hi; r++ {
-		kx := r % kw
-		ky := (r / kw) % kh
-		ch := r / (kw * kh)
-		row := dst[r*colW : (r+1)*colW]
-		for i := range row {
-			row[i] = 0
-		}
-		oyLo, oyHi := validRange(h, ky, stride, pad, oh)
-		oxLo, oxHi := validRange(w, kx, stride, pad, ow)
-		kyp, kxp := ky-pad, kx-pad
-		for img := 0; img < n; img++ {
-			src := ((img*c + ch) * h) * w
-			dstOff := img * oh * ow
-			for oy := oyLo; oy <= oyHi; oy++ {
-				srow := src + (oy*stride+kyp)*w
-				drow := dstOff + oy*ow
-				if stride == 1 {
-					copy(row[drow+oxLo:drow+oxHi+1], x[srow+oxLo+kxp:srow+oxHi+kxp+1])
-					continue
-				}
-				for ox := oxLo; ox <= oxHi; ox++ {
-					row[drow+ox] = x[srow+ox*stride+kxp]
-				}
-			}
-		}
-	}
-}
-
 // Col2Im folds a column matrix back into an (N,C,H,W) tensor, summing
-// overlapping contributions — the adjoint of Im2Col, used by convolution
-// backward passes to accumulate input gradients.
+// overlapping contributions — the adjoint of the im2col unfold (Im2ColRef),
+// used by convolution backward passes to accumulate input gradients.
 func Col2Im[S Scalar](cols *Tensor[S], n, c, h, w, kh, kw, stride, pad int) *Tensor[S] {
 	x := New[S](n, c, h, w)
 	Col2ImInto(x, cols, kh, kw, stride, pad)

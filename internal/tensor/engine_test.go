@@ -67,19 +67,15 @@ func testMatMulMatchesReference[S Scalar](t *testing.T) {
 		a := New[S](s.m, s.k)
 		b := New[S](s.k, s.n)
 		at := New[S](s.k, s.m)
-		bt := New[S](s.n, s.k)
 		fillDense(a, uint64(s.m*1000+s.k))
 		fillDense(b, uint64(s.k*1000+s.n))
 		fillDense(at, uint64(s.m*77+s.n))
-		fillDense(bt, uint64(s.n*31+s.k))
 		wantAB := MatMulRef(a, b)
 		wantATB := MatMulATBRef(at, b)
-		wantABT := MatMulABTRef(a, bt)
 		withWorkers(t, func(workers int) {
 			label := fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n)
 			bitEqual(t, "matmul "+label, workers, MatMul(a, b), wantAB)
 			bitEqual(t, "matmulATB "+label, workers, MatMulATB(at, b), wantATB)
-			bitEqual(t, "matmulABT "+label, workers, MatMulABT(a, bt), wantABT)
 		})
 	}
 }
@@ -113,10 +109,11 @@ func TestMatMulIntoReusesBuffer(t *testing.T) {
 	}
 }
 
-// testIm2ColCol2ImMatchReference: the striped unfold/fold must match the
-// serial reference bit-for-bit across 1×1 images, non-square shapes,
-// pad > 0, stride 2, and asymmetric kernels, at every pool size — per
-// precision.
+// testIm2ColCol2ImMatchReference: the striped fold (col2im; the unfold
+// is Im2ColRef, the legacy oracle's) must match the serial reference
+// bit-for-bit over the reference unfold's column shapes: 1×1 images,
+// non-square shapes, pad > 0, stride 2, and asymmetric kernels, at every
+// pool size — per precision.
 func testIm2ColCol2ImMatchReference[S Scalar](t *testing.T) {
 	cases := []struct{ n, c, h, w, kh, kw, stride, pad int }{
 		{1, 1, 1, 1, 1, 1, 1, 0},
@@ -132,28 +129,20 @@ func testIm2ColCol2ImMatchReference[S Scalar](t *testing.T) {
 	for _, cs := range cases {
 		x := New[S](cs.n, cs.c, cs.h, cs.w)
 		fillDense(x, uint64(cs.c*100+cs.h*10+cs.w))
-		wantCols := Im2ColRef(x, cs.kh, cs.kw, cs.stride, cs.pad)
-		cols := wantCols.Clone()
+		cols := Im2ColRef(x, cs.kh, cs.kw, cs.stride, cs.pad)
 		fillDense(cols, uint64(cs.h*13+cs.kw)) // arbitrary gradient-like data
 		wantFold := Col2ImRef(cols, cs.n, cs.c, cs.h, cs.w, cs.kh, cs.kw, cs.stride, cs.pad)
 		withWorkers(t, func(workers int) {
 			label := fmt.Sprintf("n%dc%d %dx%d k%dx%d s%d p%d", cs.n, cs.c, cs.h, cs.w, cs.kh, cs.kw, cs.stride, cs.pad)
-			bitEqual(t, "im2col "+label, workers, Im2Col(x, cs.kh, cs.kw, cs.stride, cs.pad), wantCols)
 			bitEqual(t, "col2im "+label, workers, Col2Im(cols, cs.n, cs.c, cs.h, cs.w, cs.kh, cs.kw, cs.stride, cs.pad), wantFold)
 
-			// Into variants over poisoned reusable buffers.
-			var colsBuf, foldBuf *Tensor[S]
-			dc := Grow(&colsBuf, wantCols.Shape...)
+			// Into variant over a poisoned reusable buffer.
+			var foldBuf *Tensor[S]
 			df := Grow(&foldBuf, cs.n, cs.c, cs.h, cs.w)
-			for i := range dc.Data {
-				dc.Data[i] = S(1e30)
-			}
 			for i := range df.Data {
 				df.Data[i] = S(1e30)
 			}
-			Im2ColInto(dc, x, cs.kh, cs.kw, cs.stride, cs.pad)
 			Col2ImInto(df, cols, cs.kh, cs.kw, cs.stride, cs.pad)
-			bitEqual(t, "im2colInto "+label, workers, dc, wantCols)
 			bitEqual(t, "col2imInto "+label, workers, df, wantFold)
 		})
 	}

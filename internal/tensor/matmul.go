@@ -9,8 +9,8 @@ import (
 // The GEMM kernels below are the training engine's hot core, generic over
 // the compute precision, and the reference ("engine") backend of both
 // float kinds (backend.go). They are register-blocked (4 output rows × 4
-// k-steps for the straight and transposed-A products, 2×4 dot blocks for
-// A×Bᵀ) and parallelized over disjoint output panels on the shared pool.
+// k-steps for the straight and transposed-A products) and parallelized
+// over disjoint output panels on the shared pool.
 // Every C element still accumulates its k terms in ascending order through
 // a single chain, so within one precision results are bit-identical to the
 // serial reference kernels in ref.go at any worker count — the property
@@ -347,120 +347,6 @@ func matMulATBPanel[S Scalar](c, a, b []S, k, m, n, jlo, jhi int) {
 			for j := range brow {
 				crow[j] += av * brow[j]
 			}
-		}
-	}
-}
-
-// MatMulABT computes C = A×Bᵀ for A (m×k) and B (n×k).
-func MatMulABT[S Scalar](a, b *Tensor[S]) *Tensor[S] {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[1] {
-		panic(fmt.Sprintf("tensor: matmulABT shape mismatch %v × %v", a.Shape, b.Shape))
-	}
-	c := New[S](a.Shape[0], b.Shape[0])
-	MatMulABTInto(c, a, b)
-	return c
-}
-
-// MatMulABTInto computes C = A×Bᵀ into dst, which must be (m×n) for
-// B (n×k). dst is fully overwritten; it may not alias a or b. Runs on the
-// active float backend for S's kind.
-func MatMulABTInto[S Scalar](dst, a, b *Tensor[S]) {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[1] {
-		panic(fmt.Sprintf("tensor: matmulABT shape mismatch %v × %v", a.Shape, b.Shape))
-	}
-	m, n := a.Shape[0], b.Shape[0]
-	if len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: matmulABT dst %v for %d×%d product", dst.Shape, m, n))
-	}
-	Float[S]().MatMulABTInto(dst, a, b)
-}
-
-// engineMatMulABTInto is the default float backend's A×Bᵀ kernel.
-func engineMatMulABTInto[S Scalar](dst, a, b *Tensor[S]) {
-	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
-	p := pool.Shared()
-	if m*k*n <= serialCutoff || p.Workers() == 1 {
-		matMulABTRows(dst.Data, a.Data, b.Data, m, k, n, 0, m)
-		return
-	}
-	p.MustMapRanges(m, 1, func(lo, hi int) {
-		matMulABTRows(dst.Data, a.Data, b.Data, m, k, n, lo, hi)
-	})
-}
-
-// matMulABTRows computes rows [ilo,ihi) of C = A×Bᵀ. Each C element is an
-// independent dot product; processing two A rows against four B rows gives
-// eight concurrent accumulator chains, which hides the floating-point add
-// latency that throttles the naive single-chain dot product.
-func matMulABTRows[S Scalar](c, a, b []S, m, k, n, ilo, ihi int) {
-	var i int
-	for i = ilo; i+2 <= ihi; i += 2 {
-		ar0 := a[(i+0)*k : (i+1)*k]
-		ar1 := a[(i+1)*k : (i+2)*k]
-		cr0 := c[(i+0)*n : (i+1)*n]
-		cr1 := c[(i+1)*n : (i+2)*n]
-		var j int
-		for j = 0; j+4 <= n; j += 4 {
-			br0 := b[(j+0)*k : (j+1)*k]
-			br1 := b[(j+1)*k : (j+2)*k]
-			br2 := b[(j+2)*k : (j+3)*k]
-			br3 := b[(j+3)*k : (j+4)*k]
-			var s00, s01, s02, s03, s10, s11, s12, s13 S
-			ar1b := ar1[:len(ar0)]
-			br0b, br1b, br2b, br3b := br0[:len(ar0)], br1[:len(ar0)], br2[:len(ar0)], br3[:len(ar0)]
-			for kk := range ar0 {
-				av0, av1 := ar0[kk], ar1b[kk]
-				bv0, bv1, bv2, bv3 := br0b[kk], br1b[kk], br2b[kk], br3b[kk]
-				s00 += av0 * bv0
-				s01 += av0 * bv1
-				s02 += av0 * bv2
-				s03 += av0 * bv3
-				s10 += av1 * bv0
-				s11 += av1 * bv1
-				s12 += av1 * bv2
-				s13 += av1 * bv3
-			}
-			cr0[j], cr0[j+1], cr0[j+2], cr0[j+3] = s00, s01, s02, s03
-			cr1[j], cr1[j+1], cr1[j+2], cr1[j+3] = s10, s11, s12, s13
-		}
-		for ; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
-			var s0, s1 S
-			for kk := 0; kk < k; kk++ {
-				bv := brow[kk]
-				s0 += ar0[kk] * bv
-				s1 += ar1[kk] * bv
-			}
-			cr0[j], cr1[j] = s0, s1
-		}
-	}
-	for ; i < ihi; i++ {
-		arow := a[i*k : (i+1)*k]
-		crow := c[i*n : (i+1)*n]
-		var j int
-		for j = 0; j+4 <= n; j += 4 {
-			br0 := b[(j+0)*k : (j+1)*k]
-			br1 := b[(j+1)*k : (j+2)*k]
-			br2 := b[(j+2)*k : (j+3)*k]
-			br3 := b[(j+3)*k : (j+4)*k]
-			var s0, s1, s2, s3 S
-			br0b, br1b, br2b, br3b := br0[:len(arow)], br1[:len(arow)], br2[:len(arow)], br3[:len(arow)]
-			for kk := range arow {
-				av := arow[kk]
-				s0 += av * br0b[kk]
-				s1 += av * br1b[kk]
-				s2 += av * br2b[kk]
-				s3 += av * br3b[kk]
-			}
-			crow[j], crow[j+1], crow[j+2], crow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
-			var s S
-			for kk := 0; kk < k; kk++ {
-				s += arow[kk] * brow[kk]
-			}
-			crow[j] = s
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -174,9 +173,4 @@ func backendForBench(name string) *Int8Ops {
 		}
 	}
 	return nil
-}
-
-func ExampleKind() {
-	fmt.Println(KindF64, KindF32, KindInt8)
-	// Output: f64 f32 int8
 }

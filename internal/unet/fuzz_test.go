@@ -102,7 +102,6 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			func() error { _, err := Load[float64](bytes.NewReader(data)); return err },
 			func() error { _, err := Load[float32](bytes.NewReader(data)); return err },
 			func() error { _, err := LoadQuantized(bytes.NewReader(data)); return err },
-			func() error { _, err := LoadMasterFromQuantized(bytes.NewReader(data)); return err },
 		} {
 			err := load()
 			if err == nil {

@@ -40,17 +40,12 @@ var ErrNonFinite = errors.New("unet: non-finite logits")
 type Session[S tensor.Scalar] struct {
 	m *Model[S]
 
-	// Grow-only activation buffers, reused across Forward calls.
+	// Grow-only activation buffers, reused across Forward calls: the
+	// staged input of PredictTiles and one output per plan step (the
+	// last is the logits; a skip source simply stays live until its
+	// decoder step reads it).
 	in      []S
-	encC1   [][]S // conv1 output per encoder level
-	encC2   [][]S // conv2 output per encoder level (skip source)
-	pooled  [][]S // pooled output per encoder level
-	botC1   []S
-	botC2   []S
-	up      [][]S // up-convolution output per decoder step
-	decC1   [][]S
-	decC2   [][]S
-	logits  []S
+	bufs    [][]S
 	lastDim []int // shape of the last logits tensor
 
 	// wino is the F(2×2,3×3) reduced-multiplication conv engine; non-nil
@@ -79,21 +74,11 @@ func (s *Session[S]) observe(stage string, data []S) {
 
 // NewSession builds an inference session for m.
 func NewSession[S tensor.Scalar](m *Model[S]) *Session[S] {
-	d := m.cfg.Depth
 	var wino *nn.Winograd[S]
 	if tensor.IsF32[S]() {
 		wino = nn.NewWinograd[S](true)
 	}
-	return &Session[S]{
-		m:      m,
-		wino:   wino,
-		encC1:  make([][]S, d),
-		encC2:  make([][]S, d),
-		pooled: make([][]S, d),
-		up:     make([][]S, d),
-		decC1:  make([][]S, d),
-		decC2:  make([][]S, d),
-	}
+	return &Session[S]{m: m, wino: wino, bufs: make([][]S, len(m.plan))}
 }
 
 // Model returns the session's underlying model.
@@ -132,60 +117,34 @@ func (s *Session[S]) Forward(x *tensor.Tensor[S]) (*tensor.Tensor[S], error) {
 	if h%min != 0 || w%min != 0 {
 		return nil, fmt.Errorf("unet: session input %dx%d not divisible by %d", w, h, min)
 	}
-	m := s.m
-	d := m.cfg.Depth
-
-	// Contracting path.
-	cur := x.Data
-	ch, cw := h, w
-	for l := 0; l < d; l++ {
-		b := m.enc[l]
-		c1 := grow(&s.encC1[l], n*b.conv1.OutC*ch*cw)
-		s.conv3(b.conv1, cur, b.conv1.InC, nil, 0, n, ch, cw, c1)
-		s.observe(b.conv1.Name(), c1)
-		c2 := grow(&s.encC2[l], n*b.conv2.OutC*ch*cw)
-		s.conv3(b.conv2, c1, b.conv2.InC, nil, 0, n, ch, cw, c2)
-		s.observe(b.conv2.Name(), c2)
-		p := grow(&s.pooled[l], n*b.conv2.OutC*(ch/2)*(cw/2))
-		nn.MaxPool2Planes(c2, n*b.conv2.OutC, ch, cw, p)
-		cur, ch, cw = p, ch/2, cw/2
+	var out []S
+	for i, st := range s.m.plan {
+		src := x.Data
+		if st.in >= 0 {
+			src = s.bufs[st.in]
+		}
+		l := &s.m.layers[i]
+		sh, sw := h>>st.shift, w>>st.shift
+		out = grow(&s.bufs[i], n*st.outC*sh*sw)
+		switch st.op {
+		case opConv3:
+			xa, ca, xb, cb := src, st.inC, []S(nil), 0
+			if st.skip >= 0 { // virtual concat, no copy: the skip's channels, then src's
+				xa, ca = s.bufs[st.skip], s.m.plan[st.skip].outC
+				xb, cb = src, st.inC-ca
+			}
+			s.conv3(l.conv, xa, ca, xb, cb, n, sh, sw, out)
+			s.observe(st.name, out)
+		case opPool:
+			nn.MaxPool2Planes(src, n*st.outC, 2*sh, 2*sw, out)
+		case opUp:
+			nn.ConvT2x2Planes(pool.Serial(), l.up, src, n, sh/2, sw/2, out)
+			s.observe(st.name, out)
+		case opHead:
+			nn.Conv1x1Planes(pool.Serial(), l.conv, src, st.inC, n, sh, sw, out)
+		}
 	}
-
-	// Bottleneck.
-	bb := m.bottleneck
-	c1 := grow(&s.botC1, n*bb.conv1.OutC*ch*cw)
-	s.conv3(bb.conv1, cur, bb.conv1.InC, nil, 0, n, ch, cw, c1)
-	s.observe(bb.conv1.Name(), c1)
-	c2 := grow(&s.botC2, n*bb.conv2.OutC*ch*cw)
-	s.conv3(bb.conv2, c1, bb.conv2.InC, nil, 0, n, ch, cw, c2)
-	s.observe(bb.conv2.Name(), c2)
-	cur = c2
-
-	// Expanding path: up-convolve, virtually concat the skip, convolve.
-	for i := 0; i < d; i++ {
-		l := d - 1 - i
-		u := m.ups[i]
-		uo := grow(&s.up[i], n*u.OutC*(2*ch)*(2*cw))
-		nn.ConvT2x2Planes(pool.Serial(), u, cur, n, ch, cw, uo)
-		s.observe(u.Name(), uo)
-		ch, cw = 2*ch, 2*cw
-
-		db := m.dec[i]
-		skipC := u.OutC // encoder skip has the same channel count
-		d1 := grow(&s.decC1[i], n*db.conv1.OutC*ch*cw)
-		// conv1 input channels: [0, skipC) from the encoder skip,
-		// [skipC, 2·skipC) from the up-convolution output — no copy.
-		s.conv3(db.conv1, s.encC2[l], skipC, uo, u.OutC, n, ch, cw, d1)
-		s.observe(db.conv1.Name(), d1)
-		d2 := grow(&s.decC2[i], n*db.conv2.OutC*ch*cw)
-		s.conv3(db.conv2, d1, db.conv2.InC, nil, 0, n, ch, cw, d2)
-		s.observe(db.conv2.Name(), d2)
-		cur = d2
-	}
-
-	out := grow(&s.logits, n*m.cfg.Classes*ch*cw)
-	nn.Conv1x1Planes(pool.Serial(), m.final, cur, m.final.InC, n, ch, cw, out)
-	s.lastDim = []int{n, m.cfg.Classes, ch, cw}
+	s.lastDim = []int{n, s.m.cfg.Classes, h, w}
 	return tensor.FromData(out, s.lastDim...), nil
 }
 
@@ -234,15 +193,21 @@ func (s *Session[S]) PredictTiles(tiles []*raster.RGB) ([]*raster.Labels, error)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*raster.Labels, len(tiles))
-	for ti := range tiles {
+	return tileLabels(pred, len(tiles), w, h), nil
+}
+
+// tileLabels cuts the pixel-major predictions of n w×h tiles into one
+// label raster per tile.
+func tileLabels(pred []uint8, n, w, h int) []*raster.Labels {
+	out := make([]*raster.Labels, n)
+	for ti := range out {
 		lab := raster.NewLabels(w, h)
-		for p := 0; p < plane; p++ {
-			lab.Pix[p] = raster.Class(pred[ti*plane+p])
+		for p := range lab.Pix {
+			lab.Pix[p] = raster.Class(pred[ti*w*h+p])
 		}
 		out[ti] = lab
 	}
-	return out, nil
+	return out
 }
 
 // The direct NCHW kernels the session is built on (fused 3×3 and 1×1

@@ -92,28 +92,3 @@ func LoadQuantizedFile(path string) (*QuantModel, error) {
 	defer f.Close()
 	return LoadQuantized(f)
 }
-
-// LoadMasterFromQuantized loads the float64 master embedded in a
-// version-3 checkpoint — the re-training/re-calibration escape hatch.
-func LoadMasterFromQuantized(r io.Reader) (*Model[float64], error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(ckptMagicV3))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-	}
-	if string(head) != ckptMagicV3 {
-		return nil, fmt.Errorf("%w: not a quantized checkpoint", ErrBadCheckpoint)
-	}
-	var ck checkpointV3
-	if err := gob.NewDecoder(br).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-	}
-	m, err := New[float64](ck.Config)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-	}
-	if err := m.SetWeightsF64(ck.Weights); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-	}
-	return m, nil
-}

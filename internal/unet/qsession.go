@@ -31,32 +31,17 @@ type QuantSession struct {
 	m *QuantModel
 
 	// Grow-only buffers, reused across calls; each layer reshapes its
-	// own output.
+	// own output. acts[i] is plan step i's output (the head's stays
+	// empty: it writes labels).
 	in     nn.QAct
-	encC1  []nn.QAct
-	encC2  []nn.QAct // skip sources — live until the decoder consumes them
-	pooled []nn.QAct
-	botC1  nn.QAct
-	botC2  nn.QAct
-	up     []nn.QAct
-	decC1  []nn.QAct
-	decC2  []nn.QAct
+	acts   []nn.QAct
 	acc    []int32 // shared accumulator scratch: one output row
 	labels []uint8
 }
 
 // NewQuantSession builds an inference session for q.
 func NewQuantSession(q *QuantModel) *QuantSession {
-	d := q.cfg.Depth
-	return &QuantSession{
-		m:      q,
-		encC1:  make([]nn.QAct, d),
-		encC2:  make([]nn.QAct, d),
-		pooled: make([]nn.QAct, d),
-		up:     make([]nn.QAct, d),
-		decC1:  make([]nn.QAct, d),
-		decC2:  make([]nn.QAct, d),
-	}
+	return &QuantSession{m: q, acts: make([]nn.QAct, len(q.plan))}
 }
 
 // Model returns the session's underlying quantized model.
@@ -65,36 +50,28 @@ func (s *QuantSession) Model() *QuantModel { return s.m }
 // forward classifies the quantized input already staged in s.in,
 // returning per-pixel labels in s.labels (n·h·w bytes, pixel-major).
 func (s *QuantSession) forward() []uint8 {
-	m := s.m
-	d := m.cfg.Depth
-
-	// Contracting path.
-	cur := &s.in
-	for l := 0; l < d; l++ {
-		b := m.enc[l]
-		b.conv1.Forward(&s.encC1[l], &s.acc, cur)
-		b.conv2.Forward(&s.encC2[l], &s.acc, &s.encC1[l])
-		nn.QMaxPool2(&s.pooled[l], &s.encC2[l])
-		cur = &s.pooled[l]
+	var labels []uint8
+	for i, st := range s.m.plan {
+		in := &s.in
+		if st.in >= 0 {
+			in = &s.acts[st.in]
+		}
+		switch l := &s.m.layers[i]; st.op {
+		case opConv3:
+			if st.skip >= 0 {
+				l.conv.Forward(&s.acts[i], &s.acc, &s.acts[st.skip], in)
+			} else {
+				l.conv.Forward(&s.acts[i], &s.acc, in)
+			}
+		case opPool:
+			nn.QMaxPool2(&s.acts[i], in)
+		case opUp:
+			l.up.Forward(&s.acts[i], &s.acc, in)
+		case opHead: // dequantize to float logits, argmax to labels
+			labels = grow(&s.labels, in.N*in.H*in.W)
+			l.head.Forward(labels, &s.acc, in)
+		}
 	}
-
-	// Bottleneck.
-	m.bot.conv1.Forward(&s.botC1, &s.acc, cur)
-	m.bot.conv2.Forward(&s.botC2, &s.acc, &s.botC1)
-	cur = &s.botC2
-
-	// Expanding path.
-	for i := 0; i < d; i++ {
-		m.ups[i].Forward(&s.up[i], &s.acc, cur)
-		db := m.dec[i]
-		db.conv1.Forward(&s.decC1[i], &s.acc, &s.encC2[d-1-i], &s.up[i])
-		db.conv2.Forward(&s.decC2[i], &s.acc, &s.decC1[i])
-		cur = &s.decC2[i]
-	}
-
-	// Head: dequantize to float logits, argmax to labels.
-	labels := grow(&s.labels, cur.N*cur.H*cur.W)
-	m.head.Forward(labels, &s.acc, cur)
 	return labels
 }
 
@@ -109,7 +86,6 @@ func (s *QuantSession) PredictTiles(tiles []*raster.RGB) ([]*raster.Labels, erro
 	if h%min != 0 || w%min != 0 {
 		return nil, fmt.Errorf("unet: session input %dx%d not divisible by %d", w, h, min)
 	}
-	plane := h * w
 	s.in.Reshape(len(tiles), h, w, 3, InputQuant.Zero)
 	st := s.in.Stride()
 	for ti, t := range tiles {
@@ -127,14 +103,5 @@ func (s *QuantSession) PredictTiles(tiles []*raster.RGB) ([]*raster.Labels, erro
 			}
 		}
 	}
-	labels := s.forward()
-	out := make([]*raster.Labels, len(tiles))
-	for ti := range tiles {
-		lab := raster.NewLabels(w, h)
-		for p := 0; p < plane; p++ {
-			lab.Pix[p] = raster.Class(labels[ti*plane+p])
-		}
-		out[ti] = lab
-	}
-	return out, nil
+	return tileLabels(s.forward(), len(tiles), w, h), nil
 }

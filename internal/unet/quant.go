@@ -14,11 +14,12 @@ import (
 // half a step (1/254) of input error.
 var InputQuant = tensor.ActQuant{Scale: 1.0 / tensor.QuantMax, Zero: 0}
 
-// qBlock is a quantized double-convolution group: conv2 always reads
-// conv1's output; a decoder block's conv1 reads the virtual concat of the
-// encoder skip and the up-convolution output.
-type qBlock struct {
-	conv1, conv2 *nn.QConv
+// qLayer is the quantized module of one plan step: conv for a 3×3 step,
+// up, head, or nothing for a pool (which needs no tables).
+type qLayer struct {
+	conv *nn.QConv
+	up   *nn.QConvT
+	head *nn.QHead
 }
 
 // QuantModel is the int8 rendering of a trained float64 master: per-
@@ -34,11 +35,9 @@ type QuantModel struct {
 	weights map[string][]float64
 	acts    map[string]tensor.ActQuant
 
-	enc  []*qBlock
-	bot  *qBlock
-	ups  []*nn.QConvT
-	dec  []*qBlock
-	head *nn.QHead
+	// plan is cfg.plan(); layers[i] executes plan[i].
+	plan   []step
+	layers []qLayer
 }
 
 // Quantize builds the int8 model from a float64 master and its
@@ -47,20 +46,6 @@ type QuantModel struct {
 // count.
 func Quantize(m *Model[float64], cal *Calibration) (*QuantModel, error) {
 	return buildQuant(m.Config(), m.WeightsF64(), cal.ActQuants())
-}
-
-// RequiredStages lists the activation stages a quantized build of cfg
-// needs calibrations for.
-func RequiredStages(cfg Config) []string {
-	var out []string
-	for l := 0; l < cfg.Depth; l++ {
-		out = append(out, fmt.Sprintf("enc%d.conv1", l), fmt.Sprintf("enc%d.conv2", l))
-	}
-	out = append(out, "bottleneck.conv1", "bottleneck.conv2")
-	for l := cfg.Depth - 1; l >= 0; l-- {
-		out = append(out, fmt.Sprintf("up%d", l), fmt.Sprintf("dec%d.conv1", l), fmt.Sprintf("dec%d.conv2", l))
-	}
-	return out
 }
 
 // buildQuant assembles a QuantModel from checkpoint-shaped state: master
@@ -72,7 +57,8 @@ func buildQuant(cfg Config, weights map[string][]float64, acts map[string]tensor
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	qm := &QuantModel{cfg: cfg, weights: weights, acts: acts}
+	qm := &QuantModel{cfg: cfg, weights: weights, acts: acts, plan: cfg.plan()}
+	qm.layers = make([]qLayer, len(qm.plan))
 
 	getW := func(name string, want int) ([]float64, error) {
 		w, ok := weights[name]
@@ -97,104 +83,51 @@ func buildQuant(cfg Config, weights map[string][]float64, acts map[string]tensor
 		}
 		return a, nil
 	}
-	qconv := func(name string, outC, k int, in ...nn.QIn) (*nn.QConv, tensor.ActQuant, error) {
-		inC := 0
-		for _, s := range in {
-			inC += s.C
-		}
-		w, err := getW(name+".weight", outC*inC*k*k)
-		if err != nil {
-			return nil, tensor.ActQuant{}, err
-		}
-		b, err := getW(name+".bias", outC)
-		if err != nil {
-			return nil, tensor.ActQuant{}, err
-		}
-		out, err := getAct(name)
-		if err != nil {
-			return nil, tensor.ActQuant{}, err
-		}
-		c, err := nn.NewQConv(name, in, outC, k, w, b, out)
-		return c, out, err
-	}
 
-	// Contracting path.
-	inC, ch := cfg.InChannels, cfg.BaseChannels
-	curQ := InputQuant
-	skipQ := make([]tensor.ActQuant, cfg.Depth) // each encoder level's output quantization
-	for l := 0; l < cfg.Depth; l++ {
-		c1, q1, err := qconv(fmt.Sprintf("enc%d.conv1", l), ch, 3, nn.QIn{C: inC, Q: curQ})
-		if err != nil {
-			return nil, err
+	// outQ[i] is the quantization of step i's output; src describes step
+	// i's output (or the network input) as a layer's input source.
+	outQ := make([]tensor.ActQuant, len(qm.plan))
+	src := func(i int) nn.QIn {
+		if i < 0 {
+			return nn.QIn{C: cfg.InChannels, Q: InputQuant}
 		}
-		c2, q2, err := qconv(fmt.Sprintf("enc%d.conv2", l), ch, 3, nn.QIn{C: ch, Q: q1})
-		if err != nil {
-			return nil, err
-		}
-		qm.enc = append(qm.enc, &qBlock{conv1: c1, conv2: c2})
-		skipQ[l], curQ = q2, q2 // max-pool preserves quantization
-		inC, ch = ch, ch*2
+		return nn.QIn{C: qm.plan[i].outC, Q: outQ[i]}
 	}
-
-	// Bottleneck.
-	b1, q1, err := qconv("bottleneck.conv1", ch, 3, nn.QIn{C: inC, Q: curQ})
-	if err != nil {
-		return nil, err
-	}
-	b2, q2, err := qconv("bottleneck.conv2", ch, 3, nn.QIn{C: ch, Q: q1})
-	if err != nil {
-		return nil, err
-	}
-	qm.bot = &qBlock{conv1: b1, conv2: b2}
-	curQ = q2
-
-	// Expanding path.
-	for l := cfg.Depth - 1; l >= 0; l-- {
-		skipC := cfg.BaseChannels << l
-		upName := fmt.Sprintf("up%d", l)
-		uw, err := getW(upName+".weight", ch*skipC*4)
+	taps := [...]int{opConv3: 9, opUp: 4, opHead: 1}
+	for i, st := range qm.plan {
+		if st.op == opPool {
+			outQ[i] = outQ[st.in] // max-pool preserves quantization
+			continue
+		}
+		w, err := getW(st.name+".weight", st.outC*st.inC*taps[st.op])
 		if err != nil {
 			return nil, err
 		}
-		ub, err := getW(upName+".bias", skipC)
+		b, err := getW(st.name+".bias", st.outC)
 		if err != nil {
 			return nil, err
 		}
-		upQ, err := getAct(upName)
+		if st.op != opHead { // the head dequantizes to float logits
+			if outQ[i], err = getAct(st.name); err != nil {
+				return nil, err
+			}
+		}
+		l := &qm.layers[i]
+		switch st.op {
+		case opConv3:
+			in := []nn.QIn{src(st.in)}
+			if st.skip >= 0 {
+				in = []nn.QIn{src(st.skip), src(st.in)}
+			}
+			l.conv, err = nn.NewQConv(st.name, in, st.outC, 3, w, b, outQ[i])
+		case opUp:
+			l.up, err = nn.NewQConvT(st.name, src(st.in), st.outC, w, b, outQ[i])
+		case opHead:
+			l.head, err = nn.NewQHead(src(st.in), st.outC, w, b)
+		}
 		if err != nil {
 			return nil, err
 		}
-		up, err := nn.NewQConvT(upName, nn.QIn{C: ch, Q: curQ}, skipC, uw, ub, upQ)
-		if err != nil {
-			return nil, err
-		}
-		qm.ups = append(qm.ups, up)
-
-		d1, dq1, err := qconv(fmt.Sprintf("dec%d.conv1", l), skipC, 3,
-			nn.QIn{C: skipC, Q: skipQ[l]}, nn.QIn{C: skipC, Q: upQ})
-		if err != nil {
-			return nil, err
-		}
-		d2, dq2, err := qconv(fmt.Sprintf("dec%d.conv2", l), skipC, 3, nn.QIn{C: skipC, Q: dq1})
-		if err != nil {
-			return nil, err
-		}
-		qm.dec = append(qm.dec, &qBlock{conv1: d1, conv2: d2})
-		curQ, ch = dq2, skipC
-	}
-
-	// Head.
-	hw, err := getW("final.weight", cfg.Classes*cfg.BaseChannels)
-	if err != nil {
-		return nil, err
-	}
-	hb, err := getW("final.bias", cfg.Classes)
-	if err != nil {
-		return nil, err
-	}
-	qm.head, err = nn.NewQHead(nn.QIn{C: cfg.BaseChannels, Q: curQ}, cfg.Classes, hw, hb)
-	if err != nil {
-		return nil, err
 	}
 	return qm, nil
 }

@@ -230,11 +230,9 @@ func TestQuantSessionBufferReuse(t *testing.T) {
 // scribble overwrites every activation buffer of s, halos included, up to
 // its capacity.
 func scribble(s *QuantSession) {
-	bufs := []*nn.QAct{&s.in, &s.botC1, &s.botC2}
-	for _, group := range [][]nn.QAct{s.encC1, s.encC2, s.pooled, s.up, s.decC1, s.decC2} {
-		for i := range group {
-			bufs = append(bufs, &group[i])
-		}
+	bufs := []*nn.QAct{&s.in}
+	for i := range s.acts {
+		bufs = append(bufs, &s.acts[i])
 	}
 	for _, b := range bufs {
 		data := b.Data[:cap(b.Data)]
@@ -294,11 +292,7 @@ func TestQuantCheckpointRoundTrip(t *testing.T) {
 		}
 	}
 
-	master, err := LoadMasterFromQuantized(bytes.NewReader(saved))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(master.WeightsF64(), m.WeightsF64()) {
+	if !reflect.DeepEqual(loaded.WeightsF64(), m.WeightsF64()) {
 		t.Fatal("embedded master weights differ after round trip")
 	}
 }

@@ -11,6 +11,15 @@
 // (DESIGN.md §5): same block structure, three levels, eight base
 // channels, sized for pure-Go training on a single core.
 //
+// The graph is stated once, as Config.plan (plan.go): a list of steps in
+// execution order, which is also the He-initialization draw order, the
+// Params() order and therefore the checkpoint and flattened-gradient
+// order. Five walkers loop over it with one switch on the step's kind —
+// Model.Forward/Backward (training), Session (float inference),
+// buildQuant (quantization), QuantSession (int8 inference) and
+// RequiredStages (calibration) — and Model, Session, QuantModel and
+// QuantSession each hold one slice index-aligned with it.
+//
 // The model is generic over the compute precision (tensor.Scalar):
 // Model[float64] is the master/reference instantiation, Model[float32]
 // the bandwidth-saving compute path training and serving default to.
@@ -68,8 +77,10 @@ func FastConfig(seed uint64) Config {
 
 // Validate rejects impossible configurations.
 func (c Config) Validate() error {
-	if c.Depth < 1 {
-		return fmt.Errorf("unet: depth must be ≥1, got %d", c.Depth)
+	// The upper bound keeps 1<<Depth a possible tile size and the plan of
+	// a config decoded from an untrusted checkpoint small.
+	if c.Depth < 1 || c.Depth > 30 {
+		return fmt.Errorf("unet: depth must be in [1, 30], got %d", c.Depth)
 	}
 	if c.BaseChannels < 1 || c.InChannels < 1 || c.Classes < 2 {
 		return fmt.Errorf("unet: invalid channels (base %d, in %d, classes %d)", c.BaseChannels, c.InChannels, c.Classes)
@@ -89,52 +100,25 @@ func (c Config) MinInputSize() int { return 1 << c.Depth }
 // 2·Depth expanding + 1 head — 28 for PaperConfig, matching §III-C1.
 func (c Config) NumConvLayers() int { return 5*c.Depth + 3 }
 
-// block is one double-convolution group.
-type block[S tensor.Scalar] struct {
-	conv1 *nn.Conv2D[S]
-	relu1 *nn.ReLU[S]
-	drop  *nn.Dropout[S]
-	conv2 *nn.Conv2D[S]
-	relu2 *nn.ReLU[S]
-}
-
-func newBlock[S tensor.Scalar](name string, inC, outC int, rate float64, rng *noise.RNG) *block[S] {
-	return &block[S]{
-		conv1: nn.NewConv2D[S](name+".conv1", inC, outC, 3, rng),
-		relu1: nn.NewReLU[S](name + ".relu1"),
-		drop:  nn.NewDropout[S](name+".drop", rate, rng),
-		conv2: nn.NewConv2D[S](name+".conv2", outC, outC, 3, rng),
-		relu2: nn.NewReLU[S](name + ".relu2"),
-	}
-}
-
-func (b *block[S]) forward(x *tensor.Tensor[S], train bool) *tensor.Tensor[S] {
-	x = b.relu1.Forward(b.conv1.Forward(x, train), train)
-	x = b.drop.Forward(x, train)
-	return b.relu2.Forward(b.conv2.Forward(x, train), train)
-}
-
-func (b *block[S]) backward(dy *tensor.Tensor[S]) *tensor.Tensor[S] {
-	dy = b.conv2.Backward(b.relu2.Backward(dy))
-	dy = b.drop.Backward(dy)
-	return b.conv1.Backward(b.relu1.Backward(dy))
-}
-
-func (b *block[S]) params() []*nn.Param[S] {
-	return append(b.conv1.Params(), b.conv2.Params()...)
+// layer holds the nn modules of one plan step: conv+relu (and drop after
+// them when the step says so) for a 3×3 step, with cat joining its two
+// sources when it has a skip; pool; up; conv alone for the head.
+type layer[S tensor.Scalar] struct {
+	conv *nn.Conv2D[S]
+	relu *nn.ReLU[S]
+	drop *nn.Dropout[S]
+	cat  *nn.Concat[S]
+	pool *nn.MaxPool2[S]
+	up   *nn.ConvTranspose2x2[S]
 }
 
 // Model is an assembled U-Net.
 type Model[S tensor.Scalar] struct {
 	cfg Config
 
-	enc        []*block[S]
-	pools      []*nn.MaxPool2[S]
-	bottleneck *block[S]
-	ups        []*nn.ConvTranspose2x2[S]
-	concats    []*nn.Concat[S]
-	dec        []*block[S]
-	final      *nn.Conv2D[S]
+	// plan is cfg.plan(); layers[i] executes plan[i].
+	plan   []step
+	layers []layer[S]
 
 	// loss is the training criterion; nil selects the default softmax
 	// cross-entropy on first use. SetCriterion swaps in an alternative
@@ -150,31 +134,35 @@ type Model[S tensor.Scalar] struct {
 	rng *noise.RNG
 }
 
-// New builds a model with deterministic He initialization from cfg.Seed.
+// New builds a model with deterministic He initialization from cfg.Seed,
+// drawn in plan order.
 func New[S tensor.Scalar](cfg Config) (*Model[S], error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	rng := noise.NewRNG(cfg.Seed, 0x0de1)
-	m := &Model[S]{cfg: cfg, rng: rng}
-
-	ch := cfg.BaseChannels
-	in := cfg.InChannels
-	for l := 0; l < cfg.Depth; l++ {
-		m.enc = append(m.enc, newBlock[S](fmt.Sprintf("enc%d", l), in, ch, cfg.DropoutRate, rng))
-		m.pools = append(m.pools, nn.NewMaxPool2[S](fmt.Sprintf("pool%d", l)))
-		in, ch = ch, ch*2
+	m := &Model[S]{cfg: cfg, rng: rng, plan: cfg.plan()}
+	m.layers = make([]layer[S], len(m.plan))
+	for i, st := range m.plan {
+		l := &m.layers[i]
+		switch st.op {
+		case opConv3:
+			l.conv = nn.NewConv2D[S](st.name, st.inC, st.outC, 3, rng)
+			l.relu = nn.NewReLU[S](st.name + ".relu")
+			if st.drop {
+				l.drop = nn.NewDropout[S](st.name+".drop", cfg.DropoutRate, rng)
+			}
+			if st.skip >= 0 {
+				l.cat = nn.NewConcat[S](st.name + ".concat")
+			}
+		case opPool:
+			l.pool = nn.NewMaxPool2[S](st.name)
+		case opUp:
+			l.up = nn.NewConvTranspose2x2[S](st.name, st.inC, st.outC, rng)
+		case opHead:
+			l.conv = nn.NewConv2D[S](st.name, st.inC, st.outC, 1, rng)
+		}
 	}
-	m.bottleneck = newBlock[S]("bottleneck", in, ch, cfg.DropoutRate, rng)
-
-	for l := cfg.Depth - 1; l >= 0; l-- {
-		skipC := cfg.BaseChannels << l
-		m.ups = append(m.ups, nn.NewConvTranspose2x2[S](fmt.Sprintf("up%d", l), ch, skipC, rng))
-		m.concats = append(m.concats, nn.NewConcat[S](fmt.Sprintf("concat%d", l)))
-		m.dec = append(m.dec, newBlock[S](fmt.Sprintf("dec%d", l), skipC*2, skipC, cfg.DropoutRate, rng))
-		ch = skipC
-	}
-	m.final = nn.NewConv2D[S]("final", cfg.BaseChannels, cfg.Classes, 1, rng)
 	return m, nil
 }
 
@@ -225,22 +213,21 @@ func (m *Model[S]) SetWeightsF64(weights map[string][]float64) error {
 
 // NumConvLayers counts the model's convolutional layers; see
 // Config.NumConvLayers.
-func (m *Model[S]) NumConvLayers() int {
-	return 2*len(m.enc) + 2 + len(m.ups) + 2*len(m.dec) + 1
-}
+func (m *Model[S]) NumConvLayers() int { return m.cfg.NumConvLayers() }
 
-// Params lists every learnable parameter in a stable order.
+// Params lists every learnable parameter in plan order — the stable
+// order checkpoints, gradient flattening and optimizer state rely on.
 func (m *Model[S]) Params() []*nn.Param[S] {
 	var out []*nn.Param[S]
-	for _, b := range m.enc {
-		out = append(out, b.params()...)
+	for i := range m.layers {
+		switch l := &m.layers[i]; {
+		case l.conv != nil:
+			out = append(out, l.conv.Params()...)
+		case l.up != nil:
+			out = append(out, l.up.Params()...)
+		}
 	}
-	out = append(out, m.bottleneck.params()...)
-	for i := range m.ups {
-		out = append(out, m.ups[i].Params()...)
-		out = append(out, m.dec[i].params()...)
-	}
-	return append(out, m.final.Params()...)
+	return out
 }
 
 // NumParams returns the total scalar parameter count.
@@ -255,42 +242,75 @@ func (m *Model[S]) NumParams() int {
 // Forward runs the network on x (N,3,H,W) and returns class logits
 // (N,Classes,H,W). H and W must be divisible by 2^Depth.
 func (m *Model[S]) Forward(x *tensor.Tensor[S], train bool) *tensor.Tensor[S] {
-	skips := make([]*tensor.Tensor[S], len(m.enc))
-	for l, b := range m.enc {
-		s := b.forward(x, train)
-		skips[l] = s
-		x = m.pools[l].Forward(s, train)
+	outs := make([]*tensor.Tensor[S], len(m.plan))
+	for i, st := range m.plan {
+		in := x
+		if st.in >= 0 {
+			in = outs[st.in]
+		}
+		switch l := &m.layers[i]; st.op {
+		case opConv3:
+			if st.skip >= 0 {
+				in = l.cat.Join(outs[st.skip], in)
+			}
+			in = l.relu.Forward(l.conv.Forward(in, train), train)
+			if st.drop {
+				in = l.drop.Forward(in, train)
+			}
+			outs[i] = in
+		case opPool:
+			outs[i] = l.pool.Forward(in, train)
+		case opUp:
+			outs[i] = l.up.Forward(in, train)
+		case opHead:
+			outs[i] = l.conv.Forward(in, train)
+		}
 	}
-	x = m.bottleneck.forward(x, train)
-	for i := range m.ups {
-		l := m.cfg.Depth - 1 - i
-		x = m.ups[i].Forward(x, train)
-		x = m.concats[i].Join(skips[l], x)
-		x = m.dec[i].forward(x, train)
-	}
-	return m.final.Forward(x, train)
+	return outs[len(outs)-1]
 }
 
 // Backward propagates dL/dlogits through the whole graph, accumulating
-// parameter gradients, and returns dL/dinput.
+// parameter gradients, and returns dL/dinput. It walks the plan in
+// reverse; an output with two consumers (an encoder block feeding its
+// pool and a decoder skip) sums their gradients, the later arrival —
+// the pool's — receiving the earlier.
 func (m *Model[S]) Backward(dy *tensor.Tensor[S]) *tensor.Tensor[S] {
-	dy = m.final.Backward(dy)
-	dskips := make([]*tensor.Tensor[S], len(m.enc))
-	for i := len(m.ups) - 1; i >= 0; i-- {
-		l := m.cfg.Depth - 1 - i
-		dy = m.dec[i].backward(dy)
-		var dskip *tensor.Tensor[S]
-		dskip, dy = m.concats[i].Split(dy)
-		dskips[l] = dskip
-		dy = m.ups[i].Backward(dy)
+	grads := make([]*tensor.Tensor[S], len(m.plan))
+	grads[len(grads)-1] = dy
+	var dx *tensor.Tensor[S]
+	give := func(to int, g *tensor.Tensor[S]) {
+		if to < 0 {
+			dx = g
+			return
+		}
+		if grads[to] != nil {
+			g.AddInPlace(grads[to])
+		}
+		grads[to] = g
 	}
-	dy = m.bottleneck.backward(dy)
-	for l := len(m.enc) - 1; l >= 0; l-- {
-		dy = m.pools[l].Backward(dy)
-		dy.AddInPlace(dskips[l])
-		dy = m.enc[l].backward(dy)
+	for i := len(m.plan) - 1; i >= 0; i-- {
+		st, l, g := m.plan[i], &m.layers[i], grads[i]
+		switch st.op {
+		case opConv3:
+			if st.drop {
+				g = l.drop.Backward(g)
+			}
+			g = l.conv.Backward(l.relu.Backward(g))
+			if st.skip >= 0 {
+				var gskip *tensor.Tensor[S]
+				gskip, g = l.cat.Split(g)
+				give(st.skip, gskip)
+			}
+		case opPool:
+			g = l.pool.Backward(g)
+		case opUp:
+			g = l.up.Backward(g)
+		case opHead:
+			g = l.conv.Backward(g)
+		}
+		give(st.in, g)
 	}
-	return dy
+	return dx
 }
 
 // SetCriterion selects the training loss for LossAndGrad; nil restores

@@ -181,6 +181,7 @@ func TestCopyWeightsBroadcast(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Depth: 0, BaseChannels: 4, InChannels: 3, Classes: 3},
+		{Depth: 31, BaseChannels: 4, InChannels: 3, Classes: 3},
 		{Depth: 2, BaseChannels: 0, InChannels: 3, Classes: 3},
 		{Depth: 2, BaseChannels: 4, InChannels: 3, Classes: 1},
 		{Depth: 2, BaseChannels: 4, InChannels: 3, Classes: 3, DropoutRate: 1.0},
