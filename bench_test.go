@@ -651,6 +651,44 @@ func BenchmarkInt8Conv(b *testing.B) {
 	}
 }
 
+// BenchmarkRequantRow times the int8 epilogue that follows every
+// ConvU8S8 row — bias, fixed-point multiply, round, shift, zero-point,
+// clamp to a byte — on one 32-pixel row per lane count, scalar ("ref")
+// against the eight-lane AVX2 kernel (bit-identical bytes).
+func BenchmarkRequantRow(b *testing.B) {
+	const npx = 32
+	prev := tensor.Int8().Name
+	defer func() {
+		if err := tensor.SelectInt8(prev); err != nil {
+			b.Fatal(err)
+		}
+	}()
+	for _, nl := range []int{8, 16, 32, 64} {
+		lanes := make([]tensor.RequantLane, nl)
+		for c := range lanes {
+			lanes[c] = tensor.NewRequantLane(int32(c*37-500), tensor.NewRequant(0.004/float64(c+1)))
+		}
+		table := tensor.NewRequantTable(lanes)
+		acc := make([]int32, npx*nl)
+		for i := range acc {
+			acc[i] = int32(i*2654435761) >> 14 // both signs, a realistic ±2¹⁷
+		}
+		dst := make([]uint8, npx*nl)
+		for _, backend := range []string{"ref", "avx2"} {
+			b.Run(fmt.Sprintf("%dlanes/%s", nl, backend), func(b *testing.B) {
+				if err := tensor.SelectInt8(backend); err != nil {
+					b.Skip(err)
+				}
+				ops := tensor.Int8()
+				for i := 0; i < b.N; i++ {
+					ops.RequantRow(dst, nl, acc, nl, npx, table, 0)
+				}
+				b.ReportMetric(float64(b.N)*npx*float64(nl)/b.Elapsed().Seconds(), "elements/s")
+			})
+		}
+	}
+}
+
 // BenchmarkQuantForward times QuantSession on the serving stack's unit
 // of int8 work — one full batch of 16 tiles of 32² — per int8 backend
 // (bit-identical labels; the ratio to "ref" is what the kernel buys).

@@ -61,17 +61,26 @@ func (h HSV) Label(img *raster.RGB) (*raster.Labels, error) {
 	return autolabel.Label(img, h.T)
 }
 
+// MaxClusters is the largest cluster count a spec may ask for. Clusters
+// fold into classes by centroid brightness, which has 256 value levels:
+// more clusters than that cannot change a label, they only cost memory
+// and time in Label.
+const MaxClusters = 256
+
 // Parse resolves a CLI engine spec — "hsv", "kmeans", "gmm", optionally
-// with a cluster count as in "kmeans:4" — into a Labeler. seed feeds the
-// clustering engines' deterministic RNG; hsv ignores it. The empty spec
-// selects hsv, the paper's engine.
+// with a cluster count in [1, MaxClusters] as in "kmeans:4" — into a
+// Labeler. seed feeds the clustering engines' deterministic RNG; hsv
+// ignores it. The empty spec selects hsv, the paper's engine. A spec
+// without a count resolves to the engine's default count, so "kmeans" and
+// "kmeans:8" are one configuration with one Fingerprint, and
+// Parse(l.Name(), seed) returns l again.
 func Parse(spec string, seed uint64) (Labeler, error) {
 	name, arg, hasArg := strings.Cut(spec, ":")
 	k := 0
 	if hasArg {
 		v, err := strconv.Atoi(arg)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("labeler: bad cluster count %q in spec %q", arg, spec)
+		if err != nil || v < 1 || v > MaxClusters {
+			return nil, fmt.Errorf("labeler: bad cluster count %q in spec %q (want 1..%d)", arg, spec, MaxClusters)
 		}
 		k = v
 	}
@@ -82,9 +91,9 @@ func Parse(spec string, seed uint64) (Labeler, error) {
 		}
 		return PaperHSV(), nil
 	case "kmeans":
-		return KMeans{K: k, Seed: seed}, nil
+		return KMeans{K: KMeans{K: k}.kmeansDefaults().K, Seed: seed}, nil
 	case "gmm":
-		return GMM{K: k, Seed: seed}, nil
+		return GMM{K: GMM{K: k}.gmmDefaults().K, Seed: seed}, nil
 	default:
 		return nil, fmt.Errorf("labeler: unknown engine %q (want hsv|kmeans|gmm[:k])", spec)
 	}

@@ -2,6 +2,7 @@ package labeler
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"seaice/internal/cloudfilter"
@@ -162,6 +163,60 @@ func TestParseSpecs(t *testing.T) {
 			t.Fatalf("Parse(%q) accepted", bad)
 		}
 	}
+}
+
+// TestParseClusterCountBounds: a count outside [1, MaxClusters] — or one
+// that is not a plain decimal — is rejected by Parse with the "bad
+// cluster count" error instead of failing by allocation inside Label.
+func TestParseClusterCountBounds(t *testing.T) {
+	for _, engine := range []string{"kmeans", "gmm"} {
+		for _, c := range []struct {
+			arg string
+			ok  bool
+		}{
+			{"0", false}, {"-1", false}, {"1", true}, {"256", true}, {"257", false},
+			{"1000000", false}, {"99999999999999999999", false}, {"3 ", false}, {"", false},
+		} {
+			spec := engine + ":" + c.arg
+			l, err := Parse(spec, 7)
+			switch {
+			case c.ok && err != nil:
+				t.Fatalf("Parse(%q): %v", spec, err)
+			case c.ok && l.Name() != spec:
+				t.Fatalf("Parse(%q).Name() = %q", spec, l.Name())
+			case !c.ok && (err == nil || !strings.Contains(err.Error(), "bad cluster count")):
+				t.Fatalf("Parse(%q) = %v, %v; want a bad cluster count error", spec, l, err)
+			}
+		}
+	}
+	if _, err := Parse("hsv:3", 7); err == nil || strings.Contains(err.Error(), "bad cluster count") {
+		t.Fatalf("Parse(hsv:3) = %v; want the hsv-takes-no-count error", err)
+	}
+}
+
+// FuzzLabelerParse: Parse never panics, and a spec it accepts names a
+// configuration that parses back from its own Name to an equal
+// Fingerprint (default counts included: "kmeans" ≡ "kmeans:8").
+func FuzzLabelerParse(f *testing.F) {
+	for _, seed := range []string{
+		"", "hsv", "kmeans", "kmeans:4", "kmeans:8", "gmm", "gmm:3", "gmm:256", // README's -labeler values
+		"hsv:3", "kmeans:5", "gmm:4", "kmeans:0", "kmeans:257", "gmm:-1", "kmeans:1000000", "kmeans:3 ", "kmeans::", ":", "gmm:0x10",
+	} {
+		f.Add(seed, uint64(7))
+	}
+	f.Fuzz(func(t *testing.T, spec string, seed uint64) {
+		l, err := Parse(spec, seed)
+		if err != nil {
+			return
+		}
+		back, err := Parse(l.Name(), seed)
+		if err != nil {
+			t.Fatalf("Parse(%q) = %s, whose name does not parse: %v", spec, l.Name(), err)
+		}
+		if got, want := Fingerprint(back), Fingerprint(l); got != want {
+			t.Fatalf("Parse(%q): fingerprint %q, after the round trip through %q: %q", spec, want, l.Name(), got)
+		}
+	})
 }
 
 // TestFingerprintSeparatesEngines: fingerprints must differ across

@@ -89,17 +89,22 @@ func TestWeightGradGemmMatchesDirect(t *testing.T) {
 }
 
 // TestWinogradBatchedMatchesPerRow: batching the transform-domain products
-// over many tile rows (and images) must not change a bit relative to one
-// product set per tile row — for F(4×4) and F(2×2), the serial inference
-// entry with the virtualised skip-concat source and the pooled training
-// entries, under every backend and any worker count. The per-row engine
-// result is the single reference for all of them.
+// over many tile rows — across image boundaries — must not change a bit
+// relative to one product set per tile row — for F(4×4) and F(2×2), the
+// serial inference entry with the virtualised skip-concat source and the
+// pooled training entries (channel-major dout included), under every
+// backend and any worker count. Tile budgets of 3 and 5 tile rows end
+// batches in the middle of an image, and the pool's 2- and 3-way splits
+// of the (image, tile-row) units start ranges in the middle of one. The
+// per-row engine result is the single reference for all of them.
 func TestWinogradBatchedMatchesPerRow(t *testing.T) {
 	type shape struct{ n, ca, cb, outC, h, w int }
 	shapes := []shape{
 		{4, 8, 0, 8, 32, 32}, {4, 16, 16, 8, 16, 16}, {4, 32, 32, 32, 8, 8}, {5, 64, 0, 64, 4, 4},
+		{3, 4, 4, 8, 32, 32}, {2, 16, 16, 16, 8, 8}, {5, 8, 8, 16, 8, 8}, {2, 32, 0, 32, 4, 4}, {3, 16, 16, 32, 4, 4},
 		{3, 5, 4, 7, 12, 20},                                         // F(4×4), ragged channel counts
 		{3, 4, 3, 6, 6, 10}, {4, 8, 8, 5, 2, 2}, {2, 3, 0, 4, 14, 6}, // F(2×2) planes
+		{2, 4, 0, 4, 6, 6}, {5, 3, 3, 4, 6, 6},
 	}
 	perRow := func(s shape, c *Conv2D[float32], xa, xb, dout []float32) (y, dx []float32) {
 		wg := NewWinograd[float32](false)
@@ -141,21 +146,29 @@ func TestWinogradBatchedMatchesPerRow(t *testing.T) {
 				sameBits(t, label+" per-row Conv", y, wantY)
 				sameBits(t, label+" per-row InputGrad", dx, wantDx)
 
-				wg := NewWinograd[float32](false)
-				y = make([]float32, len(wantY))
-				wg.Conv(c, xa, s.ca, xb, s.cb, s.n, s.h, s.w, y, true)
-				sameBits(t, label+" batched Conv", y, wantY)
-				if !usable4(s.h, s.w) {
-					return
+				tile := 2
+				if usable4(s.h, s.w) {
+					tile = 4
 				}
-				for _, workers := range []int{1, 2, 3} {
-					pool.SetSharedWorkers(workers)
-					wl := fmt.Sprintf("%s workers=%d", label, workers)
-					y, dx = make([]float32, len(wantY)), make([]float32, len(wantDx))
-					wg.ConvBatch(pool.Shared(), c, x, s.n, s.h, s.w, y, true)
-					sameBits(t, wl+" ConvBatch", y, wantY)
-					wg.InputGradBatch(pool.Shared(), c, dout, s.n, s.h, s.w, dx)
-					sameBits(t, wl+" InputGradBatch", dx, wantDx)
+				for _, rows := range []int{0, 3, 5} { // 0: the default budget
+					wg := NewWinograd[float32](false)
+					wg.batchTiles = rows * (s.w / tile)
+					bl := fmt.Sprintf("%s rows=%d", label, rows)
+					y = make([]float32, len(wantY))
+					wg.Conv(c, xa, s.ca, xb, s.cb, s.n, s.h, s.w, y, true)
+					sameBits(t, bl+" batched Conv", y, wantY)
+					if tile == 2 {
+						continue
+					}
+					for _, workers := range []int{1, 2, 3} {
+						pool.SetSharedWorkers(workers)
+						wl := fmt.Sprintf("%s workers=%d", bl, workers)
+						y, dx = make([]float32, len(wantY)), make([]float32, len(wantDx))
+						wg.ConvBatch(pool.Shared(), c, x, s.n, s.h, s.w, y, true)
+						sameBits(t, wl+" ConvBatch", y, wantY)
+						wg.InputGradBatch(pool.Shared(), c, dout, s.n, s.h, s.w, dx)
+						sameBits(t, wl+" InputGradBatch", dx, wantDx)
+					}
 				}
 			})
 		}

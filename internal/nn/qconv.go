@@ -34,9 +34,11 @@ import (
 //     whenever its shape changes, and layers only ever write the interior.
 //   - The integer sums run on the active tensor.Int8 backend, one output
 //     row at a time into a row of int32 accumulators that never leaves L1;
-//     the requantization epilogue (tensor.RequantClampRow) is shared pure
-//     Go outside the backend table, so backend choice can never change an
-//     output bit.
+//     the requantization epilogue is the same backend's RequantRow over
+//     that row, its per-channel constants laid out once at construction
+//     (tensor.RequantTable). Both entries are conformance-tested against
+//     the scalar definitions, so backend choice never changes an output
+//     bit.
 
 // QAct is one batch of quantized activations in the layout above:
 // (N, H+2, W+2, Stride()) bytes, logical pixel (y, x) of image n at
@@ -118,7 +120,7 @@ type QConv struct {
 	K         int
 	src       []QIn
 	w         [][]byte             // packed weights, one matrix per source
-	lanes     []tensor.RequantLane // per output channel: bias round(b/s_w) − Σ_c z_c·Σ_t wq, multiplier s_w/s_out
+	requant   *tensor.RequantTable // per output channel: bias round(b/s_w) − Σ_c z_c·Σ_t wq, multiplier s_w/s_out
 	OutZ      uint8
 }
 
@@ -158,24 +160,22 @@ func NewQConv(name string, in []QIn, outC, k int, w, bias []float64, out tensor.
 	}
 	q, scales := tensor.QuantizeWeightsPerChannel(wf, outC, inC*taps)
 
-	c := &QConv{
-		Name: name, InC: inC, OutC: outC, K: k, src: in,
-		lanes: make([]tensor.RequantLane, outC),
-		OutZ:  out.Zero,
-	}
+	c := &QConv{Name: name, InC: inC, OutC: outC, K: k, src: in, OutZ: out.Zero}
 	lo := 0
 	for _, s := range in {
 		c.w = append(c.w, packSource(q, outC, taps, inC, lo, s.C))
 		lo += s.C
 	}
-	for oc := 0; oc < outC; oc++ {
+	lanes := make([]tensor.RequantLane, outC)
+	for oc := range lanes {
 		var zCorr int64
 		for i, v := range q[oc*inC*taps : (oc+1)*inC*taps] {
 			zCorr += int64(chQ[i%inC].Zero) * int64(v)
 		}
-		c.lanes[oc] = tensor.NewRequantLane(int32(int64(math.Round(bias[oc]/scales[oc]))-zCorr),
+		lanes[oc] = tensor.NewRequantLane(int32(int64(math.Round(bias[oc]/scales[oc]))-zCorr),
 			tensor.NewRequant(scales[oc]/out.Scale))
 	}
+	c.requant = tensor.NewRequantTable(lanes)
 	return c, nil
 }
 
@@ -216,7 +216,7 @@ func (c *QConv) Forward(out *QAct, acc *[]int32, in ...*QAct) {
 				st := a.Stride()
 				ops.ConvU8S8(row, a.from(img, y+1-pad, 1-pad), c.w[i], w, st, c.K, c.K*st, (w+2)*st, ocPad, i > 0)
 			}
-			tensor.RequantClampRow(out.Row(img, y), out.Stride(), row, ocPad, w, c.lanes, c.OutZ)
+			ops.RequantRow(out.Row(img, y), out.Stride(), row, ocPad, w, c.requant, c.OutZ)
 		}
 	}
 }
@@ -254,8 +254,8 @@ type QConvT struct {
 	Name      string
 	InC, OutC int
 	src       QIn
-	w         []byte               // packed, rows tap·OutC+oc
-	lanes     []tensor.RequantLane // per tap·OutC+oc
+	w         []byte                  // packed, rows tap·OutC+oc
+	requant   [4]*tensor.RequantTable // per tap, OutC lanes each
 	OutZ      uint8
 }
 
@@ -279,17 +279,20 @@ func NewQConvT(name string, in QIn, outC int, w, bias []float64, out tensor.ActQ
 	q, scales := tensor.QuantizeWeightsPerChannel(wf, rows, inC)
 	u := &QConvT{
 		Name: name, InC: inC, OutC: outC, src: in,
-		w:     packSource(q, rows, 1, inC, 0, inC),
-		lanes: make([]tensor.RequantLane, rows),
-		OutZ:  out.Zero,
+		w:    packSource(q, rows, 1, inC, 0, inC),
+		OutZ: out.Zero,
 	}
-	for r := 0; r < rows; r++ {
+	lanes := make([]tensor.RequantLane, rows)
+	for r := range lanes {
 		var sumW int64
 		for _, v := range q[r*inC : (r+1)*inC] {
 			sumW += int64(v)
 		}
-		u.lanes[r] = tensor.NewRequantLane(int32(int64(math.Round(bias[r%outC]/scales[r]))-int64(in.Q.Zero)*sumW),
+		lanes[r] = tensor.NewRequantLane(int32(int64(math.Round(bias[r%outC]/scales[r]))-int64(in.Q.Zero)*sumW),
 			tensor.NewRequant(scales[r]/out.Scale))
+	}
+	for tap := range u.requant {
+		u.requant[tap] = tensor.NewRequantTable(lanes[tap*outC : (tap+1)*outC])
 	}
 	return u, nil
 }
@@ -308,9 +311,8 @@ func (u *QConvT) Forward(out *QAct, acc *[]int32, in *QAct) {
 	for img := 0; img < in.N; img++ {
 		for y := 0; y < in.H; y++ {
 			ops.ConvU8S8(row, in.Row(img, y), u.w, in.W, st, 1, st, 0, ocPad, false)
-			for tap := 0; tap < 4; tap++ {
-				lo, hi := tap*u.OutC, (tap+1)*u.OutC
-				tensor.RequantClampRow(out.Row(img, 2*y+tap/2)[tap%2*ost:], 2*ost, row[lo:], ocPad, in.W, u.lanes[lo:hi], u.OutZ)
+			for tap, rq := range u.requant {
+				ops.RequantRow(out.Row(img, 2*y+tap/2)[tap%2*ost:], 2*ost, row[tap*u.OutC:], ocPad, in.W, rq, u.OutZ)
 			}
 		}
 	}

@@ -12,14 +12,18 @@ import (
 // and F(2×2,3×3) covers planes divisible by two but not four. The
 // transform-domain accumulations are independent (OutC×InC)×(InC×tiles)
 // matrix products, which run on the active float backend's GEMM panel
-// (tensor.GemmSerial). They are batched over the tiles of all the tile
-// rows of an image (64 tiles on a 32² plane, where one row holds 8),
-// because a SIMD panel vectorises across tiles. Batching does not reorder
-// anything: every M element is still its own ascending-channel chain, so
-// outputs are bit-identical to per-row products (and across backends).
-// Batches stop at image boundaries; batching the 4 and 1 tiles per image
-// of 8² and 4² planes across images would vectorise those levels too and
-// is deliberately left out (CHANGES.md, PR 16).
+// (tensor.GemmSerial). They are batched over the tiles of consecutive
+// (image, tile-row) units — 64 tiles on a 32² plane, where one row holds
+// 8 — because a SIMD panel vectorises across tiles. A batch runs on past
+// the end of an image into the next one: the 4 and 1 tiles per image of
+// 8² and 4² planes are too few for the 8-column AVX2 panel on their own,
+// and a 4-image rank step's products are 64/64/16/4 tiles wide per level
+// this way instead of 64/16/4/1. Batching does not reorder anything:
+// every M element is still its own ascending-channel chain, so outputs
+// are bit-identical to per-row products (and across backends, worker
+// counts and batch sizes). What is left narrower than eight columns —
+// the 4² level of a 4-image step, n = 4 — still runs the scalar panel; a
+// 4-column SIMD tile for it waits in ROADMAP.
 //
 // F(2×2) stays. It only ever runs in float32 inference sessions on planes
 // that are even but not ÷4 (training takes Winograd on ÷4 planes only),
@@ -61,8 +65,8 @@ type Winograd[S tensor.Scalar] struct {
 	batchTiles int
 }
 
-// A batch of transform-domain products covers whole tile rows of one
-// image holding up to winoBatchTiles tiles — eight AVX2 vectors, past
+// A batch of transform-domain products covers whole tile rows, of one
+// image or of several consecutive ones, holding up to winoBatchTiles tiles — eight AVX2 vectors, past
 // which the panel gains nothing — and fewer, down to one vector's worth,
 // on wide layers, keeping (InC+OutC)·tiles within winoBatchFloats: one
 // task's V+M scratch then stays at 36·4096 floats (576 KiB, L2-sized)
@@ -72,15 +76,15 @@ const (
 	winoBatchFloats = 4096
 )
 
-// plan sets how many tile rows of an image share one batch of the job and
-// returns the V and M scratch sizes such a batch needs.
+// plan sets how many (image, tile-row) units share one batch of the job
+// and returns the V and M scratch sizes such a batch needs.
 func (wg *Winograd[S]) plan(j *winoJob[S]) (vsz, msz int) {
 	tiles := wg.batchTiles
 	if tiles == 0 {
 		tiles = min(winoBatchTiles, max(8, winoBatchFloats/(j.inC+j.outC)))
 	}
 	tw := j.w / j.tile
-	j.rowsPerCall = min(max(1, tiles/tw), j.h/j.tile)
+	j.rowsPerCall = min(max(1, tiles/tw), j.n*(j.h/j.tile))
 	comps := (j.tile + 2) * (j.tile + 2)
 	return comps * j.inC * j.rowsPerCall * tw, comps * j.outC * j.rowsPerCall * tw
 }
@@ -257,7 +261,7 @@ type winoJob[S tensor.Scalar] struct {
 	inC, outC   int
 	dst         []S
 	relu        bool
-	rowsPerCall int // tile rows of an image per batch of transform-domain products
+	rowsPerCall int // (image, tile-row) units per batch of transform-domain products
 }
 
 // Conv computes the same-padded 3×3 convolution with fused bias (and
@@ -321,8 +325,8 @@ func (wg *Winograd[S]) runTasks(p *pool.Pool, j *winoJob[S]) {
 	p.MustMapRanges(units, 1, run)
 }
 
-// run computes (image, tile-row) units [lo,hi), up to rowsPerCall of one
-// image per batch: the input transform of every tile in the batch, one GEMM per
+// run computes (image, tile-row) units [lo,hi), up to rowsPerCall per
+// batch, across image boundaries: the input transform of every tile in the batch, one GEMM per
 // transform component over all of them (V and M rows are the batch's
 // tiles, unit after unit), then the output transforms. The scratch of a
 // batch is L2-sized (see winoBatchFloats), so the component streams and
@@ -332,7 +336,7 @@ func (j *winoJob[S]) run(lo, hi int, vbuf, mbuf []S) {
 	th, tw := j.h/j.tile, j.w/j.tile
 	comps := (j.tile + 2) * (j.tile + 2)
 	for lo < hi {
-		end := min(lo+j.rowsPerCall, hi, (lo/th+1)*th)
+		end := min(lo+j.rowsPerCall, hi)
 		cn := (end - lo) * tw
 		for t := lo; t < end; t++ {
 			if j.tile == 4 {

@@ -18,8 +18,10 @@
 // so a SIMD backend may only vectorise across independent output columns;
 // that is also what keeps them bit-identical at any worker count
 // (property-tested in backend_test.go; NaN payload bits are not part of
-// the contract). int8 backends compute in exact integer arithmetic, so
-// cross-backend equality is absolute (qconv_test.go). Selection is
+// the contract). int8 backends compute in exact integer arithmetic — the
+// convolution sums in any order, the requantization epilogue as the one
+// rounding RequantClamp defines — so cross-backend equality is absolute
+// (qconv_test.go, quant_test.go). Selection is
 // process-global and safe for concurrent readers; tests that switch
 // backends serialize around SelectFloat/SelectInt8.
 
@@ -79,10 +81,12 @@ type FloatOps[S Scalar] struct {
 // Accumulators land pixel-major, acc[p·ocPad+oc], so the caller's
 // epilogue reads and writes contiguously.
 //
-// Requantization is deliberately NOT part of the table — it stays in
-// shared pure-Go code (RequantClampRow) so backend choice can never change
-// an output bit: a backend owns only sums that are exact in any order,
-// never a rounding.
+// The requantization epilogue that follows the sums is the table's second
+// entry, RequantRow. It rounds, so unlike the sums it is not exact "in any
+// order": RequantClamp is its definition, the scalar loop RequantClampRow
+// its reference, and a backend that vectorises it must reproduce that
+// loop bit for bit (TestRequantRowConformance sweeps every shift, the
+// multiplier range and wrapping acc+bias sums).
 type Int8Ops struct {
 	Name string
 	// Priority orders selection: the highest-priority Available backend
@@ -103,6 +107,16 @@ type Int8Ops struct {
 	// runLen is a multiple of 4, ocPad of 8; npx = 0 and runs·runLen = 0
 	// are legal.
 	ConvU8S8 func(acc []int32, x []uint8, w []byte, npx, pxStride, runs, runLen, runStride, ocPad int, add bool)
+	// RequantRow is the epilogue over a row of npx pixels: for p in
+	// [0,npx) and every lane c of t,
+	//
+	//	dst[p·dstStep+c] = RequantClamp(acc[p·accStep+c]+bias_c, r_c, z)
+	//
+	// with the int32 sum wrapping. It writes no other byte of dst — a
+	// QConvT tap's pixels alternate with its neighbour tap's. npx = 0 and
+	// an empty table are legal. A backend that leaves it nil inherits the
+	// scalar loop (RequantClampRow).
+	RequantRow func(dst []uint8, dstStep int, acc []int32, accStep, npx int, t *RequantTable, z uint8)
 }
 
 // floatRegistry holds the registered backends of one float kind.
@@ -184,6 +198,9 @@ func SelectFloat[S Scalar](name string) error { return registryOf[S]().sel(name)
 func RegisterInt8(ops *Int8Ops) {
 	int8Mu.Lock()
 	defer int8Mu.Unlock()
+	if ops.RequantRow == nil {
+		ops.RequantRow = requantRowRef
+	}
 	int8Backends = append(int8Backends, ops)
 	best := int8Active.Load()
 	if ops.available() && (best == nil || ops.Priority > best.Priority) {

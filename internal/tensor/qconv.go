@@ -134,6 +134,6 @@ func convU8S8SWAR(acc []int32, x []uint8, w []byte, npx, pxStride, runs, runLen,
 }
 
 func init() {
-	RegisterInt8(&Int8Ops{Name: "ref", Priority: 0, ConvU8S8: convU8S8Ref})
-	RegisterInt8(&Int8Ops{Name: "swar", Priority: 10, ConvU8S8: convU8S8SWAR})
+	RegisterInt8(&Int8Ops{Name: "ref", Priority: 0, ConvU8S8: convU8S8Ref, RequantRow: requantRowRef})
+	RegisterInt8(&Int8Ops{Name: "swar", Priority: 10, ConvU8S8: convU8S8SWAR}) // RequantRow: ref's
 }

@@ -11,6 +11,11 @@
 // ([0, 127]) is what makes this exact: VPMADDUBSW saturates its word sums
 // at ±32767, and 2·127·128 = 32512 never reaches that, so the backend is
 // bit-identical to the scalar reference (TestInt8ConvConformance).
+//
+// The requantization epilogue that follows the sums has its own kernel,
+// requantGroupsAVX2 — eight lanes of one pixel per step, constants from
+// the layer's RequantTable — bit-identical to RequantClampRow
+// (TestRequantRowConformance).
 
 package tensor
 
@@ -74,11 +79,39 @@ func convU8S8AVX2(acc []int32, x []uint8, w []byte, npx, pxStride, runs, runLen,
 	}
 }
 
+// requantGroupsAVX2 runs Int8Ops.RequantRow over the first groups·8 lanes
+// of a row of npx ≥ 1 pixels: tab points at groups·requantGroupWords
+// words of RequantTable.groups, dstStep is in bytes and accStep in int32s.
+// groups ≥ 1. Implemented in qconv_amd64.s.
+//
+//go:noescape
+func requantGroupsAVX2(dst *uint8, dstStep int, acc *int32, accStep, npx int, tab *uint64, groups int, z uint32)
+
+// requantRowAVX2 sends the full groups of eight lanes to the assembly and
+// the len%8 tail lanes to the scalar loop.
+func requantRowAVX2(dst []uint8, dstStep int, acc []int32, accStep, npx int, t *RequantTable, z uint8) {
+	if npx == 0 {
+		return
+	}
+	full := len(t.lanes) &^ 7
+	if full > 0 {
+		// The assembly does no bounds checks: touch the last element it
+		// reaches on either side so a short slice panics here instead.
+		_ = acc[(npx-1)*accStep+full-1]
+		_ = dst[(npx-1)*dstStep+full-1]
+		requantGroupsAVX2(&dst[0], dstStep, &acc[0], accStep, npx, &t.groups[0], full/8, uint32(z))
+	}
+	if full < len(t.lanes) {
+		RequantClampRow(dst[full:], dstStep, acc[full:], accStep, npx, t.lanes[full:], z)
+	}
+}
+
 func init() {
 	RegisterInt8(&Int8Ops{
-		Name:      "avx2",
-		Priority:  100,
-		Available: func() bool { return hasAVX2 },
-		ConvU8S8:  convU8S8AVX2,
+		Name:       "avx2",
+		Priority:   100,
+		Available:  func() bool { return hasAVX2 },
+		ConvU8S8:   convU8S8AVX2,
+		RequantRow: requantRowAVX2,
 	})
 }

@@ -123,6 +123,86 @@ done:
 	VZEROUPPER
 	RET
 
+// func requantGroupsAVX2(dst *uint8, dstStep int, acc *int32, accStep, npx int, tab *uint64, groups int, z uint32)
+//
+// Int8Ops.RequantRow for `groups` full groups of eight lanes, one lane per
+// dword. Per group the nine constant vectors of RequantTable.groups stay
+// in registers while the pixel loop walks the row; per pixel the eight
+// sums split into even and odd lanes (VPMULDQ multiplies the low dword of
+// each qword), go through multiply, round, shift as qwords and are merged
+// back into lane order before the zero-point and the clamp:
+//   VPADDD    acc + bias, wrapping like the scalar int32 sum
+//   VPMULDQ   signed 32×32 → 64, even lanes / odd lanes (VPSRLQ $32)
+//   VPADDQ    + round + 2⁶²  (non-negative from here on)
+//   VPSRLVQ   logical shift by the lane's own count …
+//   VPSUBQ    … − 2⁶²≫shift = the arithmetic shift's result (low dword)
+//   VPMINSD   upper clamp at 127; the unsigned-saturating packs clamp
+//             negatives to 0 and narrow to one byte per lane
+// Exactly eight bytes are stored per pixel and group.
+TEXT ·requantGroupsAVX2(SB), NOSPLIT, $0-60
+	MOVQ dst+0(FP), DI
+	MOVQ dstStep+8(FP), R8
+	MOVQ acc+16(FP), SI
+	MOVQ accStep+24(FP), R10
+	MOVQ tab+40(FP), R9
+	MOVQ groups+48(FP), R11
+	SHLQ $2, R10             // accumulator stride in bytes
+
+	MOVL z+56(FP), AX
+	VMOVD AX, X14
+	VPBROADCASTD X14, Y14
+	VPCMPEQD Y15, Y15, Y15   // all-ones dwords …
+	VPSRLD   $25, Y15, Y15   // … → eight dwords of 127
+
+rqgroup:
+	VMOVDQU 0(R9), Y6        // bias
+	VMOVDQU 32(R9), Y7       // multiplier, even lanes
+	VMOVDQU 64(R9), Y8       //             odd lanes
+	VMOVDQU 96(R9), Y9       // round + 2⁶²
+	VMOVDQU 128(R9), Y10
+	VMOVDQU 160(R9), Y11     // shift
+	VMOVDQU 192(R9), Y12
+	VMOVDQU 224(R9), Y13     // 2⁶² ≫ shift
+	VMOVDQU 256(R9), Y5
+	MOVQ DI, R12             // dst cursor
+	MOVQ SI, R13             // acc cursor
+	MOVQ npx+32(FP), CX
+
+rqpixel:
+	VMOVDQU   (R13), Y0
+	VPADDD    Y6, Y0, Y0
+	VPSRLQ    $32, Y0, Y1
+	VPMULDQ   Y7, Y0, Y0
+	VPMULDQ   Y8, Y1, Y1
+	VPADDQ    Y9, Y0, Y0
+	VPADDQ    Y10, Y1, Y1
+	VPSRLVQ   Y11, Y0, Y0
+	VPSRLVQ   Y12, Y1, Y1
+	VPSUBQ    Y13, Y0, Y0
+	VPSUBQ    Y5, Y1, Y1
+	VPSLLQ    $32, Y1, Y1
+	VPBLENDD  $0xAA, Y1, Y0, Y0  // odd dwords from Y1
+	VPADDD    Y14, Y0, Y0
+	VPMINSD   Y15, Y0, Y0
+	VPACKUSDW Y0, Y0, Y0         // per 128-bit half: lanes 0–3 | lanes 4–7
+	VPACKUSWB Y0, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPUNPCKLDQ   X1, X0, X0      // bytes of lanes 0–3, then 4–7
+	VMOVQ     X0, (R12)
+	ADDQ R8, R12
+	ADDQ R10, R13
+	DECQ CX
+	JNZ  rqpixel
+
+	ADDQ $8, DI
+	ADDQ $32, SI
+	ADDQ $288, R9
+	DECQ R11
+	JNZ  rqgroup
+
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

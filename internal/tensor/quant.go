@@ -34,6 +34,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"seaice/internal/pool"
 )
@@ -245,12 +246,19 @@ type RequantLane struct {
 }
 
 // NewRequantLane pairs a channel's accumulator bias with its multiplier.
+// r.Shift must lie in NewRequant's range [1, 62]: the vector epilogue's
+// logical shift is only exact there (see requantGroupWords).
 func NewRequantLane(bias int32, r Requant) RequantLane {
+	if r.Shift < 1 || r.Shift > 62 {
+		panic(fmt.Sprintf("tensor: requant shift %d outside [1, 62]", r.Shift))
+	}
 	return RequantLane{m: int64(r.M), round: 1 << (r.Shift - 1), bias: bias, shift: r.Shift}
 }
 
-// RequantClampRow is the quantized layers' shared epilogue over a row of
-// npx pixels: dst[p·dstStep+c] = RequantClamp(acc[p·accStep+c]+bias_c, r_c, z)
+// RequantClampRow is the scalar form of the quantized layers' epilogue
+// over a row of npx pixels — the "ref" backend's Int8Ops.RequantRow, and
+// the loop SIMD backends finish a row's tail lanes with:
+// dst[p·dstStep+c] = RequantClamp(acc[p·accStep+c]+bias_c, r_c, z)
 // for every lane c. Pixel-major on both sides, so a kernel's accumulator
 // row is read and an NHWC output row written contiguously. The int32 sum
 // acc+bias wraps exactly as the scalar form's does.
@@ -269,6 +277,51 @@ func RequantClampRow(dst []uint8, dstStep int, acc []int32, accStep, npx int, la
 			d[c] = uint8(min(max(y, 0), QuantMax))
 		}
 	}
+}
+
+// RequantTable is the epilogue of one group of output channels that are
+// requantized together (a QConv's channels, one tap of a QConvT), laid out
+// once at layer construction for every backend's Int8Ops.RequantRow: the
+// scalar lanes, and for each full group of eight of them the constants an
+// eight-lane vector kernel keeps in registers.
+type RequantTable struct {
+	lanes []RequantLane
+	// groups holds requantGroupWords uint64 per full group of eight
+	// lanes, nine 32-byte vectors in this order: the eight biases (two
+	// int32 per word), then multiplier, round+2⁶², shift and 2⁶²≫shift,
+	// each as the four even lanes' qwords followed by the four odd lanes'.
+	groups []uint64
+}
+
+// requantGroupWords is the size of one eight-lane group of
+// RequantTable.groups. The 2⁶² terms are what let a kernel without a
+// 64-bit arithmetic right shift (AVX2) divide exactly: with v = acc+bias
+// and p = v·m + round, |p| < 2⁶²+2⁶¹, so p+2⁶² is non-negative and a
+// logical shift floors it; 2⁶² is a multiple of 2^shift for every shift ≤
+// 62, so floor((p+2⁶²)/2^s) − 2⁶²/2^s = floor(p/2^s) — the scalar form's
+// arithmetic shift, of which both keep the low 32 bits.
+const requantGroupWords = 9 * 4
+
+// NewRequantTable lays out the lanes of one requantization group.
+func NewRequantTable(lanes []RequantLane) *RequantTable {
+	t := &RequantTable{lanes: slices.Clone(lanes), groups: make([]uint64, len(lanes)/8*requantGroupWords)}
+	for g := 0; g+8 <= len(lanes); g += 8 {
+		w := t.groups[g/8*requantGroupWords:][:requantGroupWords]
+		for i, l := range lanes[g : g+8] {
+			w[i/2] |= uint64(uint32(l.bias)) << (i % 2 * 32)
+			q := 4 + i%2*4 + i/2 // even lanes' qwords, then odd lanes'
+			w[q] = uint64(l.m)
+			w[q+8] = uint64(l.round) + 1<<62
+			w[q+16] = uint64(l.shift)
+			w[q+24] = 1 << 62 >> l.shift
+		}
+	}
+	return t
+}
+
+// requantRowRef is Int8Ops.RequantRow one scalar lane at a time.
+func requantRowRef(dst []uint8, dstStep int, acc []int32, accStep, npx int, t *RequantTable, z uint8) {
+	RequantClampRow(dst, dstStep, acc, accStep, npx, t.lanes, z)
 }
 
 // RequantClamp applies r and clamps into the activation domain

@@ -249,3 +249,83 @@ func TestRequantClampRow(t *testing.T) {
 		}
 	}
 }
+
+// TestRequantRowConformance: every registered int8 backend's RequantRow is
+// byte-equal to RequantClamp applied element by element — lane counts on
+// both sides of the eight-lane vector group, odd and even pixel counts,
+// accumulator rows wider than the lanes, the QConvT scatter's output
+// strides, every (lane position, shift 1–62, multiplier kind) combination,
+// int32 extremes that make acc+bias wrap, and every kind of zero-point.
+// Canary bytes between pixels and after the last lane must survive.
+func TestRequantRowConformance(t *testing.T) {
+	rng := noise.NewRNG(22, 0x7e9a)
+	corners := []int32{0, 1, -1, 1 << 15, -(1 << 15), 1 << 30, -(1 << 30), math.MaxInt32, math.MinInt32}
+	draw := func() int32 {
+		if i := int(rng.Uint64() % uint64(len(corners)+3)); i < len(corners) {
+			return corners[i]
+		}
+		return int32(rng.Uint64()) >> (rng.Uint64() % 28)
+	}
+	const canary, slack = 0xEE, 16
+	zs := []uint8{0, 9, 77, QuantMax}
+	for _, name := range Int8BackendNames() {
+		ops := backendByName(t, name)
+		if !ops.availableForTest() {
+			continue
+		}
+		for _, nl := range []int{1, 3, 7, 8, 9, 12, 16, 24, 64} {
+			accStep, accOff := Int8LanePad(nl)+8, nl%4 // a tap group starts mid-row
+			pad4 := (nl + 3) &^ 3
+			for _, dstStep := range []int{nl, pad4, 2 * pad4} {
+				for npx := 1; npx <= 11; npx++ {
+					acc := make([]int32, accOff+npx*accStep)
+					dst := make([]uint8, npx*dstStep+slack)
+					for base := 0; base < 62*3; base++ {
+						req := make([]Requant, nl)
+						bias := make([]int32, nl)
+						lanes := make([]RequantLane, nl)
+						for c := range lanes {
+							m := int32(1 << 30)
+							switch (base/62 + c) % 3 {
+							case 1:
+								m = math.MaxInt32
+							case 2:
+								m |= int32(rng.Uint64() >> 34)
+							}
+							req[c] = Requant{M: m, Shift: uint8((base+c)%62 + 1)}
+							bias[c] = draw()
+							lanes[c] = NewRequantLane(bias[c], req[c])
+						}
+						for i := range acc {
+							acc[i] = draw()
+						}
+						for i := range dst {
+							dst[i] = canary
+						}
+						z := zs[(base+npx)%len(zs)]
+						ops.RequantRow(dst, dstStep, acc[accOff:], accStep, npx, NewRequantTable(lanes), z)
+						for i, got := range dst {
+							want := uint8(canary)
+							if p, c := i/dstStep, i%dstStep; p < npx && c < nl {
+								want = RequantClamp(acc[accOff+p*accStep+c]+bias[c], req[c], z)
+							}
+							if got != want {
+								t.Fatalf("%s lanes=%d dstStep=%d npx=%d base=%d z=%d: dst[%d] = %d, want %d",
+									name, nl, dstStep, npx, base, z, i, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+		// Nothing to do is legal and touches nothing.
+		one := NewRequantTable([]RequantLane{NewRequantLane(5, Requant{M: 1 << 30, Shift: 31})})
+		dst := []uint8{canary}
+		ops.RequantRow(dst, 1, []int32{7}, 1, 0, one, 0)
+		ops.RequantRow(dst, 1, []int32{7}, 1, 1, NewRequantTable(nil), 0)
+		ops.RequantRow(nil, 8, nil, 8, 0, one, 0)
+		if dst[0] != canary {
+			t.Fatalf("%s: an empty row or table wrote %d", name, dst[0])
+		}
+	}
+}

@@ -148,8 +148,9 @@ echo "ok: survived worker kill with identical bytes"
 echo "== overload: load past capacity with a slow node, deadlines attached"
 # Fresh 2-node cluster built to overrun: node A latches a +200ms
 # per-batch slow fault, queues are tiny, worker caches are off so every
-# request really computes. 32 concurrent deadline-carrying clients then
-# storm the coordinator; the only legal outcomes are 200/429/504.
+# request really computes. 32 deadline-carrying clients, launched faster
+# than the cluster drains them, then storm the coordinator; the only
+# legal outcomes are 200/429/504.
 "$TMP/seaice-serve" -ckpt "$CKPT" -tile 32 -addr 127.0.0.1:17751 -workers 1 \
     -batch 1 -queue 2 -cache 0 -chaos "11:slownode@0:200ms" >"$TMP/slow.log" 2>&1 &
 S1=$!
@@ -164,15 +165,36 @@ wait_healthy 127.0.0.1:17751
 wait_healthy 127.0.0.1:17752
 wait_healthy 127.0.0.1:17750
 
+# The storm is shaped by this host's speed: one healthy round trip to the
+# fast node, timed now. Clients launch one round trip apart (at most
+# 100 ms) — the fast node's full rate, and ≥4× what the slow node's
+# +200 ms latch lets it drain, so the load stays past capacity — because
+# launched all at once nothing orders their strips: each node admits
+# whichever arrive first into its 2-tile queue, and about one run in
+# twelve no request won a slot on BOTH nodes ("nothing served"; every
+# status was 429, none 504). The deadline is 12 round trips, never under
+# the 2 s that is ample on an idle machine. The invariants asserted below
+# do not change.
+RT_MS=$(curl -s -o /dev/null -w '%{time_total}' -X POST --data-binary @"$SCENE" \
+    -H 'Content-Type: image/png' "http://127.0.0.1:17752/classify" |
+    awk '{ printf "%d", $1 * 1000 + 1 }')
+DEADLINE_MS=$((RT_MS * 12))
+[ "$DEADLINE_MS" -lt 2000 ] && DEADLINE_MS=2000
+GAP_MS=$RT_MS
+[ "$GAP_MS" -gt 100 ] && GAP_MS=100
+GAP=$(awk "BEGIN { printf \"%.3f\", $GAP_MS / 1000 }")
+echo "healthy round trip ${RT_MS}ms -> client gap ${GAP}s, deadline ${DEADLINE_MS}ms"
+
 rm -f "$TMP"/code.*
 CURL_PIDS=""
 i=0
 while [ "$i" -lt 32 ]; do
     curl -s -o /dev/null -w '%{http_code}' -X POST --data-binary @"$SCENE" \
-        -H 'Content-Type: image/png' -H 'X-Seaice-Deadline-Ms: 2000' \
+        -H 'Content-Type: image/png' -H "X-Seaice-Deadline-Ms: $DEADLINE_MS" \
         "http://127.0.0.1:17750/classify" >"$TMP/code.$i" &
     CURL_PIDS="$CURL_PIDS $!"
     i=$((i + 1))
+    sleep "$GAP"
 done
 for pid in $CURL_PIDS; do wait "$pid" || true; done
 
