@@ -69,6 +69,9 @@ func main() {
 		verifyState(*state, *ckpt)
 		return
 	}
+	if err := train.CheckLR(*lr); err != nil {
+		log.Fatal(err)
+	}
 	pool.SetSharedWorkers(*procs)
 	log.Printf("compute kernels: %d workers", pool.Shared().Workers())
 

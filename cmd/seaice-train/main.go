@@ -49,6 +49,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -71,6 +72,11 @@ import (
 
 // options carries the parsed flags into the precision-generic run.
 type options struct {
+	precision  string
+	procs      int
+	chaosSpec  string
+	verifySnap string
+
 	preset   string
 	scenes   int
 	size     int
@@ -107,38 +113,64 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("seaice-train: ")
 
-	var (
-		o         options
-		precision = flag.String("precision", "f32", "compute precision: f32 (mixed, f64 master weights) | f64 (reference)")
-		procs     = flag.Int("procs", 0, "worker threads for the training engine's kernels (0 = all cores)")
-		chaosSpec = flag.String("chaos", "", `deterministic fault schedule, e.g. "7:crash@3:r1,kill@9" (see internal/chaos)`)
-		peersSpec = flag.String("peers", "", "comma-separated host:port list of every rank — run this process as one rank of a TCP cluster")
-	)
-	flag.IntVar(&o.rank, "rank", 0, "this process's rank within -peers")
-	flag.StringVar(&o.clusterID, "cluster-id", "seaice", "cluster identity checked during the transport handshake")
-	flag.StringVar(&o.preset, "preset", "fast", "model preset: fast | paper")
-	flag.IntVar(&o.scenes, "scenes", 12, "scenes in the training campaign")
-	flag.IntVar(&o.size, "size", 256, "scene size")
-	flag.IntVar(&o.tile, "tile", 32, "tile size")
-	flag.StringVar(&o.labels, "labels", "auto", "training labels: manual | auto")
-	flag.StringVar(&o.labSpec, "labeler", "hsv", "auto-labeling engine: hsv|kmeans|gmm[:k]")
-	focalSpec := flag.String("focal", "", `train with focal loss: "gamma" or "gamma:a0,a1,a2" per-class alphas (e.g. 2 or 2:0.25,1,0.5); empty = cross-entropy`)
-	flag.IntVar(&o.epochs, "epochs", 8, "training epochs")
-	flag.IntVar(&o.batch, "batch", 8, "batch size (per worker when -workers > 1)")
-	flag.Float64Var(&o.lr, "lr", 0.01, "Adam learning rate")
-	flag.IntVar(&o.workers, "workers", 1, "simulated GPUs for distributed training")
-	flag.IntVar(&o.maxTiles, "max-tiles", 256, "cap on training tiles (0 = all)")
-	flag.Uint64Var(&o.seed, "seed", 7, "seed")
-	flag.StringVar(&o.ckpt, "ckpt", "unet.ckpt", "checkpoint output path")
-	flag.BoolVar(&o.elastic, "elastic", false, "continue degraded over survivors after a crash instead of heal-and-retry")
-	flag.StringVar(&o.snapshot, "snapshot", "", "persist mid-epoch training snapshots to this file (enables -resume)")
-	flag.IntVar(&o.snapEvery, "snapshot-every", 0, "steps between snapshots (0 = every 8)")
-	flag.IntVar(&o.snapKeep, "snapshot-keep", 0, "snapshot rotation depth: newest plus keep-1 fallback generations (0 = 2)")
-	flag.BoolVar(&o.resume, "resume", false, "resume from the -snapshot file's newest verifiable rotation entry")
-	guardSpec := flag.String("guard", "", `numeric anomaly guard: "skip" or "abort", optionally ":maxnorm" (e.g. skip:1e3); empty = off`)
-	verifySnap := flag.String("verify-snapshot", "", "scrub mode: verify the integrity of this snapshot file (and its rotation entries), report per section, and exit")
-	flag.BoolVar(&o.quantize, "quantize", false, "post-training-quantize: calibrate on training tiles and write a v3 quantized checkpoint (serves f64, f32, and int8)")
-	flag.Parse()
+	o, err := parseFlags(os.Args[1:], flag.ExitOnError)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if o.verifySnap != "" {
+		verifySnapshot(o.verifySnap, o.snapKeep)
+		return
+	}
+	pool.SetSharedWorkers(o.procs)
+	log.Printf("training engine: %d kernel workers, %s precision", pool.Shared().Workers(), o.precision)
+	if o.chaos != nil {
+		log.Printf("chaos: injecting %d seeded faults (%s)", o.chaos.Remaining(), o.chaosSpec)
+	}
+	if o.precision == "f32" {
+		run[float32](o, true)
+	} else {
+		run[float64](o, false)
+	}
+}
+
+// parseFlags parses the command line and checks everything about it that
+// can be checked before any work starts; main exits on its error. With
+// -verify-snapshot only the rotation depth matters and nothing else is
+// validated.
+func parseFlags(args []string, onError flag.ErrorHandling) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("seaice-train", onError)
+	fs.StringVar(&o.precision, "precision", "f32", "compute precision: f32 (mixed, f64 master weights) | f64 (reference)")
+	fs.IntVar(&o.procs, "procs", 0, "worker threads for the training engine's kernels (0 = all cores)")
+	fs.StringVar(&o.chaosSpec, "chaos", "", `deterministic fault schedule, e.g. "7:crash@3:r1,kill@9" (see internal/chaos)`)
+	peersSpec := fs.String("peers", "", "comma-separated host:port list of every rank — run this process as one rank of a TCP cluster")
+	fs.IntVar(&o.rank, "rank", 0, "this process's rank within -peers")
+	fs.StringVar(&o.clusterID, "cluster-id", "seaice", "cluster identity checked during the transport handshake")
+	fs.StringVar(&o.preset, "preset", "fast", "model preset: fast | paper")
+	fs.IntVar(&o.scenes, "scenes", 12, "scenes in the training campaign")
+	fs.IntVar(&o.size, "size", 256, "scene size")
+	fs.IntVar(&o.tile, "tile", 32, "tile size")
+	fs.StringVar(&o.labels, "labels", "auto", "training labels: manual | auto")
+	fs.StringVar(&o.labSpec, "labeler", "hsv", "auto-labeling engine: hsv|kmeans|gmm[:k]")
+	focalSpec := fs.String("focal", "", `train with focal loss: "gamma" or "gamma:a0,a1,a2" per-class alphas (e.g. 2 or 2:0.25,1,0.5); empty = cross-entropy`)
+	fs.IntVar(&o.epochs, "epochs", 8, "training epochs")
+	fs.IntVar(&o.batch, "batch", 8, "batch size (per worker when -workers > 1)")
+	fs.Float64Var(&o.lr, "lr", 0.01, "Adam learning rate")
+	fs.IntVar(&o.workers, "workers", 1, "simulated GPUs for distributed training")
+	fs.IntVar(&o.maxTiles, "max-tiles", 256, "cap on training tiles (0 = all)")
+	fs.Uint64Var(&o.seed, "seed", 7, "seed")
+	fs.StringVar(&o.ckpt, "ckpt", "unet.ckpt", "checkpoint output path")
+	fs.BoolVar(&o.elastic, "elastic", false, "continue degraded over survivors after a crash instead of heal-and-retry")
+	fs.StringVar(&o.snapshot, "snapshot", "", "persist mid-epoch training snapshots to this file (enables -resume)")
+	fs.IntVar(&o.snapEvery, "snapshot-every", 0, "steps between snapshots (0 = every 8)")
+	fs.IntVar(&o.snapKeep, "snapshot-keep", 0, "snapshot rotation depth: newest plus keep-1 fallback generations (0 = 2)")
+	fs.BoolVar(&o.resume, "resume", false, "resume from the -snapshot file's newest verifiable rotation entry")
+	guardSpec := fs.String("guard", "", `numeric anomaly guard: "skip" or "abort", optionally ":maxnorm" (e.g. skip:1e3); empty = off`)
+	fs.StringVar(&o.verifySnap, "verify-snapshot", "", "scrub mode: verify the integrity of this snapshot file (and its rotation entries), report per section, and exit")
+	fs.BoolVar(&o.quantize, "quantize", false, "post-training-quantize: calibrate on training tiles and write a v3 quantized checkpoint (serves f64, f32, and int8)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
 	// Resolve the rotation depth here, once: save rotation, resume
 	// fallback, and -verify-snapshot must all walk the same number of
 	// generations, and ddp only normalizes the value carried in its
@@ -146,20 +178,19 @@ func main() {
 	if o.snapKeep <= 0 {
 		o.snapKeep = ddp.DefaultSnapshotKeep
 	}
-	if *verifySnap != "" {
-		verifySnapshot(*verifySnap, o.snapKeep)
-		return
+	if o.verifySnap != "" {
+		return o, nil
 	}
 	var err error
 	if o.guard, err = train.ParseGuard(*guardSpec); err != nil {
-		log.Fatal(err)
+		return o, err
 	}
 	if o.focal, err = parseFocal(*focalSpec); err != nil {
-		log.Fatal(err)
+		return o, err
 	}
-	pool.SetSharedWorkers(*procs)
-	log.Printf("training engine: %d kernel workers, %s precision", pool.Shared().Workers(), *precision)
-
+	if err := train.CheckLR(o.lr); err != nil {
+		return o, err
+	}
 	if *peersSpec != "" {
 		for _, p := range strings.Split(*peersSpec, ",") {
 			if p = strings.TrimSpace(p); p != "" {
@@ -167,21 +198,21 @@ func main() {
 			}
 		}
 		if o.rank < 0 || o.rank >= len(o.peers) {
-			log.Fatalf("-rank %d outside -peers list of %d", o.rank, len(o.peers))
+			return o, fmt.Errorf("-rank %d outside -peers list of %d", o.rank, len(o.peers))
 		}
 		// In net mode the world size is the peer list; -workers must
 		// agree when set.
 		if o.workers != 1 && o.workers != len(o.peers) {
-			log.Fatalf("-workers %d conflicts with %d -peers (omit -workers in net mode)", o.workers, len(o.peers))
+			return o, fmt.Errorf("-workers %d conflicts with %d -peers (omit -workers in net mode)", o.workers, len(o.peers))
 		}
 		o.workers = len(o.peers)
 	} else {
 		o.rank = 0 // -rank names a position within -peers only
 	}
-	if *chaosSpec != "" {
-		sched, err := chaos.Parse(*chaosSpec)
+	if o.chaosSpec != "" {
+		sched, err := chaos.Parse(o.chaosSpec)
 		if err != nil {
-			log.Fatal(err)
+			return o, err
 		}
 		o.chaos = chaos.New(sched, o.workers)
 		if len(o.peers) > 0 {
@@ -189,24 +220,18 @@ func main() {
 			// single process (ddp.NewNet rejects the replica-crash kind).
 			for _, k := range []chaos.Kind{chaos.StagePanic, chaos.ServePanic} {
 				if o.chaos.Count(k) > 0 {
-					log.Fatalf("chaos kind %q is in-process only and cannot be injected in -peers mode", k)
+					return o, fmt.Errorf("chaos kind %q is in-process only and cannot be injected in -peers mode", k)
 				}
 			}
 		}
-		log.Printf("chaos: injecting %d seeded faults (%s)", o.chaos.Remaining(), *chaosSpec)
 	}
 	if o.resume && o.snapshot == "" {
-		log.Fatal("-resume requires -snapshot <path>")
+		return o, errors.New("-resume requires -snapshot <path>")
 	}
-
-	switch *precision {
-	case "f32":
-		run[float32](o, true)
-	case "f64":
-		run[float64](o, false)
-	default:
-		log.Fatalf("unknown precision %q (want f32 or f64)", *precision)
+	if o.precision != "f32" && o.precision != "f64" {
+		return o, fmt.Errorf("unknown precision %q (want f32 or f64)", o.precision)
 	}
+	return o, nil
 }
 
 // run executes the whole train → evaluate → checkpoint flow in the chosen

@@ -321,6 +321,9 @@ func newTrainer[S tensor.Scalar](modelCfg unet.Config, cfg Config, group *ring.G
 	if cfg.BatchPerWorker <= 0 || cfg.Epochs <= 0 {
 		return nil, fmt.Errorf("ddp: invalid batch %d or epochs %d", cfg.BatchPerWorker, cfg.Epochs)
 	}
+	if train.CheckLR(cfg.LR) != nil {
+		return nil, fmt.Errorf("ddp: invalid learning rate %g", cfg.LR)
+	}
 	if cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = DefaultSnapshotEvery
 	}

@@ -166,13 +166,30 @@ func TestVirtualTiming(t *testing.T) {
 // TestConfigErrors rejects invalid configurations.
 func TestConfigErrors(t *testing.T) {
 	for _, cfg := range []Config{
-		{Workers: 0, BatchPerWorker: 1, Epochs: 1},
-		{Workers: 1, BatchPerWorker: 0, Epochs: 1},
-		{Workers: 1, BatchPerWorker: 1, Epochs: 0},
+		{Workers: 0, BatchPerWorker: 1, Epochs: 1, LR: 0.01},
+		{Workers: 1, BatchPerWorker: 0, Epochs: 1, LR: 0.01},
+		{Workers: 1, BatchPerWorker: 1, Epochs: 0, LR: 0.01},
+		{Workers: 1, BatchPerWorker: 1, Epochs: 1, LR: 0},
+		{Workers: 1, BatchPerWorker: 1, Epochs: 1, LR: -1},
+		{Workers: 1, BatchPerWorker: 1, Epochs: 1, LR: math.NaN()},
+		{Workers: 1, BatchPerWorker: 1, Epochs: 1, LR: math.Inf(1)},
 	} {
 		if _, err := New[float64](noDropoutConfig(1), cfg); err == nil {
-			t.Fatalf("config %+v should be rejected", cfg)
+			t.Fatalf("New: config %+v should be rejected", cfg)
 		}
+		if cfg.Workers != 1 {
+			continue
+		}
+		locals, err := ring.NewLocal[float64](1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewNet[float64](noDropoutConfig(1), cfg, locals[0]); err == nil {
+			t.Fatalf("NewNet: config %+v should be rejected", cfg)
+		}
+	}
+	if _, err := New[float64](noDropoutConfig(1), Config{Workers: 1, BatchPerWorker: 1, Epochs: 1, LR: 0.01}); err != nil {
+		t.Fatalf("the valid config is rejected: %v", err)
 	}
 }
 

@@ -96,13 +96,19 @@ func TestWeightGradGemmMatchesDirect(t *testing.T) {
 // backend and any worker count. Tile budgets of 3 and 5 tile rows end
 // batches in the middle of an image, and the pool's 2- and 3-way splits
 // of the (image, tile-row) units start ranges in the middle of one. The
-// per-row engine result is the single reference for all of them.
+// per-row engine result is the single reference for all of them. (Special
+// values, ReLU off and out-of-range writes are
+// TestWinogradTransformConformance's.)
 func TestWinogradBatchedMatchesPerRow(t *testing.T) {
 	type shape struct{ n, ca, cb, outC, h, w int }
 	shapes := []shape{
 		{4, 8, 0, 8, 32, 32}, {4, 16, 16, 8, 16, 16}, {4, 32, 32, 32, 8, 8}, {5, 64, 0, 64, 4, 4},
 		{3, 4, 4, 8, 32, 32}, {2, 16, 16, 16, 8, 8}, {5, 8, 8, 16, 8, 8}, {2, 32, 0, 32, 4, 4}, {3, 16, 16, 32, 4, 4},
-		{3, 5, 4, 7, 12, 20},                                         // F(4×4), ragged channel counts
+		{3, 5, 4, 7, 12, 20}, // F(4×4), ragged channel counts
+		// Batches that are not a multiple of the eight tiles a SIMD backend
+		// transforms per register: 12 and 9 tiles in one batch, 10-tile
+		// batches at rows=5, and exactly eight images in one register.
+		{3, 8, 8, 8, 8, 8}, {9, 16, 0, 16, 4, 4}, {6, 4, 4, 8, 8, 8}, {8, 32, 0, 32, 4, 4},
 		{3, 4, 3, 6, 6, 10}, {4, 8, 8, 5, 2, 2}, {2, 3, 0, 4, 14, 6}, // F(2×2) planes
 		{2, 4, 0, 4, 6, 6}, {5, 3, 3, 4, 6, 6},
 	}

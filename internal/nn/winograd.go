@@ -25,6 +25,23 @@ import (
 // the 4² level of a 4-image step, n = 4 — still runs the scalar panel; a
 // 4-column SIMD tile for it waits in ROADMAP.
 //
+// The F(4×4) input transform vectorises the same way — across tiles, never
+// within one. A batch's tiles are consecutive in every V stream, so in4
+// takes them eight at a time: lane l of a group that starts at batch tile
+// b is tile b+l, whichever image or tile row it came from — one rule for
+// the 32², 16², 8² and 4² levels. in4 gathers the eight 6×6 windows into a
+// lane-minor staging block, and a full group goes to the float backend's
+// FloatOps.WinoIn4 when it has one (avx2: shuffle-free assembly, one YMM
+// register = one stencil operand of eight tiles). The scalar stencil
+// bt4Row, applied per lane by in4Lanes, is the definition: it is the only
+// path on the engine backend, in float64 and off amd64, it runs every
+// group narrower than eight tiles (the 4² level of a 4-image step, ragged
+// batch ends), and a backend's kernel must reproduce its left-to-right
+// rounding bit for bit (TestWinogradTransformConformance). The output
+// transform, the filter transform and F(2×2) stay scalar: the first two
+// are measured and waiting in ROADMAP (the benchmark's fixed-work window
+// cannot hold them yet), the last never runs in training.
+//
 // F(2×2) stays. It only ever runs in float32 inference sessions on planes
 // that are even but not ÷4 (training takes Winograd on ÷4 planes only),
 // and sending those planes to the direct kernel instead — which would
@@ -77,7 +94,9 @@ const (
 )
 
 // plan sets how many (image, tile-row) units share one batch of the job
-// and returns the V and M scratch sizes such a batch needs.
+// and returns the V and M scratch sizes such a batch needs. An F(4×4) V
+// scratch ends in in4's staging block: handed to a backend kernel through
+// a function value it would escape to the heap if it were a local array.
 func (wg *Winograd[S]) plan(j *winoJob[S]) (vsz, msz int) {
 	tiles := wg.batchTiles
 	if tiles == 0 {
@@ -86,7 +105,11 @@ func (wg *Winograd[S]) plan(j *winoJob[S]) (vsz, msz int) {
 	tw := j.w / j.tile
 	j.rowsPerCall = min(max(1, tiles/tw), j.n*(j.h/j.tile))
 	comps := (j.tile + 2) * (j.tile + 2)
-	return comps * j.inC * j.rowsPerCall * tw, comps * j.outC * j.rowsPerCall * tw
+	vsz, msz = comps*j.inC*j.rowsPerCall*tw, comps*j.outC*j.rowsPerCall*tw
+	if j.tile == 4 {
+		vsz += lanes * 36
+	}
+	return vsz, msz
 }
 
 // NewWinograd returns an empty transform engine; static marks the
@@ -307,6 +330,42 @@ func (wg *Winograd[S]) InputGradBatch(p *pool.Pool, c *Conv2D[S], dout []S, n, h
 	})
 }
 
+// WinogradTransforms4 returns functions that run only the F(4×4,3×3)
+// input transform and only the output transform (bias and ReLU included)
+// of one step of n images of c channels on h×w planes, batch by batch as
+// ConvBatch would, under the active float backend. It is the timing seam
+// for BenchmarkWinogradTransforms: the transforms are internal to a
+// convolution and cannot be timed apart from its products otherwise.
+func WinogradTransforms4[S tensor.Scalar](n, c, h, w int) (in, out func()) {
+	x := make([]S, n*c*h*w)
+	for i := range x {
+		x[i] = S(i%13) - 6
+	}
+	j := &winoJob[S]{
+		tile: 4, bias: make([]S, c), src: convSrc[S]{xa: x, ca: c},
+		n: n, h: h, w: w, inC: c, outC: c, dst: make([]S, len(x)), relu: true,
+	}
+	vsz, msz := NewWinograd[S](false).plan(j)
+	v, m := make([]S, vsz), make([]S, msz)
+	copy(m, x)
+	th, tw := h/4, w/4
+	batches := func(transform func(lo, end, cn int)) func() {
+		return func() {
+			for lo, units := 0, n*th; lo < units; lo += j.rowsPerCall {
+				end := min(lo+j.rowsPerCall, units)
+				transform(lo, end, (end-lo)*tw)
+			}
+		}
+	}
+	in = batches(func(lo, _, cn int) { j.in4(lo, cn, v) })
+	out = batches(func(lo, end, cn int) {
+		for t := lo; t < end; t++ {
+			j.out4(t/th, t%th, m, cn, (t-lo)*tw)
+		}
+	})
+	return in, out
+}
+
 // runTasks fans the F(4×4,3×3) job's (image, tile-row) units out on the
 // pool. Each range call borrows one scratch pair; task outputs are
 // disjoint dst rows, so any partitioning yields bit-identical results.
@@ -338,10 +397,10 @@ func (j *winoJob[S]) run(lo, hi int, vbuf, mbuf []S) {
 	for lo < hi {
 		end := min(lo+j.rowsPerCall, hi)
 		cn := (end - lo) * tw
-		for t := lo; t < end; t++ {
-			if j.tile == 4 {
-				j.in4(t/th, t%th, vbuf, cn, (t-lo)*tw)
-			} else {
+		if j.tile == 4 {
+			j.in4(lo, cn, vbuf)
+		} else {
+			for t := lo; t < end; t++ {
 				j.in2(t/th, t%th, vbuf, cn, (t-lo)*tw)
 			}
 		}
@@ -383,59 +442,104 @@ func at4Row[S tensor.Scalar](m0, m1, m2, m3, m4, m5 S) (y0, y1, y2, y3 S) {
 	return
 }
 
-// in4 is the F(4×4,3×3) input transform of tile row ty of image img:
-// V[u][ic][off+tx] = (Bᵀ·d·B)[u] over 6×6 input windows, into a V whose
-// rows hold cn tiles. Interior tiles take a branch-free fast path on six
-// row slices.
-func (j *winoJob[S]) in4(img, ty int, vbuf []S, cn, off int) {
-	h, w, inC := j.h, j.w, j.inC
-	tw := w / 4
-	var vr [36][]S
-	y0 := 4*ty - 1
-	interiorY := y0 >= 0 && y0+6 <= h
-	for ic := 0; ic < inC; ic++ {
-		xsrc := j.src.plane(ic, img, j.n, h*w)
-		for idx := 0; idx < 36; idx++ {
-			vr[idx] = vbuf[(idx*inC+ic)*cn+off : (idx*inC+ic)*cn+off+tw]
+// lanes is how many consecutive tiles of a batch the F(4×4,3×3) input
+// transform stages together: lane l of a group starting at batch tile b is
+// tile b+l, whichever image and tile row that is.
+const lanes = tensor.WinoLanes
+
+// tileCursor walks a batch's tiles in V order: along a tile row, down the
+// tile rows of an image, on into the next image.
+type tileCursor struct{ img, ty, tx int }
+
+func (c *tileCursor) next(th, tw int) {
+	if c.tx++; c.tx == tw {
+		c.tx = 0
+		if c.ty++; c.ty == th {
+			c.ty = 0
+			c.img++
 		}
-		for tx := 0; tx < tw; tx++ {
-			x0 := 4*tx - 1
-			var d [36]S
-			if interiorY && x0 >= 0 && x0+6 <= w {
-				p := y0*w + x0
-				for r := 0; r < 6; r++ {
-					row := xsrc[p+r*w : p+r*w+6 : p+r*w+6]
-					d[r*6+0], d[r*6+1], d[r*6+2] = row[0], row[1], row[2]
-					d[r*6+3], d[r*6+4], d[r*6+5] = row[3], row[4], row[5]
-				}
+	}
+}
+
+// in4 is the F(4×4,3×3) input transform of the cn tiles of the batch that
+// starts at unit lo: V[idx][ic][b] = (Bᵀ·d·B)[idx] of batch tile b's 6×6
+// input window. Per channel, groups of up to eight tiles are gathered
+// into the lane-minor staging block at the end of vbuf (see plan); a full
+// group goes to the float backend's WinoIn4 when it has one, anything else
+// through in4Lanes.
+func (j *winoJob[S]) in4(lo, cn int, vbuf []S) {
+	h, w := j.h, j.w
+	th, tw := h/4, w/4
+	kern := tensor.Float[S]().WinoIn4
+	stride := j.inC * cn
+	d := (*[lanes * 36]S)(vbuf[len(vbuf)-lanes*36:])
+	for ic := 0; ic < j.inC; ic++ {
+		cur := tileCursor{img: lo / th, ty: lo % th}
+		for b := 0; b < cn; b += lanes {
+			nl := min(lanes, cn-b)
+			for l := 0; l < nl; l++ {
+				window4(j.src.plane(ic, cur.img, j.n, h*w), h, w, 4*cur.ty-1, 4*cur.tx-1, d[l:])
+				cur.next(th, tw)
+			}
+			if v := vbuf[ic*cn+b:]; nl == lanes && kern != nil {
+				kern(v, stride, d)
 			} else {
-				for r := 0; r < 6; r++ {
-					iy := y0 + r
-					if iy < 0 || iy >= h {
-						continue
-					}
-					row := xsrc[iy*w : iy*w+w]
-					for cc := 0; cc < 6; cc++ {
-						ix := x0 + cc
-						if ix >= 0 && ix < w {
-							d[r*6+cc] = row[ix]
-						}
-					}
-				}
+				in4Lanes(v, stride, d, nl)
 			}
-			// Bᵀ·d (column ops) …
-			var t [36]S
-			for cc := 0; cc < 6; cc++ {
-				t0, t1, t2, t3, t4, t5 := bt4Row(d[cc], d[6+cc], d[12+cc], d[18+cc], d[24+cc], d[30+cc])
-				t[cc], t[6+cc], t[12+cc] = t0, t1, t2
-				t[18+cc], t[24+cc], t[30+cc] = t3, t4, t5
+		}
+	}
+}
+
+// window4 gathers the 6×6 window whose corner is (y0, x0) of plane into
+// one lane of a staging block — element k at d[lanes·k] — reading zeros
+// beyond the plane. Interior windows take a branch-free fast path on six
+// row slices.
+func window4[S tensor.Scalar](plane []S, h, w, y0, x0 int, d []S) {
+	if y0 >= 0 && y0+6 <= h && x0 >= 0 && x0+6 <= w {
+		p := y0*w + x0
+		for r := 0; r < 6; r++ {
+			row := plane[p+r*w : p+r*w+6 : p+r*w+6]
+			o := d[6*lanes*r : 6*lanes*r+5*lanes+1]
+			o[0], o[lanes], o[2*lanes] = row[0], row[1], row[2]
+			o[3*lanes], o[4*lanes], o[5*lanes] = row[3], row[4], row[5]
+		}
+		return
+	}
+	for r := 0; r < 6; r++ {
+		o := d[6*lanes*r : 6*lanes*r+5*lanes+1]
+		iy := y0 + r
+		if iy < 0 || iy >= h {
+			o[0], o[lanes], o[2*lanes], o[3*lanes], o[4*lanes], o[5*lanes] = 0, 0, 0, 0, 0, 0
+			continue
+		}
+		row := plane[iy*w : iy*w+w]
+		for cc := 0; cc < 6; cc++ {
+			var x S
+			if ix := x0 + cc; ix >= 0 && ix < w {
+				x = row[ix]
 			}
-			// … then ·B (row ops), one write stream per component.
-			for r := 0; r < 6; r++ {
-				t0, t1, t2, t3, t4, t5 := bt4Row(t[r*6], t[r*6+1], t[r*6+2], t[r*6+3], t[r*6+4], t[r*6+5])
-				vr[r*6+0][tx], vr[r*6+1][tx], vr[r*6+2][tx] = t0, t1, t2
-				vr[r*6+3][tx], vr[r*6+4][tx], vr[r*6+5][tx] = t3, t4, t5
-			}
+			o[lanes*cc] = x
+		}
+	}
+}
+
+// in4Lanes is the scalar definition of tensor.FloatOps.WinoIn4, for the
+// first nl lanes of d: Bᵀ·d (column ops), then ·B (row ops), component
+// idx of lane l to v[idx·stride+l].
+func in4Lanes[S tensor.Scalar](v []S, stride int, d *[lanes * 36]S, nl int) {
+	for l := 0; l < nl; l++ {
+		var t [36]S
+		for cc := 0; cc < 6; cc++ {
+			c := d[lanes*cc+l:]
+			t0, t1, t2, t3, t4, t5 := bt4Row(c[0], c[6*lanes], c[12*lanes], c[18*lanes], c[24*lanes], c[30*lanes])
+			t[cc], t[6+cc], t[12+cc] = t0, t1, t2
+			t[18+cc], t[24+cc], t[30+cc] = t3, t4, t5
+		}
+		for r := 0; r < 6; r++ {
+			t0, t1, t2, t3, t4, t5 := bt4Row(t[r*6], t[r*6+1], t[r*6+2], t[r*6+3], t[r*6+4], t[r*6+5])
+			o := v[6*r*stride+l : (6*r+5)*stride+l+1]
+			o[0], o[stride], o[2*stride] = t0, t1, t2
+			o[3*stride], o[4*stride], o[5*stride] = t3, t4, t5
 		}
 	}
 }

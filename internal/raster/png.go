@@ -6,6 +6,7 @@ import (
 	"image/png"
 	"io"
 	"os"
+	"sync"
 )
 
 // ToImage converts the raster to a standard-library image for encoding.
@@ -52,9 +53,26 @@ func FromImage(src image.Image) *RGB {
 	return m
 }
 
+// pngEncoder is the one encoder every PNG this package writes goes
+// through. Its output is png.Encode's byte for byte; what it adds is the
+// buffer pool, so the ≈0.9 MB deflate state and the row buffers of one
+// encode are reused by the next instead of allocated per image — the
+// serve reply path encodes one PNG per request.
+var pngEncoder = png.Encoder{BufferPool: new(pngBuffers)}
+
+// pngBuffers is a sync.Pool behind png.EncoderBufferPool.
+type pngBuffers struct{ pool sync.Pool }
+
+func (b *pngBuffers) Get() *png.EncoderBuffer {
+	eb, _ := b.pool.Get().(*png.EncoderBuffer)
+	return eb // nil on a miss: the encoder then allocates a fresh one
+}
+
+func (b *pngBuffers) Put(eb *png.EncoderBuffer) { b.pool.Put(eb) }
+
 // EncodePNG writes the raster as a PNG stream.
 func (m *RGB) EncodePNG(w io.Writer) error {
-	return png.Encode(w, m.ToImage())
+	return pngEncoder.Encode(w, m.ToImage())
 }
 
 // WritePNG writes the raster to a PNG file.
@@ -98,7 +116,7 @@ func (m *Gray) WritePNG(path string) error {
 		return fmt.Errorf("raster: %w", err)
 	}
 	defer f.Close()
-	if err := png.Encode(f, m.ToImageGray()); err != nil {
+	if err := pngEncoder.Encode(f, m.ToImageGray()); err != nil {
 		return fmt.Errorf("raster: encode %s: %w", path, err)
 	}
 	return f.Close()

@@ -3,7 +3,9 @@ package raster
 import (
 	"bytes"
 	"image"
+	"image/png"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -85,5 +87,73 @@ func TestFromImageRGBAFastPath(t *testing.T) {
 		if got.W != want.W || got.H != want.H || !bytes.Equal(got.Pix, want.Pix) {
 			t.Errorf("%s: fast path differs from the generic path", name)
 		}
+	}
+}
+
+// TestPooledEncoderMatchesPNGEncode: the package's pooled encoder writes
+// exactly png.Encode's bytes — for rasters of different sizes encoded back
+// to back through the same recycled buffers, a label-like flat one
+// included, and for the grayscale writer — and a warm encode allocates less
+// than png.Encode does, by at least the deflate writer's allocations.
+func TestPooledEncoderMatchesPNGEncode(t *testing.T) {
+	flat := NewRGB(64, 48)
+	for i := range flat.Pix {
+		flat.Pix[i] = uint8(i / (3 * 64 * 16) * 90) // three bands, like a rendered label map
+	}
+	for round := 0; round < 2; round++ { // the second pass encodes over reused buffers
+		for i, m := range []*RGB{randRGB(1, 256, 256), flat, randRGB(3, 17, 5)} {
+			var got, want bytes.Buffer
+			if err := m.EncodePNG(&got); err != nil {
+				t.Fatal(err)
+			}
+			if err := png.Encode(&want, m.ToImage()); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("round %d raster %d: EncodePNG wrote %d bytes that differ from png.Encode's %d", round, i, got.Len(), want.Len())
+			}
+		}
+	}
+	g := NewGray(40, 30)
+	for i := range g.Pix {
+		g.Pix[i] = uint8(i * 7)
+	}
+	path := filepath.Join(t.TempDir(), "gray.png")
+	if err := g.WritePNG(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := png.Encode(&want, g.ToImageGray()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("Gray.WritePNG differs from png.Encode")
+	}
+
+	img := randRGB(5, 256, 256).ToImage()
+	var sink bytes.Buffer
+	sink.Grow(1 << 20)
+	plain := testing.AllocsPerRun(10, func() {
+		sink.Reset()
+		if err := png.Encode(&sink, img); err != nil {
+			t.Fatal(err)
+		}
+	})
+	pooled := testing.AllocsPerRun(10, func() {
+		sink.Reset()
+		if err := pngEncoder.Encode(&sink, img); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocations per 256² encode: png.Encode %.0f, pooled %.0f", plain, pooled)
+	// What a fresh EncoderBuffer costs: the encoder itself, the zlib and
+	// flate writers with their tables, the bufio writer and the row
+	// buffers — at least eight allocations a warm pooled encode skips.
+	if pooled > plain-8 {
+		t.Fatalf("pooled encode allocates %.0f times per image, png.Encode %.0f: the buffers are not being reused", pooled, plain)
 	}
 }

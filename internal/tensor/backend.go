@@ -2,8 +2,9 @@
 // float32, int8) resolves its low-level kernels through a per-kind backend
 // table instead of calling one hard-wired implementation. Both float kinds
 // register the cache-blocked parallel engine from matmul.go; float32
-// additionally registers an AVX2 assembly panel on amd64 hosts that
-// support it (sgemm_amd64.go). The int8 kind registers a scalar reference,
+// additionally registers an AVX2 assembly panel (sgemm_amd64.go) and an
+// eight-tile Winograd input transform (wino_amd64.go) on amd64 hosts that
+// support them. The int8 kind registers a scalar reference,
 // a portable SWAR kernel, and its own AVX2 kernel. Per kind, the
 // highest-priority available backend serves. The seam is what lets the
 // quantized inference path and the SIMD float panel plug in without
@@ -18,7 +19,13 @@
 // so a SIMD backend may only vectorise across independent output columns;
 // that is also what keeps them bit-identical at any worker count
 // (property-tested in backend_test.go; NaN payload bits are not part of
-// the contract). int8 backends compute in exact integer arithmetic — the
+// the contract). The optional Winograd input-transform entry extends the
+// same rule from columns to tiles: a backend may run the stencil of
+// several independent tiles side by side, one tile per lane, but each lane
+// must evaluate internal/nn's scalar expressions in their written order,
+// every product and sum rounded separately — never within a chain, never
+// across lanes (nn.TestWinogradTransformConformance).
+// int8 backends compute in exact integer arithmetic — the
 // convolution sums in any order, the requantization epilogue as the one
 // rounding RequantClamp defines — so cross-backend equality is absolute
 // (qconv_test.go, quant_test.go). Selection is
@@ -60,7 +67,21 @@ type FloatOps[S Scalar] struct {
 	// (whose A×B fans the active Panel out over column ranges).
 	MatMulInto    func(dst, a, b *Tensor[S])
 	MatMulATBInto func(dst, a, b *Tensor[S])
+	// WinoIn4 is the F(4×4,3×3) Winograd input transform of eight tiles
+	// at once, one tile per lane. It is optional: internal/nn's scalar
+	// stencil (bt4Row) is its definition and what runs when a backend
+	// leaves it nil — as the engine does — so a backend that fills it must
+	// reproduce that stencil's left-to-right rounding per lane
+	// (nn.TestWinogradTransformConformance). It takes the tiles' 6×6 input
+	// windows lane-minor — element k of lane l's window at d[8k+l] — and
+	// writes component idx of lane l's Bᵀ·d·B to v[idx·stride+l], idx < 36.
+	// It may overwrite d.
+	WinoIn4 func(v []S, stride int, d *[WinoLanes * 36]S)
 }
+
+// WinoLanes is the number of tiles FloatOps.WinoIn4 transforms per call:
+// one YMM register of float32 lanes.
+const WinoLanes = 8
 
 // Int8Ops is the kernel table for the quantized kind. One entry point
 // covers every quantized layer: a direct u8×s8 convolution over NHWC

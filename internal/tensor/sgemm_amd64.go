@@ -43,5 +43,6 @@ func init() {
 		Available: func() bool { return hasAVX2 },
 		SIMD:      true,
 		Panel:     panelAVX2,
+		WinoIn4:   winoIn4Lanes8,
 	})
 }

@@ -17,6 +17,7 @@ package train
 
 import (
 	"fmt"
+	"math"
 
 	"seaice/internal/metrics"
 	"seaice/internal/nn"
@@ -183,6 +184,17 @@ func (s batcherSource[S]) Epoch(epoch int) func() (*PackedBatch[S], error) {
 	}
 }
 
+// CheckLR rejects a learning rate that is not a positive finite number:
+// zero trains nothing, a negative one climbs the gradient, NaN and +Inf
+// destroy the weights on the first step. Fit, FitStream and the ddp
+// trainers call it; the CLIs call it before generating any scene.
+func CheckLR(lr float64) error {
+	if !(lr > 0) || math.IsInf(lr, 1) {
+		return fmt.Errorf("train: learning rate %g", lr)
+	}
+	return nil
+}
+
 // Fit trains the model on the samples with Adam — the single-GPU
 // baseline of Table III.
 func Fit[S tensor.Scalar](m *unet.Model[S], samples []Sample, cfg Config) (*Result, error) {
@@ -202,6 +214,9 @@ func Fit[S tensor.Scalar](m *unet.Model[S], samples []Sample, cfg Config) (*Resu
 func FitStream[S tensor.Scalar](m *unet.Model[S], src BatchSource[S], cfg Config) (*Result, error) {
 	if cfg.Epochs <= 0 {
 		return nil, fmt.Errorf("train: epochs %d", cfg.Epochs)
+	}
+	if err := CheckLR(cfg.LR); err != nil {
+		return nil, err
 	}
 	if cfg.Focal != nil {
 		m.SetCriterion(nn.NewFocal[S](*cfg.Focal))

@@ -1,6 +1,8 @@
 package train
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"seaice/internal/noise"
@@ -152,5 +154,11 @@ func TestFitValidation(t *testing.T) {
 	}
 	if _, err := Fit(m, nil, Config{Epochs: 1, BatchSize: 1, LR: 0.01}); err == nil {
 		t.Fatal("expected empty-dataset error")
+	}
+	for _, lr := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		want := fmt.Sprintf("train: learning rate %g", lr)
+		if _, err := Fit(m, samples, Config{Epochs: 1, BatchSize: 1, LR: lr}); err == nil || err.Error() != want {
+			t.Fatalf("Fit at learning rate %g = %v, want %q", lr, err, want)
+		}
 	}
 }
