@@ -15,51 +15,6 @@ func constGray(w, h int, v uint8) *raster.Gray {
 	return g
 }
 
-func TestBoxBlurPreservesConstant(t *testing.T) {
-	g := constGray(16, 12, 77)
-	b := BoxBlur(g, 3)
-	for i, v := range b.Pix {
-		if v != 77 {
-			t.Fatalf("constant image changed at %d: %d", i, v)
-		}
-	}
-}
-
-func TestBoxBlurMatchesBruteForce(t *testing.T) {
-	g := randGray(42, 13, 9)
-	radius := 2
-	got := BoxBlur(g, radius)
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			sum, n := 0.0, 0.0
-			for dy := -radius; dy <= radius; dy++ {
-				for dx := -radius; dx <= radius; dx++ {
-					xx, yy := clampIdx(x+dx, g.W), clampIdx(y+dy, g.H)
-					sum += float64(g.At(xx, yy))
-					n++
-				}
-			}
-			// replicate-border box blur normalizes by window area, and
-			// the separable version replicates per axis — recompute the
-			// same way: clamp per axis independently.
-			_ = n
-			sep := 0.0
-			win := float64(2*radius + 1)
-			for dy := -radius; dy <= radius; dy++ {
-				rowSum := 0.0
-				for dx := -radius; dx <= radius; dx++ {
-					rowSum += float64(g.At(clampIdx(x+dx, g.W), clampIdx(y+dy, g.H)))
-				}
-				sep += rowSum
-			}
-			want := sep / (win * win)
-			if math.Abs(float64(got.At(x, y))-want) > 0.75 {
-				t.Fatalf("(%d,%d): got %d want %.2f", x, y, got.At(x, y), want)
-			}
-		}
-	}
-}
-
 func TestGaussianKernelNormalized(t *testing.T) {
 	for _, sigma := range []float64{0.5, 1, 2.5, 8} {
 		k := GaussianKernel(sigma)
@@ -79,23 +34,6 @@ func TestGaussianKernelNormalized(t *testing.T) {
 				t.Fatalf("sigma %.1f: kernel asymmetric", sigma)
 			}
 		}
-	}
-}
-
-func TestGaussianBlurPreservesConstantAndSmooths(t *testing.T) {
-	g := constGray(20, 20, 90)
-	b := GaussianBlur(g, 2)
-	for i, v := range b.Pix {
-		if v < 89 || v > 91 {
-			t.Fatalf("constant image changed at %d: %d", i, v)
-		}
-	}
-	// an impulse must spread: center loses mass, neighbors gain
-	imp := raster.NewGray(21, 21)
-	imp.Set(10, 10, 255)
-	s := GaussianBlur(imp, 1.5)
-	if s.At(10, 10) >= 255 || s.At(11, 10) == 0 {
-		t.Fatalf("impulse did not spread: center %d neighbor %d", s.At(10, 10), s.At(11, 10))
 	}
 }
 
@@ -134,23 +72,6 @@ func TestMedianFilterMatchesBruteForce(t *testing.T) {
 				t.Fatalf("(%d,%d): got %d want %d", x, y, got.At(x, y), want)
 			}
 		}
-	}
-}
-
-func TestAbsDiff(t *testing.T) {
-	a := constGray(4, 4, 100)
-	b := constGray(4, 4, 160)
-	d, err := AbsDiff(a, b)
-	if err != nil {
-		t.Fatalf("absdiff: %v", err)
-	}
-	for _, v := range d.Pix {
-		if v != 60 {
-			t.Fatalf("absdiff = %d, want 60", v)
-		}
-	}
-	if _, err := AbsDiff(a, constGray(5, 4, 0)); err == nil {
-		t.Fatal("expected size-mismatch error")
 	}
 }
 
@@ -226,95 +147,12 @@ func TestOtsuWithinSupport(t *testing.T) {
 	}
 }
 
-func TestNormalizeMapsOntoRange(t *testing.T) {
-	g := randGray(23, 9, 9)
-	n := Normalize(g, 10, 240)
-	mn, mx := n.Pix[0], n.Pix[0]
-	for _, v := range n.Pix {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	if mn != 10 || mx != 240 {
-		t.Fatalf("normalized range [%d,%d], want [10,240]", mn, mx)
-	}
-	// constant image maps to lo
-	c := Normalize(constGray(4, 4, 99), 10, 240)
-	for _, v := range c.Pix {
-		if v != 10 {
-			t.Fatalf("constant image normalized to %d, want 10", v)
-		}
-	}
-}
-
-func TestApplyMaskAndSubtract(t *testing.T) {
-	src := constGray(2, 2, 80)
-	mask := raster.NewGray(2, 2)
-	mask.Set(0, 0, 255)
-	m, err := ApplyMask(src, mask)
-	if err != nil {
-		t.Fatalf("mask: %v", err)
-	}
-	if m.At(0, 0) != 80 || m.At(1, 1) != 0 {
-		t.Fatalf("mask application wrong: %d %d", m.At(0, 0), m.At(1, 1))
-	}
-
-	s, err := Subtract(constGray(2, 2, 50), constGray(2, 2, 80))
-	if err != nil {
-		t.Fatalf("subtract: %v", err)
-	}
-	if s.At(0, 0) != 0 {
-		t.Fatalf("saturating subtract gave %d, want 0", s.At(0, 0))
-	}
-}
-
-func TestAddWeighted(t *testing.T) {
-	a := constGray(2, 2, 100)
-	b := constGray(2, 2, 200)
-	out, err := AddWeighted(a, 0.5, b, 0.5, 10)
-	if err != nil {
-		t.Fatalf("addweighted: %v", err)
-	}
-	if out.At(0, 0) != 160 {
-		t.Fatalf("0.5·100+0.5·200+10 = %d, want 160", out.At(0, 0))
-	}
-	// saturation
-	sat, _ := AddWeighted(a, 2, b, 2, 0)
-	if sat.At(0, 0) != 255 {
-		t.Fatalf("expected saturation to 255, got %d", sat.At(0, 0))
-	}
-}
-
 func TestCountNonZero(t *testing.T) {
 	g := raster.NewGray(2, 3)
 	g.Set(0, 0, 1)
 	g.Set(1, 2, 200)
 	if got := CountNonZero(g); got != 2 {
 		t.Fatalf("count %d, want 2", got)
-	}
-}
-
-func TestLocalVarianceFlatVsEdge(t *testing.T) {
-	flat := constGray(12, 12, 128)
-	v := LocalVariance(flat, 2)
-	for _, x := range v.Pix {
-		if x > 1e-9 {
-			t.Fatalf("flat image has variance %g", x)
-		}
-	}
-	// a hard edge has large variance at the boundary
-	edge := raster.NewGray(12, 12)
-	for y := 0; y < 12; y++ {
-		for x := 6; x < 12; x++ {
-			edge.Set(x, y, 250)
-		}
-	}
-	ve := LocalVariance(edge, 2)
-	if ve.At(6, 6) < 100 {
-		t.Fatalf("edge variance %g too small", ve.At(6, 6))
 	}
 }
 

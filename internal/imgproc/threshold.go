@@ -120,30 +120,3 @@ func OtsuThreshold(src *raster.Gray) uint8 {
 	}
 	return uint8(threshold)
 }
-
-// Normalize linearly rescales the raster so its minimum maps to lo and its
-// maximum to hi (OpenCV NORM_MINMAX). A constant image maps to lo.
-func Normalize(src *raster.Gray, lo, hi uint8) *raster.Gray {
-	if len(src.Pix) == 0 {
-		return src.Clone()
-	}
-	mn, mx := src.Pix[0], src.Pix[0]
-	for _, v := range src.Pix {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	dst := raster.NewGray(src.W, src.H)
-	if mx == mn {
-		dst.Fill(lo)
-		return dst
-	}
-	scale := float64(hi-lo) / float64(mx-mn)
-	for i, v := range src.Pix {
-		dst.Pix[i] = uint8(float64(lo) + float64(v-mn)*scale + 0.5)
-	}
-	return dst
-}

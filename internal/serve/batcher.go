@@ -20,10 +20,10 @@ var ErrClosed = errors.New("serve: scheduler closed")
 
 // request is one tile awaiting classification.
 type request struct {
-	engine unet.Engine
-	tile   *raster.RGB
+	key  batchKey
+	tile *raster.RGB
 	// deadline is the client's absolute latency bound; zero means none.
-	// Expired requests are dropped at batch pickup, before compute.
+	// Expired requests are dropped at dispatch, before compute.
 	deadline time.Time
 	out      chan result
 }
@@ -34,44 +34,41 @@ type result struct {
 }
 
 // Scheduler coalesces concurrent tile requests into forward-pass
-// micro-batches. A fixed pool of workers drains a bounded queue; each
-// worker owns one inference session per model (pre-allocated tensor
-// buffers that are reused across batches). The first request a worker
-// picks up becomes the batch leader and waits up to BatchWait for
-// followers with the same model and tile size, up to MaxBatch tiles.
+// micro-batches. What is admitted, who batches with whom, when a batch
+// runs and what becomes of expired or crashed work is batchQueue's
+// policy (batchqueue.go); Scheduler is its wall-clock driver: a mutex
+// around the queue, a condition variable that wakes workers when it
+// changes, and a fixed pool of worker goroutines, each owning one
+// inference session per model (pre-allocated tensor buffers reused
+// across batches).
 //
 // Workers are self-healing: a panic escaping a batch (an injected chaos
 // fault or a real session bug) kills only that worker, which is
-// restarted immediately; the requests of the crashed batch are pushed
-// back onto the bounded queue rather than dropped, and only if the
-// queue cannot absorb them do they fail with ErrOverloaded — overload
-// semantics (HTTP 429) stay exactly the existing bound. Restart counts
-// and the live-worker gauge surface through Stats and /healthz.
+// restarted immediately; the crashed batch's requests go back to the
+// front of the queue — past its bound if need be: an admitted request is
+// never shed, and ErrOverloaded (HTTP 429) stays purely an admission
+// verdict. Restart counts and the live-worker gauge surface through
+// Stats and /healthz.
 type Scheduler struct {
-	cfg   Config
-	queue chan *request
-	done  chan struct{}
+	cfg Config
 
-	mu       sync.Mutex
-	closed   bool
-	inflight sync.WaitGroup // Submit calls between enqueue and response
-	workers  sync.WaitGroup
+	mu   sync.Mutex
+	wake *sync.Cond  // the queue changed, or a batch's wait ran out
+	q    *batchQueue // guarded by mu
 
-	live atomic.Int64 // currently running workers (health gauge)
+	workers sync.WaitGroup
+	live    atomic.Int64 // currently running workers (health gauge)
 
 	stats *Stats
-	model *SvcModel // EWMA service-time model feeding predictive admission
 }
 
 // NewScheduler starts the worker pool. stats may be nil.
 func NewScheduler(cfg Config, stats *Stats) *Scheduler {
-	s := &Scheduler{
-		cfg:   cfg,
-		queue: make(chan *request, cfg.QueueSize),
-		done:  make(chan struct{}),
-		stats: stats,
-		model: NewSvcModel(cfg.MaxBatch),
+	if stats == nil {
+		stats = &Stats{} // counters nobody reads
 	}
+	s := &Scheduler{cfg: cfg, q: newBatchQueue(cfg), stats: stats}
+	s.wake = sync.NewCond(&s.mu)
 	for w := 0; w < cfg.Workers; w++ {
 		s.spawn()
 	}
@@ -85,8 +82,12 @@ func (s *Scheduler) spawn() {
 	go s.worker()
 }
 
-// QueueDepth reports the number of queued (not yet running) requests.
-func (s *Scheduler) QueueDepth() int { return len(s.queue) }
+// QueueDepth reports the number of queued (not yet picked up) requests.
+func (s *Scheduler) QueueDepth() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.q.queue)
+}
 
 // LiveWorkers reports the number of currently running workers — the
 // health gauge behind /healthz (a worker mid-restart dips the count
@@ -101,132 +102,62 @@ func (s *Scheduler) Submit(e unet.Engine, tile *raster.RGB) (*raster.Labels, err
 
 // Model exposes the scheduler's service-time model (for the HTTP layer's
 // Retry-After computation and /statz).
-func (s *Scheduler) Model() *SvcModel { return s.model }
+func (s *Scheduler) Model() *SvcModel { return s.q.model }
 
 // SubmitDeadline enqueues one tile and blocks until its prediction is
-// ready. Admission is deadline-aware: a request whose predicted
-// completion (EWMA service-time model over the current backlog) already
-// exceeds its deadline is refused at enqueue with *InfeasibleError —
-// never accepted only to be timed out later — and a full queue returns
-// ErrOverloaded. Once admitted, a request is never converted back into a
-// rejection: it either completes, or expires in queue and fails with
-// ErrDeadlineExpired (dropped before compute).
+// ready. Admission is deadline-aware (batchQueue.admit): a request whose
+// predicted completion already exceeds its deadline is refused at
+// enqueue with *InfeasibleError — never accepted only to be timed out
+// later — and a full queue returns ErrOverloaded. Once admitted, a
+// request is never converted back into a rejection: it either completes,
+// or expires in queue and fails with ErrDeadlineExpired (dropped before
+// compute).
 func (s *Scheduler) SubmitDeadline(e unet.Engine, tile *raster.RGB, deadline time.Time) (*raster.Labels, error) {
+	req := &request{key: batchKey{e, tile.W, tile.H}, tile: tile, deadline: deadline, out: make(chan result, 1)}
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	s.inflight.Add(1)
+	err := s.q.admit(req, time.Now())
 	s.mu.Unlock()
-	defer s.inflight.Done()
-
-	if !deadline.IsZero() {
-		now := time.Now()
-		budget := deadline.Sub(now)
-		predicted := s.model.PredictWait(len(s.queue), s.cfg.Workers)
-		if budget <= 0 || (predicted > 0 && predicted > budget) {
-			if s.stats != nil {
-				s.stats.RecordDeadlineReject()
-			}
-			return nil, &InfeasibleError{
-				Predicted:  predicted,
-				Budget:     budget,
-				RetryAfter: retryIn(predicted, budget),
-			}
-		}
-	}
-
-	req := &request{engine: e, tile: tile, deadline: deadline, out: make(chan result, 1)}
-	select {
-	case s.queue <- req:
-	default:
-		if s.stats != nil {
+	if err != nil {
+		if err == ErrOverloaded {
 			s.stats.RecordReject()
+		} else if err != ErrClosed {
+			s.stats.RecordDeadlineReject() // *InfeasibleError
 		}
-		return nil, ErrOverloaded
+		return nil, err
 	}
+	s.wake.Broadcast()
 	res := <-req.out
 	return res.labels, res.err
 }
 
-// retryIn estimates how long until a request with the given budget would
-// be feasible: the excess of the predicted completion over the budget
-// (floor 1ms so Retry-After never rounds to zero).
-func retryIn(predicted, budget time.Duration) time.Duration {
-	d := predicted - budget
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	return d
-}
-
-// Close drains in-flight work and stops the workers. Safe to call more
-// than once.
+// Close drains every admitted request and stops the workers. Safe to
+// call more than once.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.workers.Wait()
-		return
-	}
-	s.closed = true
+	s.q.closed = true
 	s.mu.Unlock()
-
-	// No new submits can start; wait for every enqueued request to be
-	// answered (workers are still running), then stop the pool.
-	s.inflight.Wait()
-	close(s.done)
+	s.wake.Broadcast()
 	s.workers.Wait()
 }
 
-// worker drains the queue, forming micro-batches. A panic escaping a
-// batch is contained here: the crashed batch's requests (and any
-// pending next leader) are requeued, the worker is respawned with a
-// fresh session map, and the panic never reaches the process.
+// worker runs batches until the scheduler is closed and drained. A
+// panic escaping a batch is contained here: the crashed batch is
+// requeued, the worker is respawned with a fresh session map, and the
+// panic never reaches the process.
 func (s *Scheduler) worker() {
 	defer s.workers.Done()
 	defer s.live.Add(-1)
 
-	var cur []*request   // batch being executed, requeued on panic
-	var pending *request // first request of the next batch after a mismatch
+	var cur []*request // dispatched and not yet answered; requeued on panic
 	defer func() {
-		r := recover()
-		if r == nil {
+		if recover() == nil {
 			return
 		}
-		if s.stats != nil {
-			s.stats.RecordWorkerRestart()
-		}
-		requeue := cur
-		if pending != nil {
-			requeue = append(requeue, pending)
-		}
-		now := time.Now()
-		for _, req := range requeue {
-			if !req.deadline.IsZero() && now.After(req.deadline) {
-				// Already expired: answer the waiting submitter directly
-				// instead of spending queue capacity on dead work.
-				if s.stats != nil {
-					s.stats.RecordExpired()
-				}
-				req.out <- result{err: ErrDeadlineExpired}
-				continue
-			}
-			select {
-			case s.queue <- req:
-				// Back onto the bounded queue; a healthy worker (or this
-				// worker's replacement) will pick it up.
-			default:
-				// Queue full: park a goroutine on the blocking send. An
-				// admitted request is never converted back into a 429 —
-				// the replacement worker (spawned below before this
-				// deferred function returns) is guaranteed to drain the
-				// queue, so the send always completes.
-				req := req
-				go func() { s.queue <- req }()
-			}
-		}
+		s.stats.RecordWorkerRestart()
+		s.mu.Lock()
+		s.q.requeue(cur)
+		s.mu.Unlock()
+		s.wake.Broadcast()
 		// The replacement inherits nothing: sessions are rebuilt lazily,
 		// so a corrupted buffer cannot outlive the crash.
 		s.spawn()
@@ -234,102 +165,82 @@ func (s *Scheduler) worker() {
 
 	sessions := make(map[unet.Engine]unet.Predictor)
 	for {
-		var leader *request
-		if pending != nil {
-			leader, pending = pending, nil
-		} else {
-			select {
-			case <-s.done:
-				return
-			case leader = <-s.queue:
-			}
+		if cur = s.next(); cur == nil {
+			return
 		}
-		batch := []*request{leader}
-		if s.cfg.MaxBatch > 1 {
-			batch, pending = s.collect(batch)
+		// Injected chaos faults fire at the dispatch ordinal, before any
+		// request is answered — so the restart path always sees a whole
+		// batch to requeue; a seeded slow-node fault delays the batch
+		// (capacity degradation, not failure).
+		panicNow, slow := s.cfg.Chaos.ServeBatch()
+		if panicNow {
+			panic("chaos: injected inference-worker fault")
 		}
-		cur = batch
-		s.run(sessions, batch, &cur)
+		time.Sleep(slow)
+
+		// Requests whose deadline passed while they waited are answered
+		// here: expired work never reaches a forward pass.
+		var expired []*request
+		cur, expired = triage(cur, time.Now())
+		for _, r := range expired {
+			s.stats.RecordExpired()
+			r.out <- result{err: ErrDeadlineExpired}
+		}
+		if len(cur) > 0 {
+			s.run(sessions, cur)
+		}
 		cur = nil
 	}
 }
 
-// collect gathers followers for batch's leader until the batch is full,
-// BatchWait elapses, or a mismatched request arrives (returned as the
-// next leader).
-func (s *Scheduler) collect(batch []*request) ([]*request, *request) {
-	leader := batch[0]
-	timer := time.NewTimer(s.cfg.BatchWait)
-	defer timer.Stop()
-	for len(batch) < s.cfg.MaxBatch {
-		select {
-		case r := <-s.queue:
-			if r.engine != leader.engine || r.tile.W != leader.tile.W || r.tile.H != leader.tile.H {
-				return batch, r
-			}
-			batch = append(batch, r)
-		case <-timer.C:
-			return batch, nil
-		case <-s.done:
-			return batch, nil
+// next blocks until this worker holds a dispatched batch and returns its
+// requests; nil once the scheduler is closed and the queue drained.
+func (s *Scheduler) next() []*request {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.q.lead(time.Now())
+	for ; b == nil; b = s.q.lead(time.Now()) {
+		if s.q.closed {
+			return nil
 		}
+		s.wake.Wait()
 	}
-	return batch, nil
+	reqs, wait := s.q.dispatch(b, time.Now())
+	if wait > 0 {
+		// One timer covers the batch's whole wait; any earlier wake-up
+		// (a follower, a mismatch, Close) just asks again.
+		timer := time.AfterFunc(wait, func() {
+			s.mu.Lock() // not between a waiter's dispatch and its Wait
+			s.wake.Broadcast()
+			s.mu.Unlock()
+		})
+		for wait > 0 {
+			s.wake.Wait()
+			reqs, wait = s.q.dispatch(b, time.Now())
+		}
+		timer.Stop()
+	}
+	return reqs
 }
 
-// run executes one batch on the worker's session for its model and
-// delivers per-request results. Requests whose deadline passed while
-// queued are dropped here, before any compute — expired work never
-// reaches a forward pass. Injected chaos faults fire at the batch-pickup
-// ordinal, before any result is delivered — so the restart path always
-// sees a whole batch to requeue; a seeded slow-node fault delays the
-// batch (capacity degradation, not failure).
-func (s *Scheduler) run(sessions map[unet.Engine]unet.Predictor, batch []*request, curp *[]*request) {
-	panicNow, slow := s.cfg.Chaos.ServeBatch()
-	if panicNow {
-		panic("chaos: injected inference-worker fault")
-	}
-	if slow > 0 {
-		time.Sleep(slow)
-	}
-
-	// Deadline triage: answer expired requests with ErrDeadlineExpired
-	// and compute only the live remainder. curp (the panic-requeue view)
-	// shrinks to the live set so an already-answered expired request can
-	// never be requeued by a later panic.
-	now := time.Now()
-	live := make([]*request, 0, len(batch))
-	for _, r := range batch {
-		if !r.deadline.IsZero() && now.After(r.deadline) {
-			if s.stats != nil {
-				s.stats.RecordExpired()
-			}
-			r.out <- result{err: ErrDeadlineExpired}
-			continue
-		}
-		live = append(live, r)
-	}
-	*curp = live
-	if len(live) == 0 {
-		return
-	}
-
-	sess, ok := sessions[live[0].engine]
+// run executes one triaged batch on the worker's session for its model
+// and delivers per-request results.
+func (s *Scheduler) run(sessions map[unet.Engine]unet.Predictor, batch []*request) {
+	engine := batch[0].key.engine
+	sess, ok := sessions[engine]
 	if !ok {
-		sess = live[0].engine.NewPredictor()
-		sessions[live[0].engine] = sess
+		sess = engine.NewPredictor()
+		sessions[engine] = sess
 	}
-	tiles := make([]*raster.RGB, len(live))
-	for i, r := range live {
+	tiles := make([]*raster.RGB, len(batch))
+	for i, r := range batch {
 		tiles[i] = r.tile
 	}
 	start := time.Now()
 	labels, err := sess.PredictTiles(tiles)
-	s.model.Observe(len(live), time.Since(start))
-	if s.stats != nil {
-		s.stats.RecordBatch(len(live))
-	}
-	for i, r := range live {
+	s.q.model.Observe(len(batch), time.Since(start))
+	s.stats.RecordBatch(len(batch))
+	for i, r := range batch {
 		if err != nil {
 			r.out <- result{err: err}
 		} else {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +17,43 @@ func schedCfg() Config {
 	cfg.TileSize = 16
 	cfg.Workers = 1
 	return cfg
+}
+
+// hookEngine is an engine whose forward pass is the test's: it calls
+// before in the worker — to stall, gate or observe the batch — and
+// answers blank labels at no cost, so the scheduler tests built on it
+// time the scheduler, not a model.
+type hookEngine struct {
+	before func(tiles []*raster.RGB)
+}
+
+func (e *hookEngine) NewPredictor() unet.Predictor { return e }
+func (e *hookEngine) Config() unet.Config          { return unet.Config{} }
+func (e *hookEngine) Precision() string            { return "f64" }
+
+func (e *hookEngine) PredictTiles(tiles []*raster.RGB) ([]*raster.Labels, error) {
+	e.before(tiles)
+	out := make([]*raster.Labels, len(tiles))
+	for i, tile := range tiles {
+		out[i] = raster.NewLabels(tile.W, tile.H)
+	}
+	return out, nil
+}
+
+// goroutineBaseline records runtime.NumGoroutine() and returns the check
+// that it is back there (polling up to 1s): what a scheduler started
+// after the call must have stopped by the time Close returns.
+func goroutineBaseline(t *testing.T) (check func()) {
+	before := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		for end := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(end); {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("%d goroutines after Close, %d before NewScheduler: the scheduler leaked", n, before)
+		}
+	}
 }
 
 // TestSchedulerCoalesces submits a burst of concurrent tiles and checks
@@ -185,6 +223,7 @@ func TestSchedulerBackpressure(t *testing.T) {
 func TestSchedulerClose(t *testing.T) {
 	m := testModel(t, 8)
 	cfg := schedCfg()
+	leaked := goroutineBaseline(t)
 	sched := NewScheduler(cfg, nil)
 
 	tiles := testTiles(8, 16, 13)
@@ -208,4 +247,55 @@ func TestSchedulerClose(t *testing.T) {
 		t.Fatalf("post-close submit: %v, want ErrClosed", err)
 	}
 	sched.Close() // idempotent
+	leaked()
+}
+
+// TestSchedulerMismatchDoesNotWaitForLeader: a request of another tile
+// shape that arrives while a worker is collecting followers belongs to
+// the next idle worker, not to the collecting one. Before batchQueue the
+// collecting worker took it off the channel as its "pending" next leader,
+// so it sat out that worker's whole forward pass — 200ms here, on a
+// stalled engine — while the second worker idled.
+//
+// The 32² request under test is b. x1, a and x2 only arrange, on the
+// channel-based scheduler this test was written against, that the
+// collecting worker is the one a channel send reaches first (Go serves
+// blocked receivers in arrival order): x1 makes worker 1 a collector, a
+// makes worker 2 one, x2 fills worker 1's batch so that it runs and
+// queues up behind worker 2 again. b2 follows b to fill its batch, so
+// that b's latency does not depend on BatchWait either way.
+func TestSchedulerMismatchDoesNotWaitForLeader(t *testing.T) {
+	const stall = 200 * time.Millisecond
+	engine := &hookEngine{before: func(tiles []*raster.RGB) {
+		if tiles[0].W == 16 {
+			time.Sleep(stall)
+		}
+	}}
+	cfg := schedCfg()
+	cfg.Workers = 2
+	cfg.MaxBatch = 2
+	cfg.BatchWait = 100 * time.Millisecond
+	sched := NewScheduler(cfg, nil)
+	defer sched.Close()
+
+	small, big := testTiles(1, 16, 20)[0], testTiles(4, 32, 21)
+	var wg sync.WaitGroup
+	took := make([]time.Duration, 5)
+	for i, tile := range []*raster.RGB{big[0] /* x1 */, small /* a */, big[1] /* x2 */, big[2] /* b */, big[3] /* b2 */} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			began := time.Now()
+			if _, err := sched.Submit(engine, tile); err != nil {
+				t.Errorf("submit %dx%d: %v", tile.W, tile.H, err)
+			}
+			took[i] = time.Since(began)
+		}()
+		time.Sleep(20 * time.Millisecond)
+	}
+	wg.Wait()
+	if b := took[3]; b >= stall/2 {
+		t.Fatalf("the 32² request took %v: it waited for the %v forward pass of a 16² batch it could never join", b, stall)
+	}
+	t.Logf("32² request served in %v beside a %v stall", took[3], stall)
 }

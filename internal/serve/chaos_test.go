@@ -70,10 +70,11 @@ func TestChaosWorkerRestartServesEverything(t *testing.T) {
 	}
 }
 
-// TestChaosWorkerRestartRespectsBound asserts the requeue path never
-// exceeds the existing overload semantics: with a tiny queue, a crashed
-// batch may shed requests — but only as ErrOverloaded (the 429 path),
-// never as silent loss, and the total always accounts.
+// TestChaosWorkerRestartRespectsBound asserts the requeue path keeps the
+// overload semantics: with a tiny queue, requests arriving across the
+// crash may be shed at admission — but only as ErrOverloaded (the 429
+// path), never as silent loss — the crashed batch itself is requeued
+// past the bound rather than shed, and the total always accounts.
 func TestChaosWorkerRestartRespectsBound(t *testing.T) {
 	m := testModel(t, 8)
 	cfg := schedCfg()
@@ -129,6 +130,7 @@ func TestChaosSchedulerCloseAfterRestart(t *testing.T) {
 	cfg.Workers = 2
 	cfg.QueueSize = 64
 	cfg.Chaos = serveInjector(t, "2:serve@1")
+	leaked := goroutineBaseline(t)
 	sched := NewScheduler(cfg, nil)
 
 	tiles := testTiles(8, 16, 7)
@@ -145,6 +147,125 @@ func TestChaosSchedulerCloseAfterRestart(t *testing.T) {
 	wg.Wait()
 	sched.Close()
 	sched.Close() // idempotent after a restart too
+	leaked()
+}
+
+// TestChaosSchedulerInvariants holds the real scheduler to the two
+// invariants the load simulator counts, from the callers' side: a
+// request that was admitted never fails with ErrOverloaded — not even
+// when its batch crashes into a queue that is already at its bound —
+// and the engine never sees a tile whose deadline had passed.
+//
+// One worker, batches of up to 4 collected for 200ms, a queue of 2, and
+// the first dispatch panics. a leads; b and x (a 30ms deadline) join it;
+// 50ms later p, of another shape, queues behind and ends the wait: the
+// batch is dispatched, crashes, and goes back in front of p — 4 queued
+// against a bound of 2. The replacement worker re-forms it, answers x as
+// expired and blocks in the engine (the test's gate) on a and b, with p
+// still queued: q1 fills the queue, and q2 is the one request that may
+// see ErrOverloaded — at admission, while nothing can be answering.
+func TestChaosSchedulerInvariants(t *testing.T) {
+	tiles := testTiles(4, 16, 30)
+	a, b, x := tiles[0], tiles[1], tiles[2]
+	other := testTiles(3, 32, 31)
+	p, q1, q2 := other[0], other[1], other[2]
+
+	var mu sync.Mutex
+	deadlines := map[*raster.RGB]time.Time{}
+	seen := map[*raster.RGB]int{}
+	gate, entered := make(chan struct{}), make(chan struct{}, 8)
+	engine := &hookEngine{before: func(batch []*raster.RGB) {
+		now := time.Now()
+		mu.Lock()
+		for _, tile := range batch {
+			seen[tile]++
+			if d := deadlines[tile]; !d.IsZero() && now.After(d) {
+				t.Errorf("the engine was handed a tile %v past its deadline", now.Sub(d))
+			}
+		}
+		mu.Unlock()
+		entered <- struct{}{}
+		<-gate
+	}}
+
+	cfg := schedCfg()
+	cfg.MaxBatch = 4
+	cfg.BatchWait = 200 * time.Millisecond
+	cfg.QueueSize = 2
+	cfg.Chaos = serveInjector(t, "5:serve@0")
+	stats := NewStats()
+	leaked := goroutineBaseline(t)
+	sched := NewScheduler(cfg, stats)
+
+	errs := map[*raster.RGB]error{}
+	var wg sync.WaitGroup
+	submit := func(tile *raster.RGB, budget time.Duration) {
+		deadline := time.Now().Add(budget)
+		mu.Lock()
+		deadlines[tile] = deadline
+		mu.Unlock()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := sched.SubmitDeadline(engine, tile, deadline)
+			mu.Lock()
+			errs[tile] = err
+			mu.Unlock()
+		}()
+	}
+	// await polls a scheduler-side condition (under its lock).
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		for end := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			sched.mu.Lock()
+			ok := cond()
+			sched.mu.Unlock()
+			if ok {
+				return
+			}
+			if time.Now().After(end) {
+				t.Fatalf("timed out waiting until %s", what)
+			}
+		}
+	}
+
+	submit(a, time.Minute)
+	await("a leads a batch", func() bool { return len(sched.q.forming) == 1 })
+	submit(b, time.Minute)
+	submit(x, 30*time.Millisecond)
+	await("b and x joined it", func() bool { return len(sched.q.forming[0].reqs) == 3 })
+	time.Sleep(50 * time.Millisecond) // x expires in the open batch
+	submit(p, time.Minute)
+	<-entered // crash, requeue past the bound, re-form, triage: a and b are in the engine
+	if got := stats.WorkerRestarts(); got != 1 {
+		t.Fatalf("worker restarts = %d, want 1 (the first dispatch panics)", got)
+	}
+	submit(q1, time.Minute)
+	await("p and q1 fill the queue", func() bool { return len(sched.q.queue) == 2 })
+	if _, err := sched.SubmitDeadline(engine, q2, time.Now().Add(time.Minute)); err != ErrOverloaded {
+		t.Fatalf("submit against a full queue: %v, want ErrOverloaded", err)
+	}
+	close(gate)
+	wg.Wait()
+	sched.Close()
+	leaked()
+
+	for name, tile := range map[string]*raster.RGB{"a": a, "b": b, "p": p, "q1": q1} {
+		if errs[tile] != nil {
+			t.Errorf("%s was admitted and then failed: %v", name, errs[tile])
+		}
+		if seen[tile] != 1 {
+			t.Errorf("%s reached the engine %d times, want once", name, seen[tile])
+		}
+	}
+	if errs[x] != ErrDeadlineExpired || seen[x] != 0 {
+		t.Errorf("x (30ms deadline, dispatched ≥50ms late): err %v, reached the engine %d times; want ErrDeadlineExpired and never", errs[x], seen[x])
+	}
+	snap := stats.Snapshot(0, 0, 0, 0)
+	if snap.Rejected != 1 || snap.ExpiredDropped != 1 || snap.DeadlineRejected != 0 {
+		t.Errorf("stats: %d rejected, %d expired, %d infeasible; want 1 (q2), 1 (x), 0",
+			snap.Rejected, snap.ExpiredDropped, snap.DeadlineRejected)
+	}
 }
 
 // TestCacheConcurrentEviction hammers the LRU from many goroutines with

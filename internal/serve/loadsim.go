@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -12,22 +14,24 @@ import (
 )
 
 // LoadSimConfig parameterizes one discrete-event run of the serving
-// stack under offered load. The simulation reuses the production
-// admission path — the same SvcModel EWMA service-time estimator and the
-// same predict-vs-budget decision SubmitDeadline makes — over a virtual
-// simtime clock, so latency-versus-load curves and deadline invariants
-// are measured deterministically in microseconds of real time.
+// stack under offered load. Each simulated node runs the production
+// queueing policy itself — a batchQueue (batchqueue.go), the type
+// Scheduler drives — on a virtual simtime clock, so latency-versus-load
+// curves and deadline invariants are measured on shipped admission,
+// batching and expiry code, deterministically, in microseconds of real
+// time. Simulated is what surrounds the queue: arrivals, routing, faults
+// and the duration of a forward pass.
 type LoadSimConfig struct {
 	// Nodes is the worker node count; each arriving request is routed to
 	// a seeded-uniform node (the hash ring spreads distinct tiles the
 	// same way).
 	Nodes int `json:"nodes"`
-	// Workers is the parallel batch executors per node and MaxBatch the
-	// tiles per forward pass, mirroring serve.Config.
-	Workers  int `json:"workers"`
-	MaxBatch int `json:"max_batch"`
-	// QueueCap is the per-node admission queue bound (requests).
-	QueueCap int `json:"queue_cap"`
+	// Workers, MaxBatch, QueueSize and BatchWait (in seconds) are each
+	// node's serve.Config fields of those names, passed to its queue.
+	Workers   int     `json:"workers"`
+	MaxBatch  int     `json:"max_batch"`
+	QueueSize int     `json:"queue_size"`
+	BatchWait float64 `json:"batch_wait_s"`
 	// TileTime and BatchOverhead model one forward pass: overhead +
 	// tileTime×size virtual seconds per batch on a healthy node.
 	TileTime      float64 `json:"tile_time_s"`
@@ -41,49 +45,14 @@ type LoadSimConfig struct {
 	// Seed drives arrivals and routing; equal seeds reproduce runs
 	// bit-for-bit.
 	Seed uint64 `json:"seed"`
-	// SecondsPerStep maps chaos fault steps to virtual instants
-	// (DeliverVirtual); 0 selects 0.1s.
-	SecondsPerStep float64 `json:"seconds_per_step"`
-	// BurstFactor multiplies the arrival rate inside a burst fault's
-	// window; 0 selects 4.
-	BurstFactor float64 `json:"burst_factor"`
-	// RestartTime is the worker-restart delay after an injected panic;
-	// 0 selects 0.05s.
-	RestartTime float64 `json:"restart_time_s"`
 }
 
-func (c *LoadSimConfig) defaults() {
-	if c.Nodes <= 0 {
-		c.Nodes = 1
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 64
-	}
-	if c.TileTime <= 0 {
-		c.TileTime = 0.002
-	}
-	if c.BatchOverhead <= 0 {
-		c.BatchOverhead = 0.001
-	}
-	if c.Duration <= 0 {
-		c.Duration = 10
-	}
-	if c.SecondsPerStep <= 0 {
-		c.SecondsPerStep = 0.1
-	}
-	if c.BurstFactor <= 0 {
-		c.BurstFactor = 4
-	}
-	if c.RestartTime <= 0 {
-		c.RestartTime = 0.05
-	}
-}
+// One value each in every run the repository has made: constants.
+const (
+	simSecondsPerStep = 0.1  // virtual seconds per chaos fault step (DeliverVirtual)
+	simBurstFactor    = 4    // arrival-rate multiplier inside a burst fault's window
+	simRestartTime    = 0.05 // seconds until a worker killed by an injected panic is back
+)
 
 // LoadPoint is one measured point of the latency-versus-load curve plus
 // the run's deadline-invariant counters.
@@ -106,9 +75,10 @@ type LoadPoint struct {
 	// the node mid-flight).
 	MissedDeadline int `json:"missed_deadline"`
 	// AdmittedThenRejected and ExpiredComputed are the hard invariants —
-	// both must be 0 on every run: an admitted request is never later
-	// converted into a 429, and a request already past its deadline is
-	// never dispatched into a forward pass.
+	// 0 on every run — taken on the simulator's side of the queue:
+	// admitted requests the queue never handed back, live or expired
+	// (shed after admission), counted once the clock has drained; and
+	// requests it handed over for compute past their deadline.
 	AdmittedThenRejected int     `json:"admitted_then_rejected"`
 	ExpiredComputed      int     `json:"expired_computed"`
 	FaultsDelivered      int     `json:"faults_delivered"`
@@ -116,26 +86,18 @@ type LoadPoint struct {
 	P99MS                float64 `json:"p99_ms"`
 }
 
-// simReq is one in-flight simulated request.
-type simReq struct {
-	arrive   float64
-	deadline float64 // absolute virtual deadline; 0 = none
-}
-
-// simBatch is one dispatched forward pass; cancelled marks a batch
-// killed by an injected worker panic (its requests requeue).
+// simBatch is one forward pass in progress.
 type simBatch struct {
-	reqs      []simReq
-	cancelled bool
+	reqs []*request
+	dur  float64
 }
 
-// simNode is one worker node's queueing state.
+// simNode is one worker node: the production queue plus what the
+// simulator stands in for — its workers and its health.
 type simNode struct {
-	queue    []simReq
-	busy     int
-	dead     int     // workers currently restarting after a panic
+	q        *batchQueue
+	idle     int     // workers holding no batch: not forming, computing or restarting
 	slow     float64 // slownode penalty added to every batch
-	model    *SvcModel
 	inflight []*simBatch
 }
 
@@ -143,7 +105,6 @@ type simNode struct {
 // Run.
 type LoadSim struct {
 	cfg        LoadSimConfig
-	rate       float64
 	clock      *simtime.Clock
 	rng        *noise.RNG
 	inj        *chaos.Injector
@@ -151,27 +112,29 @@ type LoadSim struct {
 	burstUntil float64
 	point      LoadPoint
 	lat        []float64
+	// arrived: admitted requests their queue has yet to hand back, by arrival instant
+	arrived map[*request]float64
 }
 
 // NewLoadSim builds a simulator for one offered-load point. inj may be
 // nil (no faults); it is consumed (each fault fires once), so build a
 // fresh injector per run.
 func NewLoadSim(cfg LoadSimConfig, offeredRPS float64, inj *chaos.Injector) (*LoadSim, error) {
-	cfg.defaults()
-	if offeredRPS <= 0 {
-		return nil, fmt.Errorf("serve: offered load must be positive, got %g", offeredRPS)
+	if cfg.Nodes < 1 || cfg.Workers < 1 || cfg.MaxBatch < 1 || cfg.QueueSize < 1 || cfg.BatchWait < 0 || offeredRPS <= 0 {
+		return nil, fmt.Errorf("serve: load sim needs nodes, workers, max batch, queue size ≥1, batch wait ≥0 and a positive offered load, got %+v at %g rps", cfg, offeredRPS)
 	}
 	s := &LoadSim{
-		cfg:   cfg,
-		rate:  offeredRPS,
-		clock: &simtime.Clock{},
-		rng:   noise.NewRNG(cfg.Seed, 0x10ad),
-		inj:   inj,
-		nodes: make([]*simNode, cfg.Nodes),
-		point: LoadPoint{OfferedRPS: offeredRPS},
+		cfg:     cfg,
+		clock:   &simtime.Clock{},
+		rng:     noise.NewRNG(cfg.Seed, 0x10ad),
+		inj:     inj,
+		nodes:   make([]*simNode, cfg.Nodes),
+		point:   LoadPoint{OfferedRPS: offeredRPS},
+		arrived: make(map[*request]float64),
 	}
+	qcfg := Config{Workers: cfg.Workers, MaxBatch: cfg.MaxBatch, QueueSize: cfg.QueueSize, BatchWait: secToDur(cfg.BatchWait)}
 	for i := range s.nodes {
-		s.nodes[i] = &simNode{model: NewSvcModel(cfg.MaxBatch)}
+		s.nodes[i] = &simNode{q: newBatchQueue(qcfg), idle: cfg.Workers}
 	}
 	return s, nil
 }
@@ -179,12 +142,11 @@ func NewLoadSim(cfg LoadSimConfig, offeredRPS float64, inj *chaos.Injector) (*Lo
 // Run generates arrivals for cfg.Duration virtual seconds, drains all
 // in-flight work, and returns the measured point.
 func (s *LoadSim) Run() LoadPoint {
-	if s.inj != nil {
-		s.inj.DeliverVirtual(s.clock, s.cfg.SecondsPerStep, s.applyFault)
-	}
+	s.inj.DeliverVirtual(s.clock, simSecondsPerStep, s.applyFault)
 	s.clock.Schedule(0, s.arrive)
 	s.clock.Run()
 	s.point.FaultsDelivered = len(s.inj.Events())
+	s.point.AdmittedThenRejected = len(s.arrived)
 	sort.Float64s(s.lat)
 	if n := len(s.lat); n > 0 {
 		s.point.P50MS = 1000 * s.lat[percentileIndex(n, 0.50)]
@@ -196,183 +158,149 @@ func (s *LoadSim) Run() LoadPoint {
 // applyFault reacts to a chaos fault at its virtual instant. Kinds that
 // target other subsystems are ignored.
 func (s *LoadSim) applyFault(f chaos.Fault) {
-	now := s.clock.Now()
 	switch f.Kind {
-	case chaos.LoadBurst:
-		d := f.Delay.Seconds()
-		if d <= 0 {
-			d = 1
-		}
-		if until := now + d; until > s.burstUntil {
-			s.burstUntil = until
-		}
-	case chaos.SlowNode:
-		n := s.nodes[f.Target%len(s.nodes)]
-		if f.Delay > 0 {
-			n.slow += f.Delay.Seconds()
-		} else {
-			n.slow += 0.01
-		}
+	case chaos.LoadBurst: // for a second unless it says how long
+		s.burstUntil = max(s.burstUntil, s.clock.Now()+cmp.Or(f.Delay, time.Second).Seconds())
+	case chaos.SlowNode: // by 10ms a batch unless it says how much
+		s.nodes[f.Target%len(s.nodes)].slow += cmp.Or(f.Delay, 10*time.Millisecond).Seconds()
 	case chaos.ServePanic:
-		// Kill the busiest node's oldest in-flight batch: its requests
-		// requeue (the production scheduler's panic-recover path) and the
-		// worker restarts after RestartTime.
-		node := s.nodes[0]
-		for _, n := range s.nodes {
-			if len(n.inflight) > len(node.inflight) {
-				node = n
-			}
-		}
+		// Kill the busiest node's oldest in-flight batch, as a panic does
+		// in Scheduler.worker: its requests requeue, the worker is back later.
+		node := slices.MaxFunc(s.nodes, func(a, b *simNode) int { return len(a.inflight) - len(b.inflight) })
 		if len(node.inflight) == 0 {
 			return
 		}
-		b := node.inflight[0]
+		node.q.requeue(node.inflight[0].reqs)
 		node.inflight = node.inflight[1:]
-		b.cancelled = true
-		node.busy--
-		node.dead++
-		node.queue = append(node.queue, b.reqs...)
-		s.clock.After(s.cfg.RestartTime, func() {
-			node.dead--
-			s.dispatch(node)
+		s.clock.After(simRestartTime, func() {
+			node.idle++
+			s.pump(node)
 		})
-		s.dispatch(node)
+		s.pump(node)
 	}
 }
 
-// curRate is the instantaneous arrival rate, honoring burst windows.
-func (s *LoadSim) curRate() float64 {
-	if s.clock.Now() < s.burstUntil {
-		return s.rate * s.cfg.BurstFactor
-	}
-	return s.rate
-}
-
-// arrive admits or rejects one request and schedules the next arrival.
+// arrive submits one request to its node's queue and schedules the next
+// arrival.
 func (s *LoadSim) arrive() {
 	now := s.clock.Now()
 	if now < s.cfg.Duration {
-		// Exponential interarrival at the current (possibly burst) rate.
-		u := s.rng.Float64()
-		if u <= 0 {
-			u = math.SmallestNonzeroFloat64
+		// Exponential interarrival at the current rate, ×simBurstFactor
+		// inside a burst window.
+		rate, u := s.point.OfferedRPS, max(s.rng.Float64(), math.SmallestNonzeroFloat64)
+		if now < s.burstUntil {
+			rate *= simBurstFactor
 		}
-		s.clock.After(-math.Log(u)/s.curRate(), s.arrive)
+		s.clock.After(-math.Log(u)/rate, s.arrive)
 	}
 	s.point.Arrived++
 	node := s.nodes[s.rng.Intn(len(s.nodes))]
-	if len(node.queue) >= s.cfg.QueueCap {
-		s.point.RejectedOverload++
-		return
-	}
-	req := simReq{arrive: now}
+	req := &request{}
 	if s.cfg.Deadline > 0 {
-		req.deadline = now + s.cfg.Deadline
-		// The production admission decision, verbatim: predicted
-		// completion versus remaining budget (SubmitDeadline).
-		predicted := node.model.PredictWait(len(node.queue), s.cfg.Workers)
-		if predicted > 0 && predicted.Seconds() > s.cfg.Deadline {
-			s.point.RejectedInfeasible++
-			return
-		}
+		req.deadline = simInstant(now + s.cfg.Deadline)
 	}
-	s.point.Admitted++
-	node.queue = append(node.queue, req)
-	s.dispatch(node)
+	switch node.q.admit(req, simInstant(now)) {
+	case nil:
+		s.point.Admitted++
+		s.arrived[req] = now
+		s.pump(node)
+	case ErrOverloaded:
+		s.point.RejectedOverload++
+	default:
+		s.point.RejectedInfeasible++ // *InfeasibleError
+	}
 }
 
-// dispatch starts batches on node while workers and work are available,
-// dropping deadline-expired requests at pickup exactly as the production
-// worker loop does.
-func (s *LoadSim) dispatch(node *simNode) {
-	now := s.clock.Now()
-	for node.busy < s.cfg.Workers-node.dead && len(node.queue) > 0 {
-		take := len(node.queue)
-		if take > s.cfg.MaxBatch {
-			take = s.cfg.MaxBatch
+// pump gives node's workers a turn whenever its queue may have changed —
+// what a broadcast on Scheduler's condition variable does: idle workers
+// lead, every open batch is offered for dispatch, and what the queue
+// hands over starts its forward pass.
+func (s *LoadSim) pump(node *simNode) {
+	now := simInstant(s.clock.Now())
+	for node.idle > 0 {
+		b := node.q.lead(now)
+		if b == nil {
+			break
 		}
-		batch := &simBatch{}
-		for _, r := range node.queue[:take] {
-			if r.deadline > 0 && now > r.deadline {
-				s.point.ExpiredDropped++
-				continue
-			}
-			batch.reqs = append(batch.reqs, r)
+		node.idle--
+		// The holder's BatchWait timer: the queue's own instant maps back
+		// onto the virtual axis exactly, so b is due when it fires.
+		if b.due.After(now) {
+			s.clock.Schedule(b.due.Sub(simEpoch).Seconds(), func() { s.pump(node) })
 		}
-		node.queue = append(node.queue[:0], node.queue[take:]...)
-		if len(batch.reqs) == 0 {
+	}
+	for _, b := range slices.Clone(node.q.forming) {
+		reqs, wait := node.q.dispatch(b, now)
+		if wait > 0 {
 			continue
 		}
-		// Invariant probe: nothing already expired may enter compute.
-		for _, r := range batch.reqs {
-			if r.deadline > 0 && now > r.deadline {
+		live, expired := triage(reqs, now)
+		for _, r := range expired {
+			s.point.ExpiredDropped++
+			delete(s.arrived, r)
+		}
+		if len(live) == 0 {
+			node.idle++
+			s.pump(node) // the freed worker leads what is queued behind
+			return
+		}
+		for _, r := range live {
+			if r.expired(now) {
 				s.point.ExpiredComputed++
 			}
 		}
-		node.busy++
-		node.inflight = append(node.inflight, batch)
-		dur := s.cfg.BatchOverhead + s.cfg.TileTime*float64(len(batch.reqs)) + node.slow
-		node.model.Observe(len(batch.reqs), secToDur(dur))
-		s.clock.After(dur, func() { s.complete(node, batch) })
+		pass := &simBatch{reqs: live, dur: s.cfg.BatchOverhead + s.cfg.TileTime*float64(len(live)) + node.slow}
+		node.inflight = append(node.inflight, pass)
+		s.clock.After(pass.dur, func() { s.complete(node, pass) })
 	}
 }
 
 // complete finishes one batch, records latencies, and keeps the node
 // draining.
-func (s *LoadSim) complete(node *simNode, batch *simBatch) {
-	if batch.cancelled {
-		return
+func (s *LoadSim) complete(node *simNode, pass *simBatch) {
+	i := slices.Index(node.inflight, pass)
+	if i < 0 {
+		return // killed by an injected panic; its requests were requeued
 	}
+	node.inflight = slices.Delete(node.inflight, i, i+1)
+	node.idle++
+	node.q.model.Observe(len(pass.reqs), secToDur(pass.dur))
 	now := s.clock.Now()
-	for i, b := range node.inflight {
-		if b == batch {
-			node.inflight = append(node.inflight[:i], node.inflight[i+1:]...)
-			break
-		}
-	}
-	node.busy--
-	for _, r := range batch.reqs {
+	for _, r := range pass.reqs {
 		s.point.Completed++
-		s.lat = append(s.lat, now-r.arrive)
-		if r.deadline > 0 && now > r.deadline {
+		s.lat = append(s.lat, now-s.arrived[r])
+		delete(s.arrived, r)
+		if r.expired(simInstant(now)) {
 			s.point.MissedDeadline++
 		}
 	}
-	s.dispatch(node)
+	s.pump(node)
 }
 
-// secToDur converts virtual seconds to a time.Duration for the shared
-// SvcModel.
-func secToDur(sec float64) time.Duration {
-	return time.Duration(sec * float64(time.Second))
-}
+// simEpoch is virtual second 0 on the queue's time axis: any fixed
+// instant but the zero time.Time, which means "no deadline".
+var simEpoch = time.Unix(0, 0)
+
+// simInstant and secToDur map virtual seconds to the nearest nanosecond.
+func simInstant(sec float64) time.Time { return simEpoch.Add(secToDur(sec)) }
+
+func secToDur(sec float64) time.Duration { return time.Duration(math.Round(sec * 1e9)) }
 
 // LoadSweep runs one simulation per offered rate, each with a fresh
 // injector built from spec (empty spec = fault-free), and returns the
-// latency-versus-load curve. Accounting identity checked per point:
-// every arrival is admitted or rejected, and every admitted request
-// either completes or is dropped expired — an admitted request never
-// becomes a rejection (AdmittedThenRejected).
+// latency-versus-load curve.
 func LoadSweep(cfg LoadSimConfig, rates []float64, spec string) ([]LoadPoint, error) {
+	sched, err := chaos.Parse(spec)
+	if err != nil {
+		return nil, err
+	}
 	points := make([]LoadPoint, 0, len(rates))
 	for _, r := range rates {
-		var inj *chaos.Injector
-		if spec != "" {
-			sched, err := chaos.Parse(spec)
-			if err != nil {
-				return nil, err
-			}
-			inj = chaos.New(sched, cfg.Nodes)
-		}
-		sim, err := NewLoadSim(cfg, r, inj)
+		sim, err := NewLoadSim(cfg, r, chaos.New(sched, cfg.Nodes))
 		if err != nil {
 			return nil, err
 		}
-		p := sim.Run()
-		if got := p.Admitted + p.RejectedOverload + p.RejectedInfeasible; got != p.Arrived {
-			p.AdmittedThenRejected = p.Arrived - got
-		}
-		points = append(points, p)
+		points = append(points, sim.Run())
 	}
 	return points, nil
 }

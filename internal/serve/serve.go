@@ -6,7 +6,8 @@
 //   - a Scheduler that coalesces concurrent tile-classification requests
 //     into micro-batches executed by a fixed pool of inference workers,
 //     each owning a pre-allocated unet.Session (amortizing conv cost the
-//     same way internal/train batches do);
+//     same way internal/train batches do); its queueing policy is the
+//     clock-free batchQueue, which the load simulator drives too;
 //   - a content-hash LRU Cache consulted before any work: unfiltered
 //     requests are keyed on their input pixels (one entry per stitched
 //     scene), pre-filtered ones per tile (see cache.go);
@@ -14,9 +15,8 @@
 //     ErrOverloaded (HTTP 429) instead of collapse;
 //   - self-healing workers: a panic escaping a batch (injected via
 //     internal/chaos or real) restarts only that worker and requeues its
-//     batch — queued requests are never dropped, and requests fail only
-//     as 429 past the existing bound; /healthz exposes live_workers and
-//     worker_restarts;
+//     batch — admitted requests are never dropped or turned into 429s;
+//     /healthz exposes live_workers and worker_restarts;
 //   - an HTTP front end (Server) with /classify, /healthz, and /statz.
 //
 // cmd/seaice-serve is the binary wrapping this package; the tile →

@@ -180,3 +180,32 @@ func TestSLOLoadSimSlowNodeFault(t *testing.T) {
 		t.Fatal("slownode run completed nothing")
 	}
 }
+
+// TestSLOLoadSimRejectsUnsizedQueue: the simulator has no defaults of
+// its own — the queue's sizes come from the caller, as serve.Config's do
+// — so a zero Nodes / Workers / MaxBatch / QueueSize, a negative
+// BatchWait or a non-positive rate is an error, not a silent 1 / 8 / 64.
+func TestSLOLoadSimRejectsUnsizedQueue(t *testing.T) {
+	if _, err := NewLoadSim(sloConfig(), 100, nil); err != nil {
+		t.Fatalf("the committed configuration was rejected: %v", err)
+	}
+	for name, unset := range map[string]func(*LoadSimConfig){
+		"nodes":      func(c *LoadSimConfig) { c.Nodes = 0 },
+		"workers":    func(c *LoadSimConfig) { c.Workers = 0 },
+		"max batch":  func(c *LoadSimConfig) { c.MaxBatch = 0 },
+		"queue size": func(c *LoadSimConfig) { c.QueueSize = 0 },
+		"batch wait": func(c *LoadSimConfig) { c.BatchWait = -0.001 },
+	} {
+		cfg := sloConfig()
+		unset(&cfg)
+		if _, err := NewLoadSim(cfg, 100, nil); err == nil {
+			t.Errorf("NewLoadSim accepted a configuration without %s", name)
+		}
+		if _, err := LoadSweep(cfg, []float64{100}, ""); err == nil {
+			t.Errorf("LoadSweep accepted a configuration without %s", name)
+		}
+	}
+	if _, err := NewLoadSim(sloConfig(), 0, nil); err == nil {
+		t.Error("NewLoadSim accepted a zero offered load")
+	}
+}

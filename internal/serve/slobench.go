@@ -46,18 +46,16 @@ const sloFaultSpec = "7:burst@20:2s,slownode@40:r1:30ms,serve@60"
 // healthy capacity, 250ms client deadlines.
 func sloConfig() LoadSimConfig {
 	return LoadSimConfig{
-		Nodes:          2,
-		Workers:        2,
-		MaxBatch:       8,
-		QueueCap:       64,
-		TileTime:       0.002,
-		BatchOverhead:  0.001,
-		Deadline:       0.25,
-		Duration:       10,
-		Seed:           42,
-		SecondsPerStep: 0.1,
-		BurstFactor:    4,
-		RestartTime:    0.05,
+		Nodes:         2,
+		Workers:       2,
+		MaxBatch:      8,
+		QueueSize:     64,
+		BatchWait:     0.002,
+		TileTime:      0.002,
+		BatchOverhead: 0.001,
+		Deadline:      0.25,
+		Duration:      10,
+		Seed:          42,
 	}
 }
 
@@ -85,7 +83,7 @@ func RunSLOBench() (*SLOBench, error) {
 		return nil, fmt.Errorf("serve: faulted sweep: %w", err)
 	}
 	return &SLOBench{
-		Schema: "seaice-bench-serve/v1",
+		Schema: "seaice-bench-serve/v2",
 		Workload: "chaos-under-load SLO sweep on the simtime cluster model; " +
 			"regenerate with `go run ./cmd/seaice-serve -slo` " +
 			"(bit-reproducible — no host section needed)",
