@@ -3,7 +3,7 @@
 // to stdout and, optionally, a Markdown report:
 //
 //	table1    Python-multiprocessing auto-label speedup (Table I, Fig 10)
-//	table2    PySpark map-reduce scaling on the simulated cluster (Table II)
+//	table2    PySpark map-reduce scaling, calibrated stage model (Table II)
 //	table3    Horovod-style distributed training (Table III, Fig 12)
 //	accuracy  U-Net-Man vs U-Net-Auto (Tables IV & V, Fig 13, §IV-B2 SSIM)
 //	fig14     qualitative prediction panels (PNG files)
@@ -29,6 +29,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -49,6 +50,19 @@ import (
 
 type output struct {
 	md strings.Builder
+}
+
+// experiments are the names -exp accepts.
+var experiments = []string{"table1", "table2", "table3", "accuracy", "fig14", "labeltime", "kernels", "all"}
+
+// validateExp refuses an -exp name that selects nothing, which would
+// otherwise run no experiment, exit 0 and overwrite -out with an empty
+// report.
+func validateExp(exp string) error {
+	if slices.Contains(experiments, exp) {
+		return nil
+	}
+	return fmt.Errorf("unknown experiment %q (valid: %s)", exp, strings.Join(experiments, ", "))
 }
 
 // validatePrecision routes through the serving stack's precision
@@ -98,7 +112,7 @@ func main() {
 	log.SetPrefix("seaice-bench: ")
 
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1|table2|table3|accuracy|fig14|labeltime|kernels|all")
+		exp        = flag.String("exp", "all", "experiment: "+strings.Join(experiments, "|"))
 		precision  = flag.String("precision", "f64", "training-step cost precision: f32 (mixed) | f64")
 		quick      = flag.Bool("quick", false, "reduced scale for fast runs")
 		outMD      = flag.String("out", "", "write a Markdown report to this path")
@@ -109,6 +123,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := validateExp(*exp); err != nil {
+		log.Fatal(err)
+	}
 	// Reject bad -precision up front, for every experiment: the flag
 	// used to be checked only on the table3 path, so e.g.
 	// `-exp kernels -precision f16` silently ran with the default.
@@ -178,13 +195,8 @@ func main() {
 	}
 
 	if want("table2") {
-		log.Printf("table2: map-reduce scaling (simulated Dataproc cluster)")
-		scenes := benchScenes(*seed+1, *quick)
-		rows, err := core.RunTable2(scenes, 64)
-		if err != nil {
-			fatal(err)
-		}
-		o.section("Table II — PySpark-style map-reduce auto-labeling", core.Table2Report(rows).String())
+		log.Printf("table2: map-reduce scaling (calibrated Dataproc stage model)")
+		o.section("Table II — PySpark-style map-reduce auto-labeling", core.Table2Report(core.RunTable2()).String())
 	}
 
 	if want("table3") {
@@ -278,25 +290,9 @@ func benchTiles(seed uint64, quick bool) []*raster.RGB {
 	return tiles
 }
 
-// benchScenes prepares the scene set for Table II's engine runs.
-func benchScenes(seed uint64, quick bool) []*scene.Scene {
-	n := 4
-	if quick {
-		n = 2
-	}
-	cc := scene.DefaultCollection(seed)
-	cc.Scenes = n
-	cc.W, cc.H = 256, 256
-	scenes, err := scene.GenerateCollection(cc)
-	if err != nil {
-		fatal(err)
-	}
-	return scenes
-}
-
 // trainSamples prepares a small labeled sample set for Table III's real
-// distributed-training runs (the virtual DGX clock carries the paper-scale
-// timing; the gradient math here is real).
+// distributed-training runs (the calibrated DGX model carries the
+// paper-scale timing; the gradient math here is real).
 func trainSamples(seed uint64, quick bool) []train.Sample {
 	n := 2
 	if quick {

@@ -59,7 +59,6 @@ import (
 	"seaice/internal/ddp"
 	"seaice/internal/labeler"
 	"seaice/internal/nn"
-	"seaice/internal/perfmodel"
 	"seaice/internal/pipeline"
 	"seaice/internal/pool"
 	"seaice/internal/raster"
@@ -443,7 +442,6 @@ func runDDP[S tensor.Scalar](o options, modelCfg unet.Config, st *pipeline.Strea
 		Seed:           o.seed,
 		MasterWeights:  master,
 		Focal:          o.focal,
-		Timing:         perfmodel.PaperDGX(),
 		Chaos:          o.chaos,
 		SnapshotPath:   o.snapshot,
 		SnapshotEvery:  o.snapEvery,
@@ -528,8 +526,8 @@ func runDDP[S tensor.Scalar](o options, modelCfg unet.Config, st *pipeline.Strea
 			log.Printf("%schaos: finished elastically without ranks %v", who, res.LostRanks)
 		}
 	}
-	log.Printf("%sdata-parallel training: %d ranks, %d committed steps, virtual DGX time %.2f s, real %.2f s",
-		who, o.workers, res.Steps, res.VirtualTotal, res.RealTotal)
+	log.Printf("%sdata-parallel training: %d ranks, %d committed steps in %.2f s",
+		who, o.workers, res.Steps, res.RealTotal)
 	return tr.Replica(o.rank)
 }
 

@@ -57,7 +57,6 @@ func main() {
 		Epochs:         3,
 		LR:             0.01,
 		Seed:           5,
-		Timing:         perfmodel.PaperDGX(),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -66,10 +65,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("4-worker training: loss %.4f → %.4f, virtual DGX time %.2f s (real %.2f s)\n\n",
-		res.Epochs[0].Loss, res.Epochs[len(res.Epochs)-1].Loss, res.VirtualTotal, res.RealTotal)
+	fmt.Printf("4-worker training: loss %.4f → %.4f in %.2f s\n\n",
+		res.Epochs[0].Loss, res.Epochs[len(res.Epochs)-1].Loss, res.RealTotal)
 
-	// 3. The Table III projection.
+	// 3. The Table III projection, from the calibrated DGX model.
 	dgx := perfmodel.PaperDGX()
 	fmt.Println("projected Table III (50 epochs on the paper's DGX A100):")
 	fmt.Println("GPUs  total(s)  s/epoch  img/s    speedup")

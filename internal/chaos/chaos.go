@@ -628,8 +628,8 @@ func (in *Injector) StragglerDelay(rank, step int) time.Duration {
 
 // DeliverVirtual schedules every not-yet-fired fault on a simtime clock
 // at the exact virtual instant step × secondsPerStep — the delivery
-// mode for discrete-event simulations (internal/cluster-style runs and
-// the chaos tests); the real-goroutine training/serving paths consume
+// mode for discrete-event simulations (serve.LoadSim and the chaos
+// tests); the real-goroutine training/serving paths consume
 // faults at step/shard boundaries via the query methods instead. fire
 // receives each fault as the clock reaches its instant; simultaneous
 // faults arrive in schedule order (simtime's FIFO tie-break). The

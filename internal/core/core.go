@@ -22,7 +22,9 @@ import (
 )
 
 // AccuracyConfig scales the Table IV/V/Fig 13 experiment. The defaults
-// reproduce the paper's comparisons at single-core scale (DESIGN.md §5).
+// reproduce the paper's comparisons at reduced scale — the full campaign,
+// but a subsampled training set and the FastConfig U-Net — so a CPU run
+// finishes in minutes (see DefaultAccuracyConfig).
 type AccuracyConfig struct {
 	// Campaign is the synthetic acquisition (paper: 66 scenes).
 	Campaign scene.CollectionConfig

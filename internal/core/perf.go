@@ -8,11 +8,9 @@ import (
 	"seaice/internal/cloudfilter"
 	"seaice/internal/dataset"
 	"seaice/internal/ddp"
-	"seaice/internal/mapreduce"
 	"seaice/internal/perfmodel"
 	"seaice/internal/pool"
 	"seaice/internal/raster"
-	"seaice/internal/scene"
 	"seaice/internal/train"
 	"seaice/internal/unet"
 )
@@ -102,7 +100,7 @@ func RunTable1(tiles []*raster.RGB, measure bool) ([]Table1Row, error) {
 }
 
 // ---------------------------------------------------------------------
-// Table II — PySpark map-reduce scaling on the simulated GCD cluster
+// Table II — PySpark map-reduce scaling on the paper's Dataproc cluster
 // ---------------------------------------------------------------------
 
 // Table2Row is one cell group of Table II.
@@ -113,7 +111,6 @@ type Table2Row struct {
 	PaperSpeedupReduce               float64
 	SimLoad, SimMap, SimReduce       float64
 	SimSpeedupLoad, SimSpeedupReduce float64
-	Items                            int
 }
 
 // Table2Paper holds the published Table II.
@@ -129,98 +126,27 @@ var Table2Paper = []Table2Row{
 	{Executors: 4, Cores: 4, PaperLoad: 12, PaperMap: 0.3, PaperReduce: 24, PaperSpeedupLoad: 9, PaperSpeedupReduce: 16.25},
 }
 
-// RunTable2 replays the paper's PySpark job on the simulated cluster for
-// every executor×core configuration: a load stage (scene tiles read into
-// the distributed dataset), a lazy map registering the auto-label UDF,
-// and the reduce/collect stage that executes it. The work is real (the
-// given scenes are really filtered and labeled by the engine); the clock
-// is the calibrated virtual one.
-func RunTable2(scenes []*scene.Scene, tileSize int) ([]Table2Row, error) {
-	// Materialize tiles once; the engine re-labels them per config.
-	var tiles []*raster.RGB
-	for _, sc := range scenes {
-		ts, _, err := raster.Split(sc.Image, tileSize, tileSize)
-		if err != nil {
-			return nil, fmt.Errorf("core: table2: %w", err)
-		}
-		for _, t := range ts {
-			tiles = append(tiles, t.Image)
-		}
-	}
-	n := len(tiles)
-	if n == 0 {
-		return nil, fmt.Errorf("core: table2: no tiles")
-	}
-
-	loadCost := mapreduce.CostFromSparkStage(perfmodel.PaperLoadStage(), n)
-	reduceCost := mapreduce.CostFromSparkStage(perfmodel.PaperReduceStage(), n)
-
+// RunTable2 reproduces Table II from the calibrated PySpark stage models
+// for every executor×core configuration: the load stage (tiles read into
+// the distributed dataset), the lazy map registering the auto-label UDF
+// (a constant cost: no executor runs it yet), and the reduce/collect
+// stage that executes it.
+// Speedups are against the 1×1 row, as the paper's are. The models are
+// closed forms of (executors, cores), so the table is the same on every
+// host and needs no input.
+func RunTable2() []Table2Row {
+	load, reduce := perfmodel.PaperLoadStage(), perfmodel.PaperReduceStage()
 	rows := make([]Table2Row, len(Table2Paper))
 	copy(rows, Table2Paper)
-	var base1x1Load, base1x1Reduce float64
 	for i := range rows {
 		e, c := rows[i].Executors, rows[i].Cores
-		parts := e * c * 4 // Spark convention: a few partitions per slot
-
-		// Stage 1: load. Generating/decoding the tile data is the
-		// "read into the PySpark dataframe" step.
-		loadRunner, err := mapreduce.NewSimRunner(e, c, loadCost)
-		if err != nil {
-			return nil, err
-		}
-		ds, err := mapreduce.Generate(n, parts, func(i int) (*raster.RGB, error) {
-			return tiles[i], nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		loaded, loadStats, err := mapreduce.Collect(ds, loadRunner)
-		if err != nil {
-			return nil, err
-		}
-
-		// Stage 2: the lazy map — driver-side registration only.
-		parallel, err := mapreduce.Parallelize(loaded, parts)
-		if err != nil {
-			return nil, err
-		}
-		labeled := mapreduce.Map(parallel, func(img *raster.RGB) (*raster.Labels, error) {
-			res := cloudfilter.FilterDefault(img)
-			return autolabel.LabelPaper(res.Image)
-		})
-		mapTime := perfmodel.PaperMapTime
-
-		// Stage 3: reduce/collect triggers the UDF on the cluster.
-		reduceRunner, err := mapreduce.NewSimRunner(e, c, reduceCost)
-		if err != nil {
-			return nil, err
-		}
-		labels, reduceStats, err := mapreduce.Collect(labeled, reduceRunner)
-		if err != nil {
-			return nil, err
-		}
-		if len(labels) != n {
-			return nil, fmt.Errorf("core: table2: %d labels for %d tiles", len(labels), n)
-		}
-
-		rows[i].SimLoad = loadStats.Elapsed
-		rows[i].SimMap = mapTime
-		rows[i].SimReduce = reduceStats.Elapsed
-		rows[i].Items = n
-		if e == 1 && c == 1 {
-			base1x1Load = loadStats.Elapsed
-			base1x1Reduce = reduceStats.Elapsed
-		}
+		rows[i].SimLoad = load.Time(e, c)
+		rows[i].SimMap = perfmodel.PaperMapTime
+		rows[i].SimReduce = reduce.Time(e, c)
+		rows[i].SimSpeedupLoad = load.Speedup(e, c)
+		rows[i].SimSpeedupReduce = reduce.Speedup(e, c)
 	}
-	for i := range rows {
-		if rows[i].SimLoad > 0 {
-			rows[i].SimSpeedupLoad = base1x1Load / rows[i].SimLoad
-		}
-		if rows[i].SimReduce > 0 {
-			rows[i].SimSpeedupReduce = base1x1Reduce / rows[i].SimReduce
-		}
-	}
-	return rows, nil
+	return rows
 }
 
 // ---------------------------------------------------------------------
@@ -255,7 +181,7 @@ var Table3Paper = []Table3Row{
 type Table3Config struct {
 	Samples    []train.Sample
 	Model      unet.Config
-	Epochs     int // virtual-clock epochs reported for the paper's 50
+	Epochs     int // epochs the DGX model's totals cover (the paper's 50)
 	RealEpochs int // epochs of real gradient work per configuration
 	BatchPer   int
 	LR         float64
@@ -264,9 +190,9 @@ type Table3Config struct {
 
 // RunTable3 reproduces Table III: per GPU count it runs real synchronous
 // data-parallel training (goroutine GPUs + ring all-reduce) on the given
-// sample set for RealEpochs, and reports the paper-scale virtual timing
-// from the calibrated DGX model for Epochs epochs with the paper's
-// training-set size.
+// sample set for RealEpochs, and reports the paper-scale timing from the
+// calibrated DGX model (perfmodel.PaperDGX) for Epochs epochs with the
+// paper's training-set size.
 func RunTable3(cfg Table3Config) ([]Table3Row, error) {
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 50
@@ -287,7 +213,6 @@ func RunTable3(cfg Table3Config) ([]Table3Row, error) {
 			Epochs:         cfg.RealEpochs,
 			LR:             cfg.LR,
 			Seed:           cfg.Seed,
-			Timing:         dgx,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: table3: %w", err)

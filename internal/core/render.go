@@ -30,7 +30,7 @@ func Table1Report(rows []Table1Row) *report.Table {
 // Table2Report renders Table II.
 func Table2Report(rows []Table2Row) *report.Table {
 	t := report.NewTable(
-		"Table II — PySpark-style auto-labeling on the simulated Dataproc cluster (paper vs simulation)",
+		"Table II — PySpark-style auto-labeling on the paper's Dataproc cluster (paper vs calibrated stage model)",
 		"exec", "cores",
 		"paper load", "sim load", "paper map", "sim map", "paper reduce", "sim reduce",
 		"paper spd-load", "sim spd-load", "paper spd-reduce", "sim spd-reduce")

@@ -85,34 +85,41 @@ func TestChaosRecoveryBitIdentity(t *testing.T) {
 		workers int
 		spec    string
 		guard   train.GuardConfig
+		every   int // snapshot cadence; 0 keeps chaosTrainCfg's 4
 	}{
 		// Single worker: every crash is a no-survivor loss, forcing the
 		// snapshot-replay path (crashes land between snapshots at 4k).
-		{"workers=1", 1, "11:crash@2:r0,crash@7:r0", train.GuardConfig{}},
+		{"workers=1", 1, "11:crash@2:r0,crash@7:r0", train.GuardConfig{}, 0},
 		// Multi-worker: survivor-copy healing; one auto-targeted crash
 		// and a straggler riding along.
-		{"workers=3", 3, "11:crash@3:r1,crash@9:r0,stall@5:r2:2ms", train.GuardConfig{}},
-		{"workers=4", 4, "11:crash@1:r3,crash@6,crash@6:r0", train.GuardConfig{}},
+		{"workers=3", 3, "11:crash@3:r1,crash@9:r0,stall@5:r2:2ms", train.GuardConfig{}, 0},
+		{"workers=4", 4, "11:crash@1:r3,crash@6,crash@6:r0", train.GuardConfig{}, 0},
 		// Snapshot replay over guard-skipped steps: at this bound the
 		// gradient norm trips (and reproduces) at steps 0 and 1 only, so
 		// the crash at step 3 replays from the step-0 snapshot across two
 		// dropped updates and one applied one. The replay must drop the
 		// same updates, and still draw their dropout noise.
-		{"workers=1+guardskip", 1, "11:crash@3:r0,crash@7:r0", train.GuardConfig{Policy: train.GuardSkip, MaxNorm: 0.4}},
+		{"workers=1+guardskip", 1, "11:crash@3:r0,crash@7:r0", train.GuardConfig{Policy: train.GuardSkip, MaxNorm: 0.4}, 0},
+		// Snapshot replay across epoch boundaries: with snapshots at 0
+		// and 6 and 4 batches per epoch, the crash at step 5 rewinds over
+		// the close of epoch 0 (step 3) and the one at 9 over the close
+		// of epoch 1 (step 7). Each closed epoch must be taken back and
+		// closed again once, or the epoch list grows.
+		{"workers=1+epochrewind", 1, "11:crash@5:r0,crash@9:r0", train.GuardConfig{}, 6},
 	} {
 		samples := syntheticSamples(123, tc.workers*2*4, 8)
 		t.Run(tc.name, func(t *testing.T) {
 			t.Run("f64", func(t *testing.T) {
-				chaosBitIdentity[float64](t, tc.workers, tc.spec, tc.guard, samples)
+				chaosBitIdentity[float64](t, tc.workers, tc.spec, tc.guard, tc.every, samples)
 			})
 			t.Run("f32-mixed", func(t *testing.T) {
-				chaosBitIdentity[float32](t, tc.workers, tc.spec, tc.guard, samples)
+				chaosBitIdentity[float32](t, tc.workers, tc.spec, tc.guard, tc.every, samples)
 			})
 		})
 	}
 }
 
-func chaosBitIdentity[S tensor.Scalar](t *testing.T, workers int, spec string, guard train.GuardConfig, samples []train.Sample) {
+func chaosBitIdentity[S tensor.Scalar](t *testing.T, workers int, spec string, guard train.GuardConfig, every int, samples []train.Sample) {
 	model := dropoutConfig(4)
 	base := chaosTrainCfg(workers, "", t)
 	base.MasterWeights = tensor.IsF32[S]()
@@ -122,6 +129,9 @@ func chaosBitIdentity[S tensor.Scalar](t *testing.T, workers int, spec string, g
 	cfg := chaosTrainCfg(workers, spec, t)
 	cfg.MasterWeights = base.MasterWeights
 	cfg.Guard = guard
+	if every > 0 {
+		cfg.SnapshotEvery = every
+	}
 	injector := cfg.Chaos
 	faulty, res := runFit[S](t, model, cfg, samples)
 
@@ -142,6 +152,14 @@ func chaosBitIdentity[S tensor.Scalar](t *testing.T, workers int, spec string, g
 	}
 	if res.GuardSkips != cleanRes.GuardSkips {
 		t.Fatalf("guard skips %d vs clean %d: a replayed step was counted twice, or its update was not dropped again", res.GuardSkips, cleanRes.GuardSkips)
+	}
+	if len(res.Epochs) != len(cleanRes.Epochs) {
+		t.Fatalf("%d epochs reported vs clean %d: a rewound epoch was not taken back", len(res.Epochs), len(cleanRes.Epochs))
+	}
+	for e := range res.Epochs {
+		if got, want := math.Float64bits(res.Epochs[e].Loss), math.Float64bits(cleanRes.Epochs[e].Loss); got != want {
+			t.Fatalf("epoch %d loss %v vs clean %v", e, res.Epochs[e].Loss, cleanRes.Epochs[e].Loss)
+		}
 	}
 	if got, want := weightsOf(faulty), weightsOf(clean); !bytes.Equal(got, want) {
 		t.Fatalf("recovered weights differ from uninterrupted run (%d vs %d bytes)", len(got), len(want))

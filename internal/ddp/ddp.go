@@ -55,8 +55,9 @@
 //
 // In-process ranks are real goroutines whose kernels share the worker
 // pool, so wall clock scales with the host's cores (the benchmark's
-// train.scaling_x probe measures it); Table III's DGX timing is reported
-// separately through the calibrated perfmodel.Horovod virtual clock. The
+// train.scaling_x probe measures it). The trainer measures and reports
+// real seconds only; Table III's paper-scale DGX timing is a separate
+// closed-form model (perfmodel.PaperDGX, read by core.RunTable3). The
 // equivalence theorem "K-worker DDP step == single-model step on the
 // merged batch" is verified in the tests.
 //
@@ -84,7 +85,6 @@ import (
 	"seaice/internal/chaos"
 	"seaice/internal/nn"
 	"seaice/internal/noise"
-	"seaice/internal/perfmodel"
 	"seaice/internal/ring"
 	"seaice/internal/tensor"
 	"seaice/internal/train"
@@ -119,9 +119,6 @@ type Config struct {
 	// rank's criterion is stateless apart from scratch buffers, so
 	// recovery and snapshot replay are unaffected.
 	Focal *nn.FocalParams
-	// Timing supplies the virtual clock for reported epoch times; the
-	// zero value disables virtual timing.
-	Timing perfmodel.Horovod
 	// Progress, if non-nil, receives each epoch's mean loss over the
 	// hosted ranks.
 	Progress func(epoch int, loss float64)
@@ -161,21 +158,16 @@ type Config struct {
 	Elastic bool
 }
 
-// EpochStat records one epoch's timing and loss.
+// EpochStat records one epoch's loss and wall-clock time.
 type EpochStat struct {
-	Loss           float64
-	VirtualSeconds float64
-	RealSeconds    float64
+	Loss        float64
+	RealSeconds float64
 }
 
 // Result summarizes the run.
 type Result struct {
-	Epochs       []EpochStat
-	VirtualTotal float64
-	RealTotal    float64
-	// Throughput is images/second against the virtual clock (the
-	// paper's "Data/s" column).
-	Throughput float64
+	Epochs    []EpochStat
+	RealTotal float64
 
 	// Steps is the number of committed global steps this Fit executed
 	// (excluding resumed-over steps, discarded attempts, and replays).
@@ -726,7 +718,6 @@ func (t *Trainer[S]) heal(g int, res *Result) (int, error) {
 // can take it back.
 type stepStat struct {
 	loss    float64
-	samples int
 	skipped bool
 }
 
@@ -779,11 +770,10 @@ func (t *Trainer[S]) Fit(samples []train.Sample) (*Result, error) {
 	}
 
 	var (
-		stats          = make([]stepStat, totalSteps)
-		samplesTrained int // samples in committed steps (resume-aware)
-		epochBatches   [][]train.Sample
-		epochLoaded    = -1
-		epochStart     time.Time
+		stats        = make([]stepStat, totalSteps)
+		epochBatches [][]train.Sample
+		epochLoaded  = -1
+		epochStart   time.Time
 		// curB is the rollback state of the step being attempted, prevB
 		// the one before it: a peer can be at most one commit behind.
 		prevB, curB *Snapshot
@@ -858,7 +848,6 @@ func (t *Trainer[S]) Fit(samples []train.Sample) (*Result, error) {
 			// would be pure waste.
 			err = &ring.RankError{Rank: t.group.Dead()[0]}
 		default:
-			stat.samples = len(batch)
 			stat.loss, stat.skipped, err = t.step(g, shardOver(batch, members, t.world), guardRetried == g, res)
 		}
 
@@ -867,13 +856,12 @@ func (t *Trainer[S]) Fit(samples []train.Sample) (*Result, error) {
 		case err == nil:
 			stats[g] = stat
 			res.Steps++
-			samplesTrained += stat.samples
 			if stat.skipped {
 				res.GuardSkips++
 			}
 			g++
 			if bi == nb-1 {
-				t.closeEpoch(res, epoch, stats[max(epoch*nb, t.startStep):g], nb, epochStart)
+				t.closeEpoch(res, epoch, stats[max(epoch*nb, t.startStep):g], epochStart)
 			}
 		case errors.Is(err, errGuardRetry):
 			// Every rank scanned the identical reduced bytes and reached
@@ -910,7 +898,6 @@ func (t *Trainer[S]) Fit(samples []train.Sample) (*Result, error) {
 				}
 				for h := g - 1; h >= at; h-- {
 					res.Steps--
-					samplesTrained -= stats[h].samples
 					if stats[h].skipped {
 						res.GuardSkips--
 					}
@@ -918,7 +905,6 @@ func (t *Trainer[S]) Fit(samples []train.Sample) (*Result, error) {
 						last := res.Epochs[len(res.Epochs)-1]
 						res.Epochs = res.Epochs[:len(res.Epochs)-1]
 						res.RealTotal -= last.RealSeconds
-						res.VirtualTotal -= last.VirtualSeconds
 					}
 				}
 				prevB, curB, g, guardRetried = nil, to, at, -1
@@ -931,32 +917,19 @@ func (t *Trainer[S]) Fit(samples []train.Sample) (*Result, error) {
 		}
 	}
 	res.LostRanks = t.group.Dead()
-	if res.VirtualTotal > 0 {
-		// Samples this Fit actually trained — for an unresumed run this
-		// is len(samples)×Epochs; a resumed run counts only its own
-		// committed steps, so throughput is never inflated by the
-		// already-snapshotted portion.
-		res.Throughput = float64(samplesTrained) / res.VirtualTotal
-	}
 	return res, nil
 }
 
 // closeEpoch emits the epoch stat from the steps of the epoch this Fit
-// executed — all nb of them, or the tail a mid-epoch resume left.
-func (t *Trainer[S]) closeEpoch(res *Result, epoch int, steps []stepStat, nb int, start time.Time) {
+// executed — all of them, or the tail a mid-epoch resume left.
+func (t *Trainer[S]) closeEpoch(res *Result, epoch int, steps []stepStat, start time.Time) {
 	stat := EpochStat{RealSeconds: time.Since(start).Seconds()}
 	for _, s := range steps {
 		stat.Loss += s.loss
 	}
 	stat.Loss /= float64(len(steps))
-	if t.cfg.Timing.Compute > 0 {
-		// Scale the modeled epoch time so virtual totals cover the work
-		// actually done.
-		stat.VirtualSeconds = t.cfg.Timing.EpochTime(t.group.LiveCount()) * float64(len(steps)) / float64(nb)
-	}
 	res.Epochs = append(res.Epochs, stat)
 	res.RealTotal += stat.RealSeconds
-	res.VirtualTotal += stat.VirtualSeconds
 	if t.cfg.Progress != nil {
 		t.cfg.Progress(epoch, stat.Loss)
 	}

@@ -10,7 +10,6 @@ import (
 
 	"seaice/internal/nn"
 	"seaice/internal/noise"
-	"seaice/internal/perfmodel"
 	"seaice/internal/raster"
 	"seaice/internal/ring"
 	"seaice/internal/tensor"
@@ -136,30 +135,6 @@ func TestDDPLossDecreases(t *testing.T) {
 	t.Logf("ddp loss %f → %f", first, last)
 	if last >= first {
 		t.Fatalf("ddp training did not reduce loss: %f → %f", first, last)
-	}
-}
-
-// TestVirtualTiming: with the paper's DGX model attached, reported
-// virtual epoch times must follow the calibrated curve.
-func TestVirtualTiming(t *testing.T) {
-	samples := syntheticSamples(111, 8, 8)
-	model := perfmodel.PaperDGX()
-	tr, err := New[float64](noDropoutConfig(8), Config{
-		Workers: 4, BatchPerWorker: 2, Epochs: 2, LR: 0.01, Seed: 12, Timing: model,
-	})
-	if err != nil {
-		t.Fatalf("trainer: %v", err)
-	}
-	res, err := tr.Fit(samples)
-	if err != nil {
-		t.Fatalf("fit: %v", err)
-	}
-	want := model.EpochTime(4) * 2
-	if math.Abs(res.VirtualTotal-want) > 1e-9 {
-		t.Fatalf("virtual total %f, want %f", res.VirtualTotal, want)
-	}
-	if res.Throughput <= 0 {
-		t.Fatalf("throughput not computed")
 	}
 }
 

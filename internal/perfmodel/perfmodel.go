@@ -3,18 +3,21 @@
 // paper's testbeds (a 4-core i5 workstation, a Google Cloud Dataproc
 // cluster, an NVIDIA DGX A100) do not resemble. Every model is a small,
 // interpretable formula — Amdahl serial fractions, SMT yield, per-core
-// memory contention, ring all-reduce cost — whose constants were fitted to
-// the paper's published numbers; each fit is derived in the comments and
-// validated against the paper in the package tests.
+// memory contention, a serial input pipeline — whose constants were
+// fitted to the paper's published numbers; each fit is derived in the
+// comments and validated against the paper in the package tests.
 //
 // Determinism guarantee: every model is a closed-form function of its
 // arguments — no clocks, no randomness, no host-speed dependence — so
 // projected tables are bit-reproducible on any machine.
 //
 // The models answer "how long would this stage take on the paper's
-// hardware", and drive the virtual clock of internal/cluster and the
-// simulated GPUs of internal/ddp. The *work* the simulated components
-// perform is real; only the clock is modeled.
+// hardware", and each paper table reads exactly one of them: Table I
+// PaperWorkstation (core.RunTable1), Table II PaperLoadStage,
+// PaperReduceStage and PaperMapTime (core.RunTable2), Table III PaperDGX
+// (core.RunTable3). Nothing in the repository simulates the paper's
+// machines beyond these formulas; what runs on this host (the pool, the
+// trainer, the pipeline) is timed with the real clock.
 package perfmodel
 
 // SMTMachine models a workstation with a fixed number of physical cores
@@ -118,17 +121,14 @@ func (s SparkStage) Speedup(executors, cores int) float64 {
 // Horovod models the per-epoch time of synchronous data-parallel U-Net
 // training on p GPUs (Table III):
 //
-//	t(p) = InputPipeline + Compute/p + RingOverhead·(p-1)/p
+//	t(p) = InputPipeline + Compute/p
 //
 // InputPipeline is the serial data-preprocessing/batch-preparation term
 // the paper identifies as the source of GPU starvation; Compute is the
-// single-GPU epoch time; RingOverhead is the bandwidth term of the
-// Patarasuk–Yuan ring all-reduce, whose per-GPU volume scales as
-// 2(p-1)/p · |gradient|.
+// single-GPU epoch time.
 type Horovod struct {
 	InputPipeline float64 // seconds per epoch, serial
 	Compute       float64 // seconds per epoch on one GPU
-	RingOverhead  float64 // seconds per epoch of all-reduce at p→∞
 }
 
 // PaperDGX returns the Table III model. Fit: the published times per
@@ -136,11 +136,11 @@ type Horovod struct {
 // 280.72…38.91 s over 50 epochs) collapse onto t = c0 + c1/p with
 // c0 = 0.0874 and c1 = 5.5266 (residual < 0.03 s/epoch everywhere). The
 // c0 term is the input pipeline; at p=1 Horovod performs no communication
-// so c1 is pure compute, and the ring term is folded into c0 because the
-// paper's measured curve does not separate them (the ring all-reduce is
-// bandwidth-optimal: its cost is nearly flat in p for p ≥ 2).
+// so c1 is pure compute. The ring all-reduce has no term of its own: it
+// is bandwidth-optimal, its cost is nearly flat in p for p ≥ 2, and the
+// paper's measured curve does not separate it from c0.
 func PaperDGX() Horovod {
-	return Horovod{InputPipeline: 0.0874, Compute: 5.5266, RingOverhead: 0}
+	return Horovod{InputPipeline: 0.0874, Compute: 5.5266}
 }
 
 // EpochTime predicts seconds per epoch on p GPUs.
@@ -148,8 +148,7 @@ func (h Horovod) EpochTime(p int) float64 {
 	if p <= 0 {
 		p = 1
 	}
-	fp := float64(p)
-	return h.InputPipeline + h.Compute/fp + h.RingOverhead*(fp-1)/fp
+	return h.InputPipeline + h.Compute/float64(p)
 }
 
 // TotalTime predicts seconds for the given number of epochs.
@@ -165,28 +164,4 @@ func (h Horovod) Speedup(p int) float64 {
 // Throughput predicts images/second given the training-set size.
 func (h Horovod) Throughput(p, datasetSize int) float64 {
 	return float64(datasetSize) / h.EpochTime(p)
-}
-
-// RingAllReduceTime returns the classic cost model of a ring all-reduce
-// of n bytes across p participants with link bandwidth bw (bytes/s) and
-// per-step latency lat (s): 2(p-1) steps, each moving n/p bytes.
-// It is exposed for the ablation benchmarks comparing ring against the
-// naive gather-broadcast (2(p-1)·n bytes through a single root).
-func RingAllReduceTime(p int, n, bw, lat float64) float64 {
-	if p <= 1 {
-		return 0
-	}
-	fp := float64(p)
-	steps := 2 * (fp - 1)
-	return steps * (lat + (n/fp)/bw)
-}
-
-// NaiveAllReduceTime returns the gather-then-broadcast cost through a
-// root: the root receives p-1 vectors and sends p-1 vectors of n bytes.
-func NaiveAllReduceTime(p int, n, bw, lat float64) float64 {
-	if p <= 1 {
-		return 0
-	}
-	fp := float64(p)
-	return 2 * (fp - 1) * (lat + n/bw)
 }

@@ -126,43 +126,6 @@ func TestHorovodDegenerateInputs(t *testing.T) {
 	}
 }
 
-// TestRingBeatsNaiveAtScale: the ring's per-rank volume 2(p-1)/p·n stays
-// bounded while the naive root moves 2(p-1)·n — the ring must win for
-// large vectors and any p ≥ 3.
-func TestRingBeatsNaiveAtScale(t *testing.T) {
-	const n = 1 << 20 // 1M values
-	const bw = 1e9
-	const lat = 1e-6
-	for p := 3; p <= 16; p++ {
-		ring := RingAllReduceTime(p, n, bw, lat)
-		naive := NaiveAllReduceTime(p, n, bw, lat)
-		if ring >= naive {
-			t.Errorf("p=%d: ring %.6f s not faster than naive %.6f s", p, ring, naive)
-		}
-	}
-	if RingAllReduceTime(1, n, bw, lat) != 0 || NaiveAllReduceTime(1, n, bw, lat) != 0 {
-		t.Error("single rank should cost nothing")
-	}
-}
-
-// TestRingLatencyTradeoff: for tiny vectors and many ranks, latency
-// dominates and the ring's 2(p-1) steps make it slower than naive for a
-// star with fewer serialized rounds — the classic small-message regime.
-func TestRingCostShape(t *testing.T) {
-	// Bandwidth term: doubling the vector roughly doubles the time.
-	a := RingAllReduceTime(8, 1<<20, 1e9, 0)
-	b := RingAllReduceTime(8, 1<<21, 1e9, 0)
-	if !within(b, 2*a, 1e-9) {
-		t.Errorf("ring bandwidth term not linear: %g vs %g", a, b)
-	}
-	// Per-rank volume approaches 2n/bw as p grows: time is nearly flat.
-	t8 := RingAllReduceTime(8, 1<<20, 1e9, 0)
-	t16 := RingAllReduceTime(16, 1<<20, 1e9, 0)
-	if math.Abs(t16-t8)/t8 > 0.1 {
-		t.Errorf("ring time should be nearly flat in p: %g vs %g", t8, t16)
-	}
-}
-
 // TestMapTimeConstant: the lazy map's driver cost matches Table II's
 // constant 0.2–0.4 s column.
 func TestMapTimeConstant(t *testing.T) {

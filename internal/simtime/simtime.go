@@ -1,9 +1,9 @@
-// Package simtime provides a discrete-event virtual clock. The simulated
-// cluster (internal/cluster) and the simulated multi-GPU trainer
-// (internal/ddp) advance this clock by modeled durations instead of
-// sleeping, so the repository reproduces the paper's wall-clock tables
-// deterministically on any host — including this single-core one — and
-// the simulations run in microseconds of real time.
+// Package simtime provides a discrete-event virtual clock. The serve
+// plane's load simulator (serve.LoadSim) and the chaos injector's
+// virtual delivery mode (chaos.Injector.DeliverVirtual) advance this
+// clock by modeled durations instead of sleeping, so simulated
+// latency-vs-load curves are deterministic on any host and run in
+// milliseconds of real time.
 //
 // Determinism guarantee: events firing at the same virtual instant are
 // delivered in a fixed, seed-independent order (insertion order within a

@@ -8,8 +8,9 @@
 // PaperConfig reproduces the published architecture exactly — five down
 // steps, one bottleneck, five up steps, 28 convolutional layers in total.
 // FastConfig is the reduced preset the accuracy experiments run at
-// (DESIGN.md §5): same block structure, three levels, eight base
-// channels, sized for pure-Go training on a single core.
+// (core.DefaultAccuracyConfig): same block structure, three levels, eight
+// base channels, sized so pure-Go CPU training of a whole experiment
+// takes minutes, not the paper's GPU-hours.
 //
 // The graph is stated once, as Config.plan (plan.go): a list of steps in
 // execution order, which is also the He-initialization draw order, the

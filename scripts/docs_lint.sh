@@ -5,7 +5,9 @@
 #   1. any internal/ package lacks a package comment (go vet does not
 #      enforce this; `go doc` prints the comment on line 3 when present);
 #   2. ARCHITECTURE.md does not mention an internal/ package (the layer
-#      map must stay complete as packages are added).
+#      map must stay complete as packages are added);
+#   3. ARCHITECTURE.md or README.md names an internal/<pkg> that does not
+#      exist (a deleted package must not leave a stale row behind).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -22,6 +24,15 @@ for d in internal/*/; do
         echo "docs-lint: ARCHITECTURE.md does not cover internal/$pkg" >&2
         fail=1
     fi
+done
+
+for doc in ARCHITECTURE.md README.md; do
+    for pkg in $(grep -oE 'internal/[a-z0-9_]+' "$doc" | sort -u); do
+        if [ ! -d "$pkg" ]; then
+            echo "docs-lint: $doc names $pkg, which does not exist" >&2
+            fail=1
+        fi
+    done
 done
 
 if [ "$fail" -ne 0 ]; then
