@@ -16,8 +16,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"sync"
 	"testing"
+	"time"
 
 	"seaice/internal/autolabel"
 	"seaice/internal/cloudfilter"
@@ -356,20 +356,8 @@ func benchServeThroughput[S tensor.Scalar](b *testing.B) {
 		defer sched.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			var wg sync.WaitGroup
-			errs := make([]error, len(tiles))
-			for ti, img := range tiles {
-				wg.Add(1)
-				go func(ti int, img *raster.RGB) {
-					defer wg.Done()
-					_, errs[ti] = sched.Submit(m, img)
-				}(ti, img)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					b.Fatal(err)
-				}
+			if _, err := sched.SubmitTiles(m, tiles, time.Time{}); err != nil {
+				b.Fatal(err)
 			}
 		}
 		b.ReportMetric(float64(b.N*len(tiles))/b.Elapsed().Seconds(), "tiles/s")
@@ -415,20 +403,8 @@ func benchServeThroughputInt8(b *testing.B) {
 		defer sched.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			var wg sync.WaitGroup
-			errs := make([]error, len(tiles))
-			for ti, img := range tiles {
-				wg.Add(1)
-				go func(ti int, img *raster.RGB) {
-					defer wg.Done()
-					_, errs[ti] = sched.Submit(qm, img)
-				}(ti, img)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					b.Fatal(err)
-				}
+			if _, err := sched.SubmitTiles(qm, tiles, time.Time{}); err != nil {
+				b.Fatal(err)
 			}
 		}
 		b.ReportMetric(float64(b.N*len(tiles))/b.Elapsed().Seconds(), "tiles/s")

@@ -60,6 +60,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -82,79 +83,109 @@ import (
 	"seaice/internal/unet"
 )
 
+// options carries the parsed command line.
+type options struct {
+	cfg       serve.Config
+	addr      string
+	ckpt      string
+	precision string
+	chaosSpec string
+	nodes     string
+
+	hedgeAfter   time.Duration
+	probeTimeout time.Duration
+	retryBurst   float64
+
+	loadgen  bool
+	target   string
+	n, c     int
+	seed     uint64
+	deadline time.Duration
+
+	slo    bool
+	sloOut string
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("seaice-serve: ")
 
-	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		ckpt      = flag.String("ckpt", "", "checkpoint(s): path, or comma-separated name=path pairs")
-		tile      = flag.Int("tile", 32, "served tile size")
-		batch     = flag.Int("batch", 16, "max tiles per forward-pass micro-batch")
-		batchWait = flag.Duration("batch-wait", 2*time.Millisecond, "max wait for a micro-batch to fill")
-		workers   = flag.Int("workers", 0, "inference workers (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 256, "bounded request queue size")
-		cacheSize = flag.Int("cache", 4096, "result cache capacity in tiles (an entry is one tile or one whole scene; 0 disables)")
-
-		precision = flag.String("precision", "f32", "inference precision: f32 | f64")
-		chaosSpec = flag.String("chaos", "", `inject seeded worker faults, e.g. "7:serve@5,slownode@40:30ms" (see internal/chaos)`)
-		nodes     = flag.String("nodes", "", "comma-separated worker host:port list — run as cluster coordinator instead of serving models")
-
-		hedgeAfter   = flag.Duration("hedge-after", 0, "coordinator: fixed strip hedge delay (0 = auto from p99, negative disables)")
-		probeTimeout = flag.Duration("probe-timeout", 0, "coordinator: health probe timeout (0 = health period capped at 2s)")
-		retryBurst   = flag.Float64("retry-burst", 0, "coordinator: retry/hedge token bucket size (0 = default 32)")
-
-		loadgen  = flag.Bool("loadgen", false, "run the load generator instead of serving")
-		target   = flag.String("target", "", "loadgen: base URL of a running server (empty = in-process)")
-		n        = flag.Int("n", 256, "loadgen: total requests")
-		c        = flag.Int("c", 16, "loadgen: concurrent clients")
-		seed     = flag.Uint64("seed", 1, "loadgen: synthetic tile seed")
-		deadline = flag.Duration("deadline", 0, "loadgen: per-request deadline sent as X-Seaice-Deadline-Ms (0 = none)")
-
-		slo    = flag.Bool("slo", false, "run the chaos-under-load SLO benchmark and exit")
-		sloOut = flag.String("slo-out", "BENCH_serve.json", "SLO benchmark output path")
-	)
-	flag.Parse()
-
-	if *slo {
-		if err := runSLO(*sloOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	cfg := serve.DefaultConfig()
-	cfg.TileSize = *tile
-	cfg.MaxBatch = *batch
-	cfg.BatchWait = *batchWait
-	if *workers > 0 {
-		cfg.Workers = *workers
-	}
-	cfg.QueueSize = *queue
-	cfg.CacheSize = *cacheSize
-	if *chaosSpec != "" {
-		sched, err := chaos.Parse(*chaosSpec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Chaos = chaos.New(sched, 0)
-		log.Printf("chaos: %d seeded worker faults armed (%s); watch worker_restarts on /healthz",
-			cfg.Chaos.Remaining(), *chaosSpec)
-	}
-
-	if *nodes != "" {
-		if *loadgen {
-			log.Fatal("-nodes and -loadgen are mutually exclusive")
-		}
-		runCoordinator(cfg, *addr, *nodes, *hedgeAfter, *probeTimeout, *retryBurst)
-		return
-	}
-
-	prec, err := serve.ParsePrecision(*precision)
+	o, err := parseFlags(os.Args[1:], flag.ExitOnError)
 	if err != nil {
 		log.Fatal(err)
 	}
-	runMain(cfg, *addr, *ckpt, prec, *loadgen, *target, *n, *c, *seed, *deadline)
+	if o.slo {
+		if err := runSLO(o.sloOut); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
+	if o.cfg.Chaos != nil {
+		log.Printf("chaos: %d seeded worker faults armed (%s); watch worker_restarts on /healthz",
+			o.cfg.Chaos.Remaining(), o.chaosSpec)
+	}
+	if o.nodes != "" {
+		runCoordinator(o)
+		return
+	}
+	runMain(o)
+}
+
+// parseFlags parses the command line and checks everything about it that
+// can be checked before any model is loaded; main exits on its error.
+// With -slo nothing else is used, so nothing else is validated.
+func parseFlags(args []string, onError flag.ErrorHandling) (options, error) {
+	o := options{cfg: serve.DefaultConfig()}
+	fs := flag.NewFlagSet("seaice-serve", onError)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&o.ckpt, "ckpt", "", "checkpoint(s): path, or comma-separated name=path pairs")
+	fs.IntVar(&o.cfg.TileSize, "tile", 32, "served tile size")
+	fs.IntVar(&o.cfg.MaxBatch, "batch", 16, "max tiles per forward-pass micro-batch")
+	workers := fs.Int("workers", 0, "inference workers (0 = GOMAXPROCS)")
+	fs.IntVar(&o.cfg.QueueSize, "queue", 256, "bounded request queue size")
+	fs.IntVar(&o.cfg.CacheSize, "cache", 4096, "result cache capacity in tiles (an entry is one tile or one whole scene; 0 disables)")
+
+	fs.StringVar(&o.precision, "precision", "f32", "inference precision: f32 | f64 | int8")
+	fs.StringVar(&o.chaosSpec, "chaos", "", `inject seeded worker faults, e.g. "7:serve@5,slownode@40:30ms" (see internal/chaos)`)
+	fs.StringVar(&o.nodes, "nodes", "", "comma-separated worker host:port list — run as cluster coordinator instead of serving models")
+
+	fs.DurationVar(&o.hedgeAfter, "hedge-after", 0, "coordinator: fixed strip hedge delay (0 = auto from p99, negative disables)")
+	fs.DurationVar(&o.probeTimeout, "probe-timeout", 0, "coordinator: health probe timeout (0 = health period capped at 2s)")
+	fs.Float64Var(&o.retryBurst, "retry-burst", 0, "coordinator: retry/hedge token bucket size (0 = default 32)")
+
+	fs.BoolVar(&o.loadgen, "loadgen", false, "run the load generator instead of serving")
+	fs.StringVar(&o.target, "target", "", "loadgen: base URL of a running server (empty = in-process)")
+	fs.IntVar(&o.n, "n", 256, "loadgen: total requests")
+	fs.IntVar(&o.c, "c", 16, "loadgen: concurrent clients")
+	fs.Uint64Var(&o.seed, "seed", 1, "loadgen: synthetic tile seed")
+	fs.DurationVar(&o.deadline, "deadline", 0, "loadgen: per-request deadline sent as X-Seaice-Deadline-Ms (0 = none)")
+
+	fs.BoolVar(&o.slo, "slo", false, "run the chaos-under-load SLO benchmark and exit")
+	fs.StringVar(&o.sloOut, "slo-out", "BENCH_serve.json", "SLO benchmark output path")
+	if err := fs.Parse(args); err != nil || o.slo {
+		return o, err
+	}
+	if *workers != 0 {
+		o.cfg.Workers = *workers
+	}
+	if err := o.cfg.Validate(); err != nil {
+		return o, err
+	}
+	var err error
+	if o.precision, err = serve.ParsePrecision(o.precision); err != nil {
+		return o, err
+	}
+	if o.chaosSpec != "" {
+		sched, err := chaos.Parse(o.chaosSpec)
+		if err != nil {
+			return o, err
+		}
+		o.cfg.Chaos = chaos.New(sched, 0)
+	}
+	if o.nodes != "" && o.loadgen {
+		return o, errors.New("-nodes and -loadgen are mutually exclusive")
+	}
+	return o, nil
 }
 
 // runSLO measures the deterministic chaos-under-load benchmark and
@@ -184,27 +215,27 @@ func runSLO(path string) error {
 
 // runCoordinator fronts the listed worker nodes with the consistent-hash
 // sharding coordinator until a shutdown signal arrives.
-func runCoordinator(cfg serve.Config, addr, nodeSpec string, hedgeAfter, probeTimeout time.Duration, retryBurst float64) {
+func runCoordinator(o options) {
 	var nodeList []string
-	for _, n := range strings.Split(nodeSpec, ",") {
+	for _, n := range strings.Split(o.nodes, ",") {
 		if n = strings.TrimSpace(n); n != "" {
 			nodeList = append(nodeList, n)
 		}
 	}
 	coord, err := serve.NewCoordinator(serve.CoordConfig{
-		TileSize:     cfg.TileSize,
+		TileSize:     o.cfg.TileSize,
 		Nodes:        nodeList,
-		Build:        cfg.Build,
-		HedgeAfter:   hedgeAfter,
-		ProbeTimeout: probeTimeout,
-		RetryBurst:   retryBurst,
+		Build:        o.cfg.Build,
+		HedgeAfter:   o.hedgeAfter,
+		ProbeTimeout: o.probeTimeout,
+		RetryBurst:   o.retryBurst,
 		Logf:         log.Printf,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("coordinating %d worker nodes on %s (tile %d): %v", len(nodeList), addr, cfg.TileSize, nodeList)
-	serveUntilSignal(addr, coord.Handler(), func() {
+	log.Printf("coordinating %d worker nodes on %s (tile %d): %v", len(nodeList), o.addr, o.cfg.TileSize, nodeList)
+	serveUntilSignal(o.addr, coord.Handler(), func() {
 		coord.Close()
 		s := coord.Stats()
 		log.Printf("final stats: %d requests, %d tiles, %d rerouted, %d hedged (%d wins), %d stale, %d partial, %d/%d nodes up",
@@ -239,19 +270,20 @@ func serveUntilSignal(addr string, handler http.Handler, drain func()) {
 }
 
 // runMain dispatches serving or load generation in the chosen precision.
-func runMain(cfg serve.Config, addr, ckpt, precision string, loadgen bool, target string, n, c int, seed uint64, deadline time.Duration) {
-	if loadgen {
-		if err := runLoadgen(cfg, ckpt, precision, target, n, c, seed, deadline); err != nil {
+func runMain(o options) {
+	if o.loadgen {
+		if err := runLoadgen(o); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 
-	if ckpt == "" {
+	if o.ckpt == "" {
 		log.Fatal("serving requires -ckpt (train one with seaice-train)")
 	}
+	cfg := o.cfg
 	reg := serve.NewRegistry()
-	if err := loadCheckpoints(reg, ckpt, precision); err != nil {
+	if err := loadCheckpoints(reg, o.ckpt, o.precision); err != nil {
 		log.Fatal(err)
 	}
 	srv, err := serve.NewServer(cfg, reg)
@@ -259,8 +291,8 @@ func runMain(cfg serve.Config, addr, ckpt, precision string, loadgen bool, targe
 		log.Fatal(err)
 	}
 	log.Printf("serving models %v on %s (tile %d, batch ≤%d, %d workers, queue %d, cache %d)",
-		reg.Names(), addr, cfg.TileSize, cfg.MaxBatch, cfg.Workers, cfg.QueueSize, cfg.CacheSize)
-	serveUntilSignal(addr, srv.Handler(), func() {
+		reg.Names(), o.addr, cfg.TileSize, cfg.MaxBatch, cfg.Workers, cfg.QueueSize, cfg.CacheSize)
+	serveUntilSignal(o.addr, srv.Handler(), func() {
 		srv.Close() // stops the inference pool after draining its queue
 		s := srv.Stats()
 		log.Printf("final stats: %d requests, %d tiles, %.1f%% cache hit rate, %d worker restarts",
@@ -327,16 +359,17 @@ func demoEngine(precision string, seed uint64, tileSize int) (unet.Engine, error
 
 // runLoadgen drives the /classify endpoint with concurrent synthetic
 // tiles and reports achieved throughput and latency percentiles.
-func runLoadgen(cfg serve.Config, ckpt, precision, target string, n, c int, seed uint64, deadline time.Duration) error {
+func runLoadgen(o options) error {
+	cfg, target, n, c, seed, deadline := o.cfg, o.target, o.n, o.c, o.seed, o.deadline
 	if target == "" {
 		reg := serve.NewRegistry()
-		if ckpt != "" {
-			if err := loadCheckpoints(reg, ckpt, precision); err != nil {
+		if o.ckpt != "" {
+			if err := loadCheckpoints(reg, o.ckpt, o.precision); err != nil {
 				return err
 			}
 		} else {
-			log.Printf("no -ckpt: load-testing a freshly initialized (untrained) %s demo model", precision)
-			e, err := demoEngine(precision, seed, cfg.TileSize)
+			log.Printf("no -ckpt: load-testing a freshly initialized (untrained) %s demo model", o.precision)
+			e, err := demoEngine(o.precision, seed, cfg.TileSize)
 			if err != nil {
 				return err
 			}

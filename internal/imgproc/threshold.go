@@ -73,8 +73,8 @@ func Threshold(src *raster.Gray, t, maxval uint8, kind ThresholdKind) *raster.Gr
 	return dst
 }
 
-// Histogram returns the 256-bin intensity histogram.
-func Histogram(src *raster.Gray) [256]int {
+// histogram returns the 256-bin intensity histogram.
+func histogram(src *raster.Gray) [256]int {
 	var h [256]int
 	for _, v := range src.Pix {
 		h[v]++
@@ -86,7 +86,7 @@ func Histogram(src *raster.Gray) [256]int {
 // maximizes between-class variance of the bimodal intensity histogram.
 // The returned threshold lies within the histogram's occupied range.
 func OtsuThreshold(src *raster.Gray) uint8 {
-	hist := Histogram(src)
+	hist := histogram(src)
 	total := len(src.Pix)
 	if total == 0 {
 		return 0

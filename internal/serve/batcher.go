@@ -25,22 +25,23 @@ type request struct {
 	// deadline is the client's absolute latency bound; zero means none.
 	// Expired requests are dropped at dispatch, before compute.
 	deadline time.Time
-	out      chan result
+	i        int           // position among the tiles of its submit
+	out      chan<- result // shared by the tiles of its submit
 }
 
 type result struct {
+	i      int
 	labels *raster.Labels
 	err    error
 }
 
-// Scheduler coalesces concurrent tile requests into forward-pass
-// micro-batches. What is admitted, who batches with whom, when a batch
-// runs and what becomes of expired or crashed work is batchQueue's
-// policy (batchqueue.go); Scheduler is its wall-clock driver: a mutex
-// around the queue, a condition variable that wakes workers when it
-// changes, and a fixed pool of worker goroutines, each owning one
-// inference session per model (pre-allocated tensor buffers reused
-// across batches).
+// Scheduler coalesces tile requests into forward-pass micro-batches.
+// What is admitted, who batches with whom and what becomes of expired or
+// crashed work is batchQueue's policy (batchqueue.go); Scheduler is its
+// wall-clock driver: a mutex around the queue, a condition variable that
+// wakes idle workers when work arrives, and a fixed pool of worker
+// goroutines, each owning one inference session per model
+// (pre-allocated tensor buffers reused across batches).
 //
 // Workers are self-healing: a panic escaping a batch (an injected chaos
 // fault or a real session bug) kills only that worker, which is
@@ -53,7 +54,7 @@ type Scheduler struct {
 	cfg Config
 
 	mu   sync.Mutex
-	wake *sync.Cond  // the queue changed, or a batch's wait ran out
+	wake *sync.Cond  // work was queued, or the queue closed
 	q    *batchQueue // guarded by mu
 
 	workers sync.WaitGroup
@@ -94,28 +95,43 @@ func (s *Scheduler) QueueDepth() int {
 // momentarily; it recovers without intervention).
 func (s *Scheduler) LiveWorkers() int { return int(s.live.Load()) }
 
-// Submit enqueues one tile with no deadline and blocks until its
-// prediction is ready. A full queue returns ErrOverloaded immediately.
+// Submit classifies one tile with no deadline; see SubmitTiles.
 func (s *Scheduler) Submit(e unet.Engine, tile *raster.RGB) (*raster.Labels, error) {
 	return s.SubmitDeadline(e, tile, time.Time{})
+}
+
+// SubmitDeadline classifies one tile; see SubmitTiles.
+func (s *Scheduler) SubmitDeadline(e unet.Engine, tile *raster.RGB, deadline time.Time) (*raster.Labels, error) {
+	labels, err := s.SubmitTiles(e, []*raster.RGB{tile}, deadline)
+	if err != nil {
+		return nil, err
+	}
+	return labels[0], nil
 }
 
 // Model exposes the scheduler's service-time model (for the HTTP layer's
 // Retry-After computation and /statz).
 func (s *Scheduler) Model() *SvcModel { return s.q.model }
 
-// SubmitDeadline enqueues one tile and blocks until its prediction is
-// ready. Admission is deadline-aware (batchQueue.admit): a request whose
-// predicted completion already exceeds its deadline is refused at
-// enqueue with *InfeasibleError — never accepted only to be timed out
-// later — and a full queue returns ErrOverloaded. Once admitted, a
-// request is never converted back into a rejection: it either completes,
-// or expires in queue and fails with ErrDeadlineExpired (dropped before
+// SubmitTiles enqueues one request's tiles as a unit and blocks until
+// every one has been answered. Admission is all-or-nothing and
+// deadline-aware (batchQueue.admit): tiles the service-time model
+// predicts cannot finish by the deadline are refused at enqueue with
+// *InfeasibleError — never accepted only to be timed out later — and
+// tiles that do not fit the queue with ErrOverloaded; either way none of
+// them is queued, and the refusal counts once. Once admitted, a tile is
+// never converted back into a rejection: it either completes, or expires
+// in queue and fails the call with ErrDeadlineExpired (dropped before
 // compute).
-func (s *Scheduler) SubmitDeadline(e unet.Engine, tile *raster.RGB, deadline time.Time) (*raster.Labels, error) {
-	req := &request{key: batchKey{e, tile.W, tile.H}, tile: tile, deadline: deadline, out: make(chan result, 1)}
+func (s *Scheduler) SubmitTiles(e unet.Engine, tiles []*raster.RGB, deadline time.Time) ([]*raster.Labels, error) {
+	out := make(chan result, len(tiles))
+	slab, reqs := make([]request, len(tiles)), make([]*request, len(tiles))
+	for i, tile := range tiles {
+		slab[i] = request{key: batchKey{e, tile.W, tile.H}, tile: tile, deadline: deadline, i: i, out: out}
+		reqs[i] = &slab[i]
+	}
 	s.mu.Lock()
-	err := s.q.admit(req, time.Now())
+	err := s.q.admit(reqs, time.Now())
 	s.mu.Unlock()
 	if err != nil {
 		if err == ErrOverloaded {
@@ -126,8 +142,18 @@ func (s *Scheduler) SubmitDeadline(e unet.Engine, tile *raster.RGB, deadline tim
 		return nil, err
 	}
 	s.wake.Broadcast()
-	res := <-req.out
-	return res.labels, res.err
+	labels := make([]*raster.Labels, len(tiles))
+	for range tiles {
+		res := <-out
+		if res.err != nil && err == nil {
+			err = res.err
+		}
+		labels[res.i] = res.labels
+	}
+	if err != nil {
+		return nil, err
+	}
+	return labels, nil
 }
 
 // Close drains every admitted request and stops the workers. Safe to
@@ -184,7 +210,7 @@ func (s *Scheduler) worker() {
 		cur, expired = triage(cur, time.Now())
 		for _, r := range expired {
 			s.stats.RecordExpired()
-			r.out <- result{err: ErrDeadlineExpired}
+			r.out <- result{i: r.i, err: ErrDeadlineExpired}
 		}
 		if len(cur) > 0 {
 			s.run(sessions, cur)
@@ -198,29 +224,15 @@ func (s *Scheduler) worker() {
 func (s *Scheduler) next() []*request {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b := s.q.lead(time.Now())
-	for ; b == nil; b = s.q.lead(time.Now()) {
+	for {
+		if reqs := s.q.dispatch(); reqs != nil {
+			return reqs
+		}
 		if s.q.closed {
 			return nil
 		}
 		s.wake.Wait()
 	}
-	reqs, wait := s.q.dispatch(b, time.Now())
-	if wait > 0 {
-		// One timer covers the batch's whole wait; any earlier wake-up
-		// (a follower, a mismatch, Close) just asks again.
-		timer := time.AfterFunc(wait, func() {
-			s.mu.Lock() // not between a waiter's dispatch and its Wait
-			s.wake.Broadcast()
-			s.mu.Unlock()
-		})
-		for wait > 0 {
-			s.wake.Wait()
-			reqs, wait = s.q.dispatch(b, time.Now())
-		}
-		timer.Stop()
-	}
-	return reqs
 }
 
 // run executes one triaged batch on the worker's session for its model
@@ -242,9 +254,9 @@ func (s *Scheduler) run(sessions map[unet.Engine]unet.Predictor, batch []*reques
 	s.stats.RecordBatch(len(batch))
 	for i, r := range batch {
 		if err != nil {
-			r.out <- result{err: err}
+			r.out <- result{i: r.i, err: err}
 		} else {
-			r.out <- result{labels: labels[i]}
+			r.out <- result{i: r.i, labels: labels[i]}
 		}
 	}
 }

@@ -41,8 +41,8 @@ func (e *hookEngine) PredictTiles(tiles []*raster.RGB) ([]*raster.Labels, error)
 }
 
 // goroutineBaseline records runtime.NumGoroutine() and returns the check
-// that it is back there (polling up to 1s): what a scheduler started
-// after the call must have stopped by the time Close returns.
+// that it is back there (polling up to 1s): what a scheduler or server
+// started after the call must have stopped by the time Close returns.
 func goroutineBaseline(t *testing.T) (check func()) {
 	before := runtime.NumGoroutine()
 	return func() {
@@ -51,47 +51,35 @@ func goroutineBaseline(t *testing.T) (check func()) {
 			time.Sleep(time.Millisecond)
 		}
 		if n := runtime.NumGoroutine(); n > before {
-			t.Fatalf("%d goroutines after Close, %d before NewScheduler: the scheduler leaked", n, before)
+			t.Fatalf("%d goroutines after Close, %d before the constructor: a goroutine leaked", n, before)
 		}
 	}
 }
 
-// TestSchedulerCoalesces submits a burst of concurrent tiles and checks
-// that the single worker served them in fewer forward passes than tiles.
+// TestSchedulerCoalesces submits one request's tiles and checks that the
+// single worker served them in full batches: they enter the queue
+// together, so each pickup finds MaxBatch of them waiting.
 func TestSchedulerCoalesces(t *testing.T) {
 	m := testModel(t, 2)
 	cfg := schedCfg()
 	cfg.MaxBatch = 8
-	cfg.BatchWait = 50 * time.Millisecond
 	stats := NewStats()
 	sched := NewScheduler(cfg, stats)
 	defer sched.Close()
 
 	const n = 16
-	tiles := testTiles(n, 16, 3)
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = sched.Submit(m, tiles[i])
-		}(i)
+	labels, err := sched.SubmitTiles(m, testTiles(n, 16, 3), time.Time{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
+	for i, l := range labels {
+		if l == nil || l.W != 16 || l.H != 16 {
+			t.Fatalf("tile %d: labels %v", i, l)
 		}
 	}
-	snap := stats.Snapshot(0, 0, 0, 0)
-	if snap.Batches >= n {
-		t.Fatalf("%d batches for %d tiles — no coalescing happened", snap.Batches, n)
+	if snap := stats.Snapshot(0, 0, 0, 0); snap.Batches != int64(n/cfg.MaxBatch) || snap.AvgBatchSize != float64(cfg.MaxBatch) {
+		t.Fatalf("%d tiles in %d batches (avg %.2f), want %d full batches", n, snap.Batches, snap.AvgBatchSize, n/cfg.MaxBatch)
 	}
-	if snap.AvgBatchSize <= 1 {
-		t.Fatalf("average batch size %.2f, want > 1", snap.AvgBatchSize)
-	}
-	t.Logf("%d tiles in %d batches (avg %.2f)", n, snap.Batches, snap.AvgBatchSize)
 }
 
 // TestSchedulerMatchesSession checks batched scheduling returns exactly
@@ -136,7 +124,6 @@ func TestSchedulerMixedShapes(t *testing.T) {
 	m1, m2 := testModel(t, 5), testModel(t, 6)
 	cfg := schedCfg()
 	cfg.MaxBatch = 4
-	cfg.BatchWait = 10 * time.Millisecond
 	sched := NewScheduler(cfg, nil)
 	defer sched.Close()
 
@@ -177,7 +164,6 @@ func TestSchedulerBackpressure(t *testing.T) {
 	cfg := schedCfg()
 	cfg.QueueSize = 1
 	cfg.MaxBatch = 1
-	cfg.BatchWait = 0
 	stats := NewStats()
 	sched := NewScheduler(cfg, stats)
 	defer sched.Close()
@@ -251,19 +237,16 @@ func TestSchedulerClose(t *testing.T) {
 }
 
 // TestSchedulerMismatchDoesNotWaitForLeader: a request of another tile
-// shape that arrives while a worker is collecting followers belongs to
-// the next idle worker, not to the collecting one. Before batchQueue the
-// collecting worker took it off the channel as its "pending" next leader,
-// so it sat out that worker's whole forward pass — 200ms here, on a
-// stalled engine — while the second worker idled.
+// shape belongs to the next idle worker, never to one that is busy with
+// a batch it could not join. Before batchQueue a worker collecting
+// followers took such a request off the channel as its "pending" next
+// leader, so it sat out that worker's whole forward pass — 200ms here,
+// on a stalled engine — while the second worker idled.
 //
-// The 32² request under test is b. x1, a and x2 only arrange, on the
+// The 32² request under test is b. x1, a and x2 arrange, on the
 // channel-based scheduler this test was written against, that the
 // collecting worker is the one a channel send reaches first (Go serves
-// blocked receivers in arrival order): x1 makes worker 1 a collector, a
-// makes worker 2 one, x2 fills worker 1's batch so that it runs and
-// queues up behind worker 2 again. b2 follows b to fill its batch, so
-// that b's latency does not depend on BatchWait either way.
+// blocked receivers in arrival order); b2 follows b.
 func TestSchedulerMismatchDoesNotWaitForLeader(t *testing.T) {
 	const stall = 200 * time.Millisecond
 	engine := &hookEngine{before: func(tiles []*raster.RGB) {
@@ -274,7 +257,6 @@ func TestSchedulerMismatchDoesNotWaitForLeader(t *testing.T) {
 	cfg := schedCfg()
 	cfg.Workers = 2
 	cfg.MaxBatch = 2
-	cfg.BatchWait = 100 * time.Millisecond
 	sched := NewScheduler(cfg, nil)
 	defer sched.Close()
 

@@ -13,9 +13,9 @@ var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 func at(d time.Duration) time.Time { return t0.Add(d) }
 
-// qcfg is a two-worker queue of four with 2ms batches of up to three.
+// qcfg is a two-worker queue of four with batches of up to three.
 func qcfg() Config {
-	return Config{Workers: 2, MaxBatch: 3, QueueSize: 4, BatchWait: 2 * time.Millisecond}
+	return Config{Workers: 2, MaxBatch: 3, QueueSize: 4}
 }
 
 // qreq is a request of tile shape size×size (the batch key the tests
@@ -31,7 +31,7 @@ func qreq(size int, deadline time.Duration) *request {
 func mustAdmit(t *testing.T, q *batchQueue, now time.Duration, reqs ...*request) {
 	t.Helper()
 	for i, r := range reqs {
-		if err := q.admit(r, at(now)); err != nil {
+		if err := q.admit([]*request{r}, at(now)); err != nil {
 			t.Fatalf("admit #%d at %v: %v", i, now, err)
 		}
 	}
@@ -39,13 +39,15 @@ func mustAdmit(t *testing.T, q *batchQueue, now time.Duration, reqs ...*request)
 
 // TestBatchQueueAdmission pins the admission verdict and its order:
 // closed, then the deadline (spent, or infeasible by the service-time
-// model), then the bound.
+// model), then the bound — per tile, as if the request's earlier tiles
+// were already queued, and all or nothing.
 func TestBatchQueueAdmission(t *testing.T) {
 	const second = time.Second
 	rows := []struct {
 		name     string
 		closed   bool
 		queued   int           // requests already in the queue (bound is 4)
+		tiles    int           // tiles of the request under test; 0 = 1
 		batchSec time.Duration // service time the model has observed; 0 = none
 		deadline time.Duration // of the request under test, from t0; 0 = none
 		now      time.Duration
@@ -65,6 +67,13 @@ func TestBatchQueueAdmission(t *testing.T) {
 		// simulator's (bound first): both verdicts apply, the deadline's
 		// wins.
 		{name: "full and infeasible", queued: 4, batchSec: second, deadline: second / 2, want: "infeasible"},
+		// A request's tiles go in together or not at all.
+		{name: "slice that just fits", queued: 1, tiles: 3},
+		{name: "slice past the bound is refused whole", queued: 2, tiles: 3, want: "overloaded"},
+		// 1s per batch of one on two workers: the first tile is predicted
+		// to finish in 1s, the second (one queued ahead) in 2s.
+		{name: "slice infeasible by its second tile is refused whole", tiles: 2, batchSec: second, deadline: 3 * second / 2, want: "infeasible"},
+		{name: "closed refuses a slice", closed: true, queued: 1, tiles: 2, want: "closed"},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -76,7 +85,11 @@ func TestBatchQueueAdmission(t *testing.T) {
 				q.model.Observe(1, row.batchSec)
 			}
 			q.closed = row.closed
-			err := q.admit(qreq(16, row.deadline), at(row.now))
+			reqs := make([]*request, max(row.tiles, 1))
+			for i := range reqs {
+				reqs[i] = qreq(16, row.deadline)
+			}
+			err := q.admit(reqs, at(row.now))
 			var infeasible *InfeasibleError
 			got := ""
 			switch {
@@ -97,7 +110,7 @@ func TestBatchQueueAdmission(t *testing.T) {
 			}
 			wantDepth := row.queued
 			if err == nil {
-				wantDepth++
+				wantDepth += len(reqs)
 			}
 			if len(q.queue) != wantDepth {
 				t.Fatalf("queue depth %d after the verdict, want %d", len(q.queue), wantDepth)
@@ -106,55 +119,36 @@ func TestBatchQueueAdmission(t *testing.T) {
 	}
 }
 
-// TestBatchQueueDispatch pins when a held batch is due. Each row leads a
-// batch at t0 (BatchWait 2ms, MaxBatch 3), lets more requests arrive at
-// t0+1ms, and asks for dispatch at `ask`.
+// TestBatchQueueDispatch pins what an idle worker takes at pickup. Each
+// row queues a 16² request, then the arrivals, and dispatches once
+// (MaxBatch 3).
 func TestBatchQueueDispatch(t *testing.T) {
-	const wait = 2 * time.Millisecond
 	rows := []struct {
 		name     string
-		arrivals []int // tile sizes admitted at t0+1ms; the leader is 16
+		arrivals []int // tile sizes queued behind the first 16² request
 		close    bool
-		ask      time.Duration
-		wantWait time.Duration // > 0: still open
-		wantSize int           // dispatched batch size
-		wantLeft int           // requests still queued afterwards
+		wantSize int // dispatched batch size
+		wantLeft int // requests still queued afterwards
 	}{
-		{name: "alone, 1ns early", ask: wait - 1, wantWait: 1},
-		{name: "alone, at pickup+BatchWait", ask: wait, wantSize: 1},
-		{name: "alone, late", ask: 5 * wait, wantSize: 1},
-		{name: "one follower, still waiting", arrivals: []int{16}, ask: wait / 2, wantWait: wait / 2},
-		{name: "MaxBatch-th follower dispatches early", arrivals: []int{16, 16}, ask: wait / 2, wantSize: 3},
-		{name: "a fourth same-key request does not fit", arrivals: []int{16, 16, 16}, ask: wait / 2, wantSize: 3, wantLeft: 1},
-		{name: "mismatched head stays queued and ends the wait", arrivals: []int{32}, ask: wait / 2, wantSize: 1, wantLeft: 1},
-		{name: "nothing overtakes a mismatched head", arrivals: []int{16, 32, 16}, ask: wait / 2, wantSize: 2, wantLeft: 2},
-		{name: "close ends the wait", close: true, ask: wait / 2, wantSize: 1},
+		{name: "alone", wantSize: 1},
+		{name: "one same-key request behind", arrivals: []int{16}, wantSize: 2},
+		{name: "MaxBatch same-key requests fill one batch", arrivals: []int{16, 16}, wantSize: 3},
+		{name: "a fourth same-key request does not fit", arrivals: []int{16, 16, 16}, wantSize: 3, wantLeft: 1},
+		{name: "mismatched head stays queued", arrivals: []int{32}, wantSize: 1, wantLeft: 1},
+		{name: "nothing overtakes a mismatched head", arrivals: []int{16, 32, 16}, wantSize: 2, wantLeft: 2},
+		{name: "a closed queue still drains", arrivals: []int{16}, close: true, wantSize: 2},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			q := newBatchQueue(qcfg())
 			mustAdmit(t, q, 0, qreq(16, 0))
-			b := q.lead(at(0))
-			if b == nil || len(q.queue) != 0 || len(q.forming) != 1 {
-				t.Fatalf("lead: batch %v, %d queued, %d forming", b, len(q.queue), len(q.forming))
-			}
 			for _, size := range row.arrivals {
 				mustAdmit(t, q, time.Millisecond, qreq(size, 0))
 			}
 			q.closed = row.close
-			reqs, gotWait := q.dispatch(b, at(row.ask))
-			if gotWait != row.wantWait {
-				t.Fatalf("wait %v, want %v", gotWait, row.wantWait)
-			}
-			if row.wantWait > 0 {
-				if reqs != nil || len(q.forming) != 1 {
-					t.Fatalf("open batch handed over %d requests (%d forming)", len(reqs), len(q.forming))
-				}
-				return
-			}
-			if len(reqs) != row.wantSize || len(q.forming) != 0 || len(q.queue) != row.wantLeft {
-				t.Fatalf("dispatched %d (want %d), %d forming (want 0), %d queued (want %d)",
-					len(reqs), row.wantSize, len(q.forming), len(q.queue), row.wantLeft)
+			reqs := q.dispatch()
+			if len(reqs) != row.wantSize || len(q.queue) != row.wantLeft {
+				t.Fatalf("dispatched %d (want %d), %d queued (want %d)", len(reqs), row.wantSize, len(q.queue), row.wantLeft)
 			}
 			for _, r := range reqs {
 				if r.key != reqs[0].key {
@@ -195,69 +189,58 @@ func TestBatchQueueTriage(t *testing.T) {
 	}
 }
 
-// TestBatchQueueFormation walks one queue through the formation rules
-// that need more than one batch: followers join the oldest open batch of
-// their key, QueueDepth counts queued but not forming requests, and a
+// TestBatchQueueFormation walks one queue through the rules that need
+// more than one pickup: a request's tiles queue together and split into
+// MaxBatch batches, each key's run leads its own batch in turn, and a
 // crashed batch requeues at the front, past the bound, losing nothing.
 func TestBatchQueueFormation(t *testing.T) {
 	q := newBatchQueue(qcfg())
+	if q.dispatch() != nil {
+		t.Fatal("dispatch on an empty queue returned a batch")
+	}
 	a1, b1 := qreq(16, 0), qreq(32, 0)
 	mustAdmit(t, q, 0, a1, b1)
-	ba := q.lead(at(0))                      // worker 1 leads a1; b1 (another shape) stays queued
-	bb := q.lead(at(100 * time.Microsecond)) // worker 2 leads b1
-	if q.lead(at(time.Millisecond)) != nil {
-		t.Fatal("lead on an empty queue returned a batch")
+	if got := q.dispatch(); !slices.Equal(got, []*request{a1}) {
+		t.Fatalf("first pickup took %d requests, want a1 alone (b1 is another shape)", len(got))
 	}
-	a2, b2, a3 := qreq(16, 0), qreq(32, 0), qreq(16, 0)
-	mustAdmit(t, q, time.Millisecond, a2, b2, a3)
-	if len(q.queue) != 0 {
-		t.Fatalf("depth %d with two open batches that had room: followers must join, not queue", len(q.queue))
-	}
-	if !slices.Equal(ba.reqs, []*request{a1, a2, a3}) || !slices.Equal(bb.reqs, []*request{b1, b2}) {
-		t.Fatalf("followers joined the wrong batches: %d in the 16² batch, %d in the 32² one", len(ba.reqs), len(bb.reqs))
+	if got := q.dispatch(); !slices.Equal(got, []*request{b1}) || len(q.queue) != 0 {
+		t.Fatalf("second pickup took %d requests, want b1; depth %d", len(got), len(q.queue))
 	}
 
-	// A second 16² batch opens behind the first once that one is full:
-	// later arrivals join the oldest batch of their key that has room.
-	a4, a5 := qreq(16, 0), qreq(16, 0)
-	mustAdmit(t, q, time.Millisecond, a4) // ba is full, no idle worker yet: a4 queues
-	if len(q.queue) != 1 {
-		t.Fatalf("depth %d, want 1 (a4 behind a full batch)", len(q.queue))
+	// One request of four tiles fills the queue to its bound and leaves
+	// it as a full batch and a remainder.
+	as := []*request{qreq(16, 0), qreq(16, 0), qreq(16, 0), qreq(16, 0)}
+	if err := q.admit(as, at(time.Millisecond)); err != nil {
+		t.Fatal(err)
 	}
-	full, wait := q.dispatch(ba, at(time.Millisecond))
-	if wait != 0 || len(full) != 3 {
-		t.Fatalf("full batch not dispatched: %d requests, wait %v", len(full), wait)
-	}
-	bc := q.lead(at(1500 * time.Microsecond)) // worker 1, idle again, leads a4
-	mustAdmit(t, q, 1600*time.Microsecond, a5)
-	if !slices.Equal(bc.reqs, []*request{a4, a5}) || len(q.queue) != 0 {
-		t.Fatalf("a5 did not join a4's batch: %d in it, depth %d", len(bc.reqs), len(q.queue))
+	full := q.dispatch()
+	if !slices.Equal(full, as[:3]) || !slices.Equal(q.queue, as[3:]) {
+		t.Fatalf("pickup took %d of the request's 4 tiles and left %d, want 3 and 1", len(full), len(q.queue))
 	}
 
-	// Fill the queue to its bound with a third shape nobody is batching,
-	// then crash the dispatched batch: its three requests return to the
-	// front (7 queued against a bound of 4), in order, none rejected —
-	// while a new arrival still gets the bound's verdict.
+	// Fill the queue to its bound with a third shape, then crash the
+	// dispatched batch: its three requests return to the front (7 queued
+	// against a bound of 4), in order, none rejected — while a new
+	// arrival still gets the bound's verdict.
 	var others []*request
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 3; i++ {
 		others = append(others, qreq(64, 0))
 	}
-	mustAdmit(t, q, 1700*time.Microsecond, others...)
-	if err := q.admit(qreq(64, 0), at(1700*time.Microsecond)); err != ErrOverloaded {
+	mustAdmit(t, q, 2*time.Millisecond, others...)
+	if err := q.admit([]*request{qreq(64, 0)}, at(2*time.Millisecond)); err != ErrOverloaded {
 		t.Fatalf("fifth request against a bound of 4: %v, want ErrOverloaded", err)
 	}
-	q.dispatch(bb, at(1800*time.Microsecond)) // sealed by the queued 64² head; worker 2 runs it
-	q.dispatch(bc, at(1800*time.Microsecond)) // likewise worker 1
 	q.requeue(full)
-	want := append([]*request{a1, a2, a3}, others...)
+	want := slices.Concat(as, others)
 	if !slices.Equal(q.queue, want) {
-		t.Fatalf("after requeue the queue holds %d requests out of order or short, want the 3 crashed ones then the 4 queued", len(q.queue))
+		t.Fatalf("after requeue the queue holds %d requests out of order or short, want the 3 crashed ones, the 4th tile, then the 3 queued", len(q.queue))
 	}
-	if err := q.admit(qreq(64, 0), at(1900*time.Microsecond)); err != ErrOverloaded {
+	if err := q.admit([]*request{qreq(64, 0)}, at(3*time.Millisecond)); err != ErrOverloaded {
 		t.Fatalf("arrival behind a requeue past the bound: %v, want ErrOverloaded", err)
 	}
-	bd := q.lead(at(2 * time.Millisecond))
-	if !slices.Equal(bd.reqs, []*request{a1, a2, a3}) || len(q.queue) != 4 {
-		t.Fatalf("the requeued batch did not re-form whole: %d in it, depth %d", len(bd.reqs), len(q.queue))
+	for i, want := range [][]*request{as[:3], as[3:], others} {
+		if got := q.dispatch(); !slices.Equal(got, want) {
+			t.Fatalf("pickup %d after the requeue took %d requests, want %d", i, len(got), len(want))
+		}
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -30,7 +31,6 @@ func TestChaosWorkerRestartServesEverything(t *testing.T) {
 	cfg := schedCfg()
 	cfg.Workers = 2
 	cfg.MaxBatch = 4
-	cfg.BatchWait = time.Millisecond
 	cfg.QueueSize = 256 // roomy: no request should be shed
 	cfg.Chaos = serveInjector(t, "3:serve@0,serve@4")
 	stats := NewStats()
@@ -80,7 +80,6 @@ func TestChaosWorkerRestartRespectsBound(t *testing.T) {
 	cfg := schedCfg()
 	cfg.Workers = 1
 	cfg.MaxBatch = 4
-	cfg.BatchWait = 5 * time.Millisecond
 	cfg.QueueSize = 2
 	cfg.Chaos = serveInjector(t, "9:serve@0")
 	stats := NewStats()
@@ -156,114 +155,140 @@ func TestChaosSchedulerCloseAfterRestart(t *testing.T) {
 // when its batch crashes into a queue that is already at its bound —
 // and the engine never sees a tile whose deadline had passed.
 //
-// One worker, batches of up to 4 collected for 200ms, a queue of 2, and
-// the first dispatch panics. a leads; b and x (a 30ms deadline) join it;
-// 50ms later p, of another shape, queues behind and ends the wait: the
-// batch is dispatched, crashes, and goes back in front of p — 4 queued
-// against a bound of 2. The replacement worker re-forms it, answers x as
-// expired and blocks in the engine (the test's gate) on a and b, with p
-// still queued: q1 fills the queue, and q2 is the one request that may
-// see ErrOverloaded — at admission, while nothing can be answering.
+// One worker, batches of up to 4, a queue of 3, and an engine that
+// panics on its second forward pass (a panic escaping a session takes
+// the same restart path as an injected one). h holds the worker while
+// a and b (one request) and x (a 100ms deadline) queue behind it. Then
+// the worker takes a, b and x as one batch; while that pass is held, p,
+// q1 and q2 fill the queue and q3 is refused. x's deadline passes and
+// the pass panics: the batch goes back in front of p — 6 queued against
+// a bound of 3. The replacement worker takes it again, answers x as
+// expired and runs a and b, then p, q1 and q2.
 func TestChaosSchedulerInvariants(t *testing.T) {
 	tiles := testTiles(4, 16, 30)
-	a, b, x := tiles[0], tiles[1], tiles[2]
-	other := testTiles(3, 32, 31)
-	p, q1, q2 := other[0], other[1], other[2]
+	h, a, b, x := tiles[0], tiles[1], tiles[2], tiles[3]
+	other := testTiles(4, 32, 31)
+	p, q1, q2, q3 := other[0], other[1], other[2], other[3]
 
 	var mu sync.Mutex
 	deadlines := map[*raster.RGB]time.Time{}
-	seen := map[*raster.RGB]int{}
+	seen := map[*raster.RGB]int{} // by completed forward passes
+	var passes [][]*raster.RGB
 	gate, entered := make(chan struct{}), make(chan struct{}, 8)
 	engine := &hookEngine{before: func(batch []*raster.RGB) {
 		now := time.Now()
 		mu.Lock()
 		for _, tile := range batch {
-			seen[tile]++
 			if d := deadlines[tile]; !d.IsZero() && now.After(d) {
 				t.Errorf("the engine was handed a tile %v past its deadline", now.Sub(d))
 			}
 		}
+		passes = append(passes, batch)
+		pass := len(passes)
 		mu.Unlock()
 		entered <- struct{}{}
 		<-gate
+		if pass == 2 {
+			panic("engine fault in the second forward pass")
+		}
+		mu.Lock()
+		for _, tile := range batch {
+			seen[tile]++
+		}
+		mu.Unlock()
 	}}
 
 	cfg := schedCfg()
 	cfg.MaxBatch = 4
-	cfg.BatchWait = 200 * time.Millisecond
-	cfg.QueueSize = 2
-	cfg.Chaos = serveInjector(t, "5:serve@0")
+	cfg.QueueSize = 3
 	stats := NewStats()
 	leaked := goroutineBaseline(t)
 	sched := NewScheduler(cfg, stats)
 
 	errs := map[*raster.RGB]error{}
 	var wg sync.WaitGroup
-	submit := func(tile *raster.RGB, budget time.Duration) {
+	submit := func(budget time.Duration, tiles ...*raster.RGB) {
 		deadline := time.Now().Add(budget)
 		mu.Lock()
-		deadlines[tile] = deadline
+		for _, tile := range tiles {
+			deadlines[tile] = deadline
+		}
 		mu.Unlock()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := sched.SubmitDeadline(engine, tile, deadline)
+			_, err := sched.SubmitTiles(engine, tiles, deadline)
 			mu.Lock()
-			errs[tile] = err
+			for _, tile := range tiles {
+				errs[tile] = err
+			}
 			mu.Unlock()
 		}()
 	}
-	// await polls a scheduler-side condition (under its lock).
-	await := func(what string, cond func() bool) {
+	// queued polls the scheduler's queue depth (under its lock).
+	queued := func(what string, depth int) {
 		t.Helper()
-		for end := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-			sched.mu.Lock()
-			ok := cond()
-			sched.mu.Unlock()
-			if ok {
-				return
-			}
+		for end := time.Now().Add(5 * time.Second); sched.QueueDepth() != depth; time.Sleep(time.Millisecond) {
 			if time.Now().After(end) {
 				t.Fatalf("timed out waiting until %s", what)
 			}
 		}
 	}
-
-	submit(a, time.Minute)
-	await("a leads a batch", func() bool { return len(sched.q.forming) == 1 })
-	submit(b, time.Minute)
-	submit(x, 30*time.Millisecond)
-	await("b and x joined it", func() bool { return len(sched.q.forming[0].reqs) == 3 })
-	time.Sleep(50 * time.Millisecond) // x expires in the open batch
-	submit(p, time.Minute)
-	<-entered // crash, requeue past the bound, re-form, triage: a and b are in the engine
-	if got := stats.WorkerRestarts(); got != 1 {
-		t.Fatalf("worker restarts = %d, want 1 (the first dispatch panics)", got)
+	pass := func(i int) []*raster.RGB {
+		mu.Lock()
+		defer mu.Unlock()
+		return passes[i]
 	}
-	submit(q1, time.Minute)
-	await("p and q1 fill the queue", func() bool { return len(sched.q.queue) == 2 })
-	if _, err := sched.SubmitDeadline(engine, q2, time.Now().Add(time.Minute)); err != ErrOverloaded {
+
+	submit(time.Minute, h)
+	<-entered // h holds the worker
+	submit(time.Minute, a, b)
+	queued("a and b queue", 2)
+	submit(100*time.Millisecond, x)
+	queued("x queues behind them", 3)
+	gate <- struct{}{}
+	<-entered
+	if got := pass(1); !slices.Equal(got, []*raster.RGB{a, b, x}) {
+		t.Fatalf("second pass ran %d tiles, want a, b and x", len(got))
+	}
+	submit(time.Minute, p)
+	submit(time.Minute, q1)
+	submit(time.Minute, q2)
+	queued("p, q1 and q2 fill the queue", 3)
+	if _, err := sched.SubmitDeadline(engine, q3, time.Now().Add(time.Minute)); err != ErrOverloaded {
 		t.Fatalf("submit against a full queue: %v, want ErrOverloaded", err)
+	}
+	mu.Lock()
+	xDeadline := deadlines[x]
+	mu.Unlock()
+	time.Sleep(time.Until(xDeadline) + 10*time.Millisecond) // x expires inside the held pass
+	gate <- struct{}{}                                      // the pass panics; a, b and x requeue past the bound
+	<-entered                                               // x answered expired; a and b are in the engine
+	if got := stats.WorkerRestarts(); got != 1 {
+		t.Fatalf("worker restarts = %d, want 1 (the second pass panics)", got)
+	}
+	if got := pass(2); !slices.Equal(got, []*raster.RGB{a, b}) {
+		t.Fatalf("the requeued batch re-ran %d tiles, want a and b", len(got))
 	}
 	close(gate)
 	wg.Wait()
 	sched.Close()
 	leaked()
 
-	for name, tile := range map[string]*raster.RGB{"a": a, "b": b, "p": p, "q1": q1} {
+	for name, tile := range map[string]*raster.RGB{"h": h, "a": a, "b": b, "p": p, "q1": q1, "q2": q2} {
 		if errs[tile] != nil {
 			t.Errorf("%s was admitted and then failed: %v", name, errs[tile])
 		}
 		if seen[tile] != 1 {
-			t.Errorf("%s reached the engine %d times, want once", name, seen[tile])
+			t.Errorf("%s completed %d forward passes, want 1", name, seen[tile])
 		}
 	}
 	if errs[x] != ErrDeadlineExpired || seen[x] != 0 {
-		t.Errorf("x (30ms deadline, dispatched ≥50ms late): err %v, reached the engine %d times; want ErrDeadlineExpired and never", errs[x], seen[x])
+		t.Errorf("x (100ms deadline, requeued past it): err %v, completed %d passes; want ErrDeadlineExpired and none", errs[x], seen[x])
 	}
 	snap := stats.Snapshot(0, 0, 0, 0)
 	if snap.Rejected != 1 || snap.ExpiredDropped != 1 || snap.DeadlineRejected != 0 {
-		t.Errorf("stats: %d rejected, %d expired, %d infeasible; want 1 (q2), 1 (x), 0",
+		t.Errorf("stats: %d rejected, %d expired, %d infeasible; want 1 (q3), 1 (x), 0",
 			snap.Rejected, snap.ExpiredDropped, snap.DeadlineRejected)
 	}
 }

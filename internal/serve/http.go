@@ -8,7 +8,6 @@ import (
 	"image/png"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"seaice/internal/core"
@@ -38,8 +37,8 @@ type Server struct {
 	cache *Cache
 	stats *Stats
 	mux   *http.ServeMux
-	// fanout caps how many scheduler submits one request keeps in
-	// flight, so a single large scene cannot fill the queue by itself.
+	// fanout caps how many tiles one request submits to the scheduler
+	// at once, so a single large scene cannot fill the queue by itself.
 	fanout int
 }
 
@@ -60,8 +59,8 @@ func NewServer(cfg Config, reg *Registry) (*Server, error) {
 		reg:   reg,
 		cache: NewCache(cfg.CacheSize, cfg.TileSize),
 		stats: NewStats(),
-		// Leave at least half the queue for other requests, but keep
-		// enough submits in flight to fill micro-batches.
+		// Leave at least half the queue for other requests, but submit
+		// enough tiles at once to fill micro-batches.
 		fanout: max(1, min(cfg.QueueSize/2, 4*cfg.MaxBatch)),
 	}
 	s.sched = NewScheduler(cfg, s.stats)
@@ -350,11 +349,12 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 }
 
 // servingPredictor is the core.TilePredictor the HTTP path plugs into
-// the shared inference workflow: tiles fan out as concurrent scheduler
-// submits so the micro-batcher can coalesce them. With tileCache set
-// (pre-filtered requests on a caching server) cached tiles are answered
-// from the LRU under their tile keys and fresh results written back;
-// unfiltered requests are cached one level up, by classifyScene.
+// the shared inference workflow: a request's tiles enter the scheduler
+// together, so idle workers find whole micro-batches queued. With
+// tileCache set (pre-filtered requests on a caching server) cached tiles
+// are answered from the LRU under their tile keys and fresh results
+// written back; unfiltered requests are cached one level up, by
+// classifyScene.
 type servingPredictor struct {
 	srv       *Server
 	engine    unet.Engine
@@ -369,61 +369,37 @@ type servingPredictor struct {
 func (p *servingPredictor) PredictTiles(tiles []*raster.RGB) ([]*raster.Labels, error) {
 	p.tiles += len(tiles)
 	out := make([]*raster.Labels, len(tiles))
+	// miss lists the tiles to compute; at[j] is where miss[j]'s answer
+	// goes, nil when miss is tiles itself.
+	miss, at := tiles, []int(nil)
 	var keys []CacheKey
-	var missed []int
 	if p.tileCache {
-		keys = make([]CacheKey, len(tiles))
+		miss, keys = nil, make([]CacheKey, len(tiles))
 		for i, t := range tiles {
 			keys[i] = TileKey(p.modelName, t)
 			if labels, ok := p.srv.cache.Get(keys[i], 1); ok {
 				out[i] = labels
 				p.cacheHits++
 			} else {
-				missed = append(missed, i)
+				miss, at = append(miss, t), append(at, i)
 			}
 		}
-	} else {
-		missed = make([]int, len(tiles))
-		for i := range tiles {
-			missed[i] = i
-		}
 	}
-	if len(missed) == 0 {
-		return out, nil
-	}
-
-	// Fan the misses out concurrently so the scheduler can coalesce
-	// them into micro-batches — but throttled, so one large scene
-	// cannot flood the bounded queue and reject itself: the queue must
-	// stay available to signal true cross-request overload.
-	limit := p.srv.fanout
-	if limit > len(missed) {
-		limit = len(missed)
-	}
-	sem := make(chan struct{}, limit)
-	errs := make([]error, len(missed))
-	var wg sync.WaitGroup
-	for mi, i := range missed {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(mi, i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			labels, err := p.srv.sched.SubmitDeadline(p.engine, tiles[i], p.deadline)
-			if err != nil {
-				errs[mi] = err
-				return
-			}
-			if p.tileCache {
-				p.srv.cache.Put(keys[i], labels)
-			}
-			out[i] = labels
-		}(mi, i)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	// fanout tiles at a time, so that one large scene cannot fill the
+	// bounded queue by itself: it must stay available to signal true
+	// cross-request overload.
+	for lo := 0; lo < len(miss); lo += p.srv.fanout {
+		labels, err := p.srv.sched.SubmitTiles(p.engine, miss[lo:min(lo+p.srv.fanout, len(miss))], p.deadline)
 		if err != nil {
 			return nil, err
+		}
+		for j, l := range labels {
+			i := lo + j
+			if at != nil {
+				i = at[i]
+				p.srv.cache.Put(keys[i], l)
+			}
+			out[i] = l
 		}
 	}
 	return out, nil

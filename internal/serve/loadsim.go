@@ -26,12 +26,11 @@ type LoadSimConfig struct {
 	// a seeded-uniform node (the hash ring spreads distinct tiles the
 	// same way).
 	Nodes int `json:"nodes"`
-	// Workers, MaxBatch, QueueSize and BatchWait (in seconds) are each
-	// node's serve.Config fields of those names, passed to its queue.
-	Workers   int     `json:"workers"`
-	MaxBatch  int     `json:"max_batch"`
-	QueueSize int     `json:"queue_size"`
-	BatchWait float64 `json:"batch_wait_s"`
+	// Workers, MaxBatch and QueueSize are each node's serve.Config
+	// fields of those names, passed to its queue.
+	Workers   int `json:"workers"`
+	MaxBatch  int `json:"max_batch"`
+	QueueSize int `json:"queue_size"`
 	// TileTime and BatchOverhead model one forward pass: overhead +
 	// tileTime×size virtual seconds per batch on a healthy node.
 	TileTime      float64 `json:"tile_time_s"`
@@ -96,7 +95,7 @@ type simBatch struct {
 // simulator stands in for — its workers and its health.
 type simNode struct {
 	q        *batchQueue
-	idle     int     // workers holding no batch: not forming, computing or restarting
+	idle     int     // workers holding no batch: not computing or restarting
 	slow     float64 // slownode penalty added to every batch
 	inflight []*simBatch
 }
@@ -120,8 +119,8 @@ type LoadSim struct {
 // nil (no faults); it is consumed (each fault fires once), so build a
 // fresh injector per run.
 func NewLoadSim(cfg LoadSimConfig, offeredRPS float64, inj *chaos.Injector) (*LoadSim, error) {
-	if cfg.Nodes < 1 || cfg.Workers < 1 || cfg.MaxBatch < 1 || cfg.QueueSize < 1 || cfg.BatchWait < 0 || offeredRPS <= 0 {
-		return nil, fmt.Errorf("serve: load sim needs nodes, workers, max batch, queue size ≥1, batch wait ≥0 and a positive offered load, got %+v at %g rps", cfg, offeredRPS)
+	if cfg.Nodes < 1 || cfg.Workers < 1 || cfg.MaxBatch < 1 || cfg.QueueSize < 1 || offeredRPS <= 0 {
+		return nil, fmt.Errorf("serve: load sim needs nodes, workers, max batch, queue size ≥1 and a positive offered load, got %+v at %g rps", cfg, offeredRPS)
 	}
 	s := &LoadSim{
 		cfg:     cfg,
@@ -132,7 +131,7 @@ func NewLoadSim(cfg LoadSimConfig, offeredRPS float64, inj *chaos.Injector) (*Lo
 		point:   LoadPoint{OfferedRPS: offeredRPS},
 		arrived: make(map[*request]float64),
 	}
-	qcfg := Config{Workers: cfg.Workers, MaxBatch: cfg.MaxBatch, QueueSize: cfg.QueueSize, BatchWait: secToDur(cfg.BatchWait)}
+	qcfg := Config{Workers: cfg.Workers, MaxBatch: cfg.MaxBatch, QueueSize: cfg.QueueSize}
 	for i := range s.nodes {
 		s.nodes[i] = &simNode{q: newBatchQueue(qcfg), idle: cfg.Workers}
 	}
@@ -199,7 +198,7 @@ func (s *LoadSim) arrive() {
 	if s.cfg.Deadline > 0 {
 		req.deadline = simInstant(now + s.cfg.Deadline)
 	}
-	switch node.q.admit(req, simInstant(now)) {
+	switch node.q.admit([]*request{req}, simInstant(now)) {
 	case nil:
 		s.point.Admitted++
 		s.arrived[req] = now
@@ -211,28 +210,16 @@ func (s *LoadSim) arrive() {
 	}
 }
 
-// pump gives node's workers a turn whenever its queue may have changed —
-// what a broadcast on Scheduler's condition variable does: idle workers
-// lead, every open batch is offered for dispatch, and what the queue
-// hands over starts its forward pass.
+// pump gives node's idle workers a turn whenever its queue may have
+// changed — what a broadcast on Scheduler's condition variable does:
+// each takes the batch the queue hands over, answers its expired
+// requests, and starts the forward pass on the rest.
 func (s *LoadSim) pump(node *simNode) {
 	now := simInstant(s.clock.Now())
 	for node.idle > 0 {
-		b := node.q.lead(now)
-		if b == nil {
-			break
-		}
-		node.idle--
-		// The holder's BatchWait timer: the queue's own instant maps back
-		// onto the virtual axis exactly, so b is due when it fires.
-		if b.due.After(now) {
-			s.clock.Schedule(b.due.Sub(simEpoch).Seconds(), func() { s.pump(node) })
-		}
-	}
-	for _, b := range slices.Clone(node.q.forming) {
-		reqs, wait := node.q.dispatch(b, now)
-		if wait > 0 {
-			continue
+		reqs := node.q.dispatch()
+		if reqs == nil {
+			return
 		}
 		live, expired := triage(reqs, now)
 		for _, r := range expired {
@@ -240,15 +227,14 @@ func (s *LoadSim) pump(node *simNode) {
 			delete(s.arrived, r)
 		}
 		if len(live) == 0 {
-			node.idle++
-			s.pump(node) // the freed worker leads what is queued behind
-			return
+			continue // the worker is still idle: it takes what is queued behind
 		}
 		for _, r := range live {
 			if r.expired(now) {
 				s.point.ExpiredComputed++
 			}
 		}
+		node.idle--
 		pass := &simBatch{reqs: live, dur: s.cfg.BatchOverhead + s.cfg.TileTime*float64(len(live)) + node.slow}
 		node.inflight = append(node.inflight, pass)
 		s.clock.After(pass.dur, func() { s.complete(node, pass) })

@@ -303,7 +303,6 @@ func TestSchedulerExpiredDroppedBeforeCompute(t *testing.T) {
 	m := testModel(t, 2)
 	cfg := schedCfg()
 	cfg.MaxBatch = 1
-	cfg.BatchWait = time.Millisecond
 	sched, err := chaos.Parse("1:slownode@0:200ms")
 	if err != nil {
 		t.Fatal(err)

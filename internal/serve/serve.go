@@ -3,11 +3,14 @@
 // workflow (Fig 9) stops short of. It provides:
 //
 //   - a model Registry that loads, validates, and warms checkpoints;
-//   - a Scheduler that coalesces concurrent tile-classification requests
-//     into micro-batches executed by a fixed pool of inference workers,
-//     each owning a pre-allocated unet.Session (amortizing conv cost the
-//     same way internal/train batches do); its queueing policy is the
-//     clock-free batchQueue, which the load simulator drives too;
+//   - a Scheduler that queues each request's tiles as a unit and runs
+//     them as micro-batches on a fixed pool of inference workers, each
+//     owning a pre-allocated unet.Session (amortizing conv cost the same
+//     way internal/train batches do). A batch forms from what is queued
+//     when an idle worker picks it up — the head plus the same-model,
+//     same-shape tiles directly behind it — so no worker waits for
+//     followers. The queueing policy is the clock-free batchQueue, which
+//     the load simulator drives too;
 //   - a content-hash LRU Cache consulted before any work: unfiltered
 //     requests are keyed on their input pixels (one entry per stitched
 //     scene), pre-filtered ones per tile (see cache.go);
@@ -43,7 +46,6 @@ package serve
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"seaice/internal/chaos"
 	"seaice/internal/dataset"
@@ -54,11 +56,9 @@ type Config struct {
 	// TileSize is the served tile edge; /classify inputs must divide
 	// evenly into TileSize×TileSize tiles.
 	TileSize int
-	// MaxBatch caps tiles per forward pass.
+	// MaxBatch caps tiles per forward pass. Batches form from what is
+	// queued when a worker picks one up; nothing waits for followers.
 	MaxBatch int
-	// BatchWait is how long a batch leader waits for followers before
-	// the batch is dispatched partially filled.
-	BatchWait time.Duration
 	// Workers is the number of inference workers (each owns a session
 	// per model).
 	Workers int
@@ -84,7 +84,6 @@ func DefaultConfig() Config {
 	return Config{
 		TileSize:  32,
 		MaxBatch:  16,
-		BatchWait: 2 * time.Millisecond,
 		Workers:   runtime.GOMAXPROCS(0),
 		QueueSize: 256,
 		CacheSize: 4096,
@@ -99,9 +98,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxBatch < 1 {
 		return fmt.Errorf("serve: max batch must be ≥1, got %d", c.MaxBatch)
-	}
-	if c.BatchWait < 0 {
-		return fmt.Errorf("serve: negative batch wait %v", c.BatchWait)
 	}
 	if c.Workers < 1 {
 		return fmt.Errorf("serve: workers must be ≥1, got %d", c.Workers)

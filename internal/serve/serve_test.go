@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"seaice/internal/core"
 	"seaice/internal/noise"
@@ -275,6 +276,100 @@ func TestBackpressure(t *testing.T) {
 	if other != 0 {
 		t.Fatalf("%d requests failed with unexpected statuses: %v", other, status)
 	}
+}
+
+// TestRefusedSceneComputesNothing: a scene whose tiles do not all fit
+// the queue is refused with 429 and Retry-After as a whole. None of its
+// tiles stays queued to be computed for a client that was already
+// turned away, and the refusal counts once, not once per tile.
+func TestRefusedSceneComputesNothing(t *testing.T) {
+	gate := make(chan struct{})
+	var mu sync.Mutex
+	armed, computed := false, 0 // tiles the engine was handed after warm-up
+	engine := &hookEngine{before: func(tiles []*raster.RGB) {
+		mu.Lock()
+		on := armed
+		if on {
+			computed += len(tiles)
+		}
+		mu.Unlock()
+		if on {
+			<-gate
+		}
+	}}
+	cfg := DefaultConfig()
+	cfg.TileSize = 16
+	cfg.Workers = 1
+	cfg.QueueSize = 4 // a scene submits 2 tiles at a time
+	cfg.MaxBatch = 1
+	cfg.CacheSize = 0
+	srv := engineServer(t, cfg, engine)
+	var release sync.Once
+	t.Cleanup(func() { release.Do(func() { close(gate) }) }) // before srv.Close
+	mu.Lock()
+	armed = true
+	mu.Unlock()
+
+	// One tile holds the worker, and three more leave one slot free.
+	var wg sync.WaitGroup
+	held := testTiles(4, 16, 40)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := srv.sched.SubmitTiles(engine, held, time.Time{}); err != nil {
+			t.Errorf("held tiles: %v", err)
+		}
+	}()
+	for end := time.Now().Add(5 * time.Second); srv.sched.QueueDepth() != 3; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("queue depth %d, want 3", srv.sched.QueueDepth())
+		}
+	}
+
+	req := httptest.NewRequest(http.MethodPost, "/classify", bytes.NewReader(encodePNG(t, testTiles(1, 64, 41)[0])))
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("status %d, Retry-After %q (%s); want 429 with a Retry-After", rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+	}
+	if depth := srv.sched.QueueDepth(); depth != 3 {
+		t.Fatalf("queue depth %d after the refusal, want 3: part of the scene was left queued", depth)
+	}
+	release.Do(func() { close(gate) })
+	wg.Wait()
+	if computed != len(held) {
+		t.Fatalf("the engine was handed %d tiles, want the %d held ones: a refused scene's tiles were computed", computed, len(held))
+	}
+	if snap := srv.Stats(); snap.Rejected != 1 {
+		t.Fatalf("stats count %d rejections for one refused scene", snap.Rejected)
+	}
+}
+
+// TestServerCloseLeaksNothing: a server that has answered scene and tile
+// requests over HTTP has stopped every goroutine it started once Close
+// returns.
+func TestServerCloseLeaksNothing(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TileSize = 16
+	cfg.Workers = 2
+	leaked := goroutineBaseline(t)
+	reg := NewRegistry()
+	if err := reg.Add("default", testModel(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(cfg, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	for _, img := range []*raster.RGB{testTiles(1, 64, 42)[0], testTiles(1, 16, 43)[0]} {
+		if resp, body := postPNG(t, ts.Client(), ts.URL+"/classify", img); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%dx%d: status %d: %s", img.W, img.H, resp.StatusCode, body)
+		}
+	}
+	ts.Close() // also closes the client's idle connections
+	srv.Close()
+	leaked()
 }
 
 // TestHTTPErrorPaths covers method, payload, geometry, and model-name

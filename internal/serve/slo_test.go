@@ -183,8 +183,8 @@ func TestSLOLoadSimSlowNodeFault(t *testing.T) {
 
 // TestSLOLoadSimRejectsUnsizedQueue: the simulator has no defaults of
 // its own — the queue's sizes come from the caller, as serve.Config's do
-// — so a zero Nodes / Workers / MaxBatch / QueueSize, a negative
-// BatchWait or a non-positive rate is an error, not a silent 1 / 8 / 64.
+// — so a zero Nodes / Workers / MaxBatch / QueueSize or a non-positive
+// rate is an error, not a silent 1 / 8 / 64.
 func TestSLOLoadSimRejectsUnsizedQueue(t *testing.T) {
 	if _, err := NewLoadSim(sloConfig(), 100, nil); err != nil {
 		t.Fatalf("the committed configuration was rejected: %v", err)
@@ -194,7 +194,6 @@ func TestSLOLoadSimRejectsUnsizedQueue(t *testing.T) {
 		"workers":    func(c *LoadSimConfig) { c.Workers = 0 },
 		"max batch":  func(c *LoadSimConfig) { c.MaxBatch = 0 },
 		"queue size": func(c *LoadSimConfig) { c.QueueSize = 0 },
-		"batch wait": func(c *LoadSimConfig) { c.BatchWait = -0.001 },
 	} {
 		cfg := sloConfig()
 		unset(&cfg)

@@ -50,7 +50,6 @@ func sloConfig() LoadSimConfig {
 		Workers:       2,
 		MaxBatch:      8,
 		QueueSize:     64,
-		BatchWait:     0.002,
 		TileTime:      0.002,
 		BatchOverhead: 0.001,
 		Deadline:      0.25,
@@ -83,7 +82,7 @@ func RunSLOBench() (*SLOBench, error) {
 		return nil, fmt.Errorf("serve: faulted sweep: %w", err)
 	}
 	return &SLOBench{
-		Schema: "seaice-bench-serve/v2",
+		Schema: "seaice-bench-serve/v3",
 		Workload: "chaos-under-load SLO sweep on the simtime cluster model; " +
 			"regenerate with `go run ./cmd/seaice-serve -slo` " +
 			"(bit-reproducible — no host section needed)",

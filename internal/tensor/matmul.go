@@ -20,9 +20,11 @@ import (
 // panel of sgemm_amd64.go (same chains, eight columns per instruction),
 // which every A×B entry here — MatMulInto, MatMulSerialInto, GemmSerial —
 // reaches through the backend table. The scalar loops rely on the Go
-// compiler not fusing s += a·b into an FMA, which holds on amd64 below
-// GOAMD64=v3; an arm64 or v3 build is self-consistent but does not
-// reproduce the goldens recorded on default amd64. The one deliberate
+// compiler not fusing s += a·b into an FMA. That holds on amd64 at every
+// GOAMD64 level (go1.24 emits no VFMADD/VFMSUB/VFNMADD/VFNMSUB for it,
+// v3 included), but the arm64, loong64, ppc64x, riscv64 and s390x ports
+// do fuse it: such a build is self-consistent but does not reproduce the
+// goldens recorded on amd64. The one deliberate
 // semantic difference from the reference: zero entries of A are
 // multiplied rather than skipped, which only matters for ±0 and
 // non-finite inputs (the skip saved no time on dense He-initialized
