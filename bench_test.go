@@ -29,7 +29,6 @@ import (
 	"seaice/internal/perfmodel"
 	"seaice/internal/pool"
 	"seaice/internal/raster"
-	"seaice/internal/ring"
 	"seaice/internal/scene"
 	"seaice/internal/serve"
 	"seaice/internal/tensor"
@@ -240,40 +239,6 @@ func BenchmarkSceneLabelThroughput(b *testing.B) {
 		if _, err := core.LabelDefault(filtered); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAblation_RingVsNaive compares the ring all-reduce against the
-// gather-broadcast baseline on gradient-sized vectors — Horovod's
-// bandwidth-optimality argument for the ring (§III-C1): each rank moves
-// 2(p-1)/p of the vector instead of the root moving 2(p-1) copies.
-func BenchmarkAblation_RingVsNaive(b *testing.B) {
-	const n = 1 << 16
-	makeVecs := func(p int) [][]float64 {
-		out := make([][]float64, p)
-		for r := range out {
-			out[r] = make([]float64, n)
-			for i := range out[r] {
-				out[r][i] = float64(r + i)
-			}
-		}
-		return out
-	}
-	for _, p := range []int{4, 8} {
-		b.Run(fmt.Sprintf("ring/p=%d", p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := ring.AllReduceSum(makeVecs(p)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("naive/p=%d", p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := ring.NaiveAllReduceSum(makeVecs(p)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

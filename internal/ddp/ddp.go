@@ -193,8 +193,8 @@ type Result struct {
 
 // rank is one hosted member of the run: its replica, optimizer, ring
 // endpoint, and the contiguous vector its parameters are packed into
-// for the collectives (one chunked, pipelined all-reduce per step
-// instead of one serial ring per parameter), reused across steps.
+// for the collectives (one chunked all-reduce per step instead of one
+// serial ring per parameter), reused across steps.
 type rank[S tensor.Scalar] struct {
 	id    int
 	coll  ring.Collective[S]

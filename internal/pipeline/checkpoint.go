@@ -236,7 +236,7 @@ func readShard(path string) (*shardCheckpoint, error) {
 		return nil, fmt.Errorf("%w: truncated length header", ErrCorruptShard)
 	}
 	n := binary.BigEndian.Uint64(rest[:8])
-	if n == 0 || n != uint64(len(rest)-8-4) {
+	if len(rest) < 8+4 || n == 0 || n != uint64(len(rest)-8-4) {
 		return nil, fmt.Errorf("%w: body length %d does not match file size (torn write?)", ErrCorruptShard, n)
 	}
 	body := rest[8 : 8+n]

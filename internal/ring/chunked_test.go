@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestAllReduceMeanChunkedMatchesMean: the chunked concurrent reduce must
+// TestAllReduceMeanChunkedMatchesMean: the segmented reduce must
 // produce the same means as the single-shot reduce (exactly, for these
 // small rank counts) and leave all ranks identical.
 func TestAllReduceMeanChunkedMatchesMean(t *testing.T) {

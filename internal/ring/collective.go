@@ -16,9 +16,10 @@ import (
 //     AllReduceMeanChunkedGroup / Broadcast, so results are
 //     bit-identical to the shared-memory ring.
 //   - transport.Collective: ranks are processes connected by the
-//     length-prefixed TCP ring of internal/transport, running the same
-//     chunk schedule over sockets — bit-identical to Local by
-//     construction (parity-tested).
+//     length-prefixed TCP ring of internal/transport, each running
+//     AllReduceMeanRank over its socket link — the schedule the
+//     shared-memory ring runs over channels, so bit-identical to Local
+//     by construction (parity-tested).
 //
 // Failures surface as *RankError naming the lost peer; the caller
 // rewinds its step state, calls Reestablish, and retries — exactly the

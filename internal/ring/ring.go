@@ -15,22 +15,23 @@
 //     ends with the complete reduced vector.
 //
 // Each rank transfers 2·(p−1)/p · n values in total, which is optimal.
-// Ranks run as goroutines connected by channels; the implementation is
-// a real concurrent all-reduce, not a simulation.
+// The schedule is written once, per rank, over a Link (AllReduceMeanRank);
+// the in-process and TCP links are its two implementations. In process,
+// ranks run as goroutines connected by channels; the implementation is a
+// real concurrent all-reduce, not a simulation.
 //
 // Parallelism/bit-identity guarantees: the reduce schedule (which chunk
 // a rank accumulates at which step) is a pure function of (rank count,
 // vector length, chunk size), so floating-point accumulation order —
-// and therefore every bit of the result — is identical across runs and
-// across goroutine interleavings, for either element precision (the
-// ring is generic over Scalar; float32 gradients move half the bytes
-// per hop). AllReduceMeanChunked pipelines
-// independent chunks concurrently; chunks never share elements, so
-// chunking changes wall-clock only, never the result.
+// and therefore every bit of the result — is identical across runs,
+// across goroutine interleavings and across links, for either element
+// precision (the ring is generic over Scalar; float32 gradients move
+// half the bytes per hop).
 package ring
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -42,11 +43,133 @@ type Scalar interface {
 	float32 | float64
 }
 
-// AllReduceSum performs an in-place ring all-reduce (sum) across the
-// vectors; vectors[r] is rank r's input and, on return, every vector
-// holds the element-wise sum. All vectors must share one length.
-// AllReduceSum blocks until every rank finishes.
-func AllReduceSum[S Scalar](vectors [][]S) error {
+// DefaultChunk is the segment length, in elements, of a reduce whose
+// caller passes chunk <= 0: 16Ki elements, 64 KiB of float32 (128 KiB of
+// float64) per rank, so one hop's frame stays well under the transport's
+// MaxFrame.
+const DefaultChunk = 1 << 14
+
+// Link is one rank's connection into the ring: the only part of the
+// all-reduce that differs between the in-process and the TCP transport.
+type Link[S Scalar] interface {
+	// Hop sends send to the next rank and returns the recvLen values the
+	// previous rank sent in the same hop. The returned slice is valid
+	// until the next Hop.
+	Hop(send []S, recvLen int) ([]S, error)
+}
+
+// AllReduceMeanRank is one rank's share of the ring all-reduce-mean of
+// the world ranks' equal-length vectors: every rank calls it with its
+// own link, rank and vec, and on success vec holds the element-wise
+// mean. The vector is reduced in sequential segments of chunk elements
+// (the whole vector when it is no longer; chunk <= 0 selects
+// DefaultChunk), each by p−1 reduce-scatter and p−1 all-gather hops and
+// a 1/p scale. Segments never share elements, so the segment length
+// sets the frame size, not the result. A link error aborts the reduce
+// and leaves vec partially reduced.
+func AllReduceMeanRank[S Scalar](l Link[S], rank, world int, vec []S, chunk int) error {
+	if world == 1 {
+		return nil
+	}
+	if chunk <= 0 {
+		chunk = DefaultChunk
+	}
+	for lo := 0; lo < len(vec); {
+		seg := vec[lo : lo+min(chunk, len(vec)-lo)]
+		if err := reduceSegment(l, rank, world, seg); err != nil {
+			return err
+		}
+		lo += len(seg)
+	}
+	return nil
+}
+
+// reduceSegment runs the ring schedule over one segment split into p
+// chunks, chunk c covering [c·m/p, (c+1)·m/p).
+func reduceSegment[S Scalar](l Link[S], rank, p int, seg []S) error {
+	m := len(seg)
+	span := func(c int) []S {
+		c = (c%p + p) % p
+		return seg[c*m/p : (c+1)*m/p]
+	}
+	// reduce-scatter: after p−1 hops this rank holds the fully reduced
+	// chunk (rank+1) mod p.
+	for s := 0; s < p-1; s++ {
+		acc := span(rank - s - 1)
+		in, err := l.Hop(span(rank-s), len(acc))
+		if err != nil {
+			return err
+		}
+		for i, v := range in {
+			acc[i] += v
+		}
+	}
+	// all-gather: circulate the reduced chunks until every rank has all.
+	for s := 0; s < p-1; s++ {
+		dst := span(rank - s)
+		in, err := l.Hop(span(rank+1-s), len(dst))
+		if err != nil {
+			return err
+		}
+		copy(dst, in)
+	}
+	inv := S(1) / S(p)
+	for i := range seg {
+		seg[i] *= inv
+	}
+	return nil
+}
+
+// chanLink is an in-process Link: a buffered channel to the next rank,
+// the previous rank's channel, and send buffers used in rotation. The
+// buffer of 1 lets every rank send before receiving, which is how
+// hardware rings pipeline. Three buffers make the rotation safe: before
+// the sender refills hop h's buffer at hop h+3, its send of hop h+2 has
+// gone through, so the receiver has dequeued hop h+1 — which it does
+// only after it finished reading hop h. With two, a sender could
+// overwrite a hop its receiver is still reading.
+type chanLink[S Scalar] struct {
+	next chan<- []S
+	prev <-chan []S
+	bufs [3][]S
+	hops int
+}
+
+// Hop implements Link.
+func (c *chanLink[S]) Hop(send []S, recvLen int) ([]S, error) {
+	buf := c.bufs[c.hops%len(c.bufs)][:len(send)]
+	c.hops++
+	copy(buf, send)
+	c.next <- buf
+	return <-c.prev, nil
+}
+
+// AllReduceMean averages the ranks' vectors in place in one segment:
+// vectors[r] is rank r's input and, on return, every vector holds the
+// element-wise mean — the gradient-averaging step of synchronous
+// data-parallel SGD.
+func AllReduceMean[S Scalar](vectors [][]S) error {
+	return AllReduceMeanChunked(vectors, math.MaxInt)
+}
+
+// sendBufPools keep the channel links' send buffers from one in-process
+// reduce to the next, so a steady-state reduce allocates none; one pool
+// per element type.
+var sendBufPools [2]sync.Pool
+
+func sendBufPool[S Scalar]() *sync.Pool {
+	var z S
+	if _, ok := any(z).(float32); ok {
+		return &sendBufPools[0]
+	}
+	return &sendBufPools[1]
+}
+
+// AllReduceMeanChunked averages the ranks' vectors in place, segmenting
+// them as AllReduceMeanRank does: one goroutine per rank runs the shared
+// schedule over channel links. All vectors must share one length; it
+// blocks until every rank finishes.
+func AllReduceMeanChunked[S Scalar](vectors [][]S, chunk int) error {
 	p := len(vectors)
 	if p == 0 {
 		return fmt.Errorf("ring: no ranks")
@@ -60,171 +183,37 @@ func AllReduceSum[S Scalar](vectors [][]S) error {
 	if p == 1 || n == 0 {
 		return nil
 	}
-
-	// chunk boundaries: chunk c covers [bounds[c], bounds[c+1])
-	bounds := make([]int, p+1)
-	for c := 0; c <= p; c++ {
-		bounds[c] = c * n / p
-	}
-
-	// links[r] carries chunks from rank r to rank (r+1) mod p. The
-	// buffer of 1 lets every rank send before receiving, which is how
-	// hardware rings pipeline; with unbuffered channels the uniform
-	// send-then-receive schedule would deadlock.
-	links := make([]chan []S, p)
-	for r := range links {
-		links[r] = make(chan []S, 1)
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for r := 0; r < p; r++ {
-		go func(rank int) {
-			defer wg.Done()
-			vec := vectors[rank]
-			prev := links[(rank-1+p)%p]
-			next := links[rank]
-
-			// reduce-scatter
-			for s := 0; s < p-1; s++ {
-				sendChunk := ((rank-s)%p + p) % p
-				lo, hi := bounds[sendChunk], bounds[sendChunk+1]
-				buf := make([]S, hi-lo)
-				copy(buf, vec[lo:hi])
-				next <- buf
-
-				recvChunk := ((rank-s-1)%p + p) % p
-				in := <-prev
-				rlo := bounds[recvChunk]
-				for i, v := range in {
-					vec[rlo+i] += v
-				}
-			}
-			// all-gather
-			for s := 0; s < p-1; s++ {
-				sendChunk := ((rank+1-s)%p + p) % p
-				lo, hi := bounds[sendChunk], bounds[sendChunk+1]
-				buf := make([]S, hi-lo)
-				copy(buf, vec[lo:hi])
-				next <- buf
-
-				recvChunk := ((rank-s)%p + p) % p
-				in := <-prev
-				rlo := bounds[recvChunk]
-				copy(vec[rlo:rlo+len(in)], in)
-			}
-		}(r)
-	}
-	wg.Wait()
-	return nil
-}
-
-// AllReduceMean sums across ranks then divides by the rank count — the
-// gradient-averaging step of synchronous data-parallel SGD.
-func AllReduceMean[S Scalar](vectors [][]S) error {
-	if err := AllReduceSum(vectors); err != nil {
-		return err
-	}
-	inv := S(1) / S(len(vectors))
-	for _, v := range vectors {
-		for i := range v {
-			v[i] *= inv
-		}
-	}
-	return nil
-}
-
-// DefaultChunk is the per-segment element count AllReduceMeanChunked
-// uses when the caller passes chunk <= 0: 16Ki float64s ≈ 128 KiB per
-// rank per segment, small enough that several segments pipeline through
-// the ring concurrently, large enough to amortize goroutine startup.
-const DefaultChunk = 1 << 14
-
-// maxConcurrentSegments bounds how many chunk all-reduces run at once;
-// each segment spawns one goroutine per rank.
-const maxConcurrentSegments = 4
-
-// AllReduceMeanChunked splits each rank's vector into segments of at most
-// chunk elements and runs an independent ring all-reduce per segment, up
-// to maxConcurrentSegments in flight. This is how the distributed trainer
-// overlaps communication: with one flattened gradient vector per replica,
-// early chunks reduce while later chunks are still queuing instead of one
-// serial reduce per parameter. Results equal AllReduceMean's up to
-// floating-point association (the per-element rank order depends on chunk
-// geometry); all ranks still finish with identical values.
-func AllReduceMeanChunked[S Scalar](vectors [][]S, chunk int) error {
-	p := len(vectors)
-	if p == 0 {
-		return fmt.Errorf("ring: no ranks")
-	}
-	n := len(vectors[0])
-	for r, v := range vectors {
-		if len(v) != n {
-			return fmt.Errorf("ring: rank %d has %d values, rank 0 has %d", r, len(v), n)
-		}
-	}
 	if chunk <= 0 {
 		chunk = DefaultChunk
 	}
-	if p == 1 || n <= chunk {
-		return AllReduceMean(vectors)
+	width := (min(n, chunk) + p - 1) / p // the longest chunk of any segment
+	links := make([]chanLink[S], p)
+	need := p * len(links[0].bufs) * width
+	pool := sendBufPool[S]()
+	held, _ := pool.Get().(*[]S)
+	if held == nil || len(*held) < need {
+		b := make([]S, need)
+		held = &b
 	}
-	nseg := (n + chunk - 1) / chunk
-	sem := make(chan struct{}, maxConcurrentSegments)
-	errs := make(chan error, nseg)
+	defer pool.Put(held)
+	bufs := *held
+	for r := range links {
+		l := &links[r]
+		ch := make(chan []S, 1)
+		l.next, links[(r+1)%p].prev = ch, ch
+		for b := range l.bufs {
+			l.bufs[b], bufs = bufs[:width:width], bufs[width:]
+		}
+	}
 	var wg sync.WaitGroup
-	for s := 0; s < nseg; s++ {
-		lo := s * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		views := make([][]S, p)
-		for r := range vectors {
-			views[r] = vectors[r][lo:hi]
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(views [][]S) {
+	wg.Add(p)
+	for r := range links {
+		go func() {
 			defer wg.Done()
-			errs <- AllReduceMean(views)
-			<-sem
-		}(views)
+			AllReduceMeanRank(&links[r], r, p, vectors[r], chunk) // a chanLink never fails
+		}()
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// NaiveAllReduceSum is the gather-broadcast baseline: rank 0 collects
-// every vector, reduces, and redistributes. It moves (p−1)·n values
-// through a single root in each direction — the bottleneck the ring
-// removes — and exists for the ablation benchmarks.
-func NaiveAllReduceSum[S Scalar](vectors [][]S) error {
-	p := len(vectors)
-	if p == 0 {
-		return fmt.Errorf("ring: no ranks")
-	}
-	n := len(vectors[0])
-	for r, v := range vectors {
-		if len(v) != n {
-			return fmt.Errorf("ring: rank %d has %d values, rank 0 has %d", r, len(v), n)
-		}
-	}
-	root := vectors[0]
-	for r := 1; r < p; r++ {
-		for i, v := range vectors[r] {
-			root[i] += v
-		}
-	}
-	for r := 1; r < p; r++ {
-		copy(vectors[r], root)
-	}
 	return nil
 }
 

@@ -8,14 +8,17 @@ import (
 	"seaice/internal/noise"
 )
 
-// sumReference computes the expected all-reduce result directly.
-func sumReference(vectors [][]float64) []float64 {
+// meanReference computes the expected all-reduce result directly.
+func meanReference(vectors [][]float64) []float64 {
 	n := len(vectors[0])
 	out := make([]float64, n)
 	for _, v := range vectors {
 		for i := range v {
 			out[i] += v[i]
 		}
+	}
+	for i := range out {
+		out[i] /= float64(len(vectors))
 	}
 	return out
 }
@@ -32,14 +35,14 @@ func randVectors(seed uint64, p, n int) [][]float64 {
 	return out
 }
 
-func TestAllReduceSumMatchesReference(t *testing.T) {
+func TestAllReduceMeanMatchesReference(t *testing.T) {
 	for _, tc := range []struct{ p, n int }{
 		{1, 5}, {2, 8}, {3, 7}, {4, 16}, {5, 3}, {8, 1000}, {7, 13},
 		{3, 1}, {4, 2}, // vector shorter than ring: some chunks are empty
 	} {
 		vectors := randVectors(uint64(tc.p*1000+tc.n), tc.p, tc.n)
-		want := sumReference(vectors)
-		if err := AllReduceSum(vectors); err != nil {
+		want := meanReference(vectors)
+		if err := AllReduceMean(vectors); err != nil {
 			t.Fatalf("p=%d n=%d: %v", tc.p, tc.n, err)
 		}
 		for r := 0; r < tc.p; r++ {
@@ -52,15 +55,15 @@ func TestAllReduceSumMatchesReference(t *testing.T) {
 	}
 }
 
-// TestAllReduceSumProperty: for arbitrary rank counts and lengths, every
-// rank converges to the reference sum.
-func TestAllReduceSumProperty(t *testing.T) {
+// TestAllReduceMeanProperty: for arbitrary rank counts and lengths, every
+// rank converges to the reference mean.
+func TestAllReduceMeanProperty(t *testing.T) {
 	f := func(seed uint64, pRaw, nRaw uint8) bool {
 		p := int(pRaw)%9 + 1
 		n := int(nRaw) % 64
 		vectors := randVectors(seed, p, n)
-		want := sumReference(vectors)
-		if err := AllReduceSum(vectors); err != nil {
+		want := meanReference(vectors)
+		if err := AllReduceMean(vectors); err != nil {
 			return false
 		}
 		for r := 0; r < p; r++ {
@@ -79,10 +82,7 @@ func TestAllReduceSumProperty(t *testing.T) {
 
 func TestAllReduceMean(t *testing.T) {
 	vectors := randVectors(11, 4, 10)
-	want := sumReference(vectors)
-	for i := range want {
-		want[i] /= 4
-	}
+	want := meanReference(vectors)
 	if err := AllReduceMean(vectors); err != nil {
 		t.Fatal(err)
 	}
@@ -90,27 +90,6 @@ func TestAllReduceMean(t *testing.T) {
 		for i := range want {
 			if math.Abs(vectors[r][i]-want[i]) > 1e-9 {
 				t.Fatalf("rank %d elem %d = %g, want %g", r, i, vectors[r][i], want[i])
-			}
-		}
-	}
-}
-
-func TestNaiveAllReduceMatchesRing(t *testing.T) {
-	a := randVectors(22, 5, 37)
-	b := make([][]float64, len(a))
-	for r := range a {
-		b[r] = append([]float64(nil), a[r]...)
-	}
-	if err := AllReduceSum(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := NaiveAllReduceSum(b); err != nil {
-		t.Fatal(err)
-	}
-	for r := range a {
-		for i := range a[r] {
-			if math.Abs(a[r][i]-b[r][i]) > 1e-9*(1+math.Abs(b[r][i])) {
-				t.Fatalf("ring and naive disagree at rank %d elem %d: %g vs %g", r, i, a[r][i], b[r][i])
 			}
 		}
 	}
@@ -132,10 +111,10 @@ func TestBroadcast(t *testing.T) {
 }
 
 func TestAllReduceErrors(t *testing.T) {
-	if err := AllReduceSum[float64](nil); err == nil {
+	if err := AllReduceMean[float64](nil); err == nil {
 		t.Fatal("expected error for zero ranks")
 	}
-	if err := AllReduceSum([][]float64{{1, 2}, {1}}); err == nil {
+	if err := AllReduceMean([][]float64{{1, 2}, {1}}); err == nil {
 		t.Fatal("expected error for mismatched lengths")
 	}
 }

@@ -9,92 +9,35 @@ import (
 )
 
 // AllReduceMean averages the ranks' vectors in place over the network
-// ring. It is the bit-identical mirror of ring.AllReduceMeanChunked:
-// the same segmentation (the whole vector when n ≤ chunk, else segments
-// of exactly chunk elements), the same per-segment chunk bounds
-// (bounds[c] = c·n/p), the same reduce-scatter/all-gather schedule, the
-// same element-order accumulation, and the same 1/p mean scaling —
-// scalars travel as exact IEEE-754 bit patterns, so the accumulation
-// operates on identical values in an identical order and every result
-// bit matches the in-process transport. The in-process version pipelines
-// segments concurrently; segments are element-disjoint, so running them
-// sequentially here changes wall-clock only, never bytes.
+// ring: ring.AllReduceMeanRank's schedule over this rank's TCP link, the
+// same function the in-process ring runs. Scalars travel as exact
+// IEEE-754 bit patterns, so every result bit matches the in-process
+// transport (chunk <= 0 selects ring.DefaultChunk).
 func AllReduceMean[S ring.Scalar](r *Ring, vec []S, chunk int) error {
-	if chunk <= 0 {
-		chunk = ring.DefaultChunk
-	}
-	n := len(vec)
-	if r.world == 1 || n == 0 {
-		return nil
-	}
-	if n <= chunk {
-		return allReduceMeanSeg(r, vec)
-	}
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if err := allReduceMeanSeg(r, vec[lo:hi]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return ring.AllReduceMeanRank(&netLink[S]{r: r}, r.rank, r.world, vec, chunk)
 }
 
-// allReduceMeanSeg runs one segment's ring all-reduce-mean: p−1
-// reduce-scatter hops, p−1 all-gather hops, then the 1/p scale.
-func allReduceMeanSeg[S ring.Scalar](r *Ring, vec []S) error {
-	p, rank, n := r.world, r.rank, len(vec)
-	bounds := make([]int, p+1)
-	for c := 0; c <= p; c++ {
-		bounds[c] = c * n / p
-	}
-	var out []byte
-	var in []S
+// netLink is a Ring as a ring.Link: one data frame out to the next
+// rank and one in from the previous per hop, encoded by putScalars and
+// getScalars into buffers reused across hops.
+type netLink[S ring.Scalar] struct {
+	r   *Ring
+	out []byte
+	in  []S
+}
 
-	// reduce-scatter: after p−1 hops this rank holds the fully reduced
-	// chunk (rank+1) mod p.
-	for s := 0; s < p-1; s++ {
-		sendChunk := ((rank-s)%p + p) % p
-		lo, hi := bounds[sendChunk], bounds[sendChunk+1]
-		out = putScalars(out[:0], vec[lo:hi])
-
-		payload, err := r.hop(out)
-		if err != nil {
-			return err
-		}
-		recvChunk := ((rank-s-1)%p + p) % p
-		rlo, rhi := bounds[recvChunk], bounds[recvChunk+1]
-		if in, err = getScalars(in[:0], payload, rhi-rlo); err != nil {
-			return r.prevErr(err)
-		}
-		for i, v := range in {
-			vec[rlo+i] += v
-		}
+// Hop implements ring.Link; a payload of the wrong size is the previous
+// rank's fault.
+func (l *netLink[S]) Hop(send []S, recvLen int) ([]S, error) {
+	l.out = putScalars(l.out[:0], send)
+	payload, err := l.r.hop(l.out)
+	if err != nil {
+		return nil, err
 	}
-	// all-gather: circulate the reduced chunks until every rank has all.
-	for s := 0; s < p-1; s++ {
-		sendChunk := ((rank+1-s)%p + p) % p
-		lo, hi := bounds[sendChunk], bounds[sendChunk+1]
-		out = putScalars(out[:0], vec[lo:hi])
-
-		payload, err := r.hop(out)
-		if err != nil {
-			return err
-		}
-		recvChunk := ((rank-s)%p + p) % p
-		rlo, rhi := bounds[recvChunk], bounds[recvChunk+1]
-		if in, err = getScalars(in[:0], payload, rhi-rlo); err != nil {
-			return r.prevErr(err)
-		}
-		copy(vec[rlo:rlo+len(in)], in)
+	if l.in, err = getScalars(l.in[:0], payload, recvLen); err != nil {
+		return nil, l.r.prevErr(err)
 	}
-	inv := S(1) / S(p)
-	for i := range vec {
-		vec[i] *= inv
-	}
-	return nil
+	return l.in, nil
 }
 
 // bcastMaxElems bounds a broadcast frame's element count so the payload

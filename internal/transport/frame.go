@@ -2,12 +2,11 @@
 // collectives: a length-prefixed TCP message protocol (framed read/write
 // with deadlines, dial retry with backoff, peer identification) plus a
 // rendezvous/handshake that assembles p processes into the same
-// unidirectional ring the in-process implementation uses. The collectives
-// (AllReduceMean, Broadcast) run the exact chunk schedule of
-// ring.AllReduceMeanChunked over the sockets — same segment bounds, same
-// accumulation order, same mean scaling — so a multi-process run is
-// bit-identical to the in-process one, and the two transports are
-// interchangeable behind ring.Collective.
+// unidirectional ring the in-process implementation uses. AllReduceMean
+// runs ring.AllReduceMeanRank — the one reduce schedule — with the
+// socket pair as its link, and Broadcast forwards exact bit patterns, so
+// a multi-process run is bit-identical to the in-process one and the two
+// transports are interchangeable behind ring.Collective.
 //
 // Failure mapping: any connection error — a peer crash, an injected
 // partition, a dropped frame timing out a read — surfaces as

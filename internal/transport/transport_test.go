@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -128,8 +129,9 @@ func golden[S ring.Scalar](p, step, n, chunk int) [][]S {
 }
 
 // TestAllReduceParity: the network all-reduce must match the in-process
-// chunked ring bit for bit, across precisions and vector shapes
-// (multi-segment, sub-chunk, and shorter-than-world vectors).
+// chunked ring bit for bit — one schedule, ring.AllReduceMeanRank, over a
+// socket link and over channel links — across precisions and vector
+// shapes (multi-segment, sub-chunk, and shorter-than-world vectors).
 func TestAllReduceParity(t *testing.T) {
 	testAllReduceParity[float64](t)
 	testAllReduceParity[float32](t)
@@ -173,6 +175,35 @@ func TestBroadcastParity(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestRingCloseLeaksNothing: a full Establish → AllReduceMean →
+// Broadcast → Commit → Close cycle leaves no goroutine behind (dialers,
+// hop senders and the rendezvous watchdog all finish).
+func TestRingCloseLeaksNothing(t *testing.T) {
+	before := runtime.NumGoroutine()
+	rings := newTestRings(t, 3, "")
+	perRank(t, rings, func(r *Ring) error {
+		vec := testVec[float32](r.Rank(), 0, 3000)
+		if err := AllReduceMean(r, vec, 1<<10); err != nil {
+			return err
+		}
+		if err := Broadcast(r, vec); err != nil {
+			return err
+		}
+		return r.Commit(0)
+	})
+	for _, r := range rings {
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for end := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(end); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after Close, %d before the rings: a goroutine leaked", n, before)
+	}
 }
 
 // TestCommitBarrier: the barrier completes when all ranks enter with the
