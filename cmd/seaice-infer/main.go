@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"seaice/internal/core"
 	"seaice/internal/dataset"
@@ -31,32 +32,67 @@ import (
 	"seaice/internal/serve"
 )
 
+// options carries the parsed flags.
+type options struct {
+	ckpt      string
+	in        string
+	size      int
+	tile      int
+	seed      uint64
+	out       string
+	precision string
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("seaice-infer: ")
 
-	var (
-		ckpt      = flag.String("ckpt", "unet.ckpt", "U-Net checkpoint from seaice-train")
-		in        = flag.String("in", "", "input scene PNG (empty: generate a synthetic scene)")
-		size      = flag.Int("size", 256, "generated scene size (when -in is empty)")
-		tile      = flag.Int("tile", 32, "inference tile size")
-		seed      = flag.Uint64("seed", 99, "generated scene seed")
-		out       = flag.String("out", "prediction.png", "output label-map PNG")
-		precision = flag.String("precision", "f32", "inference precision: f32 | f64 | int8")
-	)
-	flag.Parse()
-
-	prec, err := serve.ParsePrecision(*precision)
+	o, err := parseFlags(os.Args[1:], flag.ExitOnError)
 	if err != nil {
 		log.Fatal(err)
 	}
-	run(prec, *ckpt, *in, *size, *tile, *seed, *out)
+	run(o)
+}
+
+// parseFlags parses the command line and checks everything about it that
+// can be checked before the checkpoint loads or a scene is generated;
+// main exits on its error. A -size that -tile does not divide is refused
+// only for generated scenes: an -in PNG's size is known once it is read.
+func parseFlags(args []string, onError flag.ErrorHandling) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("seaice-infer", onError)
+	fs.StringVar(&o.ckpt, "ckpt", "unet.ckpt", "U-Net checkpoint from seaice-train")
+	fs.StringVar(&o.in, "in", "", "input scene PNG (empty: generate a synthetic scene)")
+	fs.IntVar(&o.size, "size", 256, "generated scene size (when -in is empty)")
+	fs.IntVar(&o.tile, "tile", 32, "inference tile size")
+	fs.Uint64Var(&o.seed, "seed", 99, "generated scene seed")
+	fs.StringVar(&o.out, "out", "prediction.png", "output label-map PNG")
+	fs.StringVar(&o.precision, "precision", "f32", "inference precision: f32 | f64 | int8")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	var err error
+	if o.precision, err = serve.ParsePrecision(o.precision); err != nil {
+		return o, err
+	}
+	if o.tile <= 0 {
+		return o, fmt.Errorf("-tile %d: want a positive tile size", o.tile)
+	}
+	if o.in == "" {
+		if o.size <= 0 {
+			return o, fmt.Errorf("-size %d: want a positive scene size", o.size)
+		}
+		if o.size%o.tile != 0 {
+			return o, fmt.Errorf("-size %d is not a multiple of -tile %d", o.size, o.tile)
+		}
+	}
+	return o, nil
 }
 
 // run loads the checkpoint and performs the Fig 9 workflow in the chosen
 // compute precision.
-func run(precision, ckpt, in string, size, tile int, seed uint64, out string) {
-	engine, err := serve.LoadEngine(ckpt, precision)
+func run(o options) {
+	engine, err := serve.LoadEngine(o.ckpt, o.precision)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,14 +109,14 @@ func run(precision, ckpt, in string, size, tile int, seed uint64, out string) {
 
 	var img *raster.RGB
 	var truth *raster.Labels
-	if in != "" {
-		img, err = raster.ReadPNG(in)
+	if o.in != "" {
+		img, err = raster.ReadPNG(o.in)
 		if err != nil {
 			log.Fatal(err)
 		}
 	} else {
-		cfg := scene.DefaultConfig(seed)
-		cfg.W, cfg.H = size, size
+		cfg := scene.DefaultConfig(o.seed)
+		cfg.W, cfg.H = o.size, o.size
 		sc, err := scene.Generate(cfg)
 		if err != nil {
 			log.Fatal(err)
@@ -89,14 +125,14 @@ func run(precision, ckpt, in string, size, tile int, seed uint64, out string) {
 		log.Printf("generated synthetic scene (cloud fraction %.1f%%)", 100*sc.CloudFraction)
 	}
 
-	pred, err := core.Inference(engine, img, tile, dataset.DefaultBuild())
+	pred, err := core.Inference(engine, img, o.tile, dataset.DefaultBuild())
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := pred.Render().WritePNG(out); err != nil {
+	if err := pred.Render().WritePNG(o.out); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("prediction written to %s\n", out)
+	fmt.Printf("prediction written to %s\n", o.out)
 
 	if truth != nil {
 		acc, err := metrics.PixelAccuracy(truth, pred)

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -30,54 +31,59 @@ import (
 	"seaice/internal/scene"
 )
 
+// options carries the parsed flags.
+type options struct {
+	scenes  int
+	size    int
+	seed    uint64
+	outDir  string
+	compare bool
+	demo    bool
+	procs   int
+
+	// engines holds the parsed -labeler list: one engine, or with
+	// -compare at least two (a single non-hsv spec is compared against
+	// the paper's HSV thresholder).
+	engines []labeler.Labeler
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("seaice-label: ")
 
-	var (
-		nScenes = flag.Int("scenes", 4, "number of scenes to generate")
-		size    = flag.Int("size", 512, "scene width and height in pixels")
-		seed    = flag.Uint64("seed", 2019, "campaign seed (November 2019 vibes)")
-		outDir  = flag.String("out", "out", "output directory")
-		spec    = flag.String("labeler", "hsv", "labeling engine: hsv|kmeans|gmm[:k] (comma-separated list with -compare)")
-		compare = flag.Bool("compare", false, "emit a labeler-agreement report instead of PNG products")
-		demo    = flag.Bool("demo", false, "write one fully annotated demo scene and exit")
-		procs   = flag.Int("procs", 0, "worker threads for the labeling kernels (0 = all cores); never changes outputs, only wall-clock")
-	)
-	flag.Parse()
-	pool.SetSharedWorkers(*procs)
+	o, err := parseFlags(os.Args[1:], flag.ExitOnError)
+	if err != nil {
+		log.Fatal(err)
+	}
+	pool.SetSharedWorkers(o.procs)
 
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		log.Fatalf("creating %s: %v", *outDir, err)
+	if err := os.MkdirAll(o.outDir, 0o755); err != nil {
+		log.Fatalf("creating %s: %v", o.outDir, err)
 	}
 
-	if *demo {
-		if err := runDemo(*outDir, *seed, *size); err != nil {
+	if o.demo {
+		if err := runDemo(o.outDir, o.seed, o.size); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 
-	cc := scene.DefaultCollection(*seed)
-	cc.Scenes = *nScenes
-	cc.W, cc.H = *size, *size
+	cc := scene.DefaultCollection(o.seed)
+	cc.Scenes = o.scenes
+	cc.W, cc.H = o.size, o.size
 	scenes, err := scene.GenerateCollection(cc)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	if *compare {
-		if err := runCompare(scenes, *spec, *seed, *outDir); err != nil {
+	if o.compare {
+		if err := runCompare(scenes, o.engines, o.outDir); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 
-	eng, err := labeler.Parse(*spec, *seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-
+	eng := o.engines[0]
 	var ssimOrig, ssimFilt float64
 	for i, sc := range scenes {
 		res := cloudfilter.FilterDefault(sc.Image)
@@ -102,7 +108,7 @@ func main() {
 		ssimOrig += so
 		ssimFilt += sf
 
-		prefix := filepath.Join(*outDir, fmt.Sprintf("scene%02d", i))
+		prefix := filepath.Join(o.outDir, fmt.Sprintf("scene%02d", i))
 		for name, img := range map[string]*raster.RGB{
 			"":          sc.Image,
 			"_filtered": res.Image,
@@ -119,29 +125,57 @@ func main() {
 	n := float64(len(scenes))
 	fmt.Printf("\n%s auto-label SSIM vs manual: original %.4f, filtered %.4f (paper, hsv: 0.89 / 0.9964)\n",
 		eng.Name(), ssimOrig/n, ssimFilt/n)
-	fmt.Printf("outputs in %s\n", *outDir)
+	fmt.Printf("outputs in %s\n", o.outDir)
+}
+
+// parseFlags parses the command line and checks everything about it that
+// can be checked before any work starts — the -labeler specs included —
+// so a bad command line creates no output directory; main exits on its
+// error.
+func parseFlags(args []string, onError flag.ErrorHandling) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("seaice-label", onError)
+	fs.IntVar(&o.scenes, "scenes", 4, "number of scenes to generate")
+	fs.IntVar(&o.size, "size", 512, "scene width and height in pixels")
+	fs.Uint64Var(&o.seed, "seed", 2019, "campaign seed (November 2019 vibes)")
+	fs.StringVar(&o.outDir, "out", "out", "output directory")
+	spec := fs.String("labeler", "hsv", "labeling engine: hsv|kmeans|gmm[:k] (comma-separated list with -compare)")
+	fs.BoolVar(&o.compare, "compare", false, "emit a labeler-agreement report instead of PNG products")
+	fs.BoolVar(&o.demo, "demo", false, "write one fully annotated demo scene and exit")
+	fs.IntVar(&o.procs, "procs", 0, "worker threads for the labeling kernels (0 = all cores); never changes outputs, only wall-clock")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if o.scenes < 1 {
+		return o, fmt.Errorf("-scenes %d: want at least one scene", o.scenes)
+	}
+	if o.size <= 0 {
+		return o, fmt.Errorf("-size %d: want a positive scene size", o.size)
+	}
+	specs := []string{*spec}
+	if o.compare {
+		specs = strings.Split(*spec, ",")
+	}
+	for _, s := range specs {
+		eng, err := labeler.Parse(strings.TrimSpace(s), o.seed)
+		if err != nil {
+			return o, err
+		}
+		o.engines = append(o.engines, eng)
+	}
+	if o.compare && len(o.engines) == 1 {
+		if o.engines[0].Name() == "hsv" {
+			return o, errors.New("-compare needs at least two distinct engines (e.g. -labeler hsv,kmeans,gmm)")
+		}
+		o.engines = append([]labeler.Labeler{labeler.PaperHSV()}, o.engines...)
+	}
+	return o, nil
 }
 
 // runCompare filters every scene and runs the labeler-agreement report
-// over the requested engines (comma-separated -labeler specs; a single
-// spec is compared against the paper's HSV thresholder). The report is
-// printed and written to <out>/agreement.txt; it is bit-reproducible for
-// a fixed campaign seed.
-func runCompare(scenes []*scene.Scene, specs string, seed uint64, outDir string) error {
-	var engines []labeler.Labeler
-	for _, s := range strings.Split(specs, ",") {
-		eng, err := labeler.Parse(strings.TrimSpace(s), seed)
-		if err != nil {
-			return err
-		}
-		engines = append(engines, eng)
-	}
-	if len(engines) == 1 {
-		if engines[0].Name() == "hsv" {
-			return fmt.Errorf("-compare needs at least two distinct engines (e.g. -labeler hsv,kmeans,gmm)")
-		}
-		engines = append([]labeler.Labeler{labeler.PaperHSV()}, engines...)
-	}
+// over the engines. The report is printed and written to
+// <out>/agreement.txt; it is bit-reproducible for a fixed campaign seed.
+func runCompare(scenes []*scene.Scene, engines []labeler.Labeler, outDir string) error {
 	imgs := make([]*raster.RGB, len(scenes))
 	for i, sc := range scenes {
 		imgs[i] = cloudfilter.FilterDefault(sc.Image).Image

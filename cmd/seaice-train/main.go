@@ -2,9 +2,13 @@
 // campaign, either serially or with Horovod-style synchronous data
 // parallelism over simulated GPUs (§III-C). It saves a checkpoint usable
 // by seaice-infer. The dataset is fed through the streaming pipeline
-// (internal/pipeline), so filtering and auto-labeling overlap training;
-// cmd/seaice-pipeline exposes the full orchestration (sharding knobs,
-// per-stage resume) on top of the same machinery.
+// (internal/pipeline), so filtering and auto-labeling overlap training.
+//
+// Every stage is resumable when -state names a directory: labeled shards
+// are checkpointed as they complete (and restored on the next run), the
+// trained model is saved to <state>/model.ckpt and reloaded instead of
+// retrained while its .key file matches the flags that shape the
+// weights, and the evaluation report is written to <state>/eval.txt.
 //
 // Training defaults to float32 mixed precision (float32 compute with
 // float64 master weights in Adam) — the bandwidth-saving path; pass
@@ -27,6 +31,9 @@
 //	seaice-train -snapshot unet.snap -resume   # continue a killed run
 //	seaice-train -workers 3 -guard skip -chaos "7:nanstep@4:r1"  # roll back injected NaN grads
 //	seaice-train -verify-snapshot unet.snap    # scrub on-disk snapshot integrity
+//	seaice-train -state run1 -scenes 66 -size 512 -tile 64   # resumable per stage
+//	seaice-train -state run1 -scenes 66 -size 512 -tile 64   # resumes
+//	seaice-train -verify-state -state run1     # scrub the state directory
 //
 // With -peers, the same data-parallel run executes across real processes
 // over TCP (internal/transport): each process is one rank, the ring
@@ -50,6 +57,7 @@ import (
 	"log"
 	"math"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -71,10 +79,11 @@ import (
 
 // options carries the parsed flags into the precision-generic run.
 type options struct {
-	precision  string
-	procs      int
-	chaosSpec  string
-	verifySnap string
+	precision   string
+	procs       int
+	chaosSpec   string
+	verifySnap  string
+	verifyState bool
 
 	preset   string
 	scenes   int
@@ -100,6 +109,11 @@ type options struct {
 	quantize  bool
 	guard     train.GuardConfig
 
+	// state, when set, is the directory of per-stage resume artifacts:
+	// shard checkpoints, the model and its key, and the eval report.
+	state      string
+	quarantine bool
+
 	// Network data parallelism: peers lists every rank's host:port (this
 	// process listens on peers[rank] and is one rank of a real
 	// multi-process cluster).
@@ -120,6 +134,10 @@ func main() {
 		verifySnapshot(o.verifySnap, o.snapKeep)
 		return
 	}
+	if o.verifyState {
+		verifyState(o.state, o.ckpt)
+		return
+	}
 	pool.SetSharedWorkers(o.procs)
 	log.Printf("training engine: %d kernel workers, %s precision", pool.Shared().Workers(), o.precision)
 	if o.chaos != nil {
@@ -135,7 +153,7 @@ func main() {
 // parseFlags parses the command line and checks everything about it that
 // can be checked before any work starts; main exits on its error. With
 // -verify-snapshot only the rotation depth matters and nothing else is
-// validated.
+// validated; -verify-state needs -state and nothing else.
 func parseFlags(args []string, onError flag.ErrorHandling) (options, error) {
 	var o options
 	fs := flag.NewFlagSet("seaice-train", onError)
@@ -158,7 +176,10 @@ func parseFlags(args []string, onError flag.ErrorHandling) (options, error) {
 	fs.IntVar(&o.workers, "workers", 1, "simulated GPUs for distributed training")
 	fs.IntVar(&o.maxTiles, "max-tiles", 256, "cap on training tiles (0 = all)")
 	fs.Uint64Var(&o.seed, "seed", 7, "seed")
-	fs.StringVar(&o.ckpt, "ckpt", "unet.ckpt", "checkpoint output path")
+	fs.StringVar(&o.ckpt, "ckpt", "", "checkpoint output path (default <state>/model.ckpt or unet.ckpt)")
+	fs.StringVar(&o.state, "state", "", "state directory for resumable per-stage checkpoints")
+	fs.BoolVar(&o.quarantine, "quarantine", false, "drop scenes that stay poisoned through retries into a report instead of failing the run")
+	fs.BoolVar(&o.verifyState, "verify-state", false, "scrub mode: verify the -state directory's on-disk integrity (shard checkpoints, model checkpoint), report per section, and exit")
 	fs.BoolVar(&o.elastic, "elastic", false, "continue degraded over survivors after a crash instead of heal-and-retry")
 	fs.StringVar(&o.snapshot, "snapshot", "", "persist mid-epoch training snapshots to this file (enables -resume)")
 	fs.IntVar(&o.snapEvery, "snapshot-every", 0, "steps between snapshots (0 = every 8)")
@@ -177,7 +198,19 @@ func parseFlags(args []string, onError flag.ErrorHandling) (options, error) {
 	if o.snapKeep <= 0 {
 		o.snapKeep = ddp.DefaultSnapshotKeep
 	}
+	if o.ckpt == "" {
+		o.ckpt = "unet.ckpt"
+		if o.state != "" {
+			o.ckpt = filepath.Join(o.state, "model.ckpt")
+		}
+	}
 	if o.verifySnap != "" {
+		return o, nil
+	}
+	if o.verifyState {
+		if o.state == "" {
+			return o, errors.New("-verify-state requires -state <dir>")
+		}
 		return o, nil
 	}
 	var err error
@@ -226,6 +259,12 @@ func parseFlags(args []string, onError flag.ErrorHandling) (options, error) {
 	}
 	if o.resume && o.snapshot == "" {
 		return o, errors.New("-resume requires -snapshot <path>")
+	}
+	if o.state != "" && len(o.peers) > 0 {
+		return o, errors.New("-state is per process and cannot be combined with -peers")
+	}
+	if o.state != "" && o.quantize {
+		return o, errors.New("-state resumes a float checkpoint and cannot be combined with -quantize")
 	}
 	if o.precision != "f32" && o.precision != "f64" {
 		return o, fmt.Errorf("unknown precision %q (want f32 or f64)", o.precision)
@@ -294,18 +333,31 @@ func run[S tensor.Scalar](o options, master bool) {
 	// recoverable rather than fatal — sized from the schedule, since a
 	// spec may stack several faults on one scene.
 	retries := o.chaos.Count(chaos.StagePanic)
+	shardDir := ""
+	if o.state != "" {
+		if err := os.MkdirAll(o.state, 0o755); err != nil {
+			log.Fatal(err)
+		}
+		shardDir = filepath.Join(o.state, "shards")
+	}
 	log.Printf("streaming %d scenes of %dx%d through filter/label/tile (%s labeling)…", o.scenes, o.size, o.size, eng.Name())
 	st, err := pipeline.New(pipeline.CollectionSource{Cfg: cc}, pipeline.Config{
-		Build:   build,
-		Plan:    plan,
-		Chaos:   o.chaos,
-		Retries: retries,
+		Build:         build,
+		Plan:          plan,
+		Chaos:         o.chaos,
+		Retries:       retries,
+		CheckpointDir: shardDir,
+		Quarantine:    o.quarantine,
 		Progress: func(ev pipeline.Event) {
 			switch ev.Kind {
 			case "shard":
 				log.Printf("labeled shard %d/%d (%d/%d scenes)", ev.Shard+1, ev.Shards, ev.ScenesDone, ev.Scenes)
 			case "retry":
 				log.Printf("stage fault on shard %d — retrying scene", ev.Shard+1)
+			case "resume":
+				log.Printf("shard %d/%d restored from checkpoint", ev.Shard+1, ev.Shards)
+			case "quarantine":
+				log.Printf("poisoned scene on shard %d/%d quarantined", ev.Shard+1, ev.Shards)
 			}
 		},
 	})
@@ -314,41 +366,17 @@ func run[S tensor.Scalar](o options, master bool) {
 	}
 	defer st.Close()
 
-	nTrain, err := st.TrainLen()
-	if err != nil {
-		log.Fatal(err)
+	key := modelKey(o, build.LabelerKey())
+	model := resumeModel[S](o, key)
+	resumed := model != nil
+	if !resumed {
+		model = trainModel[S](o, modelCfg, st, master, useDDP)
 	}
-	log.Printf("training on %d tiles (%s labels), %d epochs, preset %s (%d conv layers)",
-		nTrain, o.labels, o.epochs, o.preset, modelCfg.NumConvLayers())
-
-	var model *unet.Model[S]
-	if useDDP {
-		model = runDDP[S](o, modelCfg, st, master)
-	} else {
-		batches, err := pipeline.TrainBatchesOf[S](st)
-		if err != nil {
-			log.Fatal(err)
-		}
-		model, err = unet.New[S](modelCfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		start := time.Now()
-		res, err := train.FitStream(model, batches, train.Config{
-			Epochs: o.epochs, BatchSize: o.batch, LR: o.lr, Seed: o.seed,
-			MasterWeights: master, Focal: o.focal,
-			Progress: func(epoch int, loss float64) {
-				log.Printf("epoch %d: loss %.4f", epoch, loss)
-			},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		elapsed := time.Since(start)
-		log.Printf("streamed training: %d steps in %s (%.1f ms/step, %.1f tiles/s)",
-			res.Steps, elapsed.Round(time.Millisecond),
-			float64(elapsed.Milliseconds())/float64(res.Steps),
-			float64(nTrain*o.epochs)/elapsed.Seconds())
+	if err := st.CheckpointErr(); err != nil {
+		log.Printf("warning: %v", err)
+	}
+	for _, q := range st.Quarantined() {
+		log.Printf("quarantine: scene %d dropped — %s", q.Scene, q.Reason)
 	}
 
 	// The deterministic weight fingerprint every mode logs (float64 bit
@@ -370,8 +398,15 @@ func run[S tensor.Scalar](o options, master bool) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("validation accuracy (filtered imagery, manual labels): %.2f%%\n", 100*conf.Accuracy())
-	fmt.Println(conf)
+	report := fmt.Sprintf("validation accuracy (filtered imagery, manual labels): %.2f%%\n%s\n", 100*conf.Accuracy(), conf)
+	fmt.Print(report)
+	if o.state != "" {
+		evalPath := filepath.Join(o.state, "eval.txt")
+		if err := os.WriteFile(evalPath, []byte(report), 0o644); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("eval: report written to %s", evalPath)
+	}
 
 	if o.quantize {
 		qm, err := quantizeTrained(model, st, o.batch)
@@ -384,10 +419,97 @@ func run[S tensor.Scalar](o options, master bool) {
 		fmt.Printf("quantized checkpoint (v3) written to %s — serves f64, f32, and int8\n", o.ckpt)
 		return
 	}
+	if resumed {
+		return
+	}
+	keyPath := o.ckpt + ".key"
+	if o.state != "" {
+		// The old key goes first: a run that dies between the two writes
+		// must not pair it with the new weights.
+		os.Remove(keyPath)
+	}
 	if err := model.SaveFile(o.ckpt); err != nil {
 		log.Fatal(err)
 	}
+	if o.state != "" {
+		if err := os.WriteFile(keyPath, []byte(key), 0o644); err != nil {
+			log.Fatal(err)
+		}
+	}
 	fmt.Printf("checkpoint written to %s\n", o.ckpt)
+}
+
+// modelKey lists every flag that shapes the trained weights. Under -state
+// it is written next to the checkpoint as <ckpt>.key, mirroring the
+// fingerprint guard on shard checkpoints: a model trained with other
+// flags retrains instead of being reported as the requested
+// configuration.
+func modelKey(o options, labelerKey string) string {
+	return fmt.Sprintf("preset=%s seed=%d scenes=%d size=%d tile=%d labels=%s labeler=%s epochs=%d batch=%d lr=%g max-tiles=%d precision=%s workers=%d focal=%v guard=%v elastic=%t chaos=%q quarantine=%t",
+		o.preset, o.seed, o.scenes, o.size, o.tile, o.labels, labelerKey, o.epochs, o.batch, o.lr, o.maxTiles,
+		o.precision, o.workers, o.focal, o.guard, o.elastic, o.chaosSpec, o.quarantine)
+}
+
+// resumeModel loads the -state model when its key file matches key, and
+// returns nil when there is nothing to resume: no -state, no key file, or
+// a key written with other flags (which it logs).
+func resumeModel[S tensor.Scalar](o options, key string) *unet.Model[S] {
+	if o.state == "" {
+		return nil
+	}
+	prev, err := os.ReadFile(o.ckpt + ".key")
+	if err != nil {
+		return nil
+	}
+	if string(prev) != key {
+		log.Printf("%s was trained with different flags (%s); retraining", o.ckpt, prev)
+		return nil
+	}
+	model, err := unet.LoadFile[S](o.ckpt)
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("resumed model from %s", o.ckpt)
+	return model
+}
+
+// trainModel trains a fresh model on the stream's plan: through the
+// data-parallel trainer when useDDP, otherwise streamed by one trainer.
+func trainModel[S tensor.Scalar](o options, modelCfg unet.Config, st *pipeline.Stream, master, useDDP bool) *unet.Model[S] {
+	nTrain, err := st.TrainLen()
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("training on %d tiles (%s labels), %d epochs, preset %s (%d conv layers)",
+		nTrain, o.labels, o.epochs, o.preset, modelCfg.NumConvLayers())
+	if useDDP {
+		return runDDP[S](o, modelCfg, st, master)
+	}
+	batches, err := pipeline.TrainBatchesOf[S](st)
+	if err != nil {
+		log.Fatal(err)
+	}
+	model, err := unet.New[S](modelCfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	start := time.Now()
+	res, err := train.FitStream(model, batches, train.Config{
+		Epochs: o.epochs, BatchSize: o.batch, LR: o.lr, Seed: o.seed,
+		MasterWeights: master, Focal: o.focal,
+		Progress: func(epoch int, loss float64) {
+			log.Printf("epoch %d: loss %.4f", epoch, loss)
+		},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	log.Printf("streamed training: %d steps in %s (%.1f ms/step, %.1f tiles/s)",
+		res.Steps, elapsed.Round(time.Millisecond),
+		float64(elapsed.Milliseconds())/float64(res.Steps),
+		float64(nTrain*o.epochs)/elapsed.Seconds())
+	return model
 }
 
 // calibrationTileCap bounds the calibration pass: activation ranges
@@ -576,6 +698,42 @@ func verifySnapshot(path string, keep int) {
 	}
 	if bad {
 		log.Fatalf("snapshot %s failed verification", path)
+	}
+}
+
+// verifyState is the -verify-state scrub mode: it checks every on-disk
+// artifact under the state directory — each shard checkpoint's
+// checksummed layout and the model checkpoint's decodability — printing
+// a per-section report and exiting non-zero if anything fails to verify.
+func verifyState(state, modelPath string) {
+	bad := false
+
+	shardDir := filepath.Join(state, "shards")
+	paths, _ := filepath.Glob(filepath.Join(shardDir, "shard-*.gob"))
+	if len(paths) == 0 {
+		fmt.Printf("shards: none found under %s\n", shardDir)
+	}
+	for _, p := range paths {
+		scenes, tiles, err := pipeline.VerifyShardFile(p)
+		if err != nil {
+			fmt.Printf("shard %s: CORRUPT — %v\n", filepath.Base(p), err)
+			bad = true
+			continue
+		}
+		fmt.Printf("shard %s: OK — header ok, CRC ok, %d scenes, %d tiles\n", filepath.Base(p), scenes, tiles)
+	}
+
+	if _, err := os.Stat(modelPath); err != nil {
+		fmt.Printf("model %s: absent\n", modelPath)
+	} else if _, err := unet.LoadFile[float64](modelPath); err != nil {
+		fmt.Printf("model %s: CORRUPT — %v\n", modelPath, err)
+		bad = true
+	} else {
+		fmt.Printf("model %s: OK\n", modelPath)
+	}
+
+	if bad {
+		log.Fatalf("state directory %s failed verification", state)
 	}
 }
 

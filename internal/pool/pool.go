@@ -14,8 +14,8 @@
 // kernels that accumulate within a stripe in serial order produce
 // bit-identical results at any worker count — the property the tensor,
 // autolabel, and pipeline engines are built on. Shared() is the one
-// process-wide knob (seaice-train/seaice-pipeline -procs) sizing every
-// kernel's fan-out.
+// process-wide knob (the -procs flag of seaice-train and seaice-label)
+// sizing every kernel's fan-out.
 package pool
 
 import (

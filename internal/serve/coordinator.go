@@ -138,6 +138,10 @@ const (
 	hedgeFloor      = 25 * time.Millisecond
 )
 
+// maxRejectBytes caps the body of a worker's 4xx reply that the
+// coordinator passes on to its client: an error message, not data.
+const maxRejectBytes = 4 << 10
+
 // NewCoordinator validates cfg and starts the health loop.
 func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if cfg.TileSize < 1 {
@@ -742,10 +746,6 @@ func (c *Coordinator) classifyStrip(ctx context.Context, node int, model string,
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	payload, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, nil, err
-	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
 	case resp.StatusCode >= 500:
@@ -753,16 +753,30 @@ func (c *Coordinator) classifyStrip(ctx context.Context, node int, model string,
 		return nil, nil, fmt.Errorf("serve: node %d returned %s", node, resp.Status)
 	default:
 		// 4xx (backpressure, bad model, …) propagates to the client.
+		body, err := io.ReadAll(io.LimitReader(resp.Body, maxRejectBytes))
+		if err != nil {
+			return nil, nil, err
+		}
 		return nil, &workerReject{
 			status:     resp.StatusCode,
 			retryAfter: resp.Header.Get("Retry-After"),
-			body:       payload,
+			body:       body,
 			contentTyp: resp.Header.Get("Content-Type"),
 		}, nil
 	}
-	if len(payload) != ts*ts*len(idxs) {
-		return nil, nil, fmt.Errorf("serve: node %d returned %d label bytes, want %d",
-			node, len(payload), ts*ts*len(idxs))
+	// A reply holds exactly one byte per label pixel. Reading one byte
+	// past that bounds what a faulty node can make the coordinator
+	// buffer, and any other length is a node failure that reroutes.
+	want := ts * ts * len(idxs)
+	payload, err := io.ReadAll(io.LimitReader(resp.Body, int64(want)+1))
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(payload) > want {
+		return nil, nil, fmt.Errorf("serve: node %d returned more than %d label bytes", node, want)
+	}
+	if len(payload) < want {
+		return nil, nil, fmt.Errorf("serve: node %d returned %d label bytes, want %d", node, len(payload), want)
 	}
 	c.observeStripLatency(time.Since(start))
 	labels := make([]*raster.Labels, len(idxs))

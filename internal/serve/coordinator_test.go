@@ -27,7 +27,7 @@ func workerNode(t *testing.T, cfg Config) (*Server, *httptest.Server, string) {
 // HTTP listener.
 func testCoordinator(t *testing.T, cfg Config, nodes []string) (*Coordinator, *httptest.Server) {
 	t.Helper()
-	coord, err := NewCoordinator(CoordConfig{
+	return serveCoordinator(t, CoordConfig{
 		TileSize:    cfg.TileSize,
 		Nodes:       nodes,
 		Build:       cfg.Build,
@@ -35,6 +35,13 @@ func testCoordinator(t *testing.T, cfg Config, nodes []string) (*Coordinator, *h
 		Timeout:     5 * time.Second,
 		Logf:        t.Logf,
 	})
+}
+
+// serveCoordinator starts a coordinator with its own HTTP listener, both
+// closed when the test ends.
+func serveCoordinator(t *testing.T, cc CoordConfig) (*Coordinator, *httptest.Server) {
+	t.Helper()
+	coord, err := NewCoordinator(cc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,14 +20,35 @@ import (
 // burst of scene requests is in flight: the mark-down (breaker trip) and
 // the reroutes race each other and every request must still come back
 // 200 with bit-identical bytes, served by the survivor.
+//
+// The survivor absorbs the whole burst, so its last strips wait behind
+// every client's work. The request timeout is therefore a multiple of
+// one measured healthy round trip (plus a floor), as in
+// TestCoordinatorHedgesSlowNode: under the race detector on a busy host
+// a fixed timeout expired on the survivor too and marked it down.
 func TestCoordinatorConcurrentRerouteDuringNodeLoss(t *testing.T) {
+	const clients = 8
 	cfg := DefaultConfig()
 	cfg.TileSize = 32
+	img := testSceneImg(t, 40, 128, 128)
+	_, single := testServer(t, cfg)
+	began := time.Now()
+	postPNG(t, http.DefaultClient, single.URL+"/classify", img)
+	healthy := time.Since(began)
+	timeout := 4*clients*healthy + 5*time.Second
+	t.Logf("healthy round trip %v: request timeout %v", healthy, timeout)
+
 	_, tsA, addrA := workerNode(t, cfg)
 	_, _, addrB := workerNode(t, cfg)
-	coord, cts := testCoordinator(t, cfg, []string{addrA, addrB})
+	coord, cts := serveCoordinator(t, CoordConfig{
+		TileSize:    cfg.TileSize,
+		Nodes:       []string{addrA, addrB},
+		Build:       cfg.Build,
+		HealthEvery: time.Hour,
+		Timeout:     timeout,
+		Logf:        t.Logf,
+	})
 
-	img := testSceneImg(t, 40, 128, 128)
 	var buf bytes.Buffer
 	if err := img.EncodePNG(&buf); err != nil {
 		t.Fatal(err)
@@ -37,7 +60,6 @@ func TestCoordinatorConcurrentRerouteDuringNodeLoss(t *testing.T) {
 		t.Fatalf("baseline status %d: %s", resp.StatusCode, want)
 	}
 
-	const clients = 8
 	type result struct {
 		status int
 		body   []byte
@@ -84,6 +106,72 @@ func TestCoordinatorConcurrentRerouteDuringNodeLoss(t *testing.T) {
 	if s.Rerouted == 0 {
 		t.Fatal("no tiles recorded as rerouted")
 	}
+}
+
+// TestCoordinatorBoundsEndlessReply points the coordinator at a node that
+// answers 200 and then streams label bytes without end: the coordinator
+// must read no more than one strip's reply plus a byte, treat the length
+// as a node failure, and reroute to the healthy node — well inside its
+// request timeout, with bytes equal to a healthy server's. The stream
+// stops at streamCap only so that a coordinator without the bound cannot
+// exhaust the test host's memory; one that read to the end would have
+// taken all of it.
+func TestCoordinatorBoundsEndlessReply(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TileSize = 32
+	img := testSceneImg(t, 45, 128, 128)
+	_, single := testServer(t, cfg)
+	_, want := postPNG(t, http.DefaultClient, single.URL+"/classify", img)
+
+	const streamCap = 64 << 20
+	var sent atomic.Int64
+	endless := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/classify" {
+			return // health probes see a 200
+		}
+		io.Copy(io.Discard, r.Body)
+		chunk := make([]byte, 64<<10) // class 0: valid label bytes
+		for sent.Load() < streamCap {
+			n, err := w.Write(chunk)
+			sent.Add(int64(n))
+			if err != nil {
+				return
+			}
+		}
+	}))
+	t.Cleanup(endless.Close)
+	_, _, addrGood := workerNode(t, cfg)
+
+	const timeout = time.Minute
+	coord, cts := serveCoordinator(t, CoordConfig{
+		TileSize:    cfg.TileSize,
+		Nodes:       []string{strings.TrimPrefix(endless.URL, "http://"), addrGood},
+		Build:       cfg.Build,
+		HealthEvery: time.Hour,
+		Timeout:     timeout,
+		HedgeAfter:  -1,
+		Logf:        t.Logf,
+	})
+
+	began := time.Now()
+	resp, got := postPNG(t, http.DefaultClient, cts.URL+"/classify", img)
+	elapsed := time.Since(began)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("rerouted answer differs from the healthy server's")
+	}
+	if elapsed > timeout/4 {
+		t.Fatalf("request took %v against a %v request timeout", elapsed, timeout)
+	}
+	if s := coord.Stats(); s.Rerouted == 0 {
+		t.Fatalf("no tiles rerouted off the endless node: %+v", s)
+	}
+	if n := sent.Load(); n >= streamCap/4 {
+		t.Fatalf("endless node sent %d bytes before the coordinator hung up", n)
+	}
+	t.Logf("endless node sent %d bytes; request took %v", sent.Load(), elapsed)
 }
 
 // TestCoordinatorStaleFallbackPartial: with every node dead, tiles the
@@ -173,7 +261,7 @@ func TestCoordinatorHedgesSlowNode(t *testing.T) {
 	_, _, addrSlow := workerNode(t, slowCfg)
 	_, _, addrFast := workerNode(t, cfg)
 
-	coord, err := NewCoordinator(CoordConfig{
+	coord, cts := serveCoordinator(t, CoordConfig{
 		TileSize:    cfg.TileSize,
 		Nodes:       []string{addrSlow, addrFast},
 		Build:       cfg.Build,
@@ -183,14 +271,6 @@ func TestCoordinatorHedgesSlowNode(t *testing.T) {
 		Timeout:    3*slow + 5*time.Second,
 		HedgeAfter: hedgeAfter,
 		Logf:       t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cts := httptest.NewServer(coord.Handler())
-	t.Cleanup(func() {
-		cts.Close()
-		coord.Close()
 	})
 
 	resp, got := postPNG(t, http.DefaultClient, cts.URL+"/classify", img)

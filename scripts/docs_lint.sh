@@ -7,7 +7,12 @@
 #   2. ARCHITECTURE.md does not mention an internal/ package (the layer
 #      map must stay complete as packages are added);
 #   3. ARCHITECTURE.md or README.md names an internal/<pkg> that does not
-#      exist (a deleted package must not leave a stale row behind).
+#      exist (a deleted package must not leave a stale row behind);
+#   4. README.md, ARCHITECTURE.md, the verify skill, the CI workflow or a
+#      script names a binary seaice-<x> with no cmd/seaice-<x> (a deleted
+#      command must not leave a stale recipe behind). A name preceded by
+#      a letter, digit, '_' or '-' is not a binary: x-seaice-stats is a
+#      response header.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -35,8 +40,18 @@ for doc in ARCHITECTURE.md README.md; do
     done
 done
 
+for doc in README.md ARCHITECTURE.md .claude/skills/verify/SKILL.md .github/workflows/ci.yml scripts/*.sh; do
+    [ -f "$doc" ] || continue
+    for bin in $(grep -oE '(^|[^A-Za-z0-9_-])seaice-[a-z0-9]+' "$doc" | sed 's/.*seaice-/seaice-/' | sort -u); do
+        if [ ! -d "cmd/$bin" ]; then
+            echo "docs-lint: $doc names $bin, which has no cmd/$bin" >&2
+            fail=1
+        fi
+    done
+done
+
 if [ "$fail" -ne 0 ]; then
     echo "docs-lint: FAILED" >&2
     exit 1
 fi
-echo "docs-lint: ok ($(ls -d internal/*/ | wc -l | tr -d ' ') packages covered)"
+echo "docs-lint: ok ($(ls -d internal/*/ | wc -l | tr -d ' ') packages, $(ls -d cmd/*/ | wc -l | tr -d ' ') binaries covered)"
