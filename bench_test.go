@@ -269,15 +269,11 @@ func BenchmarkAblation_FilterStages(b *testing.B) {
 	})
 }
 
-// BenchmarkServeThroughput compares online classification throughput:
-// naive per-tile forward passes (the seed's inference loop) against the
-// serving stack's micro-batched path — a fused-kernel inference session
-// driven end-to-end through the scheduler (concurrent submits, bounded
-// queue, no cache) — at all three compute precisions. Tiles/sec is
-// reported as a metric; the batched path sustains ≥2× the naive rate,
-// the pure float32 hot path sustains ≥1.6× the float64 batched-serve
-// rate, and the int8 quantized engine sustains ≥2× the float32
-// batched-serve rate. Recorded rows live in BENCH_infer.json.
+// BenchmarkServeThroughput measures online classification throughput at
+// all three compute precisions: a fused-kernel inference session on its
+// own, and the same session driven end-to-end through the scheduler
+// (concurrent submits, bounded queue, no cache). Tiles/sec is reported
+// as a metric.
 func BenchmarkServeThroughput(b *testing.B) {
 	b.Run("f64", benchServeThroughput[float64])
 	b.Run("f32", benchServeThroughput[float32])
@@ -290,17 +286,6 @@ func benchServeThroughput[S tensor.Scalar](b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-
-	b.Run("naive-per-tile", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, img := range tiles {
-				if _, err := core.PredictTile(m, img); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.ReportMetric(float64(b.N*len(tiles))/b.Elapsed().Seconds(), "tiles/s")
-	})
 
 	b.Run("batched-session", func(b *testing.B) {
 		pred := core.NewSessionPredictor(m, 16)
@@ -331,23 +316,10 @@ func benchServeThroughput[S tensor.Scalar](b *testing.B) {
 
 // benchServeThroughputInt8 is benchServeThroughput for the quantized
 // engine: a fresh FastConfig master calibrated on the benchmark tiles and
-// quantized (the seaice-train -quantize path, minus training). The naive
-// path mints a predictor per tile, matching the seed loop's
-// allocate-every-tile behavior.
+// quantized (the seaice-train -quantize path, minus training).
 func benchServeThroughputInt8(b *testing.B) {
 	tiles := benchTiles(b)
 	qm := benchQuantModel(b, tiles)
-
-	b.Run("naive-per-tile", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, img := range tiles {
-				if _, err := qm.NewPredictor().PredictTiles([]*raster.RGB{img}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.ReportMetric(float64(b.N*len(tiles))/b.Elapsed().Seconds(), "tiles/s")
-	})
 
 	b.Run("batched-session", func(b *testing.B) {
 		pred := core.NewSessionPredictor(qm, 16)
@@ -643,23 +615,17 @@ func BenchmarkQuantForward(b *testing.B) {
 
 // BenchmarkTrainStep measures one full training step (forward + backward
 // + Adam) on the FastConfig U-Net at batch 8 on 64×64 tiles — the
-// training engine's acceptance workload. "legacy-serial" is the pre-PR
-// path: serial reference GEMM/im2col kernels allocating every
-// intermediate; "engine" is the cache-blocked, buffer-reusing parallel
-// float64 path; "engine-f32" runs the same kernels in float32 and
-// "engine-f32-mixed" adds the float64 master-weight Adam (the training
-// default). The recorded baseline-vs-after numbers live in
-// BENCH_train.json; the f32 mixed path sustains ≥1.4× the f64 engine.
+// training engine's workload. "engine" is the cache-blocked,
+// buffer-reusing parallel float64 path; "engine-f32" runs the same
+// kernels in float32 and "engine-f32-mixed" adds the float64
+// master-weight Adam (the training default).
 func BenchmarkTrainStep(b *testing.B) {
 	samples := benchSamples(b, 8, 64)
-	b.Run("legacy-serial", func(b *testing.B) {
-		benchTrainStep[float64](b, samples, true, 1, false)
-	})
 	b.Run("engine", func(b *testing.B) {
-		benchTrainStep[float64](b, samples, false, runtime.NumCPU(), false)
+		benchTrainStep[float64](b, samples, runtime.NumCPU(), false)
 	})
 	b.Run("engine-f32", func(b *testing.B) {
-		benchTrainStep[float32](b, samples, false, runtime.NumCPU(), false)
+		benchTrainStep[float32](b, samples, runtime.NumCPU(), false)
 	})
 	// The training default, once per float32 kernel backend (bit-identical
 	// weights, see ddp.TestBackendWeightParity): the ratio of the two is
@@ -668,7 +634,7 @@ func BenchmarkTrainStep(b *testing.B) {
 	for _, backend := range []string{"engine", "avx2"} {
 		b.Run("engine-f32-mixed/"+backend, func(b *testing.B) {
 			useFloat32Backend(b, backend)
-			benchTrainStep[float32](b, samples, false, runtime.NumCPU(), true)
+			benchTrainStep[float32](b, samples, runtime.NumCPU(), true)
 		})
 	}
 }
@@ -718,9 +684,7 @@ func useFloat32Backend(b *testing.B, name string) {
 	})
 }
 
-func benchTrainStep[S tensor.Scalar](b *testing.B, samples []train.Sample, legacy bool, workers int, master bool) {
-	prevLegacy := nn.SetLegacyKernels(legacy)
-	defer nn.SetLegacyKernels(prevLegacy)
+func benchTrainStep[S tensor.Scalar](b *testing.B, samples []train.Sample, workers int, master bool) {
 	pool.SetSharedWorkers(workers)
 	defer pool.SetSharedWorkers(0)
 
@@ -750,10 +714,9 @@ func benchTrainStep[S tensor.Scalar](b *testing.B, samples []train.Sample, legac
 	}
 }
 
-// BenchmarkMatMul measures the GEMM core on a convolution-shaped product
-// (16×72 × 72×32768, the batch-8 64²-tile encoder shape) for the serial
-// reference kernels versus the blocked parallel engine, covering both
-// product forms the conv layers use. Under f32, AB/engine pins the
+// BenchmarkMatMul measures the blocked parallel GEMM engine on a
+// convolution-shaped product (16×72 × 72×32768, the batch-8 64²-tile
+// encoder shape), covering both product forms the conv layers use. Under f32, AB/engine pins the
 // scalar engine panel and AB/avx2 the AVX2 one, so their ratio is the
 // kernel-level gain of the SIMD backend.
 func BenchmarkMatMul(b *testing.B) {
@@ -777,11 +740,6 @@ func benchMatMul[S tensor.Scalar](b *testing.B) {
 	fill(at, 0.3)
 	fill(wide, 0.6)
 
-	b.Run("AB/ref", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tensor.MatMulRef(a, bb)
-		}
-	})
 	backends := []string{"engine"}
 	if tensor.IsF32[S]() {
 		backends = append(backends, "avx2")
@@ -797,11 +755,6 @@ func benchMatMul[S tensor.Scalar](b *testing.B) {
 			b.ReportMetric(2*m*k*n*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
 		})
 	}
-	b.Run("ATB/ref", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tensor.MatMulATBRef(at, wide)
-		}
-	})
 	b.Run("ATB/engine", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tensor.MatMulATB(at, wide)

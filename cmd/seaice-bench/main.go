@@ -8,13 +8,11 @@
 //	accuracy  U-Net-Man vs U-Net-Auto (Tables IV & V, Fig 13, §IV-B2 SSIM)
 //	fig14     qualitative prediction panels (PNG files)
 //	labeltime full-scene auto-label throughput (§IV-C2, 349.26 s)
-//	kernels   float32-vs-float64 numeric kernel table (GEMM, conv, train step)
 //	all       everything above
 //
 // -precision {f32,f64} selects the compute precision of the
 // training-step cost measurement (table3's companion section); f32 runs
-// mixed precision (float64 master weights). The kernels experiment
-// always measures both precisions side by side.
+// mixed precision (float64 master weights).
 //
 // Usage:
 //
@@ -36,9 +34,7 @@ import (
 	"seaice/internal/core"
 	"seaice/internal/dataset"
 	"seaice/internal/ddp"
-	"seaice/internal/nn"
-	"seaice/internal/noise"
-	"seaice/internal/pool"
+	"seaice/internal/pipeline"
 	"seaice/internal/raster"
 	"seaice/internal/report"
 	"seaice/internal/scene"
@@ -53,7 +49,7 @@ type output struct {
 }
 
 // experiments are the names -exp accepts.
-var experiments = []string{"table1", "table2", "table3", "accuracy", "fig14", "labeltime", "kernels", "all"}
+var experiments = []string{"table1", "table2", "table3", "accuracy", "fig14", "labeltime", "all"}
 
 // validateExp refuses an -exp name that selects nothing, which would
 // otherwise run no experiment, exit 0 and overwrite -out with an empty
@@ -128,7 +124,7 @@ func main() {
 	}
 	// Reject bad -precision up front, for every experiment: the flag
 	// used to be checked only on the table3 path, so e.g.
-	// `-exp kernels -precision f16` silently ran with the default.
+	// `-exp accuracy -precision f16` silently ran with the default.
 	if err := validatePrecision(*precision); err != nil {
 		log.Fatal(err)
 	}
@@ -223,11 +219,6 @@ func main() {
 		o.section(fmt.Sprintf("Training-step cost (this host, %s)", *precision), stepCost)
 	}
 
-	if want("kernels") {
-		log.Printf("kernels: float32-vs-float64 side-by-side")
-		o.section("Numeric kernels — float32 vs float64", kernelTable())
-	}
-
 	if accRes != nil && want("accuracy") {
 		o.section("Table IV — overall classification accuracy", core.Table4Report(accRes).String())
 		o.section("Table V — accuracy by cloud/shadow coverage", core.Table5Report(accRes).String())
@@ -301,13 +292,9 @@ func trainSamples(seed uint64, quick bool) []train.Sample {
 	cc := scene.DefaultCollection(seed)
 	cc.Scenes = n
 	cc.W, cc.H = 128, 128
-	scenes, err := scene.GenerateCollection(cc)
-	if err != nil {
-		fatal(err)
-	}
 	build := dataset.DefaultBuild()
 	build.TileSize = 16
-	set, err := dataset.Build(scenes, build)
+	set, err := pipeline.StreamBuilder{Config: pipeline.Config{Build: build}}.BuildSet(pipeline.CollectionSource{Cfg: cc})
 	if err != nil {
 		fatal(err)
 	}
@@ -408,73 +395,5 @@ func labelThroughput(seed uint64, quick bool) string {
 	t.AddRow("B/op", fmt.Sprintf("%.0f", bytes))
 	t.AddRow("extrapolated: 66 scenes @2048² (this host)", report.F(paperWorkload))
 	t.AddRow("paper: 66 scenes @2048² (their workstation)", "349.26")
-	return t.String()
-}
-
-// kernelRun measures one kernel, warming scratch buffers first.
-func kernelRun(iters int, fn func()) float64 {
-	fn() // warm scratch buffers
-	ns, _, _ := measured(iters, fn)
-	return ns
-}
-
-// kernelTable measures the numeric stack's hot kernels at both
-// precisions and prints them side by side — the float32 column is the
-// compute path seaice-train/-serve default to, the float64 column the
-// master/reference engine.
-func kernelTable() string {
-	const m, k, n = 16, 72, 8 * 64 * 64
-	type row struct {
-		name         string
-		f64ns, f32ns float64
-	}
-	var rows []row
-
-	gemmRow := func(name string, run64, run32 func()) {
-		r := row{name: name}
-		r.f64ns = kernelRun(6, run64)
-		r.f32ns = kernelRun(6, run32)
-		rows = append(rows, r)
-	}
-
-	mk := func(rows, cols int) (*tensor.F64, *tensor.F32) {
-		t := tensor.New[float64](rows, cols)
-		for i := range t.Data {
-			t.Data[i] = float64(i%17)*0.25 - 0.4
-		}
-		return t, tensor.Convert[float32](t)
-	}
-	a64, a32 := mk(m, k)
-	b64, b32 := mk(k, n)
-	at64, at32 := mk(k, m)
-	c64 := tensor.New[float64](m, n)
-	c32 := tensor.New[float32](m, n)
-	gemmRow(fmt.Sprintf("GEMM AB %dx%dx%d", m, k, n),
-		func() { tensor.MatMulInto(c64, a64, b64) },
-		func() { tensor.MatMulInto(c32, a32, b32) })
-	gemmRow("GEMM A\u1d40B", func() { tensor.MatMulATBInto(c64.Reshape(m, n), at64, b64) },
-		func() { tensor.MatMulATBInto(c32.Reshape(m, n), at32, b32) })
-
-	// Direct vs Winograd 3x3 conv, batch 8 of 64^2, 8->8 channels.
-	conv64 := nn.NewConv2D[float64]("bench", 8, 8, 3, noise.NewRNG(1, 2))
-	conv32 := nn.NewConv2D[float32]("bench", 8, 8, 3, noise.NewRNG(1, 2))
-	x64c := tensor.New[float64](8, 8, 64, 64)
-	for i := range x64c.Data {
-		x64c.Data[i] = float64(i%31)*0.05 - 0.7
-	}
-	x32c := tensor.Convert[float32](x64c)
-	y64 := tensor.New[float64](8, 8, 64, 64)
-	y32 := tensor.New[float32](8, 8, 64, 64)
-	gemmRow("conv3x3 8ch 8x64\u00b2 (direct f64 vs f32 path)",
-		func() { nn.Conv3x3Planes(pool.Serial(), conv64, x64c.Data, 8, nil, 0, 8, 64, 64, y64.Data, false) },
-		func() {
-			nn.NewWinograd[float32](false).ConvBatch(pool.Serial(), conv32, x32c.Data, 8, 64, 64, y32.Data, false)
-		})
-
-	t := report.NewTable("numeric kernels, this host (ns/op; f32 is the compute path, f64 the master/reference)",
-		"kernel", "f64 ns/op", "f32 ns/op", "f32 speedup")
-	for _, r := range rows {
-		t.AddRow(r.name, fmt.Sprintf("%.0f", r.f64ns), fmt.Sprintf("%.0f", r.f32ns), fmt.Sprintf("%.2fx", r.f64ns/r.f32ns))
-	}
 	return t.String()
 }

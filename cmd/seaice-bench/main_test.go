@@ -16,14 +16,14 @@ import (
 // lists are accepted; anything else — a typo, a case variant, stray
 // whitespace, an empty name — is refused with the list of valid names.
 func TestValidateExp(t *testing.T) {
-	for _, ok := range []string{"table1", "table2", "table3", "accuracy", "fig14", "labeltime", "kernels", "all"} {
+	for _, ok := range []string{"table1", "table2", "table3", "accuracy", "fig14", "labeltime", "all"} {
 		if err := validateExp(ok); err != nil {
 			t.Errorf("validateExp(%q) = %v, want nil", ok, err)
 		}
 	}
-	for _, bad := range []string{"tabel2", "Table2", "table2 ", "", "table4", "al", "fig13"} {
+	for _, bad := range []string{"tabel2", "Table2", "table2 ", "", "table4", "al", "fig13", "kernels"} {
 		err := validateExp(bad)
-		want := `unknown experiment "` + bad + `" (valid: table1, table2, table3, accuracy, fig14, labeltime, kernels, all)`
+		want := `unknown experiment "` + bad + `" (valid: table1, table2, table3, accuracy, fig14, labeltime, all)`
 		if err == nil || err.Error() != want {
 			t.Errorf("validateExp(%q) = %v, want %q", bad, err, want)
 		}
@@ -56,7 +56,7 @@ func TestUnknownExpExits(t *testing.T) {
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 		t.Errorf("seaice-bench -exp tabel2: %v, want exit status 1; stderr:\n%s", err, stderr.String())
 	}
-	want := `seaice-bench: unknown experiment "tabel2" (valid: table1, table2, table3, accuracy, fig14, labeltime, kernels, all)` + "\n"
+	want := `seaice-bench: unknown experiment "tabel2" (valid: table1, table2, table3, accuracy, fig14, labeltime, all)` + "\n"
 	if stderr.String() != want {
 		t.Errorf("stderr = %q, want %q", stderr.String(), want)
 	}

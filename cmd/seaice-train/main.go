@@ -307,7 +307,8 @@ func run[S tensor.Scalar](o options, master bool) {
 	// sequence: scenes are generated, filtered, and labeled by
 	// concurrent stage workers while training consumes its first
 	// batches. Split, subsample, and batch order are byte-identical to
-	// the legacy batch path (see internal/pipeline parity tests).
+	// the batch reference dataset.Build (see internal/pipeline parity
+	// tests).
 	build := dataset.DefaultBuild()
 	build.TileSize = o.tile
 	eng, err := labeler.Parse(o.labSpec, o.seed)

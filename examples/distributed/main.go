@@ -37,7 +37,8 @@ func main() {
 	// 2. Real distributed training on a small auto-labeled dataset,
 	// streamed through the sharded pipeline (generation, filtering, and
 	// labeling run as overlapped stages; the output is byte-identical
-	// to the batch dataset.Build path).
+	// to the batch dataset.Build reference the pipeline tests hold it
+	// to).
 	cc := scene.DefaultCollection(7)
 	cc.Scenes = 2
 	cc.W, cc.H = 128, 128

@@ -132,8 +132,8 @@ func (cfg AccuracyConfig) progress(stage string) {
 func RunAccuracy(cfg AccuracyConfig) (*AccuracyResult, error) {
 	// The streaming pipeline generates, filters, labels, and tiles the
 	// campaign with overlapped stages (scene generation is no longer a
-	// serial prologue); its output is byte-identical to the legacy
-	// generate-all → dataset.Build sequence it replaced.
+	// serial prologue); its output is byte-identical to generating every
+	// scene and running the dataset.Build reference.
 	cfg.progress("streaming scene campaign through filter/label/tile")
 	builder := pipeline.StreamBuilder{Config: pipeline.Config{Build: cfg.Build}}
 	set, err := builder.BuildSet(pipeline.CollectionSource{Cfg: cfg.Campaign})

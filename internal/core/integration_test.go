@@ -104,18 +104,22 @@ func TestInferenceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPredictTileShape checks the tile-level prediction helper.
+// TestPredictTileShape checks one tile through the session predictor,
+// the path WriteFig14Panels and every other inference caller take.
 func TestPredictTileShape(t *testing.T) {
 	m, err := unet.New[float64](unet.Config{Depth: 2, BaseChannels: 4, InChannels: 3, Classes: 3, Seed: 1})
 	if err != nil {
 		t.Fatalf("model: %v", err)
 	}
 	img := raster.NewRGB(16, 16)
-	lab, err := PredictTile(m, img)
+	labs, err := NewSessionPredictor(m, 0).PredictTiles([]*raster.RGB{img})
 	if err != nil {
 		t.Fatalf("predict: %v", err)
 	}
-	if lab.W != 16 || lab.H != 16 {
+	if len(labs) != 1 {
+		t.Fatalf("%d label maps for one tile", len(labs))
+	}
+	if lab := labs[0]; lab.W != 16 || lab.H != 16 {
 		t.Fatalf("label map %dx%d", lab.W, lab.H)
 	}
 }

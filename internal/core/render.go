@@ -6,9 +6,6 @@ import (
 
 	"seaice/internal/raster"
 	"seaice/internal/report"
-	"seaice/internal/tensor"
-	"seaice/internal/train"
-	"seaice/internal/unet"
 )
 
 // Table1Report renders Table I (plus Fig 10's speedup series).
@@ -124,18 +121,22 @@ func WriteFig14Panels(r *AccuracyResult, dir string, n int) ([]string, error) {
 	if r.UNetMan == nil || r.UNetAuto == nil {
 		return nil, fmt.Errorf("core: models not trained")
 	}
+	test := r.Test[:min(n, len(r.Test))]
+	filtered := make([]*raster.RGB, len(test))
+	for i, tile := range test {
+		filtered[i] = tile.Filtered
+	}
+	manPred, err := NewSessionPredictor(r.UNetMan, 0).PredictTiles(filtered)
+	if err != nil {
+		return nil, err
+	}
+	autoPred, err := NewSessionPredictor(r.UNetAuto, 0).PredictTiles(filtered)
+	if err != nil {
+		return nil, err
+	}
 	var paths []string
-	for i := 0; i < n && i < len(r.Test); i++ {
-		tile := r.Test[i]
-		manPred, err := PredictTile(r.UNetMan, tile.Filtered)
-		if err != nil {
-			return nil, err
-		}
-		autoPred, err := PredictTile(r.UNetAuto, tile.Filtered)
-		if err != nil {
-			return nil, err
-		}
-		panel, err := raster.SideBySide(tile.Original, tile.Manual.Render(), manPred.Render(), autoPred.Render())
+	for i, tile := range test {
+		panel, err := raster.SideBySide(tile.Original, tile.Manual.Render(), manPred[i].Render(), autoPred[i].Render())
 		if err != nil {
 			return nil, err
 		}
@@ -146,19 +147,4 @@ func WriteFig14Panels(r *AccuracyResult, dir string, n int) ([]string, error) {
 		paths = append(paths, path)
 	}
 	return paths, nil
-}
-
-// PredictTile runs a trained model on one RGB tile and returns the
-// predicted label map.
-func PredictTile[S tensor.Scalar](m *unet.Model[S], img *raster.RGB) (*raster.Labels, error) {
-	x, _, err := train.ToTensor[S]([]train.Sample{{Image: img, Labels: raster.NewLabels(img.W, img.H)}})
-	if err != nil {
-		return nil, err
-	}
-	pred := m.Predict(x)
-	out := raster.NewLabels(img.W, img.H)
-	for i, c := range pred {
-		out.Pix[i] = raster.Class(c)
-	}
-	return out, nil
 }

@@ -93,7 +93,9 @@ func DefaultBuild() BuildConfig {
 }
 
 // Build processes every scene — filter, auto-label, tile — in parallel
-// over the pool.
+// over the pool. It is the batch reference the streaming pipeline
+// (internal/pipeline) is held to byte for byte: only tests call it, and
+// the shipped binaries build datasets through the pipeline.
 func Build(scenes []*scene.Scene, cfg BuildConfig) (*Set, error) {
 	if cfg.TileSize <= 0 {
 		return nil, fmt.Errorf("dataset: tile size %d", cfg.TileSize)

@@ -30,7 +30,6 @@ type Conv2D[S tensor.Scalar] struct {
 	Weight           *Param[S] // (OutC, InC·KH·KW)
 	Bias             *Param[S] // (OutC)
 	x                *tensor.Tensor[S]
-	cols             *tensor.Tensor[S] // legacy oracle's im2col matrix (conv_legacy.go)
 	outH, outW, numN int
 
 	// Grow-only scratch buffers, reused across steps.
@@ -123,9 +122,6 @@ func (c *Conv2D[S]) Forward(x *tensor.Tensor[S], train bool) *tensor.Tensor[S] {
 	c.outH = (h+2*c.Pad-c.KH)/c.Stride + 1
 	c.outW = (w+2*c.Pad-c.KW)/c.Stride + 1
 	c.numN = n
-	if legacyKernels.Load() {
-		return c.forwardLegacy(x, n, h, w)
-	}
 	c.x = x
 
 	y := tensor.Grow(&c.yBuf, n, c.OutC, c.outH, c.outW)
@@ -143,9 +139,6 @@ func (c *Conv2D[S]) Forward(x *tensor.Tensor[S], train bool) *tensor.Tensor[S] {
 // Backward computes input, weight, and bias gradients. The returned
 // gradient aliases layer-owned memory, valid until the next Backward.
 func (c *Conv2D[S]) Backward(dy *tensor.Tensor[S]) *tensor.Tensor[S] {
-	if legacyKernels.Load() {
-		return c.backwardLegacy(dy)
-	}
 	n, plane := c.numN, c.outH*c.outW
 	// reorder dy (N,OutC,OH,OW) → (OutC, N·OH·OW)
 	dout := tensor.Grow(&c.doutBuf, c.OutC, n*plane)
@@ -230,9 +223,6 @@ func (u *ConvTranspose2x2[S]) Forward(x *tensor.Tensor[S], train bool) *tensor.T
 	if len(x.Shape) != 4 || x.Shape[1] != u.InC {
 		panic(fmt.Sprintf("nn: %s expects (N,%d,H,W), got %v", u.name, u.InC, x.Shape))
 	}
-	if legacyKernels.Load() {
-		return u.forwardLegacy(x)
-	}
 	u.x = x
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	y := tensor.Grow(&u.yBuf, n, u.OutC, 2*h, 2*w)
@@ -245,9 +235,6 @@ func (u *ConvTranspose2x2[S]) Forward(x *tensor.Tensor[S], train bool) *tensor.T
 // runs on the shared pool; per gradient element the accumulation order
 // (images ascending, rows ascending) matches the serial reference.
 func (u *ConvTranspose2x2[S]) Backward(dy *tensor.Tensor[S]) *tensor.Tensor[S] {
-	if legacyKernels.Load() {
-		return u.backwardLegacy(dy)
-	}
 	n, h, w := u.x.Shape[0], u.x.Shape[2], u.x.Shape[3]
 	dx := tensor.Grow(&u.dxBuf, n, u.InC, h, w)
 	dx.Zero()

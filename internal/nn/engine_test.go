@@ -77,14 +77,15 @@ func TestGradcheckWithBufferReuseAcrossSteps(t *testing.T) {
 }
 
 // TestEngineStepsMatchLegacySteps: three consecutive engine steps must
-// produce bit-identical gradients to three legacy (pre-engine, serial,
-// allocate-per-step) steps for the convolution layers — the engine's
-// accumulation orders are the reference's.
+// produce bit-identical gradients to three steps of the pre-engine
+// reference (refConv2D/refConvT: serial, allocate-per-step im2col/GEMM)
+// for the convolution layers — the engine's accumulation orders are the
+// reference's.
 func TestEngineStepsMatchLegacySteps(t *testing.T) {
-	// float64 is the master path: bit-identical to the legacy kernels.
+	// float64 is the master path: bit-identical to the reference.
 	// float32 is tolerance-scoped — its 3×3 layers may take the Winograd
 	// fast path, which reassociates arithmetic — so the f32 engine is
-	// compared to the f32 legacy path within the documented bound instead
+	// compared to the f32 reference within the documented bound instead
 	// (accumulation length InC·9 with transform amplification headroom).
 	t.Run("f64", func(t *testing.T) { testEngineStepsMatchLegacySteps[float64](t, 0) })
 	t.Run("f32", func(t *testing.T) {
@@ -94,44 +95,41 @@ func TestEngineStepsMatchLegacySteps(t *testing.T) {
 
 func testEngineStepsMatchLegacySteps[S tensor.Scalar](t *testing.T, tol float64) {
 	defer pool.SetSharedWorkers(0)
-	build := func() []Layer[S] {
-		return []Layer[S]{
-			NewConv2D[S]("conv", 3, 4, 3, noise.NewRNG(11, 1)),
+	build := func() (*Conv2D[S], *Conv2D[S], *ConvTranspose2x2[S]) {
+		return NewConv2D[S]("conv", 3, 4, 3, noise.NewRNG(11, 1)),
 			NewConv2D[S]("conv1x1", 4, 3, 1, noise.NewRNG(12, 1)),
-			NewConvTranspose2x2[S]("up", 4, 2, noise.NewRNG(13, 1)),
-		}
+			NewConvTranspose2x2[S]("up", 4, 2, noise.NewRNG(13, 1))
 	}
 	shapes := [][]int{{2, 3, 8, 8}, {2, 4, 7, 7}, {2, 4, 4, 6}}
 
-	legacy := build()
-	SetLegacyKernels(true)
+	conv, conv1x1, up := build()
+	ref := []Layer[S]{&refConv2D[S]{c: conv}, &refConv2D[S]{c: conv1x1}, &refConvT[S]{u: up}}
 	var wantDx []*tensor.Tensor[S]
 	var wantGrads [][]*tensor.Tensor[S]
-	for li, l := range legacy {
+	for li, l := range ref {
 		x := tensor.New[S](shapes[li]...)
 		x.FillRandn(noise.NewRNG(uint64(li), 5), 1)
 		dx, grads := runSteps(l, x, 3)
 		wantDx = append(wantDx, dx)
 		wantGrads = append(wantGrads, grads)
 	}
-	SetLegacyKernels(false)
 
 	for _, workers := range []int{1, 4} {
 		pool.SetSharedWorkers(workers)
-		engine := build()
-		for li, l := range engine {
+		conv, conv1x1, up := build()
+		for li, l := range []Layer[S]{conv, conv1x1, up} {
 			x := tensor.New[S](shapes[li]...)
 			x.FillRandn(noise.NewRNG(uint64(li), 5), 1)
 			dx, grads := runSteps(l, x, 3)
 			for i := range wantDx[li].Data {
 				if !closeEnough(float64(dx.Data[i]), float64(wantDx[li].Data[i]), tol) {
-					t.Fatalf("workers=%d layer %s dx[%d] = %g, legacy %g", workers, l.Name(), i, float64(dx.Data[i]), float64(wantDx[li].Data[i]))
+					t.Fatalf("workers=%d layer %s dx[%d] = %g, reference %g", workers, l.Name(), i, float64(dx.Data[i]), float64(wantDx[li].Data[i]))
 				}
 			}
 			for pi := range grads {
 				for i := range grads[pi].Data {
 					if !closeEnough(float64(grads[pi].Data[i]), float64(wantGrads[li][pi].Data[i]), tol) {
-						t.Fatalf("workers=%d layer %s param %d grad[%d] = %g, legacy %g",
+						t.Fatalf("workers=%d layer %s param %d grad[%d] = %g, reference %g",
 							workers, l.Name(), pi, i, float64(grads[pi].Data[i]), float64(wantGrads[li][pi].Data[i]))
 					}
 				}

@@ -20,8 +20,8 @@
 // explicit pool — training passes pool.Shared(), the inference session
 // runs them serially — and accumulate in the serial reference order, so
 // within one precision outputs are bit-identical at any worker count
-// (and identical between the direct NCHW kernels and the legacy im2col
-// path, see SetLegacyKernels). Across precisions only the tolerance
+// (and identical to the pre-engine im2col/GEMM reference the package
+// tests keep). Across precisions only the tolerance
 // bounds of tensor.PrecisionTolerance hold. Layer scratch buffers are
 // grow-only: a steady-state training step performs a handful of heap
 // allocations.

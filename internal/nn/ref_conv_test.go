@@ -1,31 +1,36 @@
 package nn
 
-import (
-	"sync/atomic"
+import "seaice/internal/tensor"
 
-	"seaice/internal/tensor"
-)
+// The pre-engine convolution path, kept as a test-only reference: im2col
+// then a serial matrix product (tensor's *Ref kernels), allocating every
+// intermediate. refConv2D and refConvT implement Layer over an engine
+// layer's own Weight and Bias, so a test can step the same parameters
+// through either path and compare the results.
 
-// legacyKernels routes Conv2D and ConvTranspose2x2 through the pre-engine
-// serial, allocate-per-step implementations (tensor's *Ref kernels). It
-// exists so the loss-parity test and BenchmarkTrainStep can run the exact
-// pre-PR training path against the engine inside one binary.
-var legacyKernels atomic.Bool
+// refConv2D runs a Conv2D's parameters through the reference im2col/GEMM
+// convolution.
+type refConv2D[S tensor.Scalar] struct {
+	c          *Conv2D[S]
+	x, cols    *tensor.Tensor[S]
+	outH, outW int
+}
 
-// SetLegacyKernels toggles the pre-engine convolution path; it returns the
-// previous value so callers can restore it.
-func SetLegacyKernels(on bool) bool { return legacyKernels.Swap(on) }
+func (r *refConv2D[S]) Name() string        { return r.c.Name() }
+func (r *refConv2D[S]) Params() []*Param[S] { return r.c.Params() }
 
-// forwardLegacy is the pre-engine Conv2D.Forward: im2col then a serial
-// matrix product, allocating every intermediate.
-func (c *Conv2D[S]) forwardLegacy(x *tensor.Tensor[S], n, h, w int) *tensor.Tensor[S] {
-	c.x = x
-	c.cols = tensor.Im2ColRef(x, c.KH, c.KW, c.Stride, c.Pad)
+func (r *refConv2D[S]) Forward(x *tensor.Tensor[S], train bool) *tensor.Tensor[S] {
+	c := r.c
+	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
+	r.outH = (h+2*c.Pad-c.KH)/c.Stride + 1
+	r.outW = (w+2*c.Pad-c.KW)/c.Stride + 1
+	r.x = x
+	r.cols = tensor.Im2ColRef(x, c.KH, c.KW, c.Stride, c.Pad)
 
-	out := tensor.MatMulRef(c.Weight.W, c.cols) // (OutC, N·OH·OW)
+	out := tensor.MatMulRef(c.Weight.W, r.cols) // (OutC, N·OH·OW)
 	// add bias and reorder (OutC, N, OH·OW) → (N, OutC, OH, OW)
-	y := tensor.New[S](n, c.OutC, c.outH, c.outW)
-	plane := c.outH * c.outW
+	y := tensor.New[S](n, c.OutC, r.outH, r.outW)
+	plane := r.outH * r.outW
 	for oc := 0; oc < c.OutC; oc++ {
 		b := c.Bias.W.Data[oc]
 		for img := 0; img < n; img++ {
@@ -39,9 +44,9 @@ func (c *Conv2D[S]) forwardLegacy(x *tensor.Tensor[S], n, h, w int) *tensor.Tens
 	return y
 }
 
-// backwardLegacy is the pre-engine Conv2D.Backward.
-func (c *Conv2D[S]) backwardLegacy(dy *tensor.Tensor[S]) *tensor.Tensor[S] {
-	n, plane := c.numN, c.outH*c.outW
+func (r *refConv2D[S]) Backward(dy *tensor.Tensor[S]) *tensor.Tensor[S] {
+	c := r.c
+	n, plane := r.x.Shape[0], r.outH*r.outW
 	// reorder dy (N,OutC,OH,OW) → (OutC, N·OH·OW)
 	dout := tensor.New[S](c.OutC, n*plane)
 	for oc := 0; oc < c.OutC; oc++ {
@@ -62,17 +67,27 @@ func (c *Conv2D[S]) backwardLegacy(dy *tensor.Tensor[S]) *tensor.Tensor[S] {
 	}
 
 	// weight gradient: dW = dout × colsᵀ
-	dw := tensor.MatMulABTRef(dout, c.cols)
+	dw := tensor.MatMulABTRef(dout, r.cols)
 	c.Weight.Grad.AddInPlace(dw)
 
 	// input gradient: dcols = Wᵀ × dout, then fold back
 	dcols := tensor.MatMulATBRef(c.Weight.W, dout)
-	return tensor.Col2ImRef(dcols, n, c.InC, c.x.Shape[2], c.x.Shape[3], c.KH, c.KW, c.Stride, c.Pad)
+	return tensor.Col2ImRef(dcols, n, c.InC, r.x.Shape[2], r.x.Shape[3], c.KH, c.KW, c.Stride, c.Pad)
 }
 
-// forwardLegacy is the pre-engine ConvTranspose2x2.Forward.
-func (u *ConvTranspose2x2[S]) forwardLegacy(x *tensor.Tensor[S]) *tensor.Tensor[S] {
-	u.x = x
+// refConvT runs a ConvTranspose2x2's parameters through the reference
+// serial scatter/gather loops.
+type refConvT[S tensor.Scalar] struct {
+	u *ConvTranspose2x2[S]
+	x *tensor.Tensor[S]
+}
+
+func (r *refConvT[S]) Name() string        { return r.u.Name() }
+func (r *refConvT[S]) Params() []*Param[S] { return r.u.Params() }
+
+func (r *refConvT[S]) Forward(x *tensor.Tensor[S], train bool) *tensor.Tensor[S] {
+	u := r.u
+	r.x = x
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	y := tensor.New[S](n, u.OutC, 2*h, 2*w)
 	for img := 0; img < n; img++ {
@@ -110,9 +125,9 @@ func (u *ConvTranspose2x2[S]) forwardLegacy(x *tensor.Tensor[S]) *tensor.Tensor[
 	return y
 }
 
-// backwardLegacy is the pre-engine ConvTranspose2x2.Backward.
-func (u *ConvTranspose2x2[S]) backwardLegacy(dy *tensor.Tensor[S]) *tensor.Tensor[S] {
-	n, h, w := u.x.Shape[0], u.x.Shape[2], u.x.Shape[3]
+func (r *refConvT[S]) Backward(dy *tensor.Tensor[S]) *tensor.Tensor[S] {
+	u := r.u
+	n, h, w := r.x.Shape[0], r.x.Shape[2], r.x.Shape[3]
 	dx := tensor.New[S](n, u.InC, h, w)
 	plane := 4 * h * w
 
@@ -126,7 +141,7 @@ func (u *ConvTranspose2x2[S]) backwardLegacy(dy *tensor.Tensor[S]) *tensor.Tenso
 			u.Bias.Grad.Data[oc] += sum
 		}
 		for ic := 0; ic < u.InC; ic++ {
-			xp := u.x.Data[(img*u.InC+ic)*h*w : (img*u.InC+ic+1)*h*w]
+			xp := r.x.Data[(img*u.InC+ic)*h*w : (img*u.InC+ic+1)*h*w]
 			dxp := dx.Data[(img*u.InC+ic)*h*w : (img*u.InC+ic+1)*h*w]
 			wrow := u.Weight.W.Data[ic*u.OutC*4 : (ic+1)*u.OutC*4]
 			grow := u.Weight.Grad.Data[ic*u.OutC*4 : (ic+1)*u.OutC*4]

@@ -57,7 +57,7 @@ func (s sleepSource) SceneAt(i int) (*scene.Scene, error) {
 // scale: 66 scenes (the Ross Sea campaign size) whose per-scene label
 // stage costs 24ms here (≈240ms real at 256², BenchmarkLabelStageScene),
 // and 8 training epochs whose steps cost 1ms here (≈10ms real per
-// FastConfig step on 32² tiles, cf. BENCH_train.json at 64²).
+// FastConfig step on 32² tiles, cf. BenchmarkTrainStep at 64²).
 type overlapWorkload struct {
 	scenes   int
 	perScene time.Duration
@@ -127,7 +127,7 @@ func (w overlapWorkload) consumeEpochs(b *testing.B, st *Stream) {
 
 // runLegacySerial is the run-stages-serially baseline — the exact shape
 // this PR replaced: every scene is fetched/generated sequentially
-// (scene.GenerateCollection and LegacyBuilder materialize the campaign
+// (scene.GenerateCollection and batchBuildSet materialize the campaign
 // one scene at a time), the batch dataset.Build then filters and labels,
 // and only then does training start. The per-step training cost is
 // modeled with the same sleeps as the pipelined run, over the identical
@@ -143,7 +143,7 @@ func runLegacySerial(b *testing.B, w overlapWorkload) time.Duration {
 	src := sleepSource{CollectionSource{Cfg: cc}, w.perScene}
 
 	start := time.Now()
-	set, err := (LegacyBuilder{Build: build}).BuildSet(src)
+	set, err := batchBuildSet(src, build)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func BenchmarkPipelineEndToEndReal(b *testing.B) {
 	b.Run("serial-stages", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			src := CollectionSource{Cfg: cc}
-			set, err := (LegacyBuilder{Build: build}).BuildSet(src)
+			set, err := batchBuildSet(src, build)
 			if err != nil {
 				b.Fatal(err)
 			}

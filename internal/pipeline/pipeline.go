@@ -1,7 +1,7 @@
 // Package pipeline is the streaming, sharded scene-to-batch pipeline —
-// the paper's actual workflow shape. Where the batch path
-// (dataset.Build) filters, labels, and tiles every scene before the
-// first training step can run, this package overlaps the stages the
+// the paper's actual workflow shape. Where a batch build (the
+// dataset.Build reference) filters, labels, and tiles every scene before
+// the first training step can run, this package overlaps the stages the
 // paper pipelines across nodes:
 //
 //	sharded scene catalog ──▶ filter+label workers ──▶ tiling stage ──▶ batch assembler ──▶ train.FitStream
@@ -21,12 +21,11 @@
 // Determinism guarantee: every per-scene product depends only on the
 // scene and the build configuration — never on shard count, worker
 // count, or completion order — and all split/subsample/batch index math
-// is shared with the legacy path (dataset.SplitIndices,
+// is shared with the batch path (dataset.SplitIndices,
 // dataset.SubsampleIndices, train.BatchIndices). The stream therefore
 // emits tiles, labels, and the train/test split byte-identical to
-// dataset.Build at any parallelism, which the parity tests assert; the
-// LegacyBuilder keeps the batch path alive behind the same Builder
-// interface for exactly that comparison.
+// dataset.Build at any parallelism, which the parity tests assert by
+// materializing the source and running dataset.Build as the reference.
 package pipeline
 
 import (
@@ -81,10 +80,10 @@ func (s CollectionSource) Fingerprint() string {
 	return fmt.Sprintf("collection/%+v", s.Cfg)
 }
 
-// SliceSource adapts pre-materialized scenes (the legacy callers' shape)
-// to the streaming interface. All scenes must share the dimensions of
-// the first; the stream rejects mismatched scenes when they reach the
-// label stage (global tile indexing depends on a uniform grid).
+// SliceSource adapts pre-materialized scenes to the streaming interface.
+// All scenes must share the dimensions of the first; the stream rejects
+// mismatched scenes when they reach the label stage (global tile
+// indexing depends on a uniform grid).
 type SliceSource []*scene.Scene
 
 // Len implements Source.
@@ -230,39 +229,13 @@ type Config struct {
 	Progress func(Event)
 }
 
-// Builder turns a scene source into a tile dataset. The streaming
-// pipeline and the legacy batch path implement it identically (byte for
-// byte), so callers and parity tests can swap them freely.
-type Builder interface {
-	BuildSet(src Source) (*dataset.Set, error)
-}
-
-// LegacyBuilder is the pre-pipeline path behind the Builder interface:
-// materialize every scene, then run the batch dataset.Build.
-type LegacyBuilder struct {
-	Build dataset.BuildConfig
-}
-
-// BuildSet implements Builder.
-func (b LegacyBuilder) BuildSet(src Source) (*dataset.Set, error) {
-	scenes := make([]*scene.Scene, src.Len())
-	for i := range scenes {
-		sc, err := src.SceneAt(i)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: scene %d: %w", i, err)
-		}
-		scenes[i] = sc
-	}
-	return dataset.Build(scenes, b.Build)
-}
-
-// StreamBuilder runs the streaming pipeline to completion behind the
-// Builder interface.
+// StreamBuilder runs the streaming pipeline to completion and returns the
+// whole tile dataset.
 type StreamBuilder struct {
 	Config Config
 }
 
-// BuildSet implements Builder.
+// BuildSet runs src through the pipeline and collects every tile.
 func (b StreamBuilder) BuildSet(src Source) (*dataset.Set, error) {
 	st, err := New(src, b.Config)
 	if err != nil {
@@ -381,7 +354,7 @@ func New(src Source, cfg Config) (*Stream, error) {
 }
 
 // computePlan resolves a TrainPlan into concrete tile indices and the
-// scene priorities of epoch 0 — pure index math shared with the legacy
+// scene priorities of epoch 0 — pure index math shared with the batch
 // path, evaluated before any scene exists.
 func (s *Stream) computePlan(p TrainPlan) (*planState, error) {
 	if p.BatchSize <= 0 {

@@ -17,6 +17,20 @@ import (
 	"seaice/internal/unet"
 )
 
+// batchBuildSet is the reference the streaming pipeline is held to: it
+// materializes every scene of src, then runs the batch dataset.Build.
+func batchBuildSet(src Source, build dataset.BuildConfig) (*dataset.Set, error) {
+	scenes := make([]*scene.Scene, src.Len())
+	for i := range scenes {
+		sc, err := src.SceneAt(i)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: scene %d: %w", i, err)
+		}
+		scenes[i] = sc
+	}
+	return dataset.Build(scenes, build)
+}
+
 // testCampaign is a small campaign: 4 scenes of 64², tile 16 → 16 tiles
 // per scene, 64 tiles total.
 func testCampaign(seed uint64) scene.CollectionConfig {
@@ -70,7 +84,7 @@ func setsEqual(t *testing.T, ctx string, a, b *dataset.Set) {
 // counts — the acceptance property of the PR.
 func TestStreamParityWithLegacy(t *testing.T) {
 	src := CollectionSource{Cfg: testCampaign(3)}
-	want, err := LegacyBuilder{Build: testBuild()}.BuildSet(src)
+	want, err := batchBuildSet(src, testBuild())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +139,7 @@ func TestMixedSizeSliceRejected(t *testing.T) {
 // tile-level legacy functions they were factored from.
 func TestSplitSubsampleIndexParity(t *testing.T) {
 	src := CollectionSource{Cfg: testCampaign(5)}
-	set, err := LegacyBuilder{Build: testBuild()}.BuildSet(src)
+	set, err := batchBuildSet(src, testBuild())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +186,7 @@ func planForTest(seed uint64) *TrainPlan {
 // legacySamples replays the legacy path for the same plan.
 func legacySamples(t *testing.T, src Source, plan *TrainPlan) (trainS []train.Sample, testTiles []dataset.Tile) {
 	t.Helper()
-	set, err := LegacyBuilder{Build: testBuild()}.BuildSet(src)
+	set, err := batchBuildSet(src, testBuild())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +422,7 @@ func TestCatalogSourceStreams(t *testing.T) {
 	}
 	src := CatalogSource{Cat: cat, Scenes: ds}
 
-	want, err := LegacyBuilder{Build: testBuild()}.BuildSet(src)
+	want, err := batchBuildSet(src, testBuild())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -265,7 +265,7 @@ func (s *Stream) waitAll() error {
 	return s.err
 }
 
-// Set drains the stream into the legacy batch product: a dataset.Set
+// Set drains the stream into the batch product: a dataset.Set
 // with tiles in scene order, byte-identical to dataset.Build.
 func (s *Stream) Set() (*dataset.Set, error) {
 	if err := s.waitAll(); err != nil {
@@ -308,8 +308,8 @@ func (s *Stream) gather(global []int) ([]dataset.Tile, error) {
 	return out, nil
 }
 
-// TrainSamples materializes the plan's training subset (in the legacy
-// order) as train.Sample views — the entry point for consumers that
+// TrainSamples materializes the plan's training subset (in the batch
+// path's order) as train.Sample views — the entry point for consumers that
 // need the whole set at once, e.g. the multi-replica ddp trainer.
 func (s *Stream) TrainSamples() ([]train.Sample, error) { return s.planSamples(true) }
 
@@ -322,7 +322,7 @@ func (s *Stream) TrainLen() (int, error) {
 	return len(s.plan.trainTileIdx), nil
 }
 
-// TestTiles materializes the plan's held-out subset (legacy order). It
+// TestTiles materializes the plan's held-out subset (batch order). It
 // waits only for the scenes the subset touches.
 func (s *Stream) TestTiles() ([]dataset.Tile, error) {
 	if s.plan == nil {

@@ -107,6 +107,7 @@ type CoordStats struct {
 type Coordinator struct {
 	cfg         CoordConfig
 	ring        *HashRing
+	transport   *http.Transport // shared by client and probeClient
 	client      *http.Client
 	probeClient *http.Client
 	breakers    []*Breaker
@@ -140,7 +141,11 @@ const (
 
 // maxRejectBytes caps the body of a worker's 4xx reply that the
 // coordinator passes on to its client: an error message, not data.
-const maxRejectBytes = 4 << 10
+// maxProbeBytes caps how much of a /healthz reply a probe reads.
+const (
+	maxRejectBytes = 4 << 10
+	maxProbeBytes  = 4 << 10
+)
 
 // NewCoordinator validates cfg and starts the health loop.
 func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
@@ -178,11 +183,15 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The coordinator owns its transport, so Close can drop the
+	// keep-alive connections it holds to the nodes.
+	transport := http.DefaultTransport.(*http.Transport).Clone()
 	c := &Coordinator{
 		cfg:         cfg,
 		ring:        ring,
-		client:      &http.Client{Timeout: cfg.Timeout},
-		probeClient: &http.Client{Timeout: cfg.ProbeTimeout},
+		transport:   transport,
+		client:      &http.Client{Timeout: cfg.Timeout, Transport: transport},
+		probeClient: &http.Client{Timeout: cfg.ProbeTimeout, Transport: transport},
 		breakers:    make([]*Breaker, len(cfg.Nodes)),
 		retry:       NewTokenBucket(cfg.RetryBurst, cfg.RetryPerSec, nil),
 		fallback:    NewCache(cfg.FallbackCache, cfg.TileSize),
@@ -203,10 +212,12 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 // Handler returns the coordinator's HTTP handler tree.
 func (c *Coordinator) Handler() http.Handler { return c.mux }
 
-// Close stops the health loop.
+// Close stops the health loop and closes the coordinator's idle
+// connections to its nodes (and any that fall idle later).
 func (c *Coordinator) Close() {
 	close(c.stop)
 	c.wg.Wait()
+	c.transport.CloseIdleConnections()
 }
 
 // Stats snapshots the coordinator's counters.
@@ -291,16 +302,20 @@ func (c *Coordinator) healthLoop() {
 	}
 }
 
-// probe reports whether a node answers its health check. Probes use
-// their own short-timeout client: sharing the request client's 30s
-// timeout would let one hung node stay "up" for 30s per probe.
+// probe reports whether a node answers its health check in full: a 200
+// whose body (read up to maxProbeBytes) arrives within the probe
+// timeout. Probes use their own short-timeout client: sharing the
+// request client's 30s timeout would let one hung node stay "up" for
+// 30s per probe.
 func (c *Coordinator) probe(node int) bool {
 	resp, err := c.probeClient.Get("http://" + c.cfg.Nodes[node] + "/healthz")
 	if err != nil {
 		return false
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	defer resp.Body.Close()
+	if _, err := io.Copy(io.Discard, io.LimitReader(resp.Body, maxProbeBytes)); err != nil {
+		return false
+	}
 	return resp.StatusCode == http.StatusOK
 }
 

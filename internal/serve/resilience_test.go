@@ -174,6 +174,87 @@ func TestCoordinatorBoundsEndlessReply(t *testing.T) {
 	t.Logf("endless node sent %d bytes; request took %v", sent.Load(), elapsed)
 }
 
+// TestCoordinatorProbeFailsHungHealthz points the coordinator at a node
+// whose /healthz sends a 200 header and then stalls its body: the probe
+// must count the unfinished read as a failure, not trust the status
+// line, and the health loop must open the node's breaker.
+func TestCoordinatorProbeFailsHungHealthz(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TileSize = 32
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	t.Cleanup(hung.Close)
+	t.Cleanup(func() { close(release) })
+	nodes := []string{strings.TrimPrefix(hung.URL, "http://")}
+
+	coord, _ := serveCoordinator(t, CoordConfig{
+		TileSize:     cfg.TileSize,
+		Nodes:        nodes,
+		Build:        cfg.Build,
+		HealthEvery:  time.Hour,
+		ProbeTimeout: 100 * time.Millisecond,
+		Logf:         t.Logf,
+	})
+	began := time.Now()
+	if coord.probe(0) {
+		t.Fatalf("probe of a node whose /healthz body hangs reported healthy after %v", time.Since(began))
+	}
+
+	looped, _ := serveCoordinator(t, CoordConfig{
+		TileSize:    cfg.TileSize,
+		Nodes:       nodes,
+		Build:       cfg.Build,
+		HealthEvery: 20 * time.Millisecond,
+		Logf:        t.Logf,
+	})
+	for deadline := time.Now().Add(5 * time.Second); !looped.isDown(0); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("health loop kept a node with a hung /healthz in rotation")
+		}
+	}
+}
+
+// TestCoordinatorCloseLeaksNothing: a coordinator that served scenes
+// holds keep-alive connections to its nodes; Close must release them,
+// with the nodes still running, so no transport or node connection
+// goroutine outlives it.
+func TestCoordinatorCloseLeaksNothing(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TileSize = 32
+	_, _, addrA := workerNode(t, cfg)
+	_, _, addrB := workerNode(t, cfg)
+	body := encodePNG(t, testSceneImg(t, 47, 128, 128))
+
+	leaked := goroutineBaseline(t)
+	coord, err := NewCoordinator(CoordConfig{
+		TileSize:    cfg.TileSize,
+		Nodes:       []string{addrA, addrB},
+		Build:       cfg.Build,
+		HealthEvery: time.Hour,
+		Timeout:     5 * time.Second,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		rec := httptest.NewRecorder()
+		coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/classify", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, rec.Code, rec.Body.Bytes())
+		}
+	}
+	coord.Close()
+	leaked()
+}
+
 // TestCoordinatorStaleFallbackPartial: with every node dead, tiles the
 // coordinator has served before come back stale from its fallback cache
 // as a 200 marked X-Seaice-Partial — degraded, not dark.

@@ -4,9 +4,10 @@ import "fmt"
 
 // This file preserves the original serial kernels exactly as they shipped
 // before the parallel training engine. They are the reference semantics the
-// engine kernels are property-tested against bit-for-bit, and the baseline
-// that BenchmarkTrainStep/BenchmarkMatMul compare the engine to. Keep them
-// boring: no blocking, no unrolling, no parallelism.
+// engine kernels are property-tested against bit-for-bit: tensor's own
+// tests and nn's im2col/GEMM convolution reference call them, and no
+// non-test code does. Keep them boring: no blocking, no unrolling, no
+// parallelism.
 
 // MatMulRef is the pre-engine serial C = A×B (ikj loop order).
 func MatMulRef[S Scalar](a, b *Tensor[S]) *Tensor[S] {

@@ -22,20 +22,11 @@ var ErrBadCheckpoint = errors.New("unet: malformed checkpoint")
 // followed by a gob-encoded checkpointV2; weights are always stored as
 // float64 (every float32 value is exactly representable, so a float32
 // model round-trips bit-for-bit and a float64 model keeps full
-// precision). Files written before the header existed are bare gobs of
-// the legacy struct; Load sniffs the magic and falls back, so old
-// float64 checkpoints load into either precision (down-converting on
-// load for float32 models).
+// precision). A stream without the magic header is refused.
 
 // ckptMagic identifies a versioned checkpoint stream. The trailing byte
 // is the format version.
 const ckptMagic = "SEAICE-UNET-CKPT\x02"
-
-// checkpoint is the legacy (pre-header) on-disk format.
-type checkpoint struct {
-	Config  Config
-	Weights map[string][]float64
-}
 
 // checkpointV2 is the versioned format: the precision records which
 // instantiation wrote the file (informational — weights always load into
@@ -81,37 +72,30 @@ func (m *Model[S]) SaveFile(path string) error {
 }
 
 // Load reconstructs a model from a checkpoint stream in the requested
-// precision. Versioned (magic-headed) and legacy bare-gob streams both
-// load; float64 weights are rounded when S is float32. Any malformed
-// input — bad magic or version byte, truncated or garbage gob,
-// impossible config, missing or mis-sized weights — returns an error
-// wrapping ErrBadCheckpoint; Load never panics.
+// precision; float64 weights are rounded when S is float32. Any
+// malformed input — missing magic, bad version byte, truncated or
+// garbage gob, impossible config, missing or mis-sized weights —
+// returns an error wrapping ErrBadCheckpoint; Load never panics.
 func Load[S tensor.Scalar](r io.Reader) (*Model[S], error) {
 	br := bufio.NewReader(r)
-	var ck checkpointV2
 	head, err := br.Peek(len(ckptMagic))
 	switch {
-	case err == nil && string(head) == ckptMagic:
+	case err != nil && err != io.EOF:
+		return nil, fmt.Errorf("unet: load: %w", err)
+	case string(head) == ckptMagic:
 		if _, err := br.Discard(len(ckptMagic)); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-		}
-		if err := gob.NewDecoder(br).Decode(&ck); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 		}
 	case err == nil && string(head[:len(ckptMagic)-1]) == ckptMagic[:len(ckptMagic)-1]:
 		// Right magic text, unknown version byte: a format this build
-		// does not speak. Refuse loudly instead of misparsing it as a
-		// legacy bare gob.
+		// does not speak.
 		return nil, fmt.Errorf("%w: unsupported checkpoint version %d", ErrBadCheckpoint, head[len(ckptMagic)-1])
-	case err == nil || err == io.EOF:
-		// No magic: a checkpoint written before the versioned header.
-		var legacy checkpoint
-		if err := gob.NewDecoder(br).Decode(&legacy); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-		}
-		ck = checkpointV2{Precision: "float64", Config: legacy.Config, Weights: legacy.Weights}
 	default:
-		return nil, fmt.Errorf("unet: load: %w", err)
+		return nil, fmt.Errorf("%w: no checkpoint header", ErrBadCheckpoint)
+	}
+	var ck checkpointV2
+	if err := gob.NewDecoder(br).Decode(&ck); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
 	m, err := New[S](ck.Config)
 	if err != nil {

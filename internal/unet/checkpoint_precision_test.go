@@ -3,18 +3,19 @@ package unet
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"strings"
 	"testing"
 )
 
-// legacyEncode writes the pre-header bare-gob format — what every
-// checkpoint file looked like before the versioned header existed.
+// legacyEncode writes the pre-header bare-gob format — what checkpoint
+// files looked like before the versioned header existed.
 func legacyEncode(t *testing.T, m *Model[float64]) []byte {
 	t.Helper()
-	ck := checkpoint{Config: m.cfg, Weights: make(map[string][]float64)}
-	for _, p := range m.Params() {
-		ck.Weights[p.Name] = p.W.Data
-	}
+	ck := struct {
+		Config  Config
+		Weights map[string][]float64
+	}{Config: m.cfg, Weights: m.WeightsF64()}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
 		t.Fatal(err)
@@ -22,38 +23,22 @@ func legacyEncode(t *testing.T, m *Model[float64]) []byte {
 	return buf.Bytes()
 }
 
-// TestLegacyCheckpointLoadsIntoBothPrecisions: a bare-gob float64
-// checkpoint (no magic header) must load into a float64 model bit-for-bit
-// and into a float32 model as the rounded weights.
-func TestLegacyCheckpointLoadsIntoBothPrecisions(t *testing.T) {
+// TestLegacyCheckpointRefused: a bare-gob checkpoint (no magic header) is
+// not a format Load reads; it is refused with ErrBadCheckpoint at either
+// precision. Rounding float64 weights into a float32 model on load is
+// covered by TestCrossPrecisionCheckpointLoad.
+func TestLegacyCheckpointRefused(t *testing.T) {
 	m, err := New[float64](FastConfig(31))
 	if err != nil {
 		t.Fatal(err)
 	}
 	legacy := legacyEncode(t, m)
 
-	m64, err := Load[float64](bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy → float64: %v", err)
+	if _, err := Load[float64](bytes.NewReader(legacy)); !errors.Is(err, ErrBadCheckpoint) {
+		t.Errorf("bare gob → float64: %v, want ErrBadCheckpoint", err)
 	}
-	for i, p := range m.Params() {
-		for j, w := range p.W.Data {
-			if m64.Params()[i].W.Data[j] != w {
-				t.Fatalf("legacy f64 load: %s[%d] differs", p.Name, j)
-			}
-		}
-	}
-
-	m32, err := Load[float32](bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy → float32: %v", err)
-	}
-	for i, p := range m.Params() {
-		for j, w := range p.W.Data {
-			if m32.Params()[i].W.Data[j] != float32(w) {
-				t.Fatalf("legacy f32 load: %s[%d] = %g, want rounded %g", p.Name, j, m32.Params()[i].W.Data[j], float32(w))
-			}
-		}
+	if _, err := Load[float32](bytes.NewReader(legacy)); !errors.Is(err, ErrBadCheckpoint) {
+		t.Errorf("bare gob → float32: %v, want ErrBadCheckpoint", err)
 	}
 }
 

@@ -40,11 +40,11 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	bogus := append([]byte(nil), valid...)
 	bogus[len(ckptMagic)-1] = 0x7f
 	f.Add(bogus)
-	// Bare garbage (legacy-gob path), empty, and magic-only streams.
+	// Bare garbage (no header), empty, and magic-only streams.
 	f.Add([]byte("not a checkpoint at all"))
 	f.Add([]byte{})
 	f.Add([]byte(ckptMagic))
-	// A legacy-path gob with absurd claimed lengths.
+	// A headerless gob with absurd claimed lengths.
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x7f, 0x01, 0x02})
 
 	// Quantized (version 3) seeds. Start from a genuine quantized

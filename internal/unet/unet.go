@@ -343,7 +343,10 @@ func (m *Model[S]) LossAndGrad(x *tensor.Tensor[S], labels []uint8) (float64, er
 	return loss, nil
 }
 
-// Predict returns per-pixel class predictions for x.
+// Predict returns per-pixel class predictions for x through the
+// training-graph forward. Inference callers use a Session (NewSession,
+// or the Engine's NewPredictor); Predict is the reference the Session
+// tests compare against.
 func (m *Model[S]) Predict(x *tensor.Tensor[S]) []uint8 {
 	return nn.Predict(m.Forward(x, false))
 }

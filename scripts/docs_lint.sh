@@ -13,6 +13,9 @@
 #      command must not leave a stale recipe behind). A name preceded by
 #      a letter, digit, '_' or '-' is not a binary: x-seaice-stats is a
 #      response header.
+#   5. README.md, ARCHITECTURE.md, the verify skill, the CI workflow, a
+#      script or a Go file outside bench/ names a BENCH_<x>.json that is
+#      not at the repo root (a deleted record must not stay cited).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -45,6 +48,16 @@ for doc in README.md ARCHITECTURE.md .claude/skills/verify/SKILL.md .github/work
     for bin in $(grep -oE '(^|[^A-Za-z0-9_-])seaice-[a-z0-9]+' "$doc" | sed 's/.*seaice-/seaice-/' | sort -u); do
         if [ ! -d "cmd/$bin" ]; then
             echo "docs-lint: $doc names $bin, which has no cmd/$bin" >&2
+            fail=1
+        fi
+    done
+done
+
+for doc in README.md ARCHITECTURE.md .claude/skills/verify/SKILL.md .github/workflows/ci.yml scripts/*.sh $(find . -name '*.go' -not -path './bench/*'); do
+    [ -f "$doc" ] || continue
+    for rec in $(grep -oE 'BENCH_[A-Za-z0-9_]+\.json' "$doc" | sort -u); do
+        if [ ! -f "$rec" ]; then
+            echo "docs-lint: $doc names $rec, which is not at the repo root" >&2
             fail=1
         fi
     done
