@@ -99,20 +99,6 @@ func bayesBoundary(dark, bright [256]int64) int {
 	return (first + last) / 2
 }
 
-// ValueHistogram exposes the per-class brightness distribution of a
-// labeled sample, for diagnostics and the threshold-transfer example.
-func ValueHistogram(img *raster.RGB, lab *raster.Labels) ([raster.NumClasses][256]int64, error) {
-	var hist [raster.NumClasses][256]int64
-	if img.W != lab.W || img.H != lab.H {
-		return hist, fmt.Errorf("autolabel: histogram size mismatch")
-	}
-	for i := 0; i < img.W*img.H; i++ {
-		v := colorspace.RGBToHSV(img.Pix[3*i], img.Pix[3*i+1], img.Pix[3*i+2]).V
-		hist[lab.Pix[i]][v]++
-	}
-	return hist, nil
-}
-
 // Quantile returns the q-quantile (0..1) of a brightness histogram.
 func Quantile(h [256]int64, q float64) uint8 {
 	var total int64

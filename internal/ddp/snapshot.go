@@ -115,20 +115,15 @@ func RotationEntry(path string, i int) string {
 	return fmt.Sprintf("%s.%d", path, i)
 }
 
-// SaveSnapshotFile durably writes the snapshot and rotates the previous
+// saveSnapshotFile durably writes the snapshot and rotates the previous
 // generations, keeping the newest `keep` entries (path, path.1, …;
 // keep <= 1 keeps only path). The write is atomic (temp file + rename)
 // and fsynced — both the file before rename and the directory after —
 // so neither a crash mid-write nor a power cut after rename can leave
-// the rotation without a durable good entry.
-func SaveSnapshotFile(path string, s *Snapshot, keep int) error {
-	return saveSnapshotFile(path, s, keep, false)
-}
-
-// saveSnapshotFile is SaveSnapshotFile plus the torn-write fault hook:
-// torn truncates the file mid-body after rotation, simulating a crash
-// between write and fsync — the corruption LoadSnapshotFallback must
-// catch and skip.
+// the rotation without a durable good entry. torn is the torn-write
+// fault hook: it truncates the file mid-body after rotation, simulating
+// a crash between write and fsync — the corruption LoadSnapshotFallback
+// must catch and skip.
 func saveSnapshotFile(path string, s *Snapshot, keep int, torn bool) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -242,8 +237,9 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	return &s, nil
 }
 
-// LoadSnapshotFile reads a snapshot file written by SaveSnapshotFile,
-// strictly: a corrupt file is an error, with no rotation fallback.
+// LoadSnapshotFile reads a snapshot file the trainer wrote to
+// Config.SnapshotPath, strictly: a corrupt file is an error, with no
+// rotation fallback.
 func LoadSnapshotFile(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {

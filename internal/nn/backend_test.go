@@ -17,7 +17,7 @@ var float32Backends = []string{"engine", "avx2"}
 // useFloat32Backend activates the named float32 kernel backend for the
 // rest of the test and restores the previous one afterwards. Tests that
 // switch backends do not run in parallel.
-func useFloat32Backend(t *testing.T, name string) {
+func useFloat32Backend(t testing.TB, name string) {
 	t.Helper()
 	prev := tensor.Float[float32]().Name
 	if err := tensor.SelectFloat[float32](name); err != nil {
@@ -91,12 +91,15 @@ func TestWeightGradGemmMatchesDirect(t *testing.T) {
 // TestWinogradBatchedMatchesPerRow: batching the transform-domain products
 // over many tile rows — across image boundaries — must not change a bit
 // relative to one product set per tile row — for F(4×4) and F(2×2), the
-// serial inference entry with the virtualised skip-concat source and the
-// pooled training entries (channel-major dout included), under every
-// backend and any worker count. Tile budgets of 3 and 5 tile rows end
-// batches in the middle of an image, and the pool's 2- and 3-way splits
-// of the (image, tile-row) units start ranges in the middle of one. The
-// per-row engine result is the single reference for all of them. (Special
+// serial inference entry with the virtualised skip-concat source (on a
+// training engine and on a static one, cold and warm) and the pooled
+// training entries (channel-major dout included), under every backend and
+// any worker count. Batches narrower than the panel run transposed, so
+// the single-image, ragged and narrow-plane rows check that path too.
+// Tile budgets of 3 and 5 tile rows end batches in the middle of an
+// image, and the pool's 2- and 3-way splits of the (image, tile-row)
+// units start ranges in the middle of one. The untransposed per-row
+// engine result is the single reference for all of them. (Special
 // values, ReLU off and out-of-range writes are
 // TestWinogradTransformConformance's.)
 func TestWinogradBatchedMatchesPerRow(t *testing.T) {
@@ -111,10 +114,17 @@ func TestWinogradBatchedMatchesPerRow(t *testing.T) {
 		{3, 8, 8, 8, 8, 8}, {9, 16, 0, 16, 4, 4}, {6, 4, 4, 8, 8, 8}, {8, 32, 0, 32, 4, 4},
 		{3, 4, 3, 6, 6, 10}, {4, 8, 8, 5, 2, 2}, {2, 3, 0, 4, 14, 6}, // F(2×2) planes
 		{2, 4, 0, 4, 6, 6}, {5, 3, 3, 4, 6, 6},
+		// Batches narrower than the panel, which run transposed: one image
+		// on 8² and 4² (the batch-of-one inference levels), ragged last
+		// batches of 7 images, an F(2×2) plane five tiles wide, and output
+		// channel counts of 3 and 12, which leave the panel a column tail.
+		{1, 32, 32, 12, 8, 8}, {1, 64, 0, 3, 4, 4}, {1, 5, 4, 12, 4, 4}, {7, 8, 4, 3, 8, 8},
+		{7, 12, 0, 12, 4, 4}, {1, 6, 6, 12, 2, 10},
 	}
 	perRow := func(s shape, c *Conv2D[float32], xa, xb, dout []float32) (y, dx []float32) {
 		wg := NewWinograd[float32](false)
 		wg.batchTiles = 1
+		wg.noTranspose = true
 		y = make([]float32, s.n*s.outC*s.h*s.w)
 		wg.Conv(c, xa, s.ca, xb, s.cb, s.n, s.h, s.w, y, true)
 		if usable4(s.h, s.w) {
@@ -155,6 +165,25 @@ func TestWinogradBatchedMatchesPerRow(t *testing.T) {
 				tile := 2
 				if usable4(s.h, s.w) {
 					tile = 4
+				}
+				// The static (session) engine, twice: the first call
+				// builds and caches the filter transforms, the second
+				// reuses them.
+				st := NewWinograd[float32](true)
+				for pass := 0; pass < 2; pass++ {
+					y = make([]float32, len(wantY))
+					st.Conv(c, xa, s.ca, xb, s.cb, s.n, s.h, s.w, y, true)
+					sameBits(t, fmt.Sprintf("%s static Conv pass %d", label, pass), y, wantY)
+				}
+				// It caches only the layouts its batches multiply by.
+				tw, th := s.w/tile, s.h/tile
+				_, straight := st.filters[filterKey[float32]{c, tile, false}]
+				_, transposed := st.filters[filterKey[float32]{c, tile, true}]
+				if tw >= panelTiles && transposed {
+					t.Fatalf("%s: transposed filter cached, but no batch is narrower than the panel", label)
+				}
+				if s.n*tw*th < panelTiles && (straight || !transposed) {
+					t.Fatalf("%s: every batch is narrower than the panel, but straight filter cached = %v, transposed = %v", label, straight, transposed)
 				}
 				for _, rows := range []int{0, 3, 5} { // 0: the default budget
 					wg := NewWinograd[float32](false)

@@ -226,7 +226,13 @@ func (u *ConvTranspose2x2[S]) Forward(x *tensor.Tensor[S], train bool) *tensor.T
 	u.x = x
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	y := tensor.Grow(&u.yBuf, n, u.OutC, 2*h, 2*w)
-	ConvT2x2Planes(pool.Shared(), u, x.Data, n, h, w, y.Data)
+	// The GEMM-ordered weights are rebuilt every call (they move every
+	// step) into borrowed scratch, as is the product: nothing is cached
+	// on the layer, which sessions share.
+	sc := getScratch[S](4*u.OutC*u.InC, len(y.Data))
+	ConvT2x2Weights(u, sc.a)
+	ConvT2x2Planes(pool.Shared(), u, sc.a, x.Data, n, h, w, y.Data, sc.b)
+	scratchPool.Put(sc)
 	return y
 }
 

@@ -272,61 +272,74 @@ func MaxPool2Planes[S tensor.Scalar](x []S, nc, h, w int, dst []S) {
 	}
 }
 
+// ConvT2x2Weights writes u's weights into a in the order ConvT2x2Planes
+// multiplies them: a (4·OutC × InC) matrix whose row d·OutC+oc holds tap
+// d = 2·dy+dx of output channel oc for every input channel.
+func ConvT2x2Weights[S tensor.Scalar](u *ConvTranspose2x2[S], a []S) {
+	wd := u.Weight.W.Data // (InC, OutC·4)
+	for ic := 0; ic < u.InC; ic++ {
+		for oc := 0; oc < u.OutC; oc++ {
+			for d, v := range wd[(ic*u.OutC+oc)*4 : (ic*u.OutC+oc)*4+4] {
+				a[(d*u.OutC+oc)*u.InC+ic] = v
+			}
+		}
+	}
+}
+
 // ConvT2x2Planes computes the stride-2 2×2 transposed convolution with
-// bias on NCHW planes. With kernel 2 and stride 2 the output blocks do not
-// overlap, so each (image, out-channel) plane is independent and the pairs
-// are distributed over the provided pool; per element the input channels
-// accumulate in ascending order, bias last, matching the reference.
-func ConvT2x2Planes[S tensor.Scalar](p *pool.Pool, u *ConvTranspose2x2[S], x []S, n, h, w int, dst []S) {
+// bias on NCHW planes, one GEMM per image on the active float backend's
+// panel: C (4·OutC × h·w) = A · X_img (InC × h·w), with A from
+// ConvT2x2Weights, then row d·OutC+oc of C is scattered to the (dy, dx)
+// positions of output plane oc's 2×2 blocks and the bias added. Per
+// element that is the reference's chain — +0, the input channels in
+// ascending order, bias last — so results are bit-identical to it on
+// every backend. c is scratch for the n products (n·4·OutC·h·w). Images
+// are independent, so they are distributed over the provided pool.
+func ConvT2x2Planes[S tensor.Scalar](p *pool.Pool, u *ConvTranspose2x2[S], a, x []S, n, h, w int, dst, c []S) {
 	if p.Workers() == 1 {
-		convT2x2Range(u, x, h, w, dst, 0, n*u.OutC)
+		convT2x2Images(u, a, x, h, w, dst, c, 0, n)
 		return
 	}
-	p.MustMapRanges(n*u.OutC, 1, func(lo, hi int) {
-		convT2x2Range(u, x, h, w, dst, lo, hi)
+	p.MustMapRanges(n, 1, func(lo, hi int) {
+		convT2x2Images(u, a, x, h, w, dst, c, lo, hi)
 	})
 }
 
-// convT2x2Range computes (image, out-channel) planes [lo,hi).
-func convT2x2Range[S tensor.Scalar](u *ConvTranspose2x2[S], x []S, h, w int, dst []S, lo, hi int) {
-	plane := 4 * h * w
-	for t := lo; t < hi; t++ {
-		img, oc := t/u.OutC, t%u.OutC
-		yp := dst[(img*u.OutC+oc)*plane : (img*u.OutC+oc+1)*plane]
-		for i := range yp {
-			yp[i] = 0
-		}
-		for ic := 0; ic < u.InC; ic++ {
-			k := u.Weight.W.Data[ic*u.OutC*4+oc*4 : ic*u.OutC*4+oc*4+4]
-			k0, k1, k2, k3 := k[0], k[1], k[2], k[3]
-			xp := x[(img*u.InC+ic)*h*w : (img*u.InC+ic+1)*h*w]
+// convT2x2Images computes images [lo,hi) of ConvT2x2Planes.
+func convT2x2Images[S tensor.Scalar](u *ConvTranspose2x2[S], a, x []S, h, w int, dst, c []S, lo, hi int) {
+	hw, rows := h*w, 4*u.OutC
+	for img := lo; img < hi; img++ {
+		ci := c[img*rows*hw : (img+1)*rows*hw]
+		tensor.GemmSerial(ci, a, x[img*u.InC*hw:(img+1)*u.InC*hw], rows, u.InC, hw)
+		for oc := 0; oc < u.OutC; oc++ {
+			b := u.Bias.W.Data[oc]
+			yp := dst[(img*u.OutC+oc)*4*hw : (img*u.OutC+oc+1)*4*hw]
 			for iy := 0; iy < h; iy++ {
-				row0 := yp[(2*iy)*(2*w):]
-				row1 := yp[(2*iy+1)*(2*w):]
-				xr := xp[iy*w : (iy+1)*w]
-				for ix, v := range xr {
-					row0[2*ix] += v * k0
-					row0[2*ix+1] += v * k1
-					row1[2*ix] += v * k2
-					row1[2*ix+1] += v * k3
+				var t [4][]S // tap d's input row iy
+				for d := range t {
+					t[d] = ci[(d*u.OutC+oc)*hw+iy*w : (d*u.OutC+oc)*hw+iy*w+w]
+				}
+				row0 := yp[(2*iy)*(2*w) : (2*iy+1)*(2*w)]
+				row1 := yp[(2*iy+1)*(2*w) : (2*iy+2)*(2*w)]
+				for ix := range t[0] {
+					row0[2*ix], row0[2*ix+1] = t[0][ix]+b, t[1][ix]+b
+					row1[2*ix], row1[2*ix+1] = t[2][ix]+b, t[3][ix]+b
 				}
 			}
-		}
-		b := u.Bias.W.Data[oc]
-		for i := range yp {
-			yp[i] += b
 		}
 	}
 }
 
 // taskScratch is the pair of work buffers one kernel task borrows: the
 // Winograd V and M batches of a (image, tile-row) range, or the im2col
-// block and dW accumulator of a GEMM-form weight gradient. The pool is
-// shared by every layer, so a process holds about one pair per
-// concurrently running task — not one per layer — each grown to the
-// largest request it has served (both users bound theirs to a few
-// hundred KiB); sync.Pool keeps steady-state allocation near zero without
-// needing worker identities from the compute pool.
+// block and dW accumulator of a GEMM-form weight gradient — or one
+// training up-convolution call borrows: its GEMM-ordered weights and its
+// products. The pool is shared by every layer, so a process holds about
+// one pair per concurrently running task — not one per layer — each
+// grown to the largest request it has served (the task users bound
+// theirs to a few hundred KiB; the up-convolution's products are the
+// size of its output); sync.Pool keeps steady-state allocation near zero
+// without needing worker identities from the compute pool.
 type taskScratch[S tensor.Scalar] struct{ a, b []S }
 
 var scratchPool sync.Pool

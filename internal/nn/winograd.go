@@ -21,9 +21,11 @@ import (
 // this way instead of 64/16/4/1. Batching does not reorder anything:
 // every M element is still its own ascending-channel chain, so outputs
 // are bit-identical to per-row products (and across backends, worker
-// counts and batch sizes). What is left narrower than eight columns —
-// the 4² level of a 4-image step, n = 4 — still runs the scalar panel; a
-// 4-column SIMD tile for it waits in ROADMAP.
+// counts and batch sizes). What is left narrower than eight columns — the
+// 8² and 4² levels of a batch-of-one inference (4 and 1 tiles), the 4²
+// level of a 4-image step — runs transposed, Mᵀ = Vᵀ·Uᵀ, so the panel
+// vectorises across output channels instead (see panelTiles); the chains
+// are the same, and so are the bits.
 //
 // The F(4×4) input transform vectorises the same way — across tiles, never
 // within one. A batch's tiles are consecutive in every V stream, so in4
@@ -35,17 +37,19 @@ import (
 // register = one stencil operand of eight tiles). The scalar stencil
 // bt4Row, applied per lane by in4Lanes, is the definition: it is the only
 // path on the engine backend, in float64 and off amd64, it runs every
-// group narrower than eight tiles (the 4² level of a 4-image step, ragged
-// batch ends), and a backend's kernel must reproduce its left-to-right
-// rounding bit for bit (TestWinogradTransformConformance). The output
-// transform, the filter transform and F(2×2) stay scalar: the first two
-// are measured and waiting in ROADMAP (the benchmark's fixed-work window
+// group narrower than eight tiles (the 8² and 4² levels of a
+// batch-of-one inference and the 4² level of a 4-image step — the batches
+// whose products run transposed — and ragged batch ends), and a backend's
+// kernel must reproduce its left-to-right rounding bit for bit
+// (TestWinogradTransformConformance). The output transform, the filter
+// transform and F(2×2)'s transforms stay scalar: the first two are
+// measured and waiting in ROADMAP (the benchmark's fixed-work window
 // cannot hold them yet), the last never runs in training.
 //
 // F(2×2) stays. It only ever runs in float32 inference sessions on planes
 // that are even but not ÷4 (training takes Winograd on ÷4 planes only),
 // and sending those planes to the direct kernel instead — which would
-// delete in2/out2/filterTransform — was prototyped, measured and
+// delete in2/out2/filterTransform2Into — was prototyped, measured and
 // rejected when the U-Net plan landed (issue 21):
 // Session.PredictTiles slowed from 12.7–15.2 to 19.4–20.3 ms for 16 tiles
 // of 16², from 20.3–23.4 to 29.9–32.9 ms at 24², and from 0.82–0.92 to
@@ -68,18 +72,33 @@ type Winograd[S tensor.Scalar] struct {
 	// transform is O(OutC·InC) against O(OutC·InC·H·W) conv work.
 	Static bool
 
-	u  map[*Conv2D[S]]*tensor.Tensor[S] // F(2×2,3×3) cache: (16, OutC, InC)
-	u4 map[*Conv2D[S]]*tensor.Tensor[S] // F(4×4,3×3) cache: (36, OutC, InC)
+	filters map[filterKey[S]][]S // the Static cache
 
-	// Grow-only scratch: filter transform (non-static), and the serial
-	// path's transform-domain V/M batch. The batch-parallel paths borrow
-	// theirs per task from the package's scratch pool (kernels.go).
-	ubuf, v, m *tensor.Tensor[S]
+	// Grow-only scratch: filter transform and its transpose
+	// (non-static), and the serial path's transform-domain V/M batch.
+	// The batch-parallel paths borrow theirs per task from the package's
+	// scratch pool (kernels.go).
+	ubuf, utbuf, v, m *tensor.Tensor[S]
 
 	// batchTiles overrides the tile budget of one batch of transform-
 	// domain products (0: winoBatchTiles under winoBatchFloats). Tests
-	// set 1 to get the unbatched per-row products back.
-	batchTiles int
+	// set 1 to get the unbatched per-row products back, and noTranspose
+	// to keep batches narrower than the panel untransposed.
+	batchTiles  int
+	noTranspose bool
+}
+
+// filterKey names one Static cache entry: conv c's forward filter
+// transform for output tiles of edge tile, laid out straight —
+// (tile+2)² × (OutC, InC) GEMM A-operands — or transposed,
+// (tile+2)² × (InC, OutC) B-operands. A session caches only the layouts
+// its calls multiply by: while every batch of a layer is narrower than
+// the panel (the 8² and 4² levels of one 32² tile), it holds no straight
+// transform of that layer.
+type filterKey[S tensor.Scalar] struct {
+	c          *Conv2D[S]
+	tile       int
+	transposed bool
 }
 
 // A batch of transform-domain products covers whole tile rows, of one
@@ -88,38 +107,72 @@ type Winograd[S tensor.Scalar] struct {
 // on wide layers, keeping (InC+OutC)·tiles within winoBatchFloats: one
 // task's V+M scratch then stays at 36·4096 floats (576 KiB, L2-sized)
 // up to 512 channels in+out.
+//
+// A batch narrower than panelTiles — the 8² and 4² levels of a
+// batch-of-one inference, the 4² level of a 4-image step, ragged batch
+// ends on planes under 32 wide — would leave a SIMD panel, which
+// vectorises across a product's columns, without one full vector. It
+// computes Mᵀ = Vᵀ·Uᵀ instead: the columns are then the output channels,
+// and every Mᵀ element is the M element's ascending-input-channel chain
+// of the same products, so the result is bit-identical. On a SIMD panel
+// the rows are padded with zeros to a multiple of panelRows, the height of
+// its vectorised row block, so no row of the product falls to its scalar
+// row tail (the 4² level's single tile would); the padded rows' results
+// are discarded. The scalar panel gains nothing from padding and runs the
+// real rows only.
 const (
 	winoBatchTiles  = 64
 	winoBatchFloats = 4096
+	panelTiles      = 8
+	panelRows       = 4
 )
 
 // plan sets how many (image, tile-row) units share one batch of the job
+// and which product layouts its batches use, given the ranges p splits
+// the units into (pool.Split with grain 1: one range on a serial pool),
 // and returns the V and M scratch sizes such a batch needs. An F(4×4) V
-// scratch ends in in4's staging block: handed to a backend kernel through
-// a function value it would escape to the heap if it were a local array.
-func (wg *Winograd[S]) plan(j *winoJob[S]) (vsz, msz int) {
+// scratch ends in in4's staging block: handed to a backend kernel
+// through a function value it would escape to the heap if it were a
+// local array. On planes narrower than panelTiles tiles, M ends in the
+// Vᵀ/Mᵀ staging of one transposed product.
+func (wg *Winograd[S]) plan(j *winoJob[S], p *pool.Pool) (vsz, msz int) {
 	tiles := wg.batchTiles
 	if tiles == 0 {
 		tiles = min(winoBatchTiles, max(8, winoBatchFloats/(j.inC+j.outC)))
 	}
 	tw := j.w / j.tile
-	j.rowsPerCall = min(max(1, tiles/tw), j.n*(j.h/j.tile))
+	units := j.n * (j.h / j.tile)
+	rows := min(max(1, tiles/tw), units)
+	j.rowsPerCall = rows
+	// A range of l units runs batches of rows units, then one of l%rows.
+	var narrow, wide bool
+	p.Split(units, 1, func(lo, hi int) {
+		for _, b := range [2]int{min(hi-lo, rows), (hi - lo) % rows} {
+			narrow = narrow || b > 0 && b*tw < panelTiles
+			wide = wide || b*tw >= panelTiles
+		}
+	})
+	j.transposed = narrow && !wg.noTranspose
+	j.straight = wide || !j.transposed
 	comps := (j.tile + 2) * (j.tile + 2)
-	vsz, msz = comps*j.inC*j.rowsPerCall*tw, comps*j.outC*j.rowsPerCall*tw
+	vsz, msz = comps*j.inC*rows*tw, comps*j.outC*rows*tw
 	if j.tile == 4 {
 		vsz += lanes * 36
+	}
+	if tw < panelTiles {
+		msz += narrowRows(min(panelTiles-1, rows*tw)) * (j.inC + j.outC)
 	}
 	return vsz, msz
 }
 
+// narrowRows is the padded row count of a transposed product of cn
+// tiles: cn rounded up to whole SIMD panel row blocks.
+func narrowRows(cn int) int { return (cn + panelRows - 1) / panelRows * panelRows }
+
 // NewWinograd returns an empty transform engine; static marks the
 // weights as frozen (see Static).
 func NewWinograd[S tensor.Scalar](static bool) *Winograd[S] {
-	return &Winograd[S]{
-		Static: static,
-		u:      make(map[*Conv2D[S]]*tensor.Tensor[S]),
-		u4:     make(map[*Conv2D[S]]*tensor.Tensor[S]),
-	}
+	return &Winograd[S]{Static: static, filters: make(map[filterKey[S]][]S)}
 }
 
 // Usable reports whether the layer/shape combination can run a Winograd
@@ -156,29 +209,83 @@ func (s convSrc[S]) plane(ic, img, n, plane int) []S {
 	return buf[base : base+plane]
 }
 
-// filterTransform computes U = G·g·Gᵀ for F(2×2,3×3), laid out as 16
-// contiguous (OutC, InC) GEMM A-operands.
-func (wg *Winograd[S]) filterTransform(c *Conv2D[S]) *tensor.Tensor[S] {
-	if wg.Static {
-		if u, ok := wg.u[c]; ok {
-			return u
+// setFilters sets the filter transforms of conv c that the planned job
+// multiplies by — u if some batch runs straight, ut if some batch runs
+// transposed — for its forward, or with grad for its input gradient,
+// whose filter moves every step and is never cached. Both are complete
+// before any batch runs.
+func (wg *Winograd[S]) setFilters(j *winoJob[S], c *Conv2D[S], grad bool) {
+	j.u, j.ut = nil, nil
+	if j.straight {
+		j.u = wg.filter(j, c, grad, false)
+	}
+	if j.transposed {
+		j.ut = wg.filter(j, c, grad, true)
+	}
+}
+
+// filter returns one filter transform of the job: (tile+2)² matrices of
+// (outC, inC) for the job's channels — its in- and output roles swap for
+// the input gradient — or, transposed, of (inC, outC). A Static engine
+// caches the forward's; otherwise it is recomputed into scratch. The
+// transposed layout is computed directly from the taps, pair by pair as
+// the straight one, so the two hold the same values bit for bit.
+func (wg *Winograd[S]) filter(j *winoJob[S], c *Conv2D[S], grad, transposed bool) []S {
+	key := filterKey[S]{c, j.tile, transposed}
+	cache := wg.Static && !grad
+	if cache {
+		if f, ok := wg.filters[key]; ok {
+			return f
 		}
 	}
-	outC, inC := c.OutC, c.InC
-	var u *tensor.Tensor[S]
-	if wg.Static {
-		u = tensor.New[S](16, outC, inC)
-		wg.u[c] = u
-	} else {
-		u = tensor.Grow(&wg.ubuf, 16, outC, inC)
+	rows, cols := j.outC, j.inC
+	if transposed {
+		rows, cols = cols, rows
 	}
-	wd := c.Weight.W.Data
+	comps := (j.tile + 2) * (j.tile + 2)
+	var dst []S
+	switch {
+	case cache:
+		dst = make([]S, comps*rows*cols)
+		wg.filters[key] = dst
+	case transposed:
+		dst = tensor.Grow(&wg.utbuf, comps, rows, cols).Data
+	default:
+		dst = tensor.Grow(&wg.ubuf, comps, rows, cols).Data
+	}
+	// tap(r, col, ky, kx) is tap (ky, kx) of the 3×3 filter that row r,
+	// column col of the GEMM operand transforms: W[oc][ic] for the
+	// forward, the transposed, 180°-rotated W for the input gradient.
+	wd, inC := c.Weight.W.Data, c.InC
+	var tap func(r, col, ky, kx int) S
+	switch {
+	case grad && transposed: // rows: conv out channels
+		tap = func(r, col, ky, kx int) S { return wd[r*inC*9+col*9+(2-ky)*3+(2-kx)] }
+	case grad:
+		tap = func(r, col, ky, kx int) S { return wd[col*inC*9+r*9+(2-ky)*3+(2-kx)] }
+	case transposed: // rows: conv in channels
+		tap = func(r, col, ky, kx int) S { return wd[col*inC*9+r*9+ky*3+kx] }
+	default:
+		tap = func(r, col, ky, kx int) S { return wd[r*inC*9+col*9+ky*3+kx] }
+	}
+	if j.tile == 4 {
+		filterTransform4Into(dst, rows, cols, tap)
+	} else {
+		filterTransform2Into(dst, rows, cols, tap)
+	}
+	return dst
+}
+
+// filterTransform2Into computes the F(2×2,3×3) filter transform
+// U = G·g·Gᵀ into dst (16, outRows, inRows); tap selects the 3×3 taps as
+// for filterTransform4Into.
+func filterTransform2Into[S tensor.Scalar](dst []S, outRows, inRows int, tap func(o, i, ky, kx int) S) {
 	var gg [12]S // G·g, 4×3
-	for oc := 0; oc < outC; oc++ {
-		for ic := 0; ic < inC; ic++ {
-			g := wd[oc*inC*9+ic*9 : oc*inC*9+ic*9+9]
+	step := outRows * inRows
+	for o := 0; o < outRows; o++ {
+		for i := 0; i < inRows; i++ {
 			for col := 0; col < 3; col++ {
-				g0, g1, g2 := g[col], g[3+col], g[6+col]
+				g0, g1, g2 := tap(o, i, 0, col), tap(o, i, 1, col), tap(o, i, 2, col)
 				gg[col] = g0
 				gg[3+col] = (g0 + g1 + g2) / 2
 				gg[6+col] = (g0 - g1 + g2) / 2
@@ -186,15 +293,14 @@ func (wg *Winograd[S]) filterTransform(c *Conv2D[S]) *tensor.Tensor[S] {
 			}
 			for row := 0; row < 4; row++ {
 				t0, t1, t2 := gg[row*3], gg[row*3+1], gg[row*3+2]
-				base := (row * 4 * outC * inC)
-				u.Data[base+oc*inC+ic] = t0
-				u.Data[base+outC*inC+oc*inC+ic] = (t0 + t1 + t2) / 2
-				u.Data[base+2*outC*inC+oc*inC+ic] = (t0 - t1 + t2) / 2
-				u.Data[base+3*outC*inC+oc*inC+ic] = t2
+				base := row*4*step + o*inRows + i
+				dst[base] = t0
+				dst[base+step] = (t0 + t1 + t2) / 2
+				dst[base+2*step] = (t0 - t1 + t2) / 2
+				dst[base+3*step] = t2
 			}
 		}
 	}
-	return u
 }
 
 // g4Row applies the 1-D F(4×4,3×3) G stencil to one 3-tap row.
@@ -236,55 +342,23 @@ func filterTransform4Into[S tensor.Scalar](dst []S, outRows, inRows int, tap fun
 	}
 }
 
-// filterTransform4 returns the forward F(4×4,3×3) filter transform,
-// cached when Static.
-func (wg *Winograd[S]) filterTransform4(c *Conv2D[S]) []S {
-	if wg.Static {
-		if u, ok := wg.u4[c]; ok {
-			return u.Data
-		}
-	}
-	outC, inC := c.OutC, c.InC
-	wd := c.Weight.W.Data
-	var dst []S
-	if wg.Static {
-		u := tensor.New[S](36, outC, inC)
-		wg.u4[c] = u
-		dst = u.Data
-	} else {
-		dst = tensor.Grow(&wg.ubuf, 36, outC, inC).Data
-	}
-	filterTransform4Into(dst, outC, inC, func(o, i, ky, kx int) S {
-		return wd[o*inC*9+i*9+ky*3+kx]
-	})
-	return dst
-}
-
-// gradFilterTransform4 returns the transform of the transposed,
-// 180°-rotated filter — the kernel of dx = conv(dy, rot180(W)ᵀ). Always
-// recomputed: it is only used on the training path, where weights move
-// every step.
-func (wg *Winograd[S]) gradFilterTransform4(c *Conv2D[S]) []S {
-	outC, inC := c.OutC, c.InC
-	wd := c.Weight.W.Data
-	dst := tensor.Grow(&wg.ubuf, 36, inC, outC).Data
-	filterTransform4Into(dst, inC, outC, func(o, i, ky, kx int) S {
-		return wd[i*inC*9+o*9+(2-ky)*3+(2-kx)]
-	})
-	return dst
-}
-
 // winoJob is one Winograd convolution call: the operands every
 // (image, tile-row) unit of it shares.
 type winoJob[S tensor.Scalar] struct {
 	tile        int // output tile edge: 4 for F(4×4,3×3), 2 for F(2×2,3×3)
 	u, bias     []S // transformed filter (tile+2)² × (outC, inC); bias may be nil
+	ut          []S // the same transposed, (tile+2)² × (inC, outC)
 	src         convSrc[S]
 	n, h, w     int
 	inC, outC   int
 	dst         []S
 	relu        bool
 	rowsPerCall int // (image, tile-row) units per batch of transform-domain products
+
+	// straight and transposed say whether some batch multiplies U·V, and
+	// whether some batch — one narrower than panelTiles — multiplies
+	// Vᵀ·Uᵀ; each needs its filter layout (u, ut).
+	straight, transposed bool
 }
 
 // Conv computes the same-padded 3×3 convolution with fused bias (and
@@ -297,11 +371,10 @@ func (wg *Winograd[S]) Conv(c *Conv2D[S], xa []S, ca int, xb []S, cb int, n, h, 
 		n: n, h: h, w: w, inC: ca + cb, outC: c.OutC, dst: dst, relu: relu,
 	}
 	if usable4(h, w) {
-		j.tile, j.u = 4, wg.filterTransform4(c)
-	} else {
-		j.u = wg.filterTransform(c).Data
+		j.tile = 4
 	}
-	vsz, msz := wg.plan(&j)
+	vsz, msz := wg.plan(&j, pool.Serial())
+	wg.setFilters(&j, c, false)
 	j.run(0, n*(h/j.tile), tensor.Grow(&wg.v, vsz).Data, tensor.Grow(&wg.m, msz).Data)
 }
 
@@ -311,8 +384,8 @@ func (wg *Winograd[S]) Conv(c *Conv2D[S], xa []S, ca int, xb []S, cb int, n, h, 
 // at any worker count and a single large image still fans out. The
 // caller must have checked Usable and plane divisibility by four.
 func (wg *Winograd[S]) ConvBatch(p *pool.Pool, c *Conv2D[S], x []S, n, h, w int, dst []S, relu bool) {
-	wg.runTasks(p, &winoJob[S]{
-		tile: 4, u: wg.filterTransform4(c), bias: c.Bias.W.Data, src: convSrc[S]{xa: x, ca: c.InC},
+	wg.runTasks(p, c, false, &winoJob[S]{
+		tile: 4, bias: c.Bias.W.Data, src: convSrc[S]{xa: x, ca: c.InC},
 		n: n, h: h, w: w, inC: c.InC, outC: c.OutC, dst: dst, relu: relu,
 	})
 }
@@ -324,8 +397,8 @@ func (wg *Winograd[S]) ConvBatch(p *pool.Pool, c *Conv2D[S], x []S, n, h, w int,
 // checked plane divisibility by four.
 func (wg *Winograd[S]) InputGradBatch(p *pool.Pool, c *Conv2D[S], dout []S, n, h, w int, dx []S) {
 	// in/out roles swap for the gradient conv.
-	wg.runTasks(p, &winoJob[S]{
-		tile: 4, u: wg.gradFilterTransform4(c), src: convSrc[S]{xa: dout, ca: c.OutC, chanMajor: true},
+	wg.runTasks(p, c, true, &winoJob[S]{
+		tile: 4, src: convSrc[S]{xa: dout, ca: c.OutC, chanMajor: true},
 		n: n, h: h, w: w, inC: c.OutC, outC: c.InC, dst: dx,
 	})
 }
@@ -345,7 +418,7 @@ func WinogradTransforms4[S tensor.Scalar](n, c, h, w int) (in, out func()) {
 		tile: 4, bias: make([]S, c), src: convSrc[S]{xa: x, ca: c},
 		n: n, h: h, w: w, inC: c, outC: c, dst: make([]S, len(x)), relu: true,
 	}
-	vsz, msz := NewWinograd[S](false).plan(j)
+	vsz, msz := NewWinograd[S](false).plan(j, pool.Serial())
 	v, m := make([]S, vsz), make([]S, msz)
 	copy(m, x)
 	th, tw := h/4, w/4
@@ -367,10 +440,13 @@ func WinogradTransforms4[S tensor.Scalar](n, c, h, w int) (in, out func()) {
 }
 
 // runTasks fans the F(4×4,3×3) job's (image, tile-row) units out on the
-// pool. Each range call borrows one scratch pair; task outputs are
+// pool, after planning it and setting its filters (grad as for
+// setFilters): the job is complete before the fan-out and only read by
+// the tasks. Each range call borrows one scratch pair; task outputs are
 // disjoint dst rows, so any partitioning yields bit-identical results.
-func (wg *Winograd[S]) runTasks(p *pool.Pool, j *winoJob[S]) {
-	vsz, msz := wg.plan(j)
+func (wg *Winograd[S]) runTasks(p *pool.Pool, c *Conv2D[S], grad bool, j *winoJob[S]) {
+	vsz, msz := wg.plan(j, p)
+	wg.setFilters(j, c, grad)
 	run := func(lo, hi int) {
 		sc := getScratch[S](vsz, msz)
 		j.run(lo, hi, sc.a, sc.b)
@@ -390,7 +466,8 @@ func (wg *Winograd[S]) runTasks(p *pool.Pool, j *winoJob[S]) {
 // tiles, unit after unit), then the output transforms. The scratch of a
 // batch is L2-sized (see winoBatchFloats), so the component streams and
 // the small GEMMs run over cache-resident memory instead of thrashing
-// plane-sized buffers through DRAM.
+// plane-sized buffers through DRAM. A batch narrower than panelTiles runs
+// its products transposed (see productsT).
 func (j *winoJob[S]) run(lo, hi int, vbuf, mbuf []S) {
 	th, tw := j.h/j.tile, j.w/j.tile
 	comps := (j.tile + 2) * (j.tile + 2)
@@ -404,12 +481,16 @@ func (j *winoJob[S]) run(lo, hi int, vbuf, mbuf []S) {
 				j.in2(t/th, t%th, vbuf, cn, (t-lo)*tw)
 			}
 		}
-		for idx := 0; idx < comps; idx++ {
-			tensor.GemmSerial(
-				mbuf[idx*j.outC*cn:(idx+1)*j.outC*cn],
-				j.u[idx*j.outC*j.inC:(idx+1)*j.outC*j.inC],
-				vbuf[idx*j.inC*cn:(idx+1)*j.inC*cn],
-				j.outC, j.inC, cn)
+		if cn < panelTiles && j.ut != nil {
+			j.productsT(vbuf, mbuf, comps, cn)
+		} else {
+			for idx := 0; idx < comps; idx++ {
+				tensor.GemmSerial(
+					mbuf[idx*j.outC*cn:(idx+1)*j.outC*cn],
+					j.u[idx*j.outC*j.inC:(idx+1)*j.outC*j.inC],
+					vbuf[idx*j.inC*cn:(idx+1)*j.inC*cn],
+					j.outC, j.inC, cn)
+			}
 		}
 		for t := lo; t < end; t++ {
 			if j.tile == 4 {
@@ -419,6 +500,38 @@ func (j *winoJob[S]) run(lo, hi int, vbuf, mbuf []S) {
 			}
 		}
 		lo = end
+	}
+}
+
+// productsT computes a narrow batch's comps products M = U·V of cn tiles
+// as Mᵀ = Vᵀ·Uᵀ, one component at a time: V's (inC × cn) block is
+// transposed into the staging Vᵀ at the end of mbuf (on a SIMD panel
+// with zero rows up to narrowRows), multiplied by Uᵀ (inC × outC), and
+// the real rows of the product are transposed back into M's (outC × cn)
+// block, where the output transforms read them.
+func (j *winoJob[S]) productsT(vbuf, mbuf []S, comps, cn int) {
+	inC, outC := j.inC, j.outC
+	rows := cn
+	if tensor.Float[S]().SIMD {
+		rows = narrowRows(cn)
+	}
+	stage := mbuf[len(mbuf)-rows*(inC+outC):]
+	vt, mt := stage[:rows*inC], stage[rows*inC:]
+	clear(vt[cn*inC:])
+	for idx := 0; idx < comps; idx++ {
+		v := vbuf[idx*inC*cn : (idx+1)*inC*cn]
+		for ic := 0; ic < inC; ic++ {
+			for t, x := range v[ic*cn : (ic+1)*cn] {
+				vt[t*inC+ic] = x
+			}
+		}
+		tensor.GemmSerial(mt, vt, j.ut[idx*inC*outC:(idx+1)*inC*outC], rows, inC, outC)
+		m := mbuf[idx*outC*cn : (idx+1)*outC*cn]
+		for t := 0; t < cn; t++ {
+			for oc, x := range mt[t*outC : (t+1)*outC] {
+				m[oc*cn+t] = x
+			}
+		}
 	}
 }
 

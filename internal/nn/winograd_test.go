@@ -62,10 +62,12 @@ func salt(x []float32, plane int, seed uint64) {
 //
 // "kernels" drives FloatOps.WinoIn4 directly against its scalar
 // definition on blocks of special values, over several stream strides.
-// "layers" runs Conv, ConvBatch and InputGradBatch on salted inputs over
-// 32²/16²/8²/4² planes with image counts that make lane groups span tile
-// rows and images (n = 8 on 4² puts eight images in one register), tile
-// budgets that leave remainders of four and end batches mid-image, ragged
+// "layers" runs Conv (on a training and on a static engine), ConvBatch
+// and InputGradBatch on salted inputs over 32²/16²/8²/4² planes with image
+// counts that make lane groups span tile rows and images (n = 8 on 4²
+// puts eight images in one register), tile budgets that leave remainders
+// of four and end batches mid-image, batches narrower than the panel
+// (transposed products: one image on 8² and 4², ragged ends), ragged
 // channel counts, the two-source and channel-major sources, ReLU on and
 // off, at 1–3 workers. "canaries" runs partial unit ranges of a job over
 // guarded scratch and a guarded, sentinel-filled dst — bias nil and
@@ -155,6 +157,11 @@ func testWinogradLayers(t *testing.T) {
 			cases = append(cases, winoCase{n, ch.ca, ch.cb, ch.outC, side, side})
 		}
 	}
+	// Transposed products: one image on 8² and 4², ragged last batches of
+	// seven images, and output channel counts of 3 and 12 (panel column
+	// tails).
+	cases = append(cases, winoCase{1, 8, 4, 12, 8, 8}, winoCase{1, 5, 0, 12, 4, 4}, winoCase{1, 4, 3, 3, 8, 8},
+		winoCase{7, 5, 2, 3, 4, 4}, winoCase{7, 6, 0, 12, 8, 8})
 	defer pool.SetSharedWorkers(0)
 	for i, s := range cases {
 		c, xa, xb, x, dout := winoOperands(s, uint64(1000+i))
@@ -167,6 +174,7 @@ func testWinogradLayers(t *testing.T) {
 			useFloat32Backend(t, "engine")
 			wg := NewWinograd[float32](false)
 			wg.batchTiles = 1
+			wg.noTranspose = true
 			for r, relu := range []bool{false, true} {
 				wantY[r] = make([]float32, outLen)
 				wg.Conv(c, xa, s.ca, xb, s.cb, s.n, s.h, s.w, wantY[r], relu)
@@ -177,6 +185,14 @@ func testWinogradLayers(t *testing.T) {
 		for _, backend := range float32Backends {
 			t.Run(backend, func(t *testing.T) {
 				useFloat32Backend(t, backend)
+				st := NewWinograd[float32](true) // the session's engine: filters cached on the first call
+				for pass := 0; pass < 2; pass++ {
+					for r, relu := range []bool{false, true} {
+						y := make([]float32, outLen)
+						st.Conv(c, xa, s.ca, xb, s.cb, s.n, s.h, s.w, y, relu)
+						sameBitsOrNaN(t, fmt.Sprintf("%s %+v relu=%v static Conv pass %d", backend, s, relu, pass), y, wantY[r])
+					}
+				}
 				for _, tiles := range []int{0, 8, 12, 16, 20, 64} { // 0: the default budget
 					wg := NewWinograd[float32](false)
 					wg.batchTiles = tiles
@@ -247,10 +263,11 @@ func testWinogradCanaries(t *testing.T) {
 				useFloat32Backend(t, "engine")
 				wg := NewWinograd[float32](false)
 				wg.batchTiles = 1
+				wg.noTranspose = true
 				want = make([]float32, s.n*s.outC*plane)
 				j := job(want)
-				j.u = wg.filterTransform4(c)
-				vsz, msz := wg.plan(j)
+				vsz, msz := wg.plan(j, pool.Serial())
+				wg.setFilters(j, c, false)
 				j.run(0, units, make([]float32, vsz), make([]float32, msz))
 			})
 			for _, backend := range float32Backends {
@@ -267,8 +284,10 @@ func testWinogradCanaries(t *testing.T) {
 							wg.batchTiles = tiles
 							dst := guarded(len(want))
 							j := job(dst[guard : guard+len(want)])
-							j.u = wg.filterTransform4(c)
-							vsz, msz := wg.plan(j)
+							vsz, msz := wg.plan(j, pool.Serial())
+							// Any range of the job: both product layouts.
+							j.straight, j.transposed = true, s.w/4 < panelTiles
+							wg.setFilters(j, c, false)
 							v, m := guarded(vsz), guarded(msz)
 							j.run(lo, hi, v[guard:guard+vsz], m[guard:guard+msz])
 

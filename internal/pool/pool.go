@@ -107,13 +107,7 @@ func (p *Pool) MapRanges(n, minGrain int, fn func(lo, hi int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if minGrain < 1 {
-		minGrain = 1
-	}
-	chunks := p.workers
-	if max := (n + minGrain - 1) / minGrain; chunks > max {
-		chunks = max
-	}
+	chunks := p.chunks(n, minGrain)
 	if chunks <= 1 {
 		return runRange(fn, 0, n)
 	}
@@ -122,6 +116,26 @@ func (p *Pool) MapRanges(n, minGrain int, fn func(lo, hi int) error) error {
 		hi := (i + 1) * n / chunks
 		return runRange(fn, lo, hi)
 	})
+}
+
+// Split calls fn, in order and on the calling goroutine, with the bounds
+// of every chunk MapRanges(n, minGrain, ·) would run — for callers that
+// must prepare shared state for the chunks before fanning them out.
+func (p *Pool) Split(n, minGrain int, fn func(lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	chunks := max(1, p.chunks(n, minGrain))
+	for i := 0; i < chunks; i++ {
+		fn(i*n/chunks, (i+1)*n/chunks)
+	}
+}
+
+// chunks is the number of chunks MapRanges splits n items into: at most
+// one per worker, each of at least minGrain items.
+func (p *Pool) chunks(n, minGrain int) int {
+	minGrain = max(1, minGrain)
+	return min(p.workers, (n+minGrain-1)/minGrain)
 }
 
 // runRange invokes fn(lo, hi), converting panics into errors so inline

@@ -3,6 +3,7 @@ package pool
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -134,5 +135,36 @@ func TestMapSliceErrorReturnsNil(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// TestSplitMatchesMapRanges: Split enumerates, in order, exactly the
+// chunks MapRanges runs, for any item count, grain and worker count —
+// callers size shared state from it before they fan out.
+func TestSplitMatchesMapRanges(t *testing.T) {
+	f := func(nRaw, gRaw, wRaw uint8) bool {
+		n, grain, workers := int(nRaw)%70, int(gRaw)%9, int(wRaw)%6+1
+		p := New(workers)
+		ran := make(map[[2]int]bool)
+		var mu sync.Mutex
+		if err := p.MapRanges(n, grain, func(lo, hi int) error {
+			mu.Lock()
+			defer mu.Unlock()
+			ran[[2]int{lo, hi}] = true
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		next := 0
+		ok := true
+		p.Split(n, grain, func(lo, hi int) {
+			ok = ok && lo == next && hi > lo && ran[[2]int{lo, hi}]
+			delete(ran, [2]int{lo, hi})
+			next = hi
+		})
+		return ok && next == n && len(ran) == 0
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }

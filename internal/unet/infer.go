@@ -33,7 +33,10 @@ var ErrNonFinite = errors.New("unet: non-finite logits")
 // tolerance of the float64 model rather than bit-equal.
 //
 // A Session is NOT safe for concurrent use; the underlying Model's
-// weights are only read, so many Sessions may share one Model. The
+// weights are only read, so many Sessions may share one Model. They must
+// not change while a session lives: it caches layouts derived from them
+// (Winograd filter transforms, GEMM-ordered up-convolution weights) on
+// first use. The
 // session runs its kernels serially (pool.Serial()): serving
 // concurrency comes from running one Session per worker, and nesting a
 // fan-out inside each worker would oversubscribe the cores.
@@ -48,11 +51,21 @@ type Session[S tensor.Scalar] struct {
 	bufs    [][]S
 	lastDim []int // shape of the last logits tensor
 
-	// wino is the F(2×2,3×3) reduced-multiplication conv engine; non-nil
-	// only for float32 sessions, where tolerance (not bit-identity)
-	// scopes the guarantee and the cheaper algebra is admissible. See
-	// the precision policy in nn.Winograd's doc.
+	// wino is the reduced-multiplication conv engine (F(4×4,3×3) on
+	// planes divisible by four, F(2×2,3×3) on other even ones), static:
+	// it caches each layer's filter transforms, and their transposes for
+	// batches narrower than the SIMD panel, on first use. Non-nil only
+	// for float32 sessions, where tolerance (not bit-identity) scopes the
+	// guarantee and the cheaper algebra is admissible. See the precision
+	// policy in nn.Winograd's doc.
 	wino *nn.Winograd[S]
+
+	// upA caches, per plan step, an up-convolution's weights in the GEMM
+	// order nn.ConvT2x2Planes takes (nn.ConvT2x2Weights), built on first
+	// use: the Model is shared by many sessions, so the cache lives here,
+	// never on the layer. upC is the up-convolutions' product scratch.
+	upA [][]S
+	upC []S
 
 	// obs, when set, receives every intermediate activation buffer by
 	// stage name after it is produced — the calibration pass's window
@@ -78,7 +91,7 @@ func NewSession[S tensor.Scalar](m *Model[S]) *Session[S] {
 	if tensor.IsF32[S]() {
 		wino = nn.NewWinograd[S](true)
 	}
-	return &Session[S]{m: m, wino: wino, bufs: make([][]S, len(m.plan))}
+	return &Session[S]{m: m, wino: wino, bufs: make([][]S, len(m.plan)), upA: make([][]S, len(m.plan))}
 }
 
 // Model returns the session's underlying model.
@@ -138,7 +151,13 @@ func (s *Session[S]) Forward(x *tensor.Tensor[S]) (*tensor.Tensor[S], error) {
 		case opPool:
 			nn.MaxPool2Planes(src, n*st.outC, 2*sh, 2*sw, out)
 		case opUp:
-			nn.ConvT2x2Planes(pool.Serial(), l.up, src, n, sh/2, sw/2, out)
+			a := s.upA[i]
+			if a == nil {
+				a = make([]S, 4*l.up.OutC*l.up.InC)
+				nn.ConvT2x2Weights(l.up, a)
+				s.upA[i] = a
+			}
+			nn.ConvT2x2Planes(pool.Serial(), l.up, a, src, n, sh/2, sw/2, out, grow(&s.upC, len(out)))
 			s.observe(st.name, out)
 		case opHead:
 			nn.Conv1x1Planes(pool.Serial(), l.conv, src, st.inC, n, sh, sw, out)

@@ -1,18 +1,22 @@
 #!/usr/bin/env sh
-# bench_smoke.sh PATTERN — run the root package's benchmarks matching
-# PATTERN once each (-benchtime=1x) and fail when any '|'-separated
-# alternative of PATTERN names no benchmark that reported a result, so a
-# deleted or renamed benchmark cannot leave a pattern that runs nothing.
+# bench_smoke.sh PATTERN [PACKAGE...] — run the benchmarks matching
+# PATTERN in the given packages (default: the root package) once each
+# (-benchtime=1x) and fail when any '|'-separated alternative of PATTERN
+# names no benchmark that reported a result, so a deleted or renamed
+# benchmark cannot leave a pattern that runs nothing.
 #
 #   scripts/bench_smoke.sh 'BenchmarkServeCacheHit'
+#   scripts/bench_smoke.sh 'BenchmarkSessionPredict|BenchmarkConvT2x2' ./internal/unet ./internal/nn
 set -eu
 
 cd "$(dirname "$0")/.."
 pattern=$1
+shift
+[ $# -gt 0 ] || set -- .
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
-if ! go test -run=NoTests -bench="$pattern" -benchtime=1x . >"$out" 2>&1; then
+if ! go test -run=NoTests -bench="$pattern" -benchtime=1x "$@" >"$out" 2>&1; then
     cat "$out"
     exit 1
 fi
