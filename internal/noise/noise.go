@@ -4,9 +4,19 @@
 // domain warping — the standard toolkit for generating natural-looking
 // ice-concentration and cloud-density fields.
 //
-// All functions are pure with respect to their seed: the same (seed, x, y)
-// always yields the same value on every platform, which keeps the entire
-// experiment pipeline reproducible.
+// A field is described by an FBM and evaluated through a Sampler
+// (FBM.Sampler, RidgedSampler, WarpedSampler), the only evaluation path.
+// The sampler derives each octave's seed, frequency and amplitude once,
+// and each octave caches the lattice cell of its last point, so a scan
+// over neighbouring pixels hashes a cell's corners once instead of at
+// every point. A Sampler carries that cache and is not safe for
+// concurrent use; callers build one per goroutine.
+//
+// Values are pure with respect to the seed: the same (seed, x, y)
+// always yields the same bits, in any evaluation order, which keeps the
+// entire experiment pipeline reproducible. Products that feed a sum are
+// rounded explicitly (float64(a*b)), so no target fuses them into a
+// multiply-add (scripts/nofma.sh checks this on arm64).
 package noise
 
 import "math"
@@ -27,32 +37,14 @@ func hash2(seed uint64, x, y int32) float64 {
 }
 
 // smoothstep is the cubic Hermite interpolant 3t²-2t³ on [0,1].
-func smoothstep(t float64) float64 { return t * t * (3 - 2*t) }
+func smoothstep(t float64) float64 { return t * t * (3 - float64(2*t)) }
 
 // lerp linearly interpolates between a and b by t.
-func lerp(a, b, t float64) float64 { return a + (b-a)*t }
-
-// Value returns smoothed value noise in [0,1) at continuous coordinates
-// (x, y) for the given seed. Lattice values are bilinearly blended with a
-// smoothstep fade, giving C¹-continuous output.
-func Value(seed uint64, x, y float64) float64 {
-	xf := math.Floor(x)
-	yf := math.Floor(y)
-	xi := int32(xf)
-	yi := int32(yf)
-	tx := smoothstep(x - xf)
-	ty := smoothstep(y - yf)
-
-	v00 := hash2(seed, xi, yi)
-	v10 := hash2(seed, xi+1, yi)
-	v01 := hash2(seed, xi, yi+1)
-	v11 := hash2(seed, xi+1, yi+1)
-
-	return lerp(lerp(v00, v10, tx), lerp(v01, v11, tx), ty)
-}
+func lerp(a, b, t float64) float64 { return a + float64((b-a)*t) }
 
 // FBM holds parameters for fractional Brownian motion: a sum of noise
 // octaves with geometrically increasing frequency and decreasing amplitude.
+// A field is evaluated through a Sampler built from it.
 type FBM struct {
 	Seed        uint64
 	Octaves     int     // number of layers; values <1 are treated as 1
@@ -61,68 +53,134 @@ type FBM struct {
 	Persistence float64 // amplitude multiplier per octave (typically 0.5)
 }
 
-// DefaultFBM returns an FBM with conventional parameters: 5 octaves,
-// lacunarity 2, persistence 0.5.
-func DefaultFBM(seed uint64, frequency float64) FBM {
-	return FBM{Seed: seed, Octaves: 5, Frequency: frequency, Lacunarity: 2, Persistence: 0.5}
+// Sampler evaluates one noise field point by point. It works out each
+// octave's seed, frequency and amplitude and the field's norm once, and
+// each octave keeps the lattice cell of its last point with the cell's
+// four corner hashes, so neighbouring points skip the hashing. The cache
+// changes the cost of a point, never its value: At returns the same bits
+// in any evaluation order.
+//
+// A Sampler is not safe for concurrent use. Build one per goroutine (the
+// scene generator builds its own per scene).
+type Sampler struct {
+	oct    []octave
+	norm   float64
+	ridged bool
+	// warp displaces the sample point by two auxiliary plain fields
+	// scaled by strength; nil for an unwarped field.
+	warp     *[2]Sampler
+	strength float64
 }
 
-// At evaluates the fBm at (x, y), normalized to [0,1).
-func (f FBM) At(x, y float64) float64 {
-	oct := f.Octaves
-	if oct < 1 {
-		oct = 1
+// octave is one noise layer plus its lattice-cell cache.
+type octave struct {
+	seed      uint64
+	freq, amp float64
+
+	xi, yi             int32
+	v00, v10, v01, v11 float64
+}
+
+// The seed chain adds one of these before mixing the next octave's seed.
+const (
+	fbmStep    = 0x632be59bd9b4e019
+	ridgedStep = 0x9e3779b97f4a7c15
+)
+
+// newSampler lays out the octaves of f, chaining their seeds with step.
+func newSampler(f FBM, step uint64) Sampler {
+	n := f.Octaves
+	if n < 1 {
+		n = 1
 	}
-	freq := f.Frequency
-	amp := 1.0
-	sum := 0.0
-	norm := 0.0
-	seed := f.Seed
-	for i := 0; i < oct; i++ {
-		sum += amp * Value(seed, x*freq, y*freq)
-		norm += amp
+	s := Sampler{oct: make([]octave, n)}
+	freq, amp, seed := f.Frequency, 1.0, f.Seed
+	for i := range s.oct {
+		o := &s.oct[i]
+		o.seed, o.freq, o.amp = seed, freq, amp
+		o.fill(0, 0)
+		s.norm += amp
 		freq *= f.Lacunarity
 		amp *= f.Persistence
-		seed = splitmix64(seed + 0x632be59bd9b4e019)
+		seed = splitmix64(seed + step)
 	}
-	return sum / norm
+	return s
 }
 
-// Ridged evaluates ridged multifractal noise in [0,1): each octave is
-// folded around its midpoint (1-|2v-1|), producing sharp crease lines.
-// It is used to carve leads (narrow linear cracks) into the ice field.
-func (f FBM) Ridged(x, y float64) float64 {
-	oct := f.Octaves
-	if oct < 1 {
-		oct = 1
+// Sampler returns a sampler of the fBm normalized to [0,1).
+func (f FBM) Sampler() *Sampler {
+	s := newSampler(f, fbmStep)
+	return &s
+}
+
+// RidgedSampler returns a sampler of ridged multifractal noise in [0,1):
+// each octave is folded around its midpoint (1-|2v-1|) and squared,
+// producing sharp crease lines. The scene generator uses it to carve leads
+// (narrow linear cracks) into the ice field.
+func (f FBM) RidgedSampler() *Sampler {
+	s := newSampler(f, ridgedStep)
+	s.ridged = true
+	return &s
+}
+
+// WarpedSampler returns a sampler of the fBm with domain warping: the
+// sample point is first displaced by two auxiliary fBm fields scaled by
+// strength. Warping breaks up the axis-aligned artifacts of lattice noise
+// and yields the swirling shapes characteristic of pack ice and cloud
+// veils.
+func (f FBM) WarpedSampler(strength float64) *Sampler {
+	wx, wy := f, f
+	wx.Seed = splitmix64(f.Seed ^ 0xa5a5a5a5a5a5a5a5)
+	wy.Seed = splitmix64(f.Seed ^ 0x5a5a5a5a5a5a5a5a)
+	s := newSampler(f, fbmStep)
+	s.warp = &[2]Sampler{newSampler(wx, fbmStep), newSampler(wy, fbmStep)}
+	s.strength = strength
+	return &s
+}
+
+// At evaluates the field at (x, y).
+func (s *Sampler) At(x, y float64) float64 {
+	if s.warp != nil {
+		dx := float64((s.warp[0].At(x, y) - 0.5) * 2 * s.strength)
+		dy := float64((s.warp[1].At(x, y) - 0.5) * 2 * s.strength)
+		x, y = x+dx, y+dy
 	}
-	freq := f.Frequency
-	amp := 1.0
 	sum := 0.0
-	norm := 0.0
-	seed := f.Seed
-	for i := 0; i < oct; i++ {
-		v := Value(seed, x*freq, y*freq)
-		v = 1 - math.Abs(2*v-1)
-		sum += amp * v * v
-		norm += amp
-		freq *= f.Lacunarity
-		amp *= f.Persistence
-		seed = splitmix64(seed + 0x9e3779b97f4a7c15)
+	for i := range s.oct {
+		o := &s.oct[i]
+		v := o.value(float64(x*o.freq), float64(y*o.freq))
+		if s.ridged {
+			v = 1 - math.Abs(float64(2*v)-1)
+			v = float64(o.amp * v * v)
+		} else {
+			v = float64(o.amp * v)
+		}
+		sum += v
 	}
-	return sum / norm
+	return sum / s.norm
 }
 
-// Warped evaluates the fBm with domain warping: the sample point is first
-// displaced by two auxiliary fBm fields scaled by strength. Warping breaks
-// up the axis-aligned artifacts of lattice noise and yields the swirling
-// shapes characteristic of pack ice and cloud veils.
-func (f FBM) Warped(x, y, strength float64) float64 {
-	wx := FBM{Seed: splitmix64(f.Seed ^ 0xa5a5a5a5a5a5a5a5), Octaves: f.Octaves, Frequency: f.Frequency, Lacunarity: f.Lacunarity, Persistence: f.Persistence}
-	wy := FBM{Seed: splitmix64(f.Seed ^ 0x5a5a5a5a5a5a5a5a), Octaves: f.Octaves, Frequency: f.Frequency, Lacunarity: f.Lacunarity, Persistence: f.Persistence}
-	dx := (wx.At(x, y) - 0.5) * 2 * strength
-	dy := (wy.At(x, y) - 0.5) * 2 * strength
-	return f.At(x+dx, y+dy)
+// value is smoothed value noise in [0,1) at (x, y): the lattice values
+// of the enclosing cell bilinearly blended with a smoothstep fade, giving
+// C¹-continuous output.
+func (o *octave) value(x, y float64) float64 {
+	xf := math.Floor(x)
+	yf := math.Floor(y)
+	if xi, yi := int32(xf), int32(yf); xi != o.xi || yi != o.yi {
+		o.fill(xi, yi)
+	}
+	tx := smoothstep(x - xf)
+	ty := smoothstep(y - yf)
+	return lerp(lerp(o.v00, o.v10, tx), lerp(o.v01, o.v11, tx), ty)
+}
+
+// fill hashes the four corners of lattice cell (xi, yi) into the cache.
+func (o *octave) fill(xi, yi int32) {
+	o.xi, o.yi = xi, yi
+	o.v00 = hash2(o.seed, xi, yi)
+	o.v10 = hash2(o.seed, xi+1, yi)
+	o.v01 = hash2(o.seed, xi, yi+1)
+	o.v11 = hash2(o.seed, xi+1, yi+1)
 }
 
 // RNG is a small, fast, seedable PCG-XSH-RR style generator used wherever

@@ -75,14 +75,14 @@ func GenerateAt(cfg CollectionConfig, i int) (*Scene, error) {
 
 	// Vary the ice regime a little from scene to scene so the dataset
 	// covers open pack, consolidated ice, and marginal zones.
-	sc.ThickThreshold = 0.52 + 0.12*rng.Float64()
-	sc.ThinThreshold = sc.ThickThreshold - (0.12 + 0.1*rng.Float64())
+	sc.ThickThreshold = 0.52 + float64(0.12*rng.Float64())
+	sc.ThinThreshold = sc.ThickThreshold - (0.12 + float64(0.1*rng.Float64()))
 
 	if rng.Float64() < cfg.ClearFraction {
 		sc.Clouds = ClearClouds()
 	} else {
 		cl := DefaultClouds()
-		cl.Bias = cfg.HeavyBias + (cfg.LightBias-cfg.HeavyBias)*rng.Float64()
+		cl.Bias = cfg.HeavyBias + float64((cfg.LightBias-cfg.HeavyBias)*rng.Float64())
 		cl.OffsetX = 64 + rng.Intn(96)
 		cl.OffsetY = 40 + rng.Intn(72)
 		sc.Clouds = cl

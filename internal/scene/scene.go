@@ -25,7 +25,16 @@
 // suite is reproducible. Generation is a pure function of its config —
 // no shared state — so the streaming pipeline's stage workers render
 // scenes concurrently (GenerateAt) with results identical to the serial
-// GenerateCollection loop.
+// GenerateCollection loop: each Generate call builds its own four
+// noise.Samplers (ice concentration, leads, texture, cloud veil), whose
+// lattice-cell caches are not safe to share.
+//
+// The veil is evaluated once per point of the union of the scene and its
+// sun-displaced copy: CloudOpacity is filled first, and the shadow at
+// (x, y) reads the veil at (x+OffsetX, y+OffsetY) from it, or evaluates
+// that point on the spot when it falls outside the scene. As in the
+// noise package, products that feed a sum are rounded explicitly, so no
+// target fuses them into a multiply-add.
 package scene
 
 import (
@@ -185,27 +194,40 @@ func Generate(cfg Config) (*Scene, error) {
 		CloudMask:    raster.NewGray(w, h),
 	}
 
-	conc := noise.FBM{Seed: cfg.Seed ^ 0x1ce, Octaves: 5, Frequency: cfg.IceFreq, Lacunarity: 2, Persistence: 0.55}
-	lead := noise.FBM{Seed: cfg.Seed ^ 0x1ead, Octaves: 4, Frequency: cfg.LeadFreq, Lacunarity: 2.1, Persistence: 0.5}
-	texture := noise.FBM{Seed: cfg.Seed ^ 0x7e47, Octaves: 4, Frequency: 1.0 / 14.0, Lacunarity: 2, Persistence: 0.5}
-	cloud := noise.FBM{Seed: cfg.Seed ^ 0xc10d, Octaves: 4, Frequency: cfg.Clouds.Freq, Lacunarity: 2.2, Persistence: 0.55}
+	conc := noise.FBM{Seed: cfg.Seed ^ 0x1ce, Octaves: 5, Frequency: cfg.IceFreq, Lacunarity: 2, Persistence: 0.55}.WarpedSampler(28)
+	lead := noise.FBM{Seed: cfg.Seed ^ 0x1ead, Octaves: 4, Frequency: cfg.LeadFreq, Lacunarity: 2.1, Persistence: 0.5}.RidgedSampler()
+	texture := noise.FBM{Seed: cfg.Seed ^ 0x7e47, Octaves: 4, Frequency: 1.0 / 14.0, Lacunarity: 2, Persistence: 0.5}.Sampler()
 	rng := noise.NewRNG(cfg.Seed, 0x5e15e)
 
-	// cloudAt evaluates the veil opacity field at scene coordinates;
-	// keeping it as a closure lets the shadow sample the same analytic
-	// field at the sun-displaced position without storing a second grid.
-	cloudAt := func(x, y float64) float64 {
-		if cfg.Clouds.Gain <= 0 {
-			return 0
+	// The veil is evaluated once per point (see the package comment):
+	// into CloudOpacity for the scene, on the spot for shadow pixels
+	// whose sun-displaced point lies beyond it. float64(x)+OffsetX equals
+	// float64(x+OffsetX), so both read the field at the same point.
+	cloudAt := func(x, y int) float64 { return 0 }
+	if cfg.Clouds.Gain > 0 {
+		cloud := noise.FBM{Seed: cfg.Seed ^ 0xc10d, Octaves: 4, Frequency: cfg.Clouds.Freq, Lacunarity: 2.2, Persistence: 0.55}.WarpedSampler(40)
+		cloudAt = func(x, y int) float64 {
+			v := (cloud.At(float64(x), float64(y)) - cfg.Clouds.Bias) * cfg.Clouds.Gain
+			if v < 0 {
+				return 0
+			}
+			if v > cfg.Clouds.MaxOpacity {
+				return cfg.Clouds.MaxOpacity
+			}
+			return v
 		}
-		v := (cloud.Warped(x, y, 40) - cfg.Clouds.Bias) * cfg.Clouds.Gain
-		if v < 0 {
-			return 0
+		for y := 0; y < h; y++ {
+			row := s.CloudOpacity.Pix[y*w : (y+1)*w]
+			for x := range row {
+				row[x] = cloudAt(x, y)
+			}
 		}
-		if v > cfg.Clouds.MaxOpacity {
-			return cfg.Clouds.MaxOpacity
+	}
+	veilAt := func(x, y int) float64 {
+		if x >= 0 && x < w && y >= 0 && y < h {
+			return s.CloudOpacity.Pix[y*w+x]
 		}
-		return v
+		return cloudAt(x, y)
 	}
 
 	disturbed := 0
@@ -214,10 +236,10 @@ func Generate(cfg Config) (*Scene, error) {
 			fx, fy := float64(x), float64(y)
 
 			// --- surface synthesis ---
-			c := conc.Warped(fx, fy, 28)
+			c := conc.At(fx, fy)
 			// Leads: the ridged field spikes near 1 along crease
 			// lines; subtract to carve open-water channels.
-			l := lead.Ridged(fx, fy)
+			l := lead.At(fx, fy)
 			if l > 0.62 {
 				c -= cfg.LeadDepth * (l - 0.62) / 0.38
 			}
@@ -229,21 +251,21 @@ func Generate(cfg Config) (*Scene, error) {
 			case c >= cfg.ThickThreshold:
 				class = raster.ClassThickIce
 				// Bright white with faint texture; V in [213,252].
-				v := 216.0 + 36*t
+				v := 216.0 + float64(36*t)
 				if v < thickVMin+2 {
 					v = thickVMin + 2
 				}
 				if v > 252 {
 					v = 252
 				}
-				r, g, b = v-4*t, v-2*t, v
+				r, g, b = v-float64(4*t), v-float64(2*t), v
 			case c >= cfg.ThinThreshold:
 				class = raster.ClassThinIce
 				// Blue-gray gradient tied to concentration: young
 				// grease ice is dark, thicker gray-white ice is
 				// brighter. V spans [45,190].
 				u := (c - cfg.ThinThreshold) / (cfg.ThickThreshold - cfg.ThinThreshold)
-				v := 45 + 145*u + 18*(t-0.5)
+				v := 45 + float64(145*u) + float64(18*(t-0.5))
 				if v < thinVMin+6 {
 					v = thinVMin + 6
 				}
@@ -254,12 +276,12 @@ func Generate(cfg Config) (*Scene, error) {
 				// Keeping saturation ≥ ~0.2 matters: the cloud filter
 				// relies on clean thin ice staying visibly blue while
 				// a veil desaturates everything it covers.
-				sat := 0.46 - 0.24*u // young ice is more saturated blue
-				r, g, b = v*(1-sat), v*(1-0.35*sat), v
+				sat := 0.46 - float64(0.24*u) // young ice is more saturated blue
+				r, g, b = v*(1-sat), v*(1-float64(0.35*sat)), v
 			default:
 				class = raster.ClassWater
 				// Dark ocean, deep blue. V in [6,28].
-				v := 8 + 18*t
+				v := 8 + float64(18*t)
 				if v > waterVMax-2 {
 					v = waterVMax - 2
 				}
@@ -268,19 +290,17 @@ func Generate(cfg Config) (*Scene, error) {
 			s.Truth.Set(x, y, class)
 			// Season: partial-night sun angles dim every surface by
 			// the same factor (the atmosphere above is unaffected).
-			r, g, b = r*illum, g*illum, b*illum
+			r, g, b = float64(r*illum), float64(g*illum), float64(b*illum)
 
 			// --- atmosphere ---
-			a := cloudAt(fx, fy)
+			a := s.CloudOpacity.Pix[y*w+x]
 			// The shadow tracks the cloud field displaced by the sun
 			// geometry; its strength is normalized by MaxOpacity so
 			// ShadowStrength is the true peak darkening.
 			sh := 0.0
 			if cfg.Clouds.MaxOpacity > 0 {
-				sh = cfg.Clouds.ShadowStrength * cloudAt(fx+float64(cfg.Clouds.OffsetX), fy+float64(cfg.Clouds.OffsetY)) / cfg.Clouds.MaxOpacity
+				sh = cfg.Clouds.ShadowStrength * veilAt(x+cfg.Clouds.OffsetX, y+cfg.Clouds.OffsetY) / cfg.Clouds.MaxOpacity
 			}
-
-			s.CloudOpacity.Set(x, y, a)
 			s.Shadow.Set(x, y, sh)
 
 			cr, cg, cb := clamp8(r), clamp8(g), clamp8(b)
@@ -288,14 +308,14 @@ func Generate(cfg Config) (*Scene, error) {
 
 			// shadow first (sunlight attenuated at the surface), then
 			// the veil blends toward cloud color above the shadow.
-			or := (r*(1-sh))*(1-a) + VeilR*a
-			og := (g*(1-sh))*(1-a) + VeilG*a
-			ob := (b*(1-sh))*(1-a) + VeilB*a
+			or := float64((r*(1-sh))*(1-a)) + float64(VeilR*a)
+			og := float64((g*(1-sh))*(1-a)) + float64(VeilG*a)
+			ob := float64((b*(1-sh))*(1-a)) + float64(VeilB*a)
 
 			if cfg.NoiseSigma > 0 {
-				or += rng.NormFloat64() * cfg.NoiseSigma
-				og += rng.NormFloat64() * cfg.NoiseSigma
-				ob += rng.NormFloat64() * cfg.NoiseSigma
+				or += float64(rng.NormFloat64() * cfg.NoiseSigma)
+				og += float64(rng.NormFloat64() * cfg.NoiseSigma)
+				ob += float64(rng.NormFloat64() * cfg.NoiseSigma)
 			}
 			s.Image.Set(x, y, clamp8(or), clamp8(og), clamp8(ob))
 

@@ -1,6 +1,7 @@
 package scene
 
 import (
+	"sync"
 	"testing"
 
 	"seaice/internal/colorspace"
@@ -239,6 +240,24 @@ func TestGenerateAtMatchesCollection(t *testing.T) {
 	if _, err := GenerateAt(cc, 5); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
+
+	// concurrent renders each build their own noise samplers, so they
+	// share no cache and match the serial loop (run with -race)
+	got := make([]*Scene, cc.Scenes)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], _ = GenerateAt(cc, i)
+		}(i)
+	}
+	wg.Wait()
+	for i, sc := range got {
+		if sc == nil || sceneDigest(sc) != sceneDigest(scenes[i]) {
+			t.Fatalf("concurrent GenerateAt(%d) differs from the serial collection", i)
+		}
+	}
 }
 
 // TestSaturationContract: the cloud filter depends on clean thin ice
@@ -260,6 +279,19 @@ func TestSaturationContract(t *testing.T) {
 			if hsv.Sat[i] > 15 {
 				t.Fatalf("thick-ice pixel %d has S=%d > 15", i, hsv.Sat[i])
 			}
+		}
+	}
+}
+
+// BenchmarkGenerate renders one 256² scene with the default atmosphere:
+// four noise fields, the veil and its shadow, and the sensor noise.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := DefaultConfig(42)
+	cfg.W, cfg.H = 256, 256
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
