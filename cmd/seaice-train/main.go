@@ -26,7 +26,7 @@
 //	seaice-train -workers 4 -epochs 4          # distributed (ring all-reduce)
 //	seaice-train -preset paper -epochs 1       # full 28-conv-layer variant
 //	seaice-train -precision f64                # float64 reference numerics
-//	seaice-train -quantize -ckpt unet.q.ckpt   # int8-calibrated v3 checkpoint
+//	seaice-train -quantize -ckpt unet.q.ckpt   # checkpoint with its int8 calibration table
 //	seaice-train -workers 4 -chaos "7:crash@3:r1,crash@9" -snapshot unet.snap
 //	seaice-train -snapshot unet.snap -resume   # continue a killed run
 //	seaice-train -workers 3 -guard skip -chaos "7:nanstep@4:r1"  # roll back injected NaN grads
@@ -187,7 +187,7 @@ func parseFlags(args []string, onError flag.ErrorHandling) (options, error) {
 	fs.BoolVar(&o.resume, "resume", false, "resume from the -snapshot file's newest verifiable rotation entry")
 	guardSpec := fs.String("guard", "", `numeric anomaly guard: "skip" or "abort", optionally ":maxnorm" (e.g. skip:1e3); empty = off`)
 	fs.StringVar(&o.verifySnap, "verify-snapshot", "", "scrub mode: verify the integrity of this snapshot file (and its rotation entries), report per section, and exit")
-	fs.BoolVar(&o.quantize, "quantize", false, "post-training-quantize: calibrate on training tiles and write a v3 quantized checkpoint (serves f64, f32, and int8)")
+	fs.BoolVar(&o.quantize, "quantize", false, "post-training-quantize: calibrate on training tiles and write a quantized checkpoint (serves f64, f32, and int8)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -417,7 +417,7 @@ func run[S tensor.Scalar](o options, master bool) {
 		if err := qm.SaveFile(o.ckpt); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("quantized checkpoint (v3) written to %s — serves f64, f32, and int8\n", o.ckpt)
+		fmt.Printf("quantized checkpoint written to %s — serves f64, f32, and int8\n", o.ckpt)
 		return
 	}
 	if resumed {
@@ -452,8 +452,9 @@ func modelKey(o options, labelerKey string) string {
 }
 
 // resumeModel loads the -state model when its key file matches key, and
-// returns nil when there is nothing to resume: no -state, no key file, or
-// a key written with other flags (which it logs).
+// returns nil when there is nothing to resume: no -state, no key file, a
+// key written with other flags, or a model file that is not a readable
+// checkpoint (the last two it logs).
 func resumeModel[S tensor.Scalar](o options, key string) *unet.Model[S] {
 	if o.state == "" {
 		return nil
@@ -467,6 +468,11 @@ func resumeModel[S tensor.Scalar](o options, key string) *unet.Model[S] {
 		return nil
 	}
 	model, err := unet.LoadFile[S](o.ckpt)
+	if errors.Is(err, unet.ErrBadCheckpoint) {
+		// Like a corrupt shard, an unreadable model is a cache miss.
+		log.Printf("%s is unreadable (%v); retraining", o.ckpt, err)
+		return nil
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -710,7 +716,7 @@ func verifyState(state, modelPath string) {
 	bad := false
 
 	shardDir := filepath.Join(state, "shards")
-	paths, _ := filepath.Glob(filepath.Join(shardDir, "shard-*.gob"))
+	paths, _ := filepath.Glob(filepath.Join(shardDir, "shard-*.rec"))
 	if len(paths) == 0 {
 		fmt.Printf("shards: none found under %s\n", shardDir)
 	}

@@ -10,6 +10,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"seaice/internal/unet"
 )
 
 // TestMain runs main instead of the tests when the child-process hook
@@ -186,7 +188,7 @@ func TestStateResume(t *testing.T) {
 	if !bytes.HasPrefix(report, []byte("validation accuracy")) || !strings.Contains(out, string(report)) {
 		t.Fatalf("eval.txt is not the printed report:\n%s\nstdout:\n%s", report, out)
 	}
-	shards, _ := filepath.Glob(filepath.Join(dir, "D", "shards", "shard-*.gob"))
+	shards, _ := filepath.Glob(filepath.Join(dir, "D", "shards", "shard-*.rec"))
 	if len(shards) == 0 {
 		t.Fatal("no shard checkpoints under D/shards")
 	}
@@ -233,6 +235,37 @@ func TestStateResume(t *testing.T) {
 	if exit != 1 || !strings.Contains(stdout, "shard "+filepath.Base(shards[0])+": CORRUPT") {
 		t.Fatalf("-verify-state after a bit flip: exit status %d, stdout:\n%s\nstderr:\n%s; want 1 naming %s",
 			exit, stdout, stderr, filepath.Base(shards[0]))
+	}
+}
+
+// TestStateRetrainsUnreadableModel: a -state model.ckpt whose .key
+// matches but which is not a readable checkpoint — here a file of an
+// older format version — is a cache miss, like a corrupt shard: the run
+// logs why, retrains to the same weights and exits 0 with a readable
+// checkpoint in place.
+func TestStateRetrainsUnreadableModel(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-state", "D", "-precision", "f64", "-scenes", "2", "-size", "64", "-tile", "16", "-epochs", "1", "-batch", "4", "-max-tiles", "16", "-seed", "5"}
+	first, stderr, exit := seaiceTrain(t, dir, args...)
+	if exit != 0 {
+		t.Fatalf("first run: exit status %d; stderr:\n%s", exit, stderr)
+	}
+	ckpt := filepath.Join(dir, "D", "model.ckpt")
+	if err := os.WriteFile(ckpt, []byte("SEAICE-UNET-CKPT\x02 a checkpoint of an older version"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	again, stderr, exit := seaiceTrain(t, dir, args...)
+	if exit != 0 {
+		t.Fatalf("run over an unreadable model: exit status %d; stderr:\n%s", exit, stderr)
+	}
+	if !strings.Contains(stderr, "unsupported version 2") || !strings.Contains(stderr, "retraining") || !strings.Contains(stderr, "epoch 0:") {
+		t.Fatalf("run over an unreadable model did not log the reason and retrain:\n%s", stderr)
+	}
+	if a, b := weightsLine.FindString(first), weightsLine.FindString(again); a == "" || a != b {
+		t.Fatalf("retrained weights %q, first run %q", b, a)
+	}
+	if _, err := unet.LoadFile[float64](ckpt); err != nil {
+		t.Fatalf("retrained model.ckpt: %v", err)
 	}
 }
 

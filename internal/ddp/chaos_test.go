@@ -278,7 +278,7 @@ func TestChaosRestoreRejectsMismatch(t *testing.T) {
 	}
 	// A valid header followed by garbage is a corruption (the header
 	// promised a snapshot), not a malformed stream.
-	if _, err := ReadSnapshot(bytes.NewReader([]byte(snapMagic + "truncated"))); !errors.Is(err, ErrCorruptSnapshot) {
+	if _, err := ReadSnapshot(bytes.NewReader([]byte(snapRecord.Magic + "truncated"))); !errors.Is(err, ErrCorruptSnapshot) {
 		t.Fatalf("truncated stream: %v, want ErrCorruptSnapshot", err)
 	}
 }

@@ -154,7 +154,7 @@ func corruptSnapshotPair(t *testing.T, tornNewest bool) string {
 	return path
 }
 
-// flipByte flips one bit inside the gob body of the snapshot at path.
+// flipByte flips one bit of the snapshot file at path.
 func flipByte(t *testing.T, path string, off int) {
 	t.Helper()
 	b, err := os.ReadFile(path)
@@ -174,7 +174,7 @@ func flipByte(t *testing.T, path string, off int) {
 func TestCorruptSnapshotFallback(t *testing.T) {
 	t.Run("bitflip", func(t *testing.T) {
 		path := corruptSnapshotPair(t, false)
-		flipByte(t, path, len(snapMagic)+8+16) // inside the gob body
+		flipByte(t, path, len(snapRecord.Magic)+8+16) // inside the body
 
 		if _, err := LoadSnapshotFile(path); !errors.Is(err, ErrCorruptSnapshot) {
 			t.Fatalf("strict load: got %v, want ErrCorruptSnapshot", err)
@@ -211,8 +211,8 @@ func TestCorruptSnapshotFallback(t *testing.T) {
 
 	t.Run("all-corrupt", func(t *testing.T) {
 		path := corruptSnapshotPair(t, false)
-		flipByte(t, path, len(snapMagic)+8+16)
-		flipByte(t, RotationEntry(path, 1), len(snapMagic)+8+16)
+		flipByte(t, path, len(snapRecord.Magic)+8+16)
+		flipByte(t, RotationEntry(path, 1), len(snapRecord.Magic)+8+16)
 
 		if _, _, err := LoadSnapshotFallback(path, 2); !errors.Is(err, ErrCorruptSnapshot) {
 			t.Fatalf("got %v, want ErrCorruptSnapshot with no fallback left", err)
@@ -238,7 +238,7 @@ func TestCorruptSnapshotFallback(t *testing.T) {
 // body over an empty file is rejected as a torn write without the
 // decoder allocating what the header claims.
 func TestCorruptSnapshotHugeLength(t *testing.T) {
-	data := binary.BigEndian.AppendUint64([]byte(snapMagic), 1<<32)
+	data := binary.BigEndian.AppendUint64([]byte(snapRecord.Magic), 1<<32)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := ReadSnapshot(bytes.NewReader(data))
@@ -378,5 +378,42 @@ func TestCorruptInfGradSameStepAcrossBackends(t *testing.T) {
 	}
 	if runs[0] != runs[1] {
 		t.Fatalf("backends diverged on a non-finite gradient:\nengine %+v\navx2   %+v", runs[0], runs[1])
+	}
+}
+
+// TestSnapshotBitFlipsRefused sweeps every single-bit flip of a small
+// snapshot file (weights, Adam moments and master weights, RNG states):
+// each is refused, a flip in the magic or version byte with
+// ErrBadSnapshot and any other with ErrCorruptSnapshot.
+func TestSnapshotBitFlipsRefused(t *testing.T) {
+	tr, err := New[float64](unet.Config{Depth: 1, BaseChannels: 1, InChannels: 3, Classes: 2, Seed: 3},
+		Config{Workers: 2, BatchPerWorker: 1, Epochs: 1, LR: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := tr.Snapshot(3)
+	for _, w := range s.Weights {
+		s.Opt.M = append(s.Opt.M, w)
+		s.Opt.V = append(s.Opt.V, w[:1])
+		s.Opt.Master = append(s.Opt.Master, w[1:])
+	}
+	var buf bytes.Buffer
+	if err := s.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	if _, err := ReadSnapshot(bytes.NewReader(valid)); err != nil {
+		t.Fatal(err)
+	}
+	for bit := 0; bit < 8*len(valid); bit++ {
+		b := bytes.Clone(valid)
+		b[bit/8] ^= 1 << (bit % 8)
+		want := ErrCorruptSnapshot
+		if bit/8 < len(snapRecord.Magic) {
+			want = ErrBadSnapshot
+		}
+		if _, err := ReadSnapshot(bytes.NewReader(b)); !errors.Is(err, want) {
+			t.Fatalf("bit %d of %d: %v, want %v", bit, 8*len(valid), err, want)
+		}
 	}
 }

@@ -1,19 +1,15 @@
 package ddp
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
+	"sort"
 
 	"seaice/internal/nn"
 	"seaice/internal/noise"
+	"seaice/internal/record"
 )
 
 // Snapshot is the exact mid-epoch training state at a global-step
@@ -49,22 +45,20 @@ type Snapshot struct {
 	RNG []noise.RNGState
 }
 
-// snapMagic heads on-disk snapshot files; the trailing byte is the
-// format version. Version 4 is the checksummed layout:
-//
-//	v4 := [magic:16][bodyLen:8 BE][gob body][crc32c(body):4 BE]
-//
-// The CRC32C (Castagnoli) trailer covers the gob body, so a flipped bit
-// anywhere in the state fails verification at load, and the explicit
-// length makes a torn (truncated) write detectable before gob ever runs.
-const snapMagic = "SEAICE-DDP-SNAP\x04"
+// snapRecord is the on-disk snapshot format, a record (see package
+// record) whose body holds the fields in declaration order — Weights as
+// (name, values) pairs in sorted name order, the Adam buffers and RNG
+// states in slice order — so a snapshot encodes to the same bytes every
+// time. A flipped bit anywhere fails the CRC32C check at load and a torn
+// write fails the length check, before any field is decoded.
+var snapRecord = record.Kind{Magic: "SEAICE-DDP-SNAP\x05", MaxBody: 1 << 32}
 
 // ErrSnapshotMismatch reports a snapshot whose key or precision does not
 // match the trainer it is being restored into.
 var ErrSnapshotMismatch = errors.New("ddp: snapshot does not match trainer configuration")
 
-// ErrBadSnapshot reports a stream that is not a snapshot at all (missing
-// or unknown header).
+// ErrBadSnapshot reports a stream that is not a snapshot of this format
+// version (missing or unknown header).
 var ErrBadSnapshot = errors.New("ddp: malformed snapshot")
 
 // ErrCorruptSnapshot reports a snapshot whose header is valid but whose
@@ -78,33 +72,84 @@ var ErrCorruptSnapshot = errors.New("ddp: corrupt snapshot")
 // fallback entry.
 const DefaultSnapshotKeep = 2
 
-// Write encodes the snapshot in the checksummed v4 layout.
+// Write encodes the snapshot as one record.
 func (s *Snapshot) Write(w io.Writer) error {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(s); err != nil {
-		return fmt.Errorf("ddp: save snapshot: %w", err)
-	}
-	if _, err := io.WriteString(w, snapMagic); err != nil {
-		return fmt.Errorf("ddp: save snapshot: %w", err)
-	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint64(hdr[:], uint64(body.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("ddp: save snapshot: %w", err)
-	}
-	if _, err := w.Write(body.Bytes()); err != nil {
-		return fmt.Errorf("ddp: save snapshot: %w", err)
-	}
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.Checksum(body.Bytes(), snapTable))
-	if _, err := w.Write(crc[:]); err != nil {
+	if err := snapRecord.Write(w, s.encode()); err != nil {
 		return fmt.Errorf("ddp: save snapshot: %w", err)
 	}
 	return nil
 }
 
-// snapTable is the CRC32C polynomial table for checkpoint checksums.
-var snapTable = crc32.MakeTable(crc32.Castagnoli)
+// encode renders the snapshot body.
+func (s *Snapshot) encode() []byte {
+	var e record.Encoder
+	e.String(s.Precision)
+	e.String(s.Key)
+	e.String(s.Data)
+	e.Int(s.Step)
+	names := make([]string, 0, len(s.Weights))
+	for name := range s.Weights {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	e.Int(len(names))
+	for _, name := range names {
+		e.String(name)
+		e.Float64s(s.Weights[name])
+	}
+	e.Int(s.Opt.T)
+	for _, bufs := range [][][]float64{s.Opt.M, s.Opt.V, s.Opt.Master} {
+		e.Int(len(bufs))
+		for _, b := range bufs {
+			e.Float64s(b)
+		}
+	}
+	e.Int(len(s.RNG))
+	for _, st := range s.RNG {
+		e.Uint64(st.State)
+		e.Uint64(st.Inc)
+	}
+	return e.Body()
+}
+
+// decodeSnapshot reads a snapshot body, refusing one whose contents are
+// inconsistent (a negative step, no weights or no RNG state).
+func decodeSnapshot(body []byte) (*Snapshot, error) {
+	d := record.NewDecoder(body)
+	s := &Snapshot{Precision: d.String(), Key: d.String(), Data: d.String(), Step: d.Int()}
+	n := d.Count(16)
+	s.Weights = make(map[string][]float64, n)
+	prev := ""
+	for i := 0; i < n; i++ {
+		name := d.String()
+		if d.Err() == nil && i > 0 && name <= prev {
+			d.Fail(fmt.Errorf("weight %q out of order after %q", name, prev))
+		}
+		s.Weights[name], prev = d.Float64s(), name
+	}
+	s.Opt.T = d.Int()
+	for _, bufs := range []*[][]float64{&s.Opt.M, &s.Opt.V, &s.Opt.Master} {
+		if n := d.Count(8); n > 0 {
+			*bufs = make([][]float64, n)
+			for i := range *bufs {
+				(*bufs)[i] = d.Float64s()
+			}
+		}
+	}
+	if n := d.Count(16); n > 0 {
+		s.RNG = make([]noise.RNGState, n)
+		for i := range s.RNG {
+			s.RNG[i] = noise.RNGState{State: d.Uint64(), Inc: d.Uint64()}
+		}
+	}
+	if err := d.Done(); err != nil {
+		return nil, err
+	}
+	if s.Step < 0 || len(s.RNG) == 0 || len(s.Weights) == 0 {
+		return nil, errors.New("inconsistent contents")
+	}
+	return s, nil
+}
 
 // RotationEntry names the i-th snapshot rotation file: the live path for
 // i = 0, "path.1", "path.2", … for older generations.
@@ -115,126 +160,50 @@ func RotationEntry(path string, i int) string {
 	return fmt.Sprintf("%s.%d", path, i)
 }
 
-// saveSnapshotFile durably writes the snapshot and rotates the previous
-// generations, keeping the newest `keep` entries (path, path.1, …;
-// keep <= 1 keeps only path). The write is atomic (temp file + rename)
-// and fsynced — both the file before rename and the directory after —
-// so neither a crash mid-write nor a power cut after rename can leave
-// the rotation without a durable good entry. torn is the torn-write
-// fault hook: it truncates the file mid-body after rotation, simulating
-// a crash between write and fsync — the corruption LoadSnapshotFallback
-// must catch and skip.
+// saveSnapshotFile durably writes the snapshot (record.WriteFile) and
+// rotates the previous generations, keeping the newest `keep` entries
+// (path, path.1, …; keep <= 1 keeps only path). The rotation runs after
+// the new file is durable and before it takes the live name, so neither
+// a crash mid-write nor a power cut after the rename can leave the
+// rotation without a durable good entry. torn is the torn-write fault
+// hook: the new file is truncated mid-body, the corruption
+// LoadSnapshotFallback must catch and skip.
 func saveSnapshotFile(path string, s *Snapshot, keep int, torn bool) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("ddp: save snapshot: %w", err)
-	}
-	// Reap orphaned temp files from earlier interrupted writes of this
-	// same snapshot path (the writer is serial per path, so anything
-	// matching the pattern is stale).
-	pattern := filepath.Join(dir, "."+filepath.Base(path)+"-*.tmp")
-	if stale, err := filepath.Glob(pattern); err == nil {
-		for _, p := range stale {
-			os.Remove(p)
-		}
-	}
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*.tmp")
-	if err != nil {
-		return fmt.Errorf("ddp: save snapshot: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := s.Write(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if torn {
-		if st, err := tmp.Stat(); err == nil {
-			tmp.Truncate(st.Size() / 2)
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("ddp: save snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("ddp: save snapshot: %w", err)
-	}
-	// Rotate the existing generations up one slot before the new file
-	// takes the live name.
 	if keep < 1 {
 		keep = 1
 	}
-	os.Remove(RotationEntry(path, keep-1))
-	for i := keep - 1; i >= 2; i-- {
-		os.Rename(RotationEntry(path, i-1), RotationEntry(path, i))
+	rotate := func() {
+		os.Remove(RotationEntry(path, keep-1))
+		for i := keep - 1; i >= 2; i-- {
+			os.Rename(RotationEntry(path, i-1), RotationEntry(path, i))
+		}
+		if keep > 1 {
+			os.Rename(path, RotationEntry(path, 1))
+		}
 	}
-	if keep > 1 {
-		os.Rename(path, RotationEntry(path, 1))
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := snapRecord.WriteFile(path, s.encode(), torn, rotate); err != nil {
 		return fmt.Errorf("ddp: save snapshot: %w", err)
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so renames within it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("ddp: sync snapshot dir: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("ddp: sync snapshot dir: %w", err)
 	}
 	return nil
 }
 
-// ReadSnapshot decodes a snapshot stream, verifying the magic header,
-// the explicit body length, and the CRC32C trailer before trusting a
-// single decoded byte.
+// ReadSnapshot decodes a snapshot stream, verifying the record's magic,
+// length and CRC32C trailer before decoding a single field. A stream that
+// is not a snapshot of this version is ErrBadSnapshot; one whose header
+// is valid but whose body fails verification is ErrCorruptSnapshot.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(snapMagic))
-	if err != nil || string(head) != snapMagic {
-		return nil, fmt.Errorf("%w: missing or truncated header", ErrBadSnapshot)
+	body, err := snapRecord.Read(r)
+	if errors.Is(err, record.ErrMagic) || errors.Is(err, record.ErrVersion) {
+		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
-	if _, err := br.Discard(len(snapMagic)); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
 	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated length header", ErrCorruptSnapshot)
+	s, err := decodeSnapshot(body)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
 	}
-	n := binary.BigEndian.Uint64(hdr[:])
-	const maxSnapshot = 1 << 32
-	if n == 0 || n > maxSnapshot {
-		return nil, fmt.Errorf("%w: implausible body length %d", ErrCorruptSnapshot, n)
-	}
-	// The length is still only a claim: copy incrementally, so memory
-	// tracks the bytes actually present and a corrupt header cannot
-	// balloon it.
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, br, int64(n)); err != nil {
-		return nil, fmt.Errorf("%w: truncated body (torn write?)", ErrCorruptSnapshot)
-	}
-	body := buf.Bytes()
-	var crc [4]byte
-	if _, err := io.ReadFull(br, crc[:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated CRC trailer", ErrCorruptSnapshot)
-	}
-	want := binary.BigEndian.Uint32(crc[:])
-	if got := crc32.Checksum(body, snapTable); got != want {
-		return nil, fmt.Errorf("%w: CRC mismatch (got %08x, want %08x)", ErrCorruptSnapshot, got, want)
-	}
-	var s Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&s); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
-	}
-	if s.Step < 0 || len(s.RNG) == 0 || s.Weights == nil {
-		return nil, fmt.Errorf("%w: inconsistent contents", ErrCorruptSnapshot)
-	}
-	return &s, nil
+	return s, nil
 }
 
 // LoadSnapshotFile reads a snapshot file the trainer wrote to

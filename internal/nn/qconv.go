@@ -172,8 +172,11 @@ func NewQConv(name string, in []QIn, outC, k int, w, bias []float64, out tensor.
 		for i, v := range q[oc*inC*taps : (oc+1)*inC*taps] {
 			zCorr += int64(chQ[i%inC].Zero) * int64(v)
 		}
-		lanes[oc] = tensor.NewRequantLane(int32(int64(math.Round(bias[oc]/scales[oc]))-zCorr),
-			tensor.NewRequant(scales[oc]/out.Scale))
+		rq, err := tensor.NewRequantChecked(scales[oc] / out.Scale)
+		if err != nil {
+			return nil, fmt.Errorf("nn: NewQConv(%s): %w", name, err)
+		}
+		lanes[oc] = tensor.NewRequantLane(int32(int64(math.Round(bias[oc]/scales[oc]))-zCorr), rq)
 	}
 	c.requant = tensor.NewRequantTable(lanes)
 	return c, nil
@@ -288,8 +291,11 @@ func NewQConvT(name string, in QIn, outC int, w, bias []float64, out tensor.ActQ
 		for _, v := range q[r*inC : (r+1)*inC] {
 			sumW += int64(v)
 		}
-		lanes[r] = tensor.NewRequantLane(int32(int64(math.Round(bias[r%outC]/scales[r]))-int64(in.Q.Zero)*sumW),
-			tensor.NewRequant(scales[r]/out.Scale))
+		rq, err := tensor.NewRequantChecked(scales[r] / out.Scale)
+		if err != nil {
+			return nil, fmt.Errorf("nn: NewQConvT(%s): %w", name, err)
+		}
+		lanes[r] = tensor.NewRequantLane(int32(int64(math.Round(bias[r%outC]/scales[r]))-int64(in.Q.Zero)*sumW), rq)
 	}
 	for tap := range u.requant {
 		u.requant[tap] = tensor.NewRequantTable(lanes[tap*outC : (tap+1)*outC])

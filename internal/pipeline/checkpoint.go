@@ -1,57 +1,48 @@
 package pipeline
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 	"path/filepath"
 
 	"seaice/internal/dataset"
+	"seaice/internal/raster"
+	"seaice/internal/record"
 )
 
 // shardCheckpoint is the on-disk record of one completed shard. Key ties
 // the record to the exact source content and build configuration, so a
 // resume against different data silently falls back to recomputing.
 type shardCheckpoint struct {
-	Version int
-	Key     string
-	Scenes  []int
-	Tiles   [][]dataset.Tile
+	Key    string
+	Scenes []int
+	Tiles  [][]dataset.Tile
 }
 
-const checkpointVersion = 2
-
-// shardMagic heads on-disk shard checkpoint files; the trailing byte is
-// the format version. Version 2 is the checksummed layout:
+// shardRecord is the shard checkpoint format, a record (see package
+// record) whose body is
 //
-//	v2 := [magic:13][bodyLen:8 BE][gob body][crc32c(body):4 BE]
+//	shard := [Key][count]([scene][count](tile)…)…
+//	tile  := [Original][Filtered][Manual][Auto][CloudFraction][Scene]
 //
-// The CRC32C (Castagnoli) trailer covers the gob body, so a flipped bit
-// anywhere in the cached tiles fails verification at load, and the
-// explicit length makes a torn (truncated) write detectable before gob
-// ever runs. Loaders treat any verification failure as a cache miss and
-// recompute the shard — a corrupt cache must never poison the products.
-const shardMagic = "SEAICE-SHARD\x02"
+// with each raster as [W][H][pixels] (W = H = 0 for an absent one). A
+// flipped bit anywhere in the cached tiles fails the CRC32C check at
+// load and a torn write fails the length check. Loaders treat any
+// failure as a cache miss and recompute the shard — a corrupt cache must
+// never poison the products.
+var shardRecord = record.Kind{Magic: "SEAICE-SHARD\x03", MaxBody: 1 << 32}
 
-// shardTable is the CRC32C polynomial table for checkpoint checksums.
-var shardTable = crc32.MakeTable(crc32.Castagnoli)
-
-// ErrCorruptShard reports a shard checkpoint whose header is valid but
-// whose body fails integrity verification — truncation, checksum
-// mismatch, or undecodable contents.
+// ErrCorruptShard reports a shard checkpoint that fails verification —
+// another format or version, truncation, checksum mismatch, or
+// undecodable contents.
 var ErrCorruptShard = errors.New("pipeline: corrupt shard checkpoint")
 
 // checkpointKey fingerprints everything a shard's tiles depend on.
 func (s *Stream) checkpointKey() string {
 	h := sha256.Sum256([]byte(fmt.Sprintf(
-		"v%d|%d scenes|%dx%d|tile %d|filter %+v|labeler %s|src %s",
-		checkpointVersion, s.n, s.w, s.h, s.cfg.Build.TileSize,
+		"%d scenes|%dx%d|tile %d|filter %+v|labeler %s|src %s",
+		s.n, s.w, s.h, s.cfg.Build.TileSize,
 		s.cfg.Build.Filter, s.cfg.Build.LabelerKey(), s.src.Fingerprint(),
 	)))
 	return fmt.Sprintf("%x", h[:])
@@ -59,7 +50,7 @@ func (s *Stream) checkpointKey() string {
 
 // shardPath names shard k's checkpoint file.
 func (s *Stream) shardPath(k int) string {
-	return filepath.Join(s.cfg.CheckpointDir, fmt.Sprintf("shard-%04d.gob", k))
+	return filepath.Join(s.cfg.CheckpointDir, fmt.Sprintf("shard-%04d.rec", k))
 }
 
 // restoreShards loads every matching shard checkpoint and delivers its
@@ -75,7 +66,7 @@ func (s *Stream) restoreShards() map[int]bool {
 	key := s.checkpointKey()
 	for k := range s.shards {
 		cp, err := readShard(s.shardPath(k))
-		if err != nil || cp.Version != checkpointVersion || cp.Key != key {
+		if err != nil || cp.Key != key {
 			continue
 		}
 		if len(cp.Scenes) != len(s.shards[k]) || len(cp.Tiles) != len(s.shards[k]) {
@@ -107,86 +98,29 @@ func (s *Stream) completed() int {
 	return s.doneCount
 }
 
-// saveShard persists a completed shard durably: checksummed body, temp
-// file fsynced before the atomic rename, directory fsynced after, and
-// orphaned temp files from earlier interrupted writes of this shard
-// reaped first. Write failures are recorded as the stream's non-fatal
-// checkpoint error (CheckpointErr) — a broken disk must not kill a
-// compute run that can finish in memory.
+// saveShard persists a completed shard durably (record.WriteFile).
+// Write failures are recorded as the stream's non-fatal checkpoint error
+// (CheckpointErr) — a broken disk must not kill a compute run that can
+// finish in memory.
 func (s *Stream) saveShard(k int) {
 	if s.cfg.CheckpointDir == "" {
 		return
 	}
-	cp := shardCheckpoint{
-		Version: checkpointVersion,
-		Key:     s.checkpointKey(),
-		Scenes:  s.shards[k],
-	}
+	cp := shardCheckpoint{Key: s.checkpointKey(), Scenes: s.shards[k]}
 	s.mu.Lock()
 	for _, idx := range s.shards[k] {
 		cp.Tiles = append(cp.Tiles, s.tiles[idx])
 	}
 	s.mu.Unlock()
 
-	err := func() error {
-		if err := os.MkdirAll(s.cfg.CheckpointDir, 0o755); err != nil {
-			return err
-		}
-		// Shards save concurrently, so the temp pattern and the stale-file
-		// sweep are both per-shard (the writer is serial per shard).
-		pattern := fmt.Sprintf("shard-%04d-*.tmp", k)
-		if stale, gerr := filepath.Glob(filepath.Join(s.cfg.CheckpointDir, pattern)); gerr == nil {
-			for _, p := range stale {
-				os.Remove(p)
-			}
-		}
-		tmp, err := os.CreateTemp(s.cfg.CheckpointDir, pattern)
-		if err != nil {
-			return err
-		}
-		defer os.Remove(tmp.Name())
-		if err := writeShard(tmp, &cp); err != nil {
-			tmp.Close()
-			return err
-		}
-		if s.cfg.Chaos.TornWrite(k) {
-			// Injected torn write: truncate mid-body, simulating a crash
-			// between write and fsync. The CRC layout makes the next
-			// restore detect it and recompute the shard.
-			if st, serr := tmp.Stat(); serr == nil {
-				tmp.Truncate(st.Size() / 2)
-			}
-		}
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := tmp.Close(); err != nil {
-			return err
-		}
-		if err := os.Rename(tmp.Name(), s.shardPath(k)); err != nil {
-			return err
-		}
-		return syncDir(s.cfg.CheckpointDir)
-	}()
-	if err != nil {
+	// An injected torn write truncates the file mid-body, as a crash
+	// between write and fsync would; the next restore detects it and
+	// recomputes the shard.
+	if err := shardRecord.WriteFile(s.shardPath(k), cp.encode(), s.cfg.Chaos.TornWrite(k), nil); err != nil {
 		s.mu.Lock()
 		s.cpErr = fmt.Errorf("pipeline: checkpoint shard %d: %w", k, err)
 		s.mu.Unlock()
 	}
-}
-
-// syncDir fsyncs a directory so renames within it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return err
-	}
-	return nil
 }
 
 // CheckpointErr reports the last non-fatal checkpoint write failure, if
@@ -197,58 +131,107 @@ func (s *Stream) CheckpointErr() error {
 	return s.cpErr
 }
 
-// writeShard encodes one checkpoint in the checksummed v2 layout.
-func writeShard(w io.Writer, cp *shardCheckpoint) error {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(cp); err != nil {
-		return err
+// encode renders the shard body.
+func (cp *shardCheckpoint) encode() []byte {
+	var e record.Encoder
+	e.String(cp.Key)
+	e.Int(len(cp.Scenes))
+	for i, idx := range cp.Scenes {
+		e.Int(idx)
+		e.Int(len(cp.Tiles[i]))
+		for _, t := range cp.Tiles[i] {
+			for _, r := range [2]*raster.RGB{t.Original, t.Filtered} {
+				if r == nil {
+					r = &raster.RGB{}
+				}
+				putRaster(&e, r.W, r.H, r.Pix)
+			}
+			for _, l := range [2]*raster.Labels{t.Manual, t.Auto} {
+				if l == nil {
+					l = &raster.Labels{}
+				}
+				putRaster(&e, l.W, l.H, l.Pix)
+			}
+			e.Float64(t.CloudFraction)
+			e.Int(t.Scene)
+		}
 	}
-	if _, err := io.WriteString(w, shardMagic); err != nil {
-		return err
-	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint64(hdr[:], uint64(body.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(body.Bytes()); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.Checksum(body.Bytes(), shardTable))
-	_, err := w.Write(crc[:])
-	return err
+	return e.Body()
 }
 
-// readShard decodes one checkpoint file, verifying the magic header, the
-// explicit body length, and the CRC32C trailer before trusting a single
-// decoded byte.
+// putRaster writes one raster as [W][H][pixels]; W = H = 0 and no pixels
+// stand for an absent one.
+func putRaster[P ~uint8](e *record.Encoder, w, h int, pix []P) {
+	e.Int(w)
+	e.Int(h)
+	e.Int(len(pix))
+	for _, p := range pix {
+		e.Byte(byte(p))
+	}
+}
+
+// getRaster reads one raster of the given samples per pixel, whose
+// dimensions must match its pixel count; pix is nil for an absent one.
+func getRaster[P ~uint8](d *record.Decoder, samples int) (w, h int, pix []P) {
+	w, h = d.Int(), d.Int()
+	raw := d.Bytes()
+	if d.Err() != nil || (w == 0 && h == 0 && len(raw) == 0) {
+		return 0, 0, nil
+	}
+	if w < 1 || h < 1 || w > len(raw) || h > len(raw)/w || w*h*samples != len(raw) {
+		d.Fail(fmt.Errorf("%dx%d raster with %d samples", w, h, len(raw)))
+		return 0, 0, nil
+	}
+	pix = make([]P, len(raw))
+	for i, b := range raw {
+		pix[i] = P(b)
+	}
+	return w, h, pix
+}
+
+// decodeShard reads a shard body.
+func decodeShard(body []byte) (*shardCheckpoint, error) {
+	d := record.NewDecoder(body)
+	cp := &shardCheckpoint{Key: d.String()}
+	if n := d.Count(16); n > 0 {
+		cp.Scenes = make([]int, n)
+		cp.Tiles = make([][]dataset.Tile, n)
+		for i := range cp.Scenes {
+			cp.Scenes[i] = d.Int()
+			if m := d.Count(4*24 + 16); m > 0 {
+				cp.Tiles[i] = make([]dataset.Tile, m)
+			}
+			for j := range cp.Tiles[i] {
+				t := &cp.Tiles[i][j]
+				for _, r := range [2]**raster.RGB{&t.Original, &t.Filtered} {
+					if w, h, pix := getRaster[uint8](d, 3); pix != nil {
+						*r = &raster.RGB{W: w, H: h, Pix: pix}
+					}
+				}
+				for _, l := range [2]**raster.Labels{&t.Manual, &t.Auto} {
+					if w, h, pix := getRaster[raster.Class](d, 1); pix != nil {
+						*l = &raster.Labels{W: w, H: h, Pix: pix}
+					}
+				}
+				t.CloudFraction, t.Scene = d.Float64(), d.Int()
+			}
+		}
+	}
+	return cp, d.Done()
+}
+
+// readShard reads one checkpoint file, verifying the record's magic,
+// length and CRC32C trailer before decoding a single field.
 func readShard(path string) (*shardCheckpoint, error) {
-	raw, err := os.ReadFile(path)
+	body, err := shardRecord.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrCorruptShard, err)
 	}
-	if len(raw) < len(shardMagic) || string(raw[:len(shardMagic)]) != shardMagic {
-		return nil, fmt.Errorf("%w: missing or unknown header", ErrCorruptShard)
+	cp, err := decodeShard(body)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorruptShard, err)
 	}
-	rest := raw[len(shardMagic):]
-	if len(rest) < 8 {
-		return nil, fmt.Errorf("%w: truncated length header", ErrCorruptShard)
-	}
-	n := binary.BigEndian.Uint64(rest[:8])
-	if len(rest) < 8+4 || n == 0 || n != uint64(len(rest)-8-4) {
-		return nil, fmt.Errorf("%w: body length %d does not match file size (torn write?)", ErrCorruptShard, n)
-	}
-	body := rest[8 : 8+n]
-	want := binary.BigEndian.Uint32(rest[8+n:])
-	if got := crc32.Checksum(body, shardTable); got != want {
-		return nil, fmt.Errorf("%w: CRC mismatch (got %08x, want %08x)", ErrCorruptShard, got, want)
-	}
-	var cp shardCheckpoint
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptShard, err)
-	}
-	return &cp, nil
+	return cp, nil
 }
 
 // VerifyShardFile scrubs one checkpoint file without loading it into a
@@ -259,12 +242,6 @@ func VerifyShardFile(path string) (scenes, tiles int, err error) {
 	cp, err := readShard(path)
 	if err != nil {
 		return 0, 0, err
-	}
-	if cp.Version != checkpointVersion {
-		return 0, 0, fmt.Errorf("%w: version %d (want %d)", ErrCorruptShard, cp.Version, checkpointVersion)
-	}
-	if len(cp.Scenes) != len(cp.Tiles) {
-		return 0, 0, fmt.Errorf("%w: %d scenes but %d tile sets", ErrCorruptShard, len(cp.Scenes), len(cp.Tiles))
 	}
 	for _, ts := range cp.Tiles {
 		tiles += len(ts)

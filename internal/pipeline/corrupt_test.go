@@ -169,7 +169,7 @@ func TestCorruptShardCheckpointIgnored(t *testing.T) {
 	first.Close()
 
 	// Flip a byte mid-body in one shard and tear another in half.
-	flip := filepath.Join(dir, "shard-0001.gob")
+	flip := filepath.Join(dir, "shard-0001.rec")
 	b, err := os.ReadFile(flip)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestCorruptShardCheckpointIgnored(t *testing.T) {
 	if err := os.WriteFile(flip, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	torn := filepath.Join(dir, "shard-0002.gob")
+	torn := filepath.Join(dir, "shard-0002.rec")
 	tb, err := os.ReadFile(torn)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestCorruptShardCheckpointIgnored(t *testing.T) {
 			t.Fatalf("VerifyShardFile(%s) = %v, want ErrCorruptShard", filepath.Base(p), err)
 		}
 	}
-	if _, _, err := VerifyShardFile(filepath.Join(dir, "shard-0000.gob")); err != nil {
+	if _, _, err := VerifyShardFile(filepath.Join(dir, "shard-0000.rec")); err != nil {
 		t.Fatalf("intact shard failed verification: %v", err)
 	}
 

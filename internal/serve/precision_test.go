@@ -72,7 +72,7 @@ func TestRegistryRejectsUnknownPrecision(t *testing.T) {
 	}
 }
 
-// TestRegistryMixedPrecision loads one quantized (v3) checkpoint at all
+// TestRegistryMixedPrecision loads one quantized checkpoint at all
 // three precision rungs into a single registry — int8 from the calibrated
 // tables, f64/f32 from the embedded master — warms it, and checks that
 // int8 predictions served through the concurrent micro-batching scheduler

@@ -91,12 +91,12 @@ func (r *Registry) Load(name, path, precision string) error {
 	return r.Add(name, e)
 }
 
-// LoadEngine reads a checkpoint file at the requested precision.
-// "f64"/"f32" load float checkpoints (versions ≤ 2, or the master
-// embedded in a quantized file); "int8" requires a quantized (version 3)
-// checkpoint, whose calibrated tables rebuild the integer model
-// deterministically. An unrecognized precision is rejected with
-// *UnknownPrecisionError before the file is touched.
+// LoadEngine reads a checkpoint file at the requested precision in one
+// unet read. "f64"/"f32" load any model checkpoint — a quantized one's
+// float64 master included; "int8" needs a quantized checkpoint, whose
+// calibrated table rebuilds the integer model deterministically. An
+// unrecognized precision is rejected with *UnknownPrecisionError before
+// the file is touched.
 func LoadEngine(path, precision string) (unet.Engine, error) {
 	p, err := ParsePrecision(precision)
 	if err != nil {
@@ -115,25 +115,14 @@ func LoadEngine(path, precision string) (unet.Engine, error) {
 	return qm, nil
 }
 
-// loadFloat loads a float checkpoint, falling back to the master weights
-// inside a quantized checkpoint so a v3 file serves at any precision.
+// loadFloat loads a float engine; a failed load is a nil Engine, not a
+// nil *unet.Model inside one.
 func loadFloat[S interface{ float32 | float64 }](path string) (unet.Engine, error) {
 	m, err := unet.LoadFile[S](path)
-	if err == nil {
-		return m, nil
+	if err != nil {
+		return nil, err
 	}
-	if qm, qerr := unet.LoadQuantizedFile(path); qerr == nil {
-		f64 := qm.WeightsF64()
-		fm, nerr := unet.New[S](qm.Config())
-		if nerr != nil {
-			return nil, nerr
-		}
-		if serr := fm.SetWeightsF64(f64); serr != nil {
-			return nil, serr
-		}
-		return fm, nil
-	}
-	return nil, err
+	return m, nil
 }
 
 // Get resolves an engine by name; the empty string selects the default.

@@ -202,8 +202,19 @@ type Requant struct {
 // input magnitude); multipliers so small they vanish at int32 precision
 // round to zero output, which the encoding handles by saturating Shift.
 func NewRequant(M float64) Requant {
+	r, err := NewRequantChecked(M)
+	if err != nil {
+		panic(err.Error())
+	}
+	return r
+}
+
+// NewRequantChecked is NewRequant for a multiplier derived from untrusted
+// state, such as a checkpoint's activation scales: it returns an error
+// where NewRequant panics.
+func NewRequantChecked(M float64) (Requant, error) {
 	if !(M > 0) || math.IsInf(M, 0) {
-		panic(fmt.Sprintf("tensor: requant multiplier %v out of (0, +inf)", M))
+		return Requant{}, fmt.Errorf("tensor: requant multiplier %v out of (0, +inf)", M)
 	}
 	frac, exp := math.Frexp(M) // M = frac·2^exp, frac ∈ [0.5, 1)
 	m := int64(math.Round(frac * (1 << 31)))
@@ -214,7 +225,7 @@ func NewRequant(M float64) Requant {
 	// Apply computes (v·m) >> shift, so shift = 31 − exp.
 	shift := 31 - exp
 	if shift < 1 {
-		panic(fmt.Sprintf("tensor: requant multiplier %v ≥ 2³⁰ unsupported", M))
+		return Requant{}, fmt.Errorf("tensor: requant multiplier %v ≥ 2³⁰ unsupported", M)
 	}
 	for shift > 62 { // too small to matter: renormalize m toward zero
 		m >>= 1
@@ -224,7 +235,7 @@ func NewRequant(M float64) Requant {
 			break
 		}
 	}
-	return Requant{M: int32(m), Shift: uint8(shift)}
+	return Requant{M: int32(m), Shift: uint8(shift)}, nil
 }
 
 // Apply computes round(v·M) with round-half-up in exact int64 arithmetic:

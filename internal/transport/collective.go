@@ -1,10 +1,7 @@
 package transport
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
-
+	"seaice/internal/record"
 	"seaice/internal/ring"
 )
 
@@ -18,8 +15,8 @@ func AllReduceMean[S ring.Scalar](r *Ring, vec []S, chunk int) error {
 }
 
 // netLink is a Ring as a ring.Link: one data frame out to the next
-// rank and one in from the previous per hop, encoded by putScalars and
-// getScalars into buffers reused across hops.
+// rank and one in from the previous per hop, encoded by
+// record.AppendScalars and record.Scalars into buffers reused across hops.
 type netLink[S ring.Scalar] struct {
 	r   *Ring
 	out []byte
@@ -29,12 +26,12 @@ type netLink[S ring.Scalar] struct {
 // Hop implements ring.Link; a payload of the wrong size is the previous
 // rank's fault.
 func (l *netLink[S]) Hop(send []S, recvLen int) ([]S, error) {
-	l.out = putScalars(l.out[:0], send)
+	l.out = record.AppendScalars(l.out[:0], send)
 	payload, err := l.r.hop(l.out)
 	if err != nil {
 		return nil, err
 	}
-	if l.in, err = getScalars(l.in[:0], payload, recvLen); err != nil {
+	if l.in, err = record.Scalars(l.in[:0], payload, recvLen); err != nil {
 		return nil, l.r.prevErr(err)
 	}
 	return l.in, nil
@@ -43,7 +40,7 @@ func (l *netLink[S]) Hop(send []S, recvLen int) ([]S, error) {
 // bcastMaxElems bounds a broadcast frame's element count so the payload
 // (8-byte header + scalars) stays under MaxFrame.
 func bcastMaxElems[S ring.Scalar]() int {
-	return (1<<20 - 8) / scalarSize[S]()
+	return (1<<20 - 8) / record.ScalarSize[S]()
 }
 
 // Broadcast copies rank 0's vector to every rank by forwarding it
@@ -68,68 +65,19 @@ func Broadcast[S ring.Scalar](r *Ring, vec []S) error {
 			if err != nil {
 				return err
 			}
-			if in, err = getScalars(in[:0], payload, len(piece)); err != nil {
+			if in, err = record.Scalars(in[:0], payload, len(piece)); err != nil {
 				return r.prevErr(err)
 			}
 			copy(piece, in)
 		}
 		if r.rank != r.world-1 {
-			buf = putScalars(buf[:0], piece)
+			buf = record.AppendScalars(buf[:0], piece)
 			if err := r.sendData(buf); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// scalarSize reports the wire bytes per element.
-func scalarSize[S ring.Scalar]() int {
-	var z S
-	if _, ok := any(z).(float32); ok {
-		return 4
-	}
-	return 8
-}
-
-// putScalars appends src's exact little-endian IEEE-754 bit patterns.
-func putScalars[S ring.Scalar](dst []byte, src []S) []byte {
-	switch s := any(src).(type) {
-	case []float64:
-		var b [8]byte
-		for _, v := range s {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			dst = append(dst, b[:]...)
-		}
-	case []float32:
-		var b [4]byte
-		for _, v := range s {
-			binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
-			dst = append(dst, b[:]...)
-		}
-	}
-	return dst
-}
-
-// getScalars appends exactly want decoded elements from src.
-func getScalars[S ring.Scalar](dst []S, src []byte, want int) ([]S, error) {
-	size := scalarSize[S]()
-	if len(src) != want*size {
-		return dst, fmt.Errorf("transport: %d payload bytes for %d scalars of %d bytes", len(src), want, size)
-	}
-	switch any(dst).(type) {
-	case []float64:
-		for i := 0; i < want; i++ {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-			dst = append(dst, S(v))
-		}
-	case []float32:
-		for i := 0; i < want; i++ {
-			v := math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-			dst = append(dst, S(v))
-		}
-	}
-	return dst, nil
 }
 
 // Collective adapts a Ring to ring.Collective, making the network

@@ -26,7 +26,10 @@
 //	data   := [step:4][seq:4][scalar bytes, little-endian IEEE-754]
 //
 // length counts the tag byte and the 4-byte CRC32C (Castagnoli) trailer,
-// computed over tag+payload and verified by ReadFrame before the frame
+// computed over tag+payload with record.Checksum (the one CRC32C table;
+// the on-disk records share it, not this framing — a frame is a tagged
+// message on a live stream, a record a versioned file) and verified by
+// ReadFrame before the frame
 // is surfaced — a flipped bit anywhere in flight fails the check and is
 // reported as an error, never as silently corrupt data; the caller maps
 // it to *ring.RankError and the step retries. Frames above MaxFrame are
@@ -37,13 +40,10 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-)
 
-// castagnoli is the CRC32C polynomial table shared by every frame
-// checksum (and by the checksummed checkpoint formats built on top).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+	"seaice/internal/record"
+)
 
 // MaxFrame is the maximum frame length (tag + payload) the decoder
 // accepts: 1 MiB + 16 bytes of header slack, comfortably above the
@@ -86,12 +86,12 @@ func WriteFrame(w io.Writer, tag byte, payload []byte) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	crc := crc32.Checksum(hdr[4:5], castagnoli)
+	crc := record.Checksum(0, hdr[4:5])
 	if len(payload) > 0 {
 		if _, err := w.Write(payload); err != nil {
 			return err
 		}
-		crc = crc32.Update(crc, castagnoli, payload)
+		crc = record.Checksum(crc, payload)
 	}
 	var trailer [crcTrailer]byte
 	binary.BigEndian.PutUint32(trailer[:], crc)
@@ -108,7 +108,7 @@ func encodeFrame(tag byte, payload []byte) []byte {
 	binary.BigEndian.PutUint32(buf[:4], uint32(n))
 	buf[4] = tag
 	copy(buf[5:], payload)
-	crc := crc32.Checksum(buf[4:4+n-crcTrailer], castagnoli)
+	crc := record.Checksum(0, buf[4:4+n-crcTrailer])
 	binary.BigEndian.PutUint32(buf[4+n-crcTrailer:], crc)
 	return buf
 }
@@ -135,7 +135,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	}
 	body := buf[:n-crcTrailer]
 	want := binary.BigEndian.Uint32(buf[n-crcTrailer:])
-	if got := crc32.Checksum(body, castagnoli); got != want {
+	if got := record.Checksum(0, body); got != want {
 		return Frame{}, fmt.Errorf("transport: frame CRC mismatch (got %08x, want %08x): corrupt frame", got, want)
 	}
 	return Frame{Tag: body[0], Payload: body[1:]}, nil

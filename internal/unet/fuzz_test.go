@@ -2,123 +2,111 @@ package unet
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
-	"io"
 	"math"
-	"strings"
 	"testing"
 
+	"seaice/internal/record"
 	"seaice/internal/tensor"
 )
 
-// FuzzLoadCheckpoint throws adversarial checkpoint streams at Load and
-// asserts the contract: it never panics, and every failure is a typed
-// error (ErrBadCheckpoint for malformed content, or a plain error for
-// I/O) — so a corrupted checkpoint on a production node degrades into a
-// diagnosable refusal, not a crash. Seeds cover the three canonical
-// corruptions: malformed magic, truncated gob, bogus version/precision
-// byte.
-func FuzzLoadCheckpoint(f *testing.F) {
-	// A genuine checkpoint to mutate from.
-	m, err := New[float64](Config{Depth: 1, BaseChannels: 2, InChannels: 3, Classes: 3, Seed: 1})
+// ckptConfig is the smallest config the checkpoint tests save: every
+// plan step kind, a few hundred weights.
+var ckptConfig = Config{Depth: 1, BaseChannels: 2, InChannels: 3, Classes: 3, Seed: 1}
+
+// ckptModels returns a float model of ckptConfig and its quantization.
+func ckptModels(t testing.TB) (*Model[float64], *QuantModel) {
+	t.Helper()
+	m, err := New[float64](ckptConfig)
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
-	var good bytes.Buffer
-	if err := m.Save(&good); err != nil {
-		f.Fatal(err)
-	}
-	valid := good.Bytes()
-
-	// Malformed magic.
-	f.Add([]byte("SEAICE-UNET-XKPT\x02garbage"))
-	// Truncated gob: header intact, payload cut mid-stream.
-	f.Add(valid[:len(ckptMagic)+7])
-	f.Add(valid[:len(valid)/2])
-	// Bogus version/precision byte after the magic text.
-	bogus := append([]byte(nil), valid...)
-	bogus[len(ckptMagic)-1] = 0x7f
-	f.Add(bogus)
-	// Bare garbage (no header), empty, and magic-only streams.
-	f.Add([]byte("not a checkpoint at all"))
-	f.Add([]byte{})
-	f.Add([]byte(ckptMagic))
-	// A headerless gob with absurd claimed lengths.
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x7f, 0x01, 0x02})
-
-	// Quantized (version 3) seeds. Start from a genuine quantized
-	// checkpoint, then cover its canonical corruptions: corrupt scale
-	// table, out-of-domain zero-point, missing stage, truncated payload.
 	cal, err := Calibrate(m, calibTiles(2, 16, 3), 2)
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
 	qm, err := Quantize(m, cal)
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
-	var goodQ bytes.Buffer
-	if err := qm.Save(&goodQ); err != nil {
-		f.Fatal(err)
-	}
-	validQ := goodQ.Bytes()
-	f.Add(validQ)
-	f.Add(validQ[:len(ckptMagicV3)+5]) // truncated gob
-	f.Add(validQ[:len(validQ)-9])      // truncated scale/zero-point table
-	corruptActs := func(mutate func(map[string]tensor.ActQuant)) []byte {
+	return m, qm
+}
+
+// FuzzLoadCheckpoint drives the model body decoder (the framing is
+// FuzzRecord's) with adversarial bodies. It must never panic; a body it
+// accepts must be exactly encodeCheckpoint's encoding of what it decoded
+// to, and must build a model without error — the decoder checked every
+// parameter against the plan — and, when it holds an activation table,
+// buildQuant must accept or refuse that table without panicking. Seeds
+// are the encoder's output and its canonical corruptions.
+func FuzzLoadCheckpoint(f *testing.F) {
+	m, qm := ckptModels(f)
+	float := encodeCheckpoint(m.cfg, m.WeightsF64(), nil)
+	quant := encodeCheckpoint(qm.cfg, qm.weights, qm.acts)
+	withActs := func(mutate func(map[string]tensor.ActQuant)) []byte {
 		acts := make(map[string]tensor.ActQuant, len(qm.acts))
 		for k, v := range qm.acts {
 			acts[k] = v
 		}
 		mutate(acts)
-		var buf bytes.Buffer
-		buf.WriteString(ckptMagicV3)
-		if err := gob.NewEncoder(&buf).Encode(checkpointV3{Config: m.Config(), Weights: m.WeightsF64(), Acts: acts}); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
+		return encodeCheckpoint(qm.cfg, qm.weights, acts)
 	}
-	f.Add(corruptActs(func(a map[string]tensor.ActQuant) {
+	withConfig := func(mutate func(*Config)) []byte {
+		cfg := m.cfg
+		mutate(&cfg)
+		return encodeCheckpoint(cfg, m.WeightsF64(), nil)
+	}
+
+	f.Add(float)
+	f.Add(quant)
+	f.Add([]byte{})
+	f.Add(float[:6*8])                   // config only
+	f.Add(float[:len(float)/2])          // truncated weights
+	f.Add(quant[:len(quant)-9])          // truncated activation table
+	f.Add(append(bytes.Clone(float), 0)) // trailing byte
+	f.Add(withConfig(func(c *Config) { c.Depth = 31 }))
+	f.Add(withConfig(func(c *Config) { c.BaseChannels = 1 << 40 }))
+	f.Add(withConfig(func(c *Config) { c.DropoutRate = math.NaN() }))
+	f.Add(withConfig(func(c *Config) { c.Classes = 2 })) // head sized for 3
+	f.Add(withActs(func(a map[string]tensor.ActQuant) {
 		a["enc0.conv1"] = tensor.ActQuant{Scale: 0, Zero: 1} // zeroed scale
 	}))
-	f.Add(corruptActs(func(a map[string]tensor.ActQuant) {
+	f.Add(withActs(func(a map[string]tensor.ActQuant) {
 		a["up0"] = tensor.ActQuant{Scale: math.Inf(1), Zero: 0} // blown scale
 	}))
-	f.Add(corruptActs(func(a map[string]tensor.ActQuant) {
+	f.Add(withActs(func(a map[string]tensor.ActQuant) {
 		a["dec0.conv2"] = tensor.ActQuant{Scale: 0.01, Zero: 200} // zero-point out of [0,127]
 	}))
-	f.Add(corruptActs(func(a map[string]tensor.ActQuant) {
-		delete(a, "bottleneck.conv2") // missing stage
+	f.Add(withActs(func(a map[string]tensor.ActQuant) {
+		a["enc0.conv2"] = tensor.ActQuant{Scale: 1e-300, Zero: 0} // requant multiplier past 2³⁰
 	}))
+	// A table claiming one stage where the plan has several.
+	var e record.Encoder
+	e.Int(1)
+	f.Add(append(bytes.Clone(float[:len(float)-8]), e.Body()...))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("Load panicked on %d-byte input: %v", len(data), r)
-			}
-		}()
-		for _, load := range []func() error{
-			func() error { _, err := Load[float64](bytes.NewReader(data)); return err },
-			func() error { _, err := Load[float32](bytes.NewReader(data)); return err },
-			func() error { _, err := LoadQuantized(bytes.NewReader(data)); return err },
-		} {
-			err := load()
-			if err == nil {
-				continue // a mutation may still be a valid checkpoint
-			}
-			// Every failure must be typed or an honest I/O error —
-			// never an internal panic-turned-string.
-			if !errors.Is(err, ErrBadCheckpoint) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
-				if !strings.HasPrefix(err.Error(), "unet:") {
-					t.Fatalf("untyped load error: %v", err)
-				}
-			}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		ck, err := decodeCheckpoint(body)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(encodeCheckpoint(ck.cfg, ck.weights, ck.acts), body) {
+			t.Fatalf("accepted %d bytes that are not the encoding of their contents", len(body))
+		}
+		m, err := New[float32](ck.cfg)
+		if err == nil {
+			err = m.SetWeightsF64(ck.weights)
+		}
+		if err != nil {
+			t.Fatalf("decoded checkpoint does not build: %v", err)
+		}
+		if ck.acts != nil {
+			buildQuant(ck.cfg, ck.weights, ck.acts)
 		}
 	})
 }
 
-// TestLoadTypedErrors pins the ErrBadCheckpoint contract on the three
+// TestLoadTypedErrors pins the ErrBadCheckpoint contract on the
 // canonical corruptions without needing the fuzz engine.
 func TestLoadTypedErrors(t *testing.T) {
 	m, err := New[float64](Config{Depth: 1, BaseChannels: 2, InChannels: 3, Classes: 3, Seed: 5})
@@ -130,13 +118,14 @@ func TestLoadTypedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := good.Bytes()
+	magic := ckptRecord.Magic
 
-	bogusVersion := append([]byte(nil), valid...)
-	bogusVersion[len(ckptMagic)-1] = 0x09
+	bogusVersion := bytes.Clone(valid)
+	bogusVersion[len(magic)-1] = 0x09
 
 	for name, data := range map[string][]byte{
-		"malformed magic": []byte("SEAICE-UNET-XKPT\x02" + string(valid[len(ckptMagic):])),
-		"truncated gob":   valid[:len(valid)-11],
+		"malformed magic": append([]byte("SEAICE-UNET-XKPT\x04"), valid[len(magic):]...),
+		"truncated":       valid[:len(valid)-11],
 		"bogus version":   bogusVersion,
 		"garbage":         []byte("ceci n'est pas un checkpoint"),
 	} {

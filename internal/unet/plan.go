@@ -32,6 +32,13 @@ type step struct {
 	shift int
 }
 
+// taps is the kernel size of each parametric op.
+var taps = [...]int{opConv3: 9, opUp: 4, opHead: 1}
+
+// weightLen is the length of the step's weight parameter; its bias holds
+// outC values.
+func (st step) weightLen() int { return st.outC * st.inC * taps[st.op] }
+
 // plan lists the graph of §III-C / Fig 7 in execution order — the one
 // statement of the architecture every walker reads (see the package
 // comment). The order is parameter and checkpoint order, so it must not

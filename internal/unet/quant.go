@@ -26,7 +26,7 @@ type qLayer struct {
 // output-channel symmetric int8 weights, calibrated activation
 // quantizations, and fully integer inference (see internal/nn's
 // quantized layers). It retains the master weights and the activation
-// tables so it can be checkpointed (version 3) and rebuilt exactly.
+// tables so it can be checkpointed and rebuilt exactly.
 //
 // A QuantModel's weights are read-only after construction; like the
 // float Model it may be shared by any number of sessions.
@@ -50,7 +50,7 @@ func Quantize(m *Model[float64], cal *Calibration) (*QuantModel, error) {
 
 // buildQuant assembles a QuantModel from checkpoint-shaped state: master
 // weights by parameter name plus activation quantizations by stage. It
-// is the single construction path for both Quantize and the version-3
+// is the single construction path for both Quantize and the quantized
 // checkpoint loader, so a save/load round trip rebuilds identical
 // tables.
 func buildQuant(cfg Config, weights map[string][]float64, acts map[string]tensor.ActQuant) (*QuantModel, error) {
@@ -93,13 +93,12 @@ func buildQuant(cfg Config, weights map[string][]float64, acts map[string]tensor
 		}
 		return nn.QIn{C: qm.plan[i].outC, Q: outQ[i]}
 	}
-	taps := [...]int{opConv3: 9, opUp: 4, opHead: 1}
 	for i, st := range qm.plan {
 		if st.op == opPool {
 			outQ[i] = outQ[st.in] // max-pool preserves quantization
 			continue
 		}
-		w, err := getW(st.name+".weight", st.outC*st.inC*taps[st.op])
+		w, err := getW(st.name+".weight", st.weightLen())
 		if err != nil {
 			return nil, err
 		}

@@ -298,22 +298,24 @@ func TestQuantCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestLoadQuantizedTypedErrors pins the ErrBadCheckpoint contract across
-// the quantized loader's refusal paths, including cross-version loads.
+// the quantized loader's refusal paths, a float checkpoint included; the
+// float loaders read a quantized checkpoint's master exactly.
 func TestLoadQuantizedTypedErrors(t *testing.T) {
 	m, qm := quantModel(t, 29)
-	var v3 bytes.Buffer
-	if err := qm.Save(&v3); err != nil {
+	var quant bytes.Buffer
+	if err := qm.Save(&quant); err != nil {
 		t.Fatal(err)
 	}
-	var v2 bytes.Buffer
-	if err := m.Save(&v2); err != nil {
+	var float bytes.Buffer
+	if err := m.Save(&float); err != nil {
 		t.Fatal(err)
 	}
+	q := quant.Bytes()
 
 	for name, data := range map[string][]byte{
-		"float checkpoint":  v2.Bytes(),
-		"malformed magic":   append([]byte("SEAICE-UNET-XKPT\x03"), v3.Bytes()[len(ckptMagicV3):]...),
-		"truncated payload": v3.Bytes()[:len(v3.Bytes())-7],
+		"float checkpoint":  float.Bytes(),
+		"malformed magic":   append([]byte("SEAICE-UNET-XKPT\x04"), q[len(ckptRecord.Magic):]...),
+		"truncated payload": q[:len(q)-7],
 		"empty":             nil,
 		"garbage":           []byte("zeros and ones but not these ones"),
 	} {
@@ -321,9 +323,12 @@ func TestLoadQuantizedTypedErrors(t *testing.T) {
 			t.Errorf("%s: LoadQuantized = %v, want ErrBadCheckpoint", name, err)
 		}
 	}
-	// A float loader pointed at a quantized file must refuse typedly too.
-	if _, err := Load[float64](bytes.NewReader(v3.Bytes())); !errors.Is(err, ErrBadCheckpoint) {
-		t.Errorf("Load[float64] on v3 = %v, want ErrBadCheckpoint", err)
+	master, err := Load[float64](bytes.NewReader(q))
+	if err != nil {
+		t.Fatalf("Load[float64] on a quantized checkpoint: %v", err)
+	}
+	if !reflect.DeepEqual(master.WeightsF64(), m.WeightsF64()) {
+		t.Fatal("Load[float64] on a quantized checkpoint changed the master weights")
 	}
 }
 

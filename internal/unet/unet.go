@@ -76,6 +76,10 @@ func FastConfig(seed uint64) Config {
 	return Config{Depth: 3, BaseChannels: 8, InChannels: 3, Classes: 3, DropoutRate: 0.1, Seed: seed}
 }
 
+// maxChannels bounds every channel count of a Config, so the plan's
+// channel arithmetic (BaseChannels·2^Depth) cannot overflow.
+const maxChannels = 1 << 16
+
 // Validate rejects impossible configurations.
 func (c Config) Validate() error {
 	// The upper bound keeps 1<<Depth a possible tile size and the plan of
@@ -83,10 +87,11 @@ func (c Config) Validate() error {
 	if c.Depth < 1 || c.Depth > 30 {
 		return fmt.Errorf("unet: depth must be in [1, 30], got %d", c.Depth)
 	}
-	if c.BaseChannels < 1 || c.InChannels < 1 || c.Classes < 2 {
+	if c.BaseChannels < 1 || c.InChannels < 1 || c.Classes < 2 ||
+		c.BaseChannels > maxChannels || c.InChannels > maxChannels || c.Classes > maxChannels {
 		return fmt.Errorf("unet: invalid channels (base %d, in %d, classes %d)", c.BaseChannels, c.InChannels, c.Classes)
 	}
-	if c.DropoutRate < 0 || c.DropoutRate >= 1 {
+	if !(c.DropoutRate >= 0 && c.DropoutRate < 1) {
 		return fmt.Errorf("unet: invalid dropout %f", c.DropoutRate)
 	}
 	return nil

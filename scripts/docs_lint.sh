@@ -16,6 +16,10 @@
 #   5. README.md, ARCHITECTURE.md, the verify skill, the CI workflow, a
 #      script or a Go file outside bench/ names a BENCH_<x>.json that is
 #      not at the repo root (a deleted record must not stay cited).
+#   6. any .go file imports encoding/gob, tests included: every on-disk
+#      format is an explicit internal/record body, byte-stable and
+#      checksummed, and a test that writes gob tests a format no code
+#      reads.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -61,6 +65,11 @@ for doc in README.md ARCHITECTURE.md .claude/skills/verify/SKILL.md .github/work
             fail=1
         fi
     done
+done
+
+for f in $(grep -rl --include='*.go' 'encoding/gob' . || true); do
+    echo "docs-lint: $f uses encoding/gob; encode on-disk state with internal/record" >&2
+    fail=1
 done
 
 if [ "$fail" -ne 0 ]; then
