@@ -639,36 +639,6 @@ func BenchmarkTrainStep(b *testing.B) {
 	}
 }
 
-// BenchmarkWinogradTransforms times the F(4×4,3×3) input transform (window
-// gather + Bᵀ·d·B) and output transform (Aᵀ·M·A + bias + ReLU + scatter)
-// on their own, for one 4-image rank step at the three U-Net levels a 32²
-// tile trains through, per float32 backend: "engine" runs the scalar
-// stencils; "avx2" runs the input transform eight tiles per register
-// (bit-identical outputs, see nn.TestWinogradTransformConformance) and,
-// until its kernel lands (ROADMAP), the same scalar output transform —
-// the out4 rows are that kernel's baseline.
-func BenchmarkWinogradTransforms(b *testing.B) {
-	levels := []struct{ side, c int }{{32, 8}, {16, 16}, {8, 32}}
-	for t, name := range []string{"in4", "out4"} {
-		for _, l := range levels {
-			for _, backend := range []string{"engine", "avx2"} {
-				b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", name, l.side, l.side, l.c, backend), func(b *testing.B) {
-					useFloat32Backend(b, backend)
-					const n = 4
-					in, out := nn.WinogradTransforms4[float32](n, l.c, l.side, l.side)
-					transform := [2]func(){in, out}[t]
-					transform()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						transform()
-					}
-					b.ReportMetric(float64(b.N*n*(l.side/4)*(l.side/4))/b.Elapsed().Seconds(), "tiles/s")
-				})
-			}
-		}
-	}
-}
-
 // useFloat32Backend pins the float32 kernel backend (internal/tensor
 // backend.go) for one sub-benchmark, skipping it on hosts that cannot run
 // the backend, and restores the previous one afterwards.

@@ -323,10 +323,12 @@ func run[S tensor.Scalar](o options, master bool) {
 		Image: dataset.OriginalImages, Labels: labKind,
 		BatchSize: o.batch, BatchSeed: o.seed,
 	}
-	// Fault-tolerant and multi-process runs always use the ddp trainer
-	// (it owns the snapshot/recovery machinery), even at one worker. It
-	// shards globally, so the global batch is the planning unit.
-	useDDP := len(o.peers) > 0 || o.workers > 1 || o.chaos != nil || o.resume || o.snapshot != ""
+	// Fault-tolerant, guarded and multi-process runs always use the ddp
+	// trainer (it owns the snapshot/recovery machinery and the anomaly
+	// guard), even at one worker, where it writes the same weights as the
+	// streamed loop. It shards globally, so the global batch is the
+	// planning unit.
+	useDDP := len(o.peers) > 0 || o.workers > 1 || o.chaos != nil || o.resume || o.snapshot != "" || o.guard.Enabled()
 	if useDDP {
 		plan.BatchSize = o.batch * o.workers
 	}

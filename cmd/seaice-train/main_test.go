@@ -238,6 +238,42 @@ func TestStateResume(t *testing.T) {
 	}
 }
 
+// TestGuardAtOneWorker: -guard takes effect at the default single worker
+// too, where training would otherwise stream through a loop without the
+// anomaly guard. A bound every gradient exceeds aborts the run with a
+// non-zero exit and no checkpoint; a guard that never trips changes no
+// weight.
+func TestGuardAtOneWorker(t *testing.T) {
+	dir := t.TempDir()
+	campaign := []string{"-scenes", "2", "-size", "64", "-tile", "16", "-epochs", "1", "-batch", "4", "-max-tiles", "16", "-seed", "11", "-workers", "1"}
+	run := func(extra ...string) (stdout, stderr string, exit int) {
+		t.Helper()
+		return seaiceTrain(t, dir, append(append([]string{}, campaign...), extra...)...)
+	}
+
+	_, stderr, exit := run("-guard", "abort:1e-6", "-ckpt", "abort.ckpt")
+	if exit == 0 || !strings.Contains(stderr, "gradient norm exceeds bound 1e-06") {
+		t.Fatalf("-guard abort:1e-6: exit status %d, want non-zero with the guard's message; stderr:\n%s", exit, stderr)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "abort.ckpt")); err == nil {
+		t.Error("-guard abort:1e-6 wrote a checkpoint")
+	}
+
+	var hashes [2]string
+	for i, extra := range [][]string{{"-ckpt", "plain.ckpt"}, {"-ckpt", "skip.ckpt", "-guard", "skip"}} {
+		stdout, stderr, exit := run(extra...)
+		if exit != 0 {
+			t.Fatalf("seaice-train %s: exit status %d; stderr:\n%s", strings.Join(extra, " "), exit, stderr)
+		}
+		if hashes[i] = weightsLine.FindString(stdout); hashes[i] == "" {
+			t.Fatalf("no weights line in\n%s", stdout)
+		}
+	}
+	if hashes[0] != hashes[1] {
+		t.Errorf("-guard skip printed %s, the unguarded run %s", hashes[1], hashes[0])
+	}
+}
+
 // TestStateRetrainsUnreadableModel: a -state model.ckpt whose .key
 // matches but which is not a readable checkpoint — here a file of an
 // older format version — is a cache miss, like a corrupt shard: the run

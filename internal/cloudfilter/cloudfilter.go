@@ -32,7 +32,9 @@
 // shared state, so the pipeline's stage workers run it concurrently on
 // different scenes with bit-identical results; it operates at full
 // scene scale because its neighborhood statistics need more context
-// than a single tile.
+// than a single tile. Products that feed a sum are rounded explicitly
+// (float64(a*b)), so no target fuses them into a multiply-add
+// (scripts/nofma.sh checks this on arm64).
 package cloudfilter
 
 import (
@@ -283,7 +285,7 @@ func Filter(img *raster.RGB, cfg Config) *Result {
 		}
 		for ch := 0; ch < 3; ch++ {
 			obs := float64(img.Pix[3*i+ch])
-			s := (obs - cfg.VeilColor[ch]*a) / (1 - a)
+			s := (obs - float64(cfg.VeilColor[ch]*a)) / (1 - a)
 			corrected.Pix[3*i+ch] = clamp8(s)
 		}
 	}
@@ -356,7 +358,7 @@ func Filter(img *raster.RGB, cfg Config) *Result {
 		if d > 1 {
 			d = 1
 		}
-		dist.Pix[i] = uint8(d*255 + 0.5)
+		dist.Pix[i] = uint8(float64(d*255) + 0.5)
 	}
 	// Otsu adapts to each scene's disturbance distribution, but its
 	// level is floored at 5% combined disturbance (the convention the
@@ -423,7 +425,7 @@ func smoothFloat(src *raster.Float, sigma float64) *raster.Float {
 				} else if xx >= w {
 					xx = w - 1
 				}
-				sum += kv * row[xx]
+				sum += float64(kv * row[xx])
 			}
 			tmp.Pix[y*w+x] = sum
 		}
@@ -438,7 +440,7 @@ func smoothFloat(src *raster.Float, sigma float64) *raster.Float {
 				} else if yy >= h {
 					yy = h - 1
 				}
-				sum += kv * tmp.Pix[yy*w+x]
+				sum += float64(kv * tmp.Pix[yy*w+x])
 			}
 			dst.Pix[y*w+x] = sum
 		}

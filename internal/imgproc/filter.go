@@ -10,7 +10,9 @@
 // and parameters (no RNG, no global state), so compositions like the
 // cloud filter are bit-reproducible and safe to run concurrently on
 // different images — the property the pipeline's parallel label stage
-// relies on.
+// relies on. Products that feed a sum are rounded explicitly
+// (float64(a*b)), so no target fuses them into a multiply-add
+// (scripts/nofma.sh checks this on arm64).
 package imgproc
 
 import (

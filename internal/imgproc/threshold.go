@@ -94,7 +94,7 @@ func OtsuThreshold(src *raster.Gray) uint8 {
 
 	var sum float64
 	for v := 0; v < 256; v++ {
-		sum += float64(v) * float64(hist[v])
+		sum += float64(float64(v) * float64(hist[v]))
 	}
 
 	var sumB, wB float64
@@ -109,7 +109,7 @@ func OtsuThreshold(src *raster.Gray) uint8 {
 		if wF == 0 {
 			break
 		}
-		sumB += float64(v) * float64(hist[v])
+		sumB += float64(float64(v) * float64(hist[v]))
 		mB := sumB / wB
 		mF := (sum - sumB) / wF
 		between := wB * wF * (mB - mF) * (mB - mF)

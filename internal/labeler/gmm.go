@@ -148,8 +148,8 @@ func (g GMM) Label(img *raster.RGB) (*raster.Labels, error) {
 					r := resp[c]
 					p.n[c] += r
 					for d := 0; d < 3; d++ {
-						p.sum[c*3+d] += r * X.Data[3*i+d]
-						p.sumSq[c*3+d] += r * Xsq.Data[3*i+d]
+						p.sum[c*3+d] += float64(r * X.Data[3*i+d])
+						p.sumSq[c*3+d] += float64(r * Xsq.Data[3*i+d])
 					}
 				}
 			}
@@ -181,7 +181,7 @@ func (g GMM) Label(img *raster.RGB) (*raster.Labels, error) {
 			for d := 0; d < 3; d++ {
 				m := sum[c*3+d] / Nk[c]
 				mu[c][d] = m
-				v := sumSq[c*3+d]/Nk[c] - m*m
+				v := sumSq[c*3+d]/Nk[c] - float64(m*m)
 				if v < sigmaFloor {
 					v = sigmaFloor
 				}
@@ -232,7 +232,7 @@ func (g GMM) fillCoeffs(A, B *tensor.Tensor[float64], ck []float64, mu, sigma2 [
 			s2 := sigma2[c][d]
 			A.Data[d*kk+c] = -0.5 / s2
 			B.Data[d*kk+c] = mu[c][d] / s2
-			ck[c] += -0.5*math.Log(2*math.Pi*s2) - 0.5*mu[c][d]*mu[c][d]/s2
+			ck[c] += float64(-0.5*math.Log(2*math.Pi*s2)) - 0.5*mu[c][d]*mu[c][d]/s2
 		}
 	}
 }
@@ -267,13 +267,13 @@ func bandVariance(x []float64, n int) [3]float64 {
 	for i := 0; i < n; i++ {
 		for d := 0; d < 3; d++ {
 			mean[d] += x[3*i+d]
-			sq[d] += x[3*i+d] * x[3*i+d]
+			sq[d] += float64(x[3*i+d] * x[3*i+d])
 		}
 	}
 	var out [3]float64
 	for d := 0; d < 3; d++ {
 		m := mean[d] / float64(n)
-		v := sq[d]/float64(n) - m*m
+		v := sq[d]/float64(n) - float64(m*m)
 		if v < sigmaFloor {
 			v = sigmaFloor
 		}

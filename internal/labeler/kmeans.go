@@ -145,7 +145,7 @@ func (k KMeans) fit(img *raster.RGB) [][3]float64 {
 			counts[c]++
 			eta := 1 / counts[c]
 			for d := 0; d < 3; d++ {
-				centers[c][d] += eta * (x[d] - centers[c][d])
+				centers[c][d] += float64(eta * (x[d] - centers[c][d]))
 			}
 		}
 	}
@@ -169,5 +169,5 @@ func dist2(a, b [3]float64) float64 {
 	dr := a[0] - b[0]
 	dg := a[1] - b[1]
 	db := a[2] - b[2]
-	return dr*dr + dg*dg + db*db
+	return float64(dr*dr) + float64(dg*dg) + float64(db*db)
 }

@@ -17,7 +17,9 @@
 // its Gaussian log-densities through the tensor GEMM engine, which
 // carries the same bit-identity guarantee. The package property tests
 // assert worker-count invariance for every engine, mirroring the
-// autolabel tests.
+// autolabel tests. Products that feed a sum are rounded explicitly
+// (float64(a*b)), so no target fuses them into a multiply-add
+// (scripts/nofma.sh checks this on arm64).
 package labeler
 
 import (

@@ -27,29 +27,33 @@ import (
 // vectorises across output channels instead (see panelTiles); the chains
 // are the same, and so are the bits.
 //
-// The F(4×4) input transform vectorises the same way — across tiles, never
-// within one. A batch's tiles are consecutive in every V stream, so in4
-// takes them eight at a time: lane l of a group that starts at batch tile
-// b is tile b+l, whichever image or tile row it came from — one rule for
-// the 32², 16², 8² and 4² levels. in4 gathers the eight 6×6 windows into a
-// lane-minor staging block, and a full group goes to the float backend's
-// FloatOps.WinoIn4 when it has one (avx2: shuffle-free assembly, one YMM
-// register = one stencil operand of eight tiles). The scalar stencil
-// bt4Row, applied per lane by in4Lanes, is the definition: it is the only
-// path on the engine backend, in float64 and off amd64, it runs every
-// group narrower than eight tiles (the 8² and 4² levels of a
-// batch-of-one inference and the 4² level of a 4-image step — the batches
-// whose products run transposed — and ragged batch ends), and a backend's
-// kernel must reproduce its left-to-right rounding bit for bit
-// (TestWinogradTransformConformance). The output transform, the filter
-// transform and F(2×2)'s transforms stay scalar: the first two are
-// measured and waiting in ROADMAP (the benchmark's fixed-work window
-// cannot hold them yet), the last never runs in training.
+// The three F(4×4) transforms vectorise the same way — across tiles or
+// filters, never within one. A batch's tiles are consecutive in every V
+// and M stream, so in4 and out4 take them eight at a time: lane l of a
+// group that starts at batch tile b is tile b+l, whichever image or tile
+// row it came from — one rule for the 32², 16², 8² and 4² levels. in4
+// gathers the eight 6×6 windows into a lane-minor staging block; out4
+// reads the eight tiles' M components straight from the streams and
+// scatters the lane-minor 4×4 results the kernel leaves in the same block;
+// filter gathers the nine taps of eight consecutive (row, column) pairs of
+// its operand, which are consecutive in every U stream. A full group goes
+// to the float backend's FloatOps.WinoIn4, WinoOut4 or WinoFilter4 when it
+// has one (avx2: shuffle-free assembly, one YMM register = one stencil
+// operand of eight lanes). The scalar stencils bt4Row, at4Row and g4Row,
+// applied per lane by in4Lanes, out4Lanes and filter4Lanes, are the
+// definitions: they are the only path on the engine backend, in float64
+// and off amd64, they run every group narrower than eight lanes (the 8²
+// and 4² levels of a batch-of-one inference and the 4² level of a 4-image
+// step — the batches whose products run transposed — ragged batch ends,
+// and the last pairs of a filter operand whose size is not a multiple of
+// eight), and a backend's kernel must reproduce their left-to-right
+// rounding bit for bit (TestWinogradTransformConformance). F(2×2)'s
+// transforms stay scalar: they never run in training.
 //
 // F(2×2) stays. It only ever runs in float32 inference sessions on planes
 // that are even but not ÷4 (training takes Winograd on ÷4 planes only),
 // and sending those planes to the direct kernel instead — which would
-// delete in2/out2/filterTransform2Into — was prototyped, measured and
+// delete in2/out2/filter2Lanes — was prototyped, measured and
 // rejected when the U-Net plan landed (issue 21):
 // Session.PredictTiles slowed from 12.7–15.2 to 19.4–20.3 ms for 16 tiles
 // of 16², from 20.3–23.4 to 29.9–32.9 ms at 24², and from 0.82–0.92 to
@@ -73,6 +77,11 @@ type Winograd[S tensor.Scalar] struct {
 	Static bool
 
 	filters map[filterKey[S]][]S // the Static cache
+
+	// taps stages the nine taps of up to eight filters lane-minor for the
+	// filter transform (see filter): as a local array it would escape to
+	// the heap through the backend's function value.
+	taps [lanes * 9]S
 
 	// Grow-only scratch: filter transform and its transpose
 	// (non-static), and the serial path's transform-domain V/M batch.
@@ -133,8 +142,9 @@ const (
 // and returns the V and M scratch sizes such a batch needs. An F(4×4) V
 // scratch ends in in4's staging block: handed to a backend kernel
 // through a function value it would escape to the heap if it were a
-// local array. On planes narrower than panelTiles tiles, M ends in the
-// Vᵀ/Mᵀ staging of one transposed product.
+// local array. out4 reuses the block once the products have read V. On
+// planes narrower than panelTiles tiles, M ends in the Vᵀ/Mᵀ staging of
+// one transposed product.
 func (wg *Winograd[S]) plan(j *winoJob[S], p *pool.Pool) (vsz, msz int) {
 	tiles := wg.batchTiles
 	if tiles == 0 {
@@ -227,9 +237,13 @@ func (wg *Winograd[S]) setFilters(j *winoJob[S], c *Conv2D[S], grad bool) {
 // filter returns one filter transform of the job: (tile+2)² matrices of
 // (outC, inC) for the job's channels — its in- and output roles swap for
 // the input gradient — or, transposed, of (inC, outC). A Static engine
-// caches the forward's; otherwise it is recomputed into scratch. The
-// transposed layout is computed directly from the taps, pair by pair as
-// the straight one, so the two hold the same values bit for bit.
+// caches the forward's; otherwise it is recomputed into scratch. Pair
+// p = r·cols + col of the operand is at offset p of every component
+// matrix, so consecutive pairs are consecutive lanes: filter gathers the
+// taps of eight at a time into wg.taps and hands a full F(4×4) group to
+// the float backend's WinoFilter4 when it has one, anything else to
+// filter4Lanes or filter2Lanes. The transposed layout is gathered pair by
+// pair as the straight one, so the two hold the same values bit for bit.
 func (wg *Winograd[S]) filter(j *winoJob[S], c *Conv2D[S], grad, transposed bool) []S {
 	key := filterKey[S]{c, j.tile, transposed}
 	cache := wg.Static && !grad
@@ -253,52 +267,68 @@ func (wg *Winograd[S]) filter(j *winoJob[S], c *Conv2D[S], grad, transposed bool
 	default:
 		dst = tensor.Grow(&wg.ubuf, comps, rows, cols).Data
 	}
-	// tap(r, col, ky, kx) is tap (ky, kx) of the 3×3 filter that row r,
-	// column col of the GEMM operand transforms: W[oc][ic] for the
-	// forward, the transposed, 180°-rotated W for the input gradient.
+	// Row r, column col of the operand transforms the 3×3 filter
+	// W[oc][ic] with (oc, ic) = (r, col) for the forward, (col, r)
+	// transposed; the input gradient's conv swaps the roles once more and
+	// reads the filter rotated by 180°, where tap k is the filter's tap 8−k.
 	wd, inC := c.Weight.W.Data, c.InC
-	var tap func(r, col, ky, kx int) S
-	switch {
-	case grad && transposed: // rows: conv out channels
-		tap = func(r, col, ky, kx int) S { return wd[r*inC*9+col*9+(2-ky)*3+(2-kx)] }
-	case grad:
-		tap = func(r, col, ky, kx int) S { return wd[col*inC*9+r*9+(2-ky)*3+(2-kx)] }
-	case transposed: // rows: conv in channels
-		tap = func(r, col, ky, kx int) S { return wd[col*inC*9+r*9+ky*3+kx] }
-	default:
-		tap = func(r, col, ky, kx int) S { return wd[r*inC*9+col*9+ky*3+kx] }
-	}
+	rowsOut := grad == transposed
+	var kern func(u []S, stride int, g *[lanes * 9]S)
 	if j.tile == 4 {
-		filterTransform4Into(dst, rows, cols, tap)
-	} else {
-		filterTransform2Into(dst, rows, cols, tap)
+		kern = tensor.Float[S]().WinoFilter4
+	}
+	g, pairs := &wg.taps, rows*cols
+	r, col := 0, 0
+	for p := 0; p < pairs; p += lanes {
+		nl := min(lanes, pairs-p)
+		for l := 0; l < nl; l++ {
+			oc, ic := r, col
+			if !rowsOut {
+				oc, ic = col, r
+			}
+			for k, x := range wd[(oc*inC+ic)*9 : (oc*inC+ic)*9+9] {
+				if grad {
+					k = 8 - k
+				}
+				g[lanes*k+l] = x
+			}
+			if col++; col == cols {
+				col = 0
+				r++
+			}
+		}
+		switch u := dst[p:]; {
+		case j.tile == 2:
+			filter2Lanes(u, pairs, g, nl)
+		case nl == lanes && kern != nil:
+			kern(u, pairs, g)
+		default:
+			filter4Lanes(u, pairs, g, nl)
+		}
 	}
 	return dst
 }
 
-// filterTransform2Into computes the F(2×2,3×3) filter transform
-// U = G·g·Gᵀ into dst (16, outRows, inRows); tap selects the 3×3 taps as
-// for filterTransform4Into.
-func filterTransform2Into[S tensor.Scalar](dst []S, outRows, inRows int, tap func(o, i, ky, kx int) S) {
-	var gg [12]S // G·g, 4×3
-	step := outRows * inRows
-	for o := 0; o < outRows; o++ {
-		for i := 0; i < inRows; i++ {
-			for col := 0; col < 3; col++ {
-				g0, g1, g2 := tap(o, i, 0, col), tap(o, i, 1, col), tap(o, i, 2, col)
-				gg[col] = g0
-				gg[3+col] = (g0 + g1 + g2) / 2
-				gg[6+col] = (g0 - g1 + g2) / 2
-				gg[9+col] = g2
-			}
-			for row := 0; row < 4; row++ {
-				t0, t1, t2 := gg[row*3], gg[row*3+1], gg[row*3+2]
-				base := row*4*step + o*inRows + i
-				dst[base] = t0
-				dst[base+step] = (t0 + t1 + t2) / 2
-				dst[base+2*step] = (t0 - t1 + t2) / 2
-				dst[base+3*step] = t2
-			}
+// filter2Lanes applies the F(2×2,3×3) filter transform U = G·g·Gᵀ to the
+// first nl lanes of g (taps lane-minor, as for filter4Lanes): component
+// idx < 16 of lane l to u[idx·stride+l].
+func filter2Lanes[S tensor.Scalar](u []S, stride int, g *[lanes * 9]S, nl int) {
+	for l := 0; l < nl; l++ {
+		var gg [12]S // G·g, 4×3
+		for col := 0; col < 3; col++ {
+			g0, g1, g2 := g[lanes*col+l], g[lanes*(3+col)+l], g[lanes*(6+col)+l]
+			gg[col] = g0
+			gg[3+col] = (g0 + g1 + g2) / 2
+			gg[6+col] = (g0 - g1 + g2) / 2
+			gg[9+col] = g2
+		}
+		for row := 0; row < 4; row++ {
+			t0, t1, t2 := gg[row*3], gg[row*3+1], gg[row*3+2]
+			o := u[4*row*stride+l : (4*row+3)*stride+l+1]
+			o[0] = t0
+			o[stride] = (t0 + t1 + t2) / 2
+			o[2*stride] = (t0 - t1 + t2) / 2
+			o[3*stride] = t2
 		}
 	}
 }
@@ -314,30 +344,23 @@ func g4Row[S tensor.Scalar](a, b, c S) (r0, r1, r2, r3, r4, r5 S) {
 	return
 }
 
-// filterTransform4Into computes the F(4×4,3×3) filter transform
-// U = G·g·Gᵀ into dst (36, outRows, inRows). tap selects the 3×3 taps:
-// the forward conv reads W[oc][ic] directly; the input-gradient conv
-// reads the transposed, 180°-rotated filter.
-func filterTransform4Into[S tensor.Scalar](dst []S, outRows, inRows int, tap func(o, i, ky, kx int) S) {
-	var t [18]S // G·g, 6×3
-	for o := 0; o < outRows; o++ {
-		for i := 0; i < inRows; i++ {
-			for col := 0; col < 3; col++ {
-				r0, r1, r2, r3, r4, r5 := g4Row(tap(o, i, 0, col), tap(o, i, 1, col), tap(o, i, 2, col))
-				t[col], t[3+col], t[6+col] = r0, r1, r2
-				t[9+col], t[12+col], t[15+col] = r3, r4, r5
-			}
-			for row := 0; row < 6; row++ {
-				u0, u1, u2, u3, u4, u5 := g4Row(t[row*3], t[row*3+1], t[row*3+2])
-				base := row * 6 * outRows * inRows
-				step := outRows * inRows
-				dst[base+o*inRows+i] = u0
-				dst[base+step+o*inRows+i] = u1
-				dst[base+2*step+o*inRows+i] = u2
-				dst[base+3*step+o*inRows+i] = u3
-				dst[base+4*step+o*inRows+i] = u4
-				dst[base+5*step+o*inRows+i] = u5
-			}
+// filter4Lanes is the scalar definition of tensor.FloatOps.WinoFilter4,
+// for the first nl lanes of g, whose tap 3·ky+kx of lane l is at
+// g[lanes·(3·ky+kx)+l]: G·g (column ops), then ·Gᵀ (row ops), component
+// idx of lane l to u[idx·stride+l].
+func filter4Lanes[S tensor.Scalar](u []S, stride int, g *[lanes * 9]S, nl int) {
+	for l := 0; l < nl; l++ {
+		var t [18]S // G·g, 6×3
+		for col := 0; col < 3; col++ {
+			r0, r1, r2, r3, r4, r5 := g4Row(g[lanes*col+l], g[lanes*(3+col)+l], g[lanes*(6+col)+l])
+			t[col], t[3+col], t[6+col] = r0, r1, r2
+			t[9+col], t[12+col], t[15+col] = r3, r4, r5
+		}
+		for row := 0; row < 6; row++ {
+			u0, u1, u2, u3, u4, u5 := g4Row(t[row*3], t[row*3+1], t[row*3+2])
+			o := u[6*row*stride+l : (6*row+5)*stride+l+1]
+			o[0], o[stride], o[2*stride] = u0, u1, u2
+			o[3*stride], o[4*stride], o[5*stride] = u3, u4, u5
 		}
 	}
 }
@@ -403,42 +426,6 @@ func (wg *Winograd[S]) InputGradBatch(p *pool.Pool, c *Conv2D[S], dout []S, n, h
 	})
 }
 
-// WinogradTransforms4 returns functions that run only the F(4×4,3×3)
-// input transform and only the output transform (bias and ReLU included)
-// of one step of n images of c channels on h×w planes, batch by batch as
-// ConvBatch would, under the active float backend. It is the timing seam
-// for BenchmarkWinogradTransforms: the transforms are internal to a
-// convolution and cannot be timed apart from its products otherwise.
-func WinogradTransforms4[S tensor.Scalar](n, c, h, w int) (in, out func()) {
-	x := make([]S, n*c*h*w)
-	for i := range x {
-		x[i] = S(i%13) - 6
-	}
-	j := &winoJob[S]{
-		tile: 4, bias: make([]S, c), src: convSrc[S]{xa: x, ca: c},
-		n: n, h: h, w: w, inC: c, outC: c, dst: make([]S, len(x)), relu: true,
-	}
-	vsz, msz := NewWinograd[S](false).plan(j, pool.Serial())
-	v, m := make([]S, vsz), make([]S, msz)
-	copy(m, x)
-	th, tw := h/4, w/4
-	batches := func(transform func(lo, end, cn int)) func() {
-		return func() {
-			for lo, units := 0, n*th; lo < units; lo += j.rowsPerCall {
-				end := min(lo+j.rowsPerCall, units)
-				transform(lo, end, (end-lo)*tw)
-			}
-		}
-	}
-	in = batches(func(lo, _, cn int) { j.in4(lo, cn, v) })
-	out = batches(func(lo, end, cn int) {
-		for t := lo; t < end; t++ {
-			j.out4(t/th, t%th, m, cn, (t-lo)*tw)
-		}
-	})
-	return in, out
-}
-
 // runTasks fans the F(4×4,3×3) job's (image, tile-row) units out on the
 // pool, after planning it and setting its filters (grad as for
 // setFilters): the job is complete before the fan-out and only read by
@@ -492,10 +479,10 @@ func (j *winoJob[S]) run(lo, hi int, vbuf, mbuf []S) {
 					j.outC, j.inC, cn)
 			}
 		}
-		for t := lo; t < end; t++ {
-			if j.tile == 4 {
-				j.out4(t/th, t%th, mbuf, cn, (t-lo)*tw)
-			} else {
+		if j.tile == 4 {
+			j.out4(lo, cn, mbuf, vbuf)
+		} else {
+			for t := lo; t < end; t++ {
 				j.out2(t/th, t%th, mbuf, cn, (t-lo)*tw)
 			}
 		}
@@ -555,13 +542,14 @@ func at4Row[S tensor.Scalar](m0, m1, m2, m3, m4, m5 S) (y0, y1, y2, y3 S) {
 	return
 }
 
-// lanes is how many consecutive tiles of a batch the F(4×4,3×3) input
-// transform stages together: lane l of a group starting at batch tile b is
-// tile b+l, whichever image and tile row that is.
+// lanes is how many consecutive tiles of a batch (or pairs of a filter
+// operand) the F(4×4,3×3) transforms stage together: lane l of a group
+// starting at batch tile b is tile b+l, whichever image and tile row that
+// is.
 const lanes = tensor.WinoLanes
 
-// tileCursor walks a batch's tiles in V order: along a tile row, down the
-// tile rows of an image, on into the next image.
+// tileCursor walks a batch's tiles in V and M order: along a tile row,
+// down the tile rows of an image, on into the next image.
 type tileCursor struct{ img, ty, tx int }
 
 func (c *tileCursor) next(th, tw int) {
@@ -657,53 +645,75 @@ func in4Lanes[S tensor.Scalar](v []S, stride int, d *[lanes * 36]S, nl int) {
 	}
 }
 
-// out4 is the F(4×4,3×3) output transform of tile row ty of image img:
-// Y = Aᵀ·M·A (4×4 per tile) + bias (+ReLU), from an M whose rows hold cn
-// tiles.
-func (j *winoJob[S]) out4(img, ty int, mbuf []S, cn, off int) {
-	w, outC := j.w, j.outC
-	tw := w / 4
-	plane := j.h * w
-	var mr [36][]S
+// out4 is the F(4×4,3×3) output transform of the cn tiles of the batch
+// that starts at unit lo: Y = Aᵀ·M·A (4×4 per tile) + bias (+ReLU) of
+// batch tile b from column b of M's rows. Per output channel it walks the
+// tiles as in4 does, eight at a time: a full group goes to the float
+// backend's WinoOut4 when it has one, anything else through out4Lanes, and
+// the lane-minor tiles either leaves in the staging block at the end of
+// vbuf (free once the products have read V) are scattered to dst.
+func (j *winoJob[S]) out4(lo, cn int, mbuf, vbuf []S) {
+	h, w, outC := j.h, j.w, j.outC
+	th, tw := h/4, w/4
+	kern := tensor.Float[S]().WinoOut4
+	stride := outC * cn
+	y := (*[lanes * 24]S)(vbuf[len(vbuf)-lanes*36:])
 	for oc := 0; oc < outC; oc++ {
-		var b S
+		var bias S
 		if j.bias != nil {
-			b = j.bias[oc]
+			bias = j.bias[oc]
 		}
-		dp := j.dst[(img*outC+oc)*plane : (img*outC+oc+1)*plane]
-		for idx := 0; idx < 36; idx++ {
-			mr[idx] = mbuf[(idx*outC+oc)*cn+off : (idx*outC+oc)*cn+off+tw]
-		}
-		var outRow [4][]S
-		for r := 0; r < 4; r++ {
-			outRow[r] = dp[(4*ty+r)*w : (4*ty+r)*w+w]
-		}
-		for tx := 0; tx < tw; tx++ {
-			var e [24]S // Aᵀ·M, 4×6
-			for cc := 0; cc < 6; cc++ {
-				y0, y1, y2, y3 := at4Row(mr[cc][tx], mr[6+cc][tx], mr[12+cc][tx], mr[18+cc][tx], mr[24+cc][tx], mr[30+cc][tx])
-				e[cc], e[6+cc], e[12+cc], e[18+cc] = y0, y1, y2, y3
+		cur := tileCursor{img: lo / th, ty: lo % th}
+		for b := 0; b < cn; b += lanes {
+			nl := min(lanes, cn-b)
+			if m := mbuf[oc*cn+b:]; nl == lanes && kern != nil {
+				kern(y, m, stride, bias, j.relu)
+			} else {
+				out4Lanes(y, m, stride, bias, j.relu, nl)
 			}
-			for r := 0; r < 4; r++ {
-				y0, y1, y2, y3 := at4Row(e[r*6], e[r*6+1], e[r*6+2], e[r*6+3], e[r*6+4], e[r*6+5])
-				y0, y1, y2, y3 = y0+b, y1+b, y2+b, y3+b
-				if j.relu {
-					if y0 < 0 {
-						y0 = 0
-					}
-					if y1 < 0 {
-						y1 = 0
-					}
-					if y2 < 0 {
-						y2 = 0
-					}
-					if y3 < 0 {
-						y3 = 0
-					}
+			for l := 0; l < nl; l++ {
+				o := j.dst[((cur.img*outC+oc)*h+4*cur.ty)*w+4*cur.tx:]
+				for r := 0; r < 4; r++ {
+					row, yr := o[r*w:r*w+4:r*w+4], y[4*lanes*r+l:4*lanes*r+3*lanes+l+1]
+					row[0], row[1], row[2], row[3] = yr[0], yr[lanes], yr[2*lanes], yr[3*lanes]
 				}
-				o := outRow[r]
-				o[4*tx], o[4*tx+1], o[4*tx+2], o[4*tx+3] = y0, y1, y2, y3
+				cur.next(th, tw)
 			}
+		}
+	}
+}
+
+// out4Lanes is the scalar definition of tensor.FloatOps.WinoOut4, for the
+// first nl lanes: Aᵀ·M (column ops) of component idx of lane l at
+// m[idx·stride+l], then ·A (row ops), plus bias (+ReLU), output 4r+c of
+// lane l to y[lanes·(4r+c)+l].
+func out4Lanes[S tensor.Scalar](y *[lanes * 24]S, m []S, stride int, bias S, relu bool, nl int) {
+	for l := 0; l < nl; l++ {
+		var e [24]S // Aᵀ·M, 4×6
+		for cc := 0; cc < 6; cc++ {
+			c := m[cc*stride+l : (30+cc)*stride+l+1]
+			y0, y1, y2, y3 := at4Row(c[0], c[6*stride], c[12*stride], c[18*stride], c[24*stride], c[30*stride])
+			e[cc], e[6+cc], e[12+cc], e[18+cc] = y0, y1, y2, y3
+		}
+		for r := 0; r < 4; r++ {
+			y0, y1, y2, y3 := at4Row(e[r*6], e[r*6+1], e[r*6+2], e[r*6+3], e[r*6+4], e[r*6+5])
+			y0, y1, y2, y3 = y0+bias, y1+bias, y2+bias, y3+bias
+			if relu {
+				if y0 < 0 {
+					y0 = 0
+				}
+				if y1 < 0 {
+					y1 = 0
+				}
+				if y2 < 0 {
+					y2 = 0
+				}
+				if y3 < 0 {
+					y3 = 0
+				}
+			}
+			o := y[4*lanes*r+l : 4*lanes*r+3*lanes+l+1]
+			o[0], o[lanes], o[2*lanes], o[3*lanes] = y0, y1, y2, y3
 		}
 	}
 }

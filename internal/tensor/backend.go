@@ -2,14 +2,14 @@
 // float32, int8) resolves its low-level kernels through a per-kind backend
 // table instead of calling one hard-wired implementation. Both float kinds
 // register the cache-blocked parallel engine from matmul.go; float32
-// additionally registers an AVX2 assembly panel (sgemm_amd64.go) and an
-// eight-tile Winograd input transform (wino_amd64.go) on amd64 hosts that
-// support them. The int8 kind registers a scalar reference,
-// a portable SWAR kernel, and its own AVX2 kernel. Per kind, the
-// highest-priority available backend serves. The seam is what lets the
-// quantized inference path and the SIMD float panel plug in without
-// touching the layers above: callers go through MatMul*/GemmSerial/
-// Float()/Int8() and never name an implementation.
+// additionally registers an AVX2 assembly panel (sgemm_amd64.go) and
+// eight-lane Winograd F(4×4,3×3) input, filter and output transforms
+// (wino_amd64.go) on amd64 hosts that support them. The int8 kind
+// registers a scalar reference, a portable SWAR kernel, and its own AVX2
+// kernel. Per kind, the highest-priority available backend serves. The
+// seam is what lets the quantized inference path and the SIMD float panel
+// plug in without touching the layers above: callers go through
+// MatMul*/GemmSerial/Float()/Int8() and never name an implementation.
 //
 // Determinism contract: every backend registered for a kind must produce
 // bit-identical outputs to that kind's reference backend on identical
@@ -19,12 +19,13 @@
 // so a SIMD backend may only vectorise across independent output columns;
 // that is also what keeps them bit-identical at any worker count
 // (property-tested in backend_test.go; NaN payload bits are not part of
-// the contract). The optional Winograd input-transform entry extends the
-// same rule from columns to tiles: a backend may run the stencil of
-// several independent tiles side by side, one tile per lane, but each lane
-// must evaluate internal/nn's scalar expressions in their written order,
-// every product and sum rounded separately — never within a chain, never
-// across lanes (nn.TestWinogradTransformConformance).
+// the contract). The optional Winograd transform entries extend the
+// same rule from columns to tiles and filters: a backend may run the
+// stencil of several independent tiles (or filters) side by side, one per
+// lane, but each lane must evaluate internal/nn's scalar expressions in
+// their written order, every product, quotient and sum rounded separately
+// — never within a chain, never across lanes
+// (nn.TestWinogradTransformConformance).
 // int8 backends compute in exact integer arithmetic — the
 // convolution sums in any order, the requantization epilogue as the one
 // rounding RequantClamp defines — so cross-backend equality is absolute
@@ -68,19 +69,34 @@ type FloatOps[S Scalar] struct {
 	MatMulInto    func(dst, a, b *Tensor[S])
 	MatMulATBInto func(dst, a, b *Tensor[S])
 	// WinoIn4 is the F(4×4,3×3) Winograd input transform of eight tiles
-	// at once, one tile per lane. It is optional: internal/nn's scalar
-	// stencil (bt4Row) is its definition and what runs when a backend
-	// leaves it nil — as the engine does — so a backend that fills it must
-	// reproduce that stencil's left-to-right rounding per lane
-	// (nn.TestWinogradTransformConformance). It takes the tiles' 6×6 input
-	// windows lane-minor — element k of lane l's window at d[8k+l] — and
-	// writes component idx of lane l's Bᵀ·d·B to v[idx·stride+l], idx < 36.
-	// It may overwrite d.
+	// at once, one tile per lane. It and the two entries after it are
+	// optional: internal/nn's scalar stencil (here bt4Row) is the
+	// definition and what runs when a backend leaves an entry nil — as
+	// the engine does — so a backend that fills one must reproduce that
+	// stencil's left-to-right rounding per lane, every division a true
+	// division (nn.TestWinogradTransformConformance). It takes the tiles'
+	// 6×6 input windows lane-minor — element k of lane l's window at
+	// d[8k+l] — and writes component idx of lane l's Bᵀ·d·B to
+	// v[idx·stride+l], idx < 36. It may overwrite d.
 	WinoIn4 func(v []S, stride int, d *[WinoLanes * 36]S)
+	// WinoFilter4 is the F(4×4,3×3) filter transform U = G·g·Gᵀ of eight
+	// 3×3 filters, one filter per lane, defined by internal/nn's g4Row
+	// stencil as WinoIn4 is by bt4Row. It takes the filters' taps
+	// lane-minor — tap 3·ky+kx of lane l at g[8(3·ky+kx)+l] — and writes
+	// component idx of lane l's U to u[idx·stride+l], idx < 36.
+	WinoFilter4 func(u []S, stride int, g *[WinoLanes * 9]S)
+	// WinoOut4 is the F(4×4,3×3) output transform Aᵀ·M·A of eight tiles
+	// of one output channel, plus bias, then ReLU when relu is set (a
+	// negative sum becomes +0; NaN and −0 pass), one tile per lane,
+	// defined by internal/nn's at4Row stencil. It reads component idx of
+	// lane l's M from m[idx·stride+l], idx < 36, and writes output 4·r+c
+	// of lane l's 4×4 tile to y[8(4·r+c)+l]; the last 64 floats of y are
+	// its scratch.
+	WinoOut4 func(y *[WinoLanes * 24]S, m []S, stride int, bias S, relu bool)
 }
 
-// WinoLanes is the number of tiles FloatOps.WinoIn4 transforms per call:
-// one YMM register of float32 lanes.
+// WinoLanes is the number of tiles or filters the FloatOps.Wino* entries
+// transform per call: one YMM register of float32 lanes.
 const WinoLanes = 8
 
 // Int8Ops is the kernel table for the quantized kind. One entry point

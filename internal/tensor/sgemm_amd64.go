@@ -38,11 +38,13 @@ func panelAVX2(c, a, b []float32, m, k, n, lda, jlo, jhi int, acc bool) {
 
 func init() {
 	RegisterFloat(&FloatOps[float32]{
-		Name:      "avx2",
-		Priority:  100,
-		Available: func() bool { return hasAVX2 },
-		SIMD:      true,
-		Panel:     panelAVX2,
-		WinoIn4:   winoIn4Lanes8,
+		Name:        "avx2",
+		Priority:    100,
+		Available:   func() bool { return hasAVX2 },
+		SIMD:        true,
+		Panel:       panelAVX2,
+		WinoIn4:     winoIn4Lanes8,
+		WinoFilter4: winoFilter4Lanes8,
+		WinoOut4:    winoOut4Lanes8,
 	})
 }

@@ -119,7 +119,7 @@ func CheckGrads[S tensor.Scalar](g GuardConfig, step int, flat []S) *AnomalyErro
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return &AnomalyError{Step: step, Reason: fmt.Sprintf("non-finite gradient element at index %d", i), Norm: f}
 		}
-		sumsq += f * f
+		sumsq += float64(f * f)
 	}
 	norm := math.Sqrt(sumsq)
 	if g.MaxNorm > 0 && norm > g.MaxNorm {

@@ -12,7 +12,9 @@
 // float32 (with Config.MasterWeights keeping float64 master copies in
 // Adam — mixed precision) tracks it within the tolerance asserted by
 // TestMixedPrecisionLossParity while remaining bit-deterministic at any
-// worker count.
+// worker count. Products that feed a sum are rounded explicitly
+// (float64(a*b)), so no target fuses them into a multiply-add
+// (scripts/nofma.sh checks this on arm64).
 package train
 
 import (
