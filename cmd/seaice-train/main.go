@@ -1,8 +1,10 @@
 // Command seaice-train trains a U-Net sea-ice classifier on a synthetic
-// campaign, either serially or with Horovod-style synchronous data
-// parallelism over simulated GPUs (§III-C). It saves a checkpoint usable
-// by seaice-infer. The dataset is fed through the streaming pipeline
-// (internal/pipeline), so filtering and auto-labeling overlap training.
+// campaign with Horovod-style synchronous data parallelism over simulated
+// GPUs (§III-C): one trainer (internal/ddp) at every world size, the
+// single-GPU baseline being the same program at -workers 1. It saves a
+// checkpoint usable by seaice-infer. The dataset is produced by the
+// streaming pipeline (internal/pipeline), whose stage workers generate,
+// filter and auto-label scenes concurrently.
 //
 // Every stage is resumable when -state names a directory: labeled shards
 // are checkpointed as they complete (and restored on the next run), the
@@ -60,7 +62,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"seaice/internal/chaos"
 	"seaice/internal/dataset"
@@ -171,7 +172,7 @@ func parseFlags(args []string, onError flag.ErrorHandling) (options, error) {
 	fs.StringVar(&o.labSpec, "labeler", "hsv", "auto-labeling engine: hsv|kmeans|gmm[:k]")
 	focalSpec := fs.String("focal", "", `train with focal loss: "gamma" or "gamma:a0,a1,a2" per-class alphas (e.g. 2 or 2:0.25,1,0.5); empty = cross-entropy`)
 	fs.IntVar(&o.epochs, "epochs", 8, "training epochs")
-	fs.IntVar(&o.batch, "batch", 8, "batch size (per worker when -workers > 1)")
+	fs.IntVar(&o.batch, "batch", 8, "batch size per worker")
 	fs.Float64Var(&o.lr, "lr", 0.01, "Adam learning rate")
 	fs.IntVar(&o.workers, "workers", 1, "simulated GPUs for distributed training")
 	fs.IntVar(&o.maxTiles, "max-tiles", 256, "cap on training tiles (0 = all)")
@@ -222,6 +223,14 @@ func parseFlags(args []string, onError flag.ErrorHandling) (options, error) {
 	}
 	if err := train.CheckLR(o.lr); err != nil {
 		return o, err
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"epochs", o.epochs}, {"batch", o.batch}, {"workers", o.workers}} {
+		if f.v < 1 {
+			return o, fmt.Errorf("-%s %d: must be at least 1", f.name, f.v)
+		}
 	}
 	if *peersSpec != "" {
 		for _, p := range strings.Split(*peersSpec, ",") {
@@ -305,10 +314,9 @@ func run[S tensor.Scalar](o options, master bool) {
 
 	// The streaming pipeline replaces the old generate-all → build-all
 	// sequence: scenes are generated, filtered, and labeled by
-	// concurrent stage workers while training consumes its first
-	// batches. Split, subsample, and batch order are byte-identical to
-	// the batch reference dataset.Build (see internal/pipeline parity
-	// tests).
+	// concurrent stage workers. Split, subsample, and batch order are
+	// byte-identical to the batch reference dataset.Build (see
+	// internal/pipeline parity tests).
 	build := dataset.DefaultBuild()
 	build.TileSize = o.tile
 	eng, err := labeler.Parse(o.labSpec, o.seed)
@@ -321,16 +329,9 @@ func run[S tensor.Scalar](o options, master bool) {
 		TrainTiles: o.maxTiles, TrainSeed: o.seed,
 		TestTiles: 128, TestSeed: o.seed + 1,
 		Image: dataset.OriginalImages, Labels: labKind,
-		BatchSize: o.batch, BatchSeed: o.seed,
-	}
-	// Fault-tolerant, guarded and multi-process runs always use the ddp
-	// trainer (it owns the snapshot/recovery machinery and the anomaly
-	// guard), even at one worker, where it writes the same weights as the
-	// streamed loop. It shards globally, so the global batch is the
-	// planning unit.
-	useDDP := len(o.peers) > 0 || o.workers > 1 || o.chaos != nil || o.resume || o.snapshot != "" || o.guard.Enabled()
-	if useDDP {
-		plan.BatchSize = o.batch * o.workers
+		// The trainer shards each global batch over the ranks, so the
+		// global batch is the planning unit.
+		BatchSize: o.batch * o.workers, BatchSeed: o.seed,
 	}
 	// With chaos active, stage faults need a retry budget to be
 	// recoverable rather than fatal — sized from the schedule, since a
@@ -373,7 +374,7 @@ func run[S tensor.Scalar](o options, master bool) {
 	model := resumeModel[S](o, key)
 	resumed := model != nil
 	if !resumed {
-		model = trainModel[S](o, modelCfg, st, master, useDDP)
+		model = trainModel[S](o, modelCfg, st, master)
 	}
 	if err := st.CheckpointErr(); err != nil {
 		log.Printf("warning: %v", err)
@@ -482,45 +483,6 @@ func resumeModel[S tensor.Scalar](o options, key string) *unet.Model[S] {
 	return model
 }
 
-// trainModel trains a fresh model on the stream's plan: through the
-// data-parallel trainer when useDDP, otherwise streamed by one trainer.
-func trainModel[S tensor.Scalar](o options, modelCfg unet.Config, st *pipeline.Stream, master, useDDP bool) *unet.Model[S] {
-	nTrain, err := st.TrainLen()
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("training on %d tiles (%s labels), %d epochs, preset %s (%d conv layers)",
-		nTrain, o.labels, o.epochs, o.preset, modelCfg.NumConvLayers())
-	if useDDP {
-		return runDDP[S](o, modelCfg, st, master)
-	}
-	batches, err := pipeline.TrainBatchesOf[S](st)
-	if err != nil {
-		log.Fatal(err)
-	}
-	model, err := unet.New[S](modelCfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	start := time.Now()
-	res, err := train.FitStream(model, batches, train.Config{
-		Epochs: o.epochs, BatchSize: o.batch, LR: o.lr, Seed: o.seed,
-		MasterWeights: master, Focal: o.focal,
-		Progress: func(epoch int, loss float64) {
-			log.Printf("epoch %d: loss %.4f", epoch, loss)
-		},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	log.Printf("streamed training: %d steps in %s (%.1f ms/step, %.1f tiles/s)",
-		res.Steps, elapsed.Round(time.Millisecond),
-		float64(elapsed.Milliseconds())/float64(res.Steps),
-		float64(nTrain*o.epochs)/elapsed.Seconds())
-	return model
-}
-
 // calibrationTileCap bounds the calibration pass: activation ranges
 // saturate after a few dozen representative tiles, so running the whole
 // campaign through the float engine again would be pure waste.
@@ -556,14 +518,21 @@ func quantizeTrained[S tensor.Scalar](model *unet.Model[S], st *pipeline.Stream,
 	return unet.Quantize(master, cal)
 }
 
-// runDDP trains through the data-parallel trainer: every rank in this
-// process, or — with -peers — this process as one rank of a TCP cluster
-// whose ring collectives run over internal/transport. It is one trainer
-// either way, so a cluster run is byte-identical to the in-process run
+// trainModel trains a fresh model on the stream's training samples
+// through the data-parallel trainer: every rank in this process, or —
+// with -peers — this process as one rank of a TCP cluster whose ring
+// collectives run over internal/transport. It is one trainer at every
+// world size, so a cluster run is byte-identical to the in-process run
 // at the same world size, across injected crashes, partitions, dropped
 // frames and process kills; the two differ only in how the trainer gets
 // its collective and where its snapshots go.
-func runDDP[S tensor.Scalar](o options, modelCfg unet.Config, st *pipeline.Stream, master bool) *unet.Model[S] {
+func trainModel[S tensor.Scalar](o options, modelCfg unet.Config, st *pipeline.Stream, master bool) *unet.Model[S] {
+	nTrain, err := st.TrainLen()
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("training on %d tiles (%s labels), %d epochs, preset %s (%d conv layers)",
+		nTrain, o.labels, o.epochs, o.preset, modelCfg.NumConvLayers())
 	who := "" // log prefix naming this process's rank of a cluster
 	cfg := ddp.Config{
 		Workers:        o.workers,
@@ -584,7 +553,6 @@ func runDDP[S tensor.Scalar](o options, modelCfg unet.Config, st *pipeline.Strea
 		},
 	}
 	var tr *ddp.Trainer[S]
-	var err error
 	if len(o.peers) == 0 {
 		tr, err = ddp.New[S](modelCfg, cfg)
 	} else {
@@ -657,8 +625,12 @@ func runDDP[S tensor.Scalar](o options, modelCfg unet.Config, st *pipeline.Strea
 			log.Printf("%schaos: finished elastically without ranks %v", who, res.LostRanks)
 		}
 	}
-	log.Printf("%sdata-parallel training: %d ranks, %d committed steps in %.2f s",
-		who, o.workers, res.Steps, res.RealTotal)
+	// Committed steps times their share of the epochs' tiles: exact for a
+	// whole run, proportional for a resumed tail.
+	steps := o.epochs * ((nTrain + o.batch*o.workers - 1) / (o.batch * o.workers))
+	tiles := float64(nTrain*o.epochs) * float64(res.Steps) / float64(steps)
+	log.Printf("%straining: %d ranks, %d committed steps in %.2f s (%.1f tiles/s)",
+		who, o.workers, res.Steps, res.RealTotal, tiles/res.RealTotal)
 	return tr.Replica(o.rank)
 }
 

@@ -57,6 +57,12 @@ var flagErrors = []struct {
 	{[]string{"-lr", "NaN"}, "train: learning rate NaN"},
 	{[]string{"-lr", "+Inf"}, "train: learning rate +Inf"},
 	{[]string{"-precision", "f16"}, `unknown precision "f16" (want f32 or f64)`},
+	{[]string{"-workers", "0"}, "-workers 0: must be at least 1"},
+	{[]string{"-workers", "-2"}, "-workers -2: must be at least 1"},
+	{[]string{"-workers", "0", "-snapshot", "x.snap"}, "-workers 0: must be at least 1"},
+	{[]string{"-epochs", "0"}, "-epochs 0: must be at least 1"},
+	{[]string{"-batch", "0"}, "-batch 0: must be at least 1"},
+	{[]string{"-batch", "-4", "-workers", "2"}, "-batch -4: must be at least 1"},
 	{[]string{"-peers", "a:1,b:2", "-rank", "2"}, "-rank 2 outside -peers list of 2"},
 	{[]string{"-peers", "a:1,b:2", "-rank", "-1"}, "-rank -1 outside -peers list of 2"},
 	{[]string{"-peers", "a:1,b:2", "-workers", "3"}, "-workers 3 conflicts with 2 -peers (omit -workers in net mode)"},
@@ -238,11 +244,11 @@ func TestStateResume(t *testing.T) {
 	}
 }
 
-// TestGuardAtOneWorker: -guard takes effect at the default single worker
-// too, where training would otherwise stream through a loop without the
-// anomaly guard. A bound every gradient exceeds aborts the run with a
+// TestGuardAtOneWorker: -guard takes effect at the default single
+// worker, which trains through the same data-parallel trainer as any
+// other world size. A bound every gradient exceeds aborts the run with a
 // non-zero exit and no checkpoint; a guard that never trips changes no
-// weight.
+// weight, and neither does persisting snapshots.
 func TestGuardAtOneWorker(t *testing.T) {
 	dir := t.TempDir()
 	campaign := []string{"-scenes", "2", "-size", "64", "-tile", "16", "-epochs", "1", "-batch", "4", "-max-tiles", "16", "-seed", "11", "-workers", "1"}
@@ -259,8 +265,8 @@ func TestGuardAtOneWorker(t *testing.T) {
 		t.Error("-guard abort:1e-6 wrote a checkpoint")
 	}
 
-	var hashes [2]string
-	for i, extra := range [][]string{{"-ckpt", "plain.ckpt"}, {"-ckpt", "skip.ckpt", "-guard", "skip"}} {
+	var hashes [3]string
+	for i, extra := range [][]string{{"-ckpt", "plain.ckpt"}, {"-ckpt", "skip.ckpt", "-guard", "skip"}, {"-ckpt", "snap.ckpt", "-snapshot", "run.snap"}} {
 		stdout, stderr, exit := run(extra...)
 		if exit != 0 {
 			t.Fatalf("seaice-train %s: exit status %d; stderr:\n%s", strings.Join(extra, " "), exit, stderr)
@@ -271,6 +277,9 @@ func TestGuardAtOneWorker(t *testing.T) {
 	}
 	if hashes[0] != hashes[1] {
 		t.Errorf("-guard skip printed %s, the unguarded run %s", hashes[1], hashes[0])
+	}
+	if hashes[0] != hashes[2] {
+		t.Errorf("-snapshot printed %s, the plain run %s", hashes[2], hashes[0])
 	}
 }
 

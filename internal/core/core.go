@@ -14,6 +14,7 @@ import (
 	"io"
 
 	"seaice/internal/dataset"
+	"seaice/internal/ddp"
 	"seaice/internal/metrics"
 	"seaice/internal/pipeline"
 	"seaice/internal/scene"
@@ -165,14 +166,29 @@ func RunAccuracy(cfg AccuracyConfig) (*AccuracyResult, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	trainCfg := train.Config{Epochs: cfg.Epochs, BatchSize: cfg.BatchSize, LR: cfg.LR, Seed: cfg.Seed}
+	// Both models train through the data-parallel trainer at one rank —
+	// the paper's single-GPU baseline is its multi-GPU program at world
+	// size 1.
+	fit := func(modelCfg unet.Config, labels dataset.LabelKind) (*unet.Model[float64], error) {
+		tr, err := ddp.New[float64](modelCfg, ddp.Config{
+			Workers:        1,
+			BatchPerWorker: cfg.BatchSize,
+			Epochs:         cfg.Epochs,
+			LR:             cfg.LR,
+			Seed:           cfg.Seed,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if _, err := tr.Fit(dataset.Samples(trainTiles, dataset.OriginalImages, labels)); err != nil {
+			return nil, err
+		}
+		return tr.Replica(0), nil
+	}
 
 	cfg.progress("training U-Net-Man")
-	man, err := unet.New[float64](cfg.Model)
+	man, err := fit(cfg.Model, dataset.ManualLabels)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if _, err := train.Fit(man, dataset.Samples(trainTiles, dataset.OriginalImages, dataset.ManualLabels), trainCfg); err != nil {
 		return nil, fmt.Errorf("core: U-Net-Man: %w", err)
 	}
 	res.UNetMan = man
@@ -180,11 +196,8 @@ func RunAccuracy(cfg AccuracyConfig) (*AccuracyResult, error) {
 	cfg.progress("training U-Net-Auto")
 	autoCfg := cfg.Model
 	autoCfg.Seed = cfg.Model.Seed + 1
-	auto, err := unet.New[float64](autoCfg)
+	auto, err := fit(autoCfg, dataset.AutoLabels)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if _, err := train.Fit(auto, dataset.Samples(trainTiles, dataset.OriginalImages, dataset.AutoLabels), trainCfg); err != nil {
 		return nil, fmt.Errorf("core: U-Net-Auto: %w", err)
 	}
 	res.UNetAuto = auto

@@ -8,15 +8,6 @@ import (
 	"seaice/internal/train"
 )
 
-// TrainBatches returns a double-buffered train.BatchSource over the
-// plan's training subset in the float64 reference precision; see
-// TrainBatchesOf for the precision-generic form. The batch sequence
-// equals train.Fit(dataset.Samples(...)) exactly — only the overlap
-// differs.
-func (s *Stream) TrainBatches() (train.BatchSource[float64], error) {
-	return TrainBatchesOf[float64](s)
-}
-
 // TrainBatchesOf returns the stream's double-buffered batch source packed
 // in the requested compute precision: a background assembler waits for
 // the scenes batch k+1 needs, gathers its tiles, and packs the tensor

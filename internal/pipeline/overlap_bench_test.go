@@ -106,7 +106,7 @@ func (w overlapWorkload) stream(b *testing.B) *Stream {
 // per-step cost in its place.
 func (w overlapWorkload) consumeEpochs(b *testing.B, st *Stream) {
 	b.Helper()
-	bs, err := st.TrainBatches()
+	bs, err := TrainBatchesOf[float64](st)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func BenchmarkPipelineEndToEndReal(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			bs, err := st.TrainBatches()
+			bs, err := TrainBatchesOf[float64](st)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,22 +1,23 @@
-// Package pipeline is the streaming, sharded scene-to-batch pipeline —
+// Package pipeline is the streaming, sharded scene-to-sample pipeline —
 // the paper's actual workflow shape. Where a batch build (the
-// dataset.Build reference) filters, labels, and tiles every scene before
-// the first training step can run, this package overlaps the stages the
-// paper pipelines across nodes:
+// dataset.Build reference) filters, labels, and tiles every scene one
+// stage after another, this package overlaps the stages the paper
+// pipelines across nodes:
 //
-//	sharded scene catalog ──▶ filter+label workers ──▶ tiling stage ──▶ batch assembler ──▶ train.FitStream
-//	      (Source)             (Config.Workers,          (bounded            (double-buffered,
-//	                            pool.Shared kernels)      prefetch)           scene-priority)
+//	sharded scene catalog ──▶ filter+label workers ──▶ tiling stage ──▶ TrainSamples ──▶ ddp.Trainer.Fit
+//	      (Source)             (Config.Workers,          (bounded          (the plan's
+//	                            pool.Shared kernels)      prefetch)         training subset)
 //
 // A Stream pulls scenes from a Source in priority order (scenes feeding
 // the earliest training batches first), runs the cloud filter and
 // auto-labeler concurrently on Config.Workers stage workers (whose
 // per-pixel kernels fan out on pool.Shared()), cuts the products into
-// tiles behind bounded prefetch channels, and hands mini-batches to the
-// trainer through a double-buffered assembler — so train.FitStream
-// consumes epoch batches while later shards are still being labeled.
-// Shards are the unit of cataloging, checkpointing (resume skips shards
-// already on disk), and progress reporting.
+// tiles behind bounded prefetch channels, and hands the plan's training
+// subset to the trainer (TrainSamples) once its scenes are labeled.
+// TrainBatchesOf also offers the subset as a double-buffered batch
+// source for train.FitStream, the serial reference loop the benchmark
+// harness drives. Shards are the unit of cataloging, checkpointing
+// (resume skips shards already on disk), and progress reporting.
 //
 // Determinism guarantee: every per-scene product depends only on the
 // scene and the build configuration — never on shard count, worker
@@ -222,7 +223,7 @@ type Config struct {
 	// scene. Off by default: a silently shrinking dataset is the wrong
 	// default for training parity.
 	Quarantine bool
-	// Plan enables TrainBatches/TrainSamples/TestTiles and scene
+	// Plan enables TrainBatchesOf/TrainSamples/TestTiles and scene
 	// prioritization. Without it scenes are processed in index order.
 	Plan *TrainPlan
 	// Progress, if non-nil, receives Events. Calls are serialized.
@@ -245,7 +246,7 @@ func (b StreamBuilder) BuildSet(src Source) (*dataset.Set, error) {
 	return st.Set()
 }
 
-// Stream is one pipeline run over a source. Consumers (Set, TrainBatches,
+// Stream is one pipeline run over a source. Consumers (Set, TrainBatchesOf,
 // TrainSamples, TestTiles) may be used concurrently; the stage goroutines
 // start on first consumption.
 type Stream struct {

@@ -12,7 +12,9 @@ import (
 
 	"seaice/internal/catalog"
 	"seaice/internal/dataset"
+	"seaice/internal/ddp"
 	"seaice/internal/scene"
+	"seaice/internal/tensor"
 	"seaice/internal/train"
 	"seaice/internal/unet"
 )
@@ -199,18 +201,26 @@ func legacySamples(t *testing.T, src Source, plan *TrainPlan) (trainS []train.Sa
 	return dataset.Samples(trainT, plan.Image, plan.Labels), testT
 }
 
-// TestStreamedTrainingParity trains one model from the double-buffered
-// stream and one from the legacy in-memory path and requires exactly
-// equal losses and weights.
+// TestStreamedTrainingParity trains three models on one plan — the
+// in-memory train.Fit reference, train.FitStream over the double-buffered
+// batch stream, and the ddp trainer at world 1 over the stream's
+// TrainSamples, the path seaice-train runs — and requires exactly equal
+// per-epoch losses and weights, in float64 and in float32 with float64
+// master weights.
 func TestStreamedTrainingParity(t *testing.T) {
+	t.Run("f64", func(t *testing.T) { streamedTrainingParity[float64](t, false) })
+	t.Run("f32-mixed", func(t *testing.T) { streamedTrainingParity[float32](t, true) })
+}
+
+func streamedTrainingParity[S tensor.Scalar](t *testing.T, master bool) {
 	src := CollectionSource{Cfg: testCampaign(7)}
 	plan := planForTest(7)
 	wantSamples, wantTest := legacySamples(t, src, plan)
 
 	modelCfg := unet.Config{Depth: 2, BaseChannels: 4, InChannels: 3, Classes: 3, DropoutRate: 0, Seed: 11}
-	trainCfg := train.Config{Epochs: 2, BatchSize: plan.BatchSize, LR: 0.01, Seed: plan.BatchSeed}
+	trainCfg := train.Config{Epochs: 2, BatchSize: plan.BatchSize, LR: 0.01, Seed: plan.BatchSeed, MasterWeights: master}
 
-	ref, err := unet.New[float64](modelCfg)
+	ref, err := unet.New[S](modelCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,32 +234,57 @@ func TestStreamedTrainingParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	batches, err := st.TrainBatches()
+	batches, err := TrainBatchesOf[S](st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := unet.New[float64](modelCfg)
+	streamed, err := unet.New[S](modelCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRes, err := train.FitStream(got, batches, trainCfg)
+	streamedRes, err := train.FitStream(streamed, batches, trainCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if len(refRes.EpochLosses) != len(gotRes.EpochLosses) || refRes.Steps != gotRes.Steps {
-		t.Fatalf("shape: %v/%d vs %v/%d", refRes.EpochLosses, refRes.Steps, gotRes.EpochLosses, gotRes.Steps)
+	samples, err := st.TrainSamples()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for e := range refRes.EpochLosses {
-		if refRes.EpochLosses[e] != gotRes.EpochLosses[e] {
-			t.Fatalf("epoch %d loss %v vs %v", e, refRes.EpochLosses[e], gotRes.EpochLosses[e])
+	tr, err := ddp.New[S](modelCfg, ddp.Config{
+		Workers: 1, BatchPerWorker: plan.BatchSize, Epochs: trainCfg.Epochs,
+		LR: trainCfg.LR, Seed: plan.BatchSeed, MasterWeights: master,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ddpRes, err := tr.Fit(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ddpLosses := make([]float64, len(ddpRes.Epochs))
+	for e, ep := range ddpRes.Epochs {
+		ddpLosses[e] = ep.Loss
+	}
+
+	for _, got := range []struct {
+		name   string
+		losses []float64
+		steps  int
+		model  *unet.Model[S]
+	}{
+		{"FitStream", streamedRes.EpochLosses, streamedRes.Steps, streamed},
+		{"ddp", ddpLosses, ddpRes.Steps, tr.Replica(0)},
+	} {
+		if !slices.Equal(got.losses, refRes.EpochLosses) || got.steps != refRes.Steps {
+			t.Fatalf("%s: epoch losses %v over %d steps, Fit %v over %d", got.name, got.losses, got.steps, refRes.EpochLosses, refRes.Steps)
 		}
-	}
-	refP, gotP := ref.Params(), got.Params()
-	for i := range refP {
-		for j := range refP[i].W.Data {
-			if refP[i].W.Data[j] != gotP[i].W.Data[j] {
-				t.Fatalf("param %s[%d] differs", refP[i].Name, j)
+		refP, gotP := ref.Params(), got.model.Params()
+		for i := range refP {
+			for j := range refP[i].W.Data {
+				if refP[i].W.Data[j] != gotP[i].W.Data[j] {
+					t.Fatalf("%s: param %s[%d] differs", got.name, refP[i].Name, j)
+				}
 			}
 		}
 	}
@@ -357,7 +392,7 @@ func TestErrorPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	batches, err := st.TrainBatches()
+	batches, err := TrainBatchesOf[float64](st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -309,8 +309,8 @@ func (s *Stream) gather(global []int) ([]dataset.Tile, error) {
 }
 
 // TrainSamples materializes the plan's training subset (in the batch
-// path's order) as train.Sample views — the entry point for consumers that
-// need the whole set at once, e.g. the multi-replica ddp trainer.
+// path's order) as train.Sample views — what the ddp trainer, and so
+// every shipped training run, consumes.
 func (s *Stream) TrainSamples() ([]train.Sample, error) { return s.planSamples(true) }
 
 // TrainLen reports the planned training-sample count — known from index

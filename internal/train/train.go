@@ -1,6 +1,9 @@
-// Package train provides the training loop machinery shared by the
-// serial and distributed trainers: deterministic batch iteration over
-// tile datasets, epoch bookkeeping, and evaluation against ground truth.
+// Package train provides the training machinery the data-parallel
+// trainer (internal/ddp) is built on: deterministic batch iteration over
+// tile datasets, the numeric anomaly guard, and evaluation against ground
+// truth. Fit and FitStream are a serial reference loop: the ddp trainer
+// at world size 1 is tested against them bit for bit, and the benchmark
+// harness (bench/) drives them; no shipped command trains through them.
 //
 // Determinism guarantees (precision-scoped): the batch schedule is pure
 // index math (BatchIndices) seeded per epoch, and Fit is defined as
@@ -197,8 +200,9 @@ func CheckLR(lr float64) error {
 	return nil
 }
 
-// Fit trains the model on the samples with Adam — the single-GPU
-// baseline of Table III.
+// Fit trains the model on the samples with Adam, serially — the
+// reference the ddp trainer at world size 1 is tested against and a
+// benchmark entry point, with no shipped caller.
 func Fit[S tensor.Scalar](m *unet.Model[S], samples []Sample, cfg Config) (*Result, error) {
 	batcher, err := NewBatcher(samples, cfg.BatchSize, cfg.Seed)
 	if err != nil {
@@ -210,7 +214,8 @@ func Fit[S tensor.Scalar](m *unet.Model[S], samples []Sample, cfg Config) (*Resu
 // FitStream trains the model from a BatchSource. The batch sequence — and
 // therefore the trained weights — is identical to Fit on the equivalent
 // in-memory dataset; only where the batches come from (and what overlaps
-// with the optimizer steps) differs. cfg.BatchSize and cfg.Seed are
+// with the optimizer steps) differs. Like Fit it is the serial reference
+// and a benchmark entry point, with no shipped caller. cfg.BatchSize and cfg.Seed are
 // carried by the source (e.g. pipeline.TrainPlan's BatchSize/BatchSeed)
 // and ignored here.
 func FitStream[S tensor.Scalar](m *unet.Model[S], src BatchSource[S], cfg Config) (*Result, error) {
