@@ -35,6 +35,18 @@
 // than a single tile. Products that feed a sum are rounded explicitly
 // (float64(a*b)), so no target fuses them into a multiply-add
 // (scripts/nofma.sh checks this on arm64).
+//
+// Every full-size plane Filter allocates is read by a later step, and a
+// scratch plane is reused once its last reader has run: about 34 bytes
+// per pixel in all. The four outputs take 20 (the RGB image, which the
+// veil inversion writes and the shadow division then rewrites in place;
+// the 8-bit mask, which reuses the quantized-opacity plane; the opacity
+// and the shadow field, which is its smoothed evidence plane). The rest
+// is the float64 weight plane of the shadow field and seven 8-bit planes:
+// the source's saturation and value, the denoised saturation, and the
+// two passes each of the erosion and the dilation. The colorful-pixel
+// window mean runs on integer column sums in O(width) memory, and the
+// Gaussians run in place over one staged row or column.
 package cloudfilter
 
 import (
@@ -172,9 +184,7 @@ type Result struct {
 // Filter runs the two-stage thin-cloud and shadow correction.
 func Filter(img *raster.RGB, cfg Config) *Result {
 	w, h := img.W, img.H
-	srcHSV := colorspace.ToHSV(img)
-	val := &raster.Gray{W: w, H: h, Pix: srcHSV.Val}
-	sat := &raster.Gray{W: w, H: h, Pix: srcHSV.Sat}
+	sat, val := colorspace.SatVal(img)
 	// Per-pixel saturation decisions must not ride on sensor noise
 	// (±1.6/channel moves S by ~±5 on mid-bright pixels); a 3×3 median
 	// is the paper pipeline's "noise filtering" step.
@@ -187,74 +197,54 @@ func Filter(img *raster.RGB, cfg Config) *Result {
 	minV := imgproc.Erode(val, cfg.DarkRadius)
 	// Cap implausible highs with a truncated threshold before the
 	// division; windows of pure bright ice are handled by the gate.
-	minV = imgproc.Threshold(minV, 250, 255, imgproc.ThreshTrunc)
-	// Window-mean saturation over COLORFUL pixels only. Thick ice is
-	// near-gray; including it in the mean would let "shadowed thick +
-	// clean blue ice" masquerade as "veil over dark water". Excluding
-	// gray pixels, clean surfaces keep mean S ≥ ~95 (dark young ice)
-	// or ≥ ~56 (bright young ice), while anything under a veil drops
-	// to ≤ ~87 (light veil over water) and ≤ ~47 (moderate veil).
-	satNum := raster.NewFloat(w, h)
-	satDen := raster.NewFloat(w, h)
-	for i, s := range sat.Pix {
-		if s >= cfg.SatShadowFloor {
-			satNum.Pix[i] = float64(s)
-			satDen.Pix[i] = 1
-		}
-	}
-	satNumM := imgproc.BoxMeanFloat(satNum, cfg.DarkRadius)
-	satDenM := imgproc.BoxMeanFloat(satDen, cfg.DarkRadius)
-	// meanS[i] is the colorful-pixel mean; windows that are almost
-	// entirely gray (< 5% colorful) report 0, which the gates read as
-	// "pure thick ice, no veil evidence".
-	meanS := raster.NewGray(w, h)
-	for i := range meanS.Pix {
-		if satDenM.Pix[i] >= 0.05 {
-			m := satNumM.Pix[i] / satDenM.Pix[i]
-			if m > 255 {
-				m = 255
-			}
-			meanS.Pix[i] = uint8(m + 0.5)
-		}
-	}
-
+	imgproc.Threshold(minV, minV, 250, 255, imgproc.ThreshTrunc)
+	// The raw opacity of each pixel is quantized straight onto the 8-bit
+	// grid the dilation below runs on, over minV: pixel i of minV is
+	// read once, by pixel i of the estimate.
+	q := minV
 	veilV := (cfg.VeilColor[0] + cfg.VeilColor[1] + cfg.VeilColor[2]) / 3
-	opacityRaw := raster.NewFloat(w, h)
-	for i, v := range minV.Pix {
-		fv := float64(v)
-		if fv > cfg.AmbiguousMin {
-			continue // no dark evidence in window; veil invisible here
-		}
-		if fv > cfg.AmbiguousLow {
-			if meanS.Pix[i] > cfg.SatGate {
-				continue // window keeps saturated surfaces ⇒ no veil
+	colorfulMeanRows(sat, cfg.SatShadowFloor, cfg.DarkRadius, func(y int, meanS []uint8) {
+		row := q.Pix[y*w : (y+1)*w]
+		for x, v := range row {
+			row[x] = 0
+			fv := float64(v)
+			if fv > cfg.AmbiguousMin {
+				continue // no dark evidence in window; veil invisible here
 			}
-			if meanS.Pix[i] < cfg.SatShadowFloor {
-				continue // near-gray window ⇒ (shadowed) thick ice
+			if fv > cfg.AmbiguousLow {
+				if meanS[x] > cfg.SatGate {
+					continue // window keeps saturated surfaces ⇒ no veil
+				}
+				if meanS[x] < cfg.SatShadowFloor {
+					continue // near-gray window ⇒ (shadowed) thick ice
+				}
+			} else if fv > cfg.WaterCeil && (meanS[x] == 0 || meanS[x] > cfg.SatGateLow) {
+				// Either the window is saturated blue dark ice (clear,
+				// not a light veil) or it has no colorful pixels at all —
+				// and a veil with dark evidence always leaves colorful
+				// residue, so an all-gray window carries no veil.
+				continue
 			}
-		} else if fv > cfg.WaterCeil && (meanS.Pix[i] == 0 || meanS.Pix[i] > cfg.SatGateLow) {
-			// Either the window is saturated blue dark ice (clear,
-			// not a light veil) or it has no colorful pixels at all —
-			// and a veil with dark evidence always leaves colorful
-			// residue, so an all-gray window carries no veil.
-			continue
+			a := (fv - cfg.DarkFloor) / (veilV - cfg.DarkFloor)
+			if a < 0 {
+				a = 0
+			}
+			if a > cfg.MaxOpacity {
+				a = cfg.MaxOpacity
+			}
+			row[x] = quantOpacity(a)
 		}
-		a := (fv - cfg.DarkFloor) / (veilV - cfg.DarkFloor)
-		if a < 0 {
-			a = 0
-		}
-		if a > cfg.MaxOpacity {
-			a = cfg.MaxOpacity
-		}
-		opacityRaw.Pix[i] = a
-	}
+	})
 	// The erosion sees the window's darkest pixel, so the raw estimate
 	// collapses to zero within DarkRadius of every cloud boundary (the
 	// window leaks onto clear ground). Dilating by the same radius
 	// restores the estimate's support — an erode-then-dilate pair, the
 	// morphological opening of the opacity field — and the Gaussian
 	// then irons window artifacts to the cloud's spatial scale.
-	opacity := smoothFloat(dilateFloat(opacityRaw, cfg.DarkRadius), cfg.VeilSmoothSigma)
+	opacity := raster.NewFloat(w, h)
+	dilateOpacity(opacity, q, cfg.DarkRadius)
+	line := make([]float64, max(w, h)) // the Gaussian's staging row or column
+	smoothInPlace(opacity, cfg.VeilSmoothSigma, line)
 	for i, a := range opacity.Pix {
 		if a < cfg.MinOpacity {
 			opacity.Pix[i] = 0
@@ -277,7 +267,7 @@ func Filter(img *raster.RGB, cfg Config) *Result {
 	corrected := raster.NewRGB(w, h)
 	for i := 0; i < w*h; i++ {
 		a := opacity.Pix[i]
-		if a <= 0 || isGrayMid(satDenoised.Pix[i], srcHSV.Val[i]) || satDenoised.Pix[i] >= cfg.SatClearMin {
+		if a <= 0 || isGrayMid(satDenoised.Pix[i], val.Pix[i]) || satDenoised.Pix[i] >= cfg.SatClearMin {
 			corrected.Pix[3*i] = img.Pix[3*i]
 			corrected.Pix[3*i+1] = img.Pix[3*i+1]
 			corrected.Pix[3*i+2] = img.Pix[3*i+2]
@@ -291,14 +281,15 @@ func Filter(img *raster.RGB, cfg Config) *Result {
 	}
 
 	// ---- stage 2: cloud shadow ----
-	hsv := colorspace.ToHSV(corrected)
-	evidence := raster.NewFloat(w, h)
+	// The evidence plane is smoothed in place and becomes the shadow
+	// field; only the weight plane is scratch.
+	shadow := raster.NewFloat(w, h)
 	weight := raster.NewFloat(w, h)
 	for i := 0; i < w*h; i++ {
-		if opacity.Pix[i] > cfg.OpacityGate && !isGrayMid(satDenoised.Pix[i], srcHSV.Val[i]) {
+		if opacity.Pix[i] > cfg.OpacityGate && !isGrayMid(satDenoised.Pix[i], val.Pix[i]) {
 			continue // veiled region: residue must not vote for shadow
 		}
-		v := float64(hsv.Val[i])
+		v := float64(maxChannel(corrected.Pix[3*i : 3*i+3]))
 		if satDenoised.Pix[i] <= cfg.ShadowSatMax && v >= cfg.ShadowVMin && v <= cfg.ShadowVMax {
 			sh := 1 - v/cfg.ThickRefV
 			if sh < 0 {
@@ -307,21 +298,21 @@ func Filter(img *raster.RGB, cfg Config) *Result {
 			if sh > cfg.MaxShadow {
 				sh = cfg.MaxShadow
 			}
-			evidence.Pix[i] = sh
+			shadow.Pix[i] = sh
 			weight.Pix[i] = 1
 		}
 	}
-	evSmooth := smoothFloat(evidence, cfg.ShadowSmooth)
-	wSmooth := smoothFloat(weight, cfg.ShadowSmooth)
-	shadow := raster.NewFloat(w, h)
-	for i := 0; i < w*h; i++ {
-		if wSmooth.Pix[i] < cfg.MinEvidence {
+	smoothInPlace(shadow, cfg.ShadowSmooth, line)
+	smoothInPlace(weight, cfg.ShadowSmooth, line)
+	for i, ev := range shadow.Pix {
+		shadow.Pix[i] = 0
+		if weight.Pix[i] < cfg.MinEvidence {
 			continue
 		}
-		if opacity.Pix[i] > cfg.OpacityGate && !isGrayMid(satDenoised.Pix[i], srcHSV.Val[i]) {
+		if opacity.Pix[i] > cfg.OpacityGate && !isGrayMid(satDenoised.Pix[i], val.Pix[i]) {
 			continue // veil correction already handled this pixel
 		}
-		sh := evSmooth.Pix[i] / wSmooth.Pix[i]
+		sh := ev / weight.Pix[i]
 		if sh < cfg.MinShadow {
 			continue
 		}
@@ -331,28 +322,27 @@ func Filter(img *raster.RGB, cfg Config) *Result {
 		shadow.Pix[i] = sh
 	}
 
-	out := raster.NewRGB(w, h)
+	// Divide the shadow back out, in place: the corrected image becomes
+	// the output.
 	for i := 0; i < w*h; i++ {
+		px := corrected.Pix[3*i : 3*i+3]
 		sh := shadow.Pix[i]
-		v := float64(hsv.Val[i])
-		if sh <= 0 || v < cfg.ShadowDarkMin {
-			out.Pix[3*i] = corrected.Pix[3*i]
-			out.Pix[3*i+1] = corrected.Pix[3*i+1]
-			out.Pix[3*i+2] = corrected.Pix[3*i+2]
+		if sh <= 0 || float64(maxChannel(px)) < cfg.ShadowDarkMin {
 			continue
 		}
 		k := 1 / (1 - sh)
-		out.Pix[3*i] = clamp8(float64(corrected.Pix[3*i]) * k)
-		out.Pix[3*i+1] = clamp8(float64(corrected.Pix[3*i+1]) * k)
-		out.Pix[3*i+2] = clamp8(float64(corrected.Pix[3*i+2]) * k)
+		px[0] = clamp8(float64(px[0]) * k)
+		px[1] = clamp8(float64(px[1]) * k)
+		px[2] = clamp8(float64(px[2]) * k)
 	}
 
 	// ---- disturbance mask ----
 	// Combine both disturbance fields into an 8-bit image and Otsu-
 	// binarize it (the paper's Otsu + binary threshold step). Guard the
 	// clear-sky case: if the field is essentially empty, Otsu on noise
-	// would hallucinate a mask.
-	dist := raster.NewGray(w, h)
+	// would hallucinate a mask. The field reuses q, dead since the
+	// dilation read it.
+	dist := q
 	for i := 0; i < w*h; i++ {
 		d := opacity.Pix[i] + shadow.Pix[i]
 		if d > 1 {
@@ -369,9 +359,9 @@ func Filter(img *raster.RGB, cfg Config) *Result {
 	if level < 13 { // 5% of full disturbance
 		level = 13
 	}
-	mask := imgproc.Threshold(dist, level, 255, imgproc.ThreshBinary)
+	imgproc.Threshold(dist, dist, level, 255, imgproc.ThreshBinary)
 
-	return &Result{Image: out, CloudMask: mask, Opacity: opacity, Shadow: shadow}
+	return &Result{Image: corrected, CloudMask: dist, Opacity: opacity, Shadow: shadow}
 }
 
 // FilterDefault runs the filter with DefaultConfig.
@@ -379,44 +369,111 @@ func FilterDefault(img *raster.RGB) *Result {
 	return Filter(img, DefaultConfig())
 }
 
-// dilateFloat computes a sliding-window maximum of a float raster in
-// [0,1] via 8-bit quantization (1/500 steps) and the grayscale dilation
-// in imgproc.
-func dilateFloat(src *raster.Float, radius int) *raster.Float {
-	q := raster.NewGray(src.W, src.H)
-	for i, v := range src.Pix {
-		s := v * 500
-		if s > 255 {
-			s = 255
+// colorfulMeanRows walks the rows of sat from top to bottom and calls row
+// with the window-mean saturation of the COLORFUL pixels (S ≥ floor) of
+// each pixel of row y, over a (2r+1)² window clipped at the borders.
+// Thick ice is near-gray; including it in the mean would let "shadowed
+// thick + clean blue ice" masquerade as "veil over dark water". Excluding
+// gray pixels, clean surfaces keep mean S ≥ ~95 (dark young ice) or
+// ≥ ~56 (bright young ice), while anything under a veil drops to ≤ ~87
+// (light veil over water) and ≤ ~47 (moderate veil). Windows that are
+// almost entirely gray (< 5% colorful) report 0, which the gates read as
+// "pure thick ice, no veil evidence".
+//
+// The window sums are exact integers, kept as running column sums, so
+// memory is O(width); the saturation and colorful-fraction window means
+// are each one quotient of exact integers, rounded once, and their ratio
+// is rounded to the nearest byte.
+func colorfulMeanRows(sat *raster.Gray, floor uint8, radius int, row func(y int, meanS []uint8)) {
+	w, h := sat.W, sat.H
+	colSum := make([]int, w) // Σ S of the colorful pixels of each column's window
+	colCnt := make([]int, w) // number of colorful pixels of each column's window
+	meanS := make([]uint8, w)
+	addRow := func(y, sign int) {
+		for x, s := range sat.Pix[y*w : (y+1)*w] {
+			if s >= floor {
+				colSum[x] += sign * int(s)
+				colCnt[x] += sign
+			}
 		}
-		if s < 0 {
-			s = 0
+	}
+	for y := 0; y < min(radius, h); y++ {
+		addRow(y, 1)
+	}
+	for y := 0; y < h; y++ {
+		if y+radius < h {
+			addRow(y+radius, 1)
 		}
-		q.Pix[i] = uint8(s + 0.5)
+		if y-radius-1 >= 0 {
+			addRow(y-radius-1, -1)
+		}
+		rows := min(y+radius, h-1) - max(y-radius, 0) + 1
+		sum, cnt := 0, 0
+		for x := 0; x < min(radius, w); x++ {
+			sum += colSum[x]
+			cnt += colCnt[x]
+		}
+		for x := 0; x < w; x++ {
+			if x+radius < w {
+				sum += colSum[x+radius]
+				cnt += colCnt[x+radius]
+			}
+			if x-radius-1 >= 0 {
+				sum -= colSum[x-radius-1]
+				cnt -= colCnt[x-radius-1]
+			}
+			n := float64((min(x+radius, w-1) - max(x-radius, 0) + 1) * rows)
+			meanS[x] = 0
+			if frac := float64(cnt) / n; frac >= 0.05 {
+				m := (float64(sum) / n) / frac
+				if m > 255 {
+					m = 255
+				}
+				meanS[x] = uint8(m + 0.5)
+			}
+		}
+		row(y, meanS)
 	}
-	d := imgproc.Dilate(q, radius)
-	out := raster.NewFloat(src.W, src.H)
-	for i, v := range d.Pix {
-		out.Pix[i] = float64(v) / 500
-	}
-	return out
 }
 
-// smoothFloat applies a separable Gaussian to a float raster. The kernel
-// radius follows the 3σ rule.
-func smoothFloat(src *raster.Float, sigma float64) *raster.Float {
+// quantOpacity puts an opacity in [0,1] on the 8-bit grid (1/500 steps)
+// that the opacity dilation runs on.
+func quantOpacity(a float64) uint8 {
+	s := a * 500
+	if s > 255 {
+		s = 255
+	}
+	if s < 0 {
+		s = 0
+	}
+	return uint8(s + 0.5)
+}
+
+// dilateOpacity writes into dst the sliding-window maximum of the
+// quantized opacity q (see quantOpacity), back on the [0,1] scale.
+func dilateOpacity(dst *raster.Float, q *raster.Gray, radius int) {
+	for i, v := range imgproc.Dilate(q, radius).Pix {
+		dst.Pix[i] = float64(v) / 500
+	}
+}
+
+// smoothInPlace applies a separable Gaussian to f in place, staging one
+// row or column at a time in line (at least max(W, H) long). The kernel
+// radius follows the 3σ rule. Each output is the sum of the same taps in
+// the same order as a two-plane convolution with border replication.
+func smoothInPlace(f *raster.Float, sigma float64, line []float64) {
 	if sigma <= 0 {
-		return src.Clone()
+		return
 	}
 	k := imgproc.GaussianKernel(sigma)
 	radius := len(k) / 2
-	w, h := src.W, src.H
-	tmp := raster.NewFloat(w, h)
-	dst := raster.NewFloat(w, h)
+	w, h := f.W, f.H
 
 	for y := 0; y < h; y++ {
-		row := src.Pix[y*w : (y+1)*w]
-		for x := 0; x < w; x++ {
+		row := f.Pix[y*w : (y+1)*w]
+		src := line[:w]
+		copy(src, row)
+		for x := range row {
 			sum := 0.0
 			for i, kv := range k {
 				xx := x + i - radius
@@ -425,12 +482,16 @@ func smoothFloat(src *raster.Float, sigma float64) *raster.Float {
 				} else if xx >= w {
 					xx = w - 1
 				}
-				sum += float64(kv * row[xx])
+				sum += float64(kv * src[xx])
 			}
-			tmp.Pix[y*w+x] = sum
+			row[x] = sum
 		}
 	}
+	src := line[:h]
 	for x := 0; x < w; x++ {
+		for y := range src {
+			src[y] = f.Pix[y*w+x]
+		}
 		for y := 0; y < h; y++ {
 			sum := 0.0
 			for i, kv := range k {
@@ -440,12 +501,16 @@ func smoothFloat(src *raster.Float, sigma float64) *raster.Float {
 				} else if yy >= h {
 					yy = h - 1
 				}
-				sum += float64(kv * tmp.Pix[yy*w+x])
+				sum += float64(kv * src[yy])
 			}
-			dst.Pix[y*w+x] = sum
+			f.Pix[y*w+x] = sum
 		}
 	}
-	return dst
+}
+
+// maxChannel is the HSV value (brightest channel) of one RGB pixel.
+func maxChannel(px []uint8) uint8 {
+	return max(px[0], px[1], px[2])
 }
 
 func clamp8(v float64) uint8 {

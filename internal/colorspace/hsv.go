@@ -176,6 +176,22 @@ func ValPlane(img *raster.RGB) *raster.Gray {
 	return g
 }
 
+// SatVal extracts the saturation and value channels of an RGB image — the
+// S and V planes of ToHSV, without computing the hue, which the cloud
+// filter never reads.
+func SatVal(img *raster.RGB) (sat, val *raster.Gray) {
+	sat, val = raster.NewGray(img.W, img.H), raster.NewGray(img.W, img.H)
+	for i := range val.Pix {
+		r, g, b := int(img.Pix[3*i]), int(img.Pix[3*i+1]), int(img.Pix[3*i+2])
+		v, mn := max(r, g, b), min(r, g, b)
+		val.Pix[i] = uint8(v)
+		if v != 0 {
+			sat.Pix[i] = uint8(((v - mn) * 255) / v)
+		}
+	}
+	return sat, val
+}
+
 // Bounds is an inclusive HSV box used for color-range segmentation,
 // mirroring OpenCV's inRange(lower, upper) semantics.
 type Bounds struct {

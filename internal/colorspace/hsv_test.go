@@ -113,6 +113,24 @@ func TestValPlaneMatchesHSV(t *testing.T) {
 	}
 }
 
+// TestSatValMatchesHSV: SatVal's planes equal RGBToHSV's S and V on every
+// 8-bit RGB triple (one 256×256 image of (g, b) per red level).
+func TestSatValMatchesHSV(t *testing.T) {
+	img := raster.NewRGB(256, 256)
+	for r := 0; r < 256; r++ {
+		for i := 0; i < 256*256; i++ {
+			img.Pix[3*i], img.Pix[3*i+1], img.Pix[3*i+2] = uint8(r), uint8(i/256), uint8(i%256)
+		}
+		sat, val := SatVal(img)
+		for i := range val.Pix {
+			want := RGBToHSV(uint8(r), uint8(i/256), uint8(i%256))
+			if sat.Pix[i] != want.S || val.Pix[i] != want.V {
+				t.Fatalf("rgb(%d,%d,%d): S,V = %d,%d, want %d,%d", r, i/256, i%256, sat.Pix[i], val.Pix[i], want.S, want.V)
+			}
+		}
+	}
+}
+
 // TestInRangeMonotone: growing the bounds can only grow the mask.
 func TestInRangeMonotone(t *testing.T) {
 	rng := noise.NewRNG(7, 1)

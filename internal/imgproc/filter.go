@@ -1,17 +1,17 @@
 // Package imgproc is the workflow's classical image-processing toolkit —
 // a from-scratch Go replacement for the OpenCV operations the paper's
-// thin-cloud/shadow filter and color segmentation depend on: median and
-// box-mean smoothing, the Gaussian kernel, binary/truncated/Otsu
-// thresholding, mask statistics, and binary morphology. All operators
-// use OpenCV conventions (8-bit data, masks with 0/255 values, border
-// replication for neighborhoods).
+// thin-cloud/shadow filter and color segmentation depend on: median
+// smoothing, the Gaussian kernel, binary/truncated/Otsu thresholding,
+// mask statistics, and binary morphology. All operators use OpenCV
+// conventions (8-bit data, masks with 0/255 values, border replication
+// for neighborhoods).
 //
-// Every operator is a deterministic pure function of its input rasters
-// and parameters (no RNG, no global state), so compositions like the
-// cloud filter are bit-reproducible and safe to run concurrently on
-// different images — the property the pipeline's parallel label stage
-// relies on. Products that feed a sum are rounded explicitly
-// (float64(a*b)), so no target fuses them into a multiply-add
+// Every operator is a deterministic function of its input rasters and
+// parameters (no RNG, no global state) that writes only its output, so
+// compositions like the cloud filter are bit-reproducible and safe to run
+// concurrently on different images — the property the pipeline's
+// parallel label stage relies on. Products that feed a sum are rounded
+// explicitly (float64(a*b)), so no target fuses them into a multiply-add
 // (scripts/nofma.sh checks this on arm64).
 package imgproc
 
@@ -101,32 +101,4 @@ func MedianFilter(src *raster.Gray, radius int) *raster.Gray {
 		}
 	}
 	return dst
-}
-
-// BoxMeanFloat computes the per-pixel mean of a float raster over a
-// (2r+1)² window clipped at the borders, via integral images.
-func BoxMeanFloat(src *raster.Float, radius int) *raster.Float {
-	if radius <= 0 {
-		return src.Clone()
-	}
-	w, h := src.W, src.H
-	integ := make([]float64, (w+1)*(h+1))
-	for y := 0; y < h; y++ {
-		rowSum := 0.0
-		for x := 0; x < w; x++ {
-			rowSum += src.Pix[y*w+x]
-			integ[(y+1)*(w+1)+(x+1)] = integ[y*(w+1)+(x+1)] + rowSum
-		}
-	}
-	out := raster.NewFloat(w, h)
-	for y := 0; y < h; y++ {
-		y0, y1 := clampIdx(y-radius, h), clampIdx(y+radius, h)
-		for x := 0; x < w; x++ {
-			x0, x1 := clampIdx(x-radius, w), clampIdx(x+radius, w)
-			n := float64((x1 - x0 + 1) * (y1 - y0 + 1))
-			s := integ[(y1+1)*(w+1)+(x1+1)] - integ[y0*(w+1)+(x1+1)] - integ[(y1+1)*(w+1)+x0] + integ[y0*(w+1)+x0]
-			out.Pix[y*w+x] = s / n
-		}
-	}
-	return out
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"seaice/internal/noise"
 	"seaice/internal/raster"
 )
 
@@ -89,10 +88,13 @@ func TestThresholdKinds(t *testing.T) {
 		{ThreshToZeroInv, []uint8{0, 50, 100, 0, 0}},
 	}
 	for _, c := range cases {
-		got := Threshold(g, 100, 255, c.kind)
+		got := raster.NewGray(g.W, g.H)
+		Threshold(got, g, 100, 255, c.kind)
+		inPlace := g.Clone()
+		Threshold(inPlace, inPlace, 100, 255, c.kind)
 		for i := range c.want {
-			if got.Pix[i] != c.want[i] {
-				t.Errorf("%v: pix %d = %d, want %d", c.kind, i, got.Pix[i], c.want[i])
+			if got.Pix[i] != c.want[i] || inPlace.Pix[i] != c.want[i] {
+				t.Errorf("%v: pix %d = %d (in place %d), want %d", c.kind, i, got.Pix[i], inPlace.Pix[i], c.want[i])
 			}
 		}
 	}
@@ -113,7 +115,8 @@ func TestOtsuSeparatesBimodal(t *testing.T) {
 	if th < 40 || th >= 200 {
 		t.Fatalf("otsu threshold %d outside (40,200)", th)
 	}
-	mask := Threshold(g, th, 255, ThreshBinary)
+	mask := raster.NewGray(g.W, g.H)
+	Threshold(mask, g, th, 255, ThreshBinary)
 	for i := range g.Pix {
 		want := uint8(0)
 		if g.Pix[i] > th {
@@ -153,32 +156,5 @@ func TestCountNonZero(t *testing.T) {
 	g.Set(1, 2, 200)
 	if got := CountNonZero(g); got != 2 {
 		t.Fatalf("count %d, want 2", got)
-	}
-}
-
-func TestBoxMeanFloatMatchesDirect(t *testing.T) {
-	rng := noise.NewRNG(31, 1)
-	f := raster.NewFloat(10, 7)
-	for i := range f.Pix {
-		f.Pix[i] = rng.Float64() * 100
-	}
-	radius := 2
-	got := BoxMeanFloat(f, radius)
-	for y := 0; y < f.H; y++ {
-		for x := 0; x < f.W; x++ {
-			sum, n := 0.0, 0.0
-			x0, x1 := clampIdx(x-radius, f.W), clampIdx(x+radius, f.W)
-			y0, y1 := clampIdx(y-radius, f.H), clampIdx(y+radius, f.H)
-			for yy := y0; yy <= y1; yy++ {
-				for xx := x0; xx <= x1; xx++ {
-					sum += f.At(xx, yy)
-					n++
-				}
-			}
-			want := sum / n
-			if math.Abs(got.At(x, y)-want) > 1e-9 {
-				t.Fatalf("(%d,%d): got %g want %g", x, y, got.At(x, y), want)
-			}
-		}
 	}
 }

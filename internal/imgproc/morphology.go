@@ -24,49 +24,44 @@ func Erode(src *raster.Gray, radius int) *raster.Gray {
 }
 
 // slideExtreme computes the 1-D sliding max (or min) over rows or columns
-// with window 2r+1 using the monotone deque algorithm.
+// with window 2r+1 using the monotone deque algorithm. A line (row or
+// column) is n pixels at Pix[off+i*stride]; one deque serves every line,
+// since each index enters it at most once per line.
 func slideExtreme(src *raster.Gray, radius int, horizontal, max bool) *raster.Gray {
-	w, h := src.W, src.H
-	dst := raster.NewGray(w, h)
-
-	better := func(a, b uint8) bool {
-		if max {
-			return a >= b
-		}
-		return a <= b
+	dst := raster.NewGray(src.W, src.H)
+	n, lines, stride, next := src.W, src.H, 1, src.W
+	if !horizontal {
+		n, lines, stride, next = src.H, src.W, src.W, 1
 	}
-
-	process := func(get func(i int) uint8, set func(i int, v uint8), n int) {
-		// deque of indices with monotone values
-		deque := make([]int, 0, n)
+	deque := make([]int, n) // indices with monotone values, live in [head, tail)
+	for l, off := 0, 0; l < lines; l, off = l+1, off+next {
+		head, tail := 0, 0
 		for i := 0; i < n+radius; i++ {
 			if i < n {
-				v := get(i)
-				for len(deque) > 0 && better(v, get(deque[len(deque)-1])) {
-					deque = deque[:len(deque)-1]
+				v := src.Pix[off+i*stride]
+				for tail > head && better(max, v, src.Pix[off+deque[tail-1]*stride]) {
+					tail--
 				}
-				deque = append(deque, i)
+				deque[tail] = i
+				tail++
 			}
 			out := i - radius
 			if out >= 0 {
-				for len(deque) > 0 && deque[0] < out-radius {
-					deque = deque[1:]
+				for tail > head && deque[head] < out-radius {
+					head++
 				}
-				set(out, get(deque[0]))
+				dst.Pix[off+out*stride] = src.Pix[off+deque[head]*stride]
 			}
 		}
 	}
-
-	if horizontal {
-		for y := 0; y < h; y++ {
-			row := src.Pix[y*w : (y+1)*w]
-			out := dst.Pix[y*w : (y+1)*w]
-			process(func(i int) uint8 { return row[i] }, func(i int, v uint8) { out[i] = v }, w)
-		}
-	} else {
-		for x := 0; x < w; x++ {
-			process(func(i int) uint8 { return src.Pix[i*w+x] }, func(i int, v uint8) { dst.Pix[i*w+x] = v }, h)
-		}
-	}
 	return dst
+}
+
+// better reports whether a displaces b from the back of a max (or min)
+// deque.
+func better(max bool, a, b uint8) bool {
+	if max {
+		return a >= b
+	}
+	return a <= b
 }

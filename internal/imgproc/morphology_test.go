@@ -97,3 +97,17 @@ func TestErodeDilateOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestErodeAllocationsIndependentOfHeight: the sliding passes reuse one
+// deque per pass, so Erode's allocation count does not grow with the
+// number of rows or columns it scans.
+func TestErodeAllocationsIndependentOfHeight(t *testing.T) {
+	allocs := func(h int) float64 {
+		g := randGray(7, 256, h)
+		return testing.AllocsPerRun(5, func() { Erode(g, 3) })
+	}
+	short, tall := allocs(16), allocs(256)
+	if tall != short {
+		t.Fatalf("Erode allocates %v times on 256×256 but %v on 256×16", tall, short)
+	}
+}

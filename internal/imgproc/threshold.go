@@ -41,36 +41,36 @@ func (k ThresholdKind) String() string {
 }
 
 // Threshold applies the selected rule with threshold t and maximum value
-// maxval (used by the binary kinds).
-func Threshold(src *raster.Gray, t, maxval uint8, kind ThresholdKind) *raster.Gray {
-	dst := raster.NewGray(src.W, src.H)
+// maxval (used by the binary kinds) to src, writing every pixel of dst,
+// which must match src's dimensions and may be src itself.
+func Threshold(dst, src *raster.Gray, t, maxval uint8, kind ThresholdKind) {
 	for i, v := range src.Pix {
+		var out uint8
 		switch kind {
 		case ThreshBinary:
 			if v > t {
-				dst.Pix[i] = maxval
+				out = maxval
 			}
 		case ThreshBinaryInv:
 			if v <= t {
-				dst.Pix[i] = maxval
+				out = maxval
 			}
 		case ThreshTrunc:
+			out = v
 			if v > t {
-				dst.Pix[i] = t
-			} else {
-				dst.Pix[i] = v
+				out = t
 			}
 		case ThreshToZero:
 			if v > t {
-				dst.Pix[i] = v
+				out = v
 			}
 		case ThreshToZeroInv:
 			if v <= t {
-				dst.Pix[i] = v
+				out = v
 			}
 		}
+		dst.Pix[i] = out
 	}
-	return dst
 }
 
 // histogram returns the 256-bin intensity histogram.

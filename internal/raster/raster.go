@@ -112,13 +112,6 @@ func (m *Float) At(x, y int) float64 { return m.Pix[y*m.W+x] }
 // Set stores the value at (x, y).
 func (m *Float) Set(x, y int, v float64) { m.Pix[y*m.W+x] = v }
 
-// Clone returns a deep copy.
-func (m *Float) Clone() *Float {
-	c := NewFloat(m.W, m.H)
-	copy(c.Pix, m.Pix)
-	return c
-}
-
 // FromGray converts an 8-bit raster to float values in [0,255].
 func FromGray(g *Gray) *Float {
 	f := NewFloat(g.W, g.H)
