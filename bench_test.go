@@ -705,6 +705,8 @@ func benchMatMul[S tensor.Scalar](b *testing.B) {
 	bb := tensor.New[S](k, n) // im2col matrix
 	at := tensor.New[S](k, m) // transposed weights for Aᵀ×B
 	wide := tensor.New[S](k, n)
+	ab := tensor.New[S](m, n)
+	atb := tensor.New[S](m, n)
 	fill(a, 0.1)
 	fill(bb, 0.2)
 	fill(at, 0.3)
@@ -720,14 +722,14 @@ func benchMatMul[S tensor.Scalar](b *testing.B) {
 				useFloat32Backend(b, backend)
 			}
 			for i := 0; i < b.N; i++ {
-				tensor.MatMul(a, bb)
+				tensor.MatMulInto(ab, a, bb)
 			}
 			b.ReportMetric(2*m*k*n*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
 		})
 	}
 	b.Run("ATB/engine", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tensor.MatMulATB(at, wide)
+			tensor.MatMulATBInto(atb, at, wide)
 		}
 	})
 }

@@ -152,6 +152,9 @@ func parseFlags(args []string, onError flag.ErrorHandling) (options, error) {
 	if o.size <= 0 {
 		return o, fmt.Errorf("-size %d: want a positive scene size", o.size)
 	}
+	if o.procs < 0 {
+		return o, fmt.Errorf("-procs %d: must be at least 0", o.procs)
+	}
 	specs := []string{*spec}
 	if o.compare {
 		specs = strings.Split(*spec, ",")

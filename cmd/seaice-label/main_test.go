@@ -5,8 +5,11 @@ import (
 	"flag"
 	"os"
 	"os/exec"
+	"runtime"
 	"strings"
 	"testing"
+
+	"seaice/internal/pool"
 )
 
 // TestMain runs main instead of the tests when the child-process hook
@@ -39,6 +42,7 @@ var flagErrors = []struct {
 	{[]string{"-scenes", "0"}, "-scenes 0: want at least one scene", 1},
 	{[]string{"-size", "0"}, "-size 0: want a positive scene size", 1},
 	{[]string{"-demo", "-size", "-8"}, "-size -8: want a positive scene size", 1},
+	{[]string{"-procs", "-3"}, "-procs -3: must be at least 0", 1},
 }
 
 // TestFlagErrors: every bad command line is refused by parseFlags with
@@ -72,6 +76,15 @@ func TestFlagErrors(t *testing.T) {
 	}
 }
 
+// procsMeanAllCores reports whether main's pool.SetSharedWorkers(procs)
+// sizes the shared kernel pool to every core.
+func procsMeanAllCores(procs int) bool {
+	defer pool.SetSharedWorkers(0)
+	pool.SetSharedWorkers(1)
+	pool.SetSharedWorkers(procs)
+	return pool.Shared().Workers() == runtime.NumCPU()
+}
+
 // TestAcceptedFlags: what parseFlags resolves for command lines it
 // accepts — the defaults, one engine without -compare, the paper's HSV
 // prepended to a single -compare engine, and a full -compare list kept
@@ -84,6 +97,9 @@ func TestAcceptedFlags(t *testing.T) {
 	if o.scenes != 4 || o.size != 512 || o.seed != 2019 || o.outDir != "out" || o.compare || o.demo || o.procs != 0 ||
 		len(o.engines) != 1 || o.engines[0].Name() != "hsv" {
 		t.Errorf("defaults = %+v", o)
+	}
+	if o, err = parseFlags([]string{"-procs", "0"}, flag.ContinueOnError); err != nil || !procsMeanAllCores(o.procs) {
+		t.Errorf("-procs 0: procs %d, err %v; want all %d cores", o.procs, err, runtime.NumCPU())
 	}
 	for _, tc := range []struct {
 		args  []string

@@ -232,6 +232,9 @@ func parseFlags(args []string, onError flag.ErrorHandling) (options, error) {
 			return o, fmt.Errorf("-%s %d: must be at least 1", f.name, f.v)
 		}
 	}
+	if o.procs < 0 {
+		return o, fmt.Errorf("-procs %d: must be at least 0", o.procs)
+	}
 	if *peersSpec != "" {
 		for _, p := range strings.Split(*peersSpec, ",") {
 			if p = strings.TrimSpace(p); p != "" {

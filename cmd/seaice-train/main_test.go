@@ -8,9 +8,11 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
+	"seaice/internal/pool"
 	"seaice/internal/unet"
 )
 
@@ -63,6 +65,7 @@ var flagErrors = []struct {
 	{[]string{"-epochs", "0"}, "-epochs 0: must be at least 1"},
 	{[]string{"-batch", "0"}, "-batch 0: must be at least 1"},
 	{[]string{"-batch", "-4", "-workers", "2"}, "-batch -4: must be at least 1"},
+	{[]string{"-procs", "-3"}, "-procs -3: must be at least 0"},
 	{[]string{"-peers", "a:1,b:2", "-rank", "2"}, "-rank 2 outside -peers list of 2"},
 	{[]string{"-peers", "a:1,b:2", "-rank", "-1"}, "-rank -1 outside -peers list of 2"},
 	{[]string{"-peers", "a:1,b:2", "-workers", "3"}, "-workers 3 conflicts with 2 -peers (omit -workers in net mode)"},
@@ -108,6 +111,15 @@ func TestFlagErrors(t *testing.T) {
 	}
 }
 
+// procsMeanAllCores reports whether main's pool.SetSharedWorkers(procs)
+// sizes the shared kernel pool to every core.
+func procsMeanAllCores(procs int) bool {
+	defer pool.SetSharedWorkers(0)
+	pool.SetSharedWorkers(1)
+	pool.SetSharedWorkers(procs)
+	return pool.Shared().Workers() == runtime.NumCPU()
+}
+
 // TestAcceptedFlags: what parseFlags resolves for command lines it
 // accepts — defaults, the world size taken from -peers, -rank ignored
 // without them, and -verify-snapshot skipping every other check.
@@ -125,6 +137,9 @@ func TestAcceptedFlags(t *testing.T) {
 	}
 	if o.workers != 3 || o.rank != 2 || len(o.peers) != 3 || o.peers[1] != "b:2" || o.chaos == nil || o.focal == nil || o.focal.Gamma != 2 {
 		t.Errorf("net-mode options = %+v", o)
+	}
+	if o, err = parseFlags([]string{"-procs", "0"}, flag.ContinueOnError); err != nil || !procsMeanAllCores(o.procs) {
+		t.Errorf("-procs 0: procs %d, err %v; want all %d cores", o.procs, err, runtime.NumCPU())
 	}
 	if o, err = parseFlags([]string{"-rank", "5"}, flag.ContinueOnError); err != nil || o.rank != 0 {
 		t.Errorf("-rank without -peers: rank %d, err %v; want rank 0", o.rank, err)

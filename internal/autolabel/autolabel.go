@@ -5,7 +5,7 @@
 // masks (thick/snow-covered ice, thin/young ice, open water) which are
 // merged into a per-pixel class map used as training labels for the U-Net.
 //
-// Parallelism/bit-identity guarantees: Segment and Label stripe rows
+// Parallelism/bit-identity guarantees: segment and Label stripe rows
 // across pool.Shared(); every pixel's class depends only on that pixel's
 // HSV value, so the output is byte-identical to the serial path at any
 // worker count (asserted in the package tests). Label fuses the
@@ -80,12 +80,12 @@ type Masks struct {
 	Water    *raster.Gray
 }
 
-// Segment converts the image to HSV and produces the three class masks
+// segment converts the image to HSV and produces the three class masks
 // with OpenCV-style inRange tests. Pixel rows are independent, so the
 // image is split into row stripes distributed over the shared pool — the
 // same Fig-9 parallelization the paper gets from its multiprocessing pool
 // — and the output is byte-identical at any worker count.
-func Segment(img *raster.RGB, t Thresholds) Masks {
+func segment(img *raster.RGB, t Thresholds) Masks {
 	hsv := colorspace.NewPlanes(img.W, img.H)
 	m := Masks{
 		ThickIce: raster.NewGray(img.W, img.H),
@@ -101,11 +101,11 @@ func Segment(img *raster.RGB, t Thresholds) Masks {
 	return m
 }
 
-// Merge combines the class masks into a label map. Pixels claimed by no
+// merge combines the class masks into a label map. Pixels claimed by no
 // mask (possible only with non-paper thresholds) default to thin ice, the
 // middle class; pixels claimed by several masks resolve brightest-first,
 // but with the paper's contiguous bands neither case occurs.
-func Merge(m Masks) (*raster.Labels, error) {
+func merge(m Masks) (*raster.Labels, error) {
 	w, h := m.ThickIce.W, m.ThickIce.H
 	if m.ThinIce.W != w || m.ThinIce.H != h || m.Water.W != w || m.Water.H != h {
 		return nil, fmt.Errorf("autolabel: mask size mismatch")
@@ -134,7 +134,7 @@ func Merge(m Masks) (*raster.Labels, error) {
 // materializing the three masks it classifies each row stripe in one
 // fused pass (convert to HSV, test the three boxes, resolve
 // brightest-first with the thin-ice default), which is byte-identical to
-// Merge(Segment(img, t)) — the equivalence tests assert exactly that.
+// merge(segment(img, t)) — the equivalence tests assert exactly that.
 func Label(img *raster.RGB, t Thresholds) (*raster.Labels, error) {
 	out := raster.NewLabels(img.W, img.H)
 	hsv := colorspace.NewPlanes(img.W, img.H)

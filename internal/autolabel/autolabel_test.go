@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"seaice/internal/colorspace"
-	"seaice/internal/imgproc"
 	"seaice/internal/noise"
 	"seaice/internal/raster"
 )
@@ -39,7 +38,7 @@ func TestMasksPartitionImage(t *testing.T) {
 		for i := range img.Pix {
 			img.Pix[i] = uint8(rng.Intn(256))
 		}
-		m := Segment(img, PaperThresholds())
+		m := segment(img, PaperThresholds())
 		for i := 0; i < 256; i++ {
 			claims := 0
 			if m.ThickIce.Pix[i] != 0 {
@@ -97,14 +96,23 @@ func TestSegmentMaskCountsConsistent(t *testing.T) {
 	for i := range img.Pix {
 		img.Pix[i] = uint8(rng.Intn(256))
 	}
-	m := Segment(img, PaperThresholds())
-	lab, _ := Merge(m)
+	m := segment(img, PaperThresholds())
+	lab, _ := merge(m)
 	counts := lab.Counts()
-	if imgproc.CountNonZero(m.Water) != counts[raster.ClassWater] {
-		t.Fatalf("water mask %d vs labels %d", imgproc.CountNonZero(m.Water), counts[raster.ClassWater])
+	water, thick := 0, 0
+	for i := range m.Water.Pix {
+		if m.Water.Pix[i] != 0 {
+			water++
+		}
+		if m.ThickIce.Pix[i] != 0 {
+			thick++
+		}
 	}
-	if imgproc.CountNonZero(m.ThickIce) != counts[raster.ClassThickIce] {
-		t.Fatalf("thick mask %d vs labels %d", imgproc.CountNonZero(m.ThickIce), counts[raster.ClassThickIce])
+	if water != counts[raster.ClassWater] {
+		t.Fatalf("water mask %d vs labels %d", water, counts[raster.ClassWater])
+	}
+	if thick != counts[raster.ClassThickIce] {
+		t.Fatalf("thick mask %d vs labels %d", thick, counts[raster.ClassThickIce])
 	}
 }
 
@@ -114,7 +122,7 @@ func TestMergeSizeMismatch(t *testing.T) {
 		ThinIce:  raster.NewGray(4, 4),
 		Water:    raster.NewGray(5, 4),
 	}
-	if _, err := Merge(m); err == nil {
+	if _, err := merge(m); err == nil {
 		t.Fatal("expected size-mismatch error")
 	}
 }
@@ -158,7 +166,7 @@ func TestValidateRejectsWraparound(t *testing.T) {
 // TestOverlapResolvesBrightestFirst pins the documented multi-claim rule
 // for non-paper thresholds: a pixel inside several boxes takes the
 // brightest class, so thin beats water (the pre-fix code checked water
-// before the thin default) and thick beats both. Asserted on Merge and on
+// before the thin default) and thick beats both. Asserted on merge and on
 // the fused Label path, which must agree.
 func TestOverlapResolvesBrightestFirst(t *testing.T) {
 	th := PaperThresholds()
@@ -168,7 +176,7 @@ func TestOverlapResolvesBrightestFirst(t *testing.T) {
 	img.Set(0, 0, 45, 45, 45)    // V=45: claimed by water AND thin → thin
 	img.Set(1, 0, 220, 220, 220) // V=220: thick only (control)
 
-	lab, err := Merge(Segment(img, th))
+	lab, err := merge(segment(img, th))
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}

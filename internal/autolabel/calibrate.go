@@ -98,23 +98,3 @@ func bayesBoundary(dark, bright [256]int64) int {
 	}
 	return (first + last) / 2
 }
-
-// Quantile returns the q-quantile (0..1) of a brightness histogram.
-func Quantile(h [256]int64, q float64) uint8 {
-	var total int64
-	for _, n := range h {
-		total += n
-	}
-	if total == 0 {
-		return 0
-	}
-	target := int64(q * float64(total))
-	var cum int64
-	for v := 0; v < 256; v++ {
-		cum += h[v]
-		if cum > target {
-			return uint8(v)
-		}
-	}
-	return 255
-}

@@ -125,20 +125,3 @@ func TestCalibrateErrors(t *testing.T) {
 		t.Fatal("expected missing-class error")
 	}
 }
-
-func TestQuantile(t *testing.T) {
-	var h [256]int64
-	for v := 0; v < 100; v++ {
-		h[v] = 1
-	}
-	if q := Quantile(h, 0.5); q != 50 {
-		t.Fatalf("median %d, want 50", q)
-	}
-	if q := Quantile(h, 0); q != 0 {
-		t.Fatalf("q0 %d", q)
-	}
-	var empty [256]int64
-	if Quantile(empty, 0.5) != 0 {
-		t.Fatal("empty histogram quantile")
-	}
-}

@@ -31,7 +31,7 @@ func segmentSerialReference(img *raster.RGB, t Thresholds) Masks {
 	}
 }
 
-// TestSegmentByteIdenticalAcrossWorkers: striped Segment must reproduce
+// TestSegmentByteIdenticalAcrossWorkers: striped segment must reproduce
 // the serial reference masks byte-for-byte at every pool size.
 func TestSegmentByteIdenticalAcrossWorkers(t *testing.T) {
 	defer pool.SetSharedWorkers(0)
@@ -42,7 +42,7 @@ func TestSegmentByteIdenticalAcrossWorkers(t *testing.T) {
 		want := segmentSerialReference(img, th)
 		for _, workers := range []int{1, 3, 8} {
 			pool.SetSharedWorkers(workers)
-			got := Segment(img, th)
+			got := segment(img, th)
 			for i := range want.ThickIce.Pix {
 				if got.ThickIce.Pix[i] != want.ThickIce.Pix[i] ||
 					got.ThinIce.Pix[i] != want.ThinIce.Pix[i] ||
@@ -55,13 +55,13 @@ func TestSegmentByteIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestLabelMatchesMergeSegment: the fused striped Label must equal
-// Merge(Segment(img)) byte-for-byte at every pool size.
+// merge(segment(img)) byte-for-byte at every pool size.
 func TestLabelMatchesMergeSegment(t *testing.T) {
 	defer pool.SetSharedWorkers(0)
 	th := PaperThresholds()
 	for _, dim := range []struct{ w, h int }{{1, 1}, {64, 64}, {100, 37}, {257, 129}} {
 		img := testImage(dim.w, dim.h, uint64(dim.w*31+dim.h))
-		want, err := Merge(segmentSerialReference(img, th))
+		want, err := merge(segmentSerialReference(img, th))
 		if err != nil {
 			t.Fatalf("merge: %v", err)
 		}

@@ -1,4 +1,4 @@
-// Package colorspace implements the RGB↔HSV conversions the workflow uses
+// Package colorspace implements the RGB→HSV conversions the workflow uses
 // for cloud filtering and color-threshold segmentation. It follows the
 // OpenCV 8-bit convention the paper's pipeline relies on: hue is stored in
 // [0,180) (degrees halved to fit a byte), saturation and value in [0,255].
@@ -61,54 +61,6 @@ func RGBToHSV(r, g, b uint8) HSV {
 	return HSV{H: uint8(h), S: uint8(s), V: uint8(v)}
 }
 
-// HSVToRGB converts an OpenCV-convention HSV pixel back to RGB. The
-// conversion is exact for the value channel and within quantization error
-// for hue and saturation.
-func HSVToRGB(p HSV) (r, g, b uint8) {
-	if p.S == 0 {
-		return p.V, p.V, p.V
-	}
-	h := float64(p.H) * 2 // back to degrees [0,360)
-	s := float64(p.S) / 255
-	v := float64(p.V)
-
-	sector := int(h / 60)
-	if sector > 5 {
-		sector = 5
-	}
-	f := h/60 - float64(sector)
-	pp := v * (1 - s)
-	q := v * (1 - s*f)
-	t := v * (1 - s*(1-f))
-
-	var rf, gf, bf float64
-	switch sector {
-	case 0:
-		rf, gf, bf = v, t, pp
-	case 1:
-		rf, gf, bf = q, v, pp
-	case 2:
-		rf, gf, bf = pp, v, t
-	case 3:
-		rf, gf, bf = pp, q, v
-	case 4:
-		rf, gf, bf = t, pp, v
-	default:
-		rf, gf, bf = v, pp, q
-	}
-	return round8(rf), round8(gf), round8(bf)
-}
-
-func round8(v float64) uint8 {
-	if v <= 0 {
-		return 0
-	}
-	if v >= 255 {
-		return 255
-	}
-	return uint8(v + 0.5)
-}
-
 // Planes holds a whole image converted to HSV as three planar channels,
 // which is the layout the threshold and filter kernels iterate over.
 type Planes struct {
@@ -146,34 +98,6 @@ func ToHSVRows(img *raster.RGB, p *Planes, y0, y1 int) {
 		p.Sat[i] = px.S
 		p.Val[i] = px.V
 	}
-}
-
-// ToRGB converts planar HSV channels back into an RGB raster.
-func (p *Planes) ToRGB() *raster.RGB {
-	img := raster.NewRGB(p.W, p.H)
-	for i := 0; i < p.W*p.H; i++ {
-		r, g, b := HSVToRGB(HSV{H: p.Hue[i], S: p.Sat[i], V: p.Val[i]})
-		img.Pix[3*i], img.Pix[3*i+1], img.Pix[3*i+2] = r, g, b
-	}
-	return img
-}
-
-// ValPlane extracts only the value (brightness) channel of an RGB image as
-// a grayscale raster; the cloud filter operates chiefly on this channel.
-func ValPlane(img *raster.RGB) *raster.Gray {
-	g := raster.NewGray(img.W, img.H)
-	for i := 0; i < img.W*img.H; i++ {
-		r, gr, b := img.Pix[3*i], img.Pix[3*i+1], img.Pix[3*i+2]
-		v := r
-		if gr > v {
-			v = gr
-		}
-		if b > v {
-			v = b
-		}
-		g.Pix[i] = v
-	}
-	return g
 }
 
 // SatVal extracts the saturation and value channels of an RGB image — the

@@ -47,25 +47,6 @@ func TestValueChannelExact(t *testing.T) {
 	}
 }
 
-// TestRoundTripWithinQuantization: HSV→RGB→HSV stays within the error of
-// 8-bit hue quantization (hue resolution is 2°, value is exact).
-func TestRoundTripWithinQuantization(t *testing.T) {
-	f := func(r, g, b uint8) bool {
-		hsv := RGBToHSV(r, g, b)
-		r2, g2, b2 := HSVToRGB(hsv)
-		hsv2 := RGBToHSV(r2, g2, b2)
-		dv := int(hsv.V) - int(hsv2.V)
-		if dv < -2 || dv > 2 {
-			return false
-		}
-		ds := int(hsv.S) - int(hsv2.S)
-		return ds >= -12 && ds <= 12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHueRange(t *testing.T) {
 	f := func(r, g, b uint8) bool {
 		return RGBToHSV(r, g, b).H < 180
@@ -86,29 +67,6 @@ func TestToHSVPlanesMatchPixelConversion(t *testing.T) {
 		want := RGBToHSV(img.Pix[3*i], img.Pix[3*i+1], img.Pix[3*i+2])
 		if p.Hue[i] != want.H || p.Sat[i] != want.S || p.Val[i] != want.V {
 			t.Fatalf("plane conversion differs at %d", i)
-		}
-	}
-	// ToRGB of the planes must round-trip V exactly.
-	back := ToHSV(p.ToRGB())
-	for i := range p.Val {
-		dv := int(p.Val[i]) - int(back.Val[i])
-		if dv < -2 || dv > 2 {
-			t.Fatalf("value channel drifted at %d: %d vs %d", i, p.Val[i], back.Val[i])
-		}
-	}
-}
-
-func TestValPlaneMatchesHSV(t *testing.T) {
-	rng := noise.NewRNG(6, 1)
-	img := raster.NewRGB(8, 8)
-	for i := range img.Pix {
-		img.Pix[i] = uint8(rng.Intn(256))
-	}
-	v := ValPlane(img)
-	p := ToHSV(img)
-	for i := range v.Pix {
-		if v.Pix[i] != p.Val[i] {
-			t.Fatalf("ValPlane differs from HSV value at %d", i)
 		}
 	}
 }

@@ -2,46 +2,27 @@ package core
 
 import (
 	"testing"
-	"time"
 
-	"seaice/internal/catalog"
 	"seaice/internal/dataset"
 	"seaice/internal/metrics"
+	"seaice/internal/pipeline"
 	"seaice/internal/raster"
 	"seaice/internal/scene"
 	"seaice/internal/unet"
 )
 
-// TestCatalogToDatasetIntegration exercises the §III-A data-collection
-// path end to end: query the archive by the paper's region and month,
-// fetch the scenes, and build the labeled tile dataset from them.
-func TestCatalogToDatasetIntegration(t *testing.T) {
-	cfg := catalog.DefaultConfig(77)
-	cfg.GridLat, cfg.GridLon = 2, 2
-	cfg.Passes = 1
-	cfg.SceneSize = 128
-	cat, err := catalog.New(cfg)
-	if err != nil {
-		t.Fatalf("catalog: %v", err)
-	}
-
-	found := cat.Find(catalog.Query{
-		Region:   catalog.RossSea,
-		From:     time.Date(2019, 11, 1, 0, 0, 0, 0, time.UTC),
-		To:       time.Date(2019, 12, 1, 0, 0, 0, 0, time.UTC),
-		MaxCloud: -1,
-	})
-	if len(found) != 4 {
-		t.Fatalf("found %d scenes, want 4", len(found))
-	}
-	scenes, err := cat.FetchAll(found)
-	if err != nil {
-		t.Fatalf("fetch: %v", err)
-	}
+// TestCampaignToDatasetIntegration exercises the §III-A data-collection
+// path end to end through the shipped source: stream a campaign's scenes
+// through the pipeline and build the labeled tile dataset from them.
+func TestCampaignToDatasetIntegration(t *testing.T) {
+	campaign := scene.DefaultCollection(77)
+	campaign.Scenes = 4
+	campaign.W, campaign.H = 128, 128
 
 	build := dataset.DefaultBuild()
 	build.TileSize = 32
-	set, err := dataset.Build(scenes, build)
+	builder := pipeline.StreamBuilder{Config: pipeline.Config{Build: build}}
+	set, err := builder.BuildSet(pipeline.CollectionSource{Cfg: campaign})
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -60,8 +41,10 @@ func TestCatalogToDatasetIntegration(t *testing.T) {
 			total++
 		}
 	}
-	if frac := float64(agree) / float64(total); frac < 0.85 {
-		t.Fatalf("catalog-fed auto labels agree only %.3f with manual", frac)
+	frac := float64(agree) / float64(total)
+	t.Logf("auto labels agree %.3f with manual", frac)
+	if frac < 0.85 {
+		t.Fatalf("campaign auto labels agree only %.3f with manual", frac)
 	}
 }
 

@@ -247,7 +247,7 @@ func TestChaosRestoreRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := tr.Snapshot(0)
+	snap := tr.capture(0, true)
 
 	other := cfg
 	other.LR = 0.5
@@ -262,7 +262,7 @@ func TestChaosRestoreRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap32 := f32.Snapshot(0)
+	snap32 := f32.capture(0, true)
 	snap32.Precision = "float64"
 	// Same key, wrong precision: precision check must trip.
 	wrong32, err := New[float32](model, cfg)

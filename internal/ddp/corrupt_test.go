@@ -145,10 +145,10 @@ func corruptSnapshotPair(t *testing.T, tornNewest bool) string {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "snap")
-	if err := saveSnapshotFile(path, tr.Snapshot(4), 2, false); err != nil {
+	if err := saveSnapshotFile(path, tr.capture(4, true), 2, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := saveSnapshotFile(path, tr.Snapshot(8), 2, tornNewest); err != nil {
+	if err := saveSnapshotFile(path, tr.capture(8, true), 2, tornNewest); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -391,7 +391,7 @@ func TestSnapshotBitFlipsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := tr.Snapshot(3)
+	s := tr.capture(3, true)
 	for _, w := range s.Weights {
 		s.Opt.M = append(s.Opt.M, w)
 		s.Opt.V = append(s.Opt.V, w[:1])

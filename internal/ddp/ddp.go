@@ -414,15 +414,12 @@ func dataFingerprint(samples []train.Sample) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// Snapshot captures the exact training state of the hosted ranks at the
+// capture records the exact training state of the hosted ranks at the
 // current step boundary. All live ranks are bit-synchronized, so weights
 // and optimizer state are taken from the lowest live hosted rank; RNG
-// positions are per hosted rank.
-func (t *Trainer[S]) Snapshot(step int) *Snapshot { return t.capture(step, true) }
-
-// capture is Snapshot with the deep copies optional: a boundary that
-// can only ever be rewound within its own step needs the RNG positions
-// alone (see Fit).
+// positions are per hosted rank. The deep copies are optional: a
+// boundary that can only ever be rewound within its own step needs the
+// RNG positions alone (see Fit).
 func (t *Trainer[S]) capture(step int, weights bool) *Snapshot {
 	s := &Snapshot{
 		Precision: precisionName[S](),

@@ -16,9 +16,9 @@ func FuzzReadSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	valid := tr.Snapshot(3).encode()
+	valid := tr.capture(3, true).encode()
 	with := func(mutate func(*Snapshot)) []byte {
-		s := tr.Snapshot(3)
+		s := tr.capture(3, true)
 		mutate(s)
 		return s.encode()
 	}

@@ -149,12 +149,3 @@ func TestOtsuWithinSupport(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCountNonZero(t *testing.T) {
-	g := raster.NewGray(2, 3)
-	g.Set(0, 0, 1)
-	g.Set(1, 2, 200)
-	if got := CountNonZero(g); got != 2 {
-		t.Fatalf("count %d, want 2", got)
-	}
-}

@@ -11,7 +11,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"seaice/internal/raster"
@@ -263,18 +262,22 @@ func SSIM(a, b *raster.Gray) (float64, error) {
 					vb := float64(b.Pix[off+dx])
 					sa += va
 					sb += vb
-					saa += va * va
-					sbb += vb * vb
-					sab += va * vb
+					saa += float64(va * va)
+					sbb += float64(vb * vb)
+					sab += float64(va * vb)
 				}
 			}
+			// Every product and quotient is rounded on its own
+			// (float64(x*y)), so no target fuses it into a multiply-add
+			// (x/64 compiles to a product): the score is the same bits on
+			// every platform.
 			np := float64(win * win)
-			ma := sa / np
-			mb := sb / np
-			va := saa/np - ma*ma
-			vb := sbb/np - mb*mb
-			cab := sab/np - ma*mb
-			s := ((2*ma*mb + c1) * (2*cab + c2)) / ((ma*ma + mb*mb + c1) * (va + vb + c2))
+			ma := float64(sa / np)
+			mb := float64(sb / np)
+			va := float64(saa/np) - float64(ma*ma)
+			vb := float64(sbb/np) - float64(mb*mb)
+			cab := float64(sab/np) - float64(ma*mb)
+			s := ((float64(2*ma*mb) + c1) * (float64(2*cab) + c2)) / ((float64(ma*ma) + float64(mb*mb) + c1) * (va + vb + c2))
 			total += s
 			n++
 		}
@@ -306,35 +309,6 @@ func SSIMRGB(a, b *raster.RGB) (float64, error) {
 		sum += s
 	}
 	return sum / 3, nil
-}
-
-// MSE returns the mean squared error between two rasters.
-func MSE(a, b *raster.Gray) (float64, error) {
-	if a.W != b.W || a.H != b.H {
-		return 0, fmt.Errorf("metrics: MSE size mismatch %dx%d vs %dx%d", a.W, a.H, b.W, b.H)
-	}
-	if len(a.Pix) == 0 {
-		return 0, nil
-	}
-	var sum float64
-	for i := range a.Pix {
-		d := float64(a.Pix[i]) - float64(b.Pix[i])
-		sum += d * d
-	}
-	return sum / float64(len(a.Pix)), nil
-}
-
-// PSNR returns the peak signal-to-noise ratio in dB (infinite for
-// identical images).
-func PSNR(a, b *raster.Gray) (float64, error) {
-	mse, err := MSE(a, b)
-	if err != nil {
-		return 0, err
-	}
-	if mse == 0 {
-		return math.Inf(1), nil
-	}
-	return 10 * math.Log10(255*255/mse), nil
 }
 
 // PixelAccuracy is a convenience wrapper returning the fraction of

@@ -182,30 +182,6 @@ func TestSSIMRGBIdentity(t *testing.T) {
 	}
 }
 
-func TestMSEPSNR(t *testing.T) {
-	a := raster.NewGray(8, 8)
-	b := raster.NewGray(8, 8)
-	for i := range b.Pix {
-		b.Pix[i] = 10
-	}
-	mse, err := MSE(a, b)
-	if err != nil {
-		t.Fatalf("mse: %v", err)
-	}
-	if mse != 100 {
-		t.Fatalf("mse %f, want 100", mse)
-	}
-	p, _ := PSNR(a, b)
-	want := 10 * math.Log10(255*255/100.0)
-	if math.Abs(p-want) > 1e-9 {
-		t.Fatalf("psnr %f, want %f", p, want)
-	}
-	pInf, _ := PSNR(a, a)
-	if !math.IsInf(pInf, 1) {
-		t.Fatalf("psnr of identical images %f, want +Inf", pInf)
-	}
-}
-
 // TestPixelAccuracyProperty: accuracy equals direct agreement count.
 func TestPixelAccuracyProperty(t *testing.T) {
 	f := func(seed uint64) bool {

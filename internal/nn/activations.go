@@ -18,10 +18,10 @@ type ReLU[S tensor.Scalar] struct {
 // NewReLU returns a ReLU layer.
 func NewReLU[S tensor.Scalar](name string) *ReLU[S] { return &ReLU[S]{name: name} }
 
-// Name implements Layer.
+// Name identifies the layer in diagnostics.
 func (r *ReLU[S]) Name() string { return r.name }
 
-// Params implements Layer.
+// Params lists the learnable parameters: none.
 func (r *ReLU[S]) Params() []*Param[S] { return nil }
 
 // Forward clamps negatives to zero, remembering the active set. The
@@ -68,10 +68,10 @@ type MaxPool2[S tensor.Scalar] struct {
 // NewMaxPool2 returns a max-pool layer.
 func NewMaxPool2[S tensor.Scalar](name string) *MaxPool2[S] { return &MaxPool2[S]{name: name} }
 
-// Name implements Layer.
+// Name identifies the layer in diagnostics.
 func (m *MaxPool2[S]) Name() string { return m.name }
 
-// Params implements Layer.
+// Params lists the learnable parameters: none.
 func (m *MaxPool2[S]) Params() []*Param[S] { return nil }
 
 // Forward keeps the max of each 2×2 block and records its index.
@@ -144,10 +144,10 @@ func NewDropout[S tensor.Scalar](name string, rate float64, rng *noise.RNG) *Dro
 	return &Dropout[S]{name: name, Rate: rate, rng: rng}
 }
 
-// Name implements Layer.
+// Name identifies the layer in diagnostics.
 func (d *Dropout[S]) Name() string { return d.name }
 
-// Params implements Layer.
+// Params lists the learnable parameters: none.
 func (d *Dropout[S]) Params() []*Param[S] { return nil }
 
 // Forward applies inverted dropout in training mode and is the identity
@@ -204,7 +204,7 @@ type Concat[S tensor.Scalar] struct {
 }
 
 // NewConcat returns a channel-concatenation "layer" with a two-input
-// Join/backward-split API instead of the single-input Layer interface.
+// Join/backward-split API instead of the single-input Forward/Backward.
 func NewConcat[S tensor.Scalar](name string) *Concat[S] { return &Concat[S]{name: name} }
 
 // Name identifies the join in diagnostics.

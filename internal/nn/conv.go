@@ -16,7 +16,7 @@ import (
 // "same" and the final 1×1 (NewConv2D rejects any other) — and runs both
 // through direct NCHW kernels (kernels.go): forward and the weight
 // gradient never materialize an im2col matrix; the 3×3 input gradient
-// still builds a dcols scratch (Wᵀ×dout folded by Col2Im) where the
+// still builds a dcols scratch (Wᵀ×dout folded by Col2ImInto) where the
 // float32 Winograd path does not apply. All intermediates live in
 // grow-only scratch buffers owned by the layer, so steady-state training
 // steps allocate nothing. A layer supports one in-flight forward/backward
@@ -96,10 +96,10 @@ func heStd(fanIn int) float64 {
 	return math.Sqrt(2 / float64(fanIn))
 }
 
-// Name implements Layer.
+// Name identifies the layer in diagnostics.
 func (c *Conv2D[S]) Name() string { return c.name }
 
-// Params implements Layer.
+// Params lists the learnable parameters: weight, then bias.
 func (c *Conv2D[S]) Params() []*Param[S] { return []*Param[S]{c.Weight, c.Bias} }
 
 // direct3x3 reports whether the layer can run the fused 3×3 kernel.
@@ -210,10 +210,10 @@ func NewConvTranspose2x2[S tensor.Scalar](name string, inC, outC int, rng *noise
 	return u
 }
 
-// Name implements Layer.
+// Name identifies the layer in diagnostics.
 func (u *ConvTranspose2x2[S]) Name() string { return u.name }
 
-// Params implements Layer.
+// Params lists the learnable parameters: weight, then bias.
 func (u *ConvTranspose2x2[S]) Params() []*Param[S] { return []*Param[S]{u.Weight, u.Bias} }
 
 // Forward scatters each input pixel into a 2×2 output block: with stride

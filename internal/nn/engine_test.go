@@ -13,7 +13,7 @@ import (
 // same input, zeroing gradients between steps — the steady-state buffer
 // reuse pattern of the training loop — and returns the gradients of the
 // final step as detached copies.
-func runSteps[S tensor.Scalar](layer Layer[S], x *tensor.Tensor[S], steps int) (dx *tensor.Tensor[S], grads []*tensor.Tensor[S]) {
+func runSteps[S tensor.Scalar](layer testLayer[S], x *tensor.Tensor[S], steps int) (dx *tensor.Tensor[S], grads []*tensor.Tensor[S]) {
 	var y *tensor.Tensor[S]
 	for s := 0; s < steps; s++ {
 		ZeroGrads(layer.Params())
@@ -34,7 +34,7 @@ func runSteps[S tensor.Scalar](layer Layer[S], x *tensor.Tensor[S], steps int) (
 func TestGradcheckWithBufferReuseAcrossSteps(t *testing.T) {
 	layers := []struct {
 		name  string
-		layer Layer[float64]
+		layer testLayer[float64]
 		shape []int
 	}{
 		{"conv3x3", NewConv2D[float64]("conv", 3, 4, 3, noise.NewRNG(1, 1)), []int{2, 3, 6, 5}},
@@ -103,7 +103,7 @@ func testEngineStepsMatchLegacySteps[S tensor.Scalar](t *testing.T, tol float64)
 	shapes := [][]int{{2, 3, 8, 8}, {2, 4, 7, 7}, {2, 4, 4, 6}}
 
 	conv, conv1x1, up := build()
-	ref := []Layer[S]{&refConv2D[S]{c: conv}, &refConv2D[S]{c: conv1x1}, &refConvT[S]{u: up}}
+	ref := []testLayer[S]{&refConv2D[S]{c: conv}, &refConv2D[S]{c: conv1x1}, &refConvT[S]{u: up}}
 	var wantDx []*tensor.Tensor[S]
 	var wantGrads [][]*tensor.Tensor[S]
 	for li, l := range ref {
@@ -117,7 +117,7 @@ func testEngineStepsMatchLegacySteps[S tensor.Scalar](t *testing.T, tol float64)
 	for _, workers := range []int{1, 4} {
 		pool.SetSharedWorkers(workers)
 		conv, conv1x1, up := build()
-		for li, l := range []Layer[S]{conv, conv1x1, up} {
+		for li, l := range []testLayer[S]{conv, conv1x1, up} {
 			x := tensor.New[S](shapes[li]...)
 			x.FillRandn(noise.NewRNG(uint64(li), 5), 1)
 			dx, grads := runSteps(l, x, 3)

@@ -10,7 +10,7 @@ import (
 
 // randLogitsLabels builds a random (2,3,4,4) logit tensor and matching
 // labels, the standard loss-test fixture.
-func randLogitsLabels(seedLogits, seedLabels uint64) (*tensor.F64, []uint8) {
+func randLogitsLabels(seedLogits, seedLabels uint64) (*tensor.Tensor[float64], []uint8) {
 	rng := noise.NewRNG(seedLogits, 1)
 	logits := tensor.New[float64](2, 3, 4, 4)
 	logits.FillRandn(rng, 1)

@@ -36,19 +36,6 @@ type Param[S tensor.Scalar] struct {
 	Grad *tensor.Tensor[S]
 }
 
-// Layer is a differentiable module.
-type Layer[S tensor.Scalar] interface {
-	// Name identifies the layer in diagnostics and checkpoints.
-	Name() string
-	// Forward computes the output; train enables dropout.
-	Forward(x *tensor.Tensor[S], train bool) *tensor.Tensor[S]
-	// Backward consumes dL/dy and returns dL/dx, accumulating
-	// parameter gradients.
-	Backward(dy *tensor.Tensor[S]) *tensor.Tensor[S]
-	// Params lists learnable parameters (possibly none).
-	Params() []*Param[S]
-}
-
 // ZeroGrads clears the gradient accumulators of all params.
 func ZeroGrads[S tensor.Scalar](params []*Param[S]) {
 	for _, p := range params {

@@ -4,7 +4,7 @@ import "seaice/internal/tensor"
 
 // The pre-engine convolution path, kept as a test-only reference: im2col
 // then a serial matrix product (tensor's *Ref kernels), allocating every
-// intermediate. refConv2D and refConvT implement Layer over an engine
+// intermediate. refConv2D and refConvT implement testLayer over an engine
 // layer's own Weight and Bias, so a test can step the same parameters
 // through either path and compare the results.
 

@@ -4,7 +4,7 @@
 // stage after another, this package overlaps the stages the paper
 // pipelines across nodes:
 //
-//	sharded scene catalog ──▶ filter+label workers ──▶ tiling stage ──▶ TrainSamples ──▶ ddp.Trainer.Fit
+//	sharded scene campaign ──▶ filter+label workers ──▶ tiling stage ──▶ TrainSamples ──▶ ddp.Trainer.Fit
 //	      (Source)             (Config.Workers,          (bounded          (the plan's
 //	                            pool.Shared kernels)      prefetch)         training subset)
 //
@@ -16,7 +16,7 @@
 // subset to the trainer (TrainSamples) once its scenes are labeled.
 // TrainBatchesOf also offers the subset as a double-buffered batch
 // source for train.FitStream, the serial reference loop the benchmark
-// harness drives. Shards are the unit of cataloging, checkpointing
+// harness drives. Shards are the unit of scheduling, checkpointing
 // (resume skips shards already on disk), and progress reporting.
 //
 // Determinism guarantee: every per-scene product depends only on the
@@ -34,7 +34,6 @@ import (
 	"sort"
 	"sync"
 
-	"seaice/internal/catalog"
 	"seaice/internal/chaos"
 	"seaice/internal/dataset"
 	"seaice/internal/raster"
@@ -42,10 +41,11 @@ import (
 	"seaice/internal/train"
 )
 
-// Source is a sharded scene catalog: anything that can name its scene
-// count and render scene i on demand. Implementations must be safe for
-// concurrent SceneAt calls and deterministic — SceneAt(i) yields
-// identical pixels every time, so resumed and re-run pipelines agree.
+// Source is a sharded scene campaign: anything that can name its scene
+// count and render scene i on demand. CollectionSource is the one the
+// shipped binaries use. Implementations must be safe for concurrent
+// SceneAt calls and deterministic — SceneAt(i) yields identical pixels
+// every time, so resumed and re-run pipelines agree.
 type Source interface {
 	// Len is the number of scenes in the campaign.
 	Len() int
@@ -79,68 +79,6 @@ func (s CollectionSource) SceneAt(i int) (*scene.Scene, error) {
 // Fingerprint implements Source.
 func (s CollectionSource) Fingerprint() string {
 	return fmt.Sprintf("collection/%+v", s.Cfg)
-}
-
-// SliceSource adapts pre-materialized scenes to the streaming interface.
-// All scenes must share the dimensions of the first; the stream rejects
-// mismatched scenes when they reach the label stage (global tile
-// indexing depends on a uniform grid).
-type SliceSource []*scene.Scene
-
-// Len implements Source.
-func (s SliceSource) Len() int { return len(s) }
-
-// Size implements Source.
-func (s SliceSource) Size() (w, h int) {
-	if len(s) == 0 {
-		return 0, 0
-	}
-	return s[0].Image.W, s[0].Image.H
-}
-
-// SceneAt implements Source.
-func (s SliceSource) SceneAt(i int) (*scene.Scene, error) { return s[i], nil }
-
-// Fingerprint implements Source. Scenes are deterministic in their
-// configs, so the config list identifies the content.
-func (s SliceSource) Fingerprint() string {
-	h := "slice"
-	for _, sc := range s {
-		h += fmt.Sprintf("/%+v", sc.Config)
-	}
-	return h
-}
-
-// CatalogSource streams the result of a catalog query: each shard's
-// scenes are fetched ("downloaded") on demand by the stage workers,
-// never materialized up front. Fetches are deterministic in the
-// descriptor seeds, so resumed runs see identical pixels.
-type CatalogSource struct {
-	Cat    *catalog.Catalog
-	Scenes []catalog.Descriptor
-}
-
-// Len implements Source.
-func (s CatalogSource) Len() int { return len(s.Scenes) }
-
-// Size implements Source.
-func (s CatalogSource) Size() (w, h int) {
-	return s.Cat.SceneSize(), s.Cat.SceneSize()
-}
-
-// SceneAt implements Source.
-func (s CatalogSource) SceneAt(i int) (*scene.Scene, error) {
-	return s.Cat.Fetch(s.Scenes[i])
-}
-
-// Fingerprint implements Source. Descriptor IDs and seeds identify the
-// fetched content.
-func (s CatalogSource) Fingerprint() string {
-	h := "catalog"
-	for _, d := range s.Scenes {
-		h += fmt.Sprintf("/%s:%d", d.ID, d.Seed)
-	}
-	return h
 }
 
 // TrainPlan fixes the deterministic train/test plumbing the assembler
@@ -189,7 +127,7 @@ type Event struct {
 type Config struct {
 	// Build is the shared filter/label/tile configuration.
 	Build dataset.BuildConfig
-	// Shards partitions the catalog; <= 0 derives one shard per two
+	// Shards partitions the campaign; <= 0 derives one shard per two
 	// stage workers (at least one). Shards are the checkpoint and
 	// progress unit.
 	Shards int
@@ -206,7 +144,7 @@ type Config struct {
 	CheckpointDir string
 	// Retries is the per-scene retry budget of the label/tile stages: a
 	// stage worker that panics or errors on a scene (an injected chaos
-	// fault, a flaky catalog fetch) re-attempts it up to Retries times
+	// fault, a flaky scene fetch) re-attempts it up to Retries times
 	// before the failure becomes fatal. Retried scenes produce identical
 	// products (every stage is a pure function of scene + config), so
 	// retry changes wall clock, never output. 0 disables retry.

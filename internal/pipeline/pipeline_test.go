@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"seaice/internal/catalog"
 	"seaice/internal/dataset"
 	"seaice/internal/ddp"
 	"seaice/internal/scene"
@@ -100,24 +99,18 @@ func TestStreamParityWithLegacy(t *testing.T) {
 			setsEqual(t, fmt.Sprintf("shards=%d workers=%d", shards, workers), got, want)
 		}
 	}
-
-	// Pre-materialized scenes through SliceSource give the same set.
-	scenes := make([]*scene.Scene, src.Len())
-	for i := range scenes {
-		sc, err := src.SceneAt(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scenes[i] = sc
-	}
-	got, err := StreamBuilder{Config: Config{Build: testBuild(), Shards: 2, Workers: 2}}.BuildSet(SliceSource(scenes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	setsEqual(t, "slice source", got, want)
 }
 
-// TestMixedSizeSliceRejected: a SliceSource whose scenes disagree on
+// sceneSlice is a Source over pre-built scenes, declaring the size of
+// the first.
+type sceneSlice []*scene.Scene
+
+func (s sceneSlice) Len() int                            { return len(s) }
+func (s sceneSlice) Size() (w, h int)                    { return s[0].Image.W, s[0].Image.H }
+func (s sceneSlice) SceneAt(i int) (*scene.Scene, error) { return s[i], nil }
+func (s sceneSlice) Fingerprint() string                 { return "slice" }
+
+// TestMixedSizeSliceRejected: a source whose scenes disagree on
 // dimensions must fail cleanly instead of misaddressing tiles.
 func TestMixedSizeSliceRejected(t *testing.T) {
 	small := testCampaign(3)
@@ -132,7 +125,7 @@ func TestMixedSizeSliceRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	builder := StreamBuilder{Config: Config{Build: testBuild(), Workers: 2}}
-	if _, err := builder.BuildSet(SliceSource{a, b}); err == nil {
+	if _, err := builder.BuildSet(sceneSlice{a, b}); err == nil {
 		t.Fatal("mixed-size source should fail")
 	}
 }
@@ -438,34 +431,6 @@ func TestWorkerPanicFailsStream(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("stream hung after worker panic")
 	}
-}
-
-// TestCatalogSourceStreams runs a real catalog query through the
-// streaming pipeline and checks it against the legacy fetch-then-build
-// path.
-func TestCatalogSourceStreams(t *testing.T) {
-	ccfg := catalog.DefaultConfig(21)
-	ccfg.GridLat, ccfg.GridLon, ccfg.Passes = 2, 2, 1
-	ccfg.SceneSize = 64
-	cat, err := catalog.New(ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := cat.Find(catalog.Query{Region: catalog.RossSea, MaxCloud: -1})
-	if len(ds) != 4 {
-		t.Fatalf("query returned %d scenes, want 4", len(ds))
-	}
-	src := CatalogSource{Cat: cat, Scenes: ds}
-
-	want, err := batchBuildSet(src, testBuild())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := StreamBuilder{Config: Config{Build: testBuild(), Shards: 2, Workers: 2}}.BuildSet(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	setsEqual(t, "catalog", got, want)
 }
 
 // TestSchedulePrioritizesFirstBatches: with a plan, every scene feeding

@@ -163,7 +163,7 @@ func (s *Stream) labelScene(i int) (ls *dataset.LabeledScene, err error) {
 		return nil, fmt.Errorf("pipeline: scene %d: %w", i, err)
 	}
 	// Global tile indexing assumes every scene matches the source's
-	// declared size; a mismatched scene (e.g. a mixed-size SliceSource)
+	// declared size; a mismatched scene (a source whose scenes differ in size)
 	// would silently misaddress tiles, so reject it here.
 	if sc.Image.W != s.w || sc.Image.H != s.h {
 		return nil, &permanentError{fmt.Errorf("pipeline: scene %d is %dx%d, source declared %dx%d",

@@ -9,7 +9,7 @@
 // pixel) to match the memory layout the color-space and filtering code
 // iterates over.
 //
-// Split/Stitch enumerate tiles in deterministic row-major grid order —
+// Split/StitchLabels enumerate tiles in deterministic row-major grid order —
 // the order the dataset, pipeline, and inference layers all assume when
 // they index tiles by position — and rasters carry no hidden state, so
 // concurrent readers (the pipeline's stage workers) are safe.
@@ -111,15 +111,6 @@ func (m *Float) At(x, y int) float64 { return m.Pix[y*m.W+x] }
 
 // Set stores the value at (x, y).
 func (m *Float) Set(x, y int, v float64) { m.Pix[y*m.W+x] = v }
-
-// FromGray converts an 8-bit raster to float values in [0,255].
-func FromGray(g *Gray) *Float {
-	f := NewFloat(g.W, g.H)
-	for i, v := range g.Pix {
-		f.Pix[i] = float64(v)
-	}
-	return f
-}
 
 // ToGray converts the float raster back to 8 bits, clamping to [0,255]
 // and rounding to nearest.

@@ -43,27 +43,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestSplitStitchIdentity: splitting a scene into tiles and stitching
-// them back must be the identity, for every divisor tile size.
-func TestSplitStitchIdentity(t *testing.T) {
-	scene := randRGB(2, 48, 32)
-	for _, ts := range []int{4, 8, 16} {
-		tiles, grid, err := Split(scene, ts, ts)
-		if err != nil {
-			t.Fatalf("split %d: %v", ts, err)
-		}
-		back, err := Stitch(tiles, grid)
-		if err != nil {
-			t.Fatalf("stitch %d: %v", ts, err)
-		}
-		for i := range scene.Pix {
-			if scene.Pix[i] != back.Pix[i] {
-				t.Fatalf("tile size %d: mismatch at %d", ts, i)
-			}
-		}
-	}
-}
-
 // TestSplitStitchLabelsIdentity mirrors the RGB round-trip for labels.
 func TestSplitStitchLabelsIdentity(t *testing.T) {
 	lab := randLabels(3, 24, 40)
@@ -92,89 +71,46 @@ func TestSplitRejectsIndivisible(t *testing.T) {
 }
 
 func TestStitchRejectsBadTiles(t *testing.T) {
-	scene := randRGB(5, 16, 16)
-	tiles, grid, _ := Split(scene, 8, 8)
+	tiles, grid, _ := SplitLabels(randLabels(5, 16, 16), 8, 8)
 
-	// duplicate position
-	dup := append([]Tile(nil), tiles...)
-	dup[1] = dup[0]
-	if _, err := Stitch(dup, grid); err == nil {
-		t.Fatal("expected duplicate-tile error")
-	}
 	// wrong count
-	if _, err := Stitch(tiles[:2], grid); err == nil {
+	if _, err := StitchLabels(tiles[:2], grid); err == nil {
 		t.Fatal("expected count error")
 	}
 	// wrong size
-	bad := append([]Tile(nil), tiles...)
-	bad[0].Image = NewRGB(4, 4)
-	if _, err := Stitch(bad, grid); err == nil {
+	bad := append([]*Labels(nil), tiles...)
+	bad[0] = NewLabels(4, 4)
+	if _, err := StitchLabels(bad, grid); err == nil {
 		t.Fatal("expected size error")
-	}
-	// out of grid
-	oob := append([]Tile(nil), tiles...)
-	oob[0].Col = 99
-	if _, err := Stitch(oob, grid); err == nil {
-		t.Fatal("expected bounds error")
 	}
 }
 
 // TestSplitTilesPartitionScene: every pixel of the scene appears in
-// exactly one tile at the expected offset.
+// exactly one tile at the expected offset, for every divisor tile size.
 func TestSplitTilesPartitionScene(t *testing.T) {
-	scene := randRGB(6, 32, 16)
-	tiles, _, err := Split(scene, 8, 8)
-	if err != nil {
-		t.Fatalf("split: %v", err)
-	}
-	for _, tile := range tiles {
-		for y := 0; y < 8; y++ {
-			for x := 0; x < 8; x++ {
-				tr, tg, tb := tile.Image.At(x, y)
-				sr, sg, sb := scene.At(tile.Col*8+x, tile.Row*8+y)
-				if tr != sr || tg != sg || tb != sb {
-					t.Fatalf("tile (%d,%d) pixel (%d,%d) mismatch", tile.Col, tile.Row, x, y)
+	scene := randRGB(6, 48, 32)
+	for _, ts := range []int{4, 8, 16} {
+		tiles, grid, err := Split(scene, ts, ts)
+		if err != nil {
+			t.Fatalf("split %d: %v", ts, err)
+		}
+		if len(tiles) != grid.Cols*grid.Rows || grid.Cols*ts != scene.W || grid.Rows*ts != scene.H {
+			t.Fatalf("tile size %d: %d tiles on a %dx%d grid", ts, len(tiles), grid.Cols, grid.Rows)
+		}
+		for i, tile := range tiles {
+			if tile.Col != i%grid.Cols || tile.Row != i/grid.Cols {
+				t.Fatalf("tile size %d: tile %d at (%d,%d), want row-major order", ts, i, tile.Col, tile.Row)
+			}
+			for y := 0; y < ts; y++ {
+				for x := 0; x < ts; x++ {
+					tr, tg, tb := tile.Image.At(x, y)
+					sr, sg, sb := scene.At(tile.Col*ts+x, tile.Row*ts+y)
+					if tr != sr || tg != sg || tb != sb {
+						t.Fatalf("tile size %d: tile (%d,%d) pixel (%d,%d) mismatch", ts, tile.Col, tile.Row, x, y)
+					}
 				}
 			}
 		}
-	}
-}
-
-func TestDownsampleAveragesBoxes(t *testing.T) {
-	m := NewRGB(4, 4)
-	// top-left 2x2 box: values 10, 20, 30, 40 → mean 25
-	m.Set(0, 0, 10, 10, 10)
-	m.Set(1, 0, 20, 20, 20)
-	m.Set(0, 1, 30, 30, 30)
-	m.Set(1, 1, 40, 40, 40)
-	d, err := Downsample(m, 2)
-	if err != nil {
-		t.Fatalf("downsample: %v", err)
-	}
-	r, _, _ := d.At(0, 0)
-	if r != 25 {
-		t.Fatalf("box mean %d, want 25", r)
-	}
-	if d.W != 2 || d.H != 2 {
-		t.Fatalf("size %dx%d, want 2x2", d.W, d.H)
-	}
-	if _, err := Downsample(m, 3); err == nil {
-		t.Fatal("expected error for non-divisor factor")
-	}
-}
-
-func TestDownsampleLabelsMajority(t *testing.T) {
-	m := NewLabels(2, 2)
-	m.Set(0, 0, ClassWater)
-	m.Set(1, 0, ClassThickIce)
-	m.Set(0, 1, ClassThickIce)
-	m.Set(1, 1, ClassThinIce)
-	d, err := DownsampleLabels(m, 2)
-	if err != nil {
-		t.Fatalf("downsample: %v", err)
-	}
-	if d.At(0, 0) != ClassThickIce {
-		t.Fatalf("majority vote = %v, want thick-ice", d.At(0, 0))
 	}
 }
 
@@ -217,9 +153,9 @@ func TestClassString(t *testing.T) {
 
 func TestFloatGrayRoundTrip(t *testing.T) {
 	f := func(v uint8) bool {
-		g := NewGray(1, 1)
-		g.Pix[0] = v
-		return FromGray(g).ToGray().Pix[0] == v
+		f := NewFloat(1, 1)
+		f.Pix[0] = float64(v)
+		return f.ToGray().Pix[0] == v
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

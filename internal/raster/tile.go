@@ -49,35 +49,6 @@ func Split(scene *RGB, tileW, tileH int) ([]Tile, Grid, error) {
 	return tiles, g, nil
 }
 
-// Stitch reassembles tiles into a scene. Every grid cell must be covered
-// exactly once and all tiles must match the grid's tile size.
-func Stitch(tiles []Tile, g Grid) (*RGB, error) {
-	if len(tiles) != g.Cols*g.Rows {
-		return nil, fmt.Errorf("raster: stitch got %d tiles, grid needs %d", len(tiles), g.Cols*g.Rows)
-	}
-	seen := make([]bool, g.Cols*g.Rows)
-	scene := NewRGB(g.Cols*g.TileW, g.Rows*g.TileH)
-	for _, t := range tiles {
-		if t.Col < 0 || t.Col >= g.Cols || t.Row < 0 || t.Row >= g.Rows {
-			return nil, fmt.Errorf("raster: tile position (%d,%d) outside %dx%d grid", t.Col, t.Row, g.Cols, g.Rows)
-		}
-		if t.Image.W != g.TileW || t.Image.H != g.TileH {
-			return nil, fmt.Errorf("raster: tile (%d,%d) is %dx%d, grid expects %dx%d", t.Col, t.Row, t.Image.W, t.Image.H, g.TileW, g.TileH)
-		}
-		idx := t.Row*g.Cols + t.Col
-		if seen[idx] {
-			return nil, fmt.Errorf("raster: duplicate tile at (%d,%d)", t.Col, t.Row)
-		}
-		seen[idx] = true
-		for y := 0; y < g.TileH; y++ {
-			dstOff := 3 * ((t.Row*g.TileH+y)*scene.W + t.Col*g.TileW)
-			srcOff := 3 * y * g.TileW
-			copy(scene.Pix[dstOff:dstOff+3*g.TileW], t.Image.Pix[srcOff:srcOff+3*g.TileW])
-		}
-	}
-	return scene, nil
-}
-
 // SplitLabels cuts a label map into tiles matching the grid produced by
 // Split on the corresponding scene.
 func SplitLabels(lab *Labels, tileW, tileH int) ([]*Labels, Grid, error) {
@@ -117,60 +88,4 @@ func StitchLabels(tiles []*Labels, g Grid) (*Labels, error) {
 		}
 	}
 	return out, nil
-}
-
-// Downsample reduces the raster by an integer factor using box averaging,
-// used to derive reduced-scale experiment datasets from full-size scenes.
-func Downsample(src *RGB, factor int) (*RGB, error) {
-	if factor <= 0 || src.W%factor != 0 || src.H%factor != 0 {
-		return nil, fmt.Errorf("raster: cannot downsample %dx%d by %d", src.W, src.H, factor)
-	}
-	w, h := src.W/factor, src.H/factor
-	dst := NewRGB(w, h)
-	n := factor * factor
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			var sr, sg, sb int
-			for dy := 0; dy < factor; dy++ {
-				off := 3 * ((y*factor+dy)*src.W + x*factor)
-				for dx := 0; dx < factor; dx++ {
-					sr += int(src.Pix[off])
-					sg += int(src.Pix[off+1])
-					sb += int(src.Pix[off+2])
-					off += 3
-				}
-			}
-			dst.Set(x, y, uint8(sr/n), uint8(sg/n), uint8(sb/n))
-		}
-	}
-	return dst, nil
-}
-
-// DownsampleLabels reduces a label map by an integer factor using majority
-// vote within each box, so class boundaries stay crisp.
-func DownsampleLabels(src *Labels, factor int) (*Labels, error) {
-	if factor <= 0 || src.W%factor != 0 || src.H%factor != 0 {
-		return nil, fmt.Errorf("raster: cannot downsample labels %dx%d by %d", src.W, src.H, factor)
-	}
-	w, h := src.W/factor, src.H/factor
-	dst := NewLabels(w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			var votes [NumClasses]int
-			for dy := 0; dy < factor; dy++ {
-				off := (y*factor+dy)*src.W + x*factor
-				for dx := 0; dx < factor; dx++ {
-					votes[src.Pix[off+dx]]++
-				}
-			}
-			best := Class(0)
-			for c := Class(1); c < NumClasses; c++ {
-				if votes[c] > votes[best] {
-					best = c
-				}
-			}
-			dst.Set(x, y, best)
-		}
-	}
-	return dst, nil
 }

@@ -111,14 +111,3 @@ func (m *SvcModel) PredictWait(queueDepth, workers int) time.Duration {
 	secs := rounds * m.batchTime(int(math.Round(ab)))
 	return time.Duration(secs * float64(time.Second))
 }
-
-// AvgBatch reports the EWMA achieved batch size (1 before any
-// observation).
-func (m *SvcModel) AvgBatch() float64 {
-	if m == nil {
-		return 1
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.avgBatch
-}

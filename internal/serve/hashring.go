@@ -20,7 +20,6 @@ const hashVnodes = 64
 // across nodes without duplication.
 type HashRing struct {
 	points []ringPoint // sorted by hash
-	nodes  int
 }
 
 type ringPoint struct {
@@ -33,7 +32,7 @@ func NewHashRing(n int) (*HashRing, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("serve: hash ring needs ≥1 node, got %d", n)
 	}
-	h := &HashRing{nodes: n, points: make([]ringPoint, 0, n*hashVnodes)}
+	h := &HashRing{points: make([]ringPoint, 0, n*hashVnodes)}
 	for node := 0; node < n; node++ {
 		for v := 0; v < hashVnodes; v++ {
 			sum := sha256.Sum256([]byte(fmt.Sprintf("node%d#%d", node, v)))
@@ -46,9 +45,6 @@ func NewHashRing(n int) (*HashRing, error) {
 	sort.Slice(h.points, func(i, j int) bool { return h.points[i].hash < h.points[j].hash })
 	return h, nil
 }
-
-// Nodes reports the ring's node count.
-func (h *HashRing) Nodes() int { return h.nodes }
 
 // Owner returns the node owning key: the node of the first ring point at
 // or clockwise-after the key's position.

@@ -298,7 +298,7 @@ func int8BackendNamesLocked() []string {
 
 // The float engine (matmul.go) registers itself as the reference backend
 // of both float kinds. Registering here — rather than dispatching ad hoc —
-// is what makes the seam load-bearing: MatMulInto, MatMulSerialInto and
+// is what makes the seam load-bearing: MatMulInto, MatMulATBInto and
 // GemmSerial all resolve through the table, so the AVX2 float32 panel
 // plugs in the same way the int8 backends do.
 func init() {

@@ -89,7 +89,7 @@ func sameBits(t *testing.T, label string, got, want []float32) {
 // contract in backend.go: every registered float32 backend, at 1/2/3
 // shared-pool workers, must reproduce the serial reference kernels of
 // ref.go bit for bit through every entry that resolves a panel —
-// MatMulInto, MatMulSerialInto, GemmSerial, and the raw Panel with column
+// MatMulInto, GemmSerial, and the raw Panel with column
 // sub-ranges, a strided A and k-blocked accumulation — on shapes with
 // m%4, n%8 and k%4 tails and on degenerate ones.
 func TestFloatBackendConformance(t *testing.T) {
@@ -120,9 +120,6 @@ func TestFloatBackendConformance(t *testing.T) {
 					got := New[float32](m, n)
 					MatMulInto(got, a, b)
 					sameBits(t, label+" MatMulInto", got.Data, want)
-					poison(got.Data)
-					MatMulSerialInto(got, a, b)
-					sameBits(t, label+" MatMulSerialInto", got.Data, want)
 					poison(got.Data)
 					GemmSerial(got.Data, a.Data, b.Data, m, k, n)
 					sameBits(t, label+" GemmSerial", got.Data, want)
@@ -176,12 +173,12 @@ func TestFloatBackendNonFinite(t *testing.T) {
 	b.Data[2], b.Data[4*n+9], b.Data[7*n+20] = -inf, float32(math.NaN()), inf
 	useFloat32Backend(t, "engine")
 	want := New[float32](m, n)
-	MatMulSerialInto(want, a, b)
+	GemmSerial(want.Data, a.Data, b.Data, m, k, n)
 	for _, name := range float32BackendNames() {
 		t.Run(name, func(t *testing.T) {
 			useFloat32Backend(t, name)
 			got := New[float32](m, n)
-			MatMulSerialInto(got, a, b)
+			GemmSerial(got.Data, a.Data, b.Data, m, k, n)
 			sameBits(t, name, got.Data, want.Data)
 		})
 	}

@@ -29,15 +29,6 @@ func validRange(size, k, stride, pad, outSize int) (lo, hi int) {
 	return lo, hi
 }
 
-// Col2Im folds a column matrix back into an (N,C,H,W) tensor, summing
-// overlapping contributions — the adjoint of the im2col unfold (Im2ColRef),
-// used by convolution backward passes to accumulate input gradients.
-func Col2Im[S Scalar](cols *Tensor[S], n, c, h, w, kh, kw, stride, pad int) *Tensor[S] {
-	x := New[S](n, c, h, w)
-	Col2ImInto(x, cols, kh, kw, stride, pad)
-	return x
-}
-
 // Col2ImInto folds cols into dst, which must be pre-shaped (N,C,H,W) and
 // is fully overwritten. Channels write disjoint planes, so the fold is
 // parallelized per channel; within a channel the accumulation order is the

@@ -18,7 +18,7 @@ import (
 // instantiation moves half the bytes per block through the same blocking;
 // on AVX2 hosts its A×B panel is additionally replaced by the assembly
 // panel of sgemm_amd64.go (same chains, eight columns per instruction),
-// which every A×B entry here — MatMulInto, MatMulSerialInto, GemmSerial —
+// which every A×B entry here — MatMulInto and GemmSerial —
 // reaches through the backend table. The scalar loops rely on the Go
 // compiler not fusing s += a·b into an FMA. That holds on amd64 at every
 // GOAMD64 level (go1.24 emits no VFMADD/VFMSUB/VFNMADD/VFNMSUB for it,
@@ -37,16 +37,6 @@ const serialCutoff = 1 << 15
 // minPanel is the smallest per-task output panel width; narrower panels
 // would spend more time on goroutine handoff than arithmetic.
 const minPanel = 256
-
-// MatMul computes C = A×B for A (m×k) and B (k×n) into a fresh tensor.
-func MatMul[S Scalar](a, b *Tensor[S]) *Tensor[S] {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch %v × %v", a.Shape, b.Shape))
-	}
-	c := New[S](a.Shape[0], b.Shape[1])
-	MatMulInto(c, a, b)
-	return c
-}
 
 // MatMulInto computes C = A×B into dst, which must be (m×n). dst is fully
 // overwritten; it may not alias a or b. The product runs on the active
@@ -190,22 +180,6 @@ func matMulPanel[S Scalar](c, a, b []S, m, k, n, lda, jlo, jhi int, acc bool) {
 	}
 }
 
-// MatMulSerialInto computes C = A×B into dst entirely on the calling
-// goroutine — the active backend's panel without the pool dispatch.
-// Inference sessions use it: they run one session per serving worker, so
-// fanning a session's products out on the shared pool would
-// oversubscribe the cores. Results are bit-identical to MatMulInto.
-func MatMulSerialInto[S Scalar](dst, a, b *Tensor[S]) {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch %v × %v", a.Shape, b.Shape))
-	}
-	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	if len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: matmul dst %v for %d×%d product", dst.Shape, m, n))
-	}
-	Float[S]().Panel(dst.Data, a.Data, b.Data, m, k, n, k, 0, n, false)
-}
-
 // GemmSerial computes C = A×B on raw row-major slices (A m×k, B k×n, C
 // m×n, C fully overwritten) entirely on the calling goroutine — the
 // active backend's panel without shape bookkeeping. It exists for callers
@@ -214,17 +188,6 @@ func MatMulSerialInto[S Scalar](dst, a, b *Tensor[S]) {
 // bit-identical to MatMulInto on the same operands.
 func GemmSerial[S Scalar](c, a, b []S, m, k, n int) {
 	Float[S]().Panel(c, a, b, m, k, n, k, 0, n, false)
-}
-
-// MatMulATB computes C = Aᵀ×B for A (k×m) and B (k×n) without forming the
-// transpose: convolution backward passes need this product shape.
-func MatMulATB[S Scalar](a, b *Tensor[S]) *Tensor[S] {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[0] != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: matmulATB shape mismatch %v × %v", a.Shape, b.Shape))
-	}
-	c := New[S](a.Shape[1], b.Shape[1])
-	MatMulATBInto(c, a, b)
-	return c
 }
 
 // MatMulATBInto computes C = Aᵀ×B into dst, which must be (m×n) for

@@ -12,7 +12,7 @@ import (
 // of accumulated terms per output element. This is the cross-precision
 // guarantee — within one precision the engine is bit-identical to its
 // reference (see engine_test.go); across precisions only this bound holds.
-func f32Near(t *testing.T, label string, workers, accLen int, got *F32, want *F64) {
+func f32Near(t *testing.T, label string, workers, accLen int, got *Tensor[float32], want *Tensor[float64]) {
 	t.Helper()
 	if len(got.Data) != len(want.Data) {
 		t.Fatalf("%s (workers=%d): %d elements, reference %d", label, workers, len(got.Data), len(want.Data))
@@ -29,7 +29,7 @@ func f32Near(t *testing.T, label string, workers, accLen int, got *F32, want *F6
 
 // toF32 rounds a float64 tensor to float32 — the down-conversion a
 // mixed-precision layer applies to weights and activations.
-func toF32(x *F64) *F32 { return Convert[float32](x) }
+func toF32(x *Tensor[float64]) *Tensor[float32] { return Convert[float32](x) }
 
 // TestF32MatMulWithinToleranceOfF64: the float32 GEMM on rounded inputs
 // must match the float64 reference on the exact inputs within the stated
@@ -55,8 +55,11 @@ func TestF32MatMulWithinToleranceOfF64(t *testing.T) {
 		withWorkers(t, func(workers int) {
 			label := fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n)
 			// +1 on the accumulation length covers the input rounding step.
-			f32Near(t, "matmul "+label, workers, s.k+1, MatMul(a32, b32), wantAB)
-			f32Near(t, "matmulATB "+label, workers, s.k+1, MatMulATB(at32, b32), wantATB)
+			ab, atb := New[float32](s.m, s.n), New[float32](s.m, s.n)
+			MatMulInto(ab, a32, b32)
+			MatMulATBInto(atb, at32, b32)
+			f32Near(t, "matmul "+label, workers, s.k+1, ab, wantAB)
+			f32Near(t, "matmulATB "+label, workers, s.k+1, atb, wantATB)
 		})
 	}
 }
@@ -76,6 +79,8 @@ func TestF32Im2ColExact(t *testing.T) {
 	fillDense(grad, 43)
 	wantFold := Col2ImRef(grad, 2, 3, 6, 5, 3, 3, 1, 1)
 	withWorkers(t, func(workers int) {
-		f32Near(t, "col2im f32", workers, 3*3+1, Col2Im(toF32(grad), 2, 3, 6, 5, 3, 3, 1, 1), wantFold)
+		fold := New[float32](2, 3, 6, 5)
+		Col2ImInto(fold, toF32(grad), 3, 3, 1, 1)
+		f32Near(t, "col2im f32", workers, 3*3+1, fold, wantFold)
 	})
 }

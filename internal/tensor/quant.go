@@ -26,8 +26,7 @@
 // Error model, documented here and property-tested in quant_test.go: the
 // quantization step ("ULP") of a channel with scale s is s itself, and for
 // any x inside the calibrated range |dequant(quant(x)) − x| ≤ s/2 + eps
-// where eps covers the float rounding of the scale computation — see
-// QuantRoundTripBound.
+// where eps covers the float rounding of the scale computation.
 
 package tensor
 
@@ -102,50 +101,6 @@ func (a ActQuant) Quantize(x float64) uint8 {
 // Dequantize maps a quantized value back to float.
 func (a ActQuant) Dequantize(q uint8) float64 {
 	return a.Scale * (float64(q) - float64(a.Zero))
-}
-
-// QuantRoundTripBound is the documented per-channel error bound the
-// round-trip property test asserts: for x within the calibrated range of
-// a channel with quantization step (scale) s,
-//
-//	|dequant(quant(x)) − x| ≤ s · (1/2 + 2⁻⁴³)
-//
-// Half a quantization step is the real-arithmetic bound; the s·2⁻⁴³ term
-// covers float64 rounding. The quantities involved (x, s·(q−z)) are as
-// large as QuantMax·s, so their individual rounding errors reach
-// ~127·s·2⁻⁵² ≈ s·2⁻⁴⁵ — and near the range edges they cancel against a
-// result of order s/2, where that absolute error is NOT small relative
-// to the result. 2⁻⁴³ leaves a 4× margin over the worst compounding.
-func QuantRoundTripBound(scale float64) float64 {
-	return scale * (0.5 + 0x1p-43)
-}
-
-// QuantizeActs quantizes src through a into dst (same length), splitting
-// rows across the shared pool. Each element is independent, so the result
-// is bit-identical at any worker count — the property test runs it at
-// 1/3/4 workers and byte-compares.
-func QuantizeActs(dst []uint8, src []float64, a ActQuant) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("tensor: QuantizeActs length mismatch %d vs %d", len(dst), len(src)))
-	}
-	pool.Shared().MustMapRanges(len(src), 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = a.Quantize(src[i])
-		}
-	})
-}
-
-// DequantizeActs maps dst[i] = a.Dequantize(src[i]); the parallel inverse
-// of QuantizeActs with the same worker-count-independence guarantee.
-func DequantizeActs(dst []float64, src []uint8, a ActQuant) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("tensor: DequantizeActs length mismatch %d vs %d", len(dst), len(src)))
-	}
-	pool.Shared().MustMapRanges(len(src), 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = a.Dequantize(src[i])
-		}
-	})
 }
 
 // QuantizeWeightsPerChannel quantizes a row-major (rows × k) float weight

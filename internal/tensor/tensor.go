@@ -32,14 +32,6 @@ type Scalar interface {
 	float32 | float64
 }
 
-// F64 and F32 name the two tensor instantiations. float64 is the
-// master/reference precision; float32 is the bandwidth-saving compute
-// precision.
-type (
-	F64 = Tensor[float64]
-	F32 = Tensor[float32]
-)
-
 // PrecisionTolerance documents the cross-precision guarantee: a float32
 // kernel result y32 matches the float64 reference y64 within
 //

@@ -62,7 +62,7 @@ func TestAddScale(t *testing.T) {
 	}
 }
 
-func matmulRef(a, b *F64) *F64 {
+func matmulRef(a, b *Tensor[float64]) *Tensor[float64] {
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	c := New[float64](m, n)
 	for i := 0; i < m; i++ {
@@ -77,7 +77,7 @@ func matmulRef(a, b *F64) *F64 {
 	return c
 }
 
-func randT(seed uint64, shape ...int) *F64 {
+func randT(seed uint64, shape ...int) *Tensor[float64] {
 	x := New[float64](shape...)
 	x.FillRandn(noise.NewRNG(seed, 1), 1)
 	return x
@@ -92,7 +92,8 @@ func TestMatMulVariantsAgree(t *testing.T) {
 		b := randT(seed+1, k, n)
 		want := matmulRef(a, b)
 
-		c1 := MatMul(a, b)
+		c1 := New[float64](m, n)
+		MatMulInto(c1, a, b)
 		// Aᵀ form: build at (k×m) with at[kk][i] = a[i][kk]
 		at := New[float64](k, m)
 		for i := 0; i < m; i++ {
@@ -100,7 +101,8 @@ func TestMatMulVariantsAgree(t *testing.T) {
 				at.Data[kk*m+i] = a.Data[i*k+kk]
 			}
 		}
-		c2 := MatMulATB(at, b)
+		c2 := New[float64](m, n)
+		MatMulATBInto(c2, at, b)
 
 		for i := range want.Data {
 			if math.Abs(c1.Data[i]-want.Data[i]) > 1e-9 ||
@@ -121,7 +123,7 @@ func TestMatMulShapePanics(t *testing.T) {
 			t.Fatal("shape mismatch must panic")
 		}
 	}()
-	MatMul(New[float64](2, 3), New[float64](4, 2))
+	MatMulInto(New[float64](2, 2), New[float64](2, 3), New[float64](4, 2))
 }
 
 // The im2col tests below pin Im2ColRef — the unfold of the legacy conv
@@ -155,7 +157,8 @@ func TestIm2ColConvMatchesDirect(t *testing.T) {
 	x := randT(6, 1, 2, 5, 5)
 	w := randT(7, 3, 2*3*3) // 3 output channels, 3×3 kernel
 	cols := Im2ColRef(x, 3, 3, 1, 1)
-	out := MatMul(w, cols) // (3, N*5*5)
+	out := New[float64](3, cols.Shape[1]) // (3, N*5*5)
+	MatMulInto(out, w, cols)
 
 	// direct convolution
 	for oc := 0; oc < 3; oc++ {
@@ -182,7 +185,7 @@ func TestIm2ColConvMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestCol2ImAdjoint: <Im2ColRef(x), y> == <x, Col2Im(y)> — the defining
+// TestCol2ImAdjoint: <Im2ColRef(x), y> == <x, col2im(y)> — the defining
 // property of the adjoint, which is exactly what backprop requires.
 func TestCol2ImAdjoint(t *testing.T) {
 	const n, c, h, w, k, pad = 2, 2, 4, 4, 3, 1
@@ -195,8 +198,9 @@ func TestCol2ImAdjoint(t *testing.T) {
 	for i := range cols.Data {
 		lhs += cols.Data[i] * y.Data[i]
 	}
-	// <x, Col2Im(y)>
-	back := Col2Im(y, n, c, h, w, k, k, 1, pad)
+	// <x, col2im(y)>
+	back := New[float64](n, c, h, w)
+	Col2ImInto(back, y, k, k, 1, pad)
 	rhs := 0.0
 	for i := range x.Data {
 		rhs += x.Data[i] * back.Data[i]

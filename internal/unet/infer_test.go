@@ -9,7 +9,7 @@ import (
 )
 
 // randInput builds a deterministic pseudo-random NCHW input.
-func randInput(n, c, h, w int, seed uint64) *tensor.F64 {
+func randInput(n, c, h, w int, seed uint64) *tensor.Tensor[float64] {
 	x := tensor.New[float64](n, c, h, w)
 	rng := noise.NewRNG(seed, 0xbeef)
 	for i := range x.Data {

@@ -1,0 +1,10 @@
+package used
+
+import "testing"
+
+// Test references do not count as callers.
+func TestUsed(t *testing.T) {
+	if Planted(2)+Oracle()+(&Receiver{}).Value() != 7 {
+		t.Fatal("fixture arithmetic")
+	}
+}
