@@ -85,29 +85,63 @@ func TestStitchRejectsBadTiles(t *testing.T) {
 	}
 }
 
-// TestSplitTilesPartitionScene: every pixel of the scene appears in
-// exactly one tile at the expected offset, for every divisor tile size.
-func TestSplitTilesPartitionScene(t *testing.T) {
-	scene := randRGB(6, 48, 32)
+// TestSplitStitchIdentity: splitting a scene into tiles and pasting
+// every tile back at its grid cell must be the identity, for every
+// divisor tile size, with each cell covered exactly once.
+func TestSplitStitchIdentity(t *testing.T) {
+	scene := randRGB(2, 48, 32)
 	for _, ts := range []int{4, 8, 16} {
 		tiles, grid, err := Split(scene, ts, ts)
 		if err != nil {
 			t.Fatalf("split %d: %v", ts, err)
 		}
-		if len(tiles) != grid.Cols*grid.Rows || grid.Cols*ts != scene.W || grid.Rows*ts != scene.H {
+		if len(tiles) != grid.Cols*grid.Rows {
 			t.Fatalf("tile size %d: %d tiles on a %dx%d grid", ts, len(tiles), grid.Cols, grid.Rows)
 		}
-		for i, tile := range tiles {
-			if tile.Col != i%grid.Cols || tile.Row != i/grid.Cols {
-				t.Fatalf("tile size %d: tile %d at (%d,%d), want row-major order", ts, i, tile.Col, tile.Row)
+		back := NewRGB(grid.Cols*grid.TileW, grid.Rows*grid.TileH)
+		seen := make([]bool, len(tiles))
+		for _, tile := range tiles {
+			cell := tile.Row*grid.Cols + tile.Col
+			if seen[cell] {
+				t.Fatalf("tile size %d: cell (%d,%d) covered twice", ts, tile.Col, tile.Row)
 			}
-			for y := 0; y < ts; y++ {
-				for x := 0; x < ts; x++ {
-					tr, tg, tb := tile.Image.At(x, y)
-					sr, sg, sb := scene.At(tile.Col*ts+x, tile.Row*ts+y)
-					if tr != sr || tg != sg || tb != sb {
-						t.Fatalf("tile size %d: tile (%d,%d) pixel (%d,%d) mismatch", ts, tile.Col, tile.Row, x, y)
-					}
+			seen[cell] = true
+			for y := 0; y < grid.TileH; y++ {
+				for x := 0; x < grid.TileW; x++ {
+					r, g, b := tile.Image.At(x, y)
+					back.Set(tile.Col*grid.TileW+x, tile.Row*grid.TileH+y, r, g, b)
+				}
+			}
+		}
+		if back.W != scene.W || back.H != scene.H {
+			t.Fatalf("tile size %d: stitched %dx%d, want %dx%d", ts, back.W, back.H, scene.W, scene.H)
+		}
+		for i := range scene.Pix {
+			if scene.Pix[i] != back.Pix[i] {
+				t.Fatalf("tile size %d: mismatch at %d", ts, i)
+			}
+		}
+	}
+}
+
+// TestSplitTilesPartitionScene: every pixel of the scene appears in
+// exactly one tile at the expected offset, tiles in row-major order.
+func TestSplitTilesPartitionScene(t *testing.T) {
+	scene := randRGB(6, 32, 16)
+	tiles, grid, err := Split(scene, 8, 8)
+	if err != nil {
+		t.Fatalf("split: %v", err)
+	}
+	for i, tile := range tiles {
+		if tile.Col != i%grid.Cols || tile.Row != i/grid.Cols {
+			t.Fatalf("tile %d at (%d,%d), want row-major order", i, tile.Col, tile.Row)
+		}
+		for y := 0; y < 8; y++ {
+			for x := 0; x < 8; x++ {
+				tr, tg, tb := tile.Image.At(x, y)
+				sr, sg, sb := scene.At(tile.Col*8+x, tile.Row*8+y)
+				if tr != sr || tg != sg || tb != sb {
+					t.Fatalf("tile (%d,%d) pixel (%d,%d) mismatch", tile.Col, tile.Row, x, y)
 				}
 			}
 		}
