@@ -21,8 +21,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"os"
 	"runtime"
@@ -78,6 +80,27 @@ func validatePrecision(p string) error {
 	return nil
 }
 
+// checkOutput refuses, before any experiment runs, a path the run could
+// not write at its end — a directory, a missing parent, no permission —
+// which would otherwise throw the finished experiment away. It leaves the
+// file system as it found it; "" (no output) passes.
+func checkOutput(path string) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if errors.Is(err, fs.ErrNotExist) {
+		// A new file: its directory must take one.
+		if f, err = os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644); err == nil {
+			defer os.Remove(path)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	return f.Close()
+}
+
 // stopProfiles flushes the CPU profile; set only when -cpuprofile is
 // active. fatal/fatalf call it before exiting because log.Fatal's
 // os.Exit would otherwise skip the deferred flush and leave a truncated
@@ -127,6 +150,12 @@ func main() {
 	// `-exp accuracy -precision f16` silently ran with the default.
 	if err := validatePrecision(*precision); err != nil {
 		log.Fatal(err)
+	}
+	if err := checkOutput(*outMD); err != nil {
+		log.Fatalf("-out: %v", err)
+	}
+	if err := checkOutput(*memProfile); err != nil {
+		log.Fatalf("-memprofile: %v", err)
 	}
 
 	if *cpuProfile != "" {

@@ -46,12 +46,6 @@
 // the coordinator forwards only the remaining budget to workers. The
 // load generator sets the header via -deadline.
 //
-// -slo runs the deterministic chaos-under-load SLO benchmark (no server
-// needed): it sweeps offered load over the simulated cluster with and
-// without burst/slownode/worker-kill faults and writes the
-// latency-versus-load curves to -slo-out (the committed BENCH_serve.json
-// is this artifact; the SLO regression test re-measures it).
-//
 // Both serving modes shut down gracefully on SIGINT/SIGTERM: stop
 // accepting, drain in-flight work, then log the final stats snapshot.
 package main
@@ -101,9 +95,6 @@ type options struct {
 	n, c     int
 	seed     uint64
 	deadline time.Duration
-
-	slo    bool
-	sloOut string
 }
 
 func main() {
@@ -113,12 +104,6 @@ func main() {
 	o, err := parseFlags(os.Args[1:], flag.ExitOnError)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if o.slo {
-		if err := runSLO(o.sloOut); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 	if o.cfg.Chaos != nil {
 		log.Printf("chaos: %d seeded worker faults armed (%s); watch worker_restarts on /healthz",
@@ -133,7 +118,6 @@ func main() {
 
 // parseFlags parses the command line and checks everything about it that
 // can be checked before any model is loaded; main exits on its error.
-// With -slo nothing else is used, so nothing else is validated.
 func parseFlags(args []string, onError flag.ErrorHandling) (options, error) {
 	o := options{cfg: serve.DefaultConfig()}
 	fs := flag.NewFlagSet("seaice-serve", onError)
@@ -159,10 +143,7 @@ func parseFlags(args []string, onError flag.ErrorHandling) (options, error) {
 	fs.IntVar(&o.c, "c", 16, "loadgen: concurrent clients")
 	fs.Uint64Var(&o.seed, "seed", 1, "loadgen: synthetic tile seed")
 	fs.DurationVar(&o.deadline, "deadline", 0, "loadgen: per-request deadline sent as X-Seaice-Deadline-Ms (0 = none)")
-
-	fs.BoolVar(&o.slo, "slo", false, "run the chaos-under-load SLO benchmark and exit")
-	fs.StringVar(&o.sloOut, "slo-out", "BENCH_serve.json", "SLO benchmark output path")
-	if err := fs.Parse(args); err != nil || o.slo {
+	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
 	if *workers != 0 {
@@ -186,31 +167,6 @@ func parseFlags(args []string, onError flag.ErrorHandling) (options, error) {
 		return o, errors.New("-nodes and -loadgen are mutually exclusive")
 	}
 	return o, nil
-}
-
-// runSLO measures the deterministic chaos-under-load benchmark and
-// writes the artifact (see serve.SLOBench) to path.
-func runSLO(path string) error {
-	log.Printf("measuring SLO curves (baseline + faulted sweeps over the simulated cluster)")
-	bench, err := serve.RunSLOBench()
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	for i, rate := range bench.Rates {
-		log.Printf("%6.0f rps: baseline p99 %7.1fms | faulted p99 %7.1fms (%d rejected, %d expired)",
-			rate, bench.Baseline[i].P99MS, bench.Faulted[i].P99MS,
-			bench.Faulted[i].RejectedOverload+bench.Faulted[i].RejectedInfeasible,
-			bench.Faulted[i].ExpiredDropped)
-	}
-	log.Printf("wrote %s", path)
-	return nil
 }
 
 // runCoordinator fronts the listed worker nodes with the consistent-hash

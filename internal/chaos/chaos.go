@@ -29,12 +29,10 @@
 //	drop@N[:rR]       silently drop rank R's next outgoing frame in step N
 //	slow@N[:rR][:D]   delay rank R's next frame send in step N by D (default 10ms)
 //
-// Overload faults target the serve plane and its load driver
-// (serve.LoadSim); slownode also fires in a real seaice-serve process at
-// batch-pickup ordinal N:
+// The overload fault targets the serve plane; it fires in a
+// seaice-serve process at batch-pickup ordinal N:
 //
-//	burst@N[:D]          multiply offered load for D (default 1s) from virtual step N
-//	slownode@N[:rR][:D]  degrade node R from step N on: every batch +D (default 10ms)
+//	slownode@N[:rR][:D]  degrade node R from pickup N on: every batch +D (default 10ms)
 //
 // Data faults model silent corruption — bytes or floats going bad
 // without any process dying. Each is caught by a matching integrity
@@ -54,12 +52,10 @@
 // Determinism guarantees: every fault fires exactly once (one-shot), at
 // an exact boundary — a (rank, step) pair for training, a scene index
 // for the pipeline, a batch-pickup ordinal for serving — never "after
-// roughly t seconds". Simulated runs instead deliver faults at exact
-// virtual instants via internal/simtime (DeliverVirtual), with the
-// clock's FIFO tie-break making simultaneous faults reproducible too.
-// The same spec therefore produces the same fault sequence on any host
-// at any parallelism, which is what lets the recovery tests compare a
-// chaos run byte-for-byte against an undisturbed one.
+// roughly t seconds". The same spec therefore produces the same fault
+// sequence on any host at any parallelism, which is what lets the
+// recovery tests compare a chaos run byte-for-byte against an
+// undisturbed one.
 package chaos
 
 import (
@@ -71,7 +67,6 @@ import (
 	"time"
 
 	"seaice/internal/noise"
-	"seaice/internal/simtime"
 )
 
 // Kind enumerates the fault types the injector can deliver.
@@ -103,15 +98,10 @@ const (
 	// Reconnect closes one rank's outbound ring link at a step
 	// boundary, exercising the dial-retry/backoff path.
 	Reconnect
-	// LoadBurst multiplies the offered load of the serve load driver for
-	// a window starting at virtual step N (duration D, default 1s) — the
-	// correlated-traffic-spike fault the admission controller must
-	// absorb as 429s, not latency collapse.
-	LoadBurst
 	// SlowNode degrades one serve node's service time: from batch-pickup
-	// (or virtual-instant) N onward, every batch on the node is delayed
-	// by D (default 10ms). Unlike ServePanic it models a sick-but-alive
-	// node — the case health binaries miss and EWMA detectors catch.
+	// N onward, every batch on the node is delayed by D (default 10ms).
+	// Unlike ServePanic it models a sick-but-alive node — the case
+	// health binaries miss and EWMA detectors catch.
 	SlowNode
 	// Bitflip flips one bit in rank R's next outgoing transport frame
 	// during step N — a silent in-flight corruption. The CRC32C frame
@@ -154,8 +144,6 @@ func (k Kind) String() string {
 		return "drop"
 	case Reconnect:
 		return "reconn"
-	case LoadBurst:
-		return "burst"
 	case SlowNode:
 		return "slownode"
 	case Bitflip:
@@ -252,8 +240,6 @@ func parseFault(part string) (Fault, error) {
 		f.Kind = DropFrame
 	case "reconn":
 		f.Kind = Reconnect
-	case "burst":
-		f.Kind = LoadBurst
 	case "slownode":
 		f.Kind = SlowNode
 	case "bitflip":
@@ -265,7 +251,7 @@ func parseFault(part string) (Fault, error) {
 	case "torn":
 		f.Kind = TornWrite
 	default:
-		return Fault{}, fmt.Errorf("chaos: unknown fault kind %q (want crash|kill|stage|serve|stall|part|slow|drop|reconn|burst|slownode|bitflip|nanstep|badscene|torn)", kindStr)
+		return Fault{}, fmt.Errorf("chaos: unknown fault kind %q (want crash|kill|stage|serve|stall|part|slow|drop|reconn|slownode|bitflip|nanstep|badscene|torn)", kindStr)
 	}
 	fields := strings.Split(rest, ":")
 	step, err := strconv.Atoi(fields[0])
@@ -289,15 +275,15 @@ func parseFault(part string) (Fault, error) {
 			f.Delay = d
 		}
 	}
-	if f.Target >= 0 && (f.Kind == ProcessKill || f.Kind == StagePanic || f.Kind == ServePanic || f.Kind == LoadBurst || f.Kind == BadScene || f.Kind == TornWrite) {
+	if f.Target >= 0 && (f.Kind == ProcessKill || f.Kind == StagePanic || f.Kind == ServePanic || f.Kind == BadScene || f.Kind == TornWrite) {
 		return Fault{}, fmt.Errorf("chaos: fault %q: %s faults take no rank target", part, f.Kind)
 	}
 	switch f.Kind {
-	case Straggler, SlowLink, LoadBurst, SlowNode:
+	case Straggler, SlowLink, SlowNode:
 		// Duration-bearing kinds.
 	default:
 		if f.Delay > 0 {
-			return Fault{}, fmt.Errorf("chaos: fault %q: only stall, slow, burst, and slownode faults take a duration", part)
+			return Fault{}, fmt.Errorf("chaos: fault %q: only stall, slow, and slownode faults take a duration", part)
 		}
 	}
 	return f, nil
@@ -308,9 +294,6 @@ type Event struct {
 	Kind   Kind
 	Step   int
 	Target int
-	// Virtual is the simtime instant for faults delivered by
-	// DeliverVirtual; 0 for boundary-delivered faults.
-	Virtual float64
 }
 
 // String renders the event in spec-like form.
@@ -318,9 +301,6 @@ func (e Event) String() string {
 	s := fmt.Sprintf("%s@%d", e.Kind, e.Step)
 	if e.Target >= 0 {
 		s += fmt.Sprintf(":r%d", e.Target)
-	}
-	if e.Virtual > 0 {
-		s += fmt.Sprintf(" (t=%.6fs)", e.Virtual)
 	}
 	return s
 }
@@ -380,11 +360,11 @@ func rankTargeted(k Kind) bool {
 }
 
 // fire marks fault i delivered and logs it. Callers hold in.mu.
-func (in *Injector) fire(i int, virtual float64) {
+func (in *Injector) fire(i int) {
 	in.fired[i] = true
 	in.log = append(in.log, Event{
 		Kind: in.faults[i].Kind, Step: in.faults[i].Step,
-		Target: in.faults[i].Target, Virtual: virtual,
+		Target: in.faults[i].Target,
 	})
 }
 
@@ -398,7 +378,7 @@ func (in *Injector) ReplicaCrash(rank, step int) bool {
 	defer in.mu.Unlock()
 	for i, f := range in.faults {
 		if !in.fired[i] && f.Kind == ReplicaCrash && f.Step == step && f.Target == rank {
-			in.fire(i, 0)
+			in.fire(i)
 			return true
 		}
 	}
@@ -415,7 +395,7 @@ func (in *Injector) ProcessKill(step int) bool {
 	defer in.mu.Unlock()
 	for i, f := range in.faults {
 		if !in.fired[i] && f.Kind == ProcessKill && f.Step == step {
-			in.fire(i, 0)
+			in.fire(i)
 			return true
 		}
 	}
@@ -432,7 +412,7 @@ func (in *Injector) StagePanic(scene int) bool {
 	defer in.mu.Unlock()
 	for i, f := range in.faults {
 		if !in.fired[i] && f.Kind == StagePanic && f.Step == scene {
-			in.fire(i, 0)
+			in.fire(i)
 			return true
 		}
 	}
@@ -452,7 +432,7 @@ func (in *Injector) ServePanic() bool {
 	in.pickups++
 	for i, f := range in.faults {
 		if !in.fired[i] && f.Kind == ServePanic && f.Step == pickup {
-			in.fire(i, 0)
+			in.fire(i)
 			return true
 		}
 	}
@@ -481,12 +461,12 @@ func (in *Injector) ServeBatch() (panicNow bool, slow time.Duration) {
 		switch f.Kind {
 		case ServePanic:
 			if f.Step == pickup {
-				in.fire(i, 0)
+				in.fire(i)
 				panicNow = true
 			}
 		case SlowNode:
 			if f.Step <= pickup {
-				in.fire(i, 0)
+				in.fire(i)
 				if f.Delay > 0 {
 					in.slowBatch = f.Delay
 				} else {
@@ -508,7 +488,7 @@ func (in *Injector) fireRankStep(k Kind, rank, step int) bool {
 	defer in.mu.Unlock()
 	for i, f := range in.faults {
 		if !in.fired[i] && f.Kind == k && f.Step == step && f.Target == rank {
-			in.fire(i, 0)
+			in.fire(i)
 			return true
 		}
 	}
@@ -561,7 +541,7 @@ func (in *Injector) BadScene(scene int) bool {
 	defer in.mu.Unlock()
 	for i, f := range in.faults {
 		if !in.fired[i] && f.Kind == BadScene && f.Step == scene {
-			in.fire(i, 0)
+			in.fire(i)
 			return true
 		}
 	}
@@ -579,7 +559,7 @@ func (in *Injector) TornWrite(step int) bool {
 	defer in.mu.Unlock()
 	for i, f := range in.faults {
 		if !in.fired[i] && f.Kind == TornWrite && f.Step == step {
-			in.fire(i, 0)
+			in.fire(i)
 			return true
 		}
 	}
@@ -596,7 +576,7 @@ func (in *Injector) SlowLink(rank, step int) time.Duration {
 	defer in.mu.Unlock()
 	for i, f := range in.faults {
 		if !in.fired[i] && f.Kind == SlowLink && f.Step == step && f.Target == rank {
-			in.fire(i, 0)
+			in.fire(i)
 			if f.Delay > 0 {
 				return f.Delay
 			}
@@ -616,7 +596,7 @@ func (in *Injector) StragglerDelay(rank, step int) time.Duration {
 	defer in.mu.Unlock()
 	for i, f := range in.faults {
 		if !in.fired[i] && f.Kind == Straggler && f.Step == step && f.Target == rank {
-			in.fire(i, 0)
+			in.fire(i)
 			if f.Delay > 0 {
 				return f.Delay
 			}
@@ -624,40 +604,6 @@ func (in *Injector) StragglerDelay(rank, step int) time.Duration {
 		}
 	}
 	return 0
-}
-
-// DeliverVirtual schedules every not-yet-fired fault on a simtime clock
-// at the exact virtual instant step × secondsPerStep — the delivery
-// mode for discrete-event simulations (serve.LoadSim and the chaos
-// tests); the real-goroutine training/serving paths consume
-// faults at step/shard boundaries via the query methods instead. fire
-// receives each fault as the clock reaches its instant; simultaneous
-// faults arrive in schedule order (simtime's FIFO tie-break). The
-// injector's event log records the virtual instants.
-func (in *Injector) DeliverVirtual(c *simtime.Clock, secondsPerStep float64, fire func(Fault)) {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for i := range in.faults {
-		if in.fired[i] {
-			continue
-		}
-		i := i
-		f := in.faults[i]
-		at := float64(f.Step) * secondsPerStep
-		c.Schedule(at, func() {
-			in.mu.Lock()
-			if !in.fired[i] {
-				in.fire(i, at)
-			}
-			in.mu.Unlock()
-			if fire != nil {
-				fire(f)
-			}
-		})
-	}
 }
 
 // Events returns a copy of the delivered-fault log, in delivery order.

@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"seaice/internal/simtime"
 )
 
 func TestParseSpec(t *testing.T) {
@@ -45,6 +43,7 @@ func TestParseErrors(t *testing.T) {
 		"x:crash@1",          // bad seed
 		"7:",                 // no faults
 		"7:boom@1",           // unknown kind
+		"9:burst@1",          // unknown kind: no fault scales offered load
 		"7:crash",            // missing @step
 		"7:crash@-1",         // negative step
 		"7:crash@x",          // non-numeric step
@@ -143,45 +142,6 @@ func TestAutoTargetsDeterministic(t *testing.T) {
 	}
 }
 
-// TestChaosDeliverVirtual asserts faults land at exact virtual instants
-// on the simtime clock, simultaneous faults in schedule order.
-func TestChaosDeliverVirtual(t *testing.T) {
-	s, err := Parse("3:crash@4:r1,crash@2:r0,stall@2:r1,kill@8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := New(s, 2)
-	var clock simtime.Clock
-	type hit struct {
-		f  Fault
-		at float64
-	}
-	var got []hit
-	in.DeliverVirtual(&clock, 0.25, func(f Fault) {
-		got = append(got, hit{f, clock.Now()})
-	})
-	if end := clock.Run(); end != 2.0 {
-		t.Fatalf("final virtual time %v, want 2.0", end)
-	}
-	want := []hit{
-		{Fault{Kind: ReplicaCrash, Step: 2, Target: 0}, 0.5},
-		{Fault{Kind: Straggler, Step: 2, Target: 1}, 0.5},
-		{Fault{Kind: ReplicaCrash, Step: 4, Target: 1}, 1.0},
-		{Fault{Kind: ProcessKill, Step: 8, Target: -1}, 2.0},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("virtual delivery = %+v\nwant %+v", got, want)
-	}
-	if in.Remaining() != 0 {
-		t.Fatalf("Remaining = %d, want 0", in.Remaining())
-	}
-	for _, ev := range in.Events() {
-		if ev.Virtual == 0 {
-			t.Fatalf("event %v missing virtual instant", ev)
-		}
-	}
-}
-
 // TestNilInjectorNeverFires asserts every query is nil-safe, so
 // instrumented call sites need no guards.
 func TestNilInjectorNeverFires(t *testing.T) {
@@ -192,7 +152,6 @@ func TestNilInjectorNeverFires(t *testing.T) {
 	if in.StragglerDelay(0, 0) != 0 || in.Remaining() != 0 || in.Events() != nil || in.Pending() != nil {
 		t.Fatal("nil injector reported state")
 	}
-	in.DeliverVirtual(&simtime.Clock{}, 1, nil) // must not panic
 }
 
 func TestPendingListsUndelivered(t *testing.T) {
@@ -292,23 +251,20 @@ func mustParse(t *testing.T, spec string) *Schedule {
 }
 
 // TestParseOverloadFaults covers the serve-plane overload grammar:
-// burst@N[:D] (no rank) and slownode@N[:rR][:D].
+// slownode@N[:rR][:D].
 func TestParseOverloadFaults(t *testing.T) {
-	s, err := Parse("9:burst@20:2s,slownode@40:r1:30ms,slownode@5,burst@0")
+	s, err := Parse("9:slownode@40:r1:30ms,slownode@5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []Fault{
-		{Kind: LoadBurst, Step: 20, Target: -1, Delay: 2 * time.Second},
 		{Kind: SlowNode, Step: 40, Target: 1, Delay: 30 * time.Millisecond},
 		{Kind: SlowNode, Step: 5, Target: -1},
-		{Kind: LoadBurst, Step: 0, Target: -1},
 	}
 	if !reflect.DeepEqual(s.Faults, want) {
 		t.Fatalf("faults = %+v\nwant %+v", s.Faults, want)
 	}
-	// Auto-targeting resolves slownode victims from the seed; bursts are
-	// global and never rank-targeted.
+	// Auto-targeting resolves slownode victims from the seed.
 	in := New(s, 4)
 	for i, f := range in.faults {
 		if f.Kind == SlowNode && (f.Target < 0 || f.Target >= 4) {
@@ -316,9 +272,8 @@ func TestParseOverloadFaults(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{
-		"9:burst@1:r0",     // burst takes no rank
-		"9:slownode@1:rx",  // bad rank
-		"9:burst@1:banana", // bad duration
+		"9:slownode@1:rx",     // bad rank
+		"9:slownode@1:banana", // bad duration
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", bad)

@@ -16,7 +16,7 @@ func FuzzChaosParse(f *testing.F) {
 		"7:crash@1:r0", "7:crash@1:r1", "7:crash@3:r1,crash@9", "7:kill@40", "11:slownode@0:200ms",
 		"9:serve@1", "21:part@2:r1", "51:bitflip@3:r1,nanstep@4:r0",
 		"7:crash@3:r1,stall@5:r2:50ms,crash@9,kill@12,stage@2,serve@4",
-		"3:slow@1:r0:5ms,drop@2,reconn@3:r1,burst@0:1s,badscene@2,torn@4",
+		"3:slow@1:r0:5ms,drop@2,reconn@3:r1,slownode@0:1s,badscene@2,torn@4",
 		// Rejected shapes.
 		"", " ", "7", "7:", "x:crash@1", "7:crash", "7:crash@-1", "7:crash@1:r-1", "7:kill@1:r0",
 		"7:crash@1:5ms", "7:stall@1:-5ms", "7:boom@1", "7:crash@1:", "18446744073709551616:crash@1",

@@ -43,7 +43,9 @@ func NewSvcModel(maxBatch int) *SvcModel {
 }
 
 // Observe feeds one executed batch (size tiles, duration d) into the
-// EWMAs.
+// EWMAs. Each step rounds its product on its own (float64(a*b)), so no
+// target fuses it into a multiply-add: the model holds the same bits on
+// every platform.
 func (m *SvcModel) Observe(size int, d time.Duration) {
 	if m == nil || size < 1 {
 		return
@@ -58,15 +60,15 @@ func (m *SvcModel) Observe(size int, d time.Duration) {
 		m.perBatch[size] = secs
 		m.seen[size] = true
 	} else {
-		m.perBatch[size] += svcAlpha * (secs - m.perBatch[size])
+		m.perBatch[size] += float64(svcAlpha * (secs - m.perBatch[size]))
 	}
 	pt := secs / float64(size)
 	if m.perTile == 0 {
 		m.perTile = pt
 	} else {
-		m.perTile += svcAlpha * (pt - m.perTile)
+		m.perTile += float64(svcAlpha * (pt - m.perTile))
 	}
-	m.avgBatch += svcAlpha * (float64(size) - m.avgBatch)
+	m.avgBatch += float64(svcAlpha * (float64(size) - m.avgBatch))
 }
 
 // batchTime estimates one batch execution of the given size, preferring

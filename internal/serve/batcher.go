@@ -95,20 +95,6 @@ func (s *Scheduler) QueueDepth() int {
 // momentarily; it recovers without intervention).
 func (s *Scheduler) LiveWorkers() int { return int(s.live.Load()) }
 
-// Submit classifies one tile with no deadline; see SubmitTiles.
-func (s *Scheduler) Submit(e unet.Engine, tile *raster.RGB) (*raster.Labels, error) {
-	return s.SubmitDeadline(e, tile, time.Time{})
-}
-
-// SubmitDeadline classifies one tile; see SubmitTiles.
-func (s *Scheduler) SubmitDeadline(e unet.Engine, tile *raster.RGB, deadline time.Time) (*raster.Labels, error) {
-	labels, err := s.SubmitTiles(e, []*raster.RGB{tile}, deadline)
-	if err != nil {
-		return nil, err
-	}
-	return labels[0], nil
-}
-
 // Model exposes the scheduler's service-time model (for the HTTP layer's
 // Retry-After computation and /statz).
 func (s *Scheduler) Model() *SvcModel { return s.q.model }

@@ -96,13 +96,13 @@ func TestSchedulerMatchesSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	got := make([]*raster.Labels, len(tiles))
+	got := make([][]*raster.Labels, len(tiles))
 	errs := make([]error, len(tiles))
 	for i := range tiles {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = sched.Submit(m, tiles[i])
+			got[i], errs[i] = sched.SubmitTiles(m, tiles[i:i+1], time.Time{})
 		}(i)
 	}
 	wg.Wait()
@@ -111,8 +111,8 @@ func TestSchedulerMatchesSession(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, errs[i])
 		}
 		for p := range want[i].Pix {
-			if got[i].Pix[p] != want[i].Pix[p] {
-				t.Fatalf("tile %d pixel %d: scheduler %d, session %d", i, p, got[i].Pix[p], want[i].Pix[p])
+			if got[i][0].Pix[p] != want[i].Pix[p] {
+				t.Fatalf("tile %d pixel %d: scheduler %d, session %d", i, p, got[i][0].Pix[p], want[i].Pix[p])
 			}
 		}
 	}
@@ -134,9 +134,9 @@ func TestSchedulerMixedShapes(t *testing.T) {
 	var mu sync.Mutex
 	submit := func(m *unet.Model[float64], tile *raster.RGB, wantSize int) {
 		defer wg.Done()
-		labels, err := sched.Submit(m, tile)
-		if err == nil && (labels.W != wantSize || labels.H != wantSize) {
-			err = fmt.Errorf("labels %dx%d, want %d", labels.W, labels.H, wantSize)
+		labels, err := sched.SubmitTiles(m, []*raster.RGB{tile}, time.Time{})
+		if err == nil && (labels[0].W != wantSize || labels[0].H != wantSize) {
+			err = fmt.Errorf("labels %dx%d, want %d", labels[0].W, labels[0].H, wantSize)
 		}
 		mu.Lock()
 		errs = append(errs, err)
@@ -177,7 +177,7 @@ func TestSchedulerBackpressure(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := sched.Submit(m, tiles[i])
+			_, err := sched.SubmitTiles(m, tiles[i:i+1], time.Time{})
 			mu.Lock()
 			defer mu.Unlock()
 			switch err {
@@ -219,7 +219,7 @@ func TestSchedulerClose(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = sched.Submit(m, tiles[i])
+			_, errs[i] = sched.SubmitTiles(m, tiles[i:i+1], time.Time{})
 		}(i)
 	}
 	wg.Wait()
@@ -229,7 +229,7 @@ func TestSchedulerClose(t *testing.T) {
 			t.Fatalf("pre-close submit %d: %v", i, err)
 		}
 	}
-	if _, err := sched.Submit(m, tiles[0]); err != ErrClosed {
+	if _, err := sched.SubmitTiles(m, tiles[:1], time.Time{}); err != ErrClosed {
 		t.Fatalf("post-close submit: %v, want ErrClosed", err)
 	}
 	sched.Close() // idempotent
@@ -268,7 +268,7 @@ func TestSchedulerMismatchDoesNotWaitForLeader(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			began := time.Now()
-			if _, err := sched.Submit(engine, tile); err != nil {
+			if _, err := sched.SubmitTiles(engine, []*raster.RGB{tile}, time.Time{}); err != nil {
 				t.Errorf("submit %dx%d: %v", tile.W, tile.H, err)
 			}
 			took[i] = time.Since(began)

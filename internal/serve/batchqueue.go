@@ -22,10 +22,10 @@ func (r *request) expired(now time.Time) bool {
 
 // batchQueue is the serve plane's queueing policy — admission, batch
 // formation, deadline triage, crash requeue — as a plain data structure:
-// no clock, no goroutine, no lock. Admission takes the current instant,
-// so its two drivers run the same code on different clocks: Scheduler
-// under a mutex with wall time and worker goroutines, LoadSim with
-// simtime's virtual instants.
+// no clock, no goroutine, no lock. Admission takes the current instant
+// as an argument, so the table tests drive it on explicit instants;
+// Scheduler drives it under a mutex with wall time and worker
+// goroutines.
 //
 // Requests wait in one bounded FIFO, and a request's tiles enter it
 // together or not at all. Batches form at pickup from what is queued

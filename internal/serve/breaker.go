@@ -52,8 +52,8 @@ const (
 // closes the breaker (a live answer is definitive evidence), so recovery
 // latency is one successful probe, exactly as the old flag behaved.
 //
-// The clock is injectable for deterministic tests and the simtime load
-// driver. All methods are safe for concurrent use.
+// The clock is injectable for deterministic tests. All methods are safe
+// for concurrent use.
 type Breaker struct {
 	mu       sync.Mutex
 	now      func() time.Time
@@ -154,7 +154,7 @@ func (b *Breaker) Record(success bool) {
 		b.probing = false
 		return
 	}
-	b.score += breakerAlpha * (1 - b.score)
+	b.score += float64(breakerAlpha * (1 - b.score)) // rounded: no multiply-add on any target
 	switch b.state {
 	case BreakerClosed:
 		if b.score >= breakerTrip {
@@ -223,7 +223,7 @@ func (t *TokenBucket) Tokens() float64 {
 func (t *TokenBucket) refill() {
 	now := t.now()
 	if dt := now.Sub(t.last).Seconds(); dt > 0 {
-		t.tokens += dt * t.perSec
+		t.tokens += float64(dt * t.perSec) // rounded: no multiply-add on any target
 		if t.tokens > t.max {
 			t.tokens = t.max
 		}

@@ -3,12 +3,14 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"seaice/internal/chaos"
+	"seaice/internal/noise"
 	"seaice/internal/raster"
 )
 
@@ -45,7 +47,7 @@ func TestChaosWorkerRestartServesEverything(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = sched.Submit(m, tiles[i])
+			_, errs[i] = sched.SubmitTiles(m, tiles[i:i+1], time.Time{})
 		}(i)
 	}
 	wg.Wait()
@@ -95,7 +97,7 @@ func TestChaosWorkerRestartRespectsBound(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := sched.Submit(m, tiles[i])
+			_, err := sched.SubmitTiles(m, tiles[i:i+1], time.Time{})
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
@@ -138,7 +140,7 @@ func TestChaosSchedulerCloseAfterRestart(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := sched.Submit(m, tiles[i]); err != nil && !errors.Is(err, ErrOverloaded) {
+			if _, err := sched.SubmitTiles(m, tiles[i:i+1], time.Time{}); err != nil && !errors.Is(err, ErrOverloaded) {
 				t.Errorf("submit %d: %v", i, err)
 			}
 		}(i)
@@ -255,7 +257,7 @@ func TestChaosSchedulerInvariants(t *testing.T) {
 	submit(time.Minute, q1)
 	submit(time.Minute, q2)
 	queued("p, q1 and q2 fill the queue", 3)
-	if _, err := sched.SubmitDeadline(engine, q3, time.Now().Add(time.Minute)); err != ErrOverloaded {
+	if _, err := sched.SubmitTiles(engine, []*raster.RGB{q3}, time.Now().Add(time.Minute)); err != ErrOverloaded {
 		t.Fatalf("submit against a full queue: %v, want ErrOverloaded", err)
 	}
 	mu.Lock()
@@ -290,6 +292,147 @@ func TestChaosSchedulerInvariants(t *testing.T) {
 	if snap.Rejected != 1 || snap.ExpiredDropped != 1 || snap.DeadlineRejected != 0 {
 		t.Errorf("stats: %d rejected, %d expired, %d infeasible; want 1 (q3), 1 (x), 0",
 			snap.Rejected, snap.ExpiredDropped, snap.DeadlineRejected)
+	}
+}
+
+// TestSchedulerInvariantsUnderLoad holds the real scheduler, under
+// seeded concurrent load and injected faults, to the counting
+// invariants of its queueing policy. Six clients each make 16 calls of
+// 1–4 tiles, back to back, against 2 workers and a queue of 8 tiles,
+// with no deadline, a generous one, a tight one or one already spent.
+// From the third batch pickup on every batch is slowed by 10ms
+// (slownode), and the worker picking up the seventh panics (serve).
+//
+// Every call ends as served, ErrOverloaded, *InfeasibleError or
+// ErrDeadlineExpired; the engine is never handed a tile past its
+// deadline; each tile of a served call completes exactly one forward
+// pass and a refused call's tiles none; and Stats accounts every
+// submitted tile once: the refused calls' tiles, the expired tiles and
+// the tiles batched add up to all of them.
+func TestSchedulerInvariantsUnderLoad(t *testing.T) {
+	const (
+		clients, calls = 6, 16
+		// The worker triages a batch a few instructions before the engine
+		// runs it, so a tile may expire in between; one this late at the
+		// engine was not triaged right before compute.
+		slack = 5 * time.Millisecond
+	)
+	var mu sync.Mutex
+	deadlines := map[*raster.RGB]time.Time{}
+	passes := map[*raster.RGB]int{}
+	engine := &hookEngine{before: func(batch []*raster.RGB) {
+		now := time.Now()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, tile := range batch {
+			if d := deadlines[tile]; !d.IsZero() && now.Sub(d) > slack {
+				t.Errorf("the engine was handed a tile %v past its deadline", now.Sub(d))
+			}
+			passes[tile]++
+		}
+	}}
+
+	cfg := schedCfg()
+	cfg.Workers = 2
+	cfg.MaxBatch = 4
+	cfg.QueueSize = 8
+	cfg.Chaos = serveInjector(t, "5:slownode@2:10ms,serve@6")
+	stats := NewStats()
+	leaked := goroutineBaseline(t)
+	sched := NewScheduler(cfg, stats)
+
+	type call struct {
+		tiles []*raster.RGB
+		err   error
+	}
+	pool := testTiles(clients*calls*4, 16, 40)
+	made := make([][]call, clients)
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := noise.NewRNG(41, uint64(c))
+			own := pool[c*calls*4 : (c+1)*calls*4]
+			for range calls {
+				tiles := own[:1+rng.Intn(4)]
+				own = own[len(tiles):]
+				var deadline time.Time
+				switch now := time.Now(); rng.Intn(4) {
+				case 1:
+					deadline = now.Add(time.Minute)
+				case 2:
+					deadline = now.Add(10*time.Millisecond + time.Duration(rng.Intn(20))*time.Millisecond)
+				case 3:
+					deadline = now.Add(-time.Millisecond)
+				}
+				mu.Lock()
+				for _, tile := range tiles {
+					deadlines[tile] = deadline
+				}
+				mu.Unlock()
+				_, err := sched.SubmitTiles(engine, tiles, deadline)
+				made[c] = append(made[c], call{tiles, err})
+			}
+		}()
+	}
+	wg.Wait()
+	sched.Close()
+	leaked()
+
+	var submitted, refused, served, overloaded, infeasible, expired int
+	for _, mine := range made {
+		for _, c := range mine {
+			submitted += len(c.tiles)
+			var inf *InfeasibleError
+			lo, hi := 0, 0 // forward passes per tile
+			switch {
+			case c.err == nil:
+				served++
+				lo, hi = 1, 1
+			case c.err == ErrOverloaded:
+				overloaded++
+				refused += len(c.tiles)
+			case errors.As(c.err, &inf):
+				infeasible++
+				refused += len(c.tiles)
+			case c.err == ErrDeadlineExpired:
+				expired++
+				hi = 1 // some of its tiles may have been computed before the rest expired
+			default:
+				t.Fatalf("a call of %d tiles failed with %v", len(c.tiles), c.err)
+			}
+			for _, tile := range c.tiles {
+				if n := passes[tile]; n < lo || n > hi {
+					t.Errorf("a tile of a call answered %v completed %d forward passes", c.err, n)
+				}
+			}
+		}
+	}
+	t.Logf("%d calls served, %d overloaded, %d infeasible, %d expired", served, overloaded, infeasible, expired)
+
+	snap := stats.Snapshot(0, 0, 0, 0)
+	if snap.Rejected != int64(overloaded) || snap.DeadlineRejected != int64(infeasible) {
+		t.Errorf("stats count %d overloaded and %d infeasible calls, the callers saw %d and %d",
+			snap.Rejected, snap.DeadlineRejected, overloaded, infeasible)
+	}
+	batched := int(math.Round(snap.AvgBatchSize * float64(snap.Batches)))
+	computed := 0
+	for _, n := range passes {
+		computed += n
+	}
+	if batched != computed {
+		t.Errorf("stats count %d tiles batched, the engine ran %d", batched, computed)
+	}
+	if got := refused + int(snap.ExpiredDropped) + batched; got != submitted {
+		t.Errorf("%d refused + %d expired + %d batched tiles = %d, want the %d submitted",
+			refused, snap.ExpiredDropped, batched, got, submitted)
+	}
+	if cfg.Chaos.Remaining() != 0 {
+		t.Errorf("%d faults undelivered: %v", cfg.Chaos.Remaining(), cfg.Chaos.Pending())
+	}
+	if got := stats.WorkerRestarts(); got != 1 {
+		t.Errorf("worker restarts = %d, want 1", got)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"seaice/internal/raster"
 	"seaice/internal/unet"
@@ -140,18 +141,18 @@ func TestRegistryMixedPrecision(t *testing.T) {
 	defer sched.Close()
 
 	var wg sync.WaitGroup
-	got := make([]*raster.Labels, len(tiles))
+	got := make([][]*raster.Labels, len(tiles))
 	errs := make([]error, 2*len(tiles))
 	for i, img := range tiles {
 		wg.Add(2)
 		go func(i int, img *raster.RGB) {
 			defer wg.Done()
-			got[i], errs[2*i] = sched.Submit(eInt8, img)
+			got[i], errs[2*i] = sched.SubmitTiles(eInt8, []*raster.RGB{img}, time.Time{})
 		}(i, img)
 		// Interleave f32 traffic so micro-batches must split by engine.
 		go func(i int, img *raster.RGB) {
 			defer wg.Done()
-			_, errs[2*i+1] = sched.Submit(eF32, img)
+			_, errs[2*i+1] = sched.SubmitTiles(eF32, []*raster.RGB{img}, time.Time{})
 		}(i, img)
 	}
 	wg.Wait()
@@ -161,7 +162,7 @@ func TestRegistryMixedPrecision(t *testing.T) {
 		}
 	}
 	for i := range tiles {
-		if !reflect.DeepEqual(got[i].Pix, want[i].Pix) {
+		if !reflect.DeepEqual(got[i][0].Pix, want[i].Pix) {
 			t.Fatalf("tile %d: scheduled int8 prediction differs from direct session", i)
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"seaice/internal/chaos"
+	"seaice/internal/raster"
 )
 
 // TestCoordinatorConcurrentRerouteDuringNodeLoss kills a node while a
@@ -436,7 +437,7 @@ func TestSchedulerInfeasibleDeadline(t *testing.T) {
 	sched.Model().Observe(1, 500*time.Millisecond)
 
 	tile := testTiles(1, 16, 5)[0]
-	_, err := sched.SubmitDeadline(m, tile, time.Now().Add(50*time.Millisecond))
+	_, err := sched.SubmitTiles(m, []*raster.RGB{tile}, time.Now().Add(50*time.Millisecond))
 	var infeasible *InfeasibleError
 	if !errors.As(err, &infeasible) {
 		t.Fatalf("err %v, want InfeasibleError", err)
@@ -452,7 +453,7 @@ func TestSchedulerInfeasibleDeadline(t *testing.T) {
 	}
 
 	// The same request with a feasible budget is served.
-	if _, err := sched.SubmitDeadline(m, tile, time.Now().Add(30*time.Second)); err != nil {
+	if _, err := sched.SubmitTiles(m, []*raster.RGB{tile}, time.Now().Add(30*time.Second)); err != nil {
 		t.Fatalf("feasible deadline rejected: %v", err)
 	}
 }
@@ -479,14 +480,14 @@ func TestSchedulerExpiredDroppedBeforeCompute(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		// Occupies the single worker for ≥200ms (injected slow batch).
-		if _, err := s.Submit(m, tiles[0]); err != nil {
+		if _, err := s.SubmitTiles(m, tiles[:1], time.Time{}); err != nil {
 			t.Errorf("head-of-line request failed: %v", err)
 		}
 	}()
 	time.Sleep(20 * time.Millisecond)
 	// 50ms budget, behind a 200ms batch with no model observations yet:
 	// admitted optimistically, then dropped expired at pickup.
-	_, err2 := s.SubmitDeadline(m, tiles[1], time.Now().Add(50*time.Millisecond))
+	_, err2 := s.SubmitTiles(m, tiles[1:2], time.Now().Add(50*time.Millisecond))
 	wg.Wait()
 	if !errors.Is(err2, ErrDeadlineExpired) {
 		t.Fatalf("err %v, want ErrDeadlineExpired", err2)

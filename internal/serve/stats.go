@@ -177,9 +177,10 @@ func (s *Stats) Snapshot(queueDepth, liveWorkers int, cacheHits, cacheMisses int
 }
 
 // percentileIndex maps a percentile to a sorted-slice index (nearest
-// rank).
+// rank). The product is rounded on its own (float64(p*n)), so no target
+// fuses it into a multiply-add.
 func percentileIndex(n int, p float64) int {
-	i := int(p*float64(n) + 0.5)
+	i := int(float64(p*float64(n)) + 0.5)
 	if i >= n {
 		i = n - 1
 	}
