@@ -409,7 +409,7 @@ func BenchmarkServeCacheHit(b *testing.B) {
 				ts := httptest.NewServer(srv.Handler())
 				defer ts.Close()
 
-				img := sc.Image.Clone()
+				img := &raster.RGB{W: sc.Image.W, H: sc.Image.H, Pix: bytes.Clone(sc.Image.Pix)}
 				var body bytes.Buffer
 				post := func() {
 					resp, err := http.Post(ts.URL+"/classify", "image/png", bytes.NewReader(body.Bytes()))

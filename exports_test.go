@@ -1,18 +1,22 @@
-// The exported-API check: an exported identifier in internal/ is surface
-// the shipped binaries are meant to use, so each one needs a caller in
-// non-test code. An export that only tests reach is a second API kept for
-// the tests; delete it, unexport it, or list it in exportAllow with the
-// reason it stays.
+// The dead-code check. Every function and method with a body in a
+// non-test internal/ file must be linked into a shipped binary (a package
+// main of the module), and every exported type, var and const there must
+// be referenced by non-test code. Code that only tests reach is a second
+// API kept for the tests; delete it, move it into the test that needs it,
+// or list it in exportAllow with the reason it stays.
 package seaice_test
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"reflect"
@@ -22,15 +26,20 @@ import (
 	"testing"
 )
 
-// exportAllow names the exports that only tests use on purpose, one line
-// per package: "dir Name...: reason". An entry that names something
-// non-test code now uses, or that no longer exists, fails the check.
+// exportAllow names the code that only tests use on purpose, one line per
+// package: "dir Name...: reason". A Name is a top-level identifier or a
+// method as Type.Method. An entry that names something shipped code now
+// uses, or that no longer exists, fails the check.
 const exportAllow = `
 internal/tensor MatMulRef MatMulATBRef MatMulABTRef Im2ColRef Col2ImRef: the serial definitions the tensor and nn conformance tests hold every engine kernel to
 internal/tensor SelectFloat SelectInt8 Int8BackendNames: tests in nn, unet, ddp and the root switch the process-global backend tables to run each backend
+internal/tensor floatRegistry.sel int8BackendNamesLocked: the lookup behind SelectFloat, and the name list behind SelectInt8's error and Int8BackendNames
 internal/tensor PrecisionTolerance Convert NewRequant RequantClamp: the nn, unet and root tests compare float32 against float64, and the int8 kernels against their float definition, with these
+internal/tensor Requant.Apply: the scalar multiply-and-shift inside RequantClamp, the definition the lane kernels are held to
 internal/dataset Build: the batch reference the streaming pipeline is held to (pipeline, core and root tests)
+internal/autolabel segment merge: the two-step reference (three HSV masks, then a brightest-first merge) the autolabel tests hold the fused Label path to
 internal/colorspace ToHSV InRange: the per-pixel HSV reference the autolabel and scene tests check the fused label path and the generator's colours against
+internal/colorspace InRangeRows: the row form behind InRange and segment
 `
 
 // TestExportsHaveShippedCallers runs the check over this module.
@@ -39,12 +48,12 @@ func TestExportsHaveShippedCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := scanExports(".", allow)
+	report, err := scanExports(".", t.TempDir(), allow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(report) > 0 {
-		t.Fatalf("exports without a shipped caller:\n\t%s", strings.Join(report, "\n\t"))
+		t.Fatalf("code without a shipped caller:\n\t%s", strings.Join(report, "\n\t"))
 	}
 }
 
@@ -60,24 +69,27 @@ func TestExportsScannerFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := scanExports(root, allow)
+	got, err := scanExports(root, t.TempDir(), allow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{
-		"allow-list: internal/used.Gone is not an exported top-level identifier",
-		"allow-list: internal/used.Used is referenced by non-test code",
+		"allow-list: internal/used.Gone is not declared",
+		"allow-list: internal/used.Used is linked into a shipped binary",
 		"internal/orphan: no non-test file outside the package imports it",
-		"internal/used.Planted: exported func with no non-test reference",
+		"internal/used.Planted: func linked into no shipped binary",
+		"internal/used.Receiver.Value: func linked into no shipped binary",
 		"internal/used.Receiver: exported type with no non-test reference",
+		"internal/used.unlinked: func linked into no shipped binary",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("report:\n\t%s\nwant:\n\t%s", strings.Join(got, "\n\t"), strings.Join(want, "\n\t"))
 	}
 }
 
-// exportKey names an exported identifier by its package directory
-// (module-relative, slash-separated) and name.
+// exportKey names a declaration by its package directory (module-relative,
+// slash-separated) and name: Name for a top-level identifier, Type.Method
+// for a method.
 type exportKey struct{ dir, name string }
 
 func (k exportKey) String() string { return k.dir + "." + k.name }
@@ -104,17 +116,22 @@ func parseExportAllow(text string) (map[exportKey]bool, error) {
 	return allow, sc.Err()
 }
 
-// scanExports parses every non-test .go file of the module at root and
-// reports, sorted:
+// scanExports parses every non-test .go file of the module at root that
+// the host's build would compile, builds every package main of it into
+// binDir, and reports, sorted:
 //   - each internal/ package that no non-test file outside it imports;
-//   - each exported top-level func, type, var or const in a non-test
-//     file under internal/ that no non-test file references, unless
-//     allow names it. The identifier's own declaration and method
-//     receivers are not references;
-//   - each allow entry that names a referenced or missing identifier.
+//   - each func or method with a body in such a package that no built
+//     binary links, unless allow names it;
+//   - each exported top-level type, var or const there that no non-test
+//     file references, unless allow names it. The identifier's own
+//     declaration and method receivers are not references;
+//   - each allow entry that names something linked, referenced or
+//     undeclared.
 //
-// Methods are out of scope: interfaces make their callers hard to judge.
-func scanExports(root string, allow map[exportKey]bool) ([]string, error) {
+// Funcs are judged by the linker because a reference in source does not
+// make a method or helper reachable; consts have no symbol, so types,
+// vars and consts are judged by references.
+func scanExports(root, binDir string, allow map[exportKey]bool) ([]string, error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
@@ -145,6 +162,9 @@ func scanExports(root string, allow map[exportKey]bool) ([]string, error) {
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(p), name); err != nil || !ok {
+			return err
+		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
@@ -164,7 +184,11 @@ func scanExports(root string, allow map[exportKey]bool) ([]string, error) {
 	decls := map[exportKey]string{} // → kind
 	refs := map[exportKey]bool{}
 	importers := map[string]map[string]bool{} // dir → importing dirs
+	var mains []string
 	for dir, dirFiles := range files {
+		if dirFiles[0].Name.Name == "main" {
+			mains = append(mains, "./"+dir)
+		}
 		for _, f := range dirFiles {
 			imports := map[string]string{} // local name → module-relative dir
 			for _, spec := range f.Imports {
@@ -187,10 +211,14 @@ func scanExports(root string, allow map[exportKey]bool) ([]string, error) {
 				imports[local] = target
 			}
 			if strings.HasPrefix(dir, "internal/") {
-				collectExports(f, dir, decls)
+				collectDecls(f, dir, decls)
 			}
 			collectRefs(f, dir, imports, refs)
 		}
+	}
+	linked, err := linkedFuncs(root, binDir, module, mains)
+	if err != nil {
+		return nil, err
 	}
 
 	var report []string
@@ -209,15 +237,21 @@ func scanExports(root string, allow map[exportKey]bool) ([]string, error) {
 		}
 	}
 	for k, kind := range decls {
-		if !orphan[k.dir] && !refs[k] && !allow[k] {
+		switch {
+		case orphan[k.dir] || allow[k]:
+		case kind == "func" && !linked[k]:
+			report = append(report, fmt.Sprintf("%s: func linked into no shipped binary", k))
+		case kind != "func" && !refs[k]:
 			report = append(report, fmt.Sprintf("%s: exported %s with no non-test reference", k, kind))
 		}
 	}
 	for k := range allow {
-		switch {
-		case decls[k] == "":
-			report = append(report, fmt.Sprintf("allow-list: %s is not an exported top-level identifier", k))
-		case refs[k]:
+		switch kind := decls[k]; {
+		case kind == "":
+			report = append(report, fmt.Sprintf("allow-list: %s is not declared", k))
+		case kind == "func" && linked[k]:
+			report = append(report, fmt.Sprintf("allow-list: %s is linked into a shipped binary", k))
+		case kind != "func" && refs[k]:
 			report = append(report, fmt.Sprintf("allow-list: %s is referenced by non-test code", k))
 		}
 	}
@@ -225,14 +259,14 @@ func scanExports(root string, allow map[exportKey]bool) ([]string, error) {
 	return report, nil
 }
 
-// collectExports records f's exported top-level funcs, types, vars and
-// consts.
-func collectExports(f *ast.File, dir string, decls map[exportKey]string) {
+// collectDecls records f's funcs and methods with a body, and its exported
+// top-level types, vars and consts.
+func collectDecls(f *ast.File, dir string, decls map[exportKey]string) {
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
-			if d.Recv == nil && d.Name.IsExported() {
-				decls[exportKey{dir, d.Name.Name}] = "func"
+			if d.Body != nil {
+				decls[exportKey{dir, funcName(d)}] = "func"
 			}
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
@@ -253,10 +287,100 @@ func collectExports(f *ast.File, dir string, decls map[exportKey]string) {
 	}
 }
 
+// funcName is Name for a func and Type.Name for a method, with the
+// receiver's pointer and type parameters dropped.
+func funcName(d *ast.FuncDecl) string {
+	if d.Recv == nil {
+		return d.Name.Name
+	}
+	t := d.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	switch g := t.(type) {
+	case *ast.IndexExpr:
+		t = g.X
+	case *ast.IndexListExpr:
+		t = g.X
+	}
+	return t.(*ast.Ident).Name + "." + d.Name.Name
+}
+
+// linkedFuncs builds mains into binDir without inlining, so every call
+// that survives the linker's dead-code pass keeps its callee's symbol, and
+// returns the internal/ funcs and methods named by the binaries' text
+// symbols. A symbol folds onto its declaration: type arguments and
+// generic shapes "[...]", the pointer of "(*T)", closures ".funcN",
+// ".gowrapN" and ".deferwrapN", and method-value wrappers "-fm".
+func linkedFuncs(root, binDir, module string, mains []string) (map[exportKey]bool, error) {
+	if len(mains) == 0 {
+		return nil, fmt.Errorf("%s: no package main", root)
+	}
+	sort.Strings(mains)
+	goBuild := exec.Command("go", append([]string{"build", "-gcflags=all=-l", "-o", binDir + string(filepath.Separator)}, mains...)...)
+	goBuild.Dir = root
+	if out, err := goBuild.CombinedOutput(); err != nil {
+		return nil, fmt.Errorf("go build %s: %v\n%s", strings.Join(mains, " "), err, out)
+	}
+	bins, err := filepath.Glob(filepath.Join(binDir, "*"))
+	if err != nil {
+		return nil, err
+	}
+	nm := exec.Command("go", append([]string{"tool", "nm"}, bins...)...)
+	var stderr bytes.Buffer
+	nm.Stderr = &stderr
+	out, err := nm.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go tool nm: %v\n%s", err, stderr.Bytes())
+	}
+	prefix := module + "/internal/"
+	linked := map[exportKey]bool{}
+	for _, line := range strings.Split(string(out), "\n") {
+		_, sym, ok := strings.Cut(line, " T ")
+		if !ok {
+			_, sym, ok = strings.Cut(line, " t ")
+		}
+		sym, ok = strings.CutPrefix(sym, prefix)
+		if !ok {
+			continue
+		}
+		sym = dropBrackets(sym)
+		sym = strings.TrimSuffix(sym, "-fm")
+		sym = strings.NewReplacer("(*", "", ")", "").Replace(sym)
+		// internal/pkg.Name, internal/pkg.Type.Method or a closure inside
+		// one of them: mark every dotted prefix, since only a declared
+		// func can match.
+		dir, rest, _ := strings.Cut(sym, ".")
+		parts := strings.Split(rest, ".")
+		for i := range parts {
+			linked[exportKey{"internal/" + dir, strings.Join(parts[:i+1], ".")}] = true
+		}
+	}
+	return linked, nil
+}
+
+// dropBrackets removes every bracketed type-argument list, nested ones
+// included.
+func dropBrackets(s string) string {
+	var b strings.Builder
+	depth := 0
+	for _, r := range s {
+		switch {
+		case r == '[':
+			depth++
+		case r == ']':
+			depth--
+		case depth == 0:
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
+}
+
 // collectRefs records the exported identifiers f refers to: a bare Name
 // in its own package, pkg.Name through an import of the module. Inside a
-// top-level declaration the declared names themselves do not count, so a
-// recursive func or a self-referencing type is not its own caller.
+// type or value declaration the declared names themselves do not count,
+// so a self-referencing type is not its own user.
 func collectRefs(f *ast.File, dir string, imports map[string]string, refs map[exportKey]bool) {
 	var self map[string]bool
 	var visit func(n ast.Node) bool
@@ -285,9 +409,6 @@ func collectRefs(f *ast.File, dir string, imports map[string]string, refs map[ex
 		self = map[string]bool{}
 		switch d := d.(type) {
 		case *ast.FuncDecl:
-			if d.Recv == nil {
-				self[d.Name.Name] = true
-			}
 			// The name and receiver are declarations, not references.
 			ast.Inspect(d.Type, visit)
 			if d.Body != nil {

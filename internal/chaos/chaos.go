@@ -60,7 +60,6 @@ package chaos
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -419,33 +418,14 @@ func (in *Injector) StagePanic(scene int) bool {
 	return false
 }
 
-// ServePanic reports whether the serve worker picking up the next batch
-// should panic. Pickups are counted from 0 across the whole scheduler,
-// so serve@N names the Nth batch dispatch.
-func (in *Injector) ServePanic() bool {
-	if in == nil {
-		return false
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	pickup := in.pickups
-	in.pickups++
-	for i, f := range in.faults {
-		if !in.fired[i] && f.Kind == ServePanic && f.Step == pickup {
-			in.fire(i)
-			return true
-		}
-	}
-	return false
-}
-
 // ServeBatch is the serve scheduler's per-batch-pickup query, combining
-// the one-shot worker panic (serve@N, exactly as ServePanic reports it)
-// with the durable slow-node degradation: the first pickup at or past a
-// slownode fault's step fires it and latches its delay, and every
-// subsequent batch — including this one — reports that delay. The two
-// kinds share one pickup counter, so a spec mixing serve@ and slownode@
-// ordinals reads consistently.
+// the one-shot worker panic with the durable slow-node degradation.
+// Pickups are counted from 0 across the whole scheduler, so serve@N
+// panics the worker picking up the Nth batch dispatch. The first pickup
+// at or past a slownode fault's step fires it and latches its delay, and
+// every subsequent batch — including this one — reports that delay. The
+// two kinds share one pickup counter, so a spec mixing serve@ and
+// slownode@ ordinals reads consistently.
 func (in *Injector) ServeBatch() (panicNow bool, slow time.Duration) {
 	if in == nil {
 		return false, 0
@@ -650,22 +630,4 @@ func (in *Injector) Remaining() int {
 		}
 	}
 	return n
-}
-
-// Pending lists undelivered faults sorted by step — cmds print it when a
-// run ends with faults left over (usually a schedule outliving the run).
-func (in *Injector) Pending() []Fault {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	var out []Fault
-	for i, fired := range in.fired {
-		if !fired {
-			out = append(out, in.faults[i])
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Step < out[b].Step })
-	return out
 }

@@ -82,13 +82,14 @@ func TestChaosOneShot(t *testing.T) {
 	}
 
 	// serve@1 fires on the second pickup (counted from 0).
-	if in.ServePanic() {
+	servePanic := func() bool { p, _ := in.ServeBatch(); return p }
+	if servePanic() {
 		t.Fatal("serve fired on pickup 0")
 	}
-	if !in.ServePanic() {
+	if !servePanic() {
 		t.Fatal("serve@1 did not fire on pickup 1")
 	}
-	if in.ServePanic() {
+	if servePanic() {
 		t.Fatal("serve fired twice")
 	}
 
@@ -146,12 +147,25 @@ func TestAutoTargetsDeterministic(t *testing.T) {
 // instrumented call sites need no guards.
 func TestNilInjectorNeverFires(t *testing.T) {
 	var in *Injector
-	if in.ReplicaCrash(0, 0) || in.ProcessKill(0) || in.StagePanic(0) || in.ServePanic() {
+	if p, slow := in.ServeBatch(); in.ReplicaCrash(0, 0) || in.ProcessKill(0) || in.StagePanic(0) || p || slow != 0 {
 		t.Fatal("nil injector fired")
 	}
-	if in.StragglerDelay(0, 0) != 0 || in.Remaining() != 0 || in.Events() != nil || in.Pending() != nil {
+	if in.StragglerDelay(0, 0) != 0 || in.Remaining() != 0 || in.Events() != nil {
 		t.Fatal("nil injector reported state")
 	}
+}
+
+// pending lists in's undelivered faults in schedule order.
+func pending(in *Injector) []Fault {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	var out []Fault
+	for i, fired := range in.fired {
+		if !fired {
+			out = append(out, in.faults[i])
+		}
+	}
+	return out
 }
 
 func TestPendingListsUndelivered(t *testing.T) {
@@ -161,9 +175,9 @@ func TestPendingListsUndelivered(t *testing.T) {
 	}
 	in := New(s, 2)
 	in.ReplicaCrash(1, 3)
-	p := in.Pending()
-	if len(p) != 1 || p[0].Step != 9 {
-		t.Fatalf("Pending = %+v, want the crash@9 fault", p)
+	p := pending(in)
+	if len(p) != 1 || p[0].Step != 9 || in.Remaining() != 1 {
+		t.Fatalf("pending = %+v, Remaining = %d, want the crash@9 fault", p, in.Remaining())
 	}
 }
 
@@ -224,7 +238,7 @@ func TestNetworkFaultsOneShot(t *testing.T) {
 		t.Fatal("reconnect did not fire at (r2, step 3)")
 	}
 	if in.Remaining() != 0 {
-		t.Fatalf("%d faults pending after delivery: %v", in.Remaining(), in.Pending())
+		t.Fatalf("%d faults pending after delivery: %v", in.Remaining(), pending(in))
 	}
 
 	// Auto-targeted network faults draw their victim from the seed —

@@ -38,7 +38,7 @@ func FuzzChaosParse(f *testing.F) {
 			t.Fatalf("Parse(%q) accepted a schedule without faults", spec)
 		}
 		const ranks = 3
-		for _, ft := range New(s, ranks).Pending() {
+		for _, ft := range pending(New(s, ranks)) {
 			if ft.Step < 0 || ft.Delay < 0 || ft.Target < -1 {
 				t.Fatalf("Parse(%q) yields %+v", spec, ft)
 			}

@@ -108,14 +108,14 @@ func TestDilateOpacityQuantization(t *testing.T) {
 	q.Set(3, 3, quantOpacity(0.4))
 	d := raster.NewFloat(8, 8)
 	dilateOpacity(d, q, 2)
-	if d.At(3, 3) < 0.4-1.0/500 || d.At(3, 3) > 0.4+1.0/500 {
-		t.Fatalf("peak value %f drifted from 0.4", d.At(3, 3))
+	if d.Pix[3*d.W+3] < 0.4-1.0/500 || d.Pix[3*d.W+3] > 0.4+1.0/500 {
+		t.Fatalf("peak value %f drifted from 0.4", d.Pix[3*d.W+3])
 	}
-	if d.At(5, 5) < 0.4-1.0/500 {
-		t.Fatalf("dilation did not spread: %f", d.At(5, 5))
+	if d.Pix[5*d.W+5] < 0.4-1.0/500 {
+		t.Fatalf("dilation did not spread: %f", d.Pix[5*d.W+5])
 	}
-	if d.At(7, 7) != 0 {
-		t.Fatalf("dilation spread too far: %f", d.At(7, 7))
+	if d.Pix[7*d.W+7] != 0 {
+		t.Fatalf("dilation spread too far: %f", d.Pix[7*d.W+7])
 	}
 }
 
@@ -212,7 +212,7 @@ func TestColorfulMeanMatchesDirect(t *testing.T) {
 				sum, cnt, n := 0.0, 0.0, 0.0
 				for yy := max(y-c.radius, 0); yy <= min(y+c.radius, c.h-1); yy++ {
 					for xx := max(x-c.radius, 0); xx <= min(x+c.radius, c.w-1); xx++ {
-						if s := sat.At(xx, yy); s >= floor {
+						if s := sat.Pix[yy*sat.W+xx]; s >= floor {
 							sum += float64(s)
 							cnt++
 						}

@@ -11,7 +11,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"seaice/internal/dataset"
 	"seaice/internal/ddp"
@@ -277,13 +276,4 @@ func labelSSIM(tiles []dataset.Tile, build dataset.BuildConfig) (orig, filt floa
 		n++
 	}
 	return so / float64(n), sf / float64(n), nil
-}
-
-// WriteSummary prints the headline numbers of an accuracy run.
-func (r *AccuracyResult) WriteSummary(w io.Writer) {
-	fmt.Fprintf(w, "scenes=%d tiles=%d train=%d test=%d (cloudy %d / clear %d)\n",
-		r.Scenes, r.Tiles, r.TrainTiles, r.TestTiles, r.CloudyTest, r.ClearTest)
-	fmt.Fprintf(w, "auto-label SSIM vs manual: original %.4f filtered %.4f\n", r.SSIMOriginal, r.SSIMFiltered)
-	fmt.Fprintf(w, "U-Net-Man : original %.2f%%  filtered %.2f%%\n", 100*r.ManOrig.Accuracy, 100*r.ManFilt.Accuracy)
-	fmt.Fprintf(w, "U-Net-Auto: original %.2f%%  filtered %.2f%%\n", 100*r.AutoOrig.Accuracy, 100*r.AutoFilt.Accuracy)
 }

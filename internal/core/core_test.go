@@ -1,7 +1,6 @@
 package core
 
 import (
-	"os"
 	"testing"
 )
 
@@ -19,7 +18,8 @@ func TestRunAccuracyQuick(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	res.WriteSummary(os.Stderr)
+	t.Logf("scenes=%d tiles=%d train=%d test=%d",
+		res.Scenes, res.Tiles, res.TrainTiles, res.TestTiles)
 	t.Logf("Man: orig %.4f filt %.4f | Auto: orig %.4f filt %.4f",
 		res.ManOrig.Accuracy, res.ManFilt.Accuracy, res.AutoOrig.Accuracy, res.AutoFilt.Accuracy)
 	t.Logf("SSIM orig %.4f filt %.4f | buckets cloudy=%d clear=%d",

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
 	"seaice/internal/dataset"
+	"seaice/internal/perfmodel"
 	"seaice/internal/raster"
 	"seaice/internal/scene"
 	"seaice/internal/train"
@@ -21,6 +25,35 @@ func smallScenes(t *testing.T, n, size int) []*scene.Scene {
 		t.Fatalf("scenes: %v", err)
 	}
 	return scenes
+}
+
+// TestGoldenPaperModel pins the paper-hardware models bit for bit: the
+// sha256 of Table II's rendered report, and of the float64 bits of Table
+// I's model speedup for 1–32 processes followed by every modelled Table
+// II cell. The tolerance tests above cannot see a one-ulp move, such as
+// a multiply-add the compiler fuses on one platform and not another.
+// Table I's measured columns are host-timed, so only its model is pinned.
+func TestGoldenPaperModel(t *testing.T) {
+	report := sha256.Sum256([]byte(Table2Report(RunTable2()).String()))
+	var bits []byte
+	machine := perfmodel.PaperWorkstation()
+	for n := 1; n <= 32; n++ {
+		bits = binary.LittleEndian.AppendUint64(bits, math.Float64bits(machine.Speedup(n)))
+	}
+	for _, r := range RunTable2() {
+		for _, v := range []float64{r.SimLoad, r.SimMap, r.SimReduce, r.SimSpeedupLoad, r.SimSpeedupReduce} {
+			bits = binary.LittleEndian.AppendUint64(bits, math.Float64bits(v))
+		}
+	}
+	model := sha256.Sum256(bits)
+	for _, g := range []struct{ name, got, want string }{
+		{"Table II report", hex.EncodeToString(report[:]), "e3e75beb96f830dd5464e238cd71112e0b85ff1ec892bd996f3a75a5d9bb2f8e"},
+		{"model bits", hex.EncodeToString(model[:]), "d7bad06ac77ca8a75b797e46df6b1ad9483e43308c83773139204870f4dba291"},
+	} {
+		if g.got != g.want {
+			t.Errorf("%s: sha256 %s, want %s", g.name, g.got, g.want)
+		}
+	}
 }
 
 // TestRunTable1ModelMatchesPaper: the Table I harness must land within 3%

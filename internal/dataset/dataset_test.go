@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"testing"
 
 	"seaice/internal/raster"
@@ -180,12 +181,11 @@ func TestTileViewsShareScenePixels(t *testing.T) {
 	tile := set.Tiles[3]
 	for y := 0; y < 32; y++ {
 		for x := 0; x < 32; x++ {
-			tr, tg, tb := tile.Original.At(x, y)
-			sr, sg, sb := scs[0].Image.At(32+x, 32+y)
-			if tr != sr || tg != sg || tb != sb {
+			ti, si := 3*(y*32+x), 3*((32+y)*scs[0].Image.W+32+x)
+			if !bytes.Equal(tile.Original.Pix[ti:ti+3], scs[0].Image.Pix[si:si+3]) {
 				t.Fatalf("tile pixel (%d,%d) differs from scene", x, y)
 			}
-			if tile.Manual.At(x, y) != scs[0].Truth.At(32+x, 32+y) {
+			if tile.Manual.Pix[y*32+x] != scs[0].Truth.Pix[(32+y)*scs[0].Truth.W+32+x] {
 				t.Fatalf("tile label (%d,%d) differs from truth", x, y)
 			}
 		}

@@ -136,7 +136,7 @@ func chaosBitIdentity[S tensor.Scalar](t *testing.T, workers int, spec string, g
 	faulty, res := runFit[S](t, model, cfg, samples)
 
 	if injector.Remaining() != 0 {
-		t.Fatalf("schedule not exhausted: %d faults pending (%v)", injector.Remaining(), injector.Pending())
+		t.Fatalf("schedule not exhausted: %d faults pending; delivered: %v", injector.Remaining(), injector.Events())
 	}
 	if res.Recoveries < 2 {
 		t.Fatalf("recoveries = %d, want ≥ 2 (events %v)", res.Recoveries, injector.Events())

@@ -61,7 +61,7 @@ func corruptNaNIdentity[S tensor.Scalar](t *testing.T, workers int, spec string,
 	faulty, res := runFit[S](t, model, cfg, samples)
 
 	if injector.Remaining() != 0 {
-		t.Fatalf("schedule not exhausted: %d faults pending (%v)", injector.Remaining(), injector.Pending())
+		t.Fatalf("schedule not exhausted: %d faults pending; delivered: %v", injector.Remaining(), injector.Events())
 	}
 	if res.Anomalies < 1 {
 		t.Fatal("no anomalies recorded — the injected NaNs never reached the guard")
@@ -398,7 +398,7 @@ func TestSnapshotBitFlipsRefused(t *testing.T) {
 		s.Opt.Master = append(s.Opt.Master, w[1:])
 	}
 	var buf bytes.Buffer
-	if err := s.Write(&buf); err != nil {
+	if err := snapRecord.Write(&buf, s.encode()); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()

@@ -72,14 +72,6 @@ var ErrCorruptSnapshot = errors.New("ddp: corrupt snapshot")
 // fallback entry.
 const DefaultSnapshotKeep = 2
 
-// Write encodes the snapshot as one record.
-func (s *Snapshot) Write(w io.Writer) error {
-	if err := snapRecord.Write(w, s.encode()); err != nil {
-		return fmt.Errorf("ddp: save snapshot: %w", err)
-	}
-	return nil
-}
-
 // encode renders the snapshot body.
 func (s *Snapshot) encode() []byte {
 	var e record.Encoder

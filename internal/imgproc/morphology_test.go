@@ -27,7 +27,7 @@ func bruteExtreme(src *raster.Gray, radius int, max bool) *raster.Gray {
 					if xx < 0 || xx >= src.W {
 						continue
 					}
-					v := src.At(xx, yy)
+					v := at(src, xx, yy)
 					if max && v > best || !max && v < best {
 						best = v
 					}

@@ -1,10 +1,6 @@
 package imgproc
 
-import (
-	"fmt"
-
-	"seaice/internal/raster"
-)
+import "seaice/internal/raster"
 
 // ThresholdKind selects the thresholding rule, mirroring OpenCV's
 // cv2.threshold type constants the paper's filter uses.
@@ -22,23 +18,6 @@ const (
 	// ThreshToZeroInv keeps values ≤ t and zeroes the rest.
 	ThreshToZeroInv
 )
-
-// String names the threshold kind for diagnostics.
-func (k ThresholdKind) String() string {
-	switch k {
-	case ThreshBinary:
-		return "binary"
-	case ThreshBinaryInv:
-		return "binary-inv"
-	case ThreshTrunc:
-		return "trunc"
-	case ThreshToZero:
-		return "tozero"
-	case ThreshToZeroInv:
-		return "tozero-inv"
-	}
-	return fmt.Sprintf("threshold(%d)", int(k))
-}
 
 // Threshold applies the selected rule with threshold t and maximum value
 // maxval (used by the binary kinds) to src, writing every pixel of dst,

@@ -80,19 +80,6 @@ func (c *Confusion) AddLabels(truth, pred *raster.Labels) error {
 	return nil
 }
 
-// Merge adds another confusion matrix (same size) into this one.
-func (c *Confusion) Merge(o *Confusion) error {
-	if c.N != o.N {
-		return fmt.Errorf("metrics: merge size mismatch %d vs %d", c.N, o.N)
-	}
-	for i := 0; i < c.N; i++ {
-		for j := 0; j < c.N; j++ {
-			c.Count[i][j] += o.Count[i][j]
-		}
-	}
-	return nil
-}
-
 // Total returns the number of observations recorded.
 func (c *Confusion) Total() int64 {
 	var t int64

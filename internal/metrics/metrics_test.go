@@ -89,20 +89,13 @@ func TestConfusionRowsSumTo100(t *testing.T) {
 	}
 }
 
-func TestConfusionMergeAndString(t *testing.T) {
+func TestConfusionString(t *testing.T) {
 	a := NewConfusion(3)
-	b := NewConfusion(3)
 	a.Add(0, 1)
-	b.Add(0, 1)
-	b.Add(2, 2)
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	if a.Count[0][1] != 2 || a.Count[2][2] != 1 {
-		t.Fatalf("merge wrong: %v", a.Count)
-	}
-	if err := a.Merge(NewConfusion(2)); err == nil {
-		t.Fatal("expected size-mismatch error")
+	a.Add(0, 1)
+	a.Add(2, 2)
+	if a.Count[0][1] != 2 || a.Count[2][2] != 1 || a.Total() != 3 {
+		t.Fatalf("counts wrong: %v", a.Count)
 	}
 	s := a.String()
 	if !strings.Contains(s, "thin-ice") || !strings.Contains(s, "%") {

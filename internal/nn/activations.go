@@ -21,9 +21,6 @@ func NewReLU[S tensor.Scalar](name string) *ReLU[S] { return &ReLU[S]{name: name
 // Name identifies the layer in diagnostics.
 func (r *ReLU[S]) Name() string { return r.name }
 
-// Params lists the learnable parameters: none.
-func (r *ReLU[S]) Params() []*Param[S] { return nil }
-
 // Forward clamps negatives to zero, remembering the active set. The
 // output aliases a layer-owned grow-only buffer, valid until the next
 // Forward.
@@ -70,9 +67,6 @@ func NewMaxPool2[S tensor.Scalar](name string) *MaxPool2[S] { return &MaxPool2[S
 
 // Name identifies the layer in diagnostics.
 func (m *MaxPool2[S]) Name() string { return m.name }
-
-// Params lists the learnable parameters: none.
-func (m *MaxPool2[S]) Params() []*Param[S] { return nil }
 
 // Forward keeps the max of each 2×2 block and records its index.
 func (m *MaxPool2[S]) Forward(x *tensor.Tensor[S], train bool) *tensor.Tensor[S] {
@@ -146,9 +140,6 @@ func NewDropout[S tensor.Scalar](name string, rate float64, rng *noise.RNG) *Dro
 
 // Name identifies the layer in diagnostics.
 func (d *Dropout[S]) Name() string { return d.name }
-
-// Params lists the learnable parameters: none.
-func (d *Dropout[S]) Params() []*Param[S] { return nil }
 
 // Forward applies inverted dropout in training mode and is the identity
 // at inference.

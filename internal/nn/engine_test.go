@@ -18,11 +18,11 @@ func runSteps[S tensor.Scalar](layer testLayer[S], x *tensor.Tensor[S], steps in
 	for s := 0; s < steps; s++ {
 		ZeroGrads(layer.Params())
 		y = layer.Forward(x, false)
-		dx = layer.Backward(y.Clone()) // dL/dy = y for the ½Σy² loss
+		dx = layer.Backward(clone(y)) // dL/dy = y for the ½Σy² loss
 	}
-	dxCopy := dx.Clone()
+	dxCopy := clone(dx)
 	for _, p := range layer.Params() {
-		grads = append(grads, p.Grad.Clone())
+		grads = append(grads, clone(p.Grad))
 	}
 	return dxCopy, grads
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,14 +32,29 @@ func scalarLoss(y *tensor.Tensor[float64]) float64 {
 	return s / 2
 }
 
-// testLayer is the single-input surface the gradient and engine tests
-// drive every layer through.
-type testLayer[S tensor.Scalar] interface {
+// passLayer is the forward and backward surface of a single-input layer.
+type passLayer[S tensor.Scalar] interface {
 	Name() string
 	Forward(x *tensor.Tensor[S], train bool) *tensor.Tensor[S]
 	Backward(dy *tensor.Tensor[S]) *tensor.Tensor[S]
+}
+
+// testLayer is the single-input surface the gradient and engine tests
+// drive every layer through.
+type testLayer[S tensor.Scalar] interface {
+	passLayer[S]
 	Params() []*Param[S]
 }
+
+// clone returns a deep copy of x.
+func clone[S tensor.Scalar](x *tensor.Tensor[S]) *tensor.Tensor[S] {
+	return tensor.FromData(slices.Clone(x.Data), x.Shape...)
+}
+
+// noParams adapts a layer without learnable parameters to testLayer.
+type noParams[S tensor.Scalar] struct{ passLayer[S] }
+
+func (noParams[S]) Params() []*Param[S] { return nil }
 
 // checkLayerGradients validates input and parameter gradients of a layer
 // against finite differences on a random input of the given shape.
@@ -53,7 +69,7 @@ func checkLayerGradients(t *testing.T, layer testLayer[float64], shape []int, to
 	// analytic gradients
 	y := layer.Forward(x, false)
 	ZeroGrads(layer.Params())
-	dx := layer.Backward(y.Clone()) // dL/dy = y for the ½Σy² loss
+	dx := layer.Backward(clone(y)) // dL/dy = y for the ½Σy² loss
 
 	// input gradient, sampled positions
 	for i := 0; i < x.Len(); i += 1 + x.Len()/17 {
@@ -106,11 +122,11 @@ func TestConvTransposeGradients(t *testing.T) {
 }
 
 func TestReLUGradients(t *testing.T) {
-	checkLayerGradients(t, NewReLU[float64]("relu"), []int{2, 3, 4, 4}, 1e-5)
+	checkLayerGradients(t, noParams[float64]{NewReLU[float64]("relu")}, []int{2, 3, 4, 4}, 1e-5)
 }
 
 func TestMaxPoolGradients(t *testing.T) {
-	checkLayerGradients(t, NewMaxPool2[float64]("pool"), []int{2, 3, 6, 4}, 1e-5)
+	checkLayerGradients(t, noParams[float64]{NewMaxPool2[float64]("pool")}, []int{2, 3, 6, 4}, 1e-5)
 }
 
 // TestDropoutInference: dropout must be the identity at inference and

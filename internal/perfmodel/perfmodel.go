@@ -40,7 +40,9 @@ func PaperWorkstation() SMTMachine {
 }
 
 // EffectiveCores returns the throughput, in core-equivalents, of running
-// n processes on the machine.
+// n processes on the machine. The product is rounded on its own
+// (float64(…)), so no target fuses it into a multiply-add and the model
+// holds the same bits on every platform.
 func (m SMTMachine) EffectiveCores(n int) float64 {
 	if n <= 0 {
 		return 0
@@ -48,7 +50,7 @@ func (m SMTMachine) EffectiveCores(n int) float64 {
 	if n <= m.PhysCores {
 		return float64(n)
 	}
-	return float64(m.PhysCores) + float64(n-m.PhysCores)*m.SMTYield
+	return float64(m.PhysCores) + float64(float64(n-m.PhysCores)*m.SMTYield)
 }
 
 // Speedup predicts the parallel speedup of the auto-labeling workload
@@ -104,13 +106,14 @@ func PaperReduceStage() SparkStage {
 // work until an action runs, so the column is constant.
 const PaperMapTime = 0.3
 
-// Time predicts the stage's wall-clock seconds on E executors × C cores.
+// Time predicts the stage's wall-clock seconds on E executors × C cores,
+// each product rounded on its own as in EffectiveCores.
 func (s SparkStage) Time(executors, cores int) float64 {
 	slots := float64(executors * cores)
 	if slots <= 0 {
-		return s.Serial + s.Work*(1+s.Contention)
+		return s.Serial + float64(s.Work*(1+s.Contention))
 	}
-	return s.Serial + (s.Work/slots)*(1+s.Contention/slots)
+	return s.Serial + float64((s.Work/slots)*(1+s.Contention/slots))
 }
 
 // Speedup predicts the stage speedup versus the 1×1 configuration.

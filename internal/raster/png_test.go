@@ -35,7 +35,9 @@ func TestGrayPNG(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "mask.png")
 	g := NewGray(8, 8)
-	g.Fill(200)
+	for i := range g.Pix {
+		g.Pix[i] = 200
+	}
 	if err := g.WritePNG(path); err != nil {
 		t.Fatalf("write: %v", err)
 	}
@@ -43,9 +45,8 @@ func TestGrayPNG(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	r, gg, b := back.At(3, 3)
-	if r != 200 || gg != 200 || b != 200 {
-		t.Fatalf("gray pixel came back as (%d,%d,%d)", r, gg, b)
+	if p := px(back, 3, 3); p != [3]uint8{200, 200, 200} {
+		t.Fatalf("gray pixel came back as %v", p)
 	}
 }
 

@@ -31,27 +31,11 @@ func NewRGB(w, h int) *RGB {
 	return &RGB{W: w, H: h, Pix: make([]uint8, 3*w*h)}
 }
 
-// At returns the pixel at (x, y).
-func (m *RGB) At(x, y int) (r, g, b uint8) {
-	i := 3 * (y*m.W + x)
-	return m.Pix[i], m.Pix[i+1], m.Pix[i+2]
-}
-
 // Set stores the pixel at (x, y).
 func (m *RGB) Set(x, y int, r, g, b uint8) {
 	i := 3 * (y*m.W + x)
 	m.Pix[i], m.Pix[i+1], m.Pix[i+2] = r, g, b
 }
-
-// Clone returns a deep copy.
-func (m *RGB) Clone() *RGB {
-	c := NewRGB(m.W, m.H)
-	copy(c.Pix, m.Pix)
-	return c
-}
-
-// Bounds reports the raster dimensions.
-func (m *RGB) Bounds() (w, h int) { return m.W, m.H }
 
 // Gray is an 8-bit single-channel raster. It doubles as a binary mask with
 // the convention 0 = background, 255 = foreground (matching OpenCV masks).
@@ -68,9 +52,6 @@ func NewGray(w, h int) *Gray {
 	return &Gray{W: w, H: h, Pix: make([]uint8, w*h)}
 }
 
-// At returns the value at (x, y).
-func (m *Gray) At(x, y int) uint8 { return m.Pix[y*m.W+x] }
-
 // Set stores the value at (x, y).
 func (m *Gray) Set(x, y int, v uint8) { m.Pix[y*m.W+x] = v }
 
@@ -80,16 +61,6 @@ func (m *Gray) Clone() *Gray {
 	copy(c.Pix, m.Pix)
 	return c
 }
-
-// Fill sets every pixel to v.
-func (m *Gray) Fill(v uint8) {
-	for i := range m.Pix {
-		m.Pix[i] = v
-	}
-}
-
-// Bounds reports the raster dimensions.
-func (m *Gray) Bounds() (w, h int) { return m.W, m.H }
 
 // Float is a float64 single-channel raster used for intermediate filter
 // computations where 8-bit precision would accumulate rounding error.
@@ -106,31 +77,8 @@ func NewFloat(w, h int) *Float {
 	return &Float{W: w, H: h, Pix: make([]float64, w*h)}
 }
 
-// At returns the value at (x, y).
-func (m *Float) At(x, y int) float64 { return m.Pix[y*m.W+x] }
-
 // Set stores the value at (x, y).
 func (m *Float) Set(x, y int, v float64) { m.Pix[y*m.W+x] = v }
-
-// ToGray converts the float raster back to 8 bits, clamping to [0,255]
-// and rounding to nearest.
-func (m *Float) ToGray() *Gray {
-	g := NewGray(m.W, m.H)
-	for i, v := range m.Pix {
-		g.Pix[i] = clampU8(v)
-	}
-	return g
-}
-
-func clampU8(v float64) uint8 {
-	if v <= 0 {
-		return 0
-	}
-	if v >= 255 {
-		return 255
-	}
-	return uint8(v + 0.5)
-}
 
 // Class identifies one of the paper's three sea-ice surface classes.
 type Class uint8
@@ -173,18 +121,8 @@ func NewLabels(w, h int) *Labels {
 	return &Labels{W: w, H: h, Pix: make([]Class, w*h)}
 }
 
-// At returns the class at (x, y).
-func (m *Labels) At(x, y int) Class { return m.Pix[y*m.W+x] }
-
 // Set stores the class at (x, y).
 func (m *Labels) Set(x, y int, c Class) { m.Pix[y*m.W+x] = c }
-
-// Clone returns a deep copy.
-func (m *Labels) Clone() *Labels {
-	c := NewLabels(m.W, m.H)
-	copy(c.Pix, m.Pix)
-	return c
-}
 
 // Counts returns the number of pixels per class.
 func (m *Labels) Counts() [NumClasses]int {

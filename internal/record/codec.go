@@ -32,12 +32,6 @@ func (e *Encoder) String(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// Bytes appends a length-prefixed byte slice.
-func (e *Encoder) Bytes(b []byte) {
-	e.Int(len(b))
-	e.buf = append(e.buf, b...)
-}
-
 // Float64s appends a length-prefixed slice of exact bit patterns.
 func (e *Encoder) Float64s(v []float64) {
 	e.Int(len(v))

@@ -1,8 +1,8 @@
 // Package report renders the experiment outputs: column-aligned text
-// tables in the layout of the paper's Tables I–V, paper-vs-reproduced
-// comparison rows, and CSV export for plotting. Rendering is pure
-// formatting — rows appear exactly in insertion order, so reports are
-// reproducible byte for byte given the same inputs.
+// tables in the layout of the paper's Tables I–V and paper-vs-reproduced
+// comparison rows. Rendering is pure formatting — rows appear exactly in
+// insertion order, so reports are reproducible byte for byte given the
+// same inputs.
 package report
 
 import (
@@ -82,43 +82,6 @@ func (t *Table) String() string {
 	writeRow(sep)
 	for _, row := range t.rows {
 		writeRow(row)
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values (headers first). Cells
-// containing commas or quotes are quoted.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			b.WriteString(c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.headers)
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	return b.String()
-}
-
-// Markdown renders the table as a GitHub-flavored markdown table.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	b.WriteString("| " + strings.Join(t.headers, " | ") + " |\n")
-	b.WriteString("|" + strings.Repeat("---|", len(t.headers)) + "\n")
-	for _, row := range t.rows {
-		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
 	}
 	return b.String()
 }

@@ -30,36 +30,6 @@ func TestStringAligned(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	c := sample().CSV()
-	lines := strings.Split(strings.TrimRight(c, "\n"), "\n")
-	if lines[0] != "config,time (s),speedup" {
-		t.Fatalf("header %q", lines[0])
-	}
-	if lines[1] != "1x1,108.00,1.00" {
-		t.Fatalf("row %q", lines[1])
-	}
-}
-
-func TestCSVQuoting(t *testing.T) {
-	tb := NewTable("", "a", "b")
-	tb.AddRow("x,y", `say "hi"`)
-	c := tb.CSV()
-	if !strings.Contains(c, `"x,y"`) || !strings.Contains(c, `"say ""hi"""`) {
-		t.Fatalf("quoting wrong: %q", c)
-	}
-}
-
-func TestMarkdown(t *testing.T) {
-	m := sample().Markdown()
-	if !strings.Contains(m, "| config | time (s) | speedup |") {
-		t.Fatalf("markdown header wrong:\n%s", m)
-	}
-	if !strings.Contains(m, "|---|---|---|") {
-		t.Fatalf("markdown separator wrong:\n%s", m)
-	}
-}
-
 func TestShortRowPadded(t *testing.T) {
 	tb := NewTable("", "a", "b", "c")
 	tb.AddRow("only-one")

@@ -12,12 +12,13 @@ import (
 const svcAlpha = 0.2
 
 // SvcModel is the predictive admission model: an EWMA service-time
-// estimate per batch size, fed by every executed forward pass, plus an
-// EWMA of the achieved batch size. From queue depth and worker count it
-// predicts how long a newly enqueued request will take to complete, and
-// admission compares that prediction against the request's deadline —
-// replacing the blanket "queue full ⇒ 429" bound with "model says this
-// deadline cannot be met ⇒ 429 now, with a model-derived Retry-After".
+// estimate per batch size, fed by every dispatched batch's time from
+// dispatch to its last answer, plus an EWMA of the dispatched batch
+// size. From queue depth and worker count it predicts how long a newly
+// enqueued request will take to complete, and admission compares that
+// prediction against the request's deadline — replacing the blanket
+// "queue full ⇒ 429" bound with "model says this deadline cannot be met
+// ⇒ 429 now, with a model-derived Retry-After".
 //
 // All methods are safe for concurrent use. The zero prediction (no
 // observations yet) is optimistic: with no data the model admits
@@ -42,7 +43,7 @@ func NewSvcModel(maxBatch int) *SvcModel {
 	}
 }
 
-// Observe feeds one executed batch (size tiles, duration d) into the
+// Observe feeds one dispatched batch (size tiles, duration d) into the
 // EWMAs. Each step rounds its product on its own (float64(a*b)), so no
 // target fuses it into a multiply-add: the model holds the same bits on
 // every platform.

@@ -180,6 +180,10 @@ func (s *Scheduler) worker() {
 		if cur = s.next(); cur == nil {
 			return
 		}
+		// Admission learns the time a caller waits once its batch is
+		// dispatched: an injected slow-node delay, a cold session build,
+		// the triage of expired requests and the forward pass.
+		start, size := time.Now(), len(cur)
 		// Injected chaos faults fire at the dispatch ordinal, before any
 		// request is answered — so the restart path always sees a whole
 		// batch to requeue; a seeded slow-node fault delays the batch
@@ -201,6 +205,7 @@ func (s *Scheduler) worker() {
 		if len(cur) > 0 {
 			s.run(sessions, cur)
 		}
+		s.q.model.Observe(size, time.Since(start))
 		cur = nil
 	}
 }
@@ -234,9 +239,7 @@ func (s *Scheduler) run(sessions map[unet.Engine]unet.Predictor, batch []*reques
 	for i, r := range batch {
 		tiles[i] = r.tile
 	}
-	start := time.Now()
 	labels, err := sess.PredictTiles(tiles)
-	s.q.model.Observe(len(batch), time.Since(start))
 	s.stats.RecordBatch(len(batch))
 	for i, r := range batch {
 		if err != nil {

@@ -86,13 +86,6 @@ func (b *Breaker) State() BreakerState {
 	return b.state
 }
 
-// Score reports the EWMA failure score.
-func (b *Breaker) Score() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.score
-}
-
 // Available reports whether the routing layer should consider the node
 // at all: closed, or open-past-cooldown (a probe could be claimed), or
 // half-open with the trial slot free. It never mutates state, so it is

@@ -69,8 +69,8 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.State() != BreakerClosed || !b.Available() {
 		t.Fatal("successful trial must close the breaker")
 	}
-	if b.Score() >= breakerTrip {
-		t.Fatalf("score %0.3f still above trip threshold after success", b.Score())
+	if b.score >= breakerTrip {
+		t.Fatalf("score %0.3f still above trip threshold after success", b.score)
 	}
 }
 
@@ -126,8 +126,8 @@ func TestBreakerFlakeDecay(t *testing.T) {
 	// But a success immediately halves it back under the threshold.
 	b.Record(false)
 	b.Record(true)
-	if b.State() != BreakerClosed || b.Score() >= breakerTrip {
-		t.Fatalf("success did not recover: state %v score %.3f", b.State(), b.Score())
+	if b.State() != BreakerClosed || b.score >= breakerTrip {
+		t.Fatalf("success did not recover: state %v score %.3f", b.State(), b.score)
 	}
 }
 

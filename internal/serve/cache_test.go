@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"path/filepath"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ func labelsOf(class raster.Class, size int) *raster.Labels {
 // names, dimensions, and pixel contents.
 func TestTileKeyDiscriminates(t *testing.T) {
 	a := testTiles(1, 16, 1)[0]
-	b := a.Clone()
+	b := &raster.RGB{W: a.W, H: a.H, Pix: bytes.Clone(a.Pix)}
 	if TileKey("m", a) != TileKey("m", b) {
 		t.Fatal("identical tiles hash differently")
 	}

@@ -308,7 +308,9 @@ func TestChaosSchedulerInvariants(t *testing.T) {
 // deadline; each tile of a served call completes exactly one forward
 // pass and a refused call's tiles none; and Stats accounts every
 // submitted tile once: the refused calls' tiles, the expired tiles and
-// the tiles batched add up to all of them.
+// the tiles batched add up to all of them. Once the load is over and
+// admission has learned the slowed batches, a call with a budget below
+// one batch time is refused as *InfeasibleError.
 func TestSchedulerInvariantsUnderLoad(t *testing.T) {
 	const (
 		clients, calls = 6, 16
@@ -345,7 +347,8 @@ func TestSchedulerInvariantsUnderLoad(t *testing.T) {
 		tiles []*raster.RGB
 		err   error
 	}
-	pool := testTiles(clients*calls*4, 16, 40)
+	const warmRounds = 4
+	pool := testTiles(clients*calls*4+warmRounds*cfg.MaxBatch*(cfg.MaxBatch+1)/2+1, 16, 40)
 	made := make([][]call, clients)
 	var wg sync.WaitGroup
 	for c := range clients {
@@ -377,6 +380,31 @@ func TestSchedulerInvariantsUnderLoad(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+
+	// Once the model has learned the slowed batches, a call whose budget
+	// is below one batch time is refused at admission, not admitted to
+	// expire in the queue. Each batch size is warmed first, one call at a
+	// time, so every size has been observed under slownode.
+	spare := pool[clients*calls*4:]
+	for range warmRounds {
+		for size := 1; size <= cfg.MaxBatch; size++ {
+			_, err := sched.SubmitTiles(engine, spare[:size], time.Time{})
+			made[0] = append(made[0], call{spare[:size], err})
+			spare = spare[size:]
+		}
+	}
+	const budget = 10 * time.Millisecond / 4 // a quarter of the slownode delay
+	probe := call{tiles: spare[:1]}
+	deadline := time.Now().Add(budget)
+	mu.Lock()
+	deadlines[probe.tiles[0]] = deadline
+	mu.Unlock()
+	_, probe.err = sched.SubmitTiles(engine, probe.tiles, deadline)
+	made[0] = append(made[0], probe)
+	if inf := (*InfeasibleError)(nil); !errors.As(probe.err, &inf) {
+		t.Errorf("a call with a %v budget, under a learned batch time of %v, ended with %v; want *InfeasibleError at admission",
+			budget, sched.Model().PredictWait(0, cfg.Workers), probe.err)
+	}
 	sched.Close()
 	leaked()
 
@@ -429,7 +457,7 @@ func TestSchedulerInvariantsUnderLoad(t *testing.T) {
 			refused, snap.ExpiredDropped, batched, got, submitted)
 	}
 	if cfg.Chaos.Remaining() != 0 {
-		t.Errorf("%d faults undelivered: %v", cfg.Chaos.Remaining(), cfg.Chaos.Pending())
+		t.Errorf("%d faults undelivered; delivered: %v", cfg.Chaos.Remaining(), cfg.Chaos.Events())
 	}
 	if got := stats.WorkerRestarts(); got != 1 {
 		t.Errorf("worker restarts = %d, want 1", got)

@@ -250,12 +250,6 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-// isDown reports whether the node's breaker is anything but closed (the
-// coordinator's "not fully trusted" view, used by tests and /healthz).
-func (c *Coordinator) isDown(node int) bool {
-	return c.breakers[node].State() != BreakerClosed
-}
-
 // available is the routing view: nodes whose breaker admits traffic
 // right now (closed, or probe-able).
 func (c *Coordinator) available(node int) bool {

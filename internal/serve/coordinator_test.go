@@ -361,7 +361,7 @@ func TestCoordinatorHealthLoopRecovery(t *testing.T) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
-			if coord.isDown(0) == want {
+			if (coord.breakers[0].State() != BreakerClosed) == want {
 				return
 			}
 			time.Sleep(5 * time.Millisecond)

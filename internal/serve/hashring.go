@@ -46,15 +46,11 @@ func NewHashRing(n int) (*HashRing, error) {
 	return h, nil
 }
 
-// Owner returns the node owning key: the node of the first ring point at
-// or clockwise-after the key's position.
-func (h *HashRing) Owner(key CacheKey) int {
-	return h.points[h.at(key)].node
-}
-
-// OwnerAvoiding returns the first live owner for key, walking clockwise
-// past points whose nodes are down. It falls back to the true owner when
-// every node is reported down (callers detect that case separately).
+// OwnerAvoiding returns the first live owner for key: the node of the
+// first ring point at or clockwise-after the key's position, walking
+// clockwise past points whose nodes are down. It falls back to the true
+// owner when every node is reported down (callers detect that case
+// separately).
 func (h *HashRing) OwnerAvoiding(key CacheKey, down func(node int) bool) int {
 	start := h.at(key)
 	for i := 0; i < len(h.points); i++ {

@@ -15,6 +15,10 @@ func ringTestKeys(n int) []CacheKey {
 	return keys
 }
 
+// noneDown reports every node live, so OwnerAvoiding returns the key's
+// true owner.
+func noneDown(int) bool { return false }
+
 // TestHashRingOwnership: every key has exactly one owner, ownership is
 // stable across lookups and ring rebuilds, and the load spreads over all
 // nodes.
@@ -30,14 +34,14 @@ func TestHashRingOwnership(t *testing.T) {
 	}
 	counts := make([]int, nodes)
 	for _, key := range ringTestKeys(nkeys) {
-		owner := h.Owner(key)
+		owner := h.OwnerAvoiding(key, noneDown)
 		if owner < 0 || owner >= nodes {
 			t.Fatalf("owner %d out of range", owner)
 		}
-		if again := h.Owner(key); again != owner {
+		if again := h.OwnerAvoiding(key, noneDown); again != owner {
 			t.Fatalf("owner flapped: %d then %d", owner, again)
 		}
-		if other := h2.Owner(key); other != owner {
+		if other := h2.OwnerAvoiding(key, noneDown); other != owner {
 			t.Fatalf("independent ring disagrees: %d vs %d", owner, other)
 		}
 		counts[owner]++
@@ -60,17 +64,16 @@ func TestHashRingAvoidance(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := ringTestKeys(nkeys)
-	alive := func(int) bool { return false }
 	for _, key := range keys {
-		if got, want := h.OwnerAvoiding(key, alive), h.Owner(key); got != want {
-			t.Fatalf("no nodes down: OwnerAvoiding %d != Owner %d", got, want)
+		if got, want := h.OwnerAvoiding(key, noneDown), h.points[h.at(key)].node; got != want {
+			t.Fatalf("no nodes down: OwnerAvoiding %d != owner %d", got, want)
 		}
 	}
 	const dead = 1
 	oneDown := func(n int) bool { return n == dead }
 	moved := 0
 	for _, key := range keys {
-		owner := h.Owner(key)
+		owner := h.OwnerAvoiding(key, noneDown)
 		rerouted := h.OwnerAvoiding(key, oneDown)
 		if rerouted == dead {
 			t.Fatalf("OwnerAvoiding returned the down node")

@@ -215,7 +215,7 @@ func TestCoordinatorProbeFailsHungHealthz(t *testing.T) {
 		HealthEvery: 20 * time.Millisecond,
 		Logf:        t.Logf,
 	})
-	for deadline := time.Now().Add(5 * time.Second); !looped.isDown(0); time.Sleep(5 * time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); looped.breakers[0].State() == BreakerClosed; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("health loop kept a node with a hung /healthz in rotation")
 		}

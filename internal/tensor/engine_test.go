@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"seaice/internal/noise"
@@ -35,7 +36,7 @@ func withWorkers(t *testing.T, fn func(workers int)) {
 
 func bitEqual[S Scalar](t *testing.T, label string, workers int, got, want *Tensor[S]) {
 	t.Helper()
-	if !got.SameShape(want) {
+	if !slices.Equal(got.Shape, want.Shape) {
 		t.Fatalf("%s (workers=%d): shape %v, want %v", label, workers, got.Shape, want.Shape)
 	}
 	for i := range want.Data {

@@ -85,24 +85,6 @@ func ActParams(lo, hi float64) ActQuant {
 	return ActQuant{Scale: s, Zero: uint8(z)}
 }
 
-// Quantize maps one float value into the tensor's uint8 domain,
-// round-half-away-from-zero, clamped to [0, QuantMax].
-func (a ActQuant) Quantize(x float64) uint8 {
-	q := math.Round(x/a.Scale) + float64(a.Zero)
-	if q < 0 {
-		return 0
-	}
-	if q > QuantMax {
-		return QuantMax
-	}
-	return uint8(q)
-}
-
-// Dequantize maps a quantized value back to float.
-func (a ActQuant) Dequantize(q uint8) float64 {
-	return a.Scale * (float64(q) - float64(a.Zero))
-}
-
 // QuantizeWeightsPerChannel quantizes a row-major (rows × k) float weight
 // matrix symmetrically per row (output channel): row r gets scale
 // scales[r] = maxAbs(row)/QuantMax and q[r·k+i] = round(w[r·k+i]/scales[r]).

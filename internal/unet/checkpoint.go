@@ -140,20 +140,9 @@ func readCheckpoint(r io.Reader) (checkpoint, error) {
 	return ck, nil
 }
 
-// Save writes the model as a float checkpoint.
-func (m *Model[S]) Save(w io.Writer) error {
-	return saveErr(ckptRecord.Write(w, encodeCheckpoint(m.cfg, m.WeightsF64(), nil)))
-}
-
 // SaveFile durably writes a float checkpoint file (record.WriteFile).
 func (m *Model[S]) SaveFile(path string) error {
 	return saveErr(ckptRecord.WriteFile(path, encodeCheckpoint(m.cfg, m.WeightsF64(), nil), false, nil))
-}
-
-// Save writes the quantized model: its master weights and activation
-// table.
-func (q *QuantModel) Save(w io.Writer) error {
-	return saveErr(ckptRecord.Write(w, encodeCheckpoint(q.cfg, q.weights, q.acts)))
 }
 
 // SaveFile durably writes a quantized checkpoint file.

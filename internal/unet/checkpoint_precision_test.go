@@ -168,14 +168,11 @@ func TestF32CheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), ckptRecord.Magic) {
+	b := saved(t, m.SaveFile)
+	if !strings.HasPrefix(string(b), ckptRecord.Magic) {
 		t.Fatal("versioned checkpoint must start with the magic header")
 	}
-	got, err := Load[float32](&buf)
+	got, err := Load[float32](bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +193,7 @@ func TestCrossPrecisionCheckpointLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m64.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m32, err := Load[float32](bytes.NewReader(buf.Bytes()))
+	m32, err := Load[float32](bytes.NewReader(saved(t, m64.SaveFile)))
 	if err != nil {
 		t.Fatalf("f64 → f32: %v", err)
 	}
@@ -212,11 +205,7 @@ func TestCrossPrecisionCheckpointLoad(t *testing.T) {
 		}
 	}
 
-	var buf32 bytes.Buffer
-	if err := m32.Save(&buf32); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load[float64](&buf32)
+	back, err := Load[float64](bytes.NewReader(saved(t, m32.SaveFile)))
 	if err != nil {
 		t.Fatalf("f32 → f64: %v", err)
 	}

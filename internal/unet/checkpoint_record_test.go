@@ -32,19 +32,11 @@ func fastCheckpoints(t testing.TB) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make(map[string][]byte)
-	for name, save := range map[string]func(*bytes.Buffer) error{
-		"f64":  func(b *bytes.Buffer) error { return m64.Save(b) },
-		"f32":  func(b *bytes.Buffer) error { return m32.Save(b) },
-		"int8": func(b *bytes.Buffer) error { return qm.Save(b) },
-	} {
-		var buf bytes.Buffer
-		if err := save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		out[name] = buf.Bytes()
+	return map[string][]byte{
+		"f64":  saved(t, m64.SaveFile),
+		"f32":  saved(t, m32.SaveFile),
+		"int8": saved(t, qm.SaveFile),
 	}
-	return out
 }
 
 // checkpointGoldens are the sha256 of fastCheckpoints' files on amd64.
@@ -110,15 +102,10 @@ func TestCheckpointBitFlipsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, save := range map[string]func(*bytes.Buffer) error{
-		"float":     func(b *bytes.Buffer) error { return m.Save(b) },
-		"quantized": func(b *bytes.Buffer) error { return qm.Save(b) },
+	for name, valid := range map[string][]byte{
+		"float":     saved(t, m.SaveFile),
+		"quantized": saved(t, qm.SaveFile),
 	} {
-		var buf bytes.Buffer
-		if err := save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		valid := buf.Bytes()
 		for bit := 0; bit < 8*len(valid); bit++ {
 			b := bytes.Clone(valid)
 			b[bit/8] ^= 1 << (bit % 8)

@@ -7,6 +7,20 @@ import (
 	"testing"
 )
 
+// saved returns the checkpoint file a model's SaveFile writes.
+func saved(t testing.TB, saveFile func(path string) error) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "model.ckpt")
+	if err := saveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestCheckpointParamsRoundTrip saves a model and reloads it, expecting
 // every named parameter back bit-for-bit.
 func TestCheckpointParamsRoundTrip(t *testing.T) {
@@ -14,11 +28,7 @@ func TestCheckpointParamsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load[float64](&buf)
+	got, err := Load[float64](bytes.NewReader(saved(t, m.SaveFile)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +67,14 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randInput(1, 3, 16, 16, 5)
-	want, have := m.Predict(x), got.Predict(x)
+	want, err := NewSession(m).Predict(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	have, err := NewSession(got).Predict(x)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range want {
 		if want[i] != have[i] {
 			t.Fatalf("pixel %d: reloaded model predicts %d, original %d", i, have[i], want[i])
@@ -73,11 +90,7 @@ func TestLoadFileCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := saved(t, m.SaveFile)
 
 	dir := t.TempDir()
 	cases := map[string][]byte{

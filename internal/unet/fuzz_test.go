@@ -113,11 +113,7 @@ func TestLoadTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var good bytes.Buffer
-	if err := m.Save(&good); err != nil {
-		t.Fatal(err)
-	}
-	valid := good.Bytes()
+	valid := saved(t, m.SaveFile)
 	magic := ckptRecord.Magic
 
 	bogusVersion := bytes.Clone(valid)

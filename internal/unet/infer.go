@@ -27,10 +27,10 @@ var ErrNonFinite = errors.New("unet: non-finite logits")
 // by the session and reused across calls. Micro-batched serving
 // (internal/serve) runs one Session per worker.
 //
-// A float64 session produces Model.Predict's outputs exactly; a float32
-// session additionally routes its 3×3 convolutions through the Winograd
-// engine (nn.Winograd) — deterministic, and within the documented
-// tolerance of the float64 model rather than bit-equal.
+// A float64 session predicts exactly the argmax of Model.Forward; a
+// float32 session additionally routes its 3×3 convolutions through the
+// Winograd engine (nn.Winograd) — deterministic, and within the
+// documented tolerance of the float64 model rather than bit-equal.
 //
 // A Session is NOT safe for concurrent use; the underlying Model's
 // weights are only read, so many Sessions may share one Model. They must
@@ -93,9 +93,6 @@ func NewSession[S tensor.Scalar](m *Model[S]) *Session[S] {
 	}
 	return &Session[S]{m: m, wino: wino, bufs: make([][]S, len(m.plan)), upA: make([][]S, len(m.plan))}
 }
-
-// Model returns the session's underlying model.
-func (s *Session[S]) Model() *Model[S] { return s.m }
 
 // grow returns buf resized to n elements, reallocating only when the
 // capacity is insufficient. Contents are NOT cleared.
@@ -167,7 +164,8 @@ func (s *Session[S]) Forward(x *tensor.Tensor[S]) (*tensor.Tensor[S], error) {
 	return tensor.FromData(out, s.lastDim...), nil
 }
 
-// Predict returns per-pixel class predictions for x, like Model.Predict.
+// Predict returns per-pixel class predictions for x: the argmax of the
+// logits, as nn.Predict computes it.
 // Logits are integrity-checked first: a non-finite value anywhere fails
 // the call with ErrNonFinite instead of laundering garbage through
 // argmax.

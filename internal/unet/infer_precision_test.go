@@ -2,8 +2,10 @@ package unet
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"seaice/internal/nn"
 	"seaice/internal/noise"
 	"seaice/internal/tensor"
 )
@@ -89,13 +91,13 @@ func TestF32SessionDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aCopy := a.Clone()
+	aCopy := slices.Clone(a.Data)
 	b, err := NewSession(m32).Forward(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range aCopy.Data {
-		if aCopy.Data[i] != b.Data[i] {
+	for i := range aCopy {
+		if aCopy[i] != b.Data[i] {
 			t.Fatalf("f32 session nondeterministic at logit %d", i)
 		}
 	}
@@ -113,7 +115,7 @@ func TestF32SessionOddPlanesFallBack(t *testing.T) {
 	for i := range x64.Data {
 		x64.Data[i] = rng.Float64()
 	}
-	wantPred := m64.Predict(x64)
+	wantPred := nn.Predict(m64.Forward(x64, false))
 	got, err := NewSession(m32).Predict(tensor.Convert[float32](x64))
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,10 @@
 package unet
 
 import (
+	"slices"
 	"testing"
 
+	"seaice/internal/nn"
 	"seaice/internal/noise"
 	"seaice/internal/raster"
 	"seaice/internal/tensor"
@@ -47,7 +49,7 @@ func TestSessionMatchesModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !got.SameShape(want) {
+			if !slices.Equal(got.Shape, want.Shape) {
 				t.Fatalf("shape %v, want %v", got.Shape, want.Shape)
 			}
 			for i := range want.Data {
@@ -56,7 +58,7 @@ func TestSessionMatchesModel(t *testing.T) {
 					t.Fatalf("logit %d: session %g, model %g", i, got.Data[i], want.Data[i])
 				}
 			}
-			wantPred := m.Predict(x)
+			wantPred := nn.Predict(m.Forward(x, false))
 			gotPred, err := s.Predict(x)
 			if err != nil {
 				t.Fatal(err)
@@ -80,7 +82,7 @@ func TestSessionBufferReuse(t *testing.T) {
 	s := NewSession(m)
 	for _, shape := range []struct{ n, sz int }{{4, 32}, {1, 32}, {2, 16}, {4, 32}} {
 		x := randInput(shape.n, 3, shape.sz, shape.sz, uint64(shape.n*100+shape.sz))
-		want := m.Predict(x)
+		want := nn.Predict(m.Forward(x, false))
 		got, err := s.Predict(x)
 		if err != nil {
 			t.Fatal(err)

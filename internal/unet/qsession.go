@@ -44,9 +44,6 @@ func NewQuantSession(q *QuantModel) *QuantSession {
 	return &QuantSession{m: q, acts: make([]nn.QAct, len(q.plan))}
 }
 
-// Model returns the session's underlying quantized model.
-func (s *QuantSession) Model() *QuantModel { return s.m }
-
 // forward classifies the quantized input already staged in s.in,
 // returning per-pixel labels in s.labels (n·h·w bytes, pixel-major).
 func (s *QuantSession) forward() []uint8 {

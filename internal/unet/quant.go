@@ -139,11 +139,3 @@ func (q *QuantModel) Precision() string { return "int8" }
 
 // NewPredictor implements Engine.
 func (q *QuantModel) NewPredictor() Predictor { return NewQuantSession(q) }
-
-// ActQuants returns the model's per-stage activation quantization table
-// (the checkpoint's scale/zero-point payload). The returned map is
-// shared: callers must not mutate it.
-func (q *QuantModel) ActQuants() map[string]tensor.ActQuant { return q.acts }
-
-// WeightsF64 returns the retained master weights (shared, read-only).
-func (q *QuantModel) WeightsF64() map[string][]float64 { return q.weights }

@@ -69,7 +69,7 @@ func TestCalibrateDeterministic(t *testing.T) {
 				// Sanity: every stage the quantizer needs was observed.
 				for _, stage := range RequiredStages(m.Config()) {
 					if _, ok := cal.Ranges[stage]; !ok {
-						t.Fatalf("calibration missing stage %s; have %v", stage, cal.Stages())
+						t.Fatalf("calibration missing stage %s; have %v", stage, cal.Ranges)
 					}
 				}
 				continue
@@ -262,17 +262,11 @@ func TestQuantSessionRejectsBadInput(t *testing.T) {
 // predictions, and the embedded float64 master must survive unchanged.
 func TestQuantCheckpointRoundTrip(t *testing.T) {
 	m, qm := quantModel(t, 23)
-	var buf bytes.Buffer
-	if err := qm.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	saved := buf.Bytes()
-
-	loaded, err := LoadQuantized(bytes.NewReader(saved))
+	loaded, err := LoadQuantized(bytes.NewReader(saved(t, qm.SaveFile)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(loaded.ActQuants(), qm.ActQuants()) {
+	if !reflect.DeepEqual(loaded.acts, qm.acts) {
 		t.Fatal("activation tables differ after round trip")
 	}
 	tiles := calibTiles(3, 32, 55)
@@ -292,7 +286,7 @@ func TestQuantCheckpointRoundTrip(t *testing.T) {
 		}
 	}
 
-	if !reflect.DeepEqual(loaded.WeightsF64(), m.WeightsF64()) {
+	if !reflect.DeepEqual(loaded.weights, m.WeightsF64()) {
 		t.Fatal("embedded master weights differ after round trip")
 	}
 }
@@ -302,18 +296,10 @@ func TestQuantCheckpointRoundTrip(t *testing.T) {
 // float loaders read a quantized checkpoint's master exactly.
 func TestLoadQuantizedTypedErrors(t *testing.T) {
 	m, qm := quantModel(t, 29)
-	var quant bytes.Buffer
-	if err := qm.Save(&quant); err != nil {
-		t.Fatal(err)
-	}
-	var float bytes.Buffer
-	if err := m.Save(&float); err != nil {
-		t.Fatal(err)
-	}
-	q := quant.Bytes()
+	q := saved(t, qm.SaveFile)
 
 	for name, data := range map[string][]byte{
-		"float checkpoint":  float.Bytes(),
+		"float checkpoint":  saved(t, m.SaveFile),
 		"malformed magic":   append([]byte("SEAICE-UNET-XKPT\x04"), q[len(ckptRecord.Magic):]...),
 		"truncated payload": q[:len(q)-7],
 		"empty":             nil,

@@ -141,11 +141,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("new: %v", err)
 	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	m2, err := Load[float64](&buf)
+	m2, err := Load[float64](bytes.NewReader(saved(t, m.SaveFile)))
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}

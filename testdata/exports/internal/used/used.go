@@ -17,8 +17,11 @@ func Planted(n int) int {
 // Receiver is named only as its method's receiver.
 type Receiver struct{}
 
-// Value is a method: methods are out of the check's scope.
+// Value is a method only the test calls, so no binary links it.
 func (r *Receiver) Value() int { return 3 }
+
+// unlinked is an unexported helper only the test calls.
+func unlinked() int { return 5 }
 
 // Oracle has only a test caller and an allow-list entry.
 func Oracle() int { return 4 }
