@@ -46,7 +46,9 @@
 // the source's saturation and value, the denoised saturation, and the
 // two passes each of the erosion and the dilation. The colorful-pixel
 // window mean runs on integer column sums in O(width) memory, and the
-// Gaussians run in place over one staged row or column.
+// Gaussians run in place over one staged row or column, each line's run
+// of left-border taps summed once into a prefix that every output near
+// that border starts from.
 package cloudfilter
 
 import (
@@ -243,7 +245,8 @@ func Filter(img *raster.RGB, cfg Config) *Result {
 	// then irons window artifacts to the cloud's spatial scale.
 	opacity := raster.NewFloat(w, h)
 	dilateOpacity(opacity, q, cfg.DarkRadius)
-	line := make([]float64, max(w, h)) // the Gaussian's staging row or column
+	// The Gaussians' border prefix and staging row or column.
+	line := make([]float64, smoothLineLen(w, h, max(cfg.VeilSmoothSigma, cfg.ShadowSmooth)))
 	smoothInPlace(opacity, cfg.VeilSmoothSigma, line)
 	for i, a := range opacity.Pix {
 		if a < cfg.MinOpacity {
@@ -458,9 +461,15 @@ func dilateOpacity(dst *raster.Float, q *raster.Gray, radius int) {
 }
 
 // smoothInPlace applies a separable Gaussian to f in place, staging one
-// row or column at a time in line (at least max(W, H) long). The kernel
+// row or column at a time in line, which is smoothLineLen(W, H, sigma)
+// long: the kernel's border prefix, then the staged line. The kernel
 // radius follows the 3σ rule. Each output is the sum of the same taps in
 // the same order as a two-plane convolution with border replication.
+// The first radius−x taps of an output x < radius all read the line's
+// first pixel, so every such output opens with the same running sums:
+// they are summed once per line (borderPrefix), and output x starts from
+// prefix[radius−x] and adds its remaining taps in order, rounding exactly
+// as the full tap loop would.
 func smoothInPlace(f *raster.Float, sigma float64, line []float64) {
 	if sigma <= 0 {
 		return
@@ -468,44 +477,64 @@ func smoothInPlace(f *raster.Float, sigma float64, line []float64) {
 	k := imgproc.GaussianKernel(sigma)
 	radius := len(k) / 2
 	w, h := f.W, f.H
+	prefix, stage := line[:radius+1], line[radius+1:]
 
+	src := stage[:w]
 	for y := 0; y < h; y++ {
 		row := f.Pix[y*w : (y+1)*w]
-		src := line[:w]
 		copy(src, row)
+		borderPrefix(prefix, k, src[0])
 		for x := range row {
-			sum := 0.0
-			for i, kv := range k {
+			start := max(radius-x, 0)
+			sum := prefix[start]
+			for i := start; i < len(k); i++ {
 				xx := x + i - radius
-				if xx < 0 {
-					xx = 0
-				} else if xx >= w {
+				if xx >= w {
 					xx = w - 1
 				}
-				sum += float64(kv * src[xx])
+				sum += float64(k[i] * src[xx])
 			}
 			row[x] = sum
 		}
 	}
-	src := line[:h]
+	src = stage[:h]
 	for x := 0; x < w; x++ {
 		for y := range src {
 			src[y] = f.Pix[y*w+x]
 		}
+		borderPrefix(prefix, k, src[0])
 		for y := 0; y < h; y++ {
-			sum := 0.0
-			for i, kv := range k {
+			start := max(radius-y, 0)
+			sum := prefix[start]
+			for i := start; i < len(k); i++ {
 				yy := y + i - radius
-				if yy < 0 {
-					yy = 0
-				} else if yy >= h {
+				if yy >= h {
 					yy = h - 1
 				}
-				sum += float64(kv * src[yy])
+				sum += float64(k[i] * src[yy])
 			}
 			f.Pix[y*w+x] = sum
 		}
 	}
+}
+
+// borderPrefix writes into prefix (radius+1 long) the running sums of
+// the kernel's leading taps on the border pixel v: prefix[j] is the sum
+// after j taps, each product rounded before it is added.
+func borderPrefix(prefix, k []float64, v float64) {
+	run := 0.0
+	prefix[0] = run
+	for j := 1; j < len(prefix); j++ {
+		run += float64(k[j-1] * v)
+		prefix[j] = run
+	}
+}
+
+// smoothLineLen is the staging length smoothInPlace needs for a w×h
+// plane at sigma: the longer side plus the border prefix, whose radius
+// follows GaussianKernel's 3σ rule.
+func smoothLineLen(w, h int, sigma float64) int {
+	return max(w, h) + int(math.Ceil(3*max(sigma, 0))) + 1
 }
 
 // maxChannel is the HSV value (brightest channel) of one RGB pixel.

@@ -126,7 +126,7 @@ func TestSmoothInPlaceConstant(t *testing.T) {
 	for i := range f.Pix {
 		f.Pix[i] = 0.3
 	}
-	smoothInPlace(f, 3, make([]float64, 16))
+	smoothInPlace(f, 3, make([]float64, smoothLineLen(16, 16, 3)))
 	for i, v := range f.Pix {
 		if v < 0.299 || v > 0.301 {
 			t.Fatalf("constant field changed at %d: %f", i, v)
@@ -166,19 +166,34 @@ func smoothTwoPlane(src *raster.Float, sigma float64) *raster.Float {
 
 // TestSmoothInPlaceMatchesTwoPlane: the in-place Gaussian equals the
 // two-plane convolution bit for bit, on shapes wider and taller than the
-// kernel and narrower than it.
+// kernel and narrower than it, and at the filter's own σ on the shapes it
+// runs on: a 32² serving tile, strips, a line longer than the radius but
+// shorter than the kernel, and single pixels and lines. Beside uniform
+// draws the inputs hold ±0, a tiny and a huge value, so a border prefix
+// summed in another order than the taps changes some output's bits.
 func TestSmoothInPlaceMatchesTwoPlane(t *testing.T) {
 	rng := noise.NewRNG(11, 1)
-	for _, c := range []struct {
+	special := []float64{0, math.Copysign(0, -1), 1e-300, 1e6}
+	type shape struct {
 		w, h  int
 		sigma float64
-	}{{40, 23, 3}, {17, 41, 6}, {5, 3, 6}, {1, 9, 2}} {
+	}
+	shapes := []shape{{40, 23, 3}, {17, 41, 6}, {5, 3, 6}, {1, 9, 2}}
+	for _, sigma := range []float64{6, 20} {
+		for _, wh := range [][2]int{{32, 32}, {256, 7}, {61, 130}, {1, 1}, {121, 1}} {
+			shapes = append(shapes, shape{wh[0], wh[1], sigma})
+		}
+	}
+	for _, c := range shapes {
 		f := raster.NewFloat(c.w, c.h)
 		for i := range f.Pix {
 			f.Pix[i] = rng.Float64()
+			if j := rng.Intn(2 * len(special)); j < len(special) {
+				f.Pix[i] = special[j]
+			}
 		}
 		want := smoothTwoPlane(f, c.sigma)
-		smoothInPlace(f, c.sigma, make([]float64, max(c.w, c.h)))
+		smoothInPlace(f, c.sigma, make([]float64, smoothLineLen(c.w, c.h, c.sigma)))
 		for i := range f.Pix {
 			if math.Float64bits(f.Pix[i]) != math.Float64bits(want.Pix[i]) {
 				t.Fatalf("%d×%d σ=%v: pixel %d = %v, want %v", c.w, c.h, c.sigma, i, f.Pix[i], want.Pix[i])
